@@ -23,7 +23,6 @@ from repro.nn.quant import (
     weight_bytes,
 )
 from repro.nn.generation import (
-    DecodeState,
     GenerationConfig,
     generate,
     generate_batch,
@@ -32,6 +31,7 @@ from repro.nn.generation import (
 from repro.nn.continuous import (
     AdmissionPolicy,
     ContinuousScheduler,
+    DecodeState,
     GenerationStream,
     generate_continuous,
 )

@@ -155,88 +155,18 @@ class MultiHeadAttention(Module):
         batch, seq, _ = x.shape
         return x.reshape(batch, seq, n_heads, self.head_dim).transpose((0, 2, 1, 3))
 
-    def _decode_step(self, q: Tensor, k: Tensor, v: Tensor, batch: int) -> Tensor:
-        """Single-token decode kernel: no mask, no grouped-head repeat.
+    def forward(self, x: Tensor) -> Tensor:
+        """Causal (sliding-window) self-attention over the whole of ``x``.
 
-        Every retained key is visible to the one (newest) query, so the
-        mask is skipped entirely — no ``(B, H, 1, T_kv)`` mask build and
-        no ``-1e9`` softmax lanes.  The ``1/sqrt(head_dim)`` scale is
-        folded into ``q`` (one ``(B, H, 1, hd)`` multiply instead of
-        scaling the ``(B, H, 1, T_kv)`` score matrix), and grouped-query
-        heads are handled by reshaping ``q`` to ``(B, KV, group, hd)``
-        and broadcasting the matmul instead of materializing repeated
-        key/value copies of the whole cache.
-        """
-        group = self.n_heads // self.n_kv_heads
-        kv_len = k.shape[2]
-        q = q * np.float32(1.0 / np.sqrt(self.head_dim))
-        q = q.reshape(batch, self.n_kv_heads, group, self.head_dim)
-        scores = q @ k.swapaxes(-1, -2)  # (B, KV, group, T_kv)
-        weights = softmax(scores, axis=-1)
-        weights = self.attn_dropout(weights)
-        out = weights @ v  # (B, KV, group, hd)
-        return out.reshape(batch, 1, self.n_heads * self.head_dim)
-
-    def mask_for(self, seq, kv_len, start, kv_offset, cache, attn_mask):
-        """The additive mask a forward step needs, or ``None`` on the
-        decode fast path (single newest query, every retained key
-        visible) where building an all-zero mask would be pure waste.
-        Shared by the autograd :meth:`forward` and the fused raw-numpy
-        inference kernel so both paths agree on when masking applies.
-        """
-        if cache is not None and seq == 1 and attn_mask is None:
-            # The single query is the newest position, so causality
-            # admits every retained key, and the rolling window trim
-            # (or an explicit length check) guarantees no key is older
-            # than the window.
-            if (
-                self.sliding_window is None
-                or cache.window is not None  # append() already trimmed to window
-                or kv_len <= self.sliding_window
-            ):
-                return None
-        if attn_mask is not None:
-            return attn_mask
-        if cache is not None:
-            return rect_attention_mask(
-                seq, kv_len, self.sliding_window, q_offset=start, kv_offset=kv_offset
-            )
-        return sliding_window_mask(seq, self.sliding_window)
-
-    def forward(self, x: Tensor, cache=None, positions=None, attn_mask=None) -> Tensor:
-        """Self-attention over ``x``.
-
-        With ``cache`` (a :class:`~repro.nn.cache.LayerKVCache`) runs
-        incremental decoding: ``x`` holds only the new tokens and
-        attends over the cached prefix as well.  ``positions`` overrides
-        the RoPE positions (``(T,)`` shared or ``(B, T)`` per-row, for
-        ragged batched decoding); ``attn_mask`` is an additive mask
-        broadcastable to ``(B, H, T, T_kv)`` that replaces the
-        internally constructed causal/sliding mask (the batched
-        generation loop builds per-row masks that also hide padding).
+        This is the autograd path, used for training and any forward
+        with gradients on.  Incremental decoding with a KV cache, per-row
+        positions and explicit masks runs only through the fused
+        inference kernel (:func:`repro.nn.quant.infer_logits_np`).
         """
         batch, seq, _ = x.shape
-        start = cache.next_position if cache is not None else 0
-        q = self._split_heads(self.wq(x), self.n_heads)  # (B, H, T, hd)
-        k = self._split_heads(self.wk(x), self.n_kv_heads)  # (B, KV, T, hd)
+        q = self.rope.apply(self._split_heads(self.wq(x), self.n_heads))  # (B, H, T, hd)
+        k = self.rope.apply(self._split_heads(self.wk(x), self.n_kv_heads))  # (B, KV, T, hd)
         v = self._split_heads(self.wv(x), self.n_kv_heads)
-
-        if positions is None:
-            positions = np.arange(start, start + seq)
-        q = self.rope.apply(q, positions=positions)
-        k = self.rope.apply(k, positions=positions)
-
-        if cache is not None:
-            k_all, v_all = cache.append(k.data, v.data)
-            k = Tensor(k_all)
-            v = Tensor(v_all)
-            kv_offset = cache.offset
-        else:
-            kv_offset = 0
-
-        mask = self.mask_for(seq, k.shape[2], start, kv_offset, cache, attn_mask)
-        if mask is None:
-            return self.wo(self._decode_step(q, k, v, batch))
 
         if self.n_kv_heads != self.n_heads:
             group = self.n_heads // self.n_kv_heads
@@ -245,8 +175,8 @@ class MultiHeadAttention(Module):
             v = v[:, idx]
 
         scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (q @ k.swapaxes(-1, -2)) * scale  # (B, H, T, T_kv)
-        scores = scores + (mask if isinstance(mask, Tensor) else Tensor(mask))
+        scores = (q @ k.swapaxes(-1, -2)) * scale  # (B, H, T, T)
+        scores = scores + Tensor(sliding_window_mask(seq, self.sliding_window))
         weights = softmax(scores, axis=-1)
         weights = self.attn_dropout(weights)
         out = weights @ v  # (B, H, T, hd)

@@ -241,32 +241,21 @@ class LayerKVCache:
         k, v = self.views()
         return LayerKVCache.from_arrays(k, v, offset=self.offset, window=self.window)
 
-    def trimmed(self, window: int | None) -> "LayerKVCache":
-        """An independent copy keeping only the trailing ``window`` entries.
+    def select_rows(self, indices, columns=None) -> None:
+        """Keep only the given batch rows (early retirement compaction).
 
-        Converts an untrimmed prefill cache into a rolling decode cache:
-        every future query sits past the current end, so keys older than
-        the window can never be visible again and are safe to drop.
+        ``columns``, when given, also keeps only those retained slots
+        (indices into the retained span, in order) — the batched decode
+        state drops slots no remaining row can attend to.
         """
-        if window is None or self._k is None:
-            fork = self.fork()
-            fork.window = window
-            return fork
-        k, v = self.views()
-        keep = min(self._len, window)
-        return LayerKVCache.from_arrays(
-            k[:, :, self._len - keep :],
-            v[:, :, self._len - keep :],
-            offset=self.offset + self._len - keep,
-            window=window,
-        )
-
-    def select_rows(self, indices) -> None:
-        """Keep only the given batch rows (early retirement compaction)."""
         if self._k is None:
             return
         indices = np.asarray(indices, dtype=np.intp)
-        span = slice(self._start, self._start + self._len)
+        if columns is None:
+            span = slice(self._start, self._start + self._len)
+        else:
+            span = self._start + np.asarray(columns, dtype=np.intp)
+            self._len = len(span)
         self._k = np.ascontiguousarray(self._k[indices][:, :, span])
         self._v = np.ascontiguousarray(self._v[indices][:, :, span])
         self._start = 0
@@ -369,17 +358,10 @@ class KVCache:
         cache.window = self.window
         return cache
 
-    def trimmed(self, window: int | None) -> "KVCache":
-        """An independent copy trimmed to the trailing ``window`` entries."""
-        cache = KVCache.__new__(KVCache)
-        cache.layers = [layer.trimmed(window) for layer in self.layers]
-        cache.window = window
-        return cache
-
-    def select_rows(self, indices) -> None:
-        """Keep only the given batch rows in every layer."""
+    def select_rows(self, indices, columns=None) -> None:
+        """Keep only the given batch rows (and slots) in every layer."""
         for layer in self.layers:
-            layer.select_rows(indices)
+            layer.select_rows(indices, columns)
 
 
 # ----------------------------------------------------------------------

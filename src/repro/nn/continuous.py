@@ -1,32 +1,32 @@
-"""Continuous batching: admit new prefills into a running decode batch.
+"""The decode loop: admit new prefills into a running decode batch.
 
-:func:`~repro.nn.generation.generate_batch` amortizes decode across a
-*fixed* set of prompts: everything prefills together, and a request that
-arrives one step after the batch launched waits for the whole batch to
-finish (head-of-line blocking).  Production inference schedulers (vLLM,
-Orca-style iteration-level scheduling) instead run **one** decode loop
-forever and splice freshly prefilled rows into the live batch between
-steps, so the batch stays full under staggered arrivals.
+Every cached generation entry point runs through :class:`ContinuousScheduler`:
+:func:`~repro.nn.generation.generate_batch` submits a fixed set of
+prompts and drains, :func:`~repro.nn.generation.generate` is a one-row
+``generate_batch``, and the serving tier's ``ContinuousEngine`` keeps
+one scheduler alive and splices freshly prefilled rows into the live
+batch between steps (vLLM / Orca-style iteration-level scheduling), so
+the batch stays full under staggered arrivals.
 
-:class:`ContinuousScheduler` is that loop.  Each :meth:`~ContinuousScheduler.step`:
+Each :meth:`~ContinuousScheduler.step`:
 
 1. **Admits** up to ``max_prefills_per_step`` waiting prompts (while the
    batch has fewer than ``max_live_rows`` live rows): one padded prefill
    forward for the cohort, first token sampled from the prefill logits,
-   then the new rows are merged into the live
-   :class:`~repro.nn.generation.DecodeState` via the ragged
-   ``LayerKVCache.admit_rows`` path.
-2. **Decodes** one token for every live row — the same masked batched
-   step as ``generate_batch`` — and **retires** rows at stop tokens or
-   ``max_new_tokens`` via ``DecodeState.select_rows``.
+   then the new rows are merged into the live :class:`DecodeState` via
+   the ragged ``LayerKVCache.admit_rows`` path.
+2. **Decodes** one token for every live row and **retires** rows at stop
+   tokens or ``max_new_tokens`` via :meth:`DecodeState.select_rows`,
+   which also drops KV slots no remaining row can see — so the state
+   stays bounded by ``max_seq_len`` even when the loop never drains.
 
-Outputs are bit-identical to per-prompt :func:`~repro.nn.generation.generate`
-and to :func:`~repro.nn.generation.generate_batch` for *any* arrival
-interleaving: every row draws from its own ``default_rng(config.seed)``
-stream, padding slots are additively masked (``-1e9`` lanes underflow to
-exactly 0 in softmax), and per-row RoPE positions continue from each
-row's own prompt length — so batch composition never changes a row's
-logits.  The parity suite in ``tests/test_continuous.py`` pins this.
+Outputs equal per-prompt ``generate(..., use_cache=False)`` — the
+uncached re-forward reference — for *any* arrival interleaving: every
+row draws from its own ``default_rng(config.seed)`` stream, padding
+slots are additively masked (``-1e9`` lanes underflow to exactly 0 in
+softmax), and per-row RoPE positions continue from each row's own
+prompt length.  The parity suite in ``tests/test_continuous.py`` pins
+this.
 
 Tokens stream out through :class:`GenerationStream` (per-token callback
 plus an exactly-once finalization guard); counters and gauges land in
@@ -45,14 +45,235 @@ import numpy as np
 from repro.errors import ConfigError, ServingError
 from repro.tensor import no_grad
 from repro.tensor.random import default_rng
-from repro.nn.cache import PrefixCache
-from repro.nn.generation import (
-    GenerationConfig,
-    _check_budget,
-    _prefill_batch,
-    _sample_token,
+from repro.nn.cache import (
+    KVCache,
+    KVCacheSnapshot,
+    LayerKVCache,
+    LayerKVSnapshot,
+    PrefixCache,
+    _read_only,
 )
+from repro.nn.generation import GenerationConfig, _check_budget, _sample_token
 from repro.nn.transformer import MistralTiny
+
+_NEG_INF = np.float32(-1e9)
+
+
+class DecodeState:
+    """Mutable per-row bookkeeping for the batched decode loop.
+
+    The stacked KV cache is left-aligned: row ``i`` occupies slots
+    ``0..kv_len_i`` and shorter rows carry invalid (padding or absent)
+    slots that the per-row additive mask hides.  ``kv_pos[i, j]`` is the
+    absolute RoPE position slot ``j`` holds for row ``i`` — decode
+    positions continue from each row's *own* prompt length, so batched
+    logits match the sequential run.
+    """
+
+    __slots__ = ("cache", "kv_pos", "kv_valid", "row_pos", "uniform", "window")
+
+    def __init__(self, cache, kv_pos, kv_valid, row_pos, window):
+        self.cache = cache
+        self.kv_pos = kv_pos  # (B, K) int64
+        self.kv_valid = kv_valid  # (B, K) bool
+        self.row_pos = row_pos  # (B,) int64: position of the next token
+        self.window = window
+        self._refresh_uniform()
+
+    def _refresh_uniform(self) -> None:
+        # Every slot real and contiguous from 0, every row about to decode
+        # position ``width``: the condition under which the model's own
+        # mask logic (and decode fast path) is exact without a mask.
+        width = self.kv_pos.shape[1]
+        self.uniform = (
+            bool(self.kv_valid.all())
+            and bool((self.kv_pos == np.arange(width, dtype=np.int64)).all())
+            and bool((self.row_pos == width).all())
+        )
+
+    def step_mask(self) -> np.ndarray | None:
+        """Additive mask for the next single-token step (or None).
+
+        ``None`` means the model's own mask logic (including the decode
+        fast path) is exact: every row's slots line up with its
+        positions.  Otherwise builds a ``(B, 1, 1, K+1)`` mask covering
+        the about-to-be-appended token's slot (always visible).
+        """
+        if self.uniform:
+            return None
+        allowed = self.kv_valid
+        if self.window is not None:
+            allowed = allowed & ((self.row_pos[:, None] - self.kv_pos) < self.window)
+        batch = allowed.shape[0]
+        mask = np.where(allowed, np.float32(0.0), _NEG_INF).astype(np.float32)
+        mask = np.concatenate([mask, np.zeros((batch, 1), dtype=np.float32)], axis=1)
+        return mask[:, None, None, :]
+
+    def advance(self) -> None:
+        """Record the slot the forward pass just appended."""
+        self.kv_pos = np.concatenate([self.kv_pos, self.row_pos[:, None]], axis=1)
+        self.kv_valid = np.concatenate(
+            [self.kv_valid, np.ones((self.kv_valid.shape[0], 1), dtype=bool)], axis=1
+        )
+        self.row_pos = self.row_pos + 1
+
+    def select_rows(self, keep: list[int]) -> None:
+        """Keep only rows ``keep`` and drop slots invalid for all of them.
+
+        Without the slot drop the width only grows (one slot per step)
+        while rows keep arriving, so a loop that never drains would
+        attend over an ever longer, mostly masked cache.
+        """
+        kv_valid = self.kv_valid[keep]
+        live = kv_valid.any(axis=0)
+        columns = None if live.all() else np.flatnonzero(live)
+        self.cache.select_rows(keep, columns)
+        self.kv_pos = self.kv_pos[keep]
+        self.kv_valid = kv_valid
+        if columns is not None:
+            self.kv_pos = self.kv_pos[:, columns]
+            self.kv_valid = kv_valid[:, columns]
+        self.row_pos = self.row_pos[keep]
+        self._refresh_uniform()
+
+    def admit(self, other: "DecodeState") -> None:
+        """Merge another batch's rows into this one (continuous admit).
+
+        Pads both slot tables to a common width and appends the
+        newcomer's rows to every layer's stacked cache.  Padding slots
+        stay invalid (masked forever), so a merged step computes the
+        same per-row logits as running the two batches separately.
+        """
+        width = max(self.kv_pos.shape[1], other.kv_pos.shape[1])
+
+        def pad_cols(a: np.ndarray) -> np.ndarray:
+            if a.shape[1] == width:
+                return a
+            extra = np.zeros((a.shape[0], width - a.shape[1]), dtype=a.dtype)
+            return np.concatenate([a, extra], axis=1)
+
+        self.kv_pos = np.concatenate([pad_cols(self.kv_pos), pad_cols(other.kv_pos)], axis=0)
+        self.kv_valid = np.concatenate(
+            [pad_cols(self.kv_valid), pad_cols(other.kv_valid)], axis=0
+        )
+        self.row_pos = np.concatenate([self.row_pos, other.row_pos], axis=0)
+        for mine, theirs in zip(self.cache.layers, other.cache.layers):
+            mine.admit_rows(theirs)
+        self._refresh_uniform()
+
+
+def _snapshot_row(layers_kv, row: int, length: int) -> KVCacheSnapshot:
+    """Freeze one row's first ``length`` KV slots as a cache snapshot."""
+    snaps = [
+        LayerKVSnapshot(
+            k=_read_only(np.ascontiguousarray(k[row : row + 1, :, :length])),
+            v=_read_only(np.ascontiguousarray(v[row : row + 1, :, :length])),
+            offset=0,
+        )
+        for k, v in layers_kv
+    ]
+    return KVCacheSnapshot(layers=tuple(snaps), window=None)
+
+
+def _prefill_batch(
+    model: MistralTiny,
+    rows: list[np.ndarray],
+    prefix_cache: PrefixCache | None,
+    metrics,
+) -> tuple[DecodeState, list[np.ndarray]]:
+    """Prefill every prompt and stack the results into one decode state.
+
+    Rows without a cached prefix share one left-aligned padded prefill
+    forward; rows with a prefix hit fork the stored snapshot and prefill
+    only their unseen suffix.  Prefill runs through *untrimmed* caches:
+    the masks enforce the sliding window exactly, whereas trimming keys
+    mid-prompt would drop history early queries still depend on.
+    """
+    n_layers = model.config.n_layers
+    window = model.config.sliding_window
+    batch = len(rows)
+    lengths = [len(r) for r in rows]
+    entries = [prefix_cache.lookup(r) if prefix_cache is not None else None for r in rows]
+    miss_idx = [i for i, e in enumerate(entries) if e is None]
+
+    last_logits: list[np.ndarray | None] = [None] * batch
+    row_kv: list[list[tuple[np.ndarray, np.ndarray]] | None] = [None] * batch
+    row_offsets = [0] * batch
+    row_kv_len = [0] * batch
+
+    if miss_idx:
+        pad_to = max(lengths[i] for i in miss_idx)
+        padded = np.zeros((len(miss_idx), pad_to), dtype=np.int64)
+        for r, i in enumerate(miss_idx):
+            padded[r, : lengths[i]] = rows[i]
+        miss_cache = KVCache(n_layers, window=None)
+        logits = model.forward(padded, cache=miss_cache).data
+        metrics["prefill_tokens"].inc(sum(lengths[i] for i in miss_idx))
+        miss_layers = [miss_cache[layer].views() for layer in range(n_layers)]
+        for r, i in enumerate(miss_idx):
+            last_logits[i] = logits[r, lengths[i] - 1]
+            row_kv[i] = [(k[r : r + 1], v[r : r + 1]) for k, v in miss_layers]
+            row_kv_len[i] = pad_to
+            if prefix_cache is not None:
+                prefix_cache.insert(
+                    rows[i],
+                    _snapshot_row(miss_layers, r, lengths[i]),
+                    last_logits[i],
+                )
+
+    for i, entry in enumerate(entries):
+        if entry is None:
+            continue
+        fork = KVCache.from_snapshot(entry.snapshot, window=None)
+        if entry.length == lengths[i]:
+            last_logits[i] = np.asarray(entry.logits)
+        else:
+            suffix = rows[i][entry.length :]
+            last_logits[i] = model.forward(suffix[None, :], cache=fork).data[0, -1]
+            metrics["prefill_tokens"].inc(len(suffix))
+            if prefix_cache is not None:
+                prefix_cache.insert(rows[i], fork.snapshot(), last_logits[i])
+        row_kv[i] = [fork[layer].views() for layer in range(n_layers)]
+        row_offsets[i] = fork[0].offset
+        row_kv_len[i] = len(fork[0])
+
+    # Stack every row's KV block left-aligned into one batched cache.
+    kv_capacity = max(row_kv_len)
+    kv_pos = np.zeros((batch, kv_capacity), dtype=np.int64)
+    kv_valid = np.zeros((batch, kv_capacity), dtype=bool)
+    stacked = []
+    for layer in range(n_layers):
+        template = row_kv[0][layer][0]
+        _, kv_heads, _, head_dim = template.shape
+        k_l = np.zeros((batch, kv_heads, kv_capacity, head_dim), dtype=template.dtype)
+        v_l = np.zeros_like(k_l)
+        for i in range(batch):
+            k_row, v_row = row_kv[i][layer]
+            k_l[i, :, : row_kv_len[i]] = k_row[0]
+            v_l[i, :, : row_kv_len[i]] = v_row[0]
+        stacked.append((k_l, v_l))
+    for i in range(batch):
+        span = np.arange(row_kv_len[i])
+        kv_pos[i, : row_kv_len[i]] = row_offsets[i] + span
+        # Padding slots of a shared prefill (beyond the row's own prompt
+        # length) hold garbage K/V and must stay masked forever.
+        valid_len = min(lengths[i] - row_offsets[i], row_kv_len[i])
+        kv_valid[i, :valid_len] = True
+
+    cache = KVCache.__new__(KVCache)
+    cache.layers = [
+        LayerKVCache.from_arrays(k_l, v_l, offset=0, window=None) for k_l, v_l in stacked
+    ]
+    cache.window = None
+
+    state = DecodeState(
+        cache=cache,
+        kv_pos=kv_pos,
+        kv_valid=kv_valid,
+        row_pos=np.asarray(lengths, dtype=np.int64),
+        window=window,
+    )
+    return state, [np.asarray(l) for l in last_logits]
 
 
 @dataclass(frozen=True)
@@ -182,7 +403,7 @@ class ContinuousScheduler:
         self._h_step = registry.histogram("generation.decode_step_s")
 
         self._waiting: deque[tuple[GenerationStream, np.ndarray]] = deque()
-        self._state = None  # DecodeState | None
+        self._state: DecodeState | None = None
         self._live: list[GenerationStream] = []
         self._rngs: list = []  # per live row, parallel to _live
         self._tokens: list[int] = []  # next input token per live row
@@ -213,8 +434,8 @@ class ContinuousScheduler:
         """Queue one prompt for admission; returns its stream handle.
 
         The prompt is left-truncated to the model's context budget, the
-        same as ``generate``/``generate_batch``, so continuous outputs
-        stay comparable token-for-token.
+        same as the uncached ``generate`` reference, so outputs stay
+        comparable token-for-token.
         """
         ids = np.asarray(prompt_ids, dtype=np.int64).reshape(-1)[-self._budget :]
         if len(ids) == 0:
@@ -246,7 +467,7 @@ class ContinuousScheduler:
         try:
             with no_grad():
                 emitted = self._admit()
-                emitted += self._decode_step()
+                emitted += self._decode()
         finally:
             if was_training:
                 self.model.train()
@@ -305,7 +526,7 @@ class ContinuousScheduler:
             self._tokens.append(stream.tokens[-1])
         return take
 
-    def _decode_step(self) -> int:
+    def _decode(self) -> int:
         if self._state is None:
             return 0
         started = time.perf_counter()
@@ -386,10 +607,9 @@ def generate_continuous(
 
     ``arrivals[i]`` is the decode-step index at which prompt ``i``
     becomes available (default: all at step 0).  Returns one token list
-    per prompt in input order — bit-identical to ``generate_batch`` on
-    the same prompts/config regardless of the schedule.  This is the
-    deterministic harness the parity tests and the saturation benchmark
-    share.
+    per prompt in input order — the same tokens regardless of the
+    schedule.  This is the deterministic harness the parity tests and
+    the saturation benchmark share.
     """
     prompts = list(prompts)
     if not prompts:

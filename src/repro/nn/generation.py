@@ -1,30 +1,27 @@
 """Decoding: greedy / temperature / top-k sampling, single and batched.
 
-Generation always runs under :func:`~repro.tensor.no_grad`.  Two paths
-share the same sampling semantics:
+Generation always runs under :func:`~repro.tensor.no_grad` and shares
+one decode loop, :class:`~repro.nn.continuous.ContinuousScheduler`:
 
-* :func:`generate` — one sequence, incremental KV-cached decoding (or a
-  re-forward loop with ``use_cache=False``).
-* :func:`generate_batch` — many sequences at once: one left-aligned
-  padded prefill forward, then one-token-per-step batched decode with
-  per-row RoPE positions, per-row stop-token tracking and **early row
-  retirement** (finished rows are physically compacted out of the
-  batch).  Greedy outputs match sequential :func:`generate` exactly,
-  and seeded sampling matches row-for-row because every row draws from
-  its own ``default_rng(config.seed)`` stream, just like a sequential
-  call would.
+* :func:`generate_batch` submits every prompt to one scheduler sized to
+  the batch and drains it — one padded prefill, then one-token-per-step
+  batched decode with per-row RoPE positions, per-row stop tokens and
+  early row retirement.
+* :func:`generate` with ``use_cache=True`` (the default) is a one-row
+  :func:`generate_batch`.  With ``use_cache=False`` it re-forwards the
+  whole sequence each step: the independent reference the batched,
+  cached and continuous paths are tested against.
 
-Both paths accept a :class:`~repro.nn.cache.PrefixCache`: prompts that
-share a cached token prefix (repeat behavior texts, shared instruct
-preambles, repeat sampling seeds) fork the stored KV snapshot and only
-prefill the unseen suffix.  Hit/miss/saved-token counters and the
-decode-step histogram are reported through :mod:`repro.obs`
-(``generation.*`` series; see ``docs/generation.md``).
+Seeded sampling matches row-for-row because every row draws from its
+own ``default_rng(config.seed)`` stream, just like a sequential call.
+A :class:`~repro.nn.cache.PrefixCache` lets prompts that share a cached
+token prefix fork the stored KV snapshot and only prefill the unseen
+suffix.  Counters and the decode-step histogram are reported through
+:mod:`repro.obs` (``generation.*`` series; see ``docs/generation.md``).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +29,8 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.tensor import no_grad
 from repro.tensor.random import default_rng
-from repro.nn.cache import KVCache, KVCacheSnapshot, LayerKVCache, PrefixCache
+from repro.nn.cache import PrefixCache
 from repro.nn.transformer import MistralTiny
-
-_NEG_INF = np.float32(-1e9)
 
 
 @dataclass(frozen=True)
@@ -93,37 +88,6 @@ def _sample_token(logits: np.ndarray, config: GenerationConfig, rng) -> int:
     return int(rng.choice(probs.size, p=probs))
 
 
-def _prefill_single(
-    model: MistralTiny,
-    prompt: np.ndarray,
-    prefix_cache: PrefixCache | None,
-) -> tuple[KVCache, np.ndarray]:
-    """Prefill one prompt, reusing the longest cached prefix if any.
-
-    Returns the ready-to-decode cache and the logits following the last
-    prompt token.
-    """
-    window = model.config.sliding_window
-    entry = prefix_cache.lookup(prompt) if prefix_cache is not None else None
-    if entry is not None and entry.length == len(prompt):
-        return KVCache.from_snapshot(entry.snapshot, window=None).trimmed(window), entry.logits
-    if entry is not None:
-        cache = KVCache.from_snapshot(entry.snapshot, window=None)
-        suffix = prompt[entry.length :]
-        logits = model.forward(suffix[None, :], cache=cache).data[0, -1]
-    else:
-        # Prefill through an *untrimmed* cache: the attention masks
-        # enforce the sliding window exactly, whereas trimming mid-prompt
-        # would drop keys that early queries (and, through deeper layers,
-        # the final logits) still depend on.  The window-sized rolling
-        # cache is cut from the result afterwards for O(window) decode.
-        cache = KVCache(model.config.n_layers, window=None)
-        logits = model.forward(prompt[None, :], cache=cache).data[0, -1]
-    if prefix_cache is not None:
-        prefix_cache.insert(prompt, cache.snapshot(), logits)
-    return cache.trimmed(window), logits
-
-
 def generate(
     model: MistralTiny,
     prompt_ids: np.ndarray,
@@ -138,265 +102,29 @@ def generate(
     budget (:class:`~repro.errors.ConfigError` otherwise).
     """
     config = config or GenerationConfig()
+    if config.use_cache:
+        return generate_batch(model, [prompt_ids], config, prefix_cache=prefix_cache)[0]
     budget = _check_budget(model, config)
-    if prefix_cache is not None:
-        prefix_cache.sync(model.weight_version)
     rng = default_rng(config.seed)
-    # Left-truncate to the prompt budget up front so the cached and
-    # uncached paths condition on the identical context window and the
-    # whole run fits the RoPE position table.
+    # Left-truncate to the prompt budget up front, exactly as the cached
+    # path does, so both condition on the identical context window.
     ids = list(np.asarray(prompt_ids, dtype=np.int64).reshape(-1))[-budget:]
     generated: list[int] = []
     was_training = model.training
     model.eval()
     try:
         with no_grad():
-            if config.use_cache:
-                # Incremental decoding: prefill once (reusing any cached
-                # prefix), then one token per step.
-                prompt = np.asarray(ids, dtype=np.int64)
-                cache, logits = _prefill_single(model, prompt, prefix_cache)
-                for _ in range(config.max_new_tokens):
-                    next_id = _sample_token(logits, config, rng)
-                    generated.append(next_id)
-                    if next_id in config.stop_tokens or len(generated) == config.max_new_tokens:
-                        break
-                    logits = model.forward(
-                        np.asarray([next_id], dtype=np.int64)[None, :], cache=cache
-                    ).data[0, -1]
-            else:
-                for _ in range(config.max_new_tokens):
-                    logits = model.forward(np.asarray(ids, dtype=np.int64)[None, :])
-                    next_id = _sample_token(logits.data[0, -1], config, rng)
-                    ids.append(next_id)
-                    generated.append(next_id)
-                    if next_id in config.stop_tokens:
-                        break
+            for _ in range(config.max_new_tokens):
+                logits = model.forward(np.asarray(ids, dtype=np.int64)[None, :])
+                next_id = _sample_token(logits.data[0, -1], config, rng)
+                ids.append(next_id)
+                generated.append(next_id)
+                if next_id in config.stop_tokens:
+                    break
     finally:
         if was_training:
             model.train()
     return generated
-
-
-# ----------------------------------------------------------------------
-# Batched decoding
-# ----------------------------------------------------------------------
-
-
-class _BatchState:
-    """Mutable per-row bookkeeping for the batched decode loop.
-
-    The stacked KV cache is left-aligned: row ``i`` occupies slots
-    ``0..kv_len_i`` and shorter rows carry invalid (padding or absent)
-    slots that the per-row additive mask hides.  ``kv_pos[i, j]`` is the
-    absolute RoPE position slot ``j`` holds for row ``i`` — decode
-    positions continue from each row's *own* prompt length, so batched
-    logits match the sequential run exactly.
-    """
-
-    __slots__ = ("cache", "kv_pos", "kv_valid", "row_pos", "uniform", "window")
-
-    def __init__(self, cache, kv_pos, kv_valid, row_pos, uniform, window):
-        self.cache = cache
-        self.kv_pos = kv_pos  # (B, K) int64
-        self.kv_valid = kv_valid  # (B, K) bool
-        self.row_pos = row_pos  # (B,) int64: position of the next token
-        self.uniform = uniform  # True when slots == positions for every row
-        self.window = window
-
-    def step_mask(self) -> np.ndarray | None:
-        """Additive mask for the next single-token step (or None).
-
-        ``None`` means the model's own mask logic (including the decode
-        fast path) is exact: every row's slots line up with its
-        positions.  Otherwise builds a ``(B, 1, 1, K+1)`` mask covering
-        the about-to-be-appended token's slot (always visible).
-        """
-        if self.uniform:
-            return None
-        allowed = self.kv_valid
-        if self.window is not None:
-            allowed = allowed & ((self.row_pos[:, None] - self.kv_pos) < self.window)
-        batch = allowed.shape[0]
-        mask = np.where(allowed, np.float32(0.0), _NEG_INF).astype(np.float32)
-        mask = np.concatenate([mask, np.zeros((batch, 1), dtype=np.float32)], axis=1)
-        return mask[:, None, None, :]
-
-    def advance(self) -> None:
-        """Record the slot the forward pass just appended."""
-        self.kv_pos = np.concatenate([self.kv_pos, self.row_pos[:, None]], axis=1)
-        self.kv_valid = np.concatenate(
-            [self.kv_valid, np.ones((self.kv_valid.shape[0], 1), dtype=bool)], axis=1
-        )
-        self.row_pos = self.row_pos + 1
-
-    def select_rows(self, keep: list[int]) -> None:
-        self.cache.select_rows(keep)
-        self.kv_pos = self.kv_pos[keep]
-        self.kv_valid = self.kv_valid[keep]
-        self.row_pos = self.row_pos[keep]
-
-    def admit(self, other: "_BatchState") -> None:
-        """Merge another batch's rows into this one (continuous admit).
-
-        Pads both slot tables to a common width, appends the newcomer's
-        rows to every layer's stacked cache, and recomputes ``uniform``
-        exactly.  Padding slots stay invalid (masked forever), so a
-        merged step computes bitwise the same per-row logits as running
-        the two batches separately — the foundation of the continuous
-        scheduler's parity guarantee.
-        """
-        width = max(self.kv_pos.shape[1], other.kv_pos.shape[1])
-
-        def pad_cols(a: np.ndarray) -> np.ndarray:
-            if a.shape[1] == width:
-                return a
-            extra = np.zeros((a.shape[0], width - a.shape[1]), dtype=a.dtype)
-            return np.concatenate([a, extra], axis=1)
-
-        self.kv_pos = np.concatenate([pad_cols(self.kv_pos), pad_cols(other.kv_pos)], axis=0)
-        self.kv_valid = np.concatenate(
-            [pad_cols(self.kv_valid), pad_cols(other.kv_valid)], axis=0
-        )
-        self.row_pos = np.concatenate([self.row_pos, other.row_pos], axis=0)
-        for mine, theirs in zip(self.cache.layers, other.cache.layers):
-            mine.admit_rows(theirs)
-        # Exact uniformity: every slot real and contiguous from 0, every
-        # row about to decode position ``width`` — the condition under
-        # which the model's own mask logic (and decode fast path) is
-        # correct without an explicit mask.
-        self.uniform = (
-            bool(self.kv_valid.all())
-            and bool((self.kv_pos == np.arange(width, dtype=np.int64)).all())
-            and bool((self.row_pos == width).all())
-        )
-
-
-# Public name for the batched-decode bookkeeping: the continuous
-# scheduler builds on the same state object generate_batch() uses.
-DecodeState = _BatchState
-
-
-def _snapshot_row(layers_kv, row: int, length: int, offset: int = 0) -> KVCacheSnapshot:
-    """Freeze one row's first ``length`` KV slots as a cache snapshot."""
-    from repro.nn.cache import LayerKVSnapshot, _read_only
-
-    snaps = []
-    for k, v in layers_kv:
-        snaps.append(
-            LayerKVSnapshot(
-                k=_read_only(np.ascontiguousarray(k[row : row + 1, :, :length])),
-                v=_read_only(np.ascontiguousarray(v[row : row + 1, :, :length])),
-                offset=offset,
-            )
-        )
-    return KVCacheSnapshot(layers=tuple(snaps), window=None)
-
-
-def _prefill_batch(
-    model: MistralTiny,
-    rows: list[np.ndarray],
-    prefix_cache: PrefixCache | None,
-    metrics,
-) -> tuple[_BatchState, list[np.ndarray]]:
-    """Prefill every prompt and stack the results into one batch state.
-
-    Rows without a cached prefix share one left-aligned padded prefill
-    forward; rows with a prefix hit fork the stored snapshot and prefill
-    only their unseen suffix.
-    """
-    n_layers = model.config.n_layers
-    window = model.config.sliding_window
-    batch = len(rows)
-    lengths = [len(r) for r in rows]
-    entries = [prefix_cache.lookup(r) if prefix_cache is not None else None for r in rows]
-    miss_idx = [i for i, e in enumerate(entries) if e is None]
-
-    last_logits: list[np.ndarray | None] = [None] * batch
-    row_kv: list[list[tuple[np.ndarray, np.ndarray]] | None] = [None] * batch
-    row_offsets = [0] * batch
-    row_kv_len = [0] * batch
-
-    if miss_idx:
-        pad_to = max(lengths[i] for i in miss_idx)
-        padded = np.zeros((len(miss_idx), pad_to), dtype=np.int64)
-        for r, i in enumerate(miss_idx):
-            padded[r, : lengths[i]] = rows[i]
-        miss_cache = KVCache(n_layers, window=None)
-        logits = model.forward(padded, cache=miss_cache).data
-        metrics["prefill_tokens"].inc(sum(lengths[i] for i in miss_idx))
-        miss_layers = [miss_cache[layer].views() for layer in range(n_layers)]
-        for r, i in enumerate(miss_idx):
-            last_logits[i] = logits[r, lengths[i] - 1]
-            row_kv[i] = [(k[r : r + 1], v[r : r + 1]) for k, v in miss_layers]
-            row_kv_len[i] = pad_to
-            if prefix_cache is not None:
-                prefix_cache.insert(
-                    rows[i],
-                    _snapshot_row(miss_layers, r, lengths[i]),
-                    last_logits[i],
-                )
-
-    for i, entry in enumerate(entries):
-        if entry is None:
-            continue
-        if entry.length == lengths[i]:
-            fork = KVCache.from_snapshot(entry.snapshot, window=None)
-            last_logits[i] = np.asarray(entry.logits)
-        else:
-            fork = KVCache.from_snapshot(entry.snapshot, window=None)
-            suffix = rows[i][entry.length :]
-            last_logits[i] = model.forward(suffix[None, :], cache=fork).data[0, -1]
-            metrics["prefill_tokens"].inc(len(suffix))
-            if prefix_cache is not None:
-                prefix_cache.insert(rows[i], fork.snapshot(), last_logits[i])
-        row_kv[i] = [fork[layer].views() for layer in range(n_layers)]
-        row_offsets[i] = fork[0].offset
-        row_kv_len[i] = len(fork[0])
-
-    # Stack every row's KV block left-aligned into one batched cache.
-    kv_capacity = max(row_kv_len)
-    kv_pos = np.zeros((batch, kv_capacity), dtype=np.int64)
-    kv_valid = np.zeros((batch, kv_capacity), dtype=bool)
-    stacked = []
-    for layer in range(n_layers):
-        template = row_kv[0][layer][0]
-        _, kv_heads, _, head_dim = template.shape
-        k_l = np.zeros((batch, kv_heads, kv_capacity, head_dim), dtype=template.dtype)
-        v_l = np.zeros_like(k_l)
-        for i in range(batch):
-            k_row, v_row = row_kv[i][layer]
-            k_l[i, :, : row_kv_len[i]] = k_row[0]
-            v_l[i, :, : row_kv_len[i]] = v_row[0]
-        stacked.append((k_l, v_l))
-    for i in range(batch):
-        span = np.arange(row_kv_len[i])
-        kv_pos[i, : row_kv_len[i]] = row_offsets[i] + span
-        # Padding slots of a shared prefill (beyond the row's own prompt
-        # length) hold garbage K/V and must stay masked forever.
-        valid_len = min(lengths[i] - row_offsets[i], row_kv_len[i])
-        kv_valid[i, :valid_len] = True
-
-    cache = KVCache.__new__(KVCache)
-    cache.layers = [
-        LayerKVCache.from_arrays(k_l, v_l, offset=0, window=None) for k_l, v_l in stacked
-    ]
-    cache.window = None
-
-    uniform = (
-        all(e is None for e in entries)
-        and len(set(lengths)) == 1
-        and all(o == 0 for o in row_offsets)
-    )
-    state = _BatchState(
-        cache=cache,
-        kv_pos=kv_pos,
-        kv_valid=kv_valid,
-        row_pos=np.asarray(lengths, dtype=np.int64),
-        uniform=uniform,
-        window=window,
-    )
-    return state, [np.asarray(l) for l in last_logits]
 
 
 def generate_batch(
@@ -409,93 +137,25 @@ def generate_batch(
     """Generate continuations for many prompts in one batched decode.
 
     Returns one list of newly generated token ids per prompt, in input
-    order.  Exact parity with per-prompt :func:`generate` calls: greedy
-    outputs are identical, and seeded sampling matches because each row
-    draws from its own ``default_rng(config.seed)`` stream.  Rows retire
-    as soon as they emit a stop token (or hit ``max_new_tokens``) and
-    are compacted out of the running batch.
+    order, equal to per-prompt ``generate(..., use_cache=False)``.  All
+    prompts are admitted to one :class:`ContinuousScheduler` at once and
+    it is drained; rows retire as soon as they emit a stop token (or hit
+    ``max_new_tokens``) and are compacted out of the running batch.
     """
-    config = config or GenerationConfig()
-    budget = _check_budget(model, config)
-    if prefix_cache is not None:
-        prefix_cache.sync(model.weight_version)
-    if obs is None:
-        from repro.obs import get_observability
+    from repro.nn.continuous import AdmissionPolicy, ContinuousScheduler  # it imports this module
 
-        obs = get_observability()
-    registry = obs.metrics
-    metrics = {
-        "prefill_tokens": registry.counter("generation.prefill_tokens"),
-        "tokens": registry.counter("generation.tokens_generated"),
-    }
-    h_step = registry.histogram("generation.decode_step_s")
-    h_rows = registry.histogram("generation.batch_rows")
-
-    rows = [np.asarray(p, dtype=np.int64).reshape(-1)[-budget:] for p in prompts]
-    if not rows:
-        return []
-    if any(len(r) == 0 for r in rows):
-        raise ConfigError("generate_batch() received an empty prompt")
-    h_rows.observe(len(rows))
-
-    outputs: list[list[int]] = [[] for _ in rows]
-    rngs = [default_rng(config.seed) for _ in rows]
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad(), obs.span("generation.batch", rows=len(rows)):
-            state, last_logits = _prefill_batch(model, rows, prefix_cache, metrics)
-
-            active: list[int] = []  # original row index per live batch row
-            tokens: list[int] = []
-            # The first token of every row is sampled from the prefill
-            # logits — it counts toward throughput like any other.
-            metrics["tokens"].inc(len(rows))
-            for i in range(len(rows)):
-                next_id = _sample_token(last_logits[i], config, rngs[i])
-                outputs[i].append(next_id)
-                if next_id in config.stop_tokens or len(outputs[i]) == config.max_new_tokens:
-                    continue
-                active.append(i)
-                tokens.append(next_id)
-            if active and len(active) < len(rows):
-                state.select_rows(active)
-
-            while active:
-                started = time.perf_counter()
-                mask = state.step_mask()
-                step_ids = np.asarray(tokens, dtype=np.int64)[:, None]
-                logits = model.forward(
-                    step_ids,
-                    cache=state.cache,
-                    positions=state.row_pos[:, None],
-                    attn_mask=mask,
-                ).data[:, -1, :]
-                state.advance()
-                h_step.observe(time.perf_counter() - started)
-                metrics["tokens"].inc(len(active))
-
-                keep: list[int] = []
-                next_tokens: list[int] = []
-                for row, i in enumerate(active):
-                    next_id = _sample_token(logits[row], config, rngs[i])
-                    outputs[i].append(next_id)
-                    if (
-                        next_id in config.stop_tokens
-                        or len(outputs[i]) == config.max_new_tokens
-                    ):
-                        continue  # retired: stop token or budget exhausted
-                    keep.append(row)
-                    next_tokens.append(next_id)
-                if len(keep) < len(active):
-                    active = [active[row] for row in keep]
-                    if active:
-                        state.select_rows(keep)
-                tokens = next_tokens
-    finally:
-        if was_training:
-            model.train()
-    return outputs
+    prompts = list(prompts)
+    rows = max(len(prompts), 1)
+    scheduler = ContinuousScheduler(
+        model,
+        config,
+        policy=AdmissionPolicy(max_live_rows=rows, max_prefills_per_step=rows),
+        prefix_cache=prefix_cache,
+        obs=obs,
+    )
+    streams = [scheduler.submit(p) for p in prompts]
+    scheduler.drain()
+    return [list(stream.tokens) for stream in streams]
 
 
 def next_token_logits(model: MistralTiny, prompt_ids: np.ndarray) -> np.ndarray:

@@ -12,21 +12,25 @@ Two tightly coupled pieces live here:
   driving a quantized layer from a gradient-recording graph raises
   :class:`~repro.errors.QuantizationError`.
 
-* :func:`quantize_model` — a compile pass that walks a ``Module`` tree
-  swapping eligible layers for their quantized twins, then switches the
-  model's forward onto a **fused raw-numpy kernel**
-  (:func:`infer_logits_np`): one Python call per forward instead of one
-  autograd ``Tensor`` per op, with attention collapsed into the single
-  einsum-style kernel :func:`repro.nn.attention.fused_attention`.  The
-  pass must run **after** :func:`repro.lora.merge_lora` (unmerged
-  adapters are refused), bumps ``weight_version`` so
-  :meth:`~repro.nn.cache.PrefixCache.sync` invalidates stale KV/logit
-  entries, and the resulting model round-trips through
-  ``state_dict()/load_state_dict()`` (int8 buffers keep their dtype),
-  which is what the cluster's stage->drain->swap rolling deploys need.
+* :func:`infer_logits_np` — the **fused raw-numpy kernel** that is the
+  inference forward of every :class:`~repro.nn.MistralTiny`, float and
+  int8 alike: one Python call per layer instead of one autograd
+  ``Tensor`` per op, with attention collapsed into the single
+  einsum-style kernel :func:`repro.nn.attention.fused_attention`.
+  ``MistralTiny.forward`` runs it whenever gradients are off and the
+  forward is incremental (KV cache, positions or mask) or in eval mode;
+  the autograd graph is the training path only.  Float layers —
+  including unmerged LoRA adapters — evaluate in the graph's op order,
+  so the kernel matches the graph to float rounding.
 
-Float models are untouched: training, backward, and the float serving
-path run exactly the code they ran before this module existed.
+:func:`quantize_model` is the compile pass that walks a ``Module`` tree
+swapping eligible layers for their int8 twins.  It must run **after**
+:func:`repro.lora.merge_lora` (unmerged adapters are refused), bumps
+``weight_version`` so :meth:`~repro.nn.cache.PrefixCache.sync`
+invalidates stale KV/logit entries, and the resulting model round-trips
+through ``state_dict()/load_state_dict()`` (int8 buffers keep their
+dtype), which is what the cluster's stage->drain->swap rolling deploys
+need.
 """
 
 from __future__ import annotations
@@ -35,7 +39,12 @@ import numpy as np
 
 from repro.errors import QuantizationError
 from repro.tensor import Tensor, is_grad_enabled
-from repro.nn.attention import MultiHeadAttention, fused_attention
+from repro.nn.attention import (
+    MultiHeadAttention,
+    fused_attention,
+    rect_attention_mask,
+    sliding_window_mask,
+)
 from repro.nn.layers import Embedding, Linear, RMSNorm
 from repro.nn.mlp import SwiGLU
 from repro.nn.module import Buffer, Module, ModuleList, Parameter
@@ -207,11 +216,10 @@ def quantize_model(
     adapters raise, because quantizing would silently drop the adapter
     delta: call :func:`repro.lora.merge_lora` first.
 
-    Every :class:`~repro.nn.MistralTiny` in the tree is then switched
-    onto the fused raw-numpy kernel (:func:`infer_logits_np`), the model
-    is put in eval mode, and ``weight_version`` is bumped exactly once
-    so :meth:`PrefixCache.sync` flushes KV/logit entries computed under
-    float weights.
+    The model is then put in eval mode (so no-grad forwards run the
+    fused kernel, :func:`infer_logits_np`) and ``weight_version`` is
+    bumped exactly once so :meth:`PrefixCache.sync` flushes KV/logit
+    entries computed under float weights.
 
     The pass mutates ``model`` in place and returns it.
     """
@@ -252,7 +260,7 @@ def quantize_model(
 
     for module in _iter_modules(model):
         if isinstance(module, MistralTiny):
-            module._inference_kernel = infer_logits_np
+            module._inference_kernel = infer_logits_np  # marker only; see MistralTiny
     model.eval()
     model.bump_weight_version()
     return model
@@ -282,28 +290,33 @@ def weight_bytes(model: Module) -> int:
 #
 # One Python frame per layer instead of one autograd Tensor per op.
 # Numerics deliberately mirror the Tensor path op for op (same reduction
-# orders), so a float layer evaluated through this kernel matches the
+# orders), so a float model evaluated through this kernel matches the
 # autograd forward to ~1 ulp — the only reassociation is the attention
-# scale, which the fused kernel folds into q before QK^T (exactly like
-# the existing _decode_step fast path) instead of scaling the scores.
+# scale, which the fused kernel folds into q before QK^T instead of
+# scaling the scores.
 
 
 def linear_np(layer, x: np.ndarray) -> np.ndarray:
-    """Raw forward for Linear / QuantizedLinear / merged LoRALinear."""
+    """Raw forward for Linear / QuantizedLinear / LoRALinear."""
     if isinstance(layer, QuantizedLinear):
         return layer.matmul_np(x)
     if isinstance(layer, Linear):
-        lead = x.shape[:-1]
-        out = np.matmul(x.reshape(-1, x.shape[-1]), layer.weight.data.T)
+        # The graph's own matmul, not one flattened GEMM: each row's
+        # result then does not depend on how many rows share the batch.
+        out = x @ layer.weight.data.T
         if layer.bias is not None:
             out += layer.bias.data
-        return out.reshape(*lead, layer.out_features)
+        return out
     base = getattr(layer, "base", None)
-    if base is not None and getattr(layer, "merged", False):
-        return linear_np(base, x)
-    raise QuantizationError(
-        f"fused inference path cannot evaluate layer type {type(layer).__name__}"
-    )
+    if base is None:
+        raise QuantizationError(
+            f"fused inference path cannot evaluate layer type {type(layer).__name__}"
+        )
+    out = linear_np(base, x)
+    if layer.merged:
+        return out
+    # Unmerged LoRA: base + scaling * (x A^T) B^T, in the graph's op order.
+    return out + (x @ layer.lora_a.data.T) @ layer.lora_b.data.T * layer.scaling
 
 
 def _rmsnorm_np(norm: RMSNorm, x: np.ndarray) -> np.ndarray:
@@ -321,6 +334,30 @@ def _swiglu_np(ffn: SwiGLU, x: np.ndarray) -> np.ndarray:
     return linear_np(ffn.w2, gate)
 
 
+def mask_for(attn: MultiHeadAttention, seq, kv_len, start, kv_offset, cache, attn_mask):
+    """The additive mask a forward step needs, or ``None`` on the decode
+    fast path (single newest query, every retained key visible) where
+    building an all-zero mask would be pure waste.
+    """
+    if cache is not None and seq == 1 and attn_mask is None:
+        # The single query is the newest position, so causality admits
+        # every retained key, and the rolling window trim (or an explicit
+        # length check) guarantees no key is older than the window.
+        if (
+            attn.sliding_window is None
+            or cache.window is not None  # append() already trimmed to window
+            or kv_len <= attn.sliding_window
+        ):
+            return None
+    if attn_mask is not None:
+        return attn_mask
+    if cache is not None:
+        return rect_attention_mask(
+            seq, kv_len, attn.sliding_window, q_offset=start, kv_offset=kv_offset
+        )
+    return sliding_window_mask(seq, attn.sliding_window)
+
+
 def _attention_np(attn: MultiHeadAttention, x: np.ndarray, cache, positions, attn_mask):
     batch, seq, _ = x.shape
     start = cache.next_position if cache is not None else 0
@@ -336,9 +373,7 @@ def _attention_np(attn: MultiHeadAttention, x: np.ndarray, cache, positions, att
         kv_offset = cache.offset
     else:
         kv_offset = 0
-    mask = attn.mask_for(seq, k.shape[2], start, kv_offset, cache, attn_mask)
-    if isinstance(mask, Tensor):
-        mask = mask.data
+    mask = mask_for(attn, seq, k.shape[2], start, kv_offset, cache, attn_mask)
     out = fused_attention(q, k, v, attn.n_kv_heads, mask)
     return linear_np(attn.wo, out)
 
@@ -349,16 +384,14 @@ def _block_np(block, x: np.ndarray, cache, positions, attn_mask) -> np.ndarray:
 
 
 def infer_logits_np(model, token_ids: np.ndarray, cache=None, positions=None, attn_mask=None):
-    """Fused no-graph forward for a (quantized) :class:`MistralTiny`.
+    """Fused no-graph forward of a float or int8 :class:`MistralTiny`.
 
-    Installed by :func:`quantize_model` as ``model._inference_kernel``;
-    :meth:`MistralTiny.forward` dispatches here whenever gradients are
-    off and the model is in eval mode, so ``generate``,
-    ``generate_batch`` and the :class:`ContinuousScheduler` all share
-    this path without changes.  Returns raw ``(B, T, vocab)`` logits.
+    :meth:`MistralTiny.forward` dispatches here for every no-grad
+    inference forward, so ``generate``, ``generate_batch``, the
+    :class:`ContinuousScheduler` and padded scoring all share this path.
+    ``attn_mask`` is a raw additive numpy mask.  Returns raw
+    ``(B, T, vocab)`` logits.
     """
-    if isinstance(attn_mask, Tensor):
-        attn_mask = attn_mask.data
     embed = model.tok_embed
     if isinstance(embed, QuantizedEmbedding):
         x = embed.lookup_np(token_ids)

@@ -21,6 +21,7 @@ from repro.nn.cache import KVCache
 from repro.nn.layers import Dropout, Embedding, Linear, RMSNorm
 from repro.nn.mlp import SwiGLU
 from repro.nn.module import Module, ModuleList
+from repro.nn.quant import infer_logits_np
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,8 @@ class TransformerBlock(Module):
         self.ffn_norm = RMSNorm(config.d_model)
         self.ffn = SwiGLU(config.d_model, config.d_ff, dropout=config.dropout, rng=rng)
 
-    def forward(self, x: Tensor, cache=None, positions=None, attn_mask=None) -> Tensor:
-        x = x + self.attn(self.attn_norm(x), cache=cache, positions=positions, attn_mask=attn_mask)
+    def forward(self, x: Tensor) -> Tensor:
+        x = x + self.attn(self.attn_norm(x))
         x = x + self.ffn(self.ffn_norm(x))
         return x
 
@@ -112,21 +113,29 @@ class MistralTiny(Module):
             self.lm_head = None
         else:
             self.lm_head = Linear(config.d_model, config.vocab_size, bias=False, rng=rng)
-        # Set by quantize_model(): a raw-numpy forward used whenever
-        # gradients are off and the model is in eval mode.  None on
-        # float models, which keep the autograd path below unchanged.
+        # Int8 marker read by the perfbench traced run (perfbench/spans.py):
+        # quantize_model() sets it, float models hold None.  forward()
+        # does not read it; remove it together with that reader.
         self._inference_kernel = None
 
     def forward(self, token_ids: np.ndarray, cache=None, positions=None, attn_mask=None) -> Tensor:
         """Logits for ``token_ids``.
+
+        Two paths, one rule.  With gradients off, a forward that is
+        incremental (``cache``, ``positions`` or ``attn_mask`` given) or
+        runs in eval mode goes through the fused raw-numpy kernel
+        (:func:`~repro.nn.quant.infer_logits_np`) — float and int8 models
+        alike.  Everything else runs the autograd graph, which is the
+        training path.  Incremental forwards are inference-only: with
+        gradients on they raise :class:`~repro.errors.ConfigError`.
 
         With ``cache`` (a :class:`~repro.nn.cache.KVCache`), ``token_ids``
         holds only the *new* tokens: the cached prefix supplies attention
         keys/values and absolute positions advance automatically.
         ``positions`` overrides the RoPE positions (``(T,)`` shared or
         ``(B, T)`` per-row) and ``attn_mask`` replaces the internal
-        causal/sliding mask — both are used by the batched ragged decode
-        loop in :mod:`repro.nn.generation`.
+        causal/sliding mask — both are used by the ragged decode loop in
+        :mod:`repro.nn.continuous`.
         """
         token_ids = np.asarray(token_ids)
         if token_ids.ndim == 1:
@@ -148,18 +157,16 @@ class MistralTiny(Module):
                     f"sequence length {start + token_ids.shape[1]} exceeds max_seq_len "
                     f"{self.config.max_seq_len}"
                 )
-        kernel = self._inference_kernel
-        if kernel is not None and not self.training and not is_grad_enabled():
-            return Tensor(kernel(self, token_ids, cache, positions, attn_mask))
-        x = self.embed_dropout(self.tok_embed(token_ids))
-        for i, block in enumerate(self.blocks):
-            x = block(
-                x,
-                cache=cache[i] if cache is not None else None,
-                positions=positions,
-                attn_mask=attn_mask,
-            )
-        x = self.final_norm(x)
+        incremental = cache is not None or positions is not None or attn_mask is not None
+        if is_grad_enabled():
+            if incremental:
+                raise ConfigError(
+                    "forward() with cache/positions/attn_mask is inference-only: "
+                    "run it under no_grad()"
+                )
+        elif incremental or not self.training:
+            return Tensor(infer_logits_np(self, token_ids, cache, positions, attn_mask))
+        x = self.hidden_states(token_ids)
         if self.lm_head is not None:
             return self.lm_head(x)
         return self.tok_embed.project(x)
@@ -167,8 +174,9 @@ class MistralTiny(Module):
     def hidden_states(self, token_ids: np.ndarray) -> Tensor:
         """Final-norm hidden states ``(batch, seq, d_model)`` (no LM head).
 
-        Used by :class:`~repro.nn.classifier.SequenceClassifier` to attach
-        a task head to the same backbone.
+        Always the autograd graph.  Used by
+        :class:`~repro.nn.classifier.SequenceClassifier` to attach a task
+        head to the same backbone.
         """
         token_ids = np.atleast_2d(np.asarray(token_ids))
         if token_ids.shape[1] > self.config.max_seq_len:

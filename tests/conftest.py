@@ -195,6 +195,19 @@ def ragged_prompts(vocab_size: int, lengths=RAGGED_LENGTHS, seed: int = 0):
     return [rng.integers(5, vocab_size, size=n).astype(np.int64) for n in lengths]
 
 
+def uncached_reference(model, prompts, config):
+    """Per-prompt ``generate(..., use_cache=False)`` outputs.
+
+    The re-forward loop shares no code with the cached decode loop, so
+    it is the reference ``generate``, ``generate_batch`` and the
+    continuous scheduler are all held to.
+    """
+    from repro.nn.generation import generate
+
+    reference = dataclasses.replace(config, use_cache=False)
+    return [generate(model, p, reference) for p in prompts]
+
+
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
     """Central-difference gradient of scalar function ``f`` at ``x``."""
     grad = np.zeros_like(x, dtype=np.float64)

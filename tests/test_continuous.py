@@ -1,12 +1,13 @@
 """Continuous batching scheduler: parity, admission policy, streaming.
 
 The load-bearing guarantee is **arrival-schedule independence**: for any
-interleaving of admits and retirements, every row's output is
-bit-identical to sequential :func:`~repro.nn.generation.generate` and to
-one-shot :func:`~repro.nn.generation.generate_batch`.  The hypothesis
-property drives random arrival schedules and admission policies against
-that invariant, plus the structural ones (streams are prefixes of final
-outputs, no row is starved, finalization is exactly-once).
+interleaving of admits and retirements, every row's output equals the
+uncached re-forward reference ``generate(..., use_cache=False)`` — the
+one decode path that does not run through the scheduler itself.  The
+hypothesis property drives random arrival schedules and admission
+policies against that invariant, plus the structural ones (streams are
+prefixes of final outputs, no row is starved, finalization is
+exactly-once), and a never-draining loop keeps its KV width bounded.
 """
 
 from __future__ import annotations
@@ -21,14 +22,12 @@ from repro.nn import (
     GenerationConfig,
     GenerationStream,
     MistralTiny,
-    generate,
-    generate_batch,
     generate_continuous,
 )
 from repro.nn.cache import LayerKVCache, PrefixCache
 from repro.obs import Observability
 
-from conftest import TINY, ragged_prompts
+from conftest import TINY, ragged_prompts, uncached_reference
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +37,9 @@ def model():
 
 @pytest.fixture(scope="module")
 def prompts():
-    return ragged_prompts(TINY.vocab_size, lengths=(5, 9, 3, 12, 7, 9, 4, 11))
+    # The 40-token prompt exceeds the context budget: it is left-truncated
+    # and spans more than the sliding window.
+    return ragged_prompts(TINY.vocab_size, lengths=(5, 9, 3, 12, 7, 9, 4, 40))
 
 
 GREEDY = GenerationConfig(max_new_tokens=8)
@@ -49,25 +50,25 @@ STOPPING = GenerationConfig(max_new_tokens=6, stop_tokens=(7, 11))
 class TestParity:
     @pytest.mark.parametrize("config", [GREEDY, SAMPLED, STOPPING], ids=["greedy", "sampled", "stop"])
     def test_all_at_once_matches_generate_batch(self, model, prompts, config):
-        expected = generate_batch(model, prompts, config)
+        expected = uncached_reference(model, prompts, config)
         got = generate_continuous(model, prompts, config)
         assert got == expected
 
     @pytest.mark.parametrize("config", [GREEDY, SAMPLED, STOPPING], ids=["greedy", "sampled", "stop"])
     def test_staggered_arrivals_match_sequential(self, model, prompts, config):
         arrivals = [0, 0, 2, 3, 3, 5, 8, 9]
-        expected = [generate(model, p, config) for p in prompts]
+        expected = uncached_reference(model, prompts, config)
         got = generate_continuous(model, prompts, config, arrivals=arrivals)
         assert got == expected
 
     def test_reverse_arrival_order(self, model, prompts):
-        expected = generate_batch(model, prompts, GREEDY)
+        expected = uncached_reference(model, prompts, GREEDY)
         arrivals = list(range(len(prompts)))[::-1]
         got = generate_continuous(model, prompts, GREEDY, arrivals=arrivals)
         assert got == expected
 
     def test_tight_policy_does_not_change_outputs(self, model, prompts):
-        expected = generate_batch(model, prompts, SAMPLED)
+        expected = uncached_reference(model, prompts, SAMPLED)
         policy = AdmissionPolicy(max_live_rows=2, max_prefills_per_step=1)
         got = generate_continuous(model, prompts, SAMPLED, policy=policy)
         assert got == expected
@@ -75,7 +76,7 @@ class TestParity:
     def test_prefix_cache_reuse_preserves_parity(self, model, prompts):
         prompts = list(prompts)
         prompts[5] = prompts[1].copy()  # exact repeat -> full prefix hit
-        expected = generate_batch(model, prompts, GREEDY)
+        expected = uncached_reference(model, prompts, GREEDY)
         cache = PrefixCache(16, obs=Observability.disabled())
         got = generate_continuous(
             model,
@@ -89,13 +90,13 @@ class TestParity:
         assert cache.stats.hits >= 1
 
     def test_single_prompt_matches_generate(self, model, prompts):
-        expected = generate(model, prompts[0], STOPPING)
+        expected = uncached_reference(model, [prompts[0]], STOPPING)
         got = generate_continuous(model, [prompts[0]], STOPPING)
-        assert got == [expected]
+        assert got == expected
 
     def test_max_new_tokens_one_retires_at_prefill(self, model, prompts):
         config = GenerationConfig(max_new_tokens=1)
-        expected = generate_batch(model, prompts, config)
+        expected = uncached_reference(model, prompts, config)
         got = generate_continuous(model, prompts, config, arrivals=[0, 1, 2, 3, 4, 5, 6, 7])
         assert got == expected
         assert all(len(row) == 1 for row in got)
@@ -183,6 +184,38 @@ class TestSchedulerMechanics:
         assert metrics.gauge("generation.continuous.waiting").value == 0
 
 
+class TestNeverDraining:
+    def test_kv_width_stays_bounded(self, model, prompts):
+        """Regression: retired rows' slots used to stay in the live state.
+
+        The queue never empties, so the state never resets; without
+        dropping slots no live row can see, the KV width grew by one
+        slot per step.
+        """
+        config = GenerationConfig(max_new_tokens=4)
+        scheduler = ContinuousScheduler(
+            model,
+            config,
+            policy=AdmissionPolicy(max_live_rows=4, max_prefills_per_step=2),
+            obs=Observability.disabled(),
+        )
+        submitted: list[tuple[int, GenerationStream]] = []
+        for _ in range(20 * config.max_new_tokens):
+            while scheduler.waiting < 2:
+                i = len(submitted) % len(prompts)
+                submitted.append((i, scheduler.submit(prompts[i])))
+            scheduler.step()
+            state = scheduler._state
+            assert state.kv_pos.shape[1] <= model.config.max_seq_len
+            assert state.kv_valid.shape == state.kv_pos.shape
+            assert len(state.cache[0]) == state.kv_pos.shape[1]
+        expected = uncached_reference(model, prompts, config)
+        finished = [(i, stream) for i, stream in submitted if stream.done]
+        assert len(finished) > 4 * len(prompts)
+        for i, stream in finished:
+            assert stream.result() == expected[i]
+
+
 class TestStreamGuards:
     def test_finalize_twice_raises(self):
         stream = GenerationStream("s")
@@ -260,7 +293,7 @@ class TestInterleavingProperty:
 
         base_prompts = ragged_prompts(TINY.vocab_size, lengths=(5, 9, 3, 12, 7, 9))
         config = GenerationConfig(max_new_tokens=6, temperature=0.6, seed=11, stop_tokens=(9,))
-        expected = generate_batch(model, base_prompts, config)
+        expected = uncached_reference(model, base_prompts, config)
 
         @settings(max_examples=15, deadline=None)
         @given(

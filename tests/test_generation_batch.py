@@ -1,9 +1,10 @@
-"""Batched decoding: parity with sequential generation, caches, wiring.
+"""Batched decoding: parity with the uncached reference, caches, wiring.
 
-The contract under test is exact equivalence: ``generate_batch`` must
-produce, row for row, the same tokens a sequential ``generate`` call
-per prompt would — greedy and seeded-sampling alike — and the ring
-buffer / prefix cache must never change model outputs, only their cost.
+``generate`` and ``generate_batch`` share one decode loop, so they are
+not checked against each other: both must produce, row for row, the
+tokens of the uncached re-forward loop ``generate(..., use_cache=False)``
+— greedy and seeded-sampling alike — and the ring buffer / prefix cache
+must never change model outputs, only their cost.
 """
 
 from __future__ import annotations
@@ -18,28 +19,36 @@ from repro.nn.cache import KVCache, LayerKVCache, PrefixCache
 from repro.nn.generation import GenerationConfig, generate, generate_batch
 
 
-from conftest import RAGGED_LENGTHS
 from conftest import ragged_prompts as _prompts
+from conftest import uncached_reference
 
 
-def _assert_rows_equal(batch, sequential):
-    assert len(batch) == len(sequential)
-    for got, want in zip(batch, sequential):
+def _assert_rows_equal(batch, expected):
+    assert len(batch) == len(expected)
+    for got, want in zip(batch, expected):
         assert list(got) == list(want)
+
+
+def _assert_matches_reference(model, prompts, config, prefix_cache=None):
+    """``generate`` per prompt and ``generate_batch`` both equal the reference."""
+    expected = uncached_reference(model, prompts, config)
+    _assert_rows_equal(
+        [generate(model, p, config, prefix_cache=prefix_cache) for p in prompts], expected
+    )
+    batch = generate_batch(model, prompts, config, prefix_cache=prefix_cache)
+    _assert_rows_equal(batch, expected)
+    return batch
 
 
 class TestBatchedParity:
     def test_greedy_ragged(self, tiny_model, tiny_config):
         prompts = _prompts(tiny_config.vocab_size)
-        config = GenerationConfig(max_new_tokens=6)
-        sequential = [generate(tiny_model, p, config) for p in prompts]
-        _assert_rows_equal(generate_batch(tiny_model, prompts, config), sequential)
+        _assert_matches_reference(tiny_model, prompts, GenerationConfig(max_new_tokens=6))
 
     def test_seeded_sampling(self, tiny_model, tiny_config):
         prompts = _prompts(tiny_config.vocab_size, seed=1)
         config = GenerationConfig(max_new_tokens=6, temperature=1.0, seed=7)
-        sequential = [generate(tiny_model, p, config) for p in prompts]
-        _assert_rows_equal(generate_batch(tiny_model, prompts, config), sequential)
+        _assert_matches_reference(tiny_model, prompts, config)
 
     def test_stop_tokens_retire_rows_early(self, tiny_model, tiny_config):
         prompts = _prompts(tiny_config.vocab_size, seed=2)
@@ -48,18 +57,14 @@ class TestBatchedParity:
         probe = generate_batch(tiny_model, prompts, GenerationConfig(max_new_tokens=6))
         stops = tuple({row[2] for row in probe if len(row) > 2})
         config = GenerationConfig(max_new_tokens=6, stop_tokens=stops)
-        sequential = [generate(tiny_model, p, config) for p in prompts]
-        batch = generate_batch(tiny_model, prompts, config)
-        _assert_rows_equal(batch, sequential)
+        batch = _assert_matches_reference(tiny_model, prompts, config)
         assert len({len(row) for row in batch}) > 1  # genuinely ragged exit
 
     def test_window_binding_long_prompts(self, tiny_model, tiny_config):
         # Prompts long enough that the sliding window masks out history.
         lengths = (20, 25, 18)
         prompts = _prompts(tiny_config.vocab_size, lengths, seed=3)
-        config = GenerationConfig(max_new_tokens=6)
-        sequential = [generate(tiny_model, p, config) for p in prompts]
-        _assert_rows_equal(generate_batch(tiny_model, prompts, config), sequential)
+        _assert_matches_reference(tiny_model, prompts, GenerationConfig(max_new_tokens=6))
 
     def test_prefill_matches_uncached_forward_past_window(self, tiny_model, tiny_config):
         # Prompts longer than the sliding window: prefill must compute the
@@ -73,10 +78,7 @@ class TestBatchedParity:
 
     def test_single_row_batch(self, tiny_model, tiny_config):
         prompt = _prompts(tiny_config.vocab_size, (8,))[0]
-        config = GenerationConfig(max_new_tokens=5)
-        assert list(generate_batch(tiny_model, [prompt], config)[0]) == list(
-            generate(tiny_model, prompt, config)
-        )
+        _assert_matches_reference(tiny_model, [prompt], GenerationConfig(max_new_tokens=5))
 
     def test_empty_inputs(self, tiny_model):
         assert generate_batch(tiny_model, []) == []
@@ -97,10 +99,11 @@ class TestBudgetValidation:
         rng = np.random.default_rng(4)
         long = rng.integers(5, tiny_config.vocab_size, size=100).astype(np.int64)
         config = GenerationConfig(max_new_tokens=4)
-        out = generate(tiny_model, long, config)
         kept = long[-(tiny_config.max_seq_len - 4):]
-        assert list(out) == list(generate(tiny_model, kept, config))
-        _assert_rows_equal(generate_batch(tiny_model, [long], config), [out])
+        expected = uncached_reference(tiny_model, [kept], config)
+        assert uncached_reference(tiny_model, [long], config) == expected
+        _assert_rows_equal([generate(tiny_model, long, config)], expected)
+        _assert_rows_equal(generate_batch(tiny_model, [long], config), expected)
 
 
 class ConcatLayerCache:
@@ -179,7 +182,7 @@ class TestPrefixCache:
         prompts = _prompts(tiny_config.vocab_size, (10, 10, 6), seed=5)
         prompts[1] = prompts[0].copy()  # exact repeat => full prefix hit
         config = GenerationConfig(max_new_tokens=5)
-        baseline = [generate(tiny_model, p, config) for p in prompts]
+        baseline = uncached_reference(tiny_model, prompts, config)
 
         cache = PrefixCache(capacity=8)
         first = generate_batch(tiny_model, prompts, config, prefix_cache=cache)
@@ -192,7 +195,7 @@ class TestPrefixCache:
     def test_sequential_generate_uses_prefix_cache(self, tiny_model, tiny_config):
         prompt = _prompts(tiny_config.vocab_size, (9,), seed=6)[0]
         config = GenerationConfig(max_new_tokens=5)
-        baseline = generate(tiny_model, prompt, config)
+        [baseline] = uncached_reference(tiny_model, [prompt], config)
         cache = PrefixCache(capacity=4)
         assert list(generate(tiny_model, prompt, config, prefix_cache=cache)) == list(baseline)
         assert list(generate(tiny_model, prompt, config, prefix_cache=cache)) == list(baseline)
@@ -206,7 +209,7 @@ class TestPrefixCache:
         generate(tiny_model, base, config, prefix_cache=cache)
         with_cache = generate(tiny_model, extended, config, prefix_cache=cache)
         assert cache.stats.hits == 1
-        assert list(with_cache) == list(generate(tiny_model, extended, config))
+        assert [list(with_cache)] == uncached_reference(tiny_model, [extended], config)
 
     def test_full_cache_admits_only_resighted_keys(self, tiny_model, tiny_config):
         config = GenerationConfig(max_new_tokens=2)
@@ -267,7 +270,7 @@ class TestPrefixCache:
 
         state = tiny_model.state_dict()
         tiny_model.load_state_dict({k: v + 0.05 for k, v in state.items()})
-        fresh = generate(tiny_model, prompt, config)  # no cache: new weights
+        [fresh] = uncached_reference(tiny_model, [prompt], config)  # new weights
         synced = generate(tiny_model, prompt, config, prefix_cache=cache)
         assert list(synced) == list(fresh)
         assert cache.stats.invalidations == 1
@@ -281,7 +284,7 @@ class TestPrefixCache:
 
         state = tiny_model.state_dict()
         tiny_model.load_state_dict({k: v + 0.05 for k, v in state.items()})
-        fresh = [generate(tiny_model, p, config) for p in prompts]
+        fresh = uncached_reference(tiny_model, prompts, config)
         synced = generate_batch(tiny_model, prompts, config, prefix_cache=cache)
         _assert_rows_equal(synced, fresh)
         assert cache.stats.invalidations == 1
@@ -408,8 +411,7 @@ class TestTokenAccounting:
         )
         assert [len(row) for row in outputs] == [1, 1, 1]
         assert obs.metrics.counter("generation.tokens_generated").value == 3
-        # Parity with the sequential path still holds at the boundary.
+        # Parity with the reference still holds at the boundary.
         _assert_rows_equal(
-            outputs,
-            [generate(tiny_model, p, GenerationConfig(max_new_tokens=1)) for p in prompts],
+            outputs, uncached_reference(tiny_model, prompts, GenerationConfig(max_new_tokens=1))
         )

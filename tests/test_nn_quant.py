@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ragged_prompts
+from conftest import ragged_prompts, uncached_reference
 from repro.errors import QuantizationError
 from repro.nn import (
     Embedding,
@@ -137,9 +139,14 @@ class TestQuantizeModel:
         assert is_quantized(tiny_model)
         assert not tiny_model.training  # compile pass leaves eval mode
 
-    def test_float_model_not_quantized(self, tiny_model):
+    def test_float_model_not_quantized(self, tiny_model, token_batch):
         assert not is_quantized(tiny_model)
-        assert tiny_model._inference_kernel is None
+        # Float models run the same fused kernel; it matches their graph.
+        tiny_model.eval()
+        graph = tiny_model(token_batch).data
+        with no_grad():
+            fused = tiny_model(token_batch).data
+        np.testing.assert_allclose(fused, graph, atol=1e-6)
 
     def test_weight_memory_reduction(self, tiny_config):
         float_model = MistralTiny(tiny_config, rng=0)
@@ -228,49 +235,59 @@ class TestQuantizeModel:
 
 
 class TestFusedKernelParity:
-    """All generation entry points share the fused kernel bit-for-bit."""
+    """Every generation entry point on int8 weights equals the uncached reference."""
 
     CONFIG = GenerationConfig(max_new_tokens=8, stop_tokens=())
 
-    def test_generate_entry_points_bit_identical(self, tiny_config):
+    @pytest.mark.parametrize(
+        "config",
+        [
+            CONFIG,
+            GenerationConfig(max_new_tokens=8, temperature=0.8, top_k=5, seed=3),
+            GenerationConfig(max_new_tokens=6, stop_tokens=(7, 11)),
+        ],
+        ids=["greedy", "sampled", "stop"],
+    )
+    def test_generate_entry_points_bit_identical(self, tiny_config, config):
         from repro.nn import generate_continuous
 
         model = quantize_model(MistralTiny(tiny_config, rng=0))
-        rows = ragged_prompts(tiny_config.vocab_size)
-        single = [list(generate(model, r, self.CONFIG)) for r in rows]
-        batched = [list(r) for r in generate_batch(model, rows, self.CONFIG)]
-        continuous = [list(r) for r in generate_continuous(model, rows, self.CONFIG)]
-        assert batched == single
-        assert continuous == single
+        # A left-truncated long prompt and an exact repeat (prefix-cache hit).
+        rows = ragged_prompts(tiny_config.vocab_size, lengths=(5, 9, 3, 40, 7))
+        rows.append(rows[1].copy())
+        expected = uncached_reference(model, rows, config)
+        cache = PrefixCache(capacity=16)
+        assert [generate(model, r, config, prefix_cache=cache) for r in rows] == expected
+        assert generate_batch(model, rows, config, prefix_cache=cache) == expected
+        assert generate_continuous(model, rows, config, arrivals=[0, 0, 1, 2, 2, 3]) == expected
+        assert cache.stats.hits > 0
 
     def test_kernel_matches_tensor_path_on_quantized_weights(
         self, tiny_config, token_batch
     ):
-        """The fused kernel vs the Tensor graph over the same int8 weights."""
+        """The fused kernel vs the Tensor graph over the same int8 weights.
+
+        Int8 layers refuse to record gradients, so the graph is run in
+        training mode under ``no_grad`` instead of with gradients on.
+        """
         model = quantize_model(MistralTiny(tiny_config, rng=0))
         with no_grad():
             fused = model(token_batch).data
-            model._inference_kernel = None  # force the Tensor path
+            model.train()
             graph = model(token_batch).data
         np.testing.assert_allclose(fused, graph, rtol=1e-4, atol=1e-5)
 
     def test_training_mode_bypasses_kernel(self, tiny_config, token_batch):
-        model = quantize_model(MistralTiny(tiny_config, rng=0))
-        calls = []
-        model._inference_kernel = lambda *a, **k: calls.append(1) or np.zeros(
-            (*token_batch.shape, tiny_config.vocab_size), dtype=np.float32
-        )
+        config = dataclasses.replace(tiny_config, dropout=0.5)
+        model = quantize_model(MistralTiny(config, rng=0))
         with no_grad():
+            fused = model(token_batch).data  # eval: the kernel, no dropout
+            model.train()
+            dropped = model(token_batch).data  # training: the graph, dropout live
+        assert not np.allclose(fused, dropped)
+        # Gradients on run the graph too, whose int8 layers refuse to record.
+        with pytest.raises(QuantizationError):
             model(token_batch)
-        assert calls  # eval + no_grad dispatches to the kernel
-        calls.clear()
-        model.train()
-        try:
-            with no_grad():
-                model(token_batch)
-        finally:
-            model.eval()
-        assert not calls  # training mode never touches the kernel
 
     def test_quantize_flushes_prefix_cache(self, tiny_config):
         """No KV/logit entry computed under float weights survives the pass."""
@@ -287,8 +304,8 @@ class TestFusedKernelParity:
             for r in generate_batch(model, rows, self.CONFIG, prefix_cache=cache)
         ]
         assert cache.stats.invalidations == 1
-        cold = [list(r) for r in generate_batch(model, rows, self.CONFIG)]
-        assert warm == cold  # stale float entries were flushed, not served
+        # Stale float entries were flushed, not served.
+        assert warm == uncached_reference(model, rows, self.CONFIG)
 
 
 class TestGoldenDecisionParity:

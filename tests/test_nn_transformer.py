@@ -1,4 +1,4 @@
-"""MistralTiny model tests: config validation, forward, loss masking."""
+"""MistralTiny model tests: config validation, forward, loss masking, kernel vs graph."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ConfigError, ShapeError
 from repro.nn import MistralTiny, ModelConfig
+from repro.tensor import no_grad
 
 
 class TestModelConfig:
@@ -116,3 +117,60 @@ class TestLoss:
         tiny_model.loss(token_batch).backward()
         missing = [n for n, p in tiny_model.named_parameters() if p.grad is None]
         assert missing == []
+
+
+def _lora_model(config, merged: bool) -> MistralTiny:
+    from repro.lora import LoRAConfig, apply_lora, merge_lora
+
+    model = MistralTiny(config, rng=0)
+    for adapter in apply_lora(model, LoRAConfig(rank=2, alpha=16.0), rng=1):
+        adapter.lora_b.data[:] = 0.05  # make the low-rank delta visible
+    if merged:
+        merge_lora(model)
+    return model
+
+
+@pytest.fixture(params=["plain", "lora", "lora_merged"])
+def float_model(request, tiny_config) -> MistralTiny:
+    if request.param == "plain":
+        model = MistralTiny(tiny_config, rng=0)
+    else:
+        model = _lora_model(tiny_config, merged=request.param == "lora_merged")
+    model.eval()
+    return model
+
+
+class TestKernelMatchesGraph:
+    """The fused kernel (eval, no_grad) against the autograd graph (grad on)."""
+
+    def _graph(self, model, ids):
+        logits = model(ids)
+        assert logits.requires_grad  # grad on: the autograd graph ran
+        return logits.data
+
+    def test_prefill(self, float_model, token_batch):
+        graph = self._graph(float_model, token_batch)
+        with no_grad():
+            fused = float_model(token_batch)
+        assert not fused.requires_grad
+        np.testing.assert_allclose(fused.data, graph, atol=1e-6)
+        np.testing.assert_array_equal(fused.data.argmax(-1), graph.argmax(-1))
+
+    def test_cached_decode_token_by_token(self, float_model, tiny_config):
+        # Longer than the sliding window, so the rolling cache trims.
+        ids = np.random.default_rng(1).integers(5, tiny_config.vocab_size, size=24)
+        graph = self._graph(float_model, ids[None, :])[0]
+        cache = float_model.make_cache()
+        with no_grad():
+            fused = np.concatenate(
+                [float_model(ids[None, :4], cache=cache).data[0]]
+                + [float_model(ids[None, t : t + 1], cache=cache).data[0] for t in range(4, 24)]
+            )
+        np.testing.assert_allclose(fused, graph, atol=1e-6)
+        np.testing.assert_array_equal(fused.argmax(-1), graph.argmax(-1))
+
+    def test_cached_forward_with_grad_raises(self, tiny_model, token_batch):
+        with pytest.raises(ConfigError, match="no_grad"):
+            tiny_model(token_batch, cache=tiny_model.make_cache())
+        with pytest.raises(ConfigError, match="no_grad"):
+            tiny_model(token_batch, positions=np.arange(token_batch.shape[1]))
