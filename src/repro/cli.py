@@ -17,9 +17,8 @@ Everything is seeded; rerunning a command reproduces its output.
 ``repro influence`` is the one front door to attribution: estimator
 choice (``tracin`` / ``tracseq`` / ``datainf``), top-k retrieval,
 token-wise attribution, worker fan-out and the gradient cache all live
-on it.  The influence knobs previously scattered on ``pipeline``
-(``--strategy``, ``--gamma``) keep working but are deprecated in favor
-of ``--estimator`` (which threads through ``PrunerConfig.strategy``).
+on it.  ``pipeline --estimator`` picks the pruning score backend with
+the same vocabulary (it threads through ``PrunerConfig.strategy``).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import warnings
 from pathlib import Path
 
 from repro.config import bench_config, table3_rows, test_config
@@ -132,14 +130,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if args.strategy is not None:
-        warnings.warn(
-            "pipeline --strategy is deprecated; use --estimator "
-            "(and see `repro influence` for attribution-only runs)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    strategy = args.estimator or args.strategy or "tracseq"
     dataset = load_dataset(args.dataset, n=args.n, seed=args.seed)
     train, test = dataset.split(test_fraction=0.2, seed=args.seed)
     examples = build_classification_examples(train)
@@ -148,7 +138,7 @@ def cmd_pipeline(args) -> int:
         PipelineConfig(
             zigong=_zigong_config(args),
             pruner=PrunerConfig(
-                strategy=strategy,
+                strategy=args.estimator,
                 gamma=args.gamma,
                 workers=args.workers,
                 cache_dir=args.cache_dir,
@@ -166,7 +156,7 @@ def cmd_pipeline(args) -> int:
     )
     print(format_table(
         ["Dataset", "Strategy", "Acc", "F1", "Miss", "KS"],
-        [[args.dataset, strategy, eval_result.accuracy, eval_result.f1,
+        [[args.dataset, args.estimator, eval_result.accuracy, eval_result.f1,
           eval_result.miss, eval_result.ks]],
         title="Pipeline result",
     ))
@@ -553,9 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p.add_argument("--dataset", default="german")
     p.add_argument("--n", type=int, default=400)
-    p.add_argument("--estimator", default=None,
+    p.add_argument("--estimator", default="tracseq",
                    help="pruning score backend (tracin/tracseq/datainf/agent/combined/ppl/random)")
-    p.add_argument("--strategy", default=None, help="deprecated alias of --estimator")
     p.add_argument("--gamma", type=float, default=0.9)
     p.add_argument("--workers", type=int, default=0,
                    help="process-pool size for influence checkpoint replay (0 = in-process)")

@@ -21,19 +21,14 @@ API (see ``docs/serving.md``)::
     config = BehaviorCardConfig(threshold=0.5, max_batch_size=8)
     service = BehaviorCardService(zigong.classifier(), config)
     results = service.score_requests([ScoreRequest("u1", "spend=low ...")])
-
-The pre-engine surface — loose ``threshold=...`` kwargs and
-``decide_batch([(user_id, text), ...])`` tuples — still works through
-thin deprecation shims.
+    result = service.decide("u2", "spend=high ...")  # one ScoreResult
 """
 
 from __future__ import annotations
 
-import sys
 import time
-import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import ServingError
@@ -47,33 +42,6 @@ from repro.serving.engine import (
 )
 
 DEFAULT_QUESTION = "will this user default on their loan"
-
-# Call sites (file, line, message) that have already been warned about.
-# Deprecation shims warn exactly once per call site: the first hit of a
-# given caller line emits a DeprecationWarning, repeats stay silent, and
-# a *different* call site still gets its own warning.  This keeps noisy
-# request loops quiet without hiding any distinct usage.
-_WARNED_SITES: set[tuple[str, int, str]] = set()
-
-
-def _warn_deprecated_once(message: str, stacklevel: int = 2) -> None:
-    """Emit ``DeprecationWarning`` once per (caller file, line, message)."""
-    try:
-        frame = sys._getframe(stacklevel)
-        site = (frame.f_code.co_filename, frame.f_lineno, message)
-    except ValueError:  # stack shallower than expected; warn unconditionally
-        site = None
-    if site is not None:
-        if site in _WARNED_SITES:
-            return
-        _WARNED_SITES.add(site)
-    warnings.warn(message, DeprecationWarning, stacklevel=stacklevel + 1)
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget warned call sites (so tests can re-assert the first hit)."""
-    _WARNED_SITES.clear()
-
 
 @dataclass(frozen=True)
 class BehaviorCardConfig:
@@ -110,17 +78,6 @@ class BehaviorCardConfig:
             max_wait_s=self.max_wait_s,
             queue_capacity=self.queue_capacity,
         )
-
-
-@dataclass(frozen=True)
-class BehaviorCardDecision:
-    """Outcome of one scoring request (legacy response shape)."""
-
-    user_id: str
-    score: float  # P(default)
-    approved: bool
-    threshold: float
-    cached: bool
 
 
 @dataclass(frozen=True)
@@ -186,9 +143,7 @@ class BehaviorCardService:
         ``score_batch(prompts, positive, negative)`` method, when
         present, is used for one-forward-pass micro-batches).
     config:
-        A :class:`BehaviorCardConfig`.  Loose ``threshold=`` /
-        ``cache_size=`` / ``question=`` keyword arguments are still
-        accepted as a deprecated shim and fold into the config.
+        A :class:`BehaviorCardConfig` (defaults when omitted).
     clock:
         Injected time source — audit timestamps and queue deadlines are
         deterministic under test.
@@ -202,43 +157,14 @@ class BehaviorCardService:
     def __init__(
         self,
         classifier,
-        config: BehaviorCardConfig | float | None = None,
+        config: BehaviorCardConfig | None = None,
         *,
-        threshold: float | None = None,
-        cache_size: int | None = None,
-        question: str | None = None,
         clock: Callable[[], float] = time.time,
         fallback_scorer: Callable[[str], float] | None = None,
         obs: Observability | None = None,
     ):
-        if isinstance(config, (int, float)):
-            _warn_deprecated_once(
-                "passing threshold positionally is deprecated; "
-                "use BehaviorCardConfig(threshold=...)",
-                stacklevel=2,
-            )
-            threshold = float(config)
-            config = None
-        legacy = {
-            key: value
-            for key, value in (
-                ("threshold", threshold),
-                ("cache_size", cache_size),
-                ("question", question),
-            )
-            if value is not None
-        }
-        if config is None:
-            config = BehaviorCardConfig(**legacy)
-        elif legacy:
-            _warn_deprecated_once(
-                "loose keyword arguments are deprecated; "
-                "pass a BehaviorCardConfig instead",
-                stacklevel=2,
-            )
-            config = replace(config, **legacy)
         self.classifier = classifier
-        self.config = config
+        self.config = config or BehaviorCardConfig()
         self._clock = clock
         self._fallback = fallback_scorer
         self._cache: OrderedDict[str, float] = OrderedDict()
@@ -253,20 +179,11 @@ class BehaviorCardService:
         self._h_score = metrics.histogram("behavior_card.score")
         self.engine = MicroBatchEngine(
             batch_fn=self._score_batch_fn,
-            config=config.engine_config(),
+            config=self.config.engine_config(),
             fallback_fn=self._fallback_batch_fn if fallback_scorer is not None else None,
             clock=clock,
             obs=self.obs,
         )
-
-    # Legacy attribute views (pre-config-object callers read these).
-    @property
-    def threshold(self) -> float:
-        return self.config.threshold
-
-    @property
-    def question(self) -> str:
-        return self.config.question
 
     # ------------------------------------------------------------------
     # Scoring internals (these run *inside* the engine's batch path)
@@ -348,10 +265,10 @@ class BehaviorCardService:
         )
 
     def _score_batch_fn(self, requests: list[ScoreRequest]) -> list[ScoreResult]:
-        """The engine's primary batch path: cache, one forward pass, audit."""
-        for request in requests:
-            if not request.behavior_text.strip():
-                raise ServingError("behavior_text must be non-empty")
+        """The engine's primary batch path: cache, one forward pass, audit.
+
+        ``engine.submit`` has already rejected empty behavior text.
+        """
         scores, cached = self._score_texts([r.behavior_text for r in requests])
         return [
             self._finish(r.user_id, r.behavior_text, s, c)
@@ -376,19 +293,12 @@ class BehaviorCardService:
     # Public API
     # ------------------------------------------------------------------
 
-    def decide(self, user_id: str, behavior_text: str) -> BehaviorCardDecision:
+    def decide(self, user_id: str, behavior_text: str) -> ScoreResult:
         """Score a user's behavior summary and record the decision."""
         if not behavior_text.strip():
             raise ServingError("behavior_text must be non-empty")
         scores, cached = self._score_texts([behavior_text])
-        result = self._finish(user_id, behavior_text, scores[0], cached[0])
-        return BehaviorCardDecision(
-            user_id=result.user_id,
-            score=result.score,
-            approved=result.approved,
-            threshold=result.threshold,
-            cached=result.cached,
-        )
+        return self._finish(user_id, behavior_text, scores[0], cached[0])
 
     def score_requests(self, requests: Sequence[ScoreRequest]) -> list[ScoreResult]:
         """Score requests through the micro-batching engine (unified API).
@@ -403,39 +313,6 @@ class BehaviorCardService:
         for start in range(0, len(requests), wave):
             results.extend(self.engine.serve(list(requests[start : start + wave])))
         return results
-
-    def decide_batch(
-        self, requests: Sequence[ScoreRequest] | Sequence[tuple[str, str]]
-    ) -> list[ScoreResult] | list[BehaviorCardDecision]:
-        """Score many requests through the engine's batched path.
-
-        Accepts :class:`ScoreRequest` objects (returning
-        :class:`ScoreResult`) or legacy ``(user_id, behavior_text)``
-        tuples (returning :class:`BehaviorCardDecision`, as before).
-        """
-        if not requests:
-            return []
-        if isinstance(requests[0], ScoreRequest):
-            return self.score_requests(requests)  # type: ignore[arg-type]
-        _warn_deprecated_once(
-            "decide_batch with (user_id, text) tuples is deprecated; "
-            "pass ScoreRequest objects",
-            stacklevel=2,
-        )
-        score_requests = [
-            ScoreRequest(user_id=user_id, behavior_text=text)
-            for user_id, text in requests  # type: ignore[misc]
-        ]
-        return [
-            BehaviorCardDecision(
-                user_id=r.user_id,
-                score=r.score,
-                approved=r.approved,
-                threshold=r.threshold,
-                cached=r.cached,
-            )
-            for r in self.score_requests(score_requests)
-        ]
 
     def record_explanation(self, entry: ExplainAuditEntry) -> None:
         """Append one influence-explanation query to the audit log.

@@ -484,9 +484,10 @@ class Replica:
     """One engine + transport + breaker under supervisor management.
 
     ``engine`` is a :class:`MicroBatchEngine` or (continuous mode) a
-    :class:`~repro.serving.continuous.ContinuousEngine` — the supervisor
-    only touches their shared surface (submit/pump/start/stop/
-    withdraw_all/queue_depth/stats).
+    :class:`~repro.serving.continuous.ContinuousEngine`; the supervisor
+    only touches what both inherit from the
+    :class:`~repro.serving.engine.ServingEngine` core (submit/pump/
+    start/stop/withdraw_all/queue_depth/stats).
     """
 
     def __init__(

@@ -2,23 +2,23 @@
 ``submit``/``PendingResult`` contract.
 
 :class:`~repro.serving.engine.MicroBatchEngine` schedules *scoring*
-(one forward per batch); this module schedules *generation*.  A
+(one forward per batch); this module schedules *generation*.  Both are
+the same :class:`~repro.serving.engine.ServingEngine` core — bounded
+queue, backpressure, deadline expiry, withdrawal, ``serve``/``drain``
+and the threaded worker — with a different step policy.  A
 :class:`ContinuousEngine` keeps one
 :class:`~repro.nn.continuous.ContinuousScheduler` loop alive and, per
 :meth:`~ContinuousEngine.pump`:
 
-1. expires stale queued requests (same inclusive deadline boundary as
-   the micro-batch engine — once admitted, a request always decodes),
-2. hands as many queued requests to the scheduler as the admission
-   policy allows,
-3. runs **one** decode step, streaming every generated token to its
+1. takes as many queued requests as the admission policy has free rows
+   for, expiring stale ones on the way (the core's inclusive deadline
+   boundary — once admitted, a request always decodes),
+2. runs **one** decode step, streaming every generated token to its
    caller through ``PendingResult._emit_token`` (callbacks plus the
    blocking ``token_stream()`` iterator), and finalizing finished rows
    through the app's ``finish`` hook — exactly once.
 
-The engine mirrors the micro-batch surface — ``submit`` / ``pump`` /
-``drain`` / ``serve`` / ``start`` / ``stop`` / ``withdraw_all`` /
-``queue_depth`` / ``stats`` — so a :class:`~repro.serving.cluster.ClusterSupervisor`
+Because the core is shared, a :class:`~repro.serving.cluster.ClusterSupervisor`
 replica can run either engine unchanged: redispatch-off-crashed-replica,
 rolling deploys and the chaos suite all apply.  The per-step
 ``cluster.scheduler`` fault point is the chaos hook; an injected
@@ -34,26 +34,24 @@ caller (or the cluster's redispatch) decides whether to resubmit.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from repro.errors import DeadlineExceededError, QueueFullError, ServingError
+from repro.errors import ServingError
 from repro.nn.cache import PrefixCache
 from repro.nn.continuous import AdmissionPolicy, ContinuousScheduler, GenerationStream
 from repro.nn.generation import GenerationConfig
-from repro.obs import Observability, get_observability
+from repro.obs import Observability
 from repro.resilience.faults import fault_point
 from repro.serving.engine import (
     EngineConfig,
-    EngineStats,
     PendingResult,
     ScoreRequest,
     ScoreResult,
+    ServingEngine,
 )
 
 
@@ -74,20 +72,10 @@ class GenerationApp:
     prefix_cache: PrefixCache | None = None
 
 
-class _Flight:
-    """Engine-side bookkeeping for one admitted request."""
-
-    __slots__ = ("pending", "enqueued_at")
-
-    def __init__(self, pending: PendingResult, enqueued_at: float):
-        self.pending = pending
-        self.enqueued_at = enqueued_at
-
-
 AppProvider = Callable[[], GenerationApp]
 
 
-class ContinuousEngine:
+class ContinuousEngine(ServingEngine):
     """Bounded-queue continuous batcher over a generation app.
 
     Parameters
@@ -119,40 +107,18 @@ class ContinuousEngine:
         clock: Callable[[], float] = time.time,
         obs: Observability | None = None,
     ):
-        self.config = config or EngineConfig()
+        super().__init__(config, clock, obs)
         self.policy = policy or AdmissionPolicy(max_live_rows=self.config.max_batch_size)
         self._provider: AppProvider = app if callable(app) else (lambda: app)
-        self._clock = clock
-        self._queue: deque[tuple[PendingResult, float]] = deque()
-        self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self.obs = obs or get_observability()
-        metrics = self.obs.metrics
-        self._m_submitted = metrics.counter("serving.submitted")
-        self._m_rejected = metrics.counter("serving.rejected")
-        self._m_expired = metrics.counter("serving.expired")
-        self._m_failed = metrics.counter("serving.failed")
-        self._m_completed = metrics.counter("serving.completed")
-        self._m_withdrawn = metrics.counter("serving.withdrawn")
-        self._g_queue_depth = metrics.gauge("serving.queue_depth")
-        self._h_latency = metrics.histogram("serving.latency_s")
-        self._h_batch_size = metrics.histogram("serving.batch_size")
-        self.stats = EngineStats(latency=self._h_latency if metrics.enabled else None)
         self._scheduler: ContinuousScheduler | None = None
         self._scheduler_app: GenerationApp | None = None
-        self._flights: dict[GenerationStream, _Flight] = {}
-        self._worker: threading.Thread | None = None
-        self._running = False
-
-    # ------------------------------------------------------------------
-    # Admission
-    # ------------------------------------------------------------------
+        # Admitted requests by their scheduler stream: (pending, enqueued_at).
+        self._flights: dict[GenerationStream, tuple[PendingResult, float]] = {}
 
     @property
     def queue_depth(self) -> int:
         """Requests waiting for admission (queued + scheduler-waiting)."""
-        with self._lock:
-            depth = len(self._queue)
+        depth = super().queue_depth
         if self._scheduler is not None:
             depth += self._scheduler.waiting
         return depth
@@ -162,32 +128,9 @@ class ContinuousEngine:
         """Rows currently decoding."""
         return self._scheduler.live_rows if self._scheduler is not None else 0
 
-    def submit(self, request: ScoreRequest) -> PendingResult:
-        """Enqueue one request; raises :class:`QueueFullError` when full."""
-        if not request.behavior_text.strip():
-            raise ServingError("behavior_text must be non-empty")
-        with self._not_empty:
-            if len(self._queue) >= self.config.queue_capacity:
-                self.stats.rejected += 1
-                self._m_rejected.inc()
-                raise QueueFullError(
-                    f"queue at capacity ({self.config.queue_capacity}); retry later"
-                )
-            pending = PendingResult(request)
-            self._queue.append((pending, self._clock()))
-            self.stats.submitted += 1
-            self._m_submitted.inc()
-            self.stats.max_queue_depth = max(self.stats.max_queue_depth, len(self._queue))
-            self._g_queue_depth.set(len(self._queue))
-            self._not_empty.notify()
-        return pending
-
     # ------------------------------------------------------------------
     # The loop
     # ------------------------------------------------------------------
-
-    def _current_app(self) -> GenerationApp:
-        return self._provider()
 
     def _ensure_scheduler(self) -> ContinuousScheduler:
         """The live scheduler, rebuilt when the app instance changed.
@@ -197,7 +140,7 @@ class ContinuousEngine:
         in-flight rows of the old app have already been failed, so a
         fresh loop is safe.
         """
-        app = self._current_app()
+        app = self._provider()
         if self._scheduler is None or self._scheduler_app is not app:
             if self._scheduler is not None and (
                 self._scheduler.live_rows or self._scheduler.waiting
@@ -216,35 +159,6 @@ class ContinuousEngine:
             self._scheduler_app = app
         return self._scheduler
 
-    def _take_admissible(self, room: int) -> list[tuple[PendingResult, float]]:
-        """Pop up to ``room`` live requests, expiring stale ones.
-
-        Same boundary as the micro-batch engine: strict ``clock() >
-        deadline`` — an exact-deadline request is admitted and, once
-        admitted, always decodes to completion (its one attempt).
-        """
-        batch: list[tuple[PendingResult, float]] = []
-        expired: list[PendingResult] = []
-        with self._lock:
-            while self._queue and len(batch) < room:
-                pending, enqueued_at = self._queue.popleft()
-                deadline = pending.request.deadline
-                if deadline is not None and self._clock() > deadline:
-                    self.stats.expired += 1
-                    self._m_expired.inc()
-                    expired.append(pending)
-                    continue
-                batch.append((pending, enqueued_at))
-            self._g_queue_depth.set(len(self._queue))
-        # Finalize outside the lock (done-callbacks may re-enter submit).
-        for pending in expired:
-            pending._reject(
-                DeadlineExceededError(
-                    f"request for {pending.request.user_id!r} expired in queue"
-                )
-            )
-        return batch
-
     def pump(self) -> int:
         """Admit what fits, decode one step, finalize finished streams.
 
@@ -255,28 +169,24 @@ class ContinuousEngine:
             scheduler = self._ensure_scheduler()
             app = self._scheduler_app
         except Exception as error:
-            # No app means no progress is possible: fail the in-flight
-            # streams AND the queue, or the supervisor's drain would
-            # stall on a queue nobody will ever decode.
-            self._crash(self._scheduler, error)
-            self._fail_queue(error)
+            # No app means no progress is possible: withdraw the
+            # in-flight streams AND the queue, or the supervisor's drain
+            # would stall on a queue nobody will ever decode.
+            self.withdraw_all(error)
             return 0
         room = max(0, self.policy.max_live_rows - scheduler.live_rows - scheduler.waiting)
-        batch = self._take_admissible(room)
-        for pending, enqueued_at in batch:
+        for pending, enqueued_at in self._take(room):
             try:
                 prompt = app.encode(pending.request)
             except Exception as error:
-                self.stats.failed += 1
-                self._m_failed.inc()
-                pending._reject(error)
+                self._fail([pending], error)
                 continue
             stream = scheduler.submit(
                 prompt,
                 on_token=lambda _s, token, p=pending: p._emit_token(token),
                 request_id=pending.request.user_id,
             )
-            self._flights[stream] = _Flight(pending, enqueued_at)
+            self._flights[stream] = (pending, enqueued_at)
         if not scheduler.has_work:
             return 0
         rows = scheduler.live_rows + scheduler.waiting
@@ -293,46 +203,28 @@ class ContinuousEngine:
         return rows
 
     def _finalize_done(self, app: GenerationApp) -> None:
-        finished = [
-            (stream, flight)
-            for stream, flight in self._flights.items()
-            if stream.done
-        ]
+        finished = [stream for stream in self._flights if stream.done]
         if not finished:
             return
         now = self._clock()
         batch_size = max(1, self.live_rows + len(finished))
-        for stream, flight in finished:
-            del self._flights[stream]
+        for stream in finished:
+            pending, enqueued_at = self._flights.pop(stream)
             if stream.error is not None:
-                self.stats.failed += 1
-                self._m_failed.inc()
-                flight.pending._reject(stream.error)
+                self._fail([pending], stream.error)
                 continue
-            latency = max(0.0, now - flight.enqueued_at)
+            latency = max(0.0, now - enqueued_at)
             try:
-                result = app.finish(flight.pending.request, list(stream.tokens))
+                result = app.finish(pending.request, list(stream.tokens))
             except Exception as error:
-                self.stats.failed += 1
-                self._m_failed.inc()
-                flight.pending._reject(error)
+                self._fail([pending], error)
                 continue
             result = replace(result, latency_s=latency, batch_size=batch_size)
             self.stats.completed += 1
             self.stats.total_latency_s += latency
             self._m_completed.inc()
             self._h_latency.observe(latency)
-            flight.pending._resolve(result)
-
-    def _fail_queue(self, error: BaseException) -> None:
-        with self._lock:
-            stranded = list(self._queue)
-            self._queue.clear()
-            self._g_queue_depth.set(0)
-        self.stats.failed += len(stranded)
-        self._m_failed.inc(len(stranded))
-        for pending, _ in stranded:
-            pending._reject(error)
+            pending._resolve(result)
 
     def _crash(self, scheduler: ContinuousScheduler | None, error: BaseException) -> None:
         """Fail every in-flight stream with ``error`` and reset the loop."""
@@ -341,15 +233,7 @@ class ContinuousEngine:
         flights, self._flights = self._flights, {}
         self._scheduler = None
         self._scheduler_app = None
-        self.stats.failed += len(flights)
-        self._m_failed.inc(len(flights))
-        for flight in flights.values():
-            flight.pending._reject(error)
-
-    def drain(self) -> None:
-        """Pump until no queued or in-flight work remains."""
-        while self.pump():
-            pass
+        self._fail([pending for pending, _ in flights.values()], error)
 
     def withdraw_all(self, error: BaseException) -> int:
         """Reject every queued *and* in-flight request with ``error``.
@@ -358,88 +242,14 @@ class ContinuousEngine:
         engine, live decodes are also withdrawn — a dead model cannot
         finish them — so redispatch callbacks can move everything.
         """
-        with self._lock:
-            withdrawn = list(self._queue)
-            self._queue.clear()
-            self._g_queue_depth.set(0)
-        count = len(withdrawn)
-        self.stats.failed += count
-        self._m_withdrawn.inc(count)
-        for pending, _ in withdrawn:
-            pending._reject(error)
+        count = super().withdraw_all(error)
         in_flight = len(self._flights)
         if in_flight:
             self._m_withdrawn.inc(in_flight)
             self._crash(self._scheduler, error)
-            count += in_flight
-        return count
-
-    def serve(self, requests: Sequence[ScoreRequest]) -> list[ScoreResult]:
-        """Submit, drain, collect — all-or-nothing on queue overflow."""
-        pendings: list[PendingResult] = []
-        try:
-            for request in requests:
-                pendings.append(self.submit(request))
-        except QueueFullError:
-            with self._lock:
-                mine = {id(p) for p in pendings}
-                before = len(self._queue)
-                self._queue = deque(
-                    item for item in self._queue if id(item[0]) not in mine
-                )
-                withdrawn = before - len(self._queue)
-                self.stats.submitted -= withdrawn
-                self._m_withdrawn.inc(withdrawn)
-                self._g_queue_depth.set(len(self._queue))
-            raise
-        self.drain()
-        return [p.result(timeout=0) for p in pendings]
-
-    # ------------------------------------------------------------------
-    # Threaded worker
-    # ------------------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    def start(self) -> None:
-        """Launch the background decode loop (idempotent)."""
-        if self._running:
-            return
-        self._running = True
-        self._worker = threading.Thread(target=self._worker_loop, daemon=True)
-        self._worker.start()
-
-    def stop(self, drain: bool = True) -> None:
-        """Stop the worker; by default decode whatever is still pending."""
-        if self._running:
-            self._running = False
-            with self._not_empty:
-                self._not_empty.notify_all()
-            if self._worker is not None:
-                self._worker.join()
-                self._worker = None
-        if drain:
-            self.drain()
-
-    def __enter__(self) -> "ContinuousEngine":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        return count + in_flight
 
     def _has_work(self) -> bool:
         if self._scheduler is not None and self._scheduler.has_work:
             return True
-        return bool(self._queue)
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._not_empty:
-                while self._running and not self._has_work():
-                    self._not_empty.wait()
-                if not self._running:
-                    return
-            self.pump()
+        return super()._has_work()

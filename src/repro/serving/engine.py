@@ -9,12 +9,18 @@ that architecture to the laptop-scale reproduction:
 
 * :class:`ScoreRequest` / :class:`ScoreResult` — the unified
   request/response API shared by every serving entry point.
-* :class:`MicroBatchEngine` — the scheduler.  Admission control is
+* :class:`ServingEngine` — the one serving core.  Admission control is
   explicit: a full queue rejects with :class:`~repro.errors.QueueFullError`
   (backpressure), per-request deadlines expire stale traffic in-queue
-  with :class:`~repro.errors.DeadlineExceededError`, and an optional
-  fallback scorer keeps the service answering (flagged ``degraded``)
-  when the model path raises.
+  with :class:`~repro.errors.DeadlineExceededError`, and withdrawal,
+  ``serve``/``drain`` and the threaded worker live here too.  Each
+  engine is this core plus one step policy (its ``pump``).
+* :class:`MicroBatchEngine` — the scoring step policy: one padded
+  forward per batch, with retry, circuit breaker and an optional
+  fallback scorer that keeps the service answering (flagged
+  ``degraded``) when the model path raises.
+  :class:`~repro.serving.continuous.ContinuousEngine` is the other
+  step policy (streaming decode).
 * :class:`EngineStats` — latency / throughput / queue-depth counters,
   including latency quantiles backed by the observability layer.
 
@@ -320,10 +326,247 @@ class PendingResult:
         return self._result
 
 
+class ServingEngine:
+    """The admission core both engines share; subclasses supply ``pump``.
+
+    Owns the bounded FIFO queue (its lock and condition), the
+    ``serving.*`` metrics, :class:`EngineStats`, admission with
+    backpressure, the strict ``clock() > deadline`` expiry, withdrawal,
+    the synchronous ``drain``/``serve`` drive and the threaded worker.
+    A subclass is one *step policy*: ``pump`` takes what it can run
+    with :meth:`_take`, runs one step and returns the work it did
+    (0 means idle).
+    """
+
+    def __init__(
+        self,
+        config: EngineConfig | None = None,
+        clock: Callable[[], float] = time.time,
+        obs: Observability | None = None,
+    ):
+        self.config = config or EngineConfig()
+        self._clock = clock
+        self._queue: deque[tuple[PendingResult, float]] = deque()
+        self._lock = threading.Lock()
+        self._not_empty = threading.Condition(self._lock)
+        self.obs = obs or get_observability()
+        metrics = self.obs.metrics
+        self._m_submitted = metrics.counter("serving.submitted")
+        self._m_rejected = metrics.counter("serving.rejected")
+        self._m_expired = metrics.counter("serving.expired")
+        self._m_failed = metrics.counter("serving.failed")
+        self._m_degraded = metrics.counter("serving.degraded")
+        self._m_completed = metrics.counter("serving.completed")
+        self._m_withdrawn = metrics.counter("serving.withdrawn")
+        self._g_queue_depth = metrics.gauge("serving.queue_depth")
+        self._h_latency = metrics.histogram("serving.latency_s")
+        self._h_forward = metrics.histogram("serving.forward_s")
+        self._h_batch_size = metrics.histogram("serving.batch_size")
+        self.stats = EngineStats(
+            latency=self._h_latency if metrics.enabled else None
+        )
+        self._worker: threading.Thread | None = None
+        self._running = False
+        self._idle_wakeups = 0
+
+    @property
+    def idle_wakeups(self) -> int:
+        """Times the worker woke with nothing to do (should stay 0)."""
+        return self._idle_wakeups
+
+    # ------------------------------------------------------------------
+    # Admission
+    # ------------------------------------------------------------------
+
+    @property
+    def queue_depth(self) -> int:
+        with self._lock:
+            return len(self._queue)
+
+    def submit(self, request: ScoreRequest) -> PendingResult:
+        """Enqueue one request; raises :class:`QueueFullError` when full."""
+        if not request.behavior_text.strip():
+            raise ServingError("behavior_text must be non-empty")
+        with self._not_empty:
+            if len(self._queue) >= self.config.queue_capacity:
+                self.stats.rejected += 1
+                self._m_rejected.inc()
+                raise QueueFullError(
+                    f"queue at capacity ({self.config.queue_capacity}); retry later"
+                )
+            pending = PendingResult(request)
+            self._queue.append((pending, self._clock()))
+            self.stats.submitted += 1
+            self._m_submitted.inc()
+            self.stats.max_queue_depth = max(self.stats.max_queue_depth, len(self._queue))
+            self._g_queue_depth.set(len(self._queue))
+            self._not_empty.notify()
+        return pending
+
+    def _take(self, limit: int) -> list[tuple[PendingResult, float]]:
+        """Pop up to ``limit`` live requests, expiring stale ones.
+
+        The deadline boundary is inclusive: a request whose deadline
+        equals the current clock is still admitted, and once admitted it
+        always gets its one attempt (a primary scoring, or a decode).
+        """
+        taken: list[tuple[PendingResult, float]] = []
+        expired: list[PendingResult] = []
+        with self._lock:
+            while self._queue and len(taken) < limit:
+                pending, enqueued_at = self._queue.popleft()
+                deadline = pending.request.deadline
+                if deadline is not None and self._clock() > deadline:
+                    self.stats.expired += 1
+                    self._m_expired.inc()
+                    expired.append(pending)
+                    continue
+                taken.append((pending, enqueued_at))
+            self._g_queue_depth.set(len(self._queue))
+        # Reject outside the lock: _reject runs done-callbacks on this
+        # thread, and a callback may re-enter submit() (the cluster
+        # supervisor's redispatch hook does exactly that) — finalizing
+        # while holding self._lock would deadlock on the re-entry.
+        for pending in expired:
+            pending._reject(
+                DeadlineExceededError(
+                    f"request for {pending.request.user_id!r} expired in queue"
+                )
+            )
+        return taken
+
+    def _fail(self, pendings: list[PendingResult], error: BaseException) -> None:
+        """Finalize admitted requests with ``error``, counted as failed."""
+        self.stats.failed += len(pendings)
+        self._m_failed.inc(len(pendings))
+        for pending in pendings:
+            pending._reject(error)
+
+    def withdraw_all(self, error: BaseException) -> int:
+        """Empty the queue, rejecting every queued request with ``error``.
+
+        The cluster supervisor calls this when it declares a replica
+        dead: queued traffic is finalized with a
+        :class:`~repro.errors.ReplicaCrashedError` so done-callbacks can
+        re-dispatch it to a healthy replica instead of leaving it
+        stranded behind a corpse.  Every withdrawn request counts once in
+        ``stats.failed``, ``serving.failed`` and ``serving.withdrawn``.
+        Returns the number withdrawn.
+        """
+        with self._lock:
+            withdrawn = [pending for pending, _ in self._queue]
+            self._queue.clear()
+            self._g_queue_depth.set(0)
+        self._m_withdrawn.inc(len(withdrawn))
+        self._fail(withdrawn, error)
+        return len(withdrawn)
+
+    # ------------------------------------------------------------------
+    # Synchronous drive
+    # ------------------------------------------------------------------
+
+    def pump(self) -> int:
+        """Run one step; returns the work it did (0 when idle)."""
+        raise NotImplementedError
+
+    def drain(self) -> None:
+        """Pump until no queued or in-flight work remains."""
+        while self.pump():
+            pass
+
+    def serve(self, requests: Sequence[ScoreRequest]) -> list[ScoreResult]:
+        """Submit, drain, and collect — the synchronous batched entry point.
+
+        Admission control still applies: with more requests than
+        ``queue_capacity`` the overflow raises :class:`QueueFullError`
+        (submit in capacity-sized waves, or use the threaded worker,
+        for larger bursts).  Admission is all-or-nothing here: on
+        overflow, requests this call already enqueued are withdrawn, so
+        none of a failed ``serve()`` is ever run behind the caller's
+        back.
+        """
+        pending = []
+        try:
+            for request in requests:
+                pending.append(self.submit(request))
+        except QueueFullError:
+            with self._lock:
+                mine = {id(p) for p in pending}
+                before = len(self._queue)
+                self._queue = deque(
+                    item for item in self._queue if id(item[0]) not in mine
+                )
+                withdrawn = before - len(self._queue)
+                self.stats.submitted -= withdrawn
+                self._m_withdrawn.inc(withdrawn)
+                self._g_queue_depth.set(len(self._queue))
+            raise
+        self.drain()
+        return [p.result(timeout=0) for p in pending]
+
+    # ------------------------------------------------------------------
+    # Threaded worker
+    # ------------------------------------------------------------------
+
+    @property
+    def running(self) -> bool:
+        return self._running
+
+    def start(self) -> None:
+        """Launch the background worker loop (idempotent)."""
+        if self._running:
+            return
+        self._running = True
+        self._worker = threading.Thread(target=self._worker_loop, daemon=True)
+        self._worker.start()
+
+    def stop(self, drain: bool = True) -> None:
+        """Stop the worker; by default finish whatever is still pending."""
+        if self._running:
+            self._running = False
+            with self._not_empty:
+                self._not_empty.notify_all()
+            if self._worker is not None:
+                self._worker.join()
+                self._worker = None
+        if drain:
+            self.drain()
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    def _has_work(self) -> bool:
+        """Whether a pump would make progress (called under the lock)."""
+        return bool(self._queue)
+
+    def _hold(self) -> None:
+        """Wait, if the step policy wants to, before the worker's pump."""
+
+    def _worker_loop(self) -> None:
+        while True:
+            with self._not_empty:
+                # Idle wait: no timeout, so a quiet engine does zero
+                # periodic wakeups — submit() and stop() notify.  Any
+                # return with nothing to do is a spurious wakeup,
+                # counted so tests can pin the no-polling guarantee.
+                while self._running and not self._has_work():
+                    self._not_empty.wait()
+                    if self._running and not self._has_work():
+                        self._idle_wakeups += 1
+                if not self._running:
+                    return
+            self._hold()
+            self.pump()
+
+
 BatchFn = Callable[[list[ScoreRequest]], list["ScoreResult"]]
 
 
-class MicroBatchEngine:
+class MicroBatchEngine(ServingEngine):
     """Bounded-queue dynamic batcher in front of a batch scoring function.
 
     Parameters
@@ -370,121 +613,38 @@ class MicroBatchEngine:
         breaker: CircuitBreaker | None = None,
         obs: Observability | None = None,
     ):
-        self.config = config or EngineConfig()
+        super().__init__(config, clock, obs)
         self._batch_fn = batch_fn
         self._fallback_fn = fallback_fn
         self._retry = retry_policy
         self._breaker = breaker
-        self._clock = clock
-        self._queue: deque[tuple[PendingResult, float]] = deque()
-        self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self.obs = obs or get_observability()
-        metrics = self.obs.metrics
-        self._m_submitted = metrics.counter("serving.submitted")
-        self._m_rejected = metrics.counter("serving.rejected")
-        self._m_expired = metrics.counter("serving.expired")
-        self._m_failed = metrics.counter("serving.failed")
-        self._m_degraded = metrics.counter("serving.degraded")
-        self._m_completed = metrics.counter("serving.completed")
-        self._m_withdrawn = metrics.counter("serving.withdrawn")
-        self._g_queue_depth = metrics.gauge("serving.queue_depth")
-        self._h_latency = metrics.histogram("serving.latency_s")
-        self._h_forward = metrics.histogram("serving.forward_s")
-        self._h_batch_size = metrics.histogram("serving.batch_size")
-        self.stats = EngineStats(
-            latency=self._h_latency if metrics.enabled else None
-        )
-        self._worker: threading.Thread | None = None
-        self._running = False
-        self._idle_wakeups = 0
 
     @property
     def breaker(self) -> CircuitBreaker | None:
         return self._breaker
 
-    @property
-    def idle_wakeups(self) -> int:
-        """Times the worker woke with nothing to do (should stay 0)."""
-        return self._idle_wakeups
+    def pump(self) -> int:
+        """Synchronously assemble and score one batch; returns its size."""
+        batch = self._take(self.config.max_batch_size)
+        if batch:
+            self._score_batch(batch)
+        return len(batch)
 
-    # ------------------------------------------------------------------
-    # Admission
-    # ------------------------------------------------------------------
-
-    @property
-    def queue_depth(self) -> int:
-        with self._lock:
-            return len(self._queue)
-
-    def submit(self, request: ScoreRequest) -> PendingResult:
-        """Enqueue one request; raises :class:`QueueFullError` when full."""
-        if not request.behavior_text.strip():
-            raise ServingError("behavior_text must be non-empty")
+    def _hold(self) -> None:
+        # Hold the batch open for stragglers: condition-timed waits
+        # computed from max_wait_s, woken early by submit() when the
+        # batch fills — never a sleep/poll spin.
+        deadline = time.monotonic() + self.config.max_wait_s
         with self._not_empty:
-            if len(self._queue) >= self.config.queue_capacity:
-                self.stats.rejected += 1
-                self._m_rejected.inc()
-                raise QueueFullError(
-                    f"queue at capacity ({self.config.queue_capacity}); retry later"
-                )
-            pending = PendingResult(request)
-            self._queue.append((pending, self._clock()))
-            self.stats.submitted += 1
-            self._m_submitted.inc()
-            self.stats.max_queue_depth = max(self.stats.max_queue_depth, len(self._queue))
-            self._g_queue_depth.set(len(self._queue))
-            self._not_empty.notify()
-        return pending
+            while self._running and len(self._queue) < self.config.max_batch_size:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._not_empty.wait(timeout=remaining)
 
     # ------------------------------------------------------------------
-    # Scheduling
+    # Scoring
     # ------------------------------------------------------------------
-
-    def _take_batch(self) -> list[tuple[PendingResult, float]]:
-        """Pop up to ``max_batch_size`` live requests, expiring stale ones.
-
-        The deadline boundary is inclusive: a request whose deadline
-        equals the current clock is still admitted (and, once admitted,
-        always gets one primary attempt — see :meth:`_attempt_primary`).
-        """
-        batch: list[tuple[PendingResult, float]] = []
-        expired: list[PendingResult] = []
-        with self._lock:
-            while self._queue and len(batch) < self.config.max_batch_size:
-                pending, enqueued_at = self._queue.popleft()
-                deadline = pending.request.deadline
-                if deadline is not None and self._clock() > deadline:
-                    self.stats.expired += 1
-                    self._m_expired.inc()
-                    expired.append(pending)
-                    continue
-                batch.append((pending, enqueued_at))
-            self._g_queue_depth.set(len(self._queue))
-        # Reject outside the lock: _reject runs done-callbacks on this
-        # thread, and a callback may re-enter submit() (the cluster
-        # supervisor's redispatch hook does exactly that) — finalizing
-        # while holding self._lock would deadlock on the re-entry.
-        for pending in expired:
-            pending._reject(
-                DeadlineExceededError(
-                    f"request for {pending.request.user_id!r} expired in queue"
-                )
-            )
-        return batch
-
-    def _score_batch(self, batch: list[tuple[PendingResult, float]]) -> None:
-        with self.obs.span("serving.batch", batch_size=len(batch)) as span:
-            self._score_batch_inner(batch, span)
-
-    def _batch_deadline(self, batch: list[tuple[PendingResult, float]]) -> float | None:
-        """Earliest request deadline in the batch (bounds retry backoff)."""
-        deadlines = [
-            pending.request.deadline
-            for pending, _ in batch
-            if pending.request.deadline is not None
-        ]
-        return min(deadlines) if deadlines else None
 
     def _attempt_primary(
         self, requests: list[ScoreRequest], deadline: float | None
@@ -504,12 +664,26 @@ class MicroBatchEngine:
             # this one attempt (RetryPolicy runs the first attempt
             # unconditionally).  An exact-deadline budget of 0 therefore
             # only forbids *retries* — it never silently drops the
-            # request, keeping the boundary consistent with _take_batch.
+            # request, keeping the boundary consistent with _take.
             budget = max(0.0, deadline - self._clock())
         return self._retry.call(attempt, budget_s=budget)
 
+    def _score_batch(self, batch: list[tuple[PendingResult, float]]) -> None:
+        with self.obs.span("serving.batch", batch_size=len(batch)) as span:
+            self._score_batch_inner(batch, span)
+
+    def _batch_deadline(self, batch: list[tuple[PendingResult, float]]) -> float | None:
+        """Earliest request deadline in the batch (bounds retry backoff)."""
+        deadlines = [
+            pending.request.deadline
+            for pending, _ in batch
+            if pending.request.deadline is not None
+        ]
+        return min(deadlines) if deadlines else None
+
     def _score_batch_inner(self, batch: list[tuple[PendingResult, float]], span) -> None:
         requests = [pending.request for pending, _ in batch]
+        pendings = [pending for pending, _ in batch]
         degraded = False
         results: list[ScoreResult] | None = None
         primary_error: BaseException | None = None
@@ -534,18 +708,18 @@ class MicroBatchEngine:
         if results is None:
             assert primary_error is not None
             if self._fallback_fn is None:
-                self._fail_batch(batch, primary_error)
+                self._fail(pendings, primary_error)
                 return
             try:
                 results = self._fallback_fn(requests)
             except Exception as fallback_error:
-                self._fail_batch(batch, fallback_error)
+                self._fail(pendings, fallback_error)
                 return
             degraded = True
         self._h_forward.observe(max(0.0, self._clock() - forward_start))
         if len(results) != len(batch):
-            self._fail_batch(
-                batch,
+            self._fail(
+                pendings,
                 ServingError(
                     f"batch_fn returned {len(results)} results for {len(batch)} requests"
                 ),
@@ -576,130 +750,3 @@ class MicroBatchEngine:
             degraded=degraded,
             queue_depth=self.queue_depth,
         )
-
-    def _fail_batch(self, batch: list[tuple[PendingResult, float]], error: BaseException) -> None:
-        self.stats.failed += len(batch)
-        self._m_failed.inc(len(batch))
-        for pending, _ in batch:
-            pending._reject(error)
-
-    def withdraw_all(self, error: BaseException) -> int:
-        """Empty the queue, rejecting every queued request with ``error``.
-
-        The cluster supervisor calls this when it declares a replica
-        dead: queued traffic is finalized with a
-        :class:`~repro.errors.ReplicaCrashedError` so done-callbacks can
-        re-dispatch it to a healthy replica instead of leaving it
-        stranded behind a corpse.  Returns the number withdrawn.
-        """
-        with self._lock:
-            withdrawn = list(self._queue)
-            self._queue.clear()
-            self._g_queue_depth.set(0)
-        self.stats.failed += len(withdrawn)
-        self._m_withdrawn.inc(len(withdrawn))
-        for pending, _ in withdrawn:
-            pending._reject(error)
-        return len(withdrawn)
-
-    def pump(self) -> int:
-        """Synchronously assemble and score one batch; returns its size."""
-        batch = self._take_batch()
-        if batch:
-            self._score_batch(batch)
-        return len(batch)
-
-    def drain(self) -> None:
-        """Pump until the queue is empty."""
-        while self.pump():
-            pass
-
-    def serve(self, requests: Sequence[ScoreRequest]) -> list[ScoreResult]:
-        """Submit, drain, and collect — the synchronous batched entry point.
-
-        Admission control still applies: with more requests than
-        ``queue_capacity`` the overflow raises :class:`QueueFullError`
-        (submit in capacity-sized waves, or use the threaded worker,
-        for larger bursts).  Admission is all-or-nothing here: on
-        overflow, requests this call already enqueued are withdrawn, so
-        none of a failed ``serve()`` is ever scored behind the caller's
-        back.
-        """
-        pending = []
-        try:
-            for request in requests:
-                pending.append(self.submit(request))
-        except QueueFullError:
-            with self._lock:
-                mine = {id(p) for p in pending}
-                before = len(self._queue)
-                self._queue = deque(
-                    item for item in self._queue if id(item[0]) not in mine
-                )
-                withdrawn = before - len(self._queue)
-                self.stats.submitted -= withdrawn
-                self._m_withdrawn.inc(withdrawn)
-                self._g_queue_depth.set(len(self._queue))
-            raise
-        self.drain()
-        return [p.result(timeout=0) for p in pending]
-
-    # ------------------------------------------------------------------
-    # Threaded worker
-    # ------------------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    def start(self) -> None:
-        """Launch the background worker loop (idempotent)."""
-        if self._running:
-            return
-        self._running = True
-        self._worker = threading.Thread(target=self._worker_loop, daemon=True)
-        self._worker.start()
-
-    def stop(self, drain: bool = True) -> None:
-        """Stop the worker; by default score whatever is still queued."""
-        if self._running:
-            self._running = False
-            with self._not_empty:
-                self._not_empty.notify_all()
-            if self._worker is not None:
-                self._worker.join()
-                self._worker = None
-        if drain:
-            self.drain()
-
-    def __enter__(self) -> "MicroBatchEngine":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._not_empty:
-                # Idle wait: no timeout, so a quiet engine does zero
-                # periodic wakeups — submit() and stop() notify.  Any
-                # return with nothing to do is a spurious wakeup,
-                # counted so tests can pin the no-polling guarantee.
-                while self._running and not self._queue:
-                    self._not_empty.wait()
-                    if self._running and not self._queue:
-                        self._idle_wakeups += 1
-                if not self._running:
-                    return
-            # Hold the batch open for stragglers: condition-timed waits
-            # computed from max_wait_s, woken early by submit() when
-            # the batch fills — never a sleep/poll spin.
-            deadline = time.monotonic() + self.config.max_wait_s
-            with self._not_empty:
-                while self._running and len(self._queue) < self.config.max_batch_size:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._not_empty.wait(timeout=remaining)
-            self.pump()

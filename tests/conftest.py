@@ -13,6 +13,7 @@ CI box, same 105 tests).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.config import test_config as make_test_config
 from repro.core import ZiGong
 from repro.data import build_classification_examples
 from repro.datasets import make_german
-from repro.nn import MistralTiny, ModelConfig
+from repro.nn import GenerationConfig, MistralTiny, ModelConfig
 
 
 TINY = ModelConfig(
@@ -179,6 +180,87 @@ def make_stub_service(**kwargs):
     )
     defaults.update(kwargs)
     return BehaviorCardService(StubClassifier(), **defaults)
+
+
+# Both step policies over the shared serving core, for contract tests
+# parametrized over the engine.
+ENGINE_KINDS = ("microbatch", "continuous")
+
+# Forced-length decode: every request generates exactly four tokens.
+STUB_GENERATION = GenerationConfig(max_new_tokens=4)
+
+
+def stub_encode(request) -> np.ndarray:
+    """Deterministic text -> prompt ids (length varies with the text)."""
+    rng = np.random.default_rng(len(request.behavior_text) % 97)
+    return rng.integers(
+        5, TINY.vocab_size, size=4 + len(request.behavior_text) % 9
+    ).astype(np.int64)
+
+
+def stub_finish(request, tokens: list[int]):
+    from repro.serving import ScoreResult
+
+    score = (sum(tokens) % 10) / 10.0 + 0.05
+    return ScoreResult(request.user_id, score, score < 0.5, 0.5, False)
+
+
+def stub_batch_fn(requests):
+    from repro.serving import ScoreResult
+
+    return [ScoreResult(r.user_id, 0.1, True, 0.5, False) for r in requests]
+
+
+def make_generation_app(model, **overrides):
+    """The stub generation app: ``stub_encode``/``stub_finish`` over ``model``."""
+    from repro.serving import GenerationApp
+
+    kwargs = dict(model=model, encode=stub_encode, finish=stub_finish, generation=STUB_GENERATION)
+    kwargs.update(overrides)
+    return GenerationApp(**kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def stub_generation_model() -> MistralTiny:
+    """One tiny model shared by every stub generation app (decode only)."""
+    return MistralTiny(TINY, rng=0)
+
+
+def make_engine(kind: str, config=None, seen: list | None = None, **kwargs):
+    """A fresh ``kind`` engine over the stubs, fresh registry and step clock.
+
+    ``microbatch`` scores through ``batch_fn`` (default
+    :func:`stub_batch_fn`); ``continuous`` decodes ``app`` (default the
+    stub generation app over one shared tiny model).  ``seen``, when
+    given, collects every request as it reaches a step: the batch
+    function, or the stub encoder that runs just before
+    ``ContinuousScheduler.submit``.
+    """
+    from repro.obs import Observability
+    from repro.serving import ContinuousEngine, EngineConfig, MicroBatchEngine
+
+    config = config or EngineConfig(max_batch_size=4, queue_capacity=8)
+    kwargs.setdefault("clock", StepClock())
+    kwargs.setdefault("obs", Observability.create())
+    if kind == "microbatch":
+        batch_fn = kwargs.pop("batch_fn", stub_batch_fn)
+        if seen is not None:
+            scorer = batch_fn
+
+            def batch_fn(requests):
+                seen.extend(requests)
+                return scorer(requests)
+
+        return MicroBatchEngine(batch_fn, config, **kwargs)
+    encode = stub_encode
+    if seen is not None:
+
+        def encode(request):
+            seen.append(request)
+            return stub_encode(request)
+
+    app = kwargs.pop("app", None) or make_generation_app(stub_generation_model(), encode=encode)
+    return ContinuousEngine(app, config, **kwargs)
 
 
 # ----------------------------------------------------------------------

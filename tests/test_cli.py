@@ -83,7 +83,7 @@ class TestPipelineCommand:
     def test_runs_small_pipeline(self, capsys):
         code = main([
             "pipeline", "--dataset", "german", "--n", "120", "--epochs", "3",
-            "--strategy", "agent",
+            "--estimator", "agent",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -220,27 +220,6 @@ class TestInfluenceCommand:
             main(["pipeline", "--dataset", "german", "--n", "80",
                   "--estimator", "datainf"])
         assert captured["pruner"].strategy == "datainf"
-
-    def test_strategy_flag_still_works_but_warns(self, tmp_path, monkeypatch):
-        import warnings
-
-        import repro.cli as cli_mod
-
-        captured = {}
-
-        class FakePipeline:
-            def __init__(self, config):
-                captured["pruner"] = config.pruner
-                raise SystemExit(0)
-
-        monkeypatch.setattr(cli_mod, "ZiGongPipeline", FakePipeline)
-        with pytest.raises(SystemExit):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                main(["pipeline", "--dataset", "german", "--n", "80",
-                      "--strategy", "agent"])
-        assert captured["pruner"].strategy == "agent"
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
 
 
 class TestServeCommand:

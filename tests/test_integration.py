@@ -23,6 +23,7 @@ from repro.data import (
 from repro.datasets import make_behavior
 from repro.eval import evaluate, EvalSample
 from repro.serving import (
+    BehaviorCardConfig,
     BehaviorCardService,
     DriftMonitor,
     ScorecardScaler,
@@ -52,7 +53,7 @@ def deployed():
     )
     split = len(examples) - 40
     result = ZiGongPipeline(config).run(examples[:split], examples[split : split + 20])
-    service = BehaviorCardService(result.zigong.classifier(), threshold=0.5)
+    service = BehaviorCardService(result.zigong.classifier(), BehaviorCardConfig(threshold=0.5))
     return dataset, result, service
 
 

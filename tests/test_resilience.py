@@ -36,6 +36,8 @@ from repro.resilience import (
 from repro.serving import EngineConfig, MicroBatchEngine, ScoreRequest, ScoreResult
 from repro.training import CheckpointManager, Trainer, TrainingConfig
 
+from conftest import ENGINE_KINDS, make_engine
+
 TINY = ModelConfig(
     vocab_size=64,
     d_model=32,
@@ -561,10 +563,10 @@ class TestServingTimeout:
 
 
 class TestIdleWorker:
-    def test_idle_engine_does_no_periodic_wakeups(self):
-        engine = MicroBatchEngine(
-            ScriptedScorer(), EngineConfig(max_wait_s=0.005),
-            obs=Observability.disabled(),
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_idle_engine_does_no_periodic_wakeups(self, kind):
+        engine = make_engine(
+            kind, EngineConfig(max_wait_s=0.005), obs=Observability.disabled()
         )
         engine.start()
         time.sleep(0.25)  # old loop would have woken ~5 times by now

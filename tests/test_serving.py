@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ServingError
-from repro.serving import BehaviorCardService, reset_deprecation_warnings
+from repro.serving import BehaviorCardConfig, BehaviorCardService, ScoreRequest
 
 
 class _StubClassifier:
@@ -30,7 +30,9 @@ class _Clock:
 
 @pytest.fixture
 def service():
-    return BehaviorCardService(_StubClassifier(), threshold=0.5, cache_size=4, clock=_Clock())
+    return BehaviorCardService(
+        _StubClassifier(), BehaviorCardConfig(threshold=0.5, cache_size=4), clock=_Clock()
+    )
 
 
 class TestDecisions:
@@ -47,16 +49,14 @@ class TestDecisions:
             service.decide("u1", "   ")
 
     def test_batch(self, service):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="tuples"):
-            decisions = service.decide_batch([("u1", "a=1"), ("u2", "b=2")])
-        assert [d.user_id for d in decisions] == ["u1", "u2"]
+        results = service.score_requests([ScoreRequest("u1", "a=1"), ScoreRequest("u2", "b=2")])
+        assert [r.user_id for r in results] == ["u1", "u2"]
 
     def test_invalid_config(self):
         with pytest.raises(ServingError):
-            BehaviorCardService(_StubClassifier(), threshold=0.0)
+            BehaviorCardConfig(threshold=0.0)
         with pytest.raises(ServingError):
-            BehaviorCardService(_StubClassifier(), cache_size=0)
+            BehaviorCardConfig(cache_size=0)
 
 
 class TestCache:
@@ -118,7 +118,7 @@ class TestEndToEndWithModel:
     def test_with_fitted_zigong(self, fitted_zigong):
         from repro.datasets import make_behavior
 
-        service = BehaviorCardService(fitted_zigong.classifier(), threshold=0.5)
+        service = BehaviorCardService(fitted_zigong.classifier(), BehaviorCardConfig(threshold=0.5))
         ds = make_behavior(n_users=3, n_periods=2, seed=0)
         decision = service.decide("user0", ds.row_text(0, 1))
         assert 0.0 <= decision.score <= 1.0

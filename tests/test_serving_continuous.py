@@ -4,75 +4,39 @@ Same testing discipline as the micro-batch engine suite: synchronous
 ``pump``/``drain`` with injected clocks for every scheduling decision,
 one threaded smoke for the worker loop, and cluster integration proving
 a :class:`~repro.serving.ClusterSupervisor` drives continuous replicas
-through the unchanged submit/redispatch machinery.
+through the unchanged submit/redispatch machinery.  The admission
+contract both engines share (backpressure, deadlines, withdrawal) is
+tested once, parametrized over the engine, in ``test_serving_engine.py``.
 """
 
 from __future__ import annotations
 
 import threading
 
-import numpy as np
 import pytest
 
-from repro.errors import (
-    ClusterError,
-    DeadlineExceededError,
-    QueueFullError,
-    ReplicaCrashedError,
-    ServingError,
-)
-from repro.nn import AdmissionPolicy, GenerationConfig, MistralTiny, generate
+from repro.errors import ClusterError, ReplicaCrashedError, ServingError
+from repro.nn import AdmissionPolicy, MistralTiny, generate
 from repro.obs import Observability
 from repro.serving import (
     ClusterConfig,
     ClusterSupervisor,
-    ContinuousEngine,
-    EngineConfig,
     GenerationApp,
     ReplicaApp,
     ScoreRequest,
     ScoreResult,
 )
 
-from conftest import TINY
-from conftest import StepClock as _Clock
+from conftest import STUB_GENERATION as GEN
+from conftest import TINY, make_engine, stub_generation_model
+from conftest import make_generation_app as make_app
+from conftest import stub_encode as encode
+from conftest import stub_finish as finish
 
 
 @pytest.fixture(scope="module")
 def model():
-    return MistralTiny(TINY, rng=0)
-
-
-def encode(request: ScoreRequest) -> np.ndarray:
-    """Deterministic text -> prompt ids (length varies with the text)."""
-    rng = np.random.default_rng(len(request.behavior_text) % 97)
-    return rng.integers(
-        5, TINY.vocab_size, size=4 + len(request.behavior_text) % 9
-    ).astype(np.int64)
-
-
-def finish(request: ScoreRequest, tokens: list[int]) -> ScoreResult:
-    score = (sum(tokens) % 10) / 10.0 + 0.05
-    return ScoreResult(request.user_id, score, score < 0.5, 0.5, False)
-
-
-GEN = GenerationConfig(max_new_tokens=4)
-
-
-def make_app(model, **overrides) -> GenerationApp:
-    kwargs = dict(model=model, encode=encode, finish=finish, generation=GEN)
-    kwargs.update(overrides)
-    return GenerationApp(**kwargs)
-
-
-def make_engine(model, app=None, **kwargs) -> ContinuousEngine:
-    defaults = dict(
-        config=EngineConfig(max_batch_size=4, queue_capacity=8),
-        clock=_Clock(),
-        obs=Observability.create(),
-    )
-    defaults.update(kwargs)
-    return ContinuousEngine(app if app is not None else make_app(model), **defaults)
+    return stub_generation_model()
 
 
 def requests(n: int) -> list[ScoreRequest]:
@@ -82,7 +46,7 @@ def requests(n: int) -> list[ScoreRequest]:
 class TestServeParity:
     def test_serve_matches_sequential_generate(self, model):
         reqs = requests(6)
-        engine = make_engine(model)
+        engine = make_engine("continuous")
         results = engine.serve(reqs)
         for request, result in zip(reqs, results):
             tokens = generate(model, encode(request), GEN)
@@ -94,7 +58,7 @@ class TestServeParity:
         assert engine.stats.failed == 0
 
     def test_streams_carry_the_decoded_tokens(self, model):
-        engine = make_engine(model)
+        engine = make_engine("continuous")
         reqs = requests(3)
         pendings = [engine.submit(r) for r in reqs]
         per_token: dict[str, list[int]] = {}
@@ -109,10 +73,10 @@ class TestServeParity:
             assert per_token[request.user_id] == expected
             assert pending.result(timeout=0).user_id == request.user_id
 
-    def test_queue_depth_counts_scheduler_waiting(self, model):
+    def test_queue_depth_counts_scheduler_waiting(self):
         # Admission room is max_live_rows; the rest stays queued.
         engine = make_engine(
-            model, policy=AdmissionPolicy(max_live_rows=2, max_prefills_per_step=1)
+            "continuous", policy=AdmissionPolicy(max_live_rows=2, max_prefills_per_step=1)
         )
         for r in requests(5):
             engine.submit(r)
@@ -126,57 +90,13 @@ class TestServeParity:
 
 
 class TestBackpressureAndDeadlines:
-    def test_queue_full_rejects(self, model):
-        engine = make_engine(model)
-        for r in requests(8):
-            engine.submit(r)
-        with pytest.raises(QueueFullError):
-            engine.submit(ScoreRequest("u9", "t=9"))
-        assert engine.stats.rejected == 1
-        engine.drain()
-        assert engine.stats.completed == 8
-
-    def test_serve_overflow_withdraws_admitted(self, model):
-        engine = make_engine(model)
-        with pytest.raises(QueueFullError):
-            engine.serve(requests(9))
-        assert engine.queue_depth == 0
-        assert engine.stats.submitted == 0
-        engine.drain()
-        assert engine.stats.completed == 0
-
-    def test_empty_text_rejected(self, model):
-        with pytest.raises(ServingError):
-            make_engine(model).submit(ScoreRequest("u1", "   "))
-
-    def test_exact_deadline_is_admitted_and_decoded(self, model):
-        clock = _Clock(now=1000.0, step=0.0)  # frozen clock
-        engine = make_engine(model, clock=clock)
-        pending = engine.submit(ScoreRequest("u1", "t=1", deadline=1000.0))
-        engine.drain()
-        assert pending.result(timeout=0).user_id == "u1"
-        assert engine.stats.expired == 0
-
-    def test_expired_request_never_decodes(self, model):
-        clock = _Clock()
-        engine = make_engine(model, clock=clock)
-        stale = engine.submit(ScoreRequest("u1", "t=1", deadline=clock.now + 1))
-        live = engine.submit(ScoreRequest("u2", "t=2"))
-        clock.now += 100.0
-        engine.drain()
-        with pytest.raises(DeadlineExceededError):
-            stale.result(timeout=0)
-        assert stale.stream == ()  # never reached the scheduler
-        assert live.result(timeout=0).user_id == "u2"
-        assert engine.stats.expired == 1
-
     def test_encode_failure_rejects_only_that_request(self, model):
         def fragile_encode(request):
             if request.user_id == "bad":
                 raise ValueError("unencodable")
             return encode(request)
 
-        engine = make_engine(model, app=make_app(model, encode=fragile_encode))
+        engine = make_engine("continuous", app=make_app(model, encode=fragile_encode))
         bad = engine.submit(ScoreRequest("bad", "t"))
         good = engine.submit(ScoreRequest("good", "t"))
         engine.drain()
@@ -187,9 +107,9 @@ class TestBackpressureAndDeadlines:
 
 
 class TestFailureContainment:
-    def test_withdraw_all_covers_live_and_queued(self, model):
+    def test_withdraw_all_covers_live_and_queued(self):
         engine = make_engine(
-            model, policy=AdmissionPolicy(max_live_rows=2, max_prefills_per_step=2)
+            "continuous", policy=AdmissionPolicy(max_live_rows=2, max_prefills_per_step=2)
         )
         pendings = [engine.submit(r) for r in requests(6)]
         engine.pump()  # 2 rows now live with partial streams
@@ -205,10 +125,10 @@ class TestFailureContainment:
         assert all(len(p.stream) > 0 for p in live_streams)
         assert engine.live_rows == 0 and engine.queue_depth == 0
 
-    def test_scheduler_fault_fails_streams_then_recovers(self, model):
+    def test_scheduler_fault_fails_streams_then_recovers(self):
         from repro.resilience import FaultInjector
 
-        engine = make_engine(model)
+        engine = make_engine("continuous")
         pendings = [engine.submit(r) for r in requests(3)]
         engine.pump()  # one decode step lands tokens on every stream
         assert all(len(p.stream) > 0 for p in pendings)
@@ -228,7 +148,7 @@ class TestFailureContainment:
 
     def test_app_swap_mid_flight_fails_streams_then_rebuilds(self, model):
         box = {"app": make_app(model)}
-        engine = make_engine(model, app=lambda: box["app"])
+        engine = make_engine("continuous", app=lambda: box["app"])
         pendings = [engine.submit(r) for r in requests(2)]
         engine.pump()  # streams in flight on the old app
         box["app"] = make_app(model)  # restarted replica: new app object
@@ -240,9 +160,9 @@ class TestFailureContainment:
         engine.drain()
         assert late.result(timeout=0).user_id == "late"
 
-    def test_continuous_counters_reach_registry(self, model):
+    def test_continuous_counters_reach_registry(self):
         obs = Observability.create()
-        engine = make_engine(model, obs=obs)
+        engine = make_engine("continuous", obs=obs)
         engine.serve(requests(3))
         counters = obs.metrics.snapshot()["counters"]
         assert counters["generation.continuous.admitted"] == 3
@@ -252,8 +172,8 @@ class TestFailureContainment:
 
 
 class TestThreadedWorker:
-    def test_background_worker_decodes_submissions(self, model):
-        engine = make_engine(model)
+    def test_background_worker_decodes_submissions(self):
+        engine = make_engine("continuous")
         with engine:
             pendings = [engine.submit(r) for r in requests(6)]
             results = [p.result(timeout=30.0) for p in pendings]
@@ -261,7 +181,7 @@ class TestThreadedWorker:
         assert engine.stats.completed == 6
 
     def test_token_stream_consumed_while_decoding(self, model):
-        engine = make_engine(model)
+        engine = make_engine("continuous")
         collected: list[int] = []
         with engine:
             pending = engine.submit(ScoreRequest("u1", "stream me"))
@@ -274,8 +194,8 @@ class TestThreadedWorker:
         assert not consumer.is_alive()
         assert collected == generate(model, encode(pending.request), GEN)
 
-    def test_stop_drains_remaining(self, model):
-        engine = make_engine(model)
+    def test_stop_drains_remaining(self):
+        engine = make_engine("continuous")
         pending = engine.submit(ScoreRequest("u1", "t=1"))
         engine.stop(drain=True)  # never started; drain still decodes
         assert pending.result(timeout=0).user_id == "u1"

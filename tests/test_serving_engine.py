@@ -5,20 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import DeadlineExceededError, QueueFullError, ServingError
+from repro.errors import (
+    DeadlineExceededError,
+    QueueFullError,
+    ReplicaCrashedError,
+    ServingError,
+)
 from repro.serving import (
     BehaviorCardConfig,
-    BehaviorCardDecision,
     BehaviorCardService,
     DriftMonitor,
     EngineConfig,
     MicroBatchEngine,
     ScoreRequest,
     ScoreResult,
-    reset_deprecation_warnings,
 )
 
 
+from conftest import ENGINE_KINDS, make_engine
 from conftest import StubClassifier as _StubClassifier
 from conftest import StepClock as _Clock
 from conftest import make_stub_service as make_service
@@ -28,7 +32,7 @@ class TestConfigAPI:
     def test_config_object_init(self):
         config = BehaviorCardConfig(threshold=0.4, cache_size=16, max_batch_size=2)
         service = BehaviorCardService(_StubClassifier(), config)
-        assert service.threshold == 0.4
+        assert service.config.threshold == 0.4
         assert service.config.max_batch_size == 2
         assert service.engine.config.max_batch_size == 2
 
@@ -49,25 +53,6 @@ class TestConfigAPI:
             BehaviorCardConfig(queue_capacity=0)
         with pytest.raises(ServingError):
             BehaviorCardConfig(max_wait_s=-1.0)
-
-    def test_loose_kwargs_fold_into_config(self):
-        service = BehaviorCardService(_StubClassifier(), threshold=0.3, cache_size=5)
-        assert service.config.threshold == 0.3
-        assert service.config.cache_size == 5
-
-    def test_loose_kwargs_with_config_deprecated(self):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            service = BehaviorCardService(
-                _StubClassifier(), BehaviorCardConfig(), threshold=0.2
-            )
-        assert service.threshold == 0.2
-
-    def test_positional_threshold_shim(self):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            service = BehaviorCardService(_StubClassifier(), 0.3)
-        assert service.threshold == 0.3
 
     def test_types_reexported_at_top_level(self):
         import repro
@@ -111,10 +96,12 @@ class TestBatchSingleParity:
         assert np.allclose(batched, singles, atol=1e-6)
 
 
-class TestBackpressure:
-    def test_queue_full_rejects_then_recovers(self):
-        service = make_service()  # queue_capacity=8
-        engine = service.engine
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+class TestSharedCore:
+    """The admission contract both step policies inherit from the core."""
+
+    def test_queue_full_rejects_then_recovers(self, kind):
+        engine = make_engine(kind)  # queue_capacity=8
         pending = [engine.submit(ScoreRequest(f"u{i}", f"t={i}")) for i in range(8)]
         with pytest.raises(QueueFullError):
             engine.submit(ScoreRequest("u9", "t=9"))
@@ -123,10 +110,69 @@ class TestBackpressure:
         engine.drain()  # queue drains...
         assert engine.queue_depth == 0
         assert all(p.done for p in pending)
+        assert engine.stats.completed == 8
         late = engine.submit(ScoreRequest("u9", "t=9"))  # ...and admission resumes
         engine.drain()
         assert late.result(timeout=0).user_id == "u9"
 
+    def test_serve_overflow_withdraws_admitted(self, kind):
+        seen: list[ScoreRequest] = []
+        engine = make_engine(kind, seen=seen)  # queue_capacity=8
+        with pytest.raises(QueueFullError):
+            engine.serve([ScoreRequest(f"u{i}", f"t={i}") for i in range(9)])
+        # All-or-nothing: nothing from the failed call stays queued or runs.
+        assert engine.queue_depth == 0
+        assert engine.stats.submitted == 0
+        engine.drain()
+        assert seen == []
+        assert engine.stats.completed == 0
+
+    def test_empty_text_rejected(self, kind):
+        with pytest.raises(ServingError):
+            make_engine(kind).submit(ScoreRequest("u1", "   "))
+
+    def test_exact_deadline_is_admitted(self, kind):
+        clock = _Clock(now=1000.0, step=0.0)  # frozen clock
+        engine = make_engine(kind, clock=clock)
+        pending = engine.submit(ScoreRequest("u1", "t=1", deadline=1000.0))
+        engine.drain()
+        assert pending.result(timeout=0).user_id == "u1"
+        assert engine.stats.expired == 0
+        assert engine.stats.completed == 1
+
+    def test_expired_request_never_runs(self, kind):
+        clock = _Clock()
+        seen: list[ScoreRequest] = []
+        engine = make_engine(kind, clock=clock, seen=seen)
+        stale = engine.submit(ScoreRequest("u1", "t=1", deadline=clock.now + 1))
+        live = engine.submit(ScoreRequest("u2", "t=2"))
+        clock.now += 100.0  # deadline passes while queued
+        engine.drain()
+        with pytest.raises(DeadlineExceededError):
+            stale.result(timeout=0)
+        assert live.result(timeout=0).user_id == "u2"
+        assert engine.stats.expired == 1
+        assert engine.stats.completed == 1
+        # The expired request never reached a batch or a decode row.
+        assert seen == [live.request]
+        assert stale.stream == ()
+
+    def test_withdraw_all_counts_each_request_once(self, kind):
+        engine = make_engine(kind)  # max_batch_size=4
+        n = 6 if kind == "continuous" else 3
+        pendings = [engine.submit(ScoreRequest(f"u{i}", f"t={i}")) for i in range(n)]
+        if kind == "continuous":
+            engine.pump()  # four rows now decoding, two still queued
+            assert engine.live_rows == 4
+        withdrawn = engine.withdraw_all(ReplicaCrashedError("replica torn down"))
+        assert withdrawn == n
+        assert all(isinstance(p.error, ReplicaCrashedError) for p in pendings)
+        metrics = engine.obs.metrics
+        assert engine.stats.failed == metrics.counter("serving.failed").value == n
+        assert metrics.counter("serving.withdrawn").value == withdrawn
+
+
+class TestBackpressure:
     def test_serve_waves_bypass_capacity(self):
         service = make_service()
         results = service.score_requests(
@@ -134,17 +180,6 @@ class TestBackpressure:
         )
         assert len(results) == 30
         assert service.engine.stats.rejected == 0
-
-    def test_serve_overflow_withdraws_admitted(self):
-        service = make_service()  # queue_capacity=8
-        engine = service.engine
-        with pytest.raises(QueueFullError):
-            engine.serve([ScoreRequest(f"u{i}", f"t={i}") for i in range(9)])
-        # All-or-nothing: nothing from the failed call stays queued or scored.
-        assert engine.queue_depth == 0
-        assert engine.stats.submitted == 0
-        engine.drain()
-        assert len(service.audit_log()) == 0
 
     def test_max_queue_depth_tracked(self):
         service = make_service()
@@ -155,22 +190,6 @@ class TestBackpressure:
 
 
 class TestDeadlines:
-    def test_expired_request_not_scored(self):
-        clock = _Clock()
-        service = make_service(clock=clock)
-        engine = service.engine
-        stale = engine.submit(ScoreRequest("u1", "t=1", deadline=clock.now + 1))
-        live = engine.submit(ScoreRequest("u2", "t=2"))
-        clock.now += 100.0  # deadline passes while queued
-        engine.drain()
-        with pytest.raises(DeadlineExceededError):
-            stale.result(timeout=0)
-        assert live.result(timeout=0).user_id == "u2"
-        assert engine.stats.expired == 1
-        assert engine.stats.completed == 1
-        # The expired request never reached the model or the audit log.
-        assert len(service.audit_log()) == 1
-
     def test_future_deadline_scored(self):
         clock = _Clock()
         service = make_service(clock=clock)
@@ -219,29 +238,16 @@ class TestDegradedMode:
 
 
 class TestUnifiedAPI:
-    def test_decide_batch_tuples_legacy_shape(self):
+    def test_score_requests_returns_score_results(self):
         service = make_service()
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="tuples"):
-            decisions = service.decide_batch([("u1", "a=1"), ("u2", "b=2")])
-        assert all(isinstance(d, BehaviorCardDecision) for d in decisions)
-        assert [d.user_id for d in decisions] == ["u1", "u2"]
-
-    def test_decide_batch_request_objects(self):
-        service = make_service()
-        results = service.decide_batch(
+        results = service.score_requests(
             [ScoreRequest("u1", "a=1"), ScoreRequest("u2", "b=2")]
         )
         assert all(isinstance(r, ScoreResult) for r in results)
         assert results[0].batch_size == 2
 
     def test_empty_batch(self):
-        assert make_service().decide_batch([]) == []
-
-    def test_empty_text_rejected_on_submit(self):
-        service = make_service()
-        with pytest.raises(ServingError):
-            service.engine.submit(ScoreRequest("u1", "   "))
+        assert make_service().score_requests([]) == []
 
     def test_batched_traffic_shares_cache_and_stats(self):
         service = make_service()
@@ -356,68 +362,6 @@ class TestPaddedClassifierPath:
             pad_sequences([])
         with pytest.raises(ShapeError):
             pad_sequences([[1], []])
-
-
-class TestDeprecationShims:
-    """Deprecation warnings fire exactly once per call *site*."""
-
-    def test_repeated_call_site_warns_once(self):
-        import warnings
-
-        reset_deprecation_warnings()
-        service = make_service()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(5):
-                service.decide_batch([("u1", "a=1")])  # one site, five hits
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-
-    def test_distinct_call_sites_warn_separately(self):
-        import warnings
-
-        reset_deprecation_warnings()
-        service = make_service()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            service.decide_batch([("u1", "a=1")])  # site A
-            service.decide_batch([("u2", "b=2")])  # site B
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 2
-
-    def test_reset_reenables_warning(self):
-        import warnings
-
-        reset_deprecation_warnings()
-        service = make_service()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(2):
-                service.decide_batch([("u1", "a=1")])
-                reset_deprecation_warnings()
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 2
-
-    def test_warning_points_at_caller(self):
-        import warnings
-
-        reset_deprecation_warnings()
-        service = make_service()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            service.decide_batch([("u1", "a=1")])
-        assert caught[0].filename == __file__  # not behavior_card.py
-
-    def test_constructor_shims_dedupe_too(self):
-        import warnings
-
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):
-                BehaviorCardService(_StubClassifier(), 0.3)  # positional threshold
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
 
 
 class TestEngineEdgeCases:
@@ -571,19 +515,6 @@ class TestExpiryCallbackReentrancy:
 
 class TestExactDeadlineBoundary:
     """A request admitted at its exact deadline always gets one attempt."""
-
-    def test_exact_deadline_is_admitted_and_scored(self):
-        clock = _Clock(now=1000.0, step=0.0)  # frozen clock
-        engine = MicroBatchEngine(
-            _ok_batch_fn,
-            EngineConfig(max_batch_size=4, queue_capacity=8),
-            clock=clock,
-        )
-        pending = engine.submit(ScoreRequest("u1", "t=1", deadline=1000.0))
-        engine.drain()
-        assert pending.result(timeout=0).user_id == "u1"
-        assert engine.stats.expired == 0
-        assert engine.stats.completed == 1
 
     def test_just_past_deadline_expires(self):
         clock = _Clock(now=1000.0, step=0.0)

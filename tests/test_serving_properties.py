@@ -6,9 +6,13 @@ pumps, crashes, health sweeps and drains:
 * no request is ever lost — every accepted submit resolves,
 * no request ever resolves twice (the ``PendingResult`` guard),
 * the single-queue engine never reorders requests (so per-tenant order
-  holds), and
+  holds): the micro-batch engine completes in submit order, the
+  continuous engine admits rows in submit order, and
 * admission control rejects exactly when it should: queue at capacity
   or tenant at quota.
+
+The engine properties draw the engine itself as one more input, so both
+step policies are held to the core's contract.
 
 ``max_examples`` is intentionally left to the active hypothesis profile
 (see ``conftest.py``): 200 locally, bounded via ``HYPOTHESIS_PROFILE=ci``.
@@ -25,14 +29,13 @@ from repro.serving import (
     ClusterConfig,
     ClusterSupervisor,
     EngineConfig,
-    MicroBatchEngine,
     PendingResult,
     ReplicaApp,
     ScoreRequest,
     ScoreResult,
 )
 
-from conftest import StubClassifier
+from conftest import ENGINE_KINDS, StubClassifier, make_engine
 
 
 TENANTS = ("acme", "globex", "initech")
@@ -69,13 +72,18 @@ engine_ops = st.lists(
 
 
 class TestEngineInterleavings:
-    @given(ops=engine_ops, capacity=st.integers(1, 6), batch=st.integers(1, 4))
-    def test_no_loss_no_double_resolve_no_reorder(self, ops, capacity, batch):
-        engine = MicroBatchEngine(
-            batch_fn=_batch_fn,
-            config=EngineConfig(
-                max_batch_size=batch, max_wait_s=0.0, queue_capacity=capacity
-            ),
+    @given(
+        ops=engine_ops,
+        capacity=st.integers(1, 6),
+        batch=st.integers(1, 4),
+        kind=st.sampled_from(ENGINE_KINDS),
+    )
+    def test_no_loss_no_double_resolve_no_reorder(self, ops, capacity, batch, kind):
+        admitted: list[ScoreRequest] = []
+        engine = make_engine(
+            kind,
+            EngineConfig(max_batch_size=batch, max_wait_s=0.0, queue_capacity=capacity),
+            seen=admitted,
         )
         accepted: list[PendingResult] = []
         completions: list[str] = []
@@ -105,19 +113,23 @@ class TestEngineInterleavings:
             else:
                 engine.pump()
 
-        while engine.queue_depth:
-            engine.pump()
+        engine.drain()
 
         # No loss, exactly-once, FIFO (hence per-tenant order).
         assert all(p.done for p in accepted)
         assert all(count == 1 for count in callback_counts.values())
-        assert completions == [p.request.behavior_text for p in accepted]
+        submitted = [p.request.behavior_text for p in accepted]
+        assert [r.behavior_text for r in admitted] == submitted
+        if kind == "microbatch":
+            # One batch at a time: completion order is submit order too.
+            # Continuous rows finish by length, so only admission is FIFO.
+            assert completions == submitted
 
-    @given(ops=engine_ops)
-    def test_withdraw_resolves_every_queued_request(self, ops):
-        engine = MicroBatchEngine(
-            batch_fn=_batch_fn,
-            config=EngineConfig(max_batch_size=2, max_wait_s=0.0, queue_capacity=50),
+    @given(ops=engine_ops, kind=st.sampled_from(ENGINE_KINDS))
+    def test_withdraw_resolves_every_queued_request(self, ops, kind):
+        engine = make_engine(
+            kind,
+            EngineConfig(max_batch_size=2, max_wait_s=0.0, queue_capacity=50),
         )
         accepted = []
         for op, arg in ops:
