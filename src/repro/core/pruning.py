@@ -16,12 +16,10 @@ import numpy as np
 
 from repro.errors import InfluenceError
 from repro.data.instruct import InstructExample, labels_of, timestamps_of
+from repro.influence import make_estimator
 from repro.influence.agent import AgentScorer
-from repro.influence.datainf import DataInf
 from repro.influence.gradients import GradientProjector, trainable_parameters
 from repro.influence.selection import normalize_scores, select_top_k, top_k_indices
-from repro.influence.tracin import TracInCP
-from repro.influence.tracseq import TracSeq
 from repro.training.checkpoint import CheckpointRecord
 
 STRATEGIES = ("tracseq", "tracin", "datainf", "agent", "combined", "ppl", "random")
@@ -89,17 +87,16 @@ class DataPruner:
         if cfg.projection_dim is not None:
             dim = sum(p.size for p in trainable_parameters(zigong.model))
             projector = GradientProjector(dim, k=cfg.projection_dim, seed=cfg.seed)
-        shared = dict(
+        return make_estimator(
+            "tracseq" if cfg.strategy == "combined" else cfg.strategy,
+            zigong.model,
+            checkpoints,
+            gamma=cfg.gamma,
             projector=projector,
             normalize=cfg.normalize_gradients,
             workers=cfg.workers,
             cache_dir=cfg.cache_dir,
         )
-        if cfg.strategy == "tracin":
-            return TracInCP(zigong.model, checkpoints, **shared)
-        if cfg.strategy == "datainf":
-            return DataInf(zigong.model, checkpoints, **shared)
-        return TracSeq(zigong.model, checkpoints, gamma=cfg.gamma, **shared)
 
     def score(
         self,

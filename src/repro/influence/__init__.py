@@ -9,13 +9,7 @@ swappable estimators behind it.  Gradient work is cached in a
 """
 
 from repro.influence.agent import AgentScorer
-from repro.influence.api import (
-    DataInfluence,
-    KMostInfluential,
-    TokenInfluence,
-    reset_deprecation_warnings,
-    warn_deprecated_once,
-)
+from repro.influence.api import DataInfluence, KMostInfluential, TokenInfluence
 from repro.influence.datainf import DataInf
 from repro.influence.engine import ParallelInfluenceEngine, projector_key
 from repro.influence.store import (
@@ -108,6 +102,4 @@ __all__ = [
     "sample_losses",
     "perplexities",
     "ppl_quality_scores",
-    "warn_deprecated_once",
-    "reset_deprecation_warnings",
 ]

@@ -22,51 +22,23 @@ decomposition of a test example's influence scores, which is what the
 served "why was this applicant declined" query
 (:class:`~repro.serving.explain.ExplainService`) returns to a
 regulator.
-
-The pre-interface call shapes — ``influence_matrix()`` and
-``scores()`` — keep working through once-per-call-site
-``DeprecationWarning`` shims (the same pattern the serving layer used
-for its config-object migration).
 """
 
 from __future__ import annotations
 
 import abc
-import sys
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import InfluenceError
-from repro.influence.gradients import TokenExample
+from repro.influence.engine import ParallelInfluenceEngine
+from repro.influence.gradients import GradientProjector, TokenExample
 from repro.influence.selection import bottom_k_indices, top_k_indices
-
-# Call sites (file, line, message) already warned about — deprecation
-# shims warn exactly once per call site (scoring loops stay quiet, every
-# distinct usage still gets one warning).  Shared across all estimators.
-_WARNED_SITES: set[tuple[str, int, str]] = set()
-
-
-def warn_deprecated_once(message: str, stacklevel: int = 2) -> None:
-    """Emit ``DeprecationWarning`` once per (caller file, line, message)."""
-    try:
-        frame = sys._getframe(stacklevel)
-        site = (frame.f_code.co_filename, frame.f_lineno, message)
-    except ValueError:  # stack shallower than expected; warn unconditionally
-        site = None
-    if site is not None:
-        if site in _WARNED_SITES:
-            return
-        _WARNED_SITES.add(site)
-    warnings.warn(message, DeprecationWarning, stacklevel=stacklevel + 1)
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget warned call sites (so tests can re-assert the first hit)."""
-    _WARNED_SITES.clear()
-
+from repro.influence.store import GradientStore
+from repro.obs import Observability, get_observability
+from repro.training.checkpoint import CheckpointRecord
 
 class KMostInfluential(NamedTuple):
     """Result of :meth:`DataInfluence.k_most_influential`.
@@ -114,10 +86,74 @@ class DataInfluence(abc.ABC):
     is computed; everything above — Top-K retrieval, token-wise
     attribution, the serving explain path, the pruning pipeline — is
     written against this interface and works with any of them.
+
+    Parameters
+    ----------
+    model:
+        The model whose architecture matches the checkpoints.  Its
+        current parameters are saved and restored around scoring.
+    checkpoints:
+        Checkpoint records (from :class:`CheckpointManager`) to replay;
+        kept sorted by step.
+    projector:
+        Optional :class:`GradientProjector`; with many samples the
+        sketched computation is much cheaper and near-identical in
+        ranking.
+    normalize:
+        Cosine-similarity variant (LESS-style): unit-normalize gradients
+        so large-gradient (high-loss / majority-aligned) samples cannot
+        dominate purely by magnitude.  Rows are stored raw; the engine
+        normalizes at recombination time, so one store serves both modes.
+    store / cache_dir:
+        Gradient row cache.  By default each estimator gets a private
+        in-memory :class:`GradientStore`; pass an explicit ``store`` to
+        share rows across estimators (e.g. a gamma sweep), or
+        ``cache_dir`` to add a disk tier next to the checkpoints.
+    workers:
+        ``> 1`` fans missing checkpoint replays out across a process
+        pool (see :class:`ParallelInfluenceEngine`).
+    obs:
+        Observability hub; every checkpoint replay is timed in an
+        ``influence.checkpoint`` span (child of the surrounding
+        ``influence.matrix`` / ``influence.self`` span) and counted,
+        so the dominant cost of attribution — gradient passes — shows
+        up in traces and metrics, alongside ``influence.store.*`` cache
+        hit/miss/byte counts.
     """
 
     #: short identifier used in cache keys, CLI flags and audit entries
     estimator_name: str = "abstract"
+
+    def __init__(
+        self,
+        model,
+        checkpoints: Sequence[CheckpointRecord],
+        projector: GradientProjector | None = None,
+        normalize: bool = False,
+        obs: Observability | None = None,
+        store: GradientStore | None = None,
+        cache_dir=None,
+        workers: int = 0,
+    ):
+        if not checkpoints:
+            raise InfluenceError(f"{type(self).__name__} requires at least one checkpoint")
+        self.model = model
+        self.checkpoints = sorted(checkpoints, key=lambda r: r.step)
+        self.projector = projector
+        self.normalize = normalize
+        self.obs = obs or get_observability()
+        if store is None and cache_dir is not None:
+            store = GradientStore(cache_dir=cache_dir, obs=self.obs)
+        self.engine = ParallelInfluenceEngine(
+            model,
+            self.checkpoints,
+            projector=projector,
+            normalize=normalize,
+            store=store,
+            workers=workers,
+            obs=self.obs,
+        )
+        self.store = self.engine.store
 
     @abc.abstractmethod
     def influence(
@@ -170,29 +206,3 @@ class DataInfluence(abc.ABC):
         indices = np.stack([pick(matrix[:, j], k) for j in range(matrix.shape[1])])
         scores = np.take_along_axis(matrix.T, indices, axis=1)
         return KMostInfluential(indices=indices, scores=scores)
-
-    # -- deprecated call shapes ----------------------------------------
-
-    def influence_matrix(
-        self,
-        train_examples: Sequence[TokenExample],
-        test_examples: Sequence[TokenExample],
-    ) -> np.ndarray:
-        """Deprecated alias of :meth:`influence` (pre-interface name)."""
-        warn_deprecated_once(
-            "influence_matrix() is deprecated; use influence(train, test)",
-            stacklevel=2,
-        )
-        return self.influence(train_examples, test_examples)
-
-    def scores(
-        self,
-        train_examples: Sequence[TokenExample],
-        test_examples: Sequence[TokenExample],
-    ) -> np.ndarray:
-        """Deprecated: per-train influence summed over the test set."""
-        warn_deprecated_once(
-            "scores() is deprecated; use influence(train, test).sum(axis=1)",
-            stacklevel=2,
-        )
-        return self.influence(train_examples, test_examples).sum(axis=1)

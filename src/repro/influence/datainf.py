@@ -46,20 +46,12 @@ import numpy as np
 
 from repro.errors import InfluenceError
 from repro.influence.api import DataInfluence, TokenInfluence
-from repro.influence.engine import ParallelInfluenceEngine
 from repro.influence.gradients import (
-    GradientProjector,
     TokenExample,
     per_token_examples,
     trainable_parameter_slices,
 )
-from repro.influence.store import (
-    GradientStore,
-    example_content_hash,
-    row_cache_key,
-    train_set_hash,
-)
-from repro.obs import Observability, get_observability
+from repro.influence.store import example_content_hash, row_cache_key, train_set_hash
 from repro.training.checkpoint import CheckpointRecord
 
 
@@ -69,8 +61,8 @@ class DataInf(DataInfluence):
     Parameters
     ----------
     model / checkpoints:
-        As in :class:`~repro.influence.tracin.TracInCP`; only the
-        *last* checkpoint (highest step) is ever replayed.
+        As in :class:`~repro.influence.api.DataInfluence`; only the
+        *last* checkpoint (highest step) is kept and ever replayed.
     lam:
         Explicit Hessian regularizer applied to every layer.  Default
         ``None`` uses the paper's per-layer heuristic
@@ -85,15 +77,14 @@ class DataInf(DataInfluence):
         Unit-normalize raw gradient rows before the adjustment
         (cosine-style).  Note token-wise attribution is only an exact
         decomposition with ``normalize=False``.
-    store / cache_dir / workers / chunk_size / obs:
-        As in :class:`~repro.influence.tracin.TracInCP`.  Share the
+    store / cache_dir / workers / obs:
+        As in :class:`~repro.influence.api.DataInfluence`.  Share the
         ``store`` with a TracIn tracer and DataInf reuses its raw rows
-        at the final step without a single new backward pass.
-    cache_adjusted:
-        Also cache the Hessian-adjusted test rows (keyed by estimator,
-        regularizer and train-set fingerprint).  On by default; the
-        adjustment is cheap relative to gradients, but repeated serving
-        queries against a fixed train set skip even that.
+        at the final step without a single new backward pass.  The
+        Hessian-adjusted test rows are cached in the same store (keyed
+        by estimator, regularizer and train-set fingerprint), so
+        repeated serving queries against a fixed train set skip even
+        the adjustment.
     """
 
     estimator_name = "datainf"
@@ -104,51 +95,18 @@ class DataInf(DataInfluence):
         checkpoints: Sequence[CheckpointRecord],
         lam: float | None = None,
         lam_scale: float = 0.1,
-        projector: GradientProjector | None = None,
-        normalize: bool = False,
-        obs: Observability | None = None,
-        store: GradientStore | None = None,
-        cache_dir=None,
-        workers: int = 0,
-        chunk_size: int = 256,
-        cache_adjusted: bool = True,
+        **kwargs,
     ):
-        if not checkpoints:
-            raise InfluenceError("DataInf requires at least one checkpoint")
         if lam is not None and lam <= 0:
             raise InfluenceError(f"lam must be positive, got {lam}")
         if lam_scale <= 0:
             raise InfluenceError(f"lam_scale must be positive, got {lam_scale}")
-        self.model = model
-        self.checkpoint = sorted(checkpoints, key=lambda r: r.step)[-1]
+        super().__init__(model, sorted(checkpoints, key=lambda r: r.step)[-1:], **kwargs)
+        self.checkpoint = self.checkpoints[0]
         self.lam = float(lam) if lam is not None else None
         self.lam_scale = float(lam_scale)
-        self.projector = projector
-        self.normalize = normalize
-        self.obs = obs or get_observability()
-        self.cache_adjusted = cache_adjusted
-        if store is None and cache_dir is not None:
-            store = GradientStore(cache_dir=cache_dir, obs=self.obs)
-        self.engine = ParallelInfluenceEngine(
-            model,
-            [self.checkpoint],
-            projector=projector,
-            normalize=False,  # normalization is applied here, post-store
-            store=store,
-            workers=workers,
-            chunk_size=chunk_size,
-            obs=self.obs,
-        )
-        self.store = self.engine.store
 
     # -- internals -----------------------------------------------------
-
-    def _rows(self, examples: Sequence[TokenExample], span_name: str) -> np.ndarray:
-        rows = self.engine.stacked_rows(examples, self.checkpoint, span_name=span_name)
-        if self.normalize:
-            norms = np.linalg.norm(rows, axis=1, keepdims=True)
-            rows = rows / np.maximum(norms, 1e-12)
-        return rows
 
     def _layer_slices(self, dim: int) -> list[tuple[str, slice]]:
         """Block structure the closed form runs over.
@@ -202,11 +160,9 @@ class DataInf(DataInfluence):
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(g_train, adjusted_test)`` with the adjusted tier cached."""
         examples = list(train_examples) + list(test_examples)
-        rows = self._rows(examples, span_name="influence.datainf.rows")
+        rows = self.engine.stacked_rows(examples, span_name="influence.datainf.rows")
         g_train = rows[: len(train_examples)]
         g_test = rows[len(train_examples) :]
-        if not self.cache_adjusted:
-            return g_train, self._adjust(g_train, g_test)
         train_hashes = [example_content_hash(e) for e in train_examples]
         adjusted_key = row_cache_key(
             self.engine._pkey, self.estimator_name, self._config_key(train_hashes)
@@ -257,7 +213,9 @@ class DataInf(DataInfluence):
             n_train=len(train_examples),
             step=self.checkpoint.step,
         ):
-            g_train = self._rows(train_examples, span_name="influence.datainf.rows")
+            g_train = self.engine.stacked_rows(
+                train_examples, span_name="influence.datainf.rows"
+            )
             adjusted = self._adjust(g_train, g_train)
             return (g_train * adjusted).sum(axis=1)
 

@@ -4,9 +4,9 @@ The engine owns the expensive half of TracInCP / TracSeq: producing a
 projected gradient row per ``(checkpoint, example)`` pair.  Rows are
 cached in a :class:`~repro.influence.store.GradientStore`, so only the
 pairs the store has never seen take a backward pass; everything else —
-repeated ``scores()`` calls, ``checkpoint_products``, gamma sweeps — is
+repeated ``influence()`` calls, ``checkpoint_products``, gamma sweeps — is
 recombination of stored rows via chunked matmuls that keep peak memory
-at ``chunk_size × n_test`` floats regardless of corpus size.
+at ``CHUNK_SIZE × n_test`` floats regardless of corpus size.
 
 With ``workers > 1`` the missing checkpoint replays fan out across a
 ``multiprocessing`` pool (fork start method): each worker inherits a
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,6 +38,9 @@ from repro.obs import Observability, get_observability
 from repro.resilience import RetryPolicy
 from repro.resilience.faults import fault_point
 from repro.training.checkpoint import CheckpointManager, CheckpointRecord
+
+# Train rows per matmul block during recombination.
+CHUNK_SIZE = 256
 
 # Worker-process state, installed by the pool initializer.  With the
 # fork start method the initargs are inherited, not pickled.
@@ -85,8 +88,6 @@ class ParallelInfluenceEngine:
     workers:
         ``0`` or ``1`` computes in-process; ``> 1`` fans missing
         checkpoint replays out across a fork-based process pool.
-    chunk_size:
-        Train rows per matmul block during recombination.
     retry_policy:
         Optional :class:`~repro.resilience.RetryPolicy` for requeued
         worker chunks: when a pool worker raises (crash, injected
@@ -103,7 +104,6 @@ class ParallelInfluenceEngine:
         normalize: bool = False,
         store: GradientStore | None = None,
         workers: int = 0,
-        chunk_size: int = 256,
         retry_policy: RetryPolicy | None = None,
         obs: Observability | None = None,
     ):
@@ -111,8 +111,6 @@ class ParallelInfluenceEngine:
             raise InfluenceError("influence engine requires at least one checkpoint")
         if workers < 0:
             raise InfluenceError(f"workers must be non-negative, got {workers}")
-        if chunk_size <= 0:
-            raise InfluenceError(f"chunk_size must be positive, got {chunk_size}")
         self.model = model
         self.checkpoints = sorted(checkpoints, key=lambda r: r.step)
         self.projector = projector
@@ -120,7 +118,6 @@ class ParallelInfluenceEngine:
         self.obs = obs or get_observability()
         self.store = store if store is not None else GradientStore(obs=self.obs)
         self.workers = workers
-        self.chunk_size = chunk_size
         self.retry_policy = retry_policy
         self._pkey = projector_key(projector)
         metrics = self.obs.metrics
@@ -222,7 +219,7 @@ class ParallelInfluenceEngine:
                     self._m_gradient_passes.inc(len(missing))
         for record, missing in failed:
             # _checkpoint_rows restores the checkpoint in the parent and
-            # computes + stores the rows; callers snapshot and restore
+            # computes + stores the rows; _replay snapshots and restores
             # the model's parameters around _prefetch, so this is safe.
             if self.retry_policy is not None:
                 self.retry_policy.call(self._checkpoint_rows, record, missing)
@@ -230,36 +227,66 @@ class ParallelInfluenceEngine:
                 self._checkpoint_rows(record, missing)
         self.store.flush()
 
-    def stacked_rows(
+    def _replay(
         self,
         examples: Sequence[TokenExample],
-        record: CheckpointRecord | None = None,
-        span_name: str = "influence.rows",
-    ) -> np.ndarray:
-        """Raw (unnormalized) gradient rows for ``examples`` at one checkpoint.
+        records: Sequence[CheckpointRecord],
+        visit: Callable[[int, np.ndarray], object],
+        span_name: str,
+        **attrs,
+    ) -> list:
+        """Replay ``records`` for ``examples``; ``visit`` each checkpoint's rows.
 
-        Defaults to the *last* checkpoint — the final model, which is
-        the only checkpoint single-model estimators like DataInf look
-        at.  Rows come from the store when present; misses are computed
-        (fanned out across workers when configured) and cached, so any
-        estimator sharing this store reuses them.  The model's
-        parameters are saved and restored around the computation.
+        Examples are deduped by content hash, so one appearing twice
+        takes one backward pass.  ``visit(index, rows)`` gets the
+        checkpoint's ``(len(examples), dim)`` row matrix in example
+        order (unit-normalized when the engine normalizes) inside an
+        ``influence.checkpoint`` span; its return values come back as a
+        list.  The model's parameters are saved and restored, and the
+        store flushed, around the whole replay.
         """
-        if not examples:
-            raise InfluenceError("stacked_rows() needs a non-empty example list")
-        if record is None:
-            record = self.checkpoints[-1]
         hashes = self._hashes(examples)
-        unique = self._unique(list(examples), hashes)
+        unique = self._unique(examples, hashes)
         saved = self.model.state_dict()
         try:
-            with self.obs.span(span_name, n_examples=len(examples), step=record.step):
+            out = []
+            with self.obs.span(span_name, **attrs):
                 self._prefetch(unique)
-                rows = self._checkpoint_rows(record, unique)
-            return np.stack([rows[example_hash] for example_hash in hashes])
+                for index, record in enumerate(records):
+                    with self.obs.span("influence.checkpoint", step=record.step):
+                        rows = self._checkpoint_rows(record, unique)
+                        out.append(visit(index, self._stack(rows, hashes)))
+            return out
         finally:
             self.model.load_state_dict(saved)
             self.store.flush()
+
+    def stacked_rows(
+        self,
+        examples: Sequence[TokenExample],
+        span_name: str = "influence.rows",
+    ) -> np.ndarray:
+        """Gradient rows for ``examples`` at the final checkpoint.
+
+        The final model is the only checkpoint single-model estimators
+        like DataInf look at.  Rows are unit-normalized when the engine
+        normalizes, raw otherwise.  They come from the store when
+        present; misses are computed (fanned out across workers when
+        configured) and cached, so any estimator sharing this store
+        reuses them.
+        """
+        if not examples:
+            raise InfluenceError("stacked_rows() needs a non-empty example list")
+        record = self.checkpoints[-1]
+        (rows,) = self._replay(
+            examples,
+            [record],
+            lambda _, rows: rows,
+            span_name,
+            n_examples=len(examples),
+            step=record.step,
+        )
+        return rows
 
     def _stack(self, rows: dict[str, np.ndarray], hashes: Sequence[str]) -> np.ndarray:
         matrix = np.stack([rows[example_hash] for example_hash in hashes])
@@ -272,8 +299,8 @@ class ParallelInfluenceEngine:
 
     def _accumulate_outer(self, total, g_train, g_test, weight) -> None:
         """``total += weight * g_train @ g_test.T`` in bounded-memory chunks."""
-        for start in range(0, g_train.shape[0], self.chunk_size):
-            stop = start + self.chunk_size
+        for start in range(0, g_train.shape[0], CHUNK_SIZE):
+            stop = start + CHUNK_SIZE
             total[start:stop] += weight * (g_train[start:stop] @ g_test.T)
 
     def influence_matrix(
@@ -291,31 +318,20 @@ class ParallelInfluenceEngine:
             raise InfluenceError(
                 f"{weights.shape[0]} weights for {len(self.checkpoints)} checkpoints"
             )
-        train_hashes = self._hashes(train_examples)
-        test_hashes = self._hashes(test_examples)
-        unique = self._unique(
-            list(train_examples) + list(test_examples), train_hashes + test_hashes
+        n_train = len(train_examples)
+        total = np.zeros((n_train, len(test_examples)))
+        self._replay(
+            list(train_examples) + list(test_examples),
+            self.checkpoints,
+            lambda index, rows: self._accumulate_outer(
+                total, rows[:n_train], rows[n_train:], weights[index]
+            ),
+            span_name,
+            n_train=n_train,
+            n_test=len(test_examples),
+            n_checkpoints=len(self.checkpoints),
         )
-        saved = self.model.state_dict()
-        try:
-            total = np.zeros((len(train_examples), len(test_examples)))
-            with self.obs.span(
-                span_name,
-                n_train=len(train_examples),
-                n_test=len(test_examples),
-                n_checkpoints=len(self.checkpoints),
-            ):
-                self._prefetch(unique)
-                for index, record in enumerate(self.checkpoints):
-                    with self.obs.span("influence.checkpoint", step=record.step):
-                        rows = self._checkpoint_rows(record, unique)
-                        g_train = self._stack(rows, train_hashes)
-                        g_test = self._stack(rows, test_hashes)
-                        self._accumulate_outer(total, g_train, g_test, weights[index])
-            return total
-        finally:
-            self.model.load_state_dict(saved)
-            self.store.flush()
+        return total
 
     def checkpoint_products(
         self,
@@ -325,32 +341,17 @@ class ParallelInfluenceEngine:
         """Unweighted per-checkpoint products, shape ``(n_ckpt, n_train)``."""
         if not train_examples or not test_examples:
             raise InfluenceError("checkpoint_products() needs non-empty train and test sets")
-        train_hashes = self._hashes(train_examples)
-        test_hashes = self._hashes(test_examples)
-        unique = self._unique(
-            list(train_examples) + list(test_examples), train_hashes + test_hashes
+        n_train = len(train_examples)
+        products = self._replay(
+            list(train_examples) + list(test_examples),
+            self.checkpoints,
+            lambda _, rows: rows[:n_train] @ rows[n_train:].sum(axis=0),
+            "influence.products",
+            n_train=n_train,
+            n_test=len(test_examples),
+            n_checkpoints=len(self.checkpoints),
         )
-        saved = self.model.state_dict()
-        try:
-            out = []
-            with self.obs.span(
-                "influence.products",
-                n_train=len(train_examples),
-                n_test=len(test_examples),
-                n_checkpoints=len(self.checkpoints),
-            ):
-                self._prefetch(unique)
-                for record in self.checkpoints:
-                    with self.obs.span("influence.checkpoint", step=record.step):
-                        rows = self._checkpoint_rows(record, unique)
-                        g_train = self._stack(rows, train_hashes)
-                        g_test = self._stack(rows, test_hashes)
-                        test_sum = g_test.sum(axis=0)
-                        out.append(g_train @ test_sum)
-            return np.stack(out)
-        finally:
-            self.model.load_state_dict(saved)
-            self.store.flush()
+        return np.stack(products)
 
     def self_influence(
         self,
@@ -361,23 +362,12 @@ class ParallelInfluenceEngine:
         if not train_examples:
             raise InfluenceError("self_influence() needs a non-empty train set")
         weights = np.asarray(weights, dtype=np.float64)
-        train_hashes = self._hashes(train_examples)
-        unique = self._unique(list(train_examples), train_hashes)
-        saved = self.model.state_dict()
-        try:
-            total = np.zeros(len(train_examples))
-            with self.obs.span(
-                "influence.self",
-                n_train=len(train_examples),
-                n_checkpoints=len(self.checkpoints),
-            ):
-                self._prefetch(unique)
-                for index, record in enumerate(self.checkpoints):
-                    with self.obs.span("influence.checkpoint", step=record.step):
-                        rows = self._checkpoint_rows(record, unique)
-                        g_train = self._stack(rows, train_hashes)
-                        total += weights[index] * (g_train * g_train).sum(axis=1)
-            return total
-        finally:
-            self.model.load_state_dict(saved)
-            self.store.flush()
+        terms = self._replay(
+            train_examples,
+            self.checkpoints,
+            lambda index, rows: weights[index] * (rows * rows).sum(axis=1),
+            "influence.self",
+            n_train=len(train_examples),
+            n_checkpoints=len(self.checkpoints),
+        )
+        return sum(terms, np.zeros(len(train_examples)))

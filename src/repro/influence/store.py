@@ -4,7 +4,7 @@ TracInCP / TracSeq replay every stored checkpoint and take a backward
 pass per (checkpoint, example) pair — by far the dominant cost of
 attribution.  The projected gradient *rows* those passes produce are
 pure functions of ``(checkpoint step, example content, projector)``, so
-they are cached here and reused across calls: repeated ``scores()``
+they are cached here and reused across calls: repeated ``influence()``
 invocations, ``checkpoint_products`` and gamma sweeps all become pure
 recombination of stored rows (the structure Bergson builds attribution
 on at scale).

@@ -13,7 +13,7 @@ All gradient work routes through a
 :class:`~repro.influence.engine.ParallelInfluenceEngine` backed by a
 :class:`~repro.influence.store.GradientStore`: each ``(checkpoint,
 example)`` gradient row is computed at most once per store, so repeated
-``scores()`` calls, ``checkpoint_products`` and gamma sweeps reuse the
+``influence()`` calls, ``checkpoint_products`` and gamma sweeps reuse the
 cached rows instead of redoing the backward passes
 (``benchmarks/bench_influence.py`` measures the effect).
 """
@@ -24,88 +24,19 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import InfluenceError
 from repro.influence.api import DataInfluence, TokenInfluence
-from repro.influence.engine import ParallelInfluenceEngine
-from repro.influence.gradients import (
-    GradientProjector,
-    TokenExample,
-    per_token_examples,
-)
-from repro.influence.store import GradientStore
-from repro.obs import Observability, get_observability
+from repro.influence.gradients import TokenExample, per_token_examples
 from repro.training.checkpoint import CheckpointRecord
 
 
 class TracInCP(DataInfluence):
     """Replay checkpoints and accumulate gradient dot products.
 
-    Parameters
-    ----------
-    model:
-        The model whose architecture matches the checkpoints.  Its
-        current parameters are saved and restored around scoring.
-    checkpoints:
-        Checkpoint records (from :class:`CheckpointManager`) to replay.
-    projector:
-        Optional :class:`GradientProjector`; with many samples the
-        sketched computation is much cheaper and near-identical in
-        ranking.
-    store / cache_dir:
-        Gradient row cache.  By default each tracer gets a private
-        in-memory :class:`GradientStore`; pass an explicit ``store`` to
-        share rows across tracers (e.g. a gamma sweep), or ``cache_dir``
-        to add a disk tier next to the checkpoints.
-    workers:
-        ``> 1`` fans missing checkpoint replays out across a process
-        pool (see :class:`ParallelInfluenceEngine`).
-    obs:
-        Observability hub; every checkpoint replay is timed in an
-        ``influence.checkpoint`` span (child of the surrounding
-        ``influence.matrix`` / ``influence.self`` span) and counted,
-        so the dominant cost of attribution — gradient passes — shows
-        up in traces and metrics, alongside ``influence.store.*`` cache
-        hit/miss/byte counts.
+    Constructor parameters are those of
+    :class:`~repro.influence.api.DataInfluence`.
     """
 
     estimator_name = "tracin"
-
-    def __init__(
-        self,
-        model,
-        checkpoints: Sequence[CheckpointRecord],
-        projector: GradientProjector | None = None,
-        normalize: bool = False,
-        obs: Observability | None = None,
-        store: GradientStore | None = None,
-        cache_dir=None,
-        workers: int = 0,
-        chunk_size: int = 256,
-    ):
-        if not checkpoints:
-            raise InfluenceError("TracInCP requires at least one checkpoint")
-        self.model = model
-        self.checkpoints = sorted(checkpoints, key=lambda r: r.step)
-        self.projector = projector
-        # Cosine-similarity variant (LESS-style): unit-normalize gradients
-        # so large-gradient (high-loss / majority-aligned) samples cannot
-        # dominate purely by magnitude.  Rows are stored raw; the engine
-        # normalizes at recombination time, so one store serves both modes.
-        self.normalize = normalize
-        self.obs = obs or get_observability()
-        if store is None and cache_dir is not None:
-            store = GradientStore(cache_dir=cache_dir, obs=self.obs)
-        self.engine = ParallelInfluenceEngine(
-            model,
-            self.checkpoints,
-            projector=projector,
-            normalize=normalize,
-            store=store,
-            workers=workers,
-            chunk_size=chunk_size,
-            obs=self.obs,
-        )
-        self.store = self.engine.store
 
     def _checkpoint_weight(self, index: int, record: CheckpointRecord) -> float:
         """Multiplier for checkpoint ``index``; TracInCP uses ``eta_i`` only."""
@@ -168,7 +99,7 @@ class TracInCP(DataInfluence):
 
         With the gradient store this really is recomputation-free: the
         rows behind the products are cached, so a following
-        ``scores()`` call (or another tracer sharing the store) reuses
+        ``influence()`` call (or another tracer sharing the store) reuses
         them.
         """
         return self.engine.checkpoint_products(train_examples, test_examples)

@@ -17,8 +17,9 @@ Two notions of time are supported:
   ``checkpoint_times`` may be supplied instead.
 * **sample time** — optionally, per-sample timestamps further decay the
   contribution of *old training samples* relative to the test horizon
-  (``sample_times`` / ``test_time`` on :meth:`scores`), implementing the
-  paper's remark that "more recent samples receive higher weights".
+  (:meth:`TracSeq.sample_decay`, multiplied into an ``influence()``
+  aggregate), implementing the paper's remark that "more recent samples
+  receive higher weights".
 """
 
 from __future__ import annotations
@@ -28,15 +29,18 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import InfluenceError
-from repro.influence.api import warn_deprecated_once
-from repro.influence.gradients import GradientProjector, TokenExample
 from repro.influence.tracin import TracInCP
-from repro.obs import Observability
 from repro.training.checkpoint import CheckpointRecord
 
 
 class TracSeq(TracInCP):
-    """Time-decayed checkpoint influence estimation."""
+    """Time-decayed checkpoint influence estimation.
+
+    ``checkpoint_times[i]`` is the time of ``checkpoints[i]`` (default:
+    each checkpoint's ordinal in step order); the decay horizon is the
+    newest checkpoint time.  Other keyword arguments are those of
+    :class:`~repro.influence.api.DataInfluence`.
+    """
 
     estimator_name = "tracseq"
 
@@ -46,38 +50,25 @@ class TracSeq(TracInCP):
         checkpoints: Sequence[CheckpointRecord],
         gamma: float = 0.9,
         checkpoint_times: Sequence[float] | None = None,
-        horizon: float | None = None,
-        projector: GradientProjector | None = None,
-        normalize: bool = False,
-        obs: Observability | None = None,
-        store=None,
-        cache_dir=None,
-        workers: int = 0,
-        chunk_size: int = 256,
+        **kwargs,
     ):
-        super().__init__(
-            model,
-            checkpoints,
-            projector=projector,
-            normalize=normalize,
-            obs=obs,
-            store=store,
-            cache_dir=cache_dir,
-            workers=workers,
-            chunk_size=chunk_size,
-        )
+        super().__init__(model, checkpoints, **kwargs)
         if not 0.0 < gamma <= 1.0:
             raise InfluenceError(f"gamma must be in (0, 1], got {gamma}")
         self.gamma = gamma
         if checkpoint_times is None:
-            checkpoint_times = list(range(len(self.checkpoints)))
-        if len(checkpoint_times) != len(self.checkpoints):
-            raise InfluenceError(
-                f"{len(checkpoint_times)} checkpoint_times for "
-                f"{len(self.checkpoints)} checkpoints"
-            )
-        self.checkpoint_times = [float(t) for t in checkpoint_times]
-        self.horizon = float(horizon) if horizon is not None else max(self.checkpoint_times)
+            self.checkpoint_times = [float(i) for i in range(len(self.checkpoints))]
+        else:
+            if len(checkpoint_times) != len(self.checkpoints):
+                raise InfluenceError(
+                    f"{len(checkpoint_times)} checkpoint_times for "
+                    f"{len(self.checkpoints)} checkpoints"
+                )
+            # Each time belongs to its checkpoint: apply the same stable
+            # step sort that ordered self.checkpoints.
+            order = sorted(range(len(checkpoints)), key=lambda i: checkpoints[i].step)
+            self.checkpoint_times = [float(checkpoint_times[i]) for i in order]
+        self.horizon = max(self.checkpoint_times)
 
     def _checkpoint_weight(self, index: int, record: CheckpointRecord) -> float:
         decay = self.gamma ** (self.horizon - self.checkpoint_times[index])
@@ -102,46 +93,3 @@ class TracSeq(TracInCP):
         if (ages < 0).any():
             raise InfluenceError("sample_times contains timestamps after test_time")
         return self.gamma**ages
-
-    def scores(
-        self,
-        train_examples: Sequence[TokenExample],
-        test_examples: Sequence[TokenExample],
-        sample_times: Sequence[float] | None = None,
-        test_time: float | None = None,
-    ) -> np.ndarray:
-        """Deprecated: per-training-sample influence with sample-age decay.
-
-        Use ``influence(train, test).sum(axis=1)``, optionally
-        multiplied by :meth:`sample_decay`, instead.  ``sample_times[j]``
-        is the timestamp of training sample ``j``; ``test_time``
-        defaults to the newest sample time.
-
-        Arguments are validated *before* any gradient work: a bad
-        ``sample_times`` must fail in microseconds, not after hours of
-        checkpoint replay.
-        """
-        warn_deprecated_once(
-            "TracSeq.scores() is deprecated; use influence(train, test).sum(axis=1)"
-            " (optionally * sample_decay(sample_times, test_time))",
-            stacklevel=2,
-        )
-        decay = None
-        if sample_times is not None:
-            times = np.asarray(sample_times, dtype=np.float64)
-            if times.shape[0] != len(train_examples):
-                raise InfluenceError(
-                    f"{times.shape[0]} sample_times for {len(train_examples)} train examples"
-                )
-            decay = self.sample_decay(times, test_time)
-        with self.obs.span(
-            "influence.tracseq.scores",
-            n_train=len(train_examples),
-            n_test=len(test_examples),
-            gamma=self.gamma,
-            sample_decay=decay is not None,
-        ):
-            base = self.influence(train_examples, test_examples).sum(axis=1)
-            if decay is None:
-                return base
-            return base * decay

@@ -36,19 +36,15 @@ class TestPrunerConfig:
 
 
 class TestScoring:
-    def test_tracseq_scores_shape(self, warm, german_examples):
+    @pytest.mark.parametrize("strategy", ["tracseq", "tracin", "datainf"])
+    def test_influence_strategy_scores(self, warm, german_examples, strategy):
         zigong, checkpoints = warm
         train, val = german_examples[:16], german_examples[64:72]
-        scores = DataPruner(PrunerConfig(projection_dim=64)).score(zigong, train, val, checkpoints)
+        scores = DataPruner(PrunerConfig(strategy=strategy, projection_dim=64)).score(
+            zigong, train, val, checkpoints
+        )
         assert scores.shape == (16,)
         assert np.isfinite(scores).all()
-
-    def test_tracin_strategy(self, warm, german_examples):
-        zigong, checkpoints = warm
-        scores = DataPruner(PrunerConfig(strategy="tracin", projection_dim=64)).score(
-            zigong, german_examples[:8], german_examples[64:68], checkpoints
-        )
-        assert scores.shape == (8,)
 
     def test_agent_strategy_no_checkpoints_needed(self, warm, german_examples):
         zigong, _ = warm

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import InfluenceError
 from repro.influence import (
     GradientProjector,
+    GradientStore,
     TracInCP,
     TracSeq,
     bottom_k_indices,
@@ -114,13 +115,13 @@ class TestTracInCP:
         train = [make_example(rng.integers(5, 60, size=8)) for _ in range(6)]
         test = [train[2]]
         tracer = TracInCP(tiny_model, checkpoints)
-        scores = tracer.scores(train, test)
+        scores = tracer.influence(train, test).sum(axis=1)
         assert scores.argmax() == 2
 
     def test_restores_model_state(self, tiny_model, checkpoints):
         before = tiny_model.state_dict()
         tracer = TracInCP(tiny_model, checkpoints)
-        tracer.scores([make_example([1, 2, 3])], [make_example([4, 5, 6])])
+        tracer.influence([make_example([1, 2, 3])], [make_example([4, 5, 6])])
         after = tiny_model.state_dict()
         for key in before:
             np.testing.assert_allclose(before[key], after[key])
@@ -128,7 +129,7 @@ class TestTracInCP:
     def test_influence_matrix_shape(self, tiny_model, checkpoints):
         train = [make_example([1, 2, 3]), make_example([4, 5, 6])]
         test = [make_example([7, 8, 9])]
-        matrix = TracInCP(tiny_model, checkpoints).influence_matrix(train, test)
+        matrix = TracInCP(tiny_model, checkpoints).influence(train, test)
         assert matrix.shape == (2, 1)
 
     def test_self_influence_positive(self, tiny_model, checkpoints):
@@ -139,9 +140,9 @@ class TestTracInCP:
     def test_empty_sets_raise(self, tiny_model, checkpoints):
         tracer = TracInCP(tiny_model, checkpoints)
         with pytest.raises(InfluenceError):
-            tracer.influence_matrix([], [make_example([1, 2])])
+            tracer.influence([], [make_example([1, 2])])
         with pytest.raises(InfluenceError):
-            tracer.influence_matrix([make_example([1, 2])], [])
+            tracer.influence([make_example([1, 2])], [])
 
     def test_no_checkpoints_raises(self, tiny_model):
         with pytest.raises(InfluenceError):
@@ -151,10 +152,11 @@ class TestTracInCP:
         rng = np.random.default_rng(2)
         train = [make_example(rng.integers(5, 60, size=8)) for _ in range(8)]
         test = [make_example(rng.integers(5, 60, size=8)) for _ in range(2)]
-        exact = TracInCP(tiny_model, checkpoints).scores(train, test)
+        exact = TracInCP(tiny_model, checkpoints).influence(train, test).sum(axis=1)
         dim = sum(p.size for p in trainable_parameters(tiny_model))
         projector = GradientProjector(dim, k=4096, seed=0)
-        approx = TracInCP(tiny_model, checkpoints, projector=projector).scores(train, test)
+        approx = TracInCP(tiny_model, checkpoints, projector=projector).influence(train, test)
+        approx = approx.sum(axis=1)
         corr = np.corrcoef(exact, approx)[0, 1]
         assert corr > 0.7
 
@@ -164,8 +166,8 @@ class TestTracSeq:
         rng = np.random.default_rng(3)
         train = [make_example(rng.integers(5, 60, size=8)) for _ in range(5)]
         test = [make_example(rng.integers(5, 60, size=8))]
-        plain = TracInCP(tiny_model, checkpoints).scores(train, test)
-        seq = TracSeq(tiny_model, checkpoints, gamma=1.0).scores(train, test)
+        plain = TracInCP(tiny_model, checkpoints).influence(train, test).sum(axis=1)
+        seq = TracSeq(tiny_model, checkpoints, gamma=1.0).influence(train, test).sum(axis=1)
         np.testing.assert_allclose(plain, seq, rtol=1e-6)
 
     def test_gamma_downweights_early_checkpoints(self, tiny_model, checkpoints):
@@ -187,27 +189,38 @@ class TestTracSeq:
         train = [make_example(rng.integers(5, 60, size=8)) for _ in range(4)]
         test = [make_example(rng.integers(5, 60, size=8))]
         tracer = TracSeq(tiny_model, checkpoints, gamma=0.5)
-        base = tracer.scores(train, test)
-        decayed = tracer.scores(train, test, sample_times=[0, 1, 2, 3], test_time=3)
+        base = tracer.influence(train, test).sum(axis=1)
+        decayed = base * tracer.sample_decay([0, 1, 2, 3], test_time=3)
         expected = base * 0.5 ** np.array([3, 2, 1, 0])
         np.testing.assert_allclose(decayed, expected, rtol=1e-6)
-
-    def test_sample_times_length_mismatch(self, tiny_model, checkpoints):
-        tracer = TracSeq(tiny_model, checkpoints)
-        with pytest.raises(InfluenceError):
-            tracer.scores([make_example([1, 2])], [make_example([3, 4])], sample_times=[0, 1])
 
     def test_future_sample_times_rejected(self, tiny_model, checkpoints):
         tracer = TracSeq(tiny_model, checkpoints)
         with pytest.raises(InfluenceError):
-            tracer.scores(
-                [make_example([1, 2])], [make_example([3, 4])], sample_times=[5], test_time=3
-            )
+            tracer.sample_decay([5], test_time=3)
 
     def test_custom_checkpoint_times(self, tiny_model, checkpoints):
         times = [10.0 * i for i in range(len(checkpoints))]
         tracer = TracSeq(tiny_model, checkpoints, gamma=0.9, checkpoint_times=times)
         assert tracer.horizon == times[-1]
+
+    def test_checkpoint_times_follow_their_checkpoints(self, tiny_model, checkpoints):
+        """Each time stays paired with its checkpoint whatever the input order."""
+        rng = np.random.default_rng(5)
+        train = [make_example(rng.integers(5, 60, size=8)) for _ in range(3)]
+        test = [make_example(rng.integers(5, 60, size=8))]
+        times = [float(i) for i in range(len(checkpoints))]
+        store = GradientStore()
+        forward = TracSeq(
+            tiny_model, checkpoints, gamma=0.5, checkpoint_times=times, store=store
+        )
+        reverse = TracSeq(
+            tiny_model, checkpoints[::-1], gamma=0.5, checkpoint_times=times[::-1],
+            store=store,
+        )
+        np.testing.assert_allclose(
+            reverse.influence(train, test), forward.influence(train, test), rtol=1e-12
+        )
 
     def test_checkpoint_times_length_mismatch(self, tiny_model, checkpoints):
         with pytest.raises(InfluenceError):

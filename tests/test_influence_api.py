@@ -1,4 +1,4 @@
-"""DataInfluence interface tests: DataInf parity, tokens, top-k, shims.
+"""DataInfluence interface tests: DataInf parity, tokens, top-k, store.
 
 Covers the ISSUE-6 acceptance points: the three estimators are
 interchangeable behind :class:`DataInfluence`; DataInf's closed-form
@@ -8,13 +8,10 @@ pinned tolerance; token-wise attributions sum to the sequence-level
 score exactly; ``k_most_influential`` orders proponents and opponents
 correctly; a shared :class:`GradientStore` serves every estimator
 without recomputing raw rows (and DataInf's adjusted rows live under
-their own cache keys); and the deprecated ``scores()`` /
-``influence_matrix()`` call shapes warn exactly once per call site.
+their own cache keys).
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +26,6 @@ from repro.influence import (
     gradient_matrix,
     make_estimator,
     per_token_examples,
-    reset_deprecation_warnings,
     row_cache_key,
     trainable_parameter_slices,
     train_set_hash,
@@ -112,7 +108,7 @@ class TestDataInfGolden:
         estimator = DataInf(lora_model, checkpoints)  # per-layer heuristic
         scores = estimator.influence(train, test)
         assert np.isfinite(scores).all()
-        rows = estimator._rows(train, span_name="influence.datainf.rows")
+        rows = estimator.engine.stacked_rows(train)
         assert all(lam > 0 for lam in estimator.layer_lambdas(rows))
 
     def test_self_influence_positive(self, lora_model, checkpoints, sets):
@@ -277,38 +273,3 @@ class TestEstimatorInterchangeability:
             tracin.influence(train, test), tracseq.influence(train, test),
             rtol=0, atol=1e-12,
         )
-
-
-class TestDeprecationShims:
-    def test_scores_warns_once_per_call_site(self, lora_model, checkpoints, sets):
-        train, test = sets
-        reset_deprecation_warnings()
-        tracer = TracInCP(lora_model, checkpoints)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):
-                tracer.scores(train, test)  # one call site, three calls
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-
-    def test_distinct_call_sites_each_warn(self, lora_model, checkpoints, sets):
-        train, test = sets
-        reset_deprecation_warnings()
-        tracer = TracInCP(lora_model, checkpoints)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            tracer.influence_matrix(train, test)
-            tracer.influence_matrix(train, test)  # different line: new site
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 2
-
-    def test_shim_results_match_new_api(self, lora_model, checkpoints, sets):
-        train, test = sets
-        reset_deprecation_warnings()
-        tracer = TracSeq(lora_model, checkpoints, gamma=0.9)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy_matrix = tracer.influence_matrix(train, test)
-            legacy_scores = tracer.scores(train, test)
-        np.testing.assert_allclose(legacy_matrix, tracer.influence(train, test))
-        np.testing.assert_allclose(legacy_scores, tracer.influence(train, test).sum(axis=1))

@@ -84,7 +84,7 @@ class TestNormalizedInfluence:
         train = [make_example(rng.integers(5, 60, size=8)) for _ in range(4)]
         test = [make_example(rng.integers(5, 60, size=8))]
         tracer = TracInCP(tiny_model, checkpoints, normalize=True)
-        matrix = tracer.influence_matrix(train, test)
+        matrix = tracer.influence(train, test)
         bound = sum(r.lr for r in tracer.checkpoints) + 1e-9
         assert (np.abs(matrix) <= bound).all()
 
@@ -100,16 +100,16 @@ class TestNormalizedInfluence:
         rng = np.random.default_rng(2)
         train = [make_example(rng.integers(5, 60, size=8)) for _ in range(6)]
         test = [make_example(rng.integers(5, 60, size=8))]
-        raw = TracInCP(tiny_model, checkpoints).scores(train, test)
-        cos = TracInCP(tiny_model, checkpoints, normalize=True).scores(train, test)
+        raw = TracInCP(tiny_model, checkpoints).influence(train, test).sum(axis=1)
+        cos = TracInCP(tiny_model, checkpoints, normalize=True).influence(train, test).sum(axis=1)
         # Signs must broadly agree even if magnitudes differ.
         assert ((raw > 0) == (cos > 0)).mean() >= 0.5
 
     def test_tracseq_accepts_normalize(self, tiny_model, checkpoints):
         tracer = TracSeq(tiny_model, checkpoints, gamma=0.8, normalize=True)
-        scores = tracer.scores(
+        scores = tracer.influence(
             [make_example([1, 2, 3])], [make_example([4, 5, 6])]
-        )
+        ).sum(axis=1)
         assert scores.shape == (1,)
 
 

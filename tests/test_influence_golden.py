@@ -60,9 +60,9 @@ def _seeded_run(tmp_path) -> dict:
     )
     trainer.train(train_examples)
 
-    scores = TracSeq(model, manager.checkpoints(), gamma=GAMMA).scores(
+    scores = TracSeq(model, manager.checkpoints(), gamma=GAMMA).influence(
         train_examples, test_examples
-    )
+    ).sum(axis=1)
     top_k = top_k_indices(scores, K)
     return {
         "seed": SEED,

@@ -132,15 +132,15 @@ class TestCachedParity:
         uncached = TracInCP(tiny_model, checkpoints, store=GradientStore(max_entries=0))
         cached = TracInCP(tiny_model, checkpoints)
         np.testing.assert_allclose(
-            uncached.scores(train, test), cached.scores(train, test),
+            uncached.influence(train, test).sum(axis=1), cached.influence(train, test).sum(axis=1),
             rtol=0, atol=1e-10,
         )
         # Second call reuses every row: identical output, zero new passes.
         obs = Observability.create()
         tracer = TracInCP(tiny_model, checkpoints, obs=obs)
-        first = tracer.scores(train, test)
+        first = tracer.influence(train, test).sum(axis=1)
         passes_after_first = obs.metrics.snapshot()["counters"]["influence.gradient_passes"]
-        second = tracer.scores(train, test)
+        second = tracer.influence(train, test).sum(axis=1)
         passes_after_second = obs.metrics.snapshot()["counters"]["influence.gradient_passes"]
         np.testing.assert_array_equal(first, second)
         assert passes_after_second == passes_after_first
@@ -161,7 +161,7 @@ class TestCachedParity:
                 store=shared, obs=obs,
             )
             np.testing.assert_allclose(
-                fresh.scores(train, test), reused.scores(train, test),
+                fresh.influence(train, test).sum(axis=1), reused.influence(train, test).sum(axis=1),
                 rtol=0, atol=1e-10,
             )
         # After the first sweep iteration the shared store served everything.
@@ -179,7 +179,7 @@ class TestCachedParity:
         weights = tracer._weights()
         recombined = weights @ products
         np.testing.assert_allclose(
-            recombined, tracer.scores(train, test), rtol=1e-10, atol=1e-12
+            recombined, tracer.influence(train, test).sum(axis=1), rtol=1e-10, atol=1e-12
         )
 
     def test_self_influence_matches_direct_computation(self, tiny_model, checkpoints, sets):
@@ -203,10 +203,10 @@ class TestCachedParity:
         shared = GradientStore()
         obs = Observability.create()
         plain = TracInCP(tiny_model, checkpoints, store=shared, obs=obs)
-        plain.scores(train, test)
+        plain.influence(train, test).sum(axis=1)
         passes = obs.metrics.snapshot()["counters"]["influence.gradient_passes"]
         cosine = TracInCP(tiny_model, checkpoints, normalize=True, store=shared, obs=obs)
-        cosine.scores(train, test)
+        cosine.influence(train, test).sum(axis=1)
         assert obs.metrics.snapshot()["counters"]["influence.gradient_passes"] == passes
 
 
@@ -220,13 +220,13 @@ class TestCacheInvalidation:
             tiny_model, checkpoints,
             projector=GradientProjector(dim, k=32, seed=0), store=shared, obs=obs,
         )
-        scores_a = a.scores(train, test)
+        scores_a = a.influence(train, test).sum(axis=1)
         passes = obs.metrics.snapshot()["counters"]["influence.gradient_passes"]
         b = TracInCP(
             tiny_model, checkpoints,
             projector=GradientProjector(dim, k=32, seed=1), store=shared, obs=obs,
         )
-        scores_b = b.scores(train, test)
+        scores_b = b.influence(train, test).sum(axis=1)
         # New seed -> new cache key -> full recompute, and a different sketch.
         assert obs.metrics.snapshot()["counters"]["influence.gradient_passes"] == 2 * passes
         assert not np.allclose(scores_a, scores_b)
@@ -244,8 +244,8 @@ class TestCacheInvalidation:
 class TestParallelEngine:
     def test_parallel_matches_serial(self, tiny_model, checkpoints, sets):
         train, test = sets
-        serial = TracSeq(tiny_model, checkpoints, gamma=0.9).scores(train, test)
-        parallel = TracSeq(tiny_model, checkpoints, gamma=0.9, workers=2).scores(train, test)
+        serial = TracSeq(tiny_model, checkpoints, gamma=0.9).influence(train, test).sum(axis=1)
+        parallel = TracSeq(tiny_model, checkpoints, gamma=0.9, workers=2).influence(train, test).sum(axis=1)
         np.testing.assert_allclose(serial, parallel, rtol=0, atol=1e-10)
 
     def test_parallel_with_projector_matches_serial(self, tiny_model, checkpoints, sets):
@@ -253,17 +253,17 @@ class TestParallelEngine:
         dim = sum(p.size for p in trainable_parameters(tiny_model))
         serial = TracInCP(
             tiny_model, checkpoints, projector=GradientProjector(dim, k=32, seed=3)
-        ).scores(train, test)
+        ).influence(train, test).sum(axis=1)
         parallel = TracInCP(
             tiny_model, checkpoints,
             projector=GradientProjector(dim, k=32, seed=3), workers=2,
-        ).scores(train, test)
+        ).influence(train, test).sum(axis=1)
         np.testing.assert_allclose(serial, parallel, rtol=0, atol=1e-10)
 
     def test_parallel_emits_worker_spans(self, tiny_model, checkpoints, sets):
         train, test = sets
         obs = Observability.create()
-        TracInCP(tiny_model, checkpoints, workers=2, obs=obs).scores(train, test)
+        TracInCP(tiny_model, checkpoints, workers=2, obs=obs).influence(train, test).sum(axis=1)
         aggregates = obs.tracer.aggregates()
         assert aggregates["influence.worker"]["count"] == len(checkpoints)
         assert "influence.prefetch" in aggregates
@@ -305,7 +305,7 @@ class TestCrashInjection:
         with pytest.warns(RuntimeWarning, match="orphan checkpoint"):
             listed = manager.checkpoints()
         assert [r.step for r in listed] == [r.step for r in checkpoints]
-        scores = TracInCP(tiny_model, listed).scores(train, test)
+        scores = TracInCP(tiny_model, listed).influence(train, test).sum(axis=1)
         assert np.isfinite(scores).all()
 
 
@@ -317,29 +317,10 @@ class TestTracSeqValidation:
         obs = Observability.create()
         tracer = TracSeq(tiny_model, checkpoints, obs=obs)
         with pytest.raises(InfluenceError):
-            tracer.scores(train, test, sample_times=[0.0])  # wrong length
-        with pytest.raises(InfluenceError):
-            tracer.scores(
-                train, test,
-                sample_times=[9.0] * len(train), test_time=1.0,  # future samples
-            )
+            tracer.sample_decay([9.0] * len(train), test_time=1.0)  # future samples
         counters = obs.metrics.snapshot()["counters"]
         assert counters.get("influence.gradient_passes", 0) == 0
         assert counters.get("influence.checkpoints_replayed", 0) == 0
-
-    def test_span_covers_sample_decay(self, tiny_model, checkpoints, sets):
-        train, test = sets
-        obs = Observability.create()
-        tracer = TracSeq(tiny_model, checkpoints, gamma=0.5, obs=obs)
-        tracer.scores(
-            train, test,
-            sample_times=list(range(len(train))), test_time=len(train),
-        )
-        root = next(
-            span for span in obs.tracer.roots
-            if span.name == "influence.tracseq.scores"
-        )
-        assert root.attrs["sample_decay"] is True
 
 
 class TestProjectorDeterminism:

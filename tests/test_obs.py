@@ -493,7 +493,7 @@ class TestInfluenceWiring:
 
     def test_checkpoint_spans_and_counters(self, traced):
         tracer, obs, examples = traced
-        tracer.influence_matrix(examples[:4], examples[4:])
+        tracer.influence(examples[:4], examples[4:])
         n_ckpt = len(tracer.checkpoints)
         counters = obs.metrics.snapshot()["counters"]
         assert counters["influence.checkpoints_replayed"] == n_ckpt
@@ -503,16 +503,6 @@ class TestInfluenceWiring:
         root = obs.tracer.roots[-1]
         assert root.name == "influence.matrix"
         assert len(root.children) == n_ckpt
-
-    def test_tracseq_scores_span(self, tiny_model, tmp_path, traced):
-        from repro.influence import TracSeq
-
-        tracer, _, examples = traced
-        obs = Observability.create()
-        seq = TracSeq(tiny_model, tracer.checkpoints, gamma=0.9, obs=obs)
-        seq.scores(examples[:4], examples[4:])
-        names = {span.name for span in obs.tracer.roots}
-        assert "influence.tracseq.scores" in names
 
 
 class TestCLIReport:
