@@ -90,8 +90,9 @@ class DataInfluence(abc.ABC):
     Parameters
     ----------
     model:
-        The model whose architecture matches the checkpoints.  Its
-        current parameters are saved and restored around scoring.
+        The model whose architecture matches the checkpoints.  The
+        engine replays on a private copy made at construction, so this
+        model's parameters are never written by scoring.
     checkpoints:
         Checkpoint records (from :class:`CheckpointManager`) to replay;
         kept sorted by step.

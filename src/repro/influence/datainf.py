@@ -35,7 +35,10 @@ warmed by TracInCP already holds every row DataInf needs at the final
 step.  Hessian-*adjusted* test rows are themselves cached under a
 :func:`~repro.influence.store.row_cache_key` that folds in the
 regularizer and a train-set fingerprint — they can never collide with
-raw rows or with adjustments against a different training set.
+raw rows or with adjustments against a different training set.  The
+curvature terms the adjustment needs (per-layer ``lam_l`` and
+``lam_l + |g_il|^2``) are kept for the last training set, keyed on its
+hashes in row order, so a new test row costs two small matmuls per layer.
 """
 
 from __future__ import annotations
@@ -105,6 +108,9 @@ class DataInf(DataInfluence):
         self.checkpoint = self.checkpoints[0]
         self.lam = float(lam) if lam is not None else None
         self.lam_scale = float(lam_scale)
+        # ((config key, ordered train hashes), per-layer terms) of the
+        # last train set seen.
+        self._curvature_entry: tuple[tuple | None, list] = (None, [])
 
     # -- internals -----------------------------------------------------
 
@@ -133,17 +139,39 @@ class DataInf(DataInfluence):
             lams.append(self.lam_scale * mean_sq / d_l if mean_sq > 0 else 1.0)
         return lams
 
-    def _adjust(self, g_train: np.ndarray, g_test: np.ndarray) -> np.ndarray:
+    def _curvature(
+        self, train_hashes: Sequence[str], g_train: np.ndarray
+    ) -> list[tuple[slice, float, np.ndarray]]:
+        """Per-layer ``(slice, lam_l, lam_l + |g_i|^2)`` for one train set.
+
+        These terms depend on the train rows alone, so the one cached
+        entry serves every query against the same train set; another
+        train set replaces it.  ``lam_l + |g_i|^2`` is indexed by row, so
+        unlike the adjusted rows (a sum over ``i``) the entry is keyed on
+        the hashes in row order: a permuted train set recomputes it.
+        """
+        key = (self._config_key(train_hashes), tuple(train_hashes))
+        cached_key, terms = self._curvature_entry
+        if cached_key != key:
+            terms = []
+            lams = self.layer_lambdas(g_train)
+            for (_, layer), lam in zip(self._layer_slices(g_train.shape[1]), lams):
+                g_l = g_train[:, layer]
+                terms.append((layer, lam, lam + (g_l * g_l).sum(axis=1)))
+            self._curvature_entry = (key, terms)
+        return terms
+
+    def _adjust(
+        self, train_hashes: Sequence[str], g_train: np.ndarray, g_test: np.ndarray
+    ) -> np.ndarray:
         """Apply ``H^{-1}`` to every test gradient row, per layer."""
         n = g_train.shape[0]
         adjusted = np.empty_like(g_test)
-        lams = self.layer_lambdas(g_train)
-        for (_, layer), lam in zip(self._layer_slices(g_train.shape[1]), lams):
+        for layer, lam, denominator in self._curvature(train_hashes, g_train):
             g_l = g_train[:, layer]  # (n, d_l)
             v_l = g_test[:, layer]  # (m, d_l)
-            sq = (g_l * g_l).sum(axis=1)  # |g_i|^2
             # coef[i, t] = (g_i . v_t) / (lam + |g_i|^2)
-            coef = (g_l @ v_l.T) / (lam + sq)[:, None]
+            coef = (g_l @ v_l.T) / denominator[:, None]
             adjusted[:, layer] = (v_l - (coef.T @ g_l) / n) / lam
         return adjusted
 
@@ -178,7 +206,7 @@ class DataInf(DataInfluence):
             else:
                 adjusted[index] = row
         if missing:
-            fresh = self._adjust(g_train, g_test[missing])
+            fresh = self._adjust(train_hashes, g_train, g_test[missing])
             for row, index in zip(fresh, missing):
                 adjusted[index] = row
                 self.store.put(step, test_hashes[index], adjusted_key, row)
@@ -216,7 +244,8 @@ class DataInf(DataInfluence):
             g_train = self.engine.stacked_rows(
                 train_examples, span_name="influence.datainf.rows"
             )
-            adjusted = self._adjust(g_train, g_train)
+            train_hashes = [example_content_hash(e) for e in train_examples]
+            adjusted = self._adjust(train_hashes, g_train, g_train)
             return (g_train * adjusted).sum(axis=1)
 
     def token_influence(

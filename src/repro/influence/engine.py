@@ -8,10 +8,17 @@ repeated ``influence()`` calls, ``checkpoint_products``, gamma sweeps — is
 recombination of stored rows via chunked matmuls that keep peak memory
 at ``CHUNK_SIZE × n_test`` floats regardless of corpus size.
 
+Gradient rows are computed on a resident replay model: one private
+copy of the caller's model, made when the engine is built, that keeps
+whichever checkpoint it last loaded.  A checkpoint is read from disk
+only when a miss needs a different one than the copy holds, so a
+single-checkpoint estimator (DataInf) loads once per engine, and the
+caller's model — possibly one that is serving — is never written.
+
 With ``workers > 1`` the missing checkpoint replays fan out across a
-``multiprocessing`` pool (fork start method): each worker inherits a
-copy of the model, restores its assigned checkpoint from the ``.npz``
-on disk, and streams gradient rows back to the parent, which records an
+``multiprocessing`` pool (fork start method): each worker inherits the
+replay copy, restores its assigned checkpoint from the ``.npz`` on
+disk, and streams gradient rows back to the parent, which records an
 ``influence.worker`` span per completed job.  Workers rely on
 :class:`~repro.influence.gradients.GradientProjector` being
 deterministic for a given seed across processes, which is pinned by
@@ -25,6 +32,7 @@ the unbatched implementation did.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import time
 from typing import Callable, Sequence
@@ -79,8 +87,9 @@ class ParallelInfluenceEngine:
     Parameters
     ----------
     model / checkpoints / projector / normalize:
-        As in :class:`~repro.influence.tracin.TracInCP`; the model's
-        parameters are saved and restored around every computation.
+        As in :class:`~repro.influence.tracin.TracInCP`.  The model is
+        copied once here; every replay runs on that copy, so the
+        caller's model is read at construction and never written.
     store:
         Gradient row cache; defaults to a fresh in-memory
         :class:`GradientStore`.  Pass one store to several engines (or
@@ -111,7 +120,11 @@ class ParallelInfluenceEngine:
             raise InfluenceError("influence engine requires at least one checkpoint")
         if workers < 0:
             raise InfluenceError(f"workers must be non-negative, got {workers}")
-        self.model = model
+        # The resident replay model and the checkpoint path it holds
+        # (``None``: none yet, or a load that did not finish).
+        self._replay_model = copy.deepcopy(model)
+        self._replay_model.zero_grad()
+        self._loaded = None
         self.checkpoints = sorted(checkpoints, key=lambda r: r.step)
         self.projector = projector
         self.normalize = normalize
@@ -122,6 +135,7 @@ class ParallelInfluenceEngine:
         self._pkey = projector_key(projector)
         metrics = self.obs.metrics
         self._m_replays = metrics.counter("influence.checkpoints_replayed")
+        self._m_loads = metrics.counter("influence.checkpoint_loads")
         self._m_gradient_passes = metrics.counter("influence.gradient_passes")
         self._m_requeued = metrics.counter("influence.worker_requeued")
         self._h_worker = metrics.histogram("influence.worker_s")
@@ -150,8 +164,12 @@ class ParallelInfluenceEngine:
             else:
                 fetched[example_hash] = row
         if missing:
-            CheckpointManager.restore(self.model, record)
-            rows = gradient_matrix(self.model, list(missing.values()), self.projector)
+            if self._loaded != record.path:
+                self._loaded = None
+                CheckpointManager.restore(self._replay_model, record)
+                self._loaded = record.path
+                self._m_loads.inc()
+            rows = gradient_matrix(self._replay_model, list(missing.values()), self.projector)
             for example_hash, row in zip(missing, rows):
                 self.store.put(record.step, example_hash, self._pkey, row)
                 fetched[example_hash] = row
@@ -188,7 +206,7 @@ class ParallelInfluenceEngine:
             with ctx.Pool(
                 processes=min(self.workers, len(jobs)),
                 initializer=_worker_init,
-                initargs=(self.model, self.projector),
+                initargs=(self._replay_model, self.projector),
             ) as pool:
                 replies = pool.imap(_worker_replay, payloads)
                 for record, missing in jobs:
@@ -218,9 +236,9 @@ class ParallelInfluenceEngine:
                     self._m_replays.inc()
                     self._m_gradient_passes.inc(len(missing))
         for record, missing in failed:
-            # _checkpoint_rows restores the checkpoint in the parent and
-            # computes + stores the rows; _replay snapshots and restores
-            # the model's parameters around _prefetch, so this is safe.
+            # _checkpoint_rows loads the checkpoint into the parent's
+            # replay model (if it holds another) and computes + stores
+            # the rows.
             if self.retry_policy is not None:
                 self.retry_policy.call(self._checkpoint_rows, record, missing)
             else:
@@ -242,12 +260,11 @@ class ParallelInfluenceEngine:
         checkpoint's ``(len(examples), dim)`` row matrix in example
         order (unit-normalized when the engine normalizes) inside an
         ``influence.checkpoint`` span; its return values come back as a
-        list.  The model's parameters are saved and restored, and the
-        store flushed, around the whole replay.
+        list.  Misses are computed on the resident replay model, never
+        on the caller's; the store is flushed after the whole replay.
         """
         hashes = self._hashes(examples)
         unique = self._unique(examples, hashes)
-        saved = self.model.state_dict()
         try:
             out = []
             with self.obs.span(span_name, **attrs):
@@ -258,7 +275,6 @@ class ParallelInfluenceEngine:
                         out.append(visit(index, self._stack(rows, hashes)))
             return out
         finally:
-            self.model.load_state_dict(saved)
             self.store.flush()
 
     def stacked_rows(

@@ -102,10 +102,18 @@ def flatten_grads(params: Sequence[Parameter]) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def per_sample_gradient(model, example: TokenExample) -> np.ndarray:
-    """Gradient of the LM loss for a single tokenized example."""
-    params = trainable_parameters(model)
-    model.zero_grad()
+def _clear_grads(params: Sequence[Parameter]) -> None:
+    for p in params:
+        p.grad = None
+
+
+def _loss_gradient(model, params: Sequence[Parameter], example: TokenExample) -> np.ndarray:
+    """One backward pass; ``params`` must hold no gradient on entry.
+
+    Only trainable parameters accumulate gradients, so clearing
+    ``params`` afterwards leaves the model as clean as ``zero_grad()``
+    would, without walking the module tree.
+    """
     input_ids, labels = example
     loss = model.loss(
         np.asarray(input_ids, dtype=np.int64)[None, :],
@@ -113,8 +121,15 @@ def per_sample_gradient(model, example: TokenExample) -> np.ndarray:
     )
     loss.backward()
     grad = flatten_grads(params)
-    model.zero_grad()
+    _clear_grads(params)
     return grad
+
+
+def per_sample_gradient(model, example: TokenExample) -> np.ndarray:
+    """Gradient of the LM loss for a single tokenized example."""
+    params = trainable_parameters(model)
+    model.zero_grad()
+    return _loss_gradient(model, params, example)
 
 
 class GradientProjector:
@@ -172,11 +187,17 @@ def gradient_matrix(
     examples: Sequence[TokenExample],
     projector: GradientProjector | None = None,
 ) -> np.ndarray:
-    """Stack per-sample gradients into an ``(n, d)`` (or ``(n, k)``) matrix."""
+    """Stack per-sample gradients into an ``(n, d)`` (or ``(n, k)``) matrix.
+
+    Each row equals :func:`per_sample_gradient` on its example; the
+    trainable parameter list is resolved once for the whole call.
+    """
     if not examples:
         raise InfluenceError("gradient_matrix() received no examples")
+    params = trainable_parameters(model)
+    _clear_grads(params)
     rows = []
     for example in examples:
-        grad = per_sample_gradient(model, example)
+        grad = _loss_gradient(model, params, example)
         rows.append(projector.project(grad) if projector is not None else grad)
     return np.stack(rows)

@@ -88,7 +88,12 @@ _default: Observability | None = None
 
 
 def get_observability() -> Observability:
-    """The process-wide default hub (created enabled, no event sink)."""
+    """The process-wide default hub (created enabled, no event sink).
+
+    Process-wide on purpose, unlike the per-thread grad mode in
+    :mod:`repro.tensor`: spans and counters recorded on serving and
+    engine worker threads must land in the same hub as the caller's.
+    """
     global _default
     if _default is None:
         _default = Observability.create()

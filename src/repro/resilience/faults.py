@@ -30,6 +30,7 @@ from repro.errors import InjectedFault, ResilienceError
 # One Schedule decides, per hit, whether this occurrence faults.
 Schedule = Callable[[int, Mapping[str, object]], BaseException | None]
 
+# The installed injector, shared by every thread (see FaultInjector.install).
 _ACTIVE: "FaultInjector | None" = None
 
 
@@ -175,7 +176,12 @@ class FaultInjector:
     # -- installation --------------------------------------------------
 
     def install(self) -> "FaultInjector":
-        """Make this injector the process-wide active one."""
+        """Make this injector the process-wide active one.
+
+        Process-wide on purpose, unlike the per-thread grad mode in
+        :mod:`repro.tensor`: chaos tests arm fault points that fire on
+        engine, replica and pool-worker threads, not just the caller's.
+        """
         global _ACTIVE
         _ACTIVE = self
         return self

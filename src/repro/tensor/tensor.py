@@ -9,34 +9,47 @@ consumed by the dedicated ops in :mod:`repro.tensor.ops` (``embedding``,
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import GradientError, ShapeError
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Per-thread grad mode; every thread starts with recording on.
+
+    Serving threads score under :func:`no_grad` while another thread
+    may be training, so the flag cannot be process-wide: overlapping
+    contexts in two threads would restore each other's saved value and
+    could leave recording off everywhere.
+    """
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 def is_grad_enabled() -> bool:
-    """Return whether new operations will be recorded on the autograd tape."""
-    return _GRAD_ENABLED
+    """Return whether new operations on this thread are recorded on the tape."""
+    return _GRAD_MODE.enabled
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables gradient recording.
+    """Context manager that disables gradient recording on this thread.
 
     Used for evaluation and generation, where building the graph would
-    only waste memory.
+    only waste memory.  Other threads keep their own grad mode.
     """
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -121,7 +134,7 @@ class Tensor:
     @staticmethod
     def _result(data: np.ndarray, parents: Sequence["Tensor"]) -> "Tensor":
         """Create an op result, recording parents only if grad is enabled."""
-        tracked = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        tracked = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=tracked, _parents=tuple(parents) if tracked else ())
         return out
 

@@ -36,6 +36,14 @@ from repro.core import ZiGong
 from repro.data import build_classification_examples
 from repro.datasets import make_german
 from repro.nn import GenerationConfig, MistralTiny, ModelConfig
+from repro.tensor import is_grad_enabled
+
+
+@pytest.fixture(autouse=True)
+def grad_mode_left_on():
+    """Every test must end with grad mode on (it is per thread)."""
+    yield
+    assert is_grad_enabled(), "test left grad mode off on the main thread"
 
 
 TINY = ModelConfig(
