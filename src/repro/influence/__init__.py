@@ -21,7 +21,6 @@ from repro.influence.store import (
 from repro.influence.gradients import (
     GradientProjector,
     flatten_grads,
-    gradient_matrix,
     per_sample_gradient,
     per_token_examples,
     trainable_parameter_slices,
@@ -89,7 +88,6 @@ __all__ = [
     "GradientProjector",
     "per_sample_gradient",
     "per_token_examples",
-    "gradient_matrix",
     "flatten_grads",
     "trainable_parameters",
     "trainable_parameter_slices",

@@ -18,8 +18,8 @@ of training sample ``z_j`` on test sample ``z'`` is then
 
 with ``v`` the test gradient.  Signs follow the repo's TracIn
 convention: positive scores are proponents.  Unlike TracInCP's
-checkpoint replay (``n x n_ckpt`` backward passes), DataInf needs one
-backward pass per example at the *final* checkpoint only — the source
+checkpoint replay (``n x n_ckpt`` gradient rows), DataInf needs one
+gradient row per example at the *final* checkpoint only — the source
 of its speedup — at the cost of a curvature approximation that is
 tightest in low-rank (LoRA) subspaces.
 
@@ -185,12 +185,18 @@ class DataInf(DataInfluence):
         self,
         train_examples: Sequence[TokenExample],
         test_examples: Sequence[TokenExample],
+        unadjusted: Sequence[TokenExample] = (),
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(g_train, adjusted_test)`` with the adjusted tier cached."""
-        examples = list(train_examples) + list(test_examples)
+        """``(g_train, adjusted_test)`` with the adjusted tier cached.
+
+        ``unadjusted`` examples only join the replay: their raw rows are
+        computed and stored in the same batched passes, nothing more.
+        """
+        examples = list(train_examples) + list(test_examples) + list(unadjusted)
         rows = self.engine.stacked_rows(examples, span_name="influence.datainf.rows")
-        g_train = rows[: len(train_examples)]
-        g_test = rows[len(train_examples) :]
+        n_train = len(train_examples)
+        g_train = rows[:n_train]
+        g_test = rows[n_train : n_train + len(test_examples)]
         train_hashes = [example_content_hash(e) for e in train_examples]
         adjusted_key = row_cache_key(
             self.engine._pkey, self.estimator_name, self._config_key(train_hashes)
@@ -268,6 +274,14 @@ class DataInf(DataInfluence):
             n_positions=len(positions),
             step=self.checkpoint.step,
         ):
-            g_train, adjusted = self._adjusted_rows(train_examples, variants)
+            # The example rides along: its raw row comes out of the
+            # variants' batched pass (same input ids), so a following
+            # influence() on it hits the store.  It is not adjusted here:
+            # an adjusted row's low bits depend on which rows share its
+            # _adjust call, and the variants' must not depend on whether
+            # the example's adjusted row is already cached.
+            g_train, adjusted = self._adjusted_rows(
+                train_examples, variants, unadjusted=[test_example]
+            )
             matrix = g_train @ adjusted.T
         return TokenInfluence(positions=positions, scores=matrix / len(positions))

@@ -28,6 +28,14 @@ Numerics are identical to the serial in-process path: rows are computed
 by the same :func:`~repro.influence.gradients.gradient_matrix` either
 way, and the recombination applies weights per checkpoint exactly as
 the unbatched implementation did.
+
+Within one checkpoint, the missing examples of one token length share
+batched forward/backward passes of at most
+:data:`~repro.influence.gradients.PASS_TOKENS` tokens (see
+:func:`~repro.influence.gradients.pass_plan`); each row is still
+bit-identical to a one-example pass.  ``influence.gradient_passes``
+counts rows computed, ``influence.gradient_batches`` the passes that
+computed them.
 """
 
 from __future__ import annotations
@@ -40,7 +48,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.errors import InfluenceError
-from repro.influence.gradients import GradientProjector, TokenExample, gradient_matrix
+from repro.influence.gradients import (
+    GradientProjector,
+    TokenExample,
+    gradient_matrix,
+    pass_plan,
+)
 from repro.influence.store import GradientStore, example_content_hash
 from repro.obs import Observability, get_observability
 from repro.resilience import RetryPolicy
@@ -137,6 +150,7 @@ class ParallelInfluenceEngine:
         self._m_replays = metrics.counter("influence.checkpoints_replayed")
         self._m_loads = metrics.counter("influence.checkpoint_loads")
         self._m_gradient_passes = metrics.counter("influence.gradient_passes")
+        self._m_gradient_batches = metrics.counter("influence.gradient_batches")
         self._m_requeued = metrics.counter("influence.worker_requeued")
         self._h_worker = metrics.histogram("influence.worker_s")
 
@@ -150,6 +164,12 @@ class ParallelInfluenceEngine:
         for example, example_hash in zip(examples, hashes):
             unique.setdefault(example_hash, example)
         return unique
+
+    def _count_replay(self, examples: Sequence[TokenExample]) -> None:
+        """Count one checkpoint replay that computed rows for ``examples``."""
+        self._m_replays.inc()
+        self._m_gradient_passes.inc(len(examples))
+        self._m_gradient_batches.inc(len(pass_plan(self._replay_model, examples)))
 
     def _checkpoint_rows(
         self, record: CheckpointRecord, unique: dict[str, TokenExample]
@@ -169,12 +189,12 @@ class ParallelInfluenceEngine:
                 CheckpointManager.restore(self._replay_model, record)
                 self._loaded = record.path
                 self._m_loads.inc()
-            rows = gradient_matrix(self._replay_model, list(missing.values()), self.projector)
+            examples = list(missing.values())
+            rows = gradient_matrix(self._replay_model, examples, self.projector)
             for example_hash, row in zip(missing, rows):
                 self.store.put(record.step, example_hash, self._pkey, row)
                 fetched[example_hash] = row
-            self._m_replays.inc()
-            self._m_gradient_passes.inc(len(missing))
+            self._count_replay(examples)
         return fetched
 
     def _prefetch(self, unique: dict[str, TokenExample]) -> None:
@@ -233,8 +253,7 @@ class ParallelInfluenceEngine:
                         for example_hash, row in zip(missing, rows):
                             self.store.put(record.step, example_hash, self._pkey, row)
                     self._h_worker.observe(worker_s)
-                    self._m_replays.inc()
-                    self._m_gradient_passes.inc(len(missing))
+                    self._count_replay(list(missing.values()))
         for record, missing in failed:
             # _checkpoint_rows loads the checkpoint into the parent's
             # replay model (if it holds another) and computes + stores
@@ -256,7 +275,7 @@ class ParallelInfluenceEngine:
         """Replay ``records`` for ``examples``; ``visit`` each checkpoint's rows.
 
         Examples are deduped by content hash, so one appearing twice
-        takes one backward pass.  ``visit(index, rows)`` gets the
+        gets one gradient row.  ``visit(index, rows)`` gets the
         checkpoint's ``(len(examples), dim)`` row matrix in example
         order (unit-normalized when the engine normalizes) inside an
         ``influence.checkpoint`` span; its return values come back as a

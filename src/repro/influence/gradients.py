@@ -4,20 +4,39 @@ TracInCP needs, at each stored checkpoint, the gradient of the loss for
 every candidate training sample and every test sample.  Gradients are
 flattened over the *trainable* parameters only — with LoRA applied this
 is the adapter subspace, which is exactly the space fine-tuning moves in.
+
+:func:`per_sample_gradient` is the reference: one forward and one
+backward pass for one example.  :func:`gradient_matrix` produces the
+same rows, bit for bit, with far fewer passes.  Examples of one token
+length share a pass, for which every trainable parameter is swapped for
+a per-row copy (``(B, *shape)``; 1-D weights ``(B, 1, n)``) that is the
+gradient leaf.  A matmul against a ``(B, ...)`` copy keeps row ``b``'s
+weight gradient in ``copy.grad[b]`` instead of summing it over the
+batch, and the loss is the sum of per-row mean cross entropies, so every
+row is seeded exactly as a one-row pass seeds it (the per-example
+gradient trick, Goodfellow 2015).  Examples of different lengths never
+share a pass: right-padding changes the rows' low bits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import warnings
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import InfluenceError
 from repro.nn.module import Module, Parameter
+from repro.nn.transformer import MistralTiny
+from repro.tensor import row_cross_entropy
 
 TokenExample = tuple[list[int], list[int]]
+
+# Token budget of one batched gradient pass: a pass holds at most
+# ``max(1, PASS_TOKENS // length)`` examples of one token length.
+PASS_TOKENS = 256
 
 
 def trainable_parameters(model: Module) -> list[Parameter]:
@@ -182,6 +201,94 @@ class GradientProjector:
         return vec @ self._matrix
 
 
+def _modules(model: Module) -> Iterator[Module]:
+    stack = [model]
+    while stack:
+        module = stack.pop()
+        yield module
+        stack.extend(child for _, child in module.named_children())
+
+
+def pass_plan(model, examples: Sequence[TokenExample]) -> list[list[int]]:
+    """Indices of ``examples`` in each pass of :func:`gradient_matrix`.
+
+    Examples are grouped by exact token length (in order of first
+    appearance) and each group is split into passes of at most
+    ``max(1, PASS_TOKENS // length)`` examples.  The batched loss is
+    :class:`~repro.nn.transformer.MistralTiny`'s next-token loss, so any
+    other model takes one pass per example.
+    """
+    if not isinstance(model, MistralTiny):
+        return [[index] for index in range(len(examples))]
+    groups: dict[int, list[int]] = {}
+    for index, (input_ids, _) in enumerate(examples):
+        groups.setdefault(len(input_ids), []).append(index)
+    passes = []
+    for length, indices in groups.items():
+        size = max(1, PASS_TOKENS // length)
+        passes.extend(indices[start : start + size] for start in range(0, len(indices), size))
+    return passes
+
+
+@contextlib.contextmanager
+def _per_row_parameters(model: Module, params: Sequence[Parameter], batch: int):
+    """Swap ``params`` on ``model`` for ``batch``-row copies; yield the copies.
+
+    2-D weights become ``(batch, *shape)`` and 1-D weights
+    ``(batch, 1, n)``, so each broadcasts against ``(batch, T, ...)``
+    activations row by row.  The copies are read-only broadcast views
+    of the parameter data.  Every swapped attribute is restored on exit,
+    also when the pass raises.
+    """
+    copies = {}
+    for param in params:
+        shape = (batch, 1) + param.shape if param.ndim == 1 else (batch,) + param.shape
+        copies[id(param)] = Parameter(np.broadcast_to(param.data, shape))
+    swapped = []
+    try:
+        for module in _modules(model):
+            for key, value in list(vars(module).items()):
+                if id(value) in copies:
+                    swapped.append((module, key, value))
+                    setattr(module, key, copies[id(value)])
+        yield [copies[id(param)] for param in params]
+    finally:
+        for module, key, value in reversed(swapped):
+            setattr(module, key, value)
+
+
+def _batched_gradients(
+    model, params: Sequence[Parameter], examples: Sequence[TokenExample]
+) -> np.ndarray:
+    """Per-example gradients of equal-length ``examples`` in one pass, ``(B, d)``."""
+    batch = len(examples)
+    input_ids = np.array([example[0] for example in examples], dtype=np.int64)
+    labels = np.array([example[1] for example in examples], dtype=np.int64)
+    with _per_row_parameters(model, params, batch) as copies:
+        logits = model(input_ids)
+        row_cross_entropy(logits[:, :-1, :], labels[:, 1:]).backward()
+    rows = np.zeros((batch, sum(param.size for param in params)))
+    offset = 0
+    for param, copy in zip(params, copies):
+        if copy.grad is not None:
+            rows[:, offset : offset + param.size] = copy.grad.reshape(batch, -1)
+        offset += param.size
+    return rows
+
+
+def _passes(model, params: Sequence[Parameter], examples: Sequence[TokenExample]):
+    """Yield ``(indices, rows)`` for each pass of :func:`pass_plan`.
+
+    A pass of one example takes the plain one-example path: per-row
+    copies buy nothing there.
+    """
+    for indices in pass_plan(model, examples):
+        if len(indices) == 1:
+            yield indices, [_loss_gradient(model, params, examples[indices[0]])]
+        else:
+            yield indices, _batched_gradients(model, params, [examples[i] for i in indices])
+
+
 def gradient_matrix(
     model,
     examples: Sequence[TokenExample],
@@ -189,15 +296,26 @@ def gradient_matrix(
 ) -> np.ndarray:
     """Stack per-sample gradients into an ``(n, d)`` (or ``(n, k)``) matrix.
 
-    Each row equals :func:`per_sample_gradient` on its example; the
-    trainable parameter list is resolved once for the whole call.
+    Row ``i`` is ``np.array_equal`` to :func:`per_sample_gradient` on
+    ``examples[i]``, but examples of one token length share a forward
+    and backward pass (see the module docstring and :func:`pass_plan`).
+    Projection runs per row, as on a single row, so projected rows keep
+    their bits too.  The model's parameters are left without gradient.
+    During a pass they are swapped out for per-row copies, so the model
+    must not run in another thread meanwhile; the influence engine only
+    traces its private replay model, and this function is not
+    re-exported from :mod:`repro.influence`.
     """
     if not examples:
         raise InfluenceError("gradient_matrix() received no examples")
     params = trainable_parameters(model)
     _clear_grads(params)
-    rows = []
-    for example in examples:
-        grad = _loss_gradient(model, params, example)
-        rows.append(projector.project(grad) if projector is not None else grad)
+    rows: list[np.ndarray | None] = [None] * len(examples)
+    for indices, grads in _passes(model, params, examples):
+        for index, grad in zip(indices, grads):
+            if projector is not None:
+                # A fresh vector, like the one per_sample_gradient returns,
+                # so the projection's BLAS call sees the same operand.
+                grad = projector.project(np.array(grad))
+            rows[index] = grad
     return np.stack(rows)

@@ -76,9 +76,15 @@ class TracInCP(DataInfluence):
         ranking signal but no longer a strict decomposition.
         """
         variants, positions = per_token_examples(test_example)
+        # The example rides along: its row comes out of the variants'
+        # batched pass (same input ids), so a following influence() on
+        # it hits the store.
         matrix = self.engine.influence_matrix(
-            train_examples, variants, self._weights(), span_name="influence.tokens"
-        )
+            train_examples,
+            [test_example] + variants,
+            self._weights(),
+            span_name="influence.tokens",
+        )[:, 1:]
         return TokenInfluence(positions=positions, scores=matrix / len(positions))
 
     def checkpoint_products(

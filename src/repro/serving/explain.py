@@ -11,10 +11,12 @@ Two complementary levels of "why was this applicant declined":
   model toward this decision.  Queries run through the same
   micro-batching engine as scoring traffic, answer with the top-k
   influential examples from any :class:`~repro.influence.api.DataInfluence`
-  estimator (DataInf by default: one backward pass per example at the
+  estimator (DataInf by default: one gradient row per example at the
   final checkpoint, no replay), and every query is recorded in the
   Behavior Card audit log next to the decision it explains — model
   governance wants attribution queries as auditable as decisions.
+  A query's new gradient rows — the applicant's example and its
+  per-token variants — share one batched backward pass per checkpoint.
 """
 
 from __future__ import annotations
@@ -180,9 +182,11 @@ class ExplainConfig:
         Default number and direction of influential examples per query
         (``proponents=False`` returns the strongest opponents instead).
     attribute_tokens:
-        Also compute the per-token decomposition per query.  The token
-        pass costs one gradient row per supervised position of the test
-        example (cached thereafter); turn it off for cheap bulk audits.
+        Also compute the per-token decomposition per query.  It costs
+        one gradient row per supervised position of the test example
+        (cached thereafter); those rows and the example's own share one
+        batched gradient pass per checkpoint.  Turn it off for cheap
+        bulk audits.
     max_batch_size / max_wait_s / queue_capacity:
         Micro-batching engine knobs; explanation queries are heavier
         than scores, so the defaults batch smaller and queue shorter.
@@ -302,14 +306,19 @@ class ExplainService:
             decision = self.behavior_card.decide(request.user_id, request.behavior_text)
             answer = "no" if decision.approved else "yes"
             test_example = self._encode(request.behavior_text, answer)
+            tokens = None
+            if self.config.attribute_tokens:
+                # Before top-k: the example's own gradient row comes out
+                # of the same batched pass as its token variants', so
+                # top-k below finds it in the store.
+                tokens = self.estimator.token_influence(self.train_examples, test_example)
             top = self.estimator.k_most_influential(
                 self.train_examples, [test_example], k=k, proponents=proponents
             )
             indices = [int(i) for i in top.indices[0]]
             scores = [float(s) for s in top.scores[0]]
             token_attribution = None
-            if self.config.attribute_tokens:
-                tokens = self.estimator.token_influence(self.train_examples, test_example)
+            if tokens is not None:
                 aggregate = tokens.scores[indices].sum(axis=0)
                 token_attribution = TokenAttribution(
                     positions=tokens.positions,

@@ -16,6 +16,7 @@ from repro.tensor.ops import (
     cross_entropy,
     embedding,
     log_softmax,
+    row_cross_entropy,
     softmax,
     stack,
     where,
@@ -32,6 +33,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "cross_entropy",
+    "row_cross_entropy",
     "embedding",
     "default_rng",
     "Initializer",

@@ -120,15 +120,28 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
 
     Backward scatter-adds into the embedding table, matching the dense
     gradient a one-hot matmul would produce.
+
+    A ``(B, num_embeddings, dim)`` weight holds one table per row of
+    ``(B, T)`` indices: row ``b`` gathers from (and scatters its
+    gradient into) table ``b`` only.  Per-example gradient passes use
+    this to give every example its own copy of the table.
     """
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError("embedding indices must be integers")
-    if idx.size and (idx.min() < 0 or idx.max() >= weight.shape[0]):
+    per_row = weight.ndim == 3
+    if per_row and (idx.ndim != 2 or idx.shape[0] != weight.shape[0]):
         raise ShapeError(
-            f"embedding index out of range [0, {weight.shape[0]}): "
+            f"per-row embedding needs ({weight.shape[0]}, T) indices, got shape {idx.shape}"
+        )
+    vocab = weight.shape[-2]
+    if idx.size and (idx.min() < 0 or idx.max() >= vocab):
+        raise ShapeError(
+            f"embedding index out of range [0, {vocab}): "
             f"min={idx.min()}, max={idx.max()}"
         )
+    if per_row:
+        idx = (np.arange(idx.shape[0])[:, None], idx)
     out = Tensor._result(weight.data[idx], (weight,))
     if out.requires_grad:
 
@@ -139,6 +152,13 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
 
         out._backward = _backward
     return out
+
+
+def _token_log_probs(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable log-softmax over the last axis of raw logits."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted - log_z
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = IGNORE_INDEX) -> Tensor:
@@ -165,9 +185,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = IGNOR
     if n_valid == 0:
         raise ShapeError("cross_entropy received no valid (non-ignored) targets")
 
-    shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - log_z
+    logp = _token_log_probs(flat_logits)
 
     safe_tgt = np.where(valid, flat_tgt, 0)
     picked = logp[np.arange(flat_tgt.size), safe_tgt]
@@ -183,6 +201,51 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = IGNOR
             grad *= valid[:, None]
             grad *= float(out.grad) / n_valid
             logits._accumulate(grad.reshape(logits.shape))
+
+        out._backward = _backward
+    return out
+
+
+def row_cross_entropy(
+    logits: Tensor, targets: np.ndarray, ignore_index: int = IGNORE_INDEX
+) -> Tensor:
+    """Sum over rows of each row's mean token cross entropy.
+
+    ``logits`` is ``(B, T, vocab)`` and ``targets`` ``(B, T)``.  Row
+    ``b``'s logits receive exactly the gradient a one-row
+    :func:`cross_entropy` on row ``b`` gives them, which is what lets one
+    backward pass produce every example's own gradient.  Every row needs
+    at least one target that is not ``ignore_index``.
+    """
+    tgt = np.asarray(targets)
+    if logits.ndim != 3 or tgt.shape != logits.shape[:-1]:
+        raise ShapeError(
+            f"row_cross_entropy needs (B, T, vocab) logits and (B, T) targets; "
+            f"got {logits.shape} and {tgt.shape}"
+        )
+    valid = tgt != ignore_index
+    n_valid = valid.sum(axis=1)
+    if not n_valid.all():
+        raise ShapeError("row_cross_entropy received a row with no valid targets")
+    logp = _token_log_probs(logits.data)
+    safe_tgt = np.where(valid, tgt, 0)
+    rows = np.arange(tgt.shape[0])[:, None]
+    cols = np.arange(tgt.shape[1])[None, :]
+    picked = logp[rows, cols, safe_tgt]
+    loss_value = -((picked * valid).sum(axis=1) / n_valid).sum()
+
+    out = Tensor._result(np.asarray(loss_value, dtype=np.float32), (logits,))
+    if out.requires_grad:
+        probs = np.exp(logp)
+
+        def _backward():
+            grad = probs.copy()
+            grad[rows, cols, safe_tgt] -= 1.0
+            grad *= valid[..., None]
+            # One float32 scale per row, rounded as cross_entropy rounds it.
+            scale = np.array([float(out.grad) / int(n) for n in n_valid], dtype=np.float32)
+            grad *= scale[:, None, None]
+            logits._accumulate(grad)
 
         out._backward = _backward
     return out

@@ -69,6 +69,27 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _released() -> None:
+    raise GradientError(
+        "backward() reached a node of a graph that an earlier backward() released"
+    )
+
+
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` only holds ints, slices and ``Ellipsis``.
+
+    Such an index selects every element at most once, so its backward
+    can add into the selected view directly instead of ``np.add.at``.
+    """
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(
+        part is Ellipsis
+        or isinstance(part, slice)
+        or (isinstance(part, (int, np.integer)) and not isinstance(part, (bool, np.bool_)))
+        for part in parts
+    )
+
+
 def _as_array(value) -> np.ndarray:
     arr = np.asarray(value)
     if arr.dtype != np.float32:
@@ -163,6 +184,13 @@ class Tensor:
 
         ``grad`` defaults to ones for scalars; for non-scalar outputs an
         explicit seed gradient must be provided.
+
+        The graph is released as it goes: once an interior node has
+        handed its gradient to its parents, its ``.grad``, backward
+        closure and parent links are dropped, so the graph is freed by
+        reference count instead of waiting for the cyclic garbage
+        collector.  Leaves keep their ``.grad``.  A second backward that
+        reaches a released node raises :class:`~repro.errors.GradientError`.
         """
         if not self.requires_grad:
             raise GradientError("backward() called on a tensor that does not require grad")
@@ -197,9 +225,15 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue  # a leaf
+            if node.grad is not None:
                 node._backward()
+            node.grad = None
+            node._backward = _released
+            node._parents = ()
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic
@@ -540,10 +574,14 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         out = Tensor._result(self.data[index], (self,))
         if out.requires_grad:
+            basic = _is_basic_index(index)
 
             def _backward():
                 grad = np.zeros_like(self.data)
-                np.add.at(grad, index, out.grad)
+                if basic:
+                    grad[index] += out.grad
+                else:  # fancy indices may repeat: accumulate every hit
+                    np.add.at(grad, index, out.grad)
                 self._accumulate(grad)
 
             out._backward = _backward

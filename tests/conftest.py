@@ -15,6 +15,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -44,6 +46,35 @@ def grad_mode_left_on():
     """Every test must end with grad mode on (it is per thread)."""
     yield
     assert is_grad_enabled(), "test left grad mode off on the main thread"
+
+
+# Thread targets of the serving engine worker and the cluster health check.
+_ENGINE_LOOPS = ("_worker_loop", "_health_loop")
+_THREAD_GRACE_S = 0.5
+
+
+def _engine_threads() -> set[threading.Thread]:
+    return {
+        thread
+        for thread in threading.enumerate()
+        if getattr(getattr(thread, "_target", None), "__name__", None) in _ENGINE_LOOPS
+    }
+
+
+@pytest.fixture(autouse=True)
+def engine_threads_stopped():
+    """No engine worker or health thread a test started outlives the test.
+
+    Threads get a shared join grace of half a second to wind down.
+    """
+    before = _engine_threads()
+    yield
+    started = _engine_threads() - before
+    deadline = time.monotonic() + _THREAD_GRACE_S
+    for thread in started:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    alive = sorted(thread.name for thread in started if thread.is_alive())
+    assert not alive, f"engine threads still running after the test: {alive}"
 
 
 TINY = ModelConfig(

@@ -13,7 +13,6 @@ from repro.influence import (
     TracSeq,
     bottom_k_indices,
     flatten_grads,
-    gradient_matrix,
     normalize_scores,
     per_sample_gradient,
     select_top_k,
@@ -21,6 +20,7 @@ from repro.influence import (
     top_k_indices,
     trainable_parameters,
 )
+from repro.influence.gradients import gradient_matrix
 from repro.nn import MistralTiny
 from repro.optim import AdamW
 from repro.training import CheckpointManager, Trainer, TrainingConfig

@@ -23,13 +23,13 @@ from repro.influence import (
     GradientStore,
     TracInCP,
     TracSeq,
-    gradient_matrix,
     make_estimator,
     per_token_examples,
     row_cache_key,
     trainable_parameter_slices,
     train_set_hash,
 )
+from repro.influence.gradients import gradient_matrix
 from repro.lora.adapter import LoRAConfig
 from repro.lora.inject import apply_lora
 from repro.obs import Observability

@@ -22,10 +22,10 @@ from repro.influence import (
     TracInCP,
     TracSeq,
     example_content_hash,
-    gradient_matrix,
     projector_key,
     trainable_parameters,
 )
+from repro.influence.gradients import gradient_matrix
 from repro.obs import Observability
 from repro.optim import AdamW
 from repro.training import CheckpointManager, Trainer, TrainingConfig

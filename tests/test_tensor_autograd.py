@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import GradientError, ShapeError
 from repro.tensor import Tensor, no_grad, is_grad_enabled
+from repro.tensor.tensor import _is_basic_index
 
 from conftest import numeric_grad
 
@@ -173,6 +177,43 @@ class TestShapeOps:
         idx = np.array([1, 1, 2])
         x[idx].sum().backward()
         np.testing.assert_allclose(x.grad, [0.0, 2.0, 1.0, 0.0])
+
+
+class TestGetitemBackward:
+    """Basic indices add into the selected view; fancy ones keep ``np.add.at``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_basic_index_matches_add_at(self, data):
+        shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=5))
+        index = data.draw(hnp.basic_indices(shape, min_dims=0))
+        assert _is_basic_index(index)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+        out = x[index]
+        seed = rng.normal(size=out.shape).astype(np.float32)
+        out.backward(seed)
+        expected = np.zeros(shape, dtype=np.float32)
+        np.add.at(expected, index, seed)
+        assert np.array_equal(x.grad, expected)
+
+    @pytest.mark.parametrize(
+        "index",
+        [np.array([1, 1, 2]), (np.array([0, 0, 1]), slice(1, 3)), (np.array([2, 2]), np.array([1, 1]))],
+    )
+    def test_repeated_fancy_indices_accumulate(self, index):
+        assert not _is_basic_index(index)
+        x = Tensor(np.zeros((3, 4), dtype=np.float32), requires_grad=True)
+        x[index].sum().backward()
+        expected = np.zeros((3, 4), dtype=np.float32)
+        np.add.at(expected, index, 1.0)
+        assert expected.max() == 2.0
+        assert np.array_equal(x.grad, expected)
+
+    def test_bool_scalars_are_not_basic(self):
+        assert not _is_basic_index(True)
+        assert not _is_basic_index((0, np.bool_(False)))
+        assert _is_basic_index((np.int64(1), Ellipsis, slice(None)))
 
 
 class TestGraphMechanics:
