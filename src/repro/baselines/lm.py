@@ -23,6 +23,7 @@ import numpy as np
 from repro.errors import EvaluationError
 from repro.nn.cache import PrefixCache
 from repro.nn.generation import GenerationConfig, generate, generate_batch, next_token_logits
+from repro.nn.quant import infer_logits_np
 from repro.nn.transformer import MistralTiny
 from repro.tokenizer.base import BaseTokenizer
 from repro.eval.harness import CreditModel, EvalSample, Prediction
@@ -123,25 +124,18 @@ class LMClassifier(CreditModel):
         Equivalent to calling :meth:`score` per prompt (verified in the
         tests) at a fraction of the cost — right-padding plus indexing
         each row's last real position works because causal attention
-        ignores everything to the right.
+        ignores everything to the right.  Runs the fused kernel
+        directly, which is the eval-mode forward, so the model's
+        train/eval mode is left alone.
         """
         if not prompts:
             raise EvaluationError("score_batch() received no prompts")
-        from repro.tensor import no_grad
-
         from repro.nn.classifier import pad_sequences
 
         rows = [self._prompt_ids(p) for p in prompts]
         lengths = np.array([len(r) for r in rows])
         batch = pad_sequences(rows, pad_id=self.tokenizer.pad_id)
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            with no_grad():
-                logits = self.model.forward(batch).data
-        finally:
-            if was_training:
-                self.model.train()
+        logits = infer_logits_np(self.model, batch)
         last = logits[np.arange(len(rows)), lengths - 1]  # (B, V)
         pos_id = self._answer_first_token(positive_text)
         neg_id = self._answer_first_token(negative_text)

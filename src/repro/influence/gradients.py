@@ -10,9 +10,9 @@ backward pass for one example.  :func:`gradient_matrix` produces the
 same rows, bit for bit, with far fewer passes.  Examples of one token
 length share a pass, for which every trainable parameter is swapped for
 a per-row copy (``(B, *shape)``; 1-D weights ``(B, 1, n)``) that is the
-gradient leaf.  A matmul against a ``(B, ...)`` copy keeps row ``b``'s
-weight gradient in ``copy.grad[b]`` instead of summing it over the
-batch, and the loss is the sum of per-row mean cross entropies, so every
+gradient leaf.  Every layer node takes such copies and keeps row
+``b``'s weight gradient in ``copy.grad[b]`` instead of summing it over
+the batch, and the loss is the sum of per-row mean cross entropies, so every
 row is seeded exactly as a one-row pass seeds it (the per-example
 gradient trick, Goodfellow 2015).  Examples of different lengths never
 share a pass: right-padding changes the rows' low bits.

@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.tensor import Tensor
 from repro.tensor.random import default_rng
-from repro.nn.layers import Dropout, Linear
+from repro.nn.layers import Dropout, Linear, linear
 from repro.nn.module import Module, Parameter
 
 
@@ -81,12 +81,10 @@ class LoRALinear(Module):
         return (self.scaling * (self.lora_b.data @ self.lora_a.data)).astype(np.float32)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.base(x)
         if self._merged:
-            return out
-        dropped = self.lora_dropout(x)
-        update = (dropped @ self.lora_a.swapaxes(-1, -2)) @ self.lora_b.swapaxes(-1, -2)
-        return out + update * self.scaling
+            return self.base(x)
+        lora = (self.lora_a, self.lora_b, self.scaling, self.lora_dropout)
+        return linear(x, self.base.weight, self.base.bias, lora)
 
     def merge(self) -> None:
         """Fold the low-rank update into the base weight (for inference)."""

@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.tensor import Tensor, softmax
+from repro.tensor import Tensor
 from repro.tensor.random import default_rng
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
@@ -70,19 +70,39 @@ def sliding_window_mask(seq_len: int, window: int | None) -> np.ndarray:
     return _freeze(np.where(allowed, np.float32(0.0), _NEG_INF).astype(np.float32))
 
 
+def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """``(B, T, n·hd) -> (B, n, T, hd)`` (a view)."""
+    batch, seq, width = x.shape
+    return x.reshape(batch, seq, n_heads, width // n_heads).transpose(0, 2, 1, 3)
+
+
+def merge_heads(x: np.ndarray) -> np.ndarray:
+    """``(B, n, T, hd) -> (B, T, n·hd)``, the inverse of :func:`split_heads`."""
+    batch, n_heads, seq, head_dim = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(batch, seq, n_heads * head_dim)
+
+
+def _grouped_query(q: np.ndarray, n_kv_heads: int) -> np.ndarray:
+    """Scaled queries ``(B, H, T, hd)`` laid out as ``(B, KV, G·T, hd)``."""
+    batch, n_heads, q_len, head_dim = q.shape
+    q = q * np.float32(1.0 / np.sqrt(head_dim))
+    return q.reshape(batch, n_kv_heads, (n_heads // n_kv_heads) * q_len, head_dim)
+
+
 def fused_attention(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
     n_kv_heads: int,
     mask: np.ndarray | None = None,
-) -> np.ndarray:
+    keep: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Fused scaled-dot-product attention over raw numpy arrays.
 
-    Collapses the separate scale / mask / softmax / weighted-sum steps of
-    the autograd path into one kernel: the ``1/sqrt(head_dim)`` scale is
-    folded into ``q``, grouped-query heads are handled by reshaping ``q``
-    to ``(B, KV, group·T, hd)`` and batching the matmul against the
+    Collapses the scale / mask / softmax / weighted-sum steps into one
+    kernel: the ``1/sqrt(head_dim)`` scale is folded into ``q``,
+    grouped-query heads are handled by reshaping ``q`` to
+    ``(B, KV, group·T, hd)`` and batching the matmul against the
     un-repeated ``(B, KV, S, hd)`` keys/values (einsum
     ``bkgth,bksh->bkgts`` lowered to a single BLAS call per side — no
     head-repeat copies of the KV cache), the additive ``mask`` is applied
@@ -90,15 +110,18 @@ def fused_attention(
 
     Shapes: ``q`` is ``(B, H, T, hd)``, ``k``/``v`` are ``(B, KV, S, hd)``;
     ``mask`` broadcasts over ``(B, H, T, S)`` — either ``(T, S)`` or
-    ``(B, 1, 1, S)`` / ``(B, H, T, S)``.  Returns merged heads
-    ``(B, T, H·hd)``.  Serves both prefill (``T > 1``) and the
-    ``T == 1`` decode fast path (``mask=None``).
+    ``(B, 1, 1, S)`` / ``(B, H, T, S)``.  ``keep`` is an attention
+    dropout multiplier laid out like the probabilities,
+    ``(B, KV, group·T, S)``.  Returns ``(out, probs)``: merged heads
+    ``(B, T, H·hd)`` and the softmax probabilities before dropout,
+    which the training node's backward reuses.  Serves prefill
+    (``T > 1``), the ``T == 1`` decode fast path (``mask=None``) and
+    the training forward (:func:`attention`).
     """
     batch, n_heads, q_len, head_dim = q.shape
     group = n_heads // n_kv_heads
     kv_len = k.shape[2]
-    q = q * np.float32(1.0 / np.sqrt(head_dim))
-    q5 = q.reshape(batch, n_kv_heads, group * q_len, head_dim)
+    q5 = _grouped_query(q, n_kv_heads)
     scores = np.matmul(q5, k.swapaxes(-1, -2))  # (B, KV, group*T, S)
     if mask is not None:
         scores = scores.reshape(batch, n_kv_heads, group, q_len, kv_len)
@@ -114,9 +137,57 @@ def fused_attention(
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
-    out = np.matmul(scores, v)  # (B, KV, group*T, hd)
+    out = np.matmul(scores if keep is None else scores * keep, v)  # (B, KV, group*T, hd)
     out = out.reshape(batch, n_kv_heads, group, q_len, head_dim)
-    return out.transpose(0, 3, 1, 2, 4).reshape(batch, q_len, n_heads * head_dim)
+    return out.transpose(0, 3, 1, 2, 4).reshape(batch, q_len, n_heads * head_dim), scores
+
+
+def attention(attn: "MultiHeadAttention", q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """One graph node for causal self-attention over q/k/v projections.
+
+    ``q`` is ``(B, T, H·hd)`` and ``k``/``v`` are ``(B, T, KV·hd)``, the
+    outputs of ``attn``'s projections.  The forward is the fused
+    kernel's: RoPE (:meth:`MultiHeadAttention.heads_np`), the sliding
+    window mask and :func:`fused_attention`, with ``attn``'s live
+    dropout drawn as one ``(B, H, T, T)`` mask.  The backward keeps the
+    grouped-query layout, so dK and dV come out of one batched matmul
+    each against the un-repeated heads.  Returns ``(B, T, H·hd)``.
+    """
+    batch, seq, _ = q.shape
+    n_kv = attn.n_kv_heads
+    positions = np.arange(seq)
+    qh, kh, vh = attn.heads_np(q.data, k.data, v.data, positions)
+    keep = attn.attn_dropout.mask((batch, attn.n_heads, seq, seq))
+    if keep is not None:  # (B, H, T, S) and (B, KV, G·T, S) share one memory order
+        keep = keep.reshape(batch, n_kv, -1, seq)
+    data, probs = fused_attention(
+        qh, kh, vh, n_kv, sliding_window_mask(seq, attn.sliding_window), keep
+    )
+    out = Tensor._result(data, (q, k, v))
+    if out.requires_grad:
+
+        def _backward():
+            grad = out.grad.reshape(batch, seq, n_kv, -1, attn.head_dim)
+            grad = grad.transpose(0, 2, 3, 1, 4).reshape(batch, n_kv, -1, attn.head_dim)
+            if v.requires_grad:
+                weights = probs if keep is None else probs * keep
+                v._accumulate(merge_heads(np.matmul(weights.swapaxes(-1, -2), grad)))
+            if not (q.requires_grad or k.requires_grad):
+                return
+            d_weights = np.matmul(grad, vh.swapaxes(-1, -2))  # (B, KV, G·T, S)
+            if keep is not None:
+                d_weights *= keep
+            d_scores = probs * (d_weights - (d_weights * probs).sum(axis=-1, keepdims=True))
+            if q.requires_grad:
+                dq = np.matmul(d_scores, kh).reshape(qh.shape)
+                dq *= np.float32(1.0 / np.sqrt(attn.head_dim))
+                q._accumulate(merge_heads(attn.rope.apply_np(dq, positions, inverse=True)))
+            if k.requires_grad:
+                dk = np.matmul(d_scores.swapaxes(-1, -2), _grouped_query(qh, n_kv))
+                k._accumulate(merge_heads(attn.rope.apply_np(dk, positions, inverse=True)))
+
+        out._backward = _backward
+    return out
 
 
 class MultiHeadAttention(Module):
@@ -151,34 +222,25 @@ class MultiHeadAttention(Module):
         self.rope = RotaryEmbedding(self.head_dim, max_seq_len, theta=rope_theta)
         self.attn_dropout = Dropout(dropout, rng=rng)
 
-    def _split_heads(self, x: Tensor, n_heads: int) -> Tensor:
-        batch, seq, _ = x.shape
-        return x.reshape(batch, seq, n_heads, self.head_dim).transpose((0, 2, 1, 3))
+    def heads_np(self, q: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.ndarray):
+        """Raw projections ``(B, T, ·)`` to heads, with RoPE on q and k.
+
+        Returns ``(B, H, T, hd)`` queries and ``(B, KV, T, hd)`` keys and
+        values.  Shared by the training node and the fused kernel.
+        """
+        return (
+            self.rope.apply_np(split_heads(q, self.n_heads), positions),
+            self.rope.apply_np(split_heads(k, self.n_kv_heads), positions),
+            split_heads(v, self.n_kv_heads),
+        )
 
     def forward(self, x: Tensor) -> Tensor:
         """Causal (sliding-window) self-attention over the whole of ``x``.
 
         This is the autograd path, used for training and any forward
-        with gradients on.  Incremental decoding with a KV cache, per-row
-        positions and explicit masks runs only through the fused
-        inference kernel (:func:`repro.nn.quant.infer_logits_np`).
+        with gradients on: the projections, one :func:`attention` node
+        and the output projection.  Incremental decoding with a KV
+        cache, per-row positions and explicit masks runs only through
+        the fused inference kernel (:func:`repro.nn.quant.infer_logits_np`).
         """
-        batch, seq, _ = x.shape
-        q = self.rope.apply(self._split_heads(self.wq(x), self.n_heads))  # (B, H, T, hd)
-        k = self.rope.apply(self._split_heads(self.wk(x), self.n_kv_heads))  # (B, KV, T, hd)
-        v = self._split_heads(self.wv(x), self.n_kv_heads)
-
-        if self.n_kv_heads != self.n_heads:
-            group = self.n_heads // self.n_kv_heads
-            idx = np.repeat(np.arange(self.n_kv_heads), group)
-            k = k[:, idx]
-            v = v[:, idx]
-
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (q @ k.swapaxes(-1, -2)) * scale  # (B, H, T, T)
-        scores = scores + Tensor(sliding_window_mask(seq, self.sliding_window))
-        weights = softmax(scores, axis=-1)
-        weights = self.attn_dropout(weights)
-        out = weights @ v  # (B, H, T, hd)
-        out = out.transpose((0, 2, 1, 3)).reshape(batch, seq, self.n_heads * self.head_dim)
-        return self.wo(out)
+        return self.wo(attention(self, self.wq(x), self.wk(x), self.wv(x)))

@@ -30,6 +30,7 @@ from repro.errors import ConfigError
 from repro.tensor import no_grad
 from repro.tensor.random import default_rng
 from repro.nn.cache import PrefixCache
+from repro.nn.quant import infer_logits_np
 from repro.nn.transformer import MistralTiny
 
 
@@ -163,15 +164,9 @@ def next_token_logits(model: MistralTiny, prompt_ids: np.ndarray) -> np.ndarray:
 
     Used by the evaluation harness to score discrete answers (e.g. the
     relative likelihood of "yes" vs "no"), which feeds the KS metric.
+    Runs the fused kernel directly (the eval-mode forward), leaving the
+    model's train/eval mode alone.
     """
     ids = np.asarray(prompt_ids, dtype=np.int64).reshape(-1)
     ids = ids[-model.config.max_seq_len:]
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            logits = model.forward(ids[None, :])
-    finally:
-        if was_training:
-            model.train()
-    return logits.data[0, -1].copy()
+    return infer_logits_np(model, ids[None, :])[0, -1].copy()

@@ -1,4 +1,14 @@
-"""Basic layers: Linear, Embedding, RMSNorm, LayerNorm, Dropout."""
+"""Basic layers: Linear, Embedding, RMSNorm, LayerNorm, Dropout.
+
+Linear layers (plain, biased, unmerged LoRA and the tied head) and
+RMSNorm are each one autograd node: :func:`linear` and :func:`rms_norm`
+run the raw forward the fused inference kernel runs
+(:func:`linear_np`, :func:`rms_norm_np`) and backpropagate through a
+hand-written numpy backward.  Every node also takes per-row parameter
+copies: a ``(B, *shape)`` weight (``(B, 1, n)`` for a 1-D one) gives
+row ``b`` of a ``(B, T, ...)`` input its own weight and keeps row
+``b``'s gradient in ``grad[b]``.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +18,122 @@ from repro.errors import ConfigError
 from repro.tensor import Tensor, embedding
 from repro.tensor.random import default_rng, kaiming_init
 from repro.nn.module import Module, Parameter
+
+
+def _weight_grad(grad: np.ndarray, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Gradient of ``x @ weight^T`` with respect to ``weight``.
+
+    A shared ``(out, in)`` weight sums over every leading axis in one
+    GEMM; a per-row ``(B, out, in)`` weight keeps one gradient per row.
+    """
+    if weight.ndim == 3:
+        return np.matmul(grad.swapaxes(-1, -2), x)
+    return grad.reshape(-1, grad.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+
+
+def _vector_grad(grad: np.ndarray, param: np.ndarray) -> np.ndarray:
+    """Sum ``grad`` down to a bias or norm weight: ``(n,)`` or per-row ``(B, 1, n)``."""
+    if param.ndim == 3:
+        return grad.sum(axis=1, keepdims=True)
+    return grad.reshape(-1, grad.shape[-1]).sum(axis=0)
+
+
+def linear_np(x: np.ndarray, weight: np.ndarray, bias=None, lora=None):
+    """Raw forward of the linear node: ``x @ W^T (+ b) (+ s * (x_d @ A^T) @ B^T)``.
+
+    ``lora`` is ``None`` or ``(A, B, scaling, keep)`` for an unmerged
+    LoRA adapter, ``keep`` being its dropout multiplier on ``x`` (or
+    ``None``).  Returns ``(out, h)`` with ``h = x_d @ A^T`` (``None``
+    without LoRA), which the backward needs.  The fused inference
+    kernel and the graph both run this function.
+    """
+    out = x @ weight.swapaxes(-1, -2)
+    if bias is not None:
+        out += bias
+    if lora is None:
+        return out, None
+    lora_a, lora_b, scaling, keep = lora
+    h = (x if keep is None else x * keep) @ lora_a.swapaxes(-1, -2)
+    return out + h @ lora_b.swapaxes(-1, -2) * scaling, h
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, lora=None) -> Tensor:
+    """One graph node for a linear layer; forward is :func:`linear_np`.
+
+    ``lora`` is ``None`` or ``(A, B, scaling, dropout)`` with the
+    adapter factors as tensors and its :class:`Dropout`, whose mask is
+    drawn here, once per forward.
+    """
+    keep = None
+    raw_lora = None
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    if lora is not None:
+        lora_a, lora_b, scaling, dropout = lora
+        keep = dropout.mask(x.shape)
+        raw_lora = (lora_a.data, lora_b.data, scaling, keep)
+        parents += (lora_a, lora_b)
+    data, h = linear_np(x.data, weight.data, None if bias is None else bias.data, raw_lora)
+    out = Tensor._result(data, parents)
+    if out.requires_grad:
+
+        def _backward():
+            grad = out.grad
+            if weight.requires_grad:
+                weight._accumulate(_weight_grad(grad, x.data, weight.data))
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(_vector_grad(grad, bias.data))
+            dx = grad @ weight.data if x.requires_grad else None
+            if lora is not None:
+                grad_u = grad * np.float32(scaling)
+                if lora_b.requires_grad:
+                    lora_b._accumulate(_weight_grad(grad_u, h, lora_b.data))
+                if lora_a.requires_grad or dx is not None:
+                    dh = grad_u @ lora_b.data
+                    if lora_a.requires_grad:
+                        dropped = x.data if keep is None else x.data * keep
+                        lora_a._accumulate(_weight_grad(dh, dropped, lora_a.data))
+                    if dx is not None:
+                        dx_lora = dh @ lora_a.data
+                        if keep is not None:
+                            dx_lora *= keep
+                        dx += dx_lora
+            if dx is not None:
+                x._accumulate(dx)
+
+        out._backward = _backward
+    return out
+
+
+def rms_norm_np(x: np.ndarray, weight: np.ndarray, eps: float):
+    """Raw RMSNorm ``x * inv * w`` with ``inv = (mean(x^2) + eps)^-1/2``.
+
+    Returns ``(out, inv)``; the mean divides the sum by ``n``.  Shared
+    by the fused inference kernel and :func:`rms_norm`.
+    """
+    ms = (x * x).sum(axis=-1, keepdims=True)
+    ms /= x.shape[-1]  # same bits as np.mean, less call overhead
+    inv = (ms + eps) ** -0.5
+    return x * inv * weight, inv
+
+
+def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
+    """One graph node for RMSNorm; forward is :func:`rms_norm_np`."""
+    data, inv = rms_norm_np(x.data, weight.data, eps)
+    out = Tensor._result(data, (x, weight))
+    if out.requires_grad:
+
+        def _backward():
+            grad = out.grad
+            if weight.requires_grad:
+                weight._accumulate(_vector_grad(grad * (x.data * inv), weight.data))
+            if x.requires_grad:
+                grad_n = grad * weight.data
+                dot = (grad_n * x.data).sum(axis=-1, keepdims=True)
+                dot /= x.shape[-1]
+                x._accumulate(grad_n * inv - x.data * (inv * inv * inv * dot))
+
+        out._backward = _backward
+    return out
 
 
 class Linear(Module):
@@ -27,10 +153,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features, dtype=np.float32)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.swapaxes(-1, -2)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -64,7 +187,7 @@ class Embedding(Module):
         lets ``quantize_model`` swap the tied embedding/head pair as one
         unit.
         """
-        return x @ self.weight.swapaxes(-1, -2)
+        return linear(x, self.weight)
 
 
 class RMSNorm(Module):
@@ -76,9 +199,7 @@ class RMSNorm(Module):
         self.weight = Parameter(np.ones(dim, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
-        ms = (x * x).mean(axis=-1, keepdims=True)
-        inv = (ms + self.eps) ** -0.5
-        return x * inv * self.weight
+        return rms_norm(x, self.weight, self.eps)
 
 
 class LayerNorm(Module):
@@ -107,9 +228,18 @@ class Dropout(Module):
         self.p = p
         self._rng = default_rng(rng)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def mask(self, shape: tuple[int, ...]) -> np.ndarray | None:
+        """The multiplier for one forward over ``shape``, ``None`` when inactive.
+
+        Draws from this module's generator, so layer nodes that apply
+        dropout inside their forward consume the same stream as
+        :meth:`forward` on an input of that shape.
+        """
         if not self.training or self.p == 0.0:
-            return x
+            return None
         keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(np.float32) / keep
-        return x * Tensor(mask)
+        return (self._rng.random(shape) < keep).astype(np.float32) / keep
+
+    def forward(self, x: Tensor) -> Tensor:
+        mask = self.mask(x.shape)
+        return x if mask is None else x * Tensor(mask)

@@ -19,9 +19,11 @@ Two tightly coupled pieces live here:
   einsum-style kernel :func:`repro.nn.attention.fused_attention`.
   ``MistralTiny.forward`` runs it whenever gradients are off and the
   forward is incremental (KV cache, positions or mask) or in eval mode;
-  the autograd graph is the training path only.  Float layers —
-  including unmerged LoRA adapters — evaluate in the graph's op order,
-  so the kernel matches the graph to float rounding.
+  the autograd graph is the training path only.  The graph's layer
+  nodes run the same raw forwards (``linear_np``, ``rms_norm_np``,
+  ``fused_attention``, ``swiglu_np``), so for a float model — including
+  unmerged LoRA adapters — the kernel's logits equal the graph's bit
+  for bit.
 
 :func:`quantize_model` is the compile pass that walks a ``Module`` tree
 swapping eligible layers for their int8 twins.  It must run **after**
@@ -45,8 +47,8 @@ from repro.nn.attention import (
     rect_attention_mask,
     sliding_window_mask,
 )
-from repro.nn.layers import Embedding, Linear, RMSNorm
-from repro.nn.mlp import SwiGLU
+from repro.nn.layers import Embedding, Linear, RMSNorm, linear_np, rms_norm_np
+from repro.nn.mlp import SwiGLU, swiglu_np
 from repro.nn.module import Buffer, Module, ModuleList, Parameter
 
 #: Attribute names swapped by default: attention q/k/v/o projections,
@@ -288,50 +290,42 @@ def weight_bytes(model: Module) -> int:
 # Fused raw-numpy inference kernel
 # ----------------------------------------------------------------------
 #
-# One Python frame per layer instead of one autograd Tensor per op.
-# Numerics deliberately mirror the Tensor path op for op (same reduction
-# orders), so a float model evaluated through this kernel matches the
-# autograd forward to ~1 ulp — the only reassociation is the attention
-# scale, which the fused kernel folds into q before QK^T instead of
-# scaling the scores.
+# One Python frame per layer instead of one autograd Tensor per op.  Each
+# layer runs the raw forward its training node runs (linear_np,
+# rms_norm_np, fused_attention, swiglu_np), so a float model evaluated
+# through this kernel equals the autograd forward bit for bit.
 
 
-def linear_np(layer, x: np.ndarray) -> np.ndarray:
+def layer_np(layer, x: np.ndarray) -> np.ndarray:
     """Raw forward for Linear / QuantizedLinear / LoRALinear."""
     if isinstance(layer, QuantizedLinear):
         return layer.matmul_np(x)
     if isinstance(layer, Linear):
         # The graph's own matmul, not one flattened GEMM: each row's
         # result then does not depend on how many rows share the batch.
-        out = x @ layer.weight.data.T
-        if layer.bias is not None:
-            out += layer.bias.data
-        return out
+        return linear_np(x, layer.weight.data, _data(layer.bias))[0]
     base = getattr(layer, "base", None)
     if base is None:
         raise QuantizationError(
             f"fused inference path cannot evaluate layer type {type(layer).__name__}"
         )
-    out = linear_np(base, x)
     if layer.merged:
-        return out
-    # Unmerged LoRA: base + scaling * (x A^T) B^T, in the graph's op order.
-    return out + (x @ layer.lora_a.data.T) @ layer.lora_b.data.T * layer.scaling
+        return layer_np(base, x)
+    lora = (layer.lora_a.data, layer.lora_b.data, layer.scaling, None)
+    return linear_np(x, base.weight.data, _data(base.bias), lora)[0]
+
+
+def _data(param):
+    return None if param is None else param.data
 
 
 def _rmsnorm_np(norm: RMSNorm, x: np.ndarray) -> np.ndarray:
-    ms = (x * x).sum(axis=-1, keepdims=True)
-    ms /= x.shape[-1]  # same bits as np.mean, less call overhead
-    inv = (ms + norm.eps) ** -0.5
-    return x * inv * norm.weight.data
+    return rms_norm_np(x, norm.weight.data, norm.eps)[0]
 
 
 def _swiglu_np(ffn: SwiGLU, x: np.ndarray) -> np.ndarray:
-    gate = linear_np(ffn.w1, x)
-    sig = 1.0 / (1.0 + np.exp(-gate))
-    gate *= sig
-    gate *= linear_np(ffn.w3, x)
-    return linear_np(ffn.w2, gate)
+    gate, _ = swiglu_np(layer_np(ffn.w1, x), layer_np(ffn.w3, x))
+    return layer_np(ffn.w2, gate)
 
 
 def mask_for(attn: MultiHeadAttention, seq, kv_len, start, kv_offset, cache, attn_mask):
@@ -361,21 +355,19 @@ def mask_for(attn: MultiHeadAttention, seq, kv_len, start, kv_offset, cache, att
 def _attention_np(attn: MultiHeadAttention, x: np.ndarray, cache, positions, attn_mask):
     batch, seq, _ = x.shape
     start = cache.next_position if cache is not None else 0
-    q = linear_np(attn.wq, x).reshape(batch, seq, attn.n_heads, attn.head_dim).transpose(0, 2, 1, 3)
-    k = linear_np(attn.wk, x).reshape(batch, seq, attn.n_kv_heads, attn.head_dim).transpose(0, 2, 1, 3)
-    v = linear_np(attn.wv, x).reshape(batch, seq, attn.n_kv_heads, attn.head_dim).transpose(0, 2, 1, 3)
     if positions is None:
         positions = np.arange(start, start + seq)
-    q = attn.rope.apply_np(q, positions)
-    k = attn.rope.apply_np(k, positions)
+    q, k, v = attn.heads_np(
+        layer_np(attn.wq, x), layer_np(attn.wk, x), layer_np(attn.wv, x), positions
+    )
     if cache is not None:
         k, v = cache.append(k, v)
         kv_offset = cache.offset
     else:
         kv_offset = 0
     mask = mask_for(attn, seq, k.shape[2], start, kv_offset, cache, attn_mask)
-    out = fused_attention(q, k, v, attn.n_kv_heads, mask)
-    return linear_np(attn.wo, out)
+    out, _ = fused_attention(q, k, v, attn.n_kv_heads, mask)
+    return layer_np(attn.wo, out)
 
 
 def _block_np(block, x: np.ndarray, cache, positions, attn_mask) -> np.ndarray:
@@ -401,7 +393,7 @@ def infer_logits_np(model, token_ids: np.ndarray, cache=None, positions=None, at
         x = _block_np(block, x, cache[i] if cache is not None else None, positions, attn_mask)
     x = _rmsnorm_np(model.final_norm, x)
     if model.lm_head is not None:
-        return linear_np(model.lm_head, x)
+        return layer_np(model.lm_head, x)
     if isinstance(embed, QuantizedEmbedding):
         return embed.project_np(x)
-    return np.matmul(x, embed.weight.data.swapaxes(-1, -2))
+    return linear_np(x, embed.weight.data)[0]

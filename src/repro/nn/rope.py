@@ -2,6 +2,7 @@
 
 Mistral applies RoPE to queries and keys.  The table of cosines/sines is
 precomputed up to ``max_seq_len`` and treated as a constant in the graph.
+A rotation is orthogonal, so its backward is the inverse rotation.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.tensor import Tensor, concat
+from repro.tensor import Tensor
 
 
 class RotaryEmbedding:
@@ -41,9 +42,7 @@ class RotaryEmbedding:
 
         Returns arrays shaped ``(T, half)`` for ``(T,)`` positions or
         ``(B, 1, T, half)`` for ``(B, T)`` per-row positions, so either
-        broadcasts over a ``(B, H, T, half)`` activation.  Shared by the
-        autograd :meth:`apply` and the fused raw-numpy inference kernel
-        in :mod:`repro.nn.quant`.
+        broadcasts over a ``(B, H, T, half)`` activation.
         """
         positions = np.asarray(positions)
         if positions.ndim > 2:
@@ -65,24 +64,29 @@ class RotaryEmbedding:
         ``positions`` defaults to ``0..T-1``; pass explicit positions when
         decoding incrementally with a KV cache.  A ``(T,)`` array is
         shared across the batch; a ``(B, T)`` array gives every row its
-        own positions (ragged batched decoding).
+        own positions (ragged batched decoding).  One graph node whose
+        forward is :meth:`apply_np`.
         """
-        seq_len = x.shape[-2]
         if positions is None:
-            positions = np.arange(seq_len)
-        cos_table, sin_table = self.cos_sin(positions)
-        half = self.head_dim // 2
-        cos = Tensor(cos_table)  # broadcasts over (B, H, T, half)
-        sin = Tensor(sin_table)
-        x1 = x[..., :half]
-        x2 = x[..., half:]
-        rotated_first = x1 * cos - x2 * sin
-        rotated_second = x1 * sin + x2 * cos
-        return concat([rotated_first, rotated_second], axis=-1)
+            positions = np.arange(x.shape[-2])
+        out = Tensor._result(self.apply_np(x.data, positions), (x,))
+        if out.requires_grad:
 
-    def apply_np(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Raw-numpy :meth:`apply` for the fused inference path (no graph)."""
+            def _backward():
+                x._accumulate(self.apply_np(out.grad, positions, inverse=True))
+
+            out._backward = _backward
+        return out
+
+    def apply_np(self, x: np.ndarray, positions: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """Raw-numpy rotation, shared by the graph and the fused kernel.
+
+        ``inverse`` rotates by the negative angles, which is the
+        transpose of the forward rotation and so its backward.
+        """
         cos, sin = self.cos_sin(positions)
+        if inverse:
+            sin = -sin
         half = self.head_dim // 2
         x1 = x[..., :half]
         x2 = x[..., half:]

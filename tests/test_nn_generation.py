@@ -76,7 +76,34 @@ class TestGenerate:
         assert all(p.grad is None for p in tiny_model.parameters())
 
 
+def _forbid_mode_flips(monkeypatch):
+    from repro.nn import Module
+
+    def flip(self):
+        raise AssertionError("train()/eval() must not be called")
+
+    monkeypatch.setattr(Module, "train", flip)
+    monkeypatch.setattr(Module, "eval", flip)
+
+
 class TestNextTokenLogits:
+    def test_leaves_training_mode_alone(self, tiny_config, monkeypatch):
+        """Scores with the eval-mode forward without flipping any module's mode."""
+        from dataclasses import replace
+
+        from repro.tensor import no_grad
+
+        model = MistralTiny(replace(tiny_config, dropout=0.5), rng=0)  # training mode
+        prompt = np.array([4, 5, 6, 7])
+        _forbid_mode_flips(monkeypatch)
+        logits = next_token_logits(model, prompt)
+        monkeypatch.undo()
+        assert model.training and all(m.training for _, m in model.named_children())
+        model.eval()
+        with no_grad():
+            expected = model(prompt[None, :]).data[0, -1]
+        np.testing.assert_array_equal(logits, expected)
+
     def test_shape(self, tiny_model, tiny_config):
         logits = next_token_logits(tiny_model, np.array([1, 2, 3]))
         assert logits.shape == (tiny_config.vocab_size,)

@@ -146,7 +146,7 @@ class TestQuantizeModel:
         graph = tiny_model(token_batch).data
         with no_grad():
             fused = tiny_model(token_batch).data
-        np.testing.assert_allclose(fused, graph, atol=1e-6)
+        np.testing.assert_array_equal(fused, graph)
 
     def test_weight_memory_reduction(self, tiny_config):
         float_model = MistralTiny(tiny_config, rng=0)

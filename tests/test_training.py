@@ -336,6 +336,40 @@ class TestValidationLossAndBatchScore:
         singles = np.array([clf.score(p, "good", "bad") for p in prompts])
         np.testing.assert_allclose(batched, singles, atol=1e-4)
 
+    def test_score_batch_leaves_training_mode_alone(self, monkeypatch):
+        """Scores equal the eval-mode forward's, and no module's mode flips."""
+        from repro.baselines.lm import LMClassifier
+        from repro.nn import Module, ModelConfig
+        from repro.nn.classifier import pad_sequences
+        from repro.tensor import no_grad
+        from repro.tokenizer.whitespace import WordTokenizer
+
+        prompts = ["income is high", "the applicant has debt and no job", "good or bad"]
+        tokenizer = WordTokenizer.train(prompts)
+        config = ModelConfig(vocab_size=tokenizer.vocab_size, dropout=0.5)
+        model = MistralTiny(config, rng=0)  # training mode, live dropout
+        clf = LMClassifier(model, tokenizer, prefix_cache_size=0)
+
+        def flip(self):
+            raise AssertionError("train()/eval() must not be called")
+
+        monkeypatch.setattr(Module, "train", flip)
+        monkeypatch.setattr(Module, "eval", flip)
+        scores = clf.score_batch(prompts, "good", "bad")
+        monkeypatch.undo()
+        assert model.training and all(m.training for _, m in model.named_children())
+
+        rows = [clf._prompt_ids(p) for p in prompts]
+        model.eval()
+        with no_grad():
+            logits = model(pad_sequences(rows, pad_id=tokenizer.pad_id)).data
+        last = logits[np.arange(len(rows)), [len(r) - 1 for r in rows]]
+        pos, neg = tokenizer.encode("good")[0], tokenizer.encode("bad")[0]
+        pair = np.stack([last[:, pos], last[:, neg]], axis=1).astype(np.float64)
+        pair -= pair.max(axis=1, keepdims=True)
+        expected = np.exp(pair)[:, 0] / np.exp(pair).sum(axis=1)
+        np.testing.assert_array_equal(scores, expected)
+
     def test_score_batch_empty_raises(self, fitted_zigong):
         from repro.errors import EvaluationError
 
