@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import EvaluationError
 from repro.nn.cache import PrefixCache
-from repro.nn.generation import GenerationConfig, generate, generate_batch, next_token_logits
+from repro.nn.generation import GenerationConfig, generate, generate_batch
 from repro.nn.quant import infer_logits_np
 from repro.nn.transformer import MistralTiny
 from repro.tokenizer.base import BaseTokenizer
@@ -104,14 +104,11 @@ class LMClassifier(CreditModel):
         return [self.tokenizer.decode(ids) for ids in outputs]
 
     def score(self, prompt: str, positive_text: str, negative_text: str) -> float:
-        """P(positive) from the two answer-token logits (softmax over both)."""
-        logits = next_token_logits(self.model, self._prompt_ids(prompt))
-        pos_id = self._answer_first_token(positive_text)
-        neg_id = self._answer_first_token(negative_text)
-        pair = np.array([logits[pos_id], logits[neg_id]], dtype=np.float64)
-        pair -= pair.max()
-        exp = np.exp(pair)
-        return float(exp[0] / exp.sum())
+        """P(positive) from the two answer-token logits (softmax over both).
+
+        A one-row :meth:`score_batch`, so the two cannot diverge.
+        """
+        return float(self.score_batch([prompt], positive_text, negative_text)[0])
 
     def score_batch(
         self,
@@ -121,12 +118,12 @@ class LMClassifier(CreditModel):
     ) -> np.ndarray:
         """P(positive) for many prompts in one padded forward pass.
 
-        Equivalent to calling :meth:`score` per prompt (verified in the
-        tests) at a fraction of the cost — right-padding plus indexing
-        each row's last real position works because causal attention
-        ignores everything to the right.  Runs the fused kernel
-        directly, which is the eval-mode forward, so the model's
-        train/eval mode is left alone.
+        Right-padding plus reading out each row's last real position
+        works because causal attention ignores everything to the right;
+        the kernel's ``readout`` runs the last block's query, MLP and
+        head on that position only.  Runs the fused kernel directly,
+        which is the eval-mode forward, so the model's train/eval mode
+        is left alone.
         """
         if not prompts:
             raise EvaluationError("score_batch() received no prompts")
@@ -135,8 +132,7 @@ class LMClassifier(CreditModel):
         rows = [self._prompt_ids(p) for p in prompts]
         lengths = np.array([len(r) for r in rows])
         batch = pad_sequences(rows, pad_id=self.tokenizer.pad_id)
-        logits = infer_logits_np(self.model, batch)
-        last = logits[np.arange(len(rows)), lengths - 1]  # (B, V)
+        last = infer_logits_np(self.model, batch, readout=lengths - 1)[:, 0]  # (B, V)
         pos_id = self._answer_first_token(positive_text)
         neg_id = self._answer_first_token(negative_text)
         pair = np.stack([last[:, pos_id], last[:, neg_id]], axis=1).astype(np.float64)

@@ -222,14 +222,20 @@ class MultiHeadAttention(Module):
         self.rope = RotaryEmbedding(self.head_dim, max_seq_len, theta=rope_theta)
         self.attn_dropout = Dropout(dropout, rng=rng)
 
-    def heads_np(self, q: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.ndarray):
+    def heads_np(
+        self, q: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.ndarray, q_positions=None
+    ):
         """Raw projections ``(B, T, ·)`` to heads, with RoPE on q and k.
 
         Returns ``(B, H, T, hd)`` queries and ``(B, KV, T, hd)`` keys and
         values.  Shared by the training node and the fused kernel.
+        ``q_positions`` rotates queries that cover other positions than
+        the keys (the kernel's readout); it defaults to ``positions``.
         """
         return (
-            self.rope.apply_np(split_heads(q, self.n_heads), positions),
+            self.rope.apply_np(
+                split_heads(q, self.n_heads), positions if q_positions is None else q_positions
+            ),
             self.rope.apply_np(split_heads(k, self.n_kv_heads), positions),
             split_heads(v, self.n_kv_heads),
         )

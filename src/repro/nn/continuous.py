@@ -185,7 +185,8 @@ def _prefill_batch(
 
     Rows without a cached prefix share one left-aligned padded prefill
     forward; rows with a prefix hit fork the stored snapshot and prefill
-    only their unseen suffix.  Prefill runs through *untrimmed* caches:
+    only their unseen suffix.  Both forwards read out each row's last
+    prompt position only.  Prefill runs through *untrimmed* caches:
     the masks enforce the sliding window exactly, whereas trimming keys
     mid-prompt would drop history early queries still depend on.
     """
@@ -207,11 +208,12 @@ def _prefill_batch(
         for r, i in enumerate(miss_idx):
             padded[r, : lengths[i]] = rows[i]
         miss_cache = KVCache(n_layers, window=None)
-        logits = model.forward(padded, cache=miss_cache).data
+        readout = np.asarray([lengths[i] - 1 for i in miss_idx])
+        logits = model.forward(padded, cache=miss_cache, readout=readout).data
         metrics["prefill_tokens"].inc(sum(lengths[i] for i in miss_idx))
         miss_layers = [miss_cache[layer].views() for layer in range(n_layers)]
         for r, i in enumerate(miss_idx):
-            last_logits[i] = logits[r, lengths[i] - 1]
+            last_logits[i] = logits[r, -1]
             row_kv[i] = [(k[r : r + 1], v[r : r + 1]) for k, v in miss_layers]
             row_kv_len[i] = pad_to
             if prefix_cache is not None:
@@ -229,7 +231,8 @@ def _prefill_batch(
             last_logits[i] = np.asarray(entry.logits)
         else:
             suffix = rows[i][entry.length :]
-            last_logits[i] = model.forward(suffix[None, :], cache=fork).data[0, -1]
+            logits = model.forward(suffix[None, :], cache=fork, readout=[len(suffix) - 1])
+            last_logits[i] = logits.data[0, -1]
             metrics["prefill_tokens"].inc(len(suffix))
             if prefix_cache is not None:
                 prefix_cache.insert(rows[i], fork.snapshot(), last_logits[i])

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import QuantizationError
+from repro.errors import ConfigError, QuantizationError, ShapeError
 from repro.tensor import Tensor, is_grad_enabled
 from repro.nn.attention import (
     MultiHeadAttention,
@@ -352,13 +352,21 @@ def mask_for(attn: MultiHeadAttention, seq, kv_len, start, kv_offset, cache, att
     return sliding_window_mask(seq, attn.sliding_window)
 
 
-def _attention_np(attn: MultiHeadAttention, x: np.ndarray, cache, positions, attn_mask):
+def _attention_np(
+    attn: MultiHeadAttention, x: np.ndarray, cache, positions, attn_mask, readout=None
+):
     batch, seq, _ = x.shape
     start = cache.next_position if cache is not None else 0
     if positions is None:
         positions = np.arange(start, start + seq)
+    # K/V cover every position (the cache needs them all); with a readout
+    # only the read rows get a query, at their own RoPE positions.
+    xq, q_positions = x, positions
+    if readout is not None:
+        xq = _rows(x, readout)
+        q_positions = _rows(np.broadcast_to(positions, (batch, seq)), readout)
     q, k, v = attn.heads_np(
-        layer_np(attn.wq, x), layer_np(attn.wk, x), layer_np(attn.wv, x), positions
+        layer_np(attn.wq, xq), layer_np(attn.wk, x), layer_np(attn.wv, x), positions, q_positions
     )
     if cache is not None:
         k, v = cache.append(k, v)
@@ -366,16 +374,28 @@ def _attention_np(attn: MultiHeadAttention, x: np.ndarray, cache, positions, att
     else:
         kv_offset = 0
     mask = mask_for(attn, seq, k.shape[2], start, kv_offset, cache, attn_mask)
+    if readout is not None:
+        mask = mask[readout][:, None, None, :]  # (T, S) rows -> (B, 1, 1, S)
     out, _ = fused_attention(q, k, v, attn.n_kv_heads, mask)
     return layer_np(attn.wo, out)
 
 
-def _block_np(block, x: np.ndarray, cache, positions, attn_mask) -> np.ndarray:
-    x = x + _attention_np(block.attn, _rmsnorm_np(block.attn_norm, x), cache, positions, attn_mask)
+def _rows(a: np.ndarray, readout: np.ndarray) -> np.ndarray:
+    """Position ``readout[b]`` of each row ``b`` of ``(B, T, ...)``, as ``(B, 1, ...)``."""
+    return a[np.arange(a.shape[0]), readout][:, None]
+
+
+def _block_np(block, x: np.ndarray, cache, positions, attn_mask, readout=None) -> np.ndarray:
+    h = _attention_np(
+        block.attn, _rmsnorm_np(block.attn_norm, x), cache, positions, attn_mask, readout
+    )
+    x = x + h if readout is None else _rows(x, readout) + h
     return x + _swiglu_np(block.ffn, _rmsnorm_np(block.ffn_norm, x))
 
 
-def infer_logits_np(model, token_ids: np.ndarray, cache=None, positions=None, attn_mask=None):
+def infer_logits_np(
+    model, token_ids: np.ndarray, cache=None, positions=None, attn_mask=None, readout=None
+):
     """Fused no-graph forward of a float or int8 :class:`MistralTiny`.
 
     :meth:`MistralTiny.forward` dispatches here for every no-grad
@@ -383,14 +403,37 @@ def infer_logits_np(model, token_ids: np.ndarray, cache=None, positions=None, at
     :class:`ContinuousScheduler` and padded scoring all share this path.
     ``attn_mask`` is a raw additive numpy mask.  Returns raw
     ``(B, T, vocab)`` logits.
+
+    ``readout`` is a ``(B,)`` index array naming the one position per
+    row whose logits the caller reads.  Every block still computes K/V
+    for (and appends to ``cache``) every position, so the cache is the
+    same as a full forward's; the last block's query, attention output,
+    MLP, final norm and head then run on the read rows only, and the
+    result is ``(B, 1, vocab)``.  Those logits agree with the full
+    forward's rows to about 1e-8 (BLAS rounding depends on the row
+    count).  A one-position forward (``T == 1``) ignores the readout,
+    and a readout with an explicit ``attn_mask`` raises
+    :class:`~repro.errors.ConfigError`.
     """
+    if readout is not None:
+        if attn_mask is not None:
+            raise ConfigError("readout with an explicit attn_mask is not supported")
+        readout = np.asarray(readout, dtype=np.int64).reshape(-1)
+        if readout.shape[0] != token_ids.shape[0]:
+            raise ShapeError(
+                f"readout needs one index per row ({token_ids.shape[0]}), got {readout.shape[0]}"
+            )
+        if token_ids.shape[1] == 1:
+            readout = None
     embed = model.tok_embed
     if isinstance(embed, QuantizedEmbedding):
         x = embed.lookup_np(token_ids)
     else:
         x = embed.weight.data[token_ids]
+    last = len(model.blocks) - 1
     for i, block in enumerate(model.blocks):
-        x = _block_np(block, x, cache[i] if cache is not None else None, positions, attn_mask)
+        layer_cache = cache[i] if cache is not None else None
+        x = _block_np(block, x, layer_cache, positions, attn_mask, readout if i == last else None)
     x = _rmsnorm_np(model.final_norm, x)
     if model.lm_head is not None:
         return layer_np(model.lm_head, x)

@@ -118,16 +118,19 @@ class MistralTiny(Module):
         # does not read it; remove it together with that reader.
         self._inference_kernel = None
 
-    def forward(self, token_ids: np.ndarray, cache=None, positions=None, attn_mask=None) -> Tensor:
+    def forward(
+        self, token_ids: np.ndarray, cache=None, positions=None, attn_mask=None, readout=None
+    ) -> Tensor:
         """Logits for ``token_ids``.
 
         Two paths, one rule.  With gradients off, a forward that is
-        incremental (``cache``, ``positions`` or ``attn_mask`` given) or
-        runs in eval mode goes through the fused raw-numpy kernel
-        (:func:`~repro.nn.quant.infer_logits_np`) — float and int8 models
-        alike.  Everything else runs the autograd graph, which is the
-        training path.  Incremental forwards are inference-only: with
-        gradients on they raise :class:`~repro.errors.ConfigError`.
+        incremental (``cache``, ``positions``, ``attn_mask`` or
+        ``readout`` given) or runs in eval mode goes through the fused
+        raw-numpy kernel (:func:`~repro.nn.quant.infer_logits_np`) — float
+        and int8 models alike.  Everything else runs the autograd graph,
+        which is the training path.  Incremental forwards are
+        inference-only: with gradients on they raise
+        :class:`~repro.errors.ConfigError`.
 
         With ``cache`` (a :class:`~repro.nn.cache.KVCache`), ``token_ids``
         holds only the *new* tokens: the cached prefix supplies attention
@@ -135,7 +138,10 @@ class MistralTiny(Module):
         ``positions`` overrides the RoPE positions (``(T,)`` shared or
         ``(B, T)`` per-row) and ``attn_mask`` replaces the internal
         causal/sliding mask — both are used by the ragged decode loop in
-        :mod:`repro.nn.continuous`.
+        :mod:`repro.nn.continuous`.  ``readout`` (``(B,)`` indices) names
+        the one position per row whose logits the caller reads; the
+        result is then ``(B, 1, vocab)`` (see
+        :func:`~repro.nn.quant.infer_logits_np`).
         """
         token_ids = np.asarray(token_ids)
         if token_ids.ndim == 1:
@@ -157,15 +163,15 @@ class MistralTiny(Module):
                     f"sequence length {start + token_ids.shape[1]} exceeds max_seq_len "
                     f"{self.config.max_seq_len}"
                 )
-        incremental = cache is not None or positions is not None or attn_mask is not None
+        incremental = any(a is not None for a in (cache, positions, attn_mask, readout))
         if is_grad_enabled():
             if incremental:
                 raise ConfigError(
-                    "forward() with cache/positions/attn_mask is inference-only: "
+                    "forward() with cache/positions/attn_mask/readout is inference-only: "
                     "run it under no_grad()"
                 )
         elif incremental or not self.training:
-            return Tensor(infer_logits_np(self, token_ids, cache, positions, attn_mask))
+            return Tensor(infer_logits_np(self, token_ids, cache, positions, attn_mask, readout))
         x = self.hidden_states(token_ids)
         if self.lm_head is not None:
             return self.lm_head(x)

@@ -194,7 +194,7 @@ class BehaviorCardService:
 
     def _classifier_scores(self, prompts: list[str]) -> list[float]:
         """Model scores for prompts — one padded forward pass when possible."""
-        if len(prompts) > 1 and hasattr(self.classifier, "score_batch"):
+        if hasattr(self.classifier, "score_batch"):
             return [float(s) for s in self.classifier.score_batch(prompts, "yes", "no")]
         return [float(self.classifier.score(p, "yes", "no")) for p in prompts]
 

@@ -1091,10 +1091,7 @@ def zigong_replica_factory(
                 CLASSIFICATION_TEMPLATE.format(sentence=r.behavior_text, question=asked)
                 for r in requests
             ]
-            if len(prompts) > 1:
-                scores = [float(s) for s in classifier.score_batch(prompts, "yes", "no")]
-            else:
-                scores = [float(classifier.score(prompts[0], "yes", "no"))]
+            scores = [float(s) for s in classifier.score_batch(prompts, "yes", "no")]
             return [
                 ScoreResult(
                     user_id=r.user_id,

@@ -211,6 +211,18 @@ class TestPrefixCache:
         assert cache.stats.hits == 1
         assert [list(with_cache)] == uncached_reference(tiny_model, [extended], config)
 
+    def test_one_token_suffix_prefix_hit_parity(self, tiny_model, tiny_config):
+        # The hit leaves a one-token suffix: its prefill is a T == 1
+        # forward through the decode fast path, where the readout is moot.
+        base = _prompts(tiny_config.vocab_size, (10,), seed=7)[0]
+        extended = np.concatenate([base, base[:1]])
+        config = GenerationConfig(max_new_tokens=5)
+        cache = PrefixCache(capacity=4, min_match=4)
+        generate(tiny_model, base, config, prefix_cache=cache)
+        with_cache = generate(tiny_model, extended, config, prefix_cache=cache)
+        assert cache.stats.hits == 1
+        assert [list(with_cache)] == uncached_reference(tiny_model, [extended], config)
+
     def test_full_cache_admits_only_resighted_keys(self, tiny_model, tiny_config):
         config = GenerationConfig(max_new_tokens=2)
         cache = PrefixCache(capacity=2)

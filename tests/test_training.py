@@ -337,7 +337,7 @@ class TestValidationLossAndBatchScore:
         np.testing.assert_allclose(batched, singles, atol=1e-4)
 
     def test_score_batch_leaves_training_mode_alone(self, monkeypatch):
-        """Scores equal the eval-mode forward's, and no module's mode flips."""
+        """Scores equal the eval-mode readout forward's, and no module's mode flips."""
         from repro.baselines.lm import LMClassifier
         from repro.nn import Module, ModelConfig
         from repro.nn.classifier import pad_sequences
@@ -360,10 +360,11 @@ class TestValidationLossAndBatchScore:
         assert model.training and all(m.training for _, m in model.named_children())
 
         rows = [clf._prompt_ids(p) for p in prompts]
+        lengths = np.array([len(r) for r in rows])
         model.eval()
         with no_grad():
-            logits = model(pad_sequences(rows, pad_id=tokenizer.pad_id)).data
-        last = logits[np.arange(len(rows)), [len(r) - 1 for r in rows]]
+            logits = model(pad_sequences(rows, pad_id=tokenizer.pad_id), readout=lengths - 1).data
+        last = logits[:, 0]
         pos, neg = tokenizer.encode("good")[0], tokenizer.encode("bad")[0]
         pair = np.stack([last[:, pos], last[:, neg]], axis=1).astype(np.float64)
         pair -= pair.max(axis=1, keepdims=True)
