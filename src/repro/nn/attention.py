@@ -17,7 +17,7 @@ from repro.tensor import Tensor
 from repro.tensor.random import default_rng
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
-from repro.nn.rope import RotaryEmbedding
+from repro.nn.rope import RotaryEmbedding, rotate
 
 _NEG_INF = np.float32(-1e9)
 
@@ -151,12 +151,13 @@ def attention(attn: "MultiHeadAttention", q: Tensor, k: Tensor, v: Tensor) -> Te
     window mask and :func:`fused_attention`, with ``attn``'s live
     dropout drawn as one ``(B, H, T, T)`` mask.  The backward keeps the
     grouped-query layout, so dK and dV come out of one batched matmul
-    each against the un-repeated heads.  Returns ``(B, T, H·hd)``.
+    each against the un-repeated heads, and rotates dQ and dK back with
+    the forward's RoPE tables.  Returns ``(B, T, H·hd)``.
     """
     batch, seq, _ = q.shape
     n_kv = attn.n_kv_heads
-    positions = np.arange(seq)
-    qh, kh, vh = attn.heads_np(q.data, k.data, v.data, positions)
+    tables = attn.rope.tables(np.arange(seq))
+    qh, kh, vh = attn.heads_np(q.data, k.data, v.data, tables)
     keep = attn.attn_dropout.mask((batch, attn.n_heads, seq, seq))
     if keep is not None:  # (B, H, T, S) and (B, KV, G·T, S) share one memory order
         keep = keep.reshape(batch, n_kv, -1, seq)
@@ -181,10 +182,10 @@ def attention(attn: "MultiHeadAttention", q: Tensor, k: Tensor, v: Tensor) -> Te
             if q.requires_grad:
                 dq = np.matmul(d_scores, kh).reshape(qh.shape)
                 dq *= np.float32(1.0 / np.sqrt(attn.head_dim))
-                q._accumulate(merge_heads(attn.rope.apply_np(dq, positions, inverse=True)))
+                q._accumulate(merge_heads(rotate(dq, tables, inverse=True)))
             if k.requires_grad:
                 dk = np.matmul(d_scores.swapaxes(-1, -2), _grouped_query(qh, n_kv))
-                k._accumulate(merge_heads(attn.rope.apply_np(dk, positions, inverse=True)))
+                k._accumulate(merge_heads(rotate(dk, tables, inverse=True)))
 
         out._backward = _backward
     return out
@@ -222,21 +223,20 @@ class MultiHeadAttention(Module):
         self.rope = RotaryEmbedding(self.head_dim, max_seq_len, theta=rope_theta)
         self.attn_dropout = Dropout(dropout, rng=rng)
 
-    def heads_np(
-        self, q: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.ndarray, q_positions=None
-    ):
+    def heads_np(self, q: np.ndarray, k: np.ndarray, v: np.ndarray, tables, q_tables=None):
         """Raw projections ``(B, T, ·)`` to heads, with RoPE on q and k.
 
-        Returns ``(B, H, T, hd)`` queries and ``(B, KV, T, hd)`` keys and
-        values.  Shared by the training node and the fused kernel.
-        ``q_positions`` rotates queries that cover other positions than
-        the keys (the kernel's readout); it defaults to ``positions``.
+        ``tables`` are the RoPE tables gathered at the keys' positions
+        (:meth:`RotaryEmbedding.tables`); one gather serves every layer
+        of a forward.  Returns ``(B, H, T, hd)`` queries and
+        ``(B, KV, T, hd)`` keys and values.  Shared by the training node
+        and the fused kernel.  ``q_tables`` rotates queries that cover
+        other positions than the keys (the kernel's readout); it
+        defaults to ``tables``.
         """
         return (
-            self.rope.apply_np(
-                split_heads(q, self.n_heads), positions if q_positions is None else q_positions
-            ),
-            self.rope.apply_np(split_heads(k, self.n_kv_heads), positions),
+            rotate(split_heads(q, self.n_heads), tables if q_tables is None else q_tables),
+            rotate(split_heads(k, self.n_kv_heads), tables),
             split_heads(v, self.n_kv_heads),
         )
 

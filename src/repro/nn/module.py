@@ -133,10 +133,11 @@ class Module:
         """Copy of every parameter's and buffer's data, keyed by dotted path.
 
         Parameters are float32 by construction; buffers keep their own
-        dtype (e.g. int8 quantized weights).
+        dtype and memory layout (e.g. int8 quantized weights, stored in
+        Fortran order), so a state dict loads back without a transpose.
         """
         state = {name: p.data.copy() for name, p in self.named_parameters()}
-        state.update({name: b.data.copy() for name, b in self.named_buffers()})
+        state.update({name: b.data.copy(order="K") for name, b in self.named_buffers()})
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
@@ -144,8 +145,10 @@ class Module:
 
         With ``strict=True`` (default) the key sets must match exactly and
         every shape must agree.  Parameter values are cast to float32;
-        buffer values are cast to the buffer's existing dtype (so int8
-        quantized weights stay int8 through a round-trip).
+        buffer values are cast to the buffer's existing dtype and copied
+        into its existing memory layout (so int8 quantized weights stay
+        int8, and in the Fortran order their matmul reads, through a
+        round-trip).
         """
         own_params = dict(self.named_parameters())
         own_buffers = dict(self.named_buffers())
@@ -174,7 +177,9 @@ class Module:
                 raise CheckpointError(
                     f"shape mismatch for {name}: checkpoint {value.shape} vs model {buffer.data.shape}"
                 )
-            buffer.data = value.copy()
+            loaded = np.empty_like(buffer.data)  # keeps the buffer's layout
+            loaded[...] = value
+            buffer.data = loaded
         self.bump_weight_version()
 
     # -- call ----------------------------------------------------------

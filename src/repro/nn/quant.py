@@ -5,12 +5,13 @@ Two tightly coupled pieces live here:
 * :class:`QuantizedLinear` / :class:`QuantizedEmbedding` — weight-only
   int8 storage with **symmetric per-output-channel float32 scales**
   (``scale[o] = max|W[o, :]| / 127``), cutting weight memory ~4x.  The
-  forward computes ``x @ W_q^T * scale``: numpy promotes the int8
-  operand to float32 inside the matmul, so the dequantization is folded
-  into the accumulator and **no float copy of the weight is ever
-  materialized on the hot path**.  Quantization is inference-only —
-  driving a quantized layer from a gradient-recording graph raises
-  :class:`~repro.errors.QuantizationError`.
+  forward computes ``x @ W_q^T * scale``.  The ``(out, in)`` int8 weight
+  is stored in Fortran order, so ``W_q^T`` — the ``(in, out)`` operand
+  the matmul reads — is C-contiguous: numpy casts it to float32 once per
+  call (a contiguous copy, not a strided gather) and runs sgemm on the
+  cast; the scale is applied to the output.  Quantization is
+  inference-only — driving a quantized layer from a gradient-recording
+  graph raises :class:`~repro.errors.QuantizationError`.
 
 * :func:`infer_logits_np` — the **fused raw-numpy kernel** that is the
   inference forward of every :class:`~repro.nn.MistralTiny`, float and
@@ -88,17 +89,19 @@ def _guard_inference_only(x, what: str) -> None:
 class QuantizedLinear(Module):
     """Weight-only int8 linear layer: ``y = (x @ W_q^T) * scale + b``.
 
-    ``weight_q`` (int8) and ``scale`` (float32) are :class:`Buffer`\\ s,
-    so ``state_dict`` round-trips preserve their dtypes.  The bias, when
-    present, stays float32 (its memory is negligible and biases are
-    precision-sensitive).
+    ``weight_q`` (int8, ``(out, in)``) and ``scale`` (float32) are
+    :class:`Buffer`\\ s, so ``state_dict`` round-trips preserve their
+    dtypes.  ``weight_q`` is held in Fortran order so that ``W_q^T`` is
+    C-contiguous (see :meth:`matmul_np`); ``load_state_dict`` keeps that
+    layout.  The bias, when present, stays float32 (its memory is
+    negligible and biases are precision-sensitive).
     """
 
     def __init__(self, in_features: int, out_features: int, bias: bool = False):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.weight_q = Buffer(np.zeros((out_features, in_features), dtype=np.int8))
+        self.weight_q = Buffer(np.zeros((out_features, in_features), dtype=np.int8, order="F"))
         self.scale = Buffer(np.ones(out_features, dtype=np.float32))
         if bias:
             self.bias = Parameter(np.zeros(out_features, dtype=np.float32), requires_grad=False)
@@ -109,16 +112,17 @@ class QuantizedLinear(Module):
     def from_linear(cls, linear: Linear) -> "QuantizedLinear":
         q = cls(linear.in_features, linear.out_features, bias=linear.bias is not None)
         w_q, scale = quantize_weight(linear.weight.data)
-        q.weight_q.data = w_q
+        q.weight_q.data = np.asfortranarray(w_q)
         q.scale.data = scale
         if linear.bias is not None:
             q.bias.data = linear.bias.data.copy()
         return q
 
     def matmul_np(self, x: np.ndarray) -> np.ndarray:
-        # float32 @ int8 promotes inside the gufunc: the accumulator is
-        # float32 and no dequantized weight copy is ever materialized.
-        # Leading dims are flattened first — a single 2-D GEMM is
+        # float32 @ int8 casts the int8 operand to one float32 temporary
+        # per call and runs sgemm on it; weight_q.T is C-contiguous (the
+        # weight is stored in Fortran order), so the cast is a contiguous
+        # copy.  Leading dims are flattened first — a single 2-D GEMM is
         # substantially faster than a batched 3-D matmul at decode shapes.
         lead = x.shape[:-1]
         out = np.matmul(x.reshape(-1, x.shape[-1]), self.weight_q.data.T)
@@ -138,22 +142,24 @@ class QuantizedEmbedding(Module):
     Implements both directions of a tied embedding/head pair: row
     lookups (:meth:`forward`) dequantize only the gathered rows, and
     :meth:`project` maps hidden states onto the vocabulary with the same
-    folded-dequant matmul as :class:`QuantizedLinear` — which is why
-    ``quantize_model`` can swap a tied ``tok_embed`` as one unit.
+    matmul as :class:`QuantizedLinear` — which is why ``quantize_model``
+    can swap a tied ``tok_embed`` as one unit.  ``weight_q`` is stored in
+    Fortran order for the same reason as there: the projection reads
+    ``W_q^T`` as a C-contiguous ``(dim, vocab)`` operand.
     """
 
     def __init__(self, num_embeddings: int, dim: int):
         super().__init__()
         self.num_embeddings = num_embeddings
         self.dim = dim
-        self.weight_q = Buffer(np.zeros((num_embeddings, dim), dtype=np.int8))
+        self.weight_q = Buffer(np.zeros((num_embeddings, dim), dtype=np.int8, order="F"))
         self.scale = Buffer(np.ones(num_embeddings, dtype=np.float32))
 
     @classmethod
     def from_embedding(cls, emb: Embedding) -> "QuantizedEmbedding":
         q = cls(emb.num_embeddings, emb.dim)
         w_q, scale = quantize_weight(emb.weight.data)
-        q.weight_q.data = w_q
+        q.weight_q.data = np.asfortranarray(w_q)
         q.scale.data = scale
         return q
 
@@ -353,20 +359,18 @@ def mask_for(attn: MultiHeadAttention, seq, kv_len, start, kv_offset, cache, att
 
 
 def _attention_np(
-    attn: MultiHeadAttention, x: np.ndarray, cache, positions, attn_mask, readout=None
+    attn: MultiHeadAttention, x: np.ndarray, cache, tables, attn_mask, readout=None
 ):
-    batch, seq, _ = x.shape
+    seq = x.shape[1]
     start = cache.next_position if cache is not None else 0
-    if positions is None:
-        positions = np.arange(start, start + seq)
     # K/V cover every position (the cache needs them all); with a readout
     # only the read rows get a query, at their own RoPE positions.
-    xq, q_positions = x, positions
+    xq, q_tables = x, None
     if readout is not None:
         xq = _rows(x, readout)
-        q_positions = _rows(np.broadcast_to(positions, (batch, seq)), readout)
+        q_tables = tuple(_table_rows(t, readout) for t in tables)
     q, k, v = attn.heads_np(
-        layer_np(attn.wq, xq), layer_np(attn.wk, x), layer_np(attn.wv, x), positions, q_positions
+        layer_np(attn.wq, xq), layer_np(attn.wk, x), layer_np(attn.wv, x), tables, q_tables
     )
     if cache is not None:
         k, v = cache.append(k, v)
@@ -385,9 +389,19 @@ def _rows(a: np.ndarray, readout: np.ndarray) -> np.ndarray:
     return a[np.arange(a.shape[0]), readout][:, None]
 
 
-def _block_np(block, x: np.ndarray, cache, positions, attn_mask, readout=None) -> np.ndarray:
+def _table_rows(table: np.ndarray, readout: np.ndarray) -> np.ndarray:
+    """Row ``b``'s RoPE table entry at ``readout[b]``, as ``(B, 1, 1, hd)``.
+
+    ``table`` is ``(T, hd)`` or ``(B, 1, T, hd)`` (:meth:`RotaryEmbedding.tables`).
+    """
+    batch = readout.shape[0]
+    table = np.broadcast_to(table, (batch, 1, *table.shape[-2:]))
+    return table[np.arange(batch), :, readout][:, :, None]
+
+
+def _block_np(block, x: np.ndarray, cache, tables, attn_mask, readout=None) -> np.ndarray:
     h = _attention_np(
-        block.attn, _rmsnorm_np(block.attn_norm, x), cache, positions, attn_mask, readout
+        block.attn, _rmsnorm_np(block.attn_norm, x), cache, tables, attn_mask, readout
     )
     x = x + h if readout is None else _rows(x, readout) + h
     return x + _swiglu_np(block.ffn, _rmsnorm_np(block.ffn_norm, x))
@@ -425,6 +439,11 @@ def infer_logits_np(
             )
         if token_ids.shape[1] == 1:
             readout = None
+    if positions is None:
+        start = cache.next_position if cache is not None else 0
+        positions = np.arange(start, start + token_ids.shape[1])
+    # Every block's RoPE is the same table: gather (and bounds-check) once.
+    tables = model.blocks[0].attn.rope.tables(positions)
     embed = model.tok_embed
     if isinstance(embed, QuantizedEmbedding):
         x = embed.lookup_np(token_ids)
@@ -433,7 +452,7 @@ def infer_logits_np(
     last = len(model.blocks) - 1
     for i, block in enumerate(model.blocks):
         layer_cache = cache[i] if cache is not None else None
-        x = _block_np(block, x, layer_cache, positions, attn_mask, readout if i == last else None)
+        x = _block_np(block, x, layer_cache, tables, attn_mask, readout if i == last else None)
     x = _rmsnorm_np(model.final_norm, x)
     if model.lm_head is not None:
         return layer_np(model.lm_head, x)

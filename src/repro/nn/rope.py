@@ -3,6 +3,14 @@
 Mistral applies RoPE to queries and keys.  The table of cosines/sines is
 precomputed up to ``max_seq_len`` and treated as a constant in the graph.
 A rotation is orthogonal, so its backward is the inverse rotation.
+
+The tables are stored full width in rotate-half form, ``C = [cos, cos]``
+and ``S = [-sin, sin]``, so a rotation is ``x * C + swap_halves(x) * S``
+(:func:`rotate`).  That equals the split-half formula
+``[x1 cos - x2 sin, x1 sin + x2 cos]`` bit for bit: ``a + (-b)`` is
+``a - b`` exactly and float addition commutes.  A forward gathers the
+tables once (:meth:`RotaryEmbedding.tables`) and rotates q and k of every
+layer with them.
 """
 
 from __future__ import annotations
@@ -11,6 +19,28 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.tensor import Tensor
+
+
+def rotate(
+    x: np.ndarray, tables: tuple[np.ndarray, np.ndarray], inverse: bool = False
+) -> np.ndarray:
+    """Rotate ``x`` of shape ``(..., head_dim)`` by gathered ``tables``.
+
+    ``tables`` is a ``(C, S)`` pair from :meth:`RotaryEmbedding.tables`
+    (or rows of one).  ``inverse`` rotates by the negative angles, which
+    is the transpose of the forward rotation and so its backward.  The
+    one rotation of the kernel, the graph and the backward.
+    """
+    cos, sin = tables
+    half = x.shape[-1] // 2
+    swapped = np.concatenate([x[..., half:], x[..., :half]], axis=-1)
+    swapped *= sin
+    out = x * cos
+    if inverse:
+        out -= swapped
+    else:
+        out += swapped
+    return out
 
 
 class RotaryEmbedding:
@@ -34,15 +64,18 @@ class RotaryEmbedding:
         half = head_dim // 2
         freqs = 1.0 / (theta ** (np.arange(half, dtype=np.float64) / half))
         angles = np.outer(np.arange(max_seq_len, dtype=np.float64), freqs)
-        self._cos = np.cos(angles).astype(np.float32)  # (max_seq_len, half)
-        self._sin = np.sin(angles).astype(np.float32)
+        cos = np.cos(angles).astype(np.float32)  # (max_seq_len, half)
+        sin = np.sin(angles).astype(np.float32)
+        self._cos = np.concatenate([cos, cos], axis=-1)  # (max_seq_len, head_dim)
+        self._sin = np.concatenate([-sin, sin], axis=-1)
 
-    def cos_sin(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cos/sin tables gathered at ``positions``, broadcast-ready.
+    def tables(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Full-width ``(C, S)`` tables gathered at ``positions``, broadcast-ready.
 
-        Returns arrays shaped ``(T, half)`` for ``(T,)`` positions or
-        ``(B, 1, T, half)`` for ``(B, T)`` per-row positions, so either
-        broadcasts over a ``(B, H, T, half)`` activation.
+        Returns arrays shaped ``(T, head_dim)`` for ``(T,)`` positions or
+        ``(B, 1, T, head_dim)`` for ``(B, T)`` per-row positions, so either
+        broadcasts over a ``(B, H, T, head_dim)`` activation.  Raises
+        :class:`~repro.errors.ShapeError` for a position beyond the table.
         """
         positions = np.asarray(positions)
         if positions.ndim > 2:
@@ -51,7 +84,7 @@ class RotaryEmbedding:
             raise ShapeError(
                 f"position {positions.max()} exceeds RoPE table length {self.max_seq_len}"
             )
-        cos_table = self._cos[positions]  # (T, half) or (B, T, half)
+        cos_table = self._cos[positions]  # (T, hd) or (B, T, hd)
         sin_table = self._sin[positions]
         if positions.ndim == 2:  # broadcast per-row tables over the head axis
             cos_table = cos_table[:, None, :, :]
@@ -65,29 +98,22 @@ class RotaryEmbedding:
         decoding incrementally with a KV cache.  A ``(T,)`` array is
         shared across the batch; a ``(B, T)`` array gives every row its
         own positions (ragged batched decoding).  One graph node whose
-        forward is :meth:`apply_np`.
+        forward and backward are :func:`rotate` over one gather.
         """
         if positions is None:
             positions = np.arange(x.shape[-2])
-        out = Tensor._result(self.apply_np(x.data, positions), (x,))
+        tables = self.tables(positions)
+        out = Tensor._result(rotate(x.data, tables), (x,))
         if out.requires_grad:
 
             def _backward():
-                x._accumulate(self.apply_np(out.grad, positions, inverse=True))
+                x._accumulate(rotate(out.grad, tables, inverse=True))
 
             out._backward = _backward
         return out
 
     def apply_np(self, x: np.ndarray, positions: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """Raw-numpy rotation, shared by the graph and the fused kernel.
-
-        ``inverse`` rotates by the negative angles, which is the
-        transpose of the forward rotation and so its backward.
+        """Raw-numpy rotation of ``x`` at ``positions``: :func:`rotate` over
+        :meth:`tables`.
         """
-        cos, sin = self.cos_sin(positions)
-        if inverse:
-            sin = -sin
-        half = self.head_dim // 2
-        x1 = x[..., :half]
-        x2 = x[..., half:]
-        return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+        return rotate(x, self.tables(positions), inverse)

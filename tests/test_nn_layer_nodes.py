@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import bench_config
+from repro.errors import ShapeError
 from repro.lora import apply_lora
 from repro.nn import MistralTiny, MultiHeadAttention, RotaryEmbedding, sliding_window_mask
 from repro.nn.attention import attention
@@ -61,10 +62,18 @@ def ref_rms_norm(x, weight, eps):
     return x * inv * weight
 
 
-def ref_rope(rope, x):
-    cos_table, sin_table = rope.cos_sin(np.arange(x.shape[-2]))
+def ref_rope(rope, x, positions=None, inverse=False):
+    """The split-half rotation ``[x1 cos - x2 sin, x1 sin + x2 cos]``.
+
+    ``cos`` and ``sin`` are the halves of the table that hold them
+    (``[cos, cos]`` and ``[-sin, sin]``); ``inverse`` negates ``sin``.
+    """
+    if positions is None:
+        positions = np.arange(x.shape[-2])
+    cos_table, sin_table = rope.tables(positions)
     half = rope.head_dim // 2
-    cos, sin = Tensor(cos_table), Tensor(sin_table)
+    sin_table = sin_table[..., half:]
+    cos, sin = Tensor(cos_table[..., :half]), Tensor(-sin_table if inverse else sin_table)
     x1, x2 = x[..., :half], x[..., half:]
     return concat([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
@@ -373,6 +382,41 @@ class TestRopeNode:
             [normal(rng, 2, heads, seq, head_dim, scale=1.0)],
             rng,
         )
+
+    @CASES
+    @given(
+        batch=st.integers(1, 3),
+        heads=st.integers(1, 3),
+        seq=st.integers(1, 6),
+        head_dim=st.sampled_from([2, 4, 8, 16]),
+        per_row=st.booleans(),
+        inverse=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_identical_to_split_half_formula(
+        self, batch, heads, seq, head_dim, per_row, inverse, seed
+    ):
+        """The rotate-half tables change no bit of the rotation."""
+        rng = np.random.default_rng(seed)
+        rope = RotaryEmbedding(head_dim, max_seq_len=24)
+        # A head view of a projection, as split_heads hands it to RoPE.
+        x = normal(rng, batch, seq, heads * head_dim, scale=3.0)
+        x = x.reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
+        assert not x.flags.c_contiguous or heads == 1 or seq == 1
+        if per_row:
+            positions = rng.integers(0, 24, size=(batch, seq))
+        else:
+            positions = np.arange(seq) + rng.integers(0, 24 - seq + 1)
+        expected = ref_rope(rope, Tensor(x), positions, inverse).data
+        np.testing.assert_array_equal(rope.apply_np(x, positions, inverse=inverse), expected)
+
+    def test_position_beyond_table_raises(self):
+        rope = RotaryEmbedding(4, max_seq_len=8)
+        x = np.zeros((2, 1, 1, 4), dtype=np.float32)
+        with pytest.raises(ShapeError):
+            rope.apply_np(x, np.array([8]))
+        with pytest.raises(ShapeError):
+            rope.apply_np(x, np.array([[0], [8]]), inverse=True)
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.nn import (
 from repro.nn.cache import PrefixCache
 from repro.nn.generation import GenerationConfig, generate, generate_batch
 from repro.nn.module import Module
+from repro.nn.quant import _iter_modules
 from repro.tensor import Tensor, no_grad
 
 
@@ -120,6 +121,108 @@ class TestQuantizedLinear:
             np.testing.assert_allclose(
                 q.project(Tensor(x)).data, x @ w_deq.T, rtol=1e-5, atol=1e-5
             )
+
+
+class TestStoredLayout:
+    """Int8 weights are kept in the layout their matmul reads.
+
+    ``weight_q`` is ``(out, in)`` in Fortran order, so ``weight_q.T`` is
+    a C-contiguous ``(in, out)`` operand.  The result is exactly the
+    float32 cast of that operand through one GEMM, scaled (and biased).
+    """
+
+    shapes = dict(
+        in_features=st.integers(1, 24),
+        out_features=st.integers(1, 24),
+        rows=st.integers(1, 64),
+        lead=st.lists(st.integers(1, 3), min_size=0, max_size=2),
+        seed=st.integers(0, 2**16),
+    )
+
+    @staticmethod
+    def _reference(x, layer, bias=None):
+        x2d = x.reshape(-1, x.shape[-1])
+        out = (x2d @ layer.weight_q.data.T.astype(np.float32)) * layer.scale.data
+        if bias is not None:
+            out = out + bias
+        return out.reshape(*x.shape[:-1], -1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(bias=st.booleans(), **shapes)
+    def test_linear_matmul_is_the_cast_gemm(
+        self, in_features, out_features, rows, lead, seed, bias
+    ):
+        rng = np.random.default_rng(seed)
+        q = QuantizedLinear.from_linear(Linear(in_features, out_features, bias=bias, rng=rng))
+        if bias:
+            q.bias.data = rng.normal(size=out_features).astype(np.float32)
+        assert q.weight_q.data.shape == (out_features, in_features)
+        assert q.weight_q.data.T.flags.c_contiguous
+        x = rng.normal(size=(*lead, rows, in_features)).astype(np.float32)
+        expected = self._reference(x, q, q.bias.data if bias else None)
+        np.testing.assert_array_equal(q.matmul_np(x), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**shapes)
+    def test_embedding_project_is_the_cast_gemm(
+        self, in_features, out_features, rows, lead, seed
+    ):
+        rng = np.random.default_rng(seed)
+        q = QuantizedEmbedding.from_embedding(Embedding(out_features, in_features, rng=rng))
+        assert q.weight_q.data.T.flags.c_contiguous
+        x = rng.normal(size=(*lead, rows, in_features)).astype(np.float32)
+        np.testing.assert_array_equal(q.project_np(x), self._reference(x, q))
+
+    def test_fresh_layers_start_in_the_layout(self):
+        assert QuantizedLinear(5, 3).weight_q.data.T.flags.c_contiguous
+        assert QuantizedEmbedding(7, 4).weight_q.data.T.flags.c_contiguous
+
+    def test_deploy_payload_keeps_layout_and_format(self, fitted_zigong):
+        from repro.lora import apply_lora, merge_lora
+        from repro.serving import zigong_quantized_state
+
+        zigong = fitted_zigong
+        payload = zigong_quantized_state(zigong)
+        float_state = MistralTiny(zigong.config.model, rng=0).state_dict()
+        replica = MistralTiny(zigong.config.model, rng=zigong.config.seed + 1)
+        if getattr(zigong, "_lora_applied", False):
+            apply_lora(replica, zigong.config.lora, rng=zigong.config.seed)
+        merge_lora(replica)
+        quantize_model(replica)
+        before = weight_bytes(replica)
+        replica.load_state_dict(payload)
+
+        # The payload format: the float model's keys with each quantized
+        # weight swapped for an (out, in) int8 ``weight_q`` plus a float32
+        # ``scale``.  The int8 copies keep the stored layout, so loading
+        # them needs no transpose.
+        state = replica.state_dict()
+        assert set(state) == set(payload)
+        for key, value in payload.items():
+            assert state[key].shape == value.shape and state[key].dtype == value.dtype
+            if key.endswith(".weight_q"):
+                assert value.dtype == np.int8
+                assert value.shape == float_state[key[: -len("_q")]].shape
+                assert value.T.flags.c_contiguous and state[key].T.flags.c_contiguous
+            elif key.endswith(".scale"):
+                assert value.dtype == np.float32
+                assert value.shape == payload[key[: -len("scale")] + "weight_q"].shape[:1]
+            else:
+                assert key in float_state and value.dtype == np.float32
+        np.testing.assert_array_equal(
+            replica.tok_embed.weight_q.data, payload["tok_embed.weight_q"]
+        )
+
+        # A C-order payload (as an older checkpoint holds) loads into the
+        # same layout, with no copy kept.
+        replica.load_state_dict({k: np.ascontiguousarray(v) for k, v in payload.items()})
+        quantized = (QuantizedLinear, QuantizedEmbedding)
+        layers = [m for m in _iter_modules(replica) if isinstance(m, quantized)]
+        assert len(layers) == 7 * zigong.config.model.n_layers + 1
+        for layer in layers:
+            assert layer.weight_q.data.T.flags.c_contiguous
+            assert layer.weight_q.data.base is None
+        assert weight_bytes(replica) == before == sum(v.nbytes for v in payload.values())
 
 
 class _HeadOnly(Module):
@@ -306,6 +409,92 @@ class TestFusedKernelParity:
         assert cache.stats.invalidations == 1
         # Stale float entries were flushed, not served.
         assert warm == uncached_reference(model, rows, self.CONFIG)
+
+
+def _strided_matmul(self, x):
+    """``QuantizedLinear.matmul_np`` reading a C-order weight through ``.T``."""
+    lead = x.shape[:-1]
+    out = np.matmul(x.reshape(-1, x.shape[-1]), np.ascontiguousarray(self.weight_q.data).T)
+    out *= self.scale.data
+    if self.bias is not None:
+        out += self.bias.data
+    return out.reshape(*lead, self.out_features)
+
+
+def _strided_project(self, x):
+    """``QuantizedEmbedding.project_np`` reading a C-order weight through ``.T``."""
+    lead = x.shape[:-1]
+    out = np.matmul(x.reshape(-1, x.shape[-1]), np.ascontiguousarray(self.weight_q.data).T)
+    out *= self.scale.data
+    return out.reshape(*lead, self.num_embeddings)
+
+
+def _split_half_rotate(x, tables, inverse=False):
+    """RoPE as ``[x1 cos - x2 sin, x1 sin + x2 cos]`` over half-width tables."""
+    half = x.shape[-1] // 2
+    cos, sin = tables[0][..., :half], tables[1][..., half:]
+    if inverse:
+        sin = -sin
+    x1, x2 = x[..., :half], x[..., half:]
+    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+
+
+class TestKernelMatchesSplitFormulas:
+    """The int8 kernel on its stored layout and rotate-half RoPE tables
+    equals, bit for bit, the same forward with a strided ``x @ W_q.T``
+    and the split-half rotation — on whatever BLAS runs the suite."""
+
+    @staticmethod
+    def _logits(model, rows, patches=()):
+        """Tokens and every kernel forward's logits of a continuous run."""
+        import repro.nn.transformer as transformer
+        from repro.nn import generate_continuous
+
+        logged = []
+        kernel = transformer.infer_logits_np
+
+        def recorded(*args, **kwargs):
+            out = kernel(*args, **kwargs)
+            logged.append(out.copy())
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transformer, "infer_logits_np", recorded)
+            for target, name, value in patches:
+                patch.setattr(target, name, value)
+            tokens = generate_continuous(
+                model,
+                rows,
+                GenerationConfig(max_new_tokens=10, stop_tokens=()),
+                arrivals=[0, 0, 0, 2, 4, 4, 7],
+                prefix_cache=PrefixCache(capacity=16),
+            )
+        return tokens, logged
+
+    def test_prefill_and_ragged_decode(self):
+        import repro.nn.attention as attention
+        from repro.config import bench_config
+
+        config = bench_config().model
+        model = quantize_model(MistralTiny(config, rng=0))
+        rows = ragged_prompts(config.vocab_size, lengths=(11, 4, 23, 9, 17, 6))
+        rows.append(np.concatenate([rows[2], rows[1]]))  # prefix hit, suffix readout
+        tokens, logits = self._logits(model, rows)
+        ref_tokens, ref_logits = self._logits(
+            model,
+            rows,
+            [
+                (QuantizedLinear, "matmul_np", _strided_matmul),
+                (QuantizedEmbedding, "project_np", _strided_project),
+                (attention, "rotate", _split_half_rotate),
+            ],
+        )
+        assert tokens == ref_tokens
+        shapes = {a.shape[:2] for a in logits}
+        assert (1, 1) in shapes and any(b > 1 for b, _ in shapes)  # readouts and decode
+        assert len(logits) == len(ref_logits) > 10
+        for got, expected in zip(logits, ref_logits):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestGoldenDecisionParity:
