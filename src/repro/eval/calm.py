@@ -8,6 +8,7 @@ returns a fitted :class:`~repro.eval.harness.CreditModel`.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -49,7 +50,8 @@ class CalmBenchmark:
         self.tasks: dict[str, CalmTask] = {}
         sizes = dict(sizes or {})
         for name in datasets:
-            kwargs = {"seed": seed + hash(name) % 1000}
+            # zlib.crc32, not hash(): str hashes are salted per process.
+            kwargs = {"seed": seed + zlib.crc32(name.encode()) % 1000}
             if name in sizes:
                 kwargs["n"] = sizes[name]
             full = load_dataset(name, **kwargs)

@@ -14,6 +14,7 @@ from repro.influence.datainf import DataInf
 from repro.influence.engine import ParallelInfluenceEngine, projector_key
 from repro.influence.store import (
     GradientStore,
+    TokenSet,
     example_content_hash,
     row_cache_key,
     train_set_hash,
@@ -80,6 +81,7 @@ __all__ = [
     "DataInf",
     "AgentScorer",
     "GradientStore",
+    "TokenSet",
     "ParallelInfluenceEngine",
     "example_content_hash",
     "row_cache_key",

@@ -36,9 +36,13 @@ step.  Hessian-*adjusted* test rows are themselves cached under a
 :func:`~repro.influence.store.row_cache_key` that folds in the
 regularizer and a train-set fingerprint — they can never collide with
 raw rows or with adjustments against a different training set.  The
+last training set is kept as a resident training block: its hashes in
+row order, the config key, the read-only ``g_train`` rows and the
 curvature terms the adjustment needs (per-layer ``lam_l`` and
-``lam_l + |g_il|^2``) are kept for the last training set, keyed on its
-hashes in row order, so a new test row costs two small matmuls per layer.
+``lam_l + |g_il|^2``).  A query against it replays and looks up only
+its test rows, so a new test row costs its gradient pass plus two small
+matmuls per layer.  Pass the training set as a
+:class:`~repro.influence.store.TokenSet` to hash it once, not per call.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from repro.influence.gradients import (
     per_token_examples,
     trainable_parameter_slices,
 )
-from repro.influence.store import example_content_hash, row_cache_key, train_set_hash
+from repro.influence.store import TokenSet, row_cache_key
 from repro.training.checkpoint import CheckpointRecord
 
 
@@ -108,9 +112,8 @@ class DataInf(DataInfluence):
         self.checkpoint = self.checkpoints[0]
         self.lam = float(lam) if lam is not None else None
         self.lam_scale = float(lam_scale)
-        # ((config key, ordered train hashes), per-layer terms) of the
-        # last train set seen.
-        self._curvature_entry: tuple[tuple | None, list] = (None, [])
+        # The resident training block, see _train_block.
+        self._resident: tuple | None = None
 
     # -- internals -----------------------------------------------------
 
@@ -139,35 +142,37 @@ class DataInf(DataInfluence):
             lams.append(self.lam_scale * mean_sq / d_l if mean_sq > 0 else 1.0)
         return lams
 
-    def _curvature(
-        self, train_hashes: Sequence[str], g_train: np.ndarray
-    ) -> list[tuple[slice, float, np.ndarray]]:
-        """Per-layer ``(slice, lam_l, lam_l + |g_i|^2)`` for one train set.
+    def _train_block(self, train: TokenSet) -> tuple[str, np.ndarray, list]:
+        """``(config key, g_train, curvature terms)`` of the resident train set.
 
-        These terms depend on the train rows alone, so the one cached
-        entry serves every query against the same train set; another
-        train set replaces it.  ``lam_l + |g_i|^2`` is indexed by row, so
-        unlike the adjusted rows (a sum over ``i``) the entry is keyed on
-        the hashes in row order: a permuted train set recomputes it.
+        The one resident entry holds the train hashes in row order, the
+        config key, the read-only ``g_train`` block and per layer
+        ``(slice, lam_l, lam_l + |g_i|^2)``; all of it depends on the
+        train rows alone, so every query against the same train set
+        reuses it and another train set replaces it.  ``lam + |g_i|^2``
+        is indexed by row, so unlike the adjusted rows (a sum over
+        ``i``) the entry is keyed on row order: a permuted train set
+        rebuilds it.
         """
-        key = (self._config_key(train_hashes), tuple(train_hashes))
-        cached_key, terms = self._curvature_entry
-        if cached_key != key:
+        entry = self._resident
+        if entry is None or entry[0] != train.hashes:
+            g_train = self.engine.stacked_rows(train, span_name="influence.datainf.rows")
+            g_train.setflags(write=False)
             terms = []
             lams = self.layer_lambdas(g_train)
             for (_, layer), lam in zip(self._layer_slices(g_train.shape[1]), lams):
                 g_l = g_train[:, layer]
                 terms.append((layer, lam, lam + (g_l * g_l).sum(axis=1)))
-            self._curvature_entry = (key, terms)
-        return terms
+            entry = (train.hashes, self._config_key(train), g_train, terms)
+            self._resident = entry
+        return entry[1:]
 
-    def _adjust(
-        self, train_hashes: Sequence[str], g_train: np.ndarray, g_test: np.ndarray
-    ) -> np.ndarray:
+    @staticmethod
+    def _adjust(g_train: np.ndarray, terms: list, g_test: np.ndarray) -> np.ndarray:
         """Apply ``H^{-1}`` to every test gradient row, per layer."""
         n = g_train.shape[0]
         adjusted = np.empty_like(g_test)
-        for layer, lam, denominator in self._curvature(train_hashes, g_train):
+        for layer, lam, denominator in terms:
             g_l = g_train[:, layer]  # (n, d_l)
             v_l = g_test[:, layer]  # (m, d_l)
             # coef[i, t] = (g_i . v_t) / (lam + |g_i|^2)
@@ -175,11 +180,11 @@ class DataInf(DataInfluence):
             adjusted[:, layer] = (v_l - (coef.T @ g_l) / n) / lam
         return adjusted
 
-    def _config_key(self, train_hashes: Sequence[str]) -> str:
+    def _config_key(self, train_examples: Sequence[TokenExample]) -> str:
         base = f"l{self.lam:g}" if self.lam is not None else f"ls{self.lam_scale:g}"
         if self.normalize:
             base += "-n"
-        return f"{base}-t{train_set_hash(train_hashes)}"
+        return f"{base}-t{TokenSet.of(train_examples).fingerprint}"
 
     def _adjusted_rows(
         self,
@@ -189,33 +194,30 @@ class DataInf(DataInfluence):
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(g_train, adjusted_test)`` with the adjusted tier cached.
 
-        ``unadjusted`` examples only join the replay: their raw rows are
-        computed and stored in the same batched passes, nothing more.
+        Only the test and ``unadjusted`` rows are replayed; the train
+        rows come from the resident block.  ``unadjusted`` examples
+        only join the replay: their raw rows are computed and stored in
+        the same batched passes, nothing more.
         """
-        examples = list(train_examples) + list(test_examples) + list(unadjusted)
-        rows = self.engine.stacked_rows(examples, span_name="influence.datainf.rows")
-        n_train = len(train_examples)
-        g_train = rows[:n_train]
-        g_test = rows[n_train : n_train + len(test_examples)]
-        train_hashes = [example_content_hash(e) for e in train_examples]
-        adjusted_key = row_cache_key(
-            self.engine._pkey, self.estimator_name, self._config_key(train_hashes)
-        )
+        config_key, g_train, terms = self._train_block(TokenSet.of(train_examples))
+        test = TokenSet.of(test_examples)
+        rows = self.engine.stacked_rows(test + unadjusted, span_name="influence.datainf.rows")
+        g_test = rows[: len(test)]
+        adjusted_key = row_cache_key(self.engine._pkey, self.estimator_name, config_key)
         step = self.checkpoint.step
-        test_hashes = [example_content_hash(e) for e in test_examples]
         adjusted = np.empty_like(g_test)
         missing: list[int] = []
-        for index, example_hash in enumerate(test_hashes):
+        for index, example_hash in enumerate(test.hashes):
             row = self.store.get(step, example_hash, adjusted_key)
             if row is None:
                 missing.append(index)
             else:
                 adjusted[index] = row
         if missing:
-            fresh = self._adjust(train_hashes, g_train, g_test[missing])
+            fresh = self._adjust(g_train, terms, g_test[missing])
             for row, index in zip(fresh, missing):
                 adjusted[index] = row
-                self.store.put(step, test_hashes[index], adjusted_key, row)
+                self.store.put(step, test.hashes[index], adjusted_key, row)
             self.store.flush()
         return g_train, adjusted
 
@@ -247,11 +249,8 @@ class DataInf(DataInfluence):
             n_train=len(train_examples),
             step=self.checkpoint.step,
         ):
-            g_train = self.engine.stacked_rows(
-                train_examples, span_name="influence.datainf.rows"
-            )
-            train_hashes = [example_content_hash(e) for e in train_examples]
-            adjusted = self._adjust(train_hashes, g_train, g_train)
+            _, g_train, terms = self._train_block(TokenSet.of(train_examples))
+            adjusted = self._adjust(g_train, terms, g_train)
             return (g_train * adjusted).sum(axis=1)
 
     def token_influence(

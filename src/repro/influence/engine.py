@@ -54,7 +54,7 @@ from repro.influence.gradients import (
     gradient_matrix,
     pass_plan,
 )
-from repro.influence.store import GradientStore, example_content_hash
+from repro.influence.store import GradientStore, TokenSet
 from repro.obs import Observability, get_observability
 from repro.resilience import RetryPolicy
 from repro.resilience.faults import fault_point
@@ -155,15 +155,6 @@ class ParallelInfluenceEngine:
         self._h_worker = metrics.histogram("influence.worker_s")
 
     # -- row production ------------------------------------------------
-
-    def _hashes(self, examples: Sequence[TokenExample]) -> list[str]:
-        return [example_content_hash(example) for example in examples]
-
-    def _unique(self, examples, hashes) -> dict[str, TokenExample]:
-        unique: dict[str, TokenExample] = {}
-        for example, example_hash in zip(examples, hashes):
-            unique.setdefault(example_hash, example)
-        return unique
 
     def _count_replay(self, examples: Sequence[TokenExample]) -> None:
         """Count one checkpoint replay that computed rows for ``examples``."""
@@ -274,16 +265,18 @@ class ParallelInfluenceEngine:
     ) -> list:
         """Replay ``records`` for ``examples``; ``visit`` each checkpoint's rows.
 
-        Examples are deduped by content hash, so one appearing twice
-        gets one gradient row.  ``visit(index, rows)`` gets the
+        Examples are a :class:`~repro.influence.store.TokenSet` or are
+        made one (which hashes them), and are deduped by content hash,
+        so one appearing twice gets one gradient row.  ``visit(index, rows)`` gets the
         checkpoint's ``(len(examples), dim)`` row matrix in example
         order (unit-normalized when the engine normalizes) inside an
         ``influence.checkpoint`` span; its return values come back as a
         list.  Misses are computed on the resident replay model, never
         on the caller's; the store is flushed after the whole replay.
         """
-        hashes = self._hashes(examples)
-        unique = self._unique(examples, hashes)
+        examples = TokenSet.of(examples)
+        # Equal hashes mean equal content, so keeping any one is exact.
+        unique = dict(zip(examples.hashes, examples))
         try:
             out = []
             with self.obs.span(span_name, **attrs):
@@ -291,7 +284,7 @@ class ParallelInfluenceEngine:
                 for index, record in enumerate(records):
                     with self.obs.span("influence.checkpoint", step=record.step):
                         rows = self._checkpoint_rows(record, unique)
-                        out.append(visit(index, self._stack(rows, hashes)))
+                        out.append(visit(index, self._stack(rows, examples.hashes)))
             return out
         finally:
             self.store.flush()
@@ -356,7 +349,7 @@ class ParallelInfluenceEngine:
         n_train = len(train_examples)
         total = np.zeros((n_train, len(test_examples)))
         self._replay(
-            list(train_examples) + list(test_examples),
+            TokenSet.of(train_examples) + test_examples,
             self.checkpoints,
             lambda index, rows: self._accumulate_outer(
                 total, rows[:n_train], rows[n_train:], weights[index]
@@ -378,7 +371,7 @@ class ParallelInfluenceEngine:
             raise InfluenceError("checkpoint_products() needs non-empty train and test sets")
         n_train = len(train_examples)
         products = self._replay(
-            list(train_examples) + list(test_examples),
+            TokenSet.of(train_examples) + test_examples,
             self.checkpoints,
             lambda _, rows: rows[:n_train] @ rows[n_train:].sum(axis=0),
             "influence.products",

@@ -25,9 +25,11 @@ counts are exported through ``repro.obs`` (``influence.store.*``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from collections import OrderedDict
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +87,46 @@ def example_content_hash(example) -> str:
         + np.asarray(labels, dtype=np.int64).tobytes()
     )
     return hashlib.sha1(payload).hexdigest()[:20]
+
+
+class TokenSet(Sequence):
+    """Immutable token examples with their content hashes taken once.
+
+    Every influence entry point converts its argument with
+    :meth:`of`, so a set built once (a service's training set) is
+    hashed once for its lifetime instead of on every call.  Examples
+    are frozen to ``(input_ids, labels)`` tuples; ``hashes[i]`` is
+    :func:`example_content_hash` of ``examples[i]``, and
+    :attr:`fingerprint` is the order-insensitive :func:`train_set_hash`.
+    """
+
+    def __init__(self, examples=(), _hashes: tuple[str, ...] | None = None):
+        self.examples = tuple((tuple(ids), tuple(labels)) for ids, labels in examples)
+        if _hashes is None:
+            _hashes = tuple(example_content_hash(example) for example in self.examples)
+        self.hashes = _hashes
+
+    @classmethod
+    def of(cls, examples) -> TokenSet:
+        """``examples`` itself when already a :class:`TokenSet`, else a new one."""
+        return examples if isinstance(examples, TokenSet) else cls(examples)
+
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        return train_set_hash(self.hashes)
+
+    def __add__(self, other) -> TokenSet:
+        other = TokenSet.of(other)
+        return TokenSet(self.examples + other.examples, self.hashes + other.hashes)
+
+    def __len__(self) -> int:
+        return len(self.examples)
+
+    def __getitem__(self, index):
+        return self.examples[index]
+
+    def __iter__(self):
+        return iter(self.examples)
 
 
 class GradientStore:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import ServingError
+from repro.influence.store import TokenSet
 from repro.obs import Observability, get_observability
 from repro.serving.behavior_card import ExplainAuditEntry
 from repro.serving.engine import (
@@ -225,6 +226,8 @@ class ExplainService:
     train_examples:
         The tokenized ``(input_ids, labels)`` training set queries are
         attributed against — the corpus the model was fine-tuned on.
+        Kept as a :class:`~repro.influence.store.TokenSet`, so it is
+        hashed once, and DataInf keeps its gradient block resident.
     encode:
         ``(behavior_text, answer) -> TokenExample``: how a live request
         becomes a test example whose loss gradient is attributed.  The
@@ -261,7 +264,7 @@ class ExplainService:
                 f"{len(train_texts)} train_texts for {len(train_examples)} train examples"
             )
         self.estimator = estimator
-        self.train_examples = list(train_examples)
+        self.train_examples = TokenSet.of(train_examples)
         self.train_texts = list(train_texts) if train_texts is not None else None
         self.behavior_card = behavior_card
         self.config = config or ExplainConfig()
