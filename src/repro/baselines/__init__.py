@@ -3,12 +3,11 @@
 from repro.baselines.expert import ExpertSystemModel
 from repro.baselines.head import HeadClassifierModel
 from repro.baselines.lm import LMClassifier
-from repro.baselines.simple import MajorityClassModel, RandomGuessModel
+from repro.baselines.simple import MajorityClassModel
 
 __all__ = [
     "LMClassifier",
     "MajorityClassModel",
-    "RandomGuessModel",
     "ExpertSystemModel",
     "HeadClassifierModel",
 ]

@@ -12,7 +12,6 @@ import numpy as np
 from repro.errors import EvaluationError
 from repro.datasets.base import TabularDataset
 from repro.ml.logistic import LogisticRegression
-from repro.ml.stumps import GradientBoostedStumps
 from repro.eval.harness import CreditModel, EvalSample, Prediction
 
 
@@ -29,12 +28,6 @@ class ExpertSystemModel(CreditModel):
         """Fit a from-scratch logistic regression on the train split."""
         estimator = LogisticRegression(**kwargs).fit(train.X, train.y)
         return cls(estimator, name="logistic")
-
-    @classmethod
-    def boosted_stumps(cls, train: TabularDataset, **kwargs) -> "ExpertSystemModel":
-        """Fit gradient-boosted stumps on the train split."""
-        estimator = GradientBoostedStumps(**kwargs).fit(train.X, train.y)
-        return cls(estimator, name="boosted_stumps")
 
     def predict(self, sample: EvalSample) -> Prediction:
         if sample.features is None:

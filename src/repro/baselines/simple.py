@@ -1,4 +1,4 @@
-"""Trivial baselines: majority class and seeded random guessing."""
+"""Trivial baseline: the training majority class."""
 
 from __future__ import annotations
 
@@ -28,26 +28,3 @@ class MajorityClassModel(CreditModel):
 
     def predict(self, sample: EvalSample) -> Prediction:
         return Prediction(label=self.majority, score=self.base_rate)
-
-
-class RandomGuessModel(CreditModel):
-    """Uniform random answers, with an optional format-failure rate.
-
-    ``miss_prob`` simulates a model that sometimes produces unparseable
-    output (the FinMA failure mode in Table 2).
-    """
-
-    name = "random"
-
-    def __init__(self, seed: int = 0, positive_prob: float = 0.5, miss_prob: float = 0.0):
-        if not 0.0 <= positive_prob <= 1.0 or not 0.0 <= miss_prob <= 1.0:
-            raise EvaluationError("probabilities must be in [0, 1]")
-        self._rng = np.random.default_rng(seed)
-        self.positive_prob = positive_prob
-        self.miss_prob = miss_prob
-
-    def predict(self, sample: EvalSample) -> Prediction:
-        if self._rng.random() < self.miss_prob:
-            return Prediction(label=None, score=float(self._rng.random()))
-        label = int(self._rng.random() < self.positive_prob)
-        return Prediction(label=label, score=float(self._rng.random()))

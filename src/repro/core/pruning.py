@@ -19,7 +19,7 @@ from repro.data.instruct import InstructExample, labels_of, timestamps_of
 from repro.influence import make_estimator
 from repro.influence.agent import AgentScorer
 from repro.influence.gradients import GradientProjector, trainable_parameters
-from repro.influence.selection import normalize_scores, select_top_k, top_k_indices
+from repro.influence.selection import normalize_scores, select_top_k
 from repro.training.checkpoint import CheckpointRecord
 
 STRATEGIES = ("tracseq", "tracin", "datainf", "agent", "combined", "ppl", "random")
@@ -166,6 +166,3 @@ class DataPruner:
     ) -> list[InstructExample]:
         """The pruned dataset D: Top-K examples by score."""
         return select_top_k(examples, scores, k)
-
-    def select_indices(self, scores: np.ndarray, k: int) -> np.ndarray:
-        return top_k_indices(scores, k)

@@ -21,7 +21,7 @@ from repro.errors import CheckpointError, ConfigError
 from repro.config import ZiGongConfig, test_config
 from repro.data.instruct import InstructExample, corpus_texts, tokenize_examples
 from repro.baselines.lm import LMClassifier
-from repro.lora.inject import apply_lora, iter_lora_modules, merge_lora
+from repro.lora.inject import apply_lora, iter_lora_modules
 from repro.nn.transformer import MistralTiny
 from repro.optim.adamw import AdamW
 from repro.optim.schedule import CosineDecayLR
@@ -129,10 +129,6 @@ class ZiGong:
             trainer.resume()
         return trainer.train(encoded)
 
-    def merge_adapters(self) -> int:
-        """Fold LoRA adapters into the base weights (fast inference)."""
-        return merge_lora(self.model)
-
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
@@ -145,7 +141,7 @@ class ZiGong:
         calls — repeat prompts skip prefill entirely.  Memoization is
         safe across weight changes: the cache is keyed to the model's
         ``weight_version``, so a :meth:`finetune`, :meth:`apply_lora`,
-        :meth:`merge_adapters` or checkpoint load in between flushes any
+        adapter merge or checkpoint load in between flushes any
         stale KV/logit entries on the next generate call.
         """
         if name not in self._classifiers:

@@ -13,19 +13,12 @@ from repro.data.instruct import (
 )
 from repro.data.mixing import hybrid_mix
 from repro.data.serialization import load_jsonl, save_jsonl
-from repro.data.splits import split_by_group, split_by_time, stratified_split
-from repro.data.validation import (
-    ValidationReport,
-    deduplicate_examples,
-    drop_conflicting_examples,
-    validate_examples,
-)
+from repro.data.validation import deduplicate_examples, drop_conflicting_examples
 from repro.data.templates import (
     CLASSIFICATION_TEMPLATE,
     QA_TEMPLATE,
     SENTIMENT_TEMPLATE,
     PromptTemplate,
-    get_template,
 )
 
 __all__ = [
@@ -41,16 +34,10 @@ __all__ = [
     "hybrid_mix",
     "save_jsonl",
     "load_jsonl",
-    "ValidationReport",
-    "validate_examples",
     "deduplicate_examples",
     "drop_conflicting_examples",
-    "split_by_time",
-    "split_by_group",
-    "stratified_split",
     "PromptTemplate",
     "CLASSIFICATION_TEMPLATE",
     "SENTIMENT_TEMPLATE",
     "QA_TEMPLATE",
-    "get_template",
 ]

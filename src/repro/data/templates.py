@@ -50,15 +50,3 @@ QA_TEMPLATE = PromptTemplate(
     name="qa",
     template="{context} question: {question} ? answer:",
 )
-
-TEMPLATES = {
-    t.name: t
-    for t in (CLASSIFICATION_TEMPLATE, SENTIMENT_TEMPLATE, QA_TEMPLATE)
-}
-
-
-def get_template(name: str) -> PromptTemplate:
-    template = TEMPLATES.get(name)
-    if template is None:
-        raise DataError(f"unknown template {name!r}; available: {sorted(TEMPLATES)}")
-    return template

@@ -1,92 +1,18 @@
-"""Instruction-data quality validation.
+"""Instruction-data hygiene.
 
 "Constructing high-quality data is crucial for LLMs" (Section 3.1) —
-before any influence scoring, production data pipelines run structural
-hygiene checks.  This module flags:
-
-* duplicate prompts (wasted budget, leakage across splits);
-* label conflicts — the same prompt appearing with different answers
-  (direct label noise, a primary hallucination source);
-* empty prompts or answers;
-* answer-vocabulary inconsistency (more answer words than expected);
-* extreme prompt lengths (truncation risk against the context window).
+before any influence scoring, production data pipelines drop duplicate
+examples (wasted budget, leakage across splits) and label conflicts —
+the same prompt appearing with different answers (direct label noise,
+a primary hallucination source).
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict
 from typing import Sequence
 
-from repro.errors import DataError
 from repro.data.instruct import InstructExample
-
-
-@dataclass
-class ValidationReport:
-    """Findings over one instruction dataset."""
-
-    n_examples: int
-    duplicate_prompts: int
-    conflicting_prompts: int
-    empty_prompts: int
-    empty_answers: int
-    answer_vocabulary: dict[str, int] = field(default_factory=dict)
-    max_prompt_words: int = 0
-    issues: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
-def validate_examples(
-    examples: Sequence[InstructExample],
-    max_answers: int = 3,
-    max_prompt_words: int | None = None,
-) -> ValidationReport:
-    """Run every check; returns a report (never raises on dirty data)."""
-    if not examples:
-        raise DataError("validate_examples() received no examples")
-
-    prompt_counts: Counter[str] = Counter(e.prompt for e in examples)
-    prompt_answers: dict[str, set[str]] = defaultdict(set)
-    for e in examples:
-        prompt_answers[e.prompt].add(e.answer)
-
-    duplicates = sum(count - 1 for count in prompt_counts.values() if count > 1)
-    conflicts = sum(1 for answers in prompt_answers.values() if len(answers) > 1)
-    empty_prompts = sum(1 for e in examples if not e.prompt.strip())
-    empty_answers = sum(1 for e in examples if not e.answer.strip())
-    vocabulary = dict(Counter(e.answer for e in examples))
-    longest = max(len(e.prompt.split()) for e in examples)
-
-    issues = []
-    if duplicates:
-        issues.append(f"{duplicates} duplicate prompts")
-    if conflicts:
-        issues.append(f"{conflicts} prompts with conflicting answers")
-    if empty_prompts:
-        issues.append(f"{empty_prompts} empty prompts")
-    if empty_answers:
-        issues.append(f"{empty_answers} empty answers")
-    if len(vocabulary) > max_answers:
-        issues.append(
-            f"answer vocabulary has {len(vocabulary)} entries (expected <= {max_answers})"
-        )
-    if max_prompt_words is not None and longest > max_prompt_words:
-        issues.append(f"longest prompt has {longest} words (limit {max_prompt_words})")
-
-    return ValidationReport(
-        n_examples=len(examples),
-        duplicate_prompts=duplicates,
-        conflicting_prompts=conflicts,
-        empty_prompts=empty_prompts,
-        empty_answers=empty_answers,
-        answer_vocabulary=vocabulary,
-        max_prompt_words=longest,
-        issues=issues,
-    )
 
 
 def deduplicate_examples(examples: Sequence[InstructExample]) -> list[InstructExample]:

@@ -99,12 +99,6 @@ class BehaviorDataset:
                 )
         return rows
 
-    def numeric_at(self, period: int) -> np.ndarray:
-        """Numeric feature matrix for one period (for classic-ML models)."""
-        if not 0 <= period < self.n_periods:
-            raise DataError(f"period {period} out of range [0, {self.n_periods})")
-        return self.features[:, period, :].copy()
-
 
 def make_behavior(
     n_users: int = 300,

@@ -56,11 +56,6 @@ class IncomeDataset:
     def bracket_text(self, index: int) -> str:
         return INCOME_BRACKETS[int(self.bracket[index])]
 
-    def numeric_matrix(self) -> np.ndarray:
-        return np.column_stack(
-            [self.brand, self.tier, self.price, self.purchase_year, self.age, self.education]
-        ).astype(np.float64)
-
 
 def make_income(n: int = 900, seed: int = 6) -> IncomeDataset:
     """Generate the synthetic income-prediction dataset."""

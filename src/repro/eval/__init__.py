@@ -1,7 +1,6 @@
 """Evaluation: metrics, parsing, harness, CALM benchmark, reporting."""
 
 from repro.eval.calibration import (
-    PlattCalibrator,
     brier_score,
     expected_calibration_error,
     hallucination_rate,
@@ -21,7 +20,6 @@ from repro.eval.harness import (
 )
 from repro.eval.metrics import (
     accuracy,
-    confusion_matrix,
     f1_binary,
     ks_statistic,
     miss_rate,
@@ -38,7 +36,6 @@ __all__ = [
     "miss_rate",
     "ks_statistic",
     "roc_auc",
-    "confusion_matrix",
     "parse_answer",
     "parse_choice",
     "CreditModel",
@@ -53,7 +50,6 @@ __all__ = [
     "brier_score",
     "expected_calibration_error",
     "hallucination_rate",
-    "PlattCalibrator",
     "GenerativeEvalResult",
     "evaluate_generative",
     "ConfidenceInterval",

@@ -65,56 +65,6 @@ def expected_calibration_error(
     return float(ece)
 
 
-class PlattCalibrator:
-    """Post-hoc probability calibration (Platt scaling).
-
-    Fits ``sigmoid(a * logit(p) + b)`` on validation scores so that
-    overconfident models (the hallucination-prone regime) are pulled
-    toward honest probabilities.  Fitted by gradient descent on the
-    log loss; deterministic.
-    """
-
-    def __init__(self, lr: float = 0.1, epochs: int = 500):
-        if lr <= 0 or epochs <= 0:
-            raise EvaluationError("lr and epochs must be positive")
-        self.lr = lr
-        self.epochs = epochs
-        self.a = 1.0
-        self.b = 0.0
-        self._fitted = False
-
-    @staticmethod
-    def _logit(p: np.ndarray) -> np.ndarray:
-        p = np.clip(p, 1e-6, 1 - 1e-6)
-        return np.log(p / (1 - p))
-
-    def fit(self, y_true, scores) -> "PlattCalibrator":
-        y, s = _validate(y_true, scores)
-        z = self._logit(s)
-        a, b = 1.0, 0.0
-        n = y.size
-        for _ in range(self.epochs):
-            p = 1.0 / (1.0 + np.exp(-(a * z + b)))
-            err = p - y
-            grad_a = float((err * z).mean())
-            grad_b = float(err.mean())
-            a -= self.lr * grad_a
-            b -= self.lr * grad_b
-        self.a, self.b = a, b
-        self._fitted = True
-        return self
-
-    def transform(self, scores) -> np.ndarray:
-        """Calibrated probabilities for raw scores."""
-        if not self._fitted:
-            raise EvaluationError("PlattCalibrator.transform() called before fit()")
-        s = np.asarray(scores, dtype=np.float64)
-        if (s < 0).any() or (s > 1).any():
-            raise EvaluationError("scores must be probabilities in [0, 1]")
-        z = self._logit(s)
-        return 1.0 / (1.0 + np.exp(-(self.a * z + self.b)))
-
-
 def hallucination_rate(
     y_true: Sequence[int],
     predictions: Sequence[int | None],

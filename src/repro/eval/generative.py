@@ -25,12 +25,6 @@ class GenerativeEvalResult:
     per_class_accuracy: dict[str, float] = field(default_factory=dict)
     confusion: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    def as_rows(self) -> list[list]:
-        rows = [["overall", round(self.accuracy, 3), round(self.miss, 3)]]
-        for cls, acc in self.per_class_accuracy.items():
-            rows.append([cls, round(acc, 3), None])
-        return rows
-
 
 def evaluate_generative(
     generate_fn: Callable[[str], str],

@@ -80,16 +80,6 @@ def weighted_f1(y_true: Sequence[int], predictions: Sequence[int | None]) -> flo
     return score
 
 
-def confusion_matrix(y_true: Sequence[int], predictions: Sequence[int | None]) -> np.ndarray:
-    """2x2 matrix ``[[tn, fp], [fn, tp]]``; missing predictions count negative."""
-    y_true = _check_labels(y_true)
-    matrix = np.zeros((2, 2), dtype=np.int64)
-    for t, p in zip(y_true, predictions):
-        pred = 0 if p is None else int(p)
-        matrix[int(t), pred] += 1
-    return matrix
-
-
 def ks_statistic(y_true: Sequence[int], scores: Sequence[float]) -> float:
     """Kolmogorov–Smirnov statistic between positive and negative scores.
 

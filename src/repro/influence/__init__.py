@@ -12,13 +12,7 @@ from repro.influence.agent import AgentScorer
 from repro.influence.api import DataInfluence, KMostInfluential, TokenInfluence
 from repro.influence.datainf import DataInf
 from repro.influence.engine import ParallelInfluenceEngine, projector_key
-from repro.influence.store import (
-    GradientStore,
-    TokenSet,
-    example_content_hash,
-    row_cache_key,
-    train_set_hash,
-)
+from repro.influence.store import GradientStore, TokenSet, example_content_hash
 from repro.influence.gradients import (
     GradientProjector,
     flatten_grads,
@@ -31,11 +25,10 @@ from repro.influence.selection import (
     bottom_k_indices,
     normalize_scores,
     select_top_k,
-    split_high_low,
     stratified_top_k,
     top_k_indices,
 )
-from repro.influence.ppl import perplexities, ppl_quality_scores, sample_losses
+from repro.influence.ppl import ppl_quality_scores, sample_losses
 from repro.influence.tracin import TracInCP
 from repro.influence.tracseq import TracSeq
 
@@ -84,8 +77,6 @@ __all__ = [
     "TokenSet",
     "ParallelInfluenceEngine",
     "example_content_hash",
-    "row_cache_key",
-    "train_set_hash",
     "projector_key",
     "GradientProjector",
     "per_sample_gradient",
@@ -96,10 +87,8 @@ __all__ = [
     "top_k_indices",
     "bottom_k_indices",
     "select_top_k",
-    "split_high_low",
     "stratified_top_k",
     "normalize_scores",
     "sample_losses",
-    "perplexities",
     "ppl_quality_scores",
 ]

@@ -32,16 +32,14 @@ Raw gradient rows come from the shared
 :class:`~repro.influence.engine.ParallelInfluenceEngine` /
 :class:`~repro.influence.store.GradientStore` machinery, so a store
 warmed by TracInCP already holds every row DataInf needs at the final
-step.  Hessian-*adjusted* test rows are themselves cached under a
-:func:`~repro.influence.store.row_cache_key` that folds in the
-regularizer and a train-set fingerprint — they can never collide with
-raw rows or with adjustments against a different training set.  The
-last training set is kept as a resident training block: its hashes in
-row order, the config key, the read-only ``g_train`` rows and the
+step.  The last training set is kept as a resident training block:
+its hashes in row order, the read-only ``g_train`` rows and the
 curvature terms the adjustment needs (per-layer ``lam_l`` and
 ``lam_l + |g_il|^2``).  A query against it replays and looks up only
-its test rows, so a new test row costs its gradient pass plus two small
-matmuls per layer.  Pass the training set as a
+its test rows, and adjusts them with two small matmuls per layer
+against the resident block, so a score depends on the training set and
+the test row alone, never on which queries came before.  Pass the
+training set as a
 :class:`~repro.influence.store.TokenSet` to hash it once, not per call.
 """
 
@@ -58,7 +56,7 @@ from repro.influence.gradients import (
     per_token_examples,
     trainable_parameter_slices,
 )
-from repro.influence.store import TokenSet, row_cache_key
+from repro.influence.store import TokenSet
 from repro.training.checkpoint import CheckpointRecord
 
 
@@ -87,11 +85,7 @@ class DataInf(DataInfluence):
     store / cache_dir / workers / obs:
         As in :class:`~repro.influence.api.DataInfluence`.  Share the
         ``store`` with a TracIn tracer and DataInf reuses its raw rows
-        at the final step without a single new backward pass.  The
-        Hessian-adjusted test rows are cached in the same store (keyed
-        by estimator, regularizer and train-set fingerprint), so
-        repeated serving queries against a fixed train set skip even
-        the adjustment.
+        at the final step without a single new backward pass.
     """
 
     estimator_name = "datainf"
@@ -142,17 +136,16 @@ class DataInf(DataInfluence):
             lams.append(self.lam_scale * mean_sq / d_l if mean_sq > 0 else 1.0)
         return lams
 
-    def _train_block(self, train: TokenSet) -> tuple[str, np.ndarray, list]:
-        """``(config key, g_train, curvature terms)`` of the resident train set.
+    def _train_block(self, train: TokenSet) -> tuple[np.ndarray, list]:
+        """``(g_train, curvature terms)`` of the resident train set.
 
         The one resident entry holds the train hashes in row order, the
-        config key, the read-only ``g_train`` block and per layer
+        read-only ``g_train`` block and per layer
         ``(slice, lam_l, lam_l + |g_i|^2)``; all of it depends on the
         train rows alone, so every query against the same train set
         reuses it and another train set replaces it.  ``lam + |g_i|^2``
-        is indexed by row, so unlike the adjusted rows (a sum over
-        ``i``) the entry is keyed on row order: a permuted train set
-        rebuilds it.
+        is indexed by row, so the entry is keyed on row order: a
+        permuted train set rebuilds it.
         """
         entry = self._resident
         if entry is None or entry[0] != train.hashes:
@@ -163,7 +156,7 @@ class DataInf(DataInfluence):
             for (_, layer), lam in zip(self._layer_slices(g_train.shape[1]), lams):
                 g_l = g_train[:, layer]
                 terms.append((layer, lam, lam + (g_l * g_l).sum(axis=1)))
-            entry = (train.hashes, self._config_key(train), g_train, terms)
+            entry = (train.hashes, g_train, terms)
             self._resident = entry
         return entry[1:]
 
@@ -180,46 +173,23 @@ class DataInf(DataInfluence):
             adjusted[:, layer] = (v_l - (coef.T @ g_l) / n) / lam
         return adjusted
 
-    def _config_key(self, train_examples: Sequence[TokenExample]) -> str:
-        base = f"l{self.lam:g}" if self.lam is not None else f"ls{self.lam_scale:g}"
-        if self.normalize:
-            base += "-n"
-        return f"{base}-t{TokenSet.of(train_examples).fingerprint}"
-
     def _adjusted_rows(
         self,
         train_examples: Sequence[TokenExample],
         test_examples: Sequence[TokenExample],
         unadjusted: Sequence[TokenExample] = (),
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(g_train, adjusted_test)`` with the adjusted tier cached.
+        """``(g_train, adjusted_test)`` against the resident train block.
 
         Only the test and ``unadjusted`` rows are replayed; the train
         rows come from the resident block.  ``unadjusted`` examples
         only join the replay: their raw rows are computed and stored in
         the same batched passes, nothing more.
         """
-        config_key, g_train, terms = self._train_block(TokenSet.of(train_examples))
+        g_train, terms = self._train_block(TokenSet.of(train_examples))
         test = TokenSet.of(test_examples)
         rows = self.engine.stacked_rows(test + unadjusted, span_name="influence.datainf.rows")
-        g_test = rows[: len(test)]
-        adjusted_key = row_cache_key(self.engine._pkey, self.estimator_name, config_key)
-        step = self.checkpoint.step
-        adjusted = np.empty_like(g_test)
-        missing: list[int] = []
-        for index, example_hash in enumerate(test.hashes):
-            row = self.store.get(step, example_hash, adjusted_key)
-            if row is None:
-                missing.append(index)
-            else:
-                adjusted[index] = row
-        if missing:
-            fresh = self._adjust(g_train, terms, g_test[missing])
-            for row, index in zip(fresh, missing):
-                adjusted[index] = row
-                self.store.put(step, test.hashes[index], adjusted_key, row)
-            self.store.flush()
-        return g_train, adjusted
+        return g_train, self._adjust(g_train, terms, rows[: len(test)])
 
     # -- DataInfluence interface ---------------------------------------
 
@@ -249,7 +219,7 @@ class DataInf(DataInfluence):
             n_train=len(train_examples),
             step=self.checkpoint.step,
         ):
-            _, g_train, terms = self._train_block(TokenSet.of(train_examples))
+            g_train, terms = self._train_block(TokenSet.of(train_examples))
             adjusted = self._adjust(g_train, terms, g_train)
             return (g_train * adjusted).sum(axis=1)
 
@@ -276,9 +246,9 @@ class DataInf(DataInfluence):
             # The example rides along: its raw row comes out of the
             # variants' batched pass (same input ids), so a following
             # influence() on it hits the store.  It is not adjusted here:
-            # an adjusted row's low bits depend on which rows share its
-            # _adjust call, and the variants' must not depend on whether
-            # the example's adjusted row is already cached.
+            # an adjusted row's low bits can depend on which rows share
+            # its _adjust call, and the variants' must not depend on the
+            # example.
             g_train, adjusted = self._adjusted_rows(
                 train_examples, variants, unadjusted=[test_example]
             )

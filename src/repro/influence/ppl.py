@@ -39,11 +39,6 @@ def sample_losses(model, examples: Sequence[TokenExample]) -> np.ndarray:
     return losses
 
 
-def perplexities(model, examples: Sequence[TokenExample]) -> np.ndarray:
-    """Per-sample perplexity ``exp(loss)``."""
-    return np.exp(sample_losses(model, examples))
-
-
 def ppl_quality_scores(model, examples: Sequence[TokenExample]) -> np.ndarray:
     """Quality scores: negated loss, so Top-K keeps low-perplexity samples."""
     return -sample_losses(model, examples)

@@ -39,27 +39,6 @@ def select_top_k(items: Sequence[T], scores: np.ndarray, k: int) -> list[T]:
     return [items[i] for i in top_k_indices(scores, k)]
 
 
-def split_high_low(scores: np.ndarray, fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split indices into (high-influence, low-influence) halves.
-
-    ``fraction`` is the share of samples in each returned group; the
-    Figure 2 study compares training on the two groups at equal size.
-    The groups must be disjoint, so ``fraction`` is capped at 0.5 —
-    anything larger would silently place samples in *both* groups and
-    corrupt the comparison.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if not 0.0 < fraction <= 0.5:
-        raise InfluenceError(
-            f"fraction must be in (0, 0.5] so the groups stay disjoint, got {fraction}"
-        )
-    if scores.shape[0] < 2:
-        raise InfluenceError("split_high_low() needs at least 2 scores")
-    k = max(1, int(round(fraction * scores.shape[0])))
-    k = min(k, scores.shape[0] // 2)  # rounding must not make the groups overlap
-    return top_k_indices(scores, k), bottom_k_indices(scores, k)
-
-
 def stratified_top_k(scores: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Top-K by score *within each label class*, proportionally allocated.
 

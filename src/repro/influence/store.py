@@ -25,7 +25,6 @@ counts are exported through ``repro.obs`` (``influence.store.*``).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
 from collections import OrderedDict
@@ -37,40 +36,6 @@ import numpy as np
 from repro.obs import Observability, get_observability
 
 StoreKey = tuple[int, str, str]
-
-
-def row_cache_key(projector_key: str, estimator: str = "raw", config: str = "") -> str:
-    """Full cache-key component for one family of gradient rows.
-
-    Raw (estimator-independent) rows keep the bare projector key, so
-    every estimator sharing a store reuses the same raw rows — that is
-    the point of the shared store.  Estimator-*adjusted* rows (e.g.
-    DataInf's Hessian-adjusted test gradients) must never collide with
-    raw rows for the same ``(checkpoint, example, projector)`` triple,
-    so their key appends the estimator name and its configuration
-    (regularization, train-set fingerprint)::
-
-        row_cache_key("p0-k64-d256")                          # raw rows
-        row_cache_key("p0-k64-d256", "datainf", "l0.1-t9f2c") # adjusted
-
-    Distinct keys also mean distinct disk shards, so a warm cache
-    directory can hold both families side by side.
-    """
-    if estimator == "raw":
-        return projector_key
-    suffix = f"+{estimator}" if not config else f"+{estimator}-{config}"
-    return projector_key + suffix
-
-
-def train_set_hash(example_hashes) -> str:
-    """Content fingerprint of a training set (order-insensitive).
-
-    DataInf's Hessian estimate — and therefore its adjusted test rows —
-    is a function of the *whole* training gradient set; rows adjusted
-    against one training set must miss the cache for any other.
-    """
-    payload = "|".join(sorted(example_hashes)).encode()
-    return hashlib.sha1(payload).hexdigest()[:12]
 
 
 def example_content_hash(example) -> str:
@@ -96,8 +61,7 @@ class TokenSet(Sequence):
     :meth:`of`, so a set built once (a service's training set) is
     hashed once for its lifetime instead of on every call.  Examples
     are frozen to ``(input_ids, labels)`` tuples; ``hashes[i]`` is
-    :func:`example_content_hash` of ``examples[i]``, and
-    :attr:`fingerprint` is the order-insensitive :func:`train_set_hash`.
+    :func:`example_content_hash` of ``examples[i]``.
     """
 
     def __init__(self, examples=(), _hashes: tuple[str, ...] | None = None):
@@ -110,10 +74,6 @@ class TokenSet(Sequence):
     def of(cls, examples) -> TokenSet:
         """``examples`` itself when already a :class:`TokenSet`, else a new one."""
         return examples if isinstance(examples, TokenSet) else cls(examples)
-
-    @functools.cached_property
-    def fingerprint(self) -> str:
-        return train_set_hash(self.hashes)
 
     def __add__(self, other) -> TokenSet:
         other = TokenSet.of(other)

@@ -4,10 +4,8 @@ from repro.lora.adapter import LoRAConfig, LoRALinear
 from repro.lora.inject import (
     apply_lora,
     iter_lora_modules,
-    lora_state_dict,
     merge_lora,
     trainable_parameter_fraction,
-    unmerge_lora,
 )
 
 __all__ = [
@@ -16,7 +14,5 @@ __all__ = [
     "apply_lora",
     "iter_lora_modules",
     "merge_lora",
-    "unmerge_lora",
-    "lora_state_dict",
     "trainable_parameter_fraction",
 ]

@@ -92,10 +92,3 @@ class LoRALinear(Module):
             return
         self.base.weight.data = self.base.weight.data + self.delta_weight()
         self._merged = True
-
-    def unmerge(self) -> None:
-        """Undo :meth:`merge`, restoring the separate low-rank path."""
-        if not self._merged:
-            return
-        self.base.weight.data = self.base.weight.data - self.delta_weight()
-        self._merged = False

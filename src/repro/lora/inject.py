@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.tensor.random import default_rng
 from repro.nn.layers import Linear
@@ -92,25 +90,6 @@ def merge_lora(model: Module) -> int:
     if adapters:
         model.bump_weight_version()
     return len(adapters)
-
-
-def unmerge_lora(model: Module) -> int:
-    """Undo :func:`merge_lora`; returns the count."""
-    adapters = iter_lora_modules(model)
-    for adapter in adapters:
-        adapter.unmerge()
-    if adapters:
-        model.bump_weight_version()
-    return len(adapters)
-
-
-def lora_state_dict(model: Module) -> dict[str, np.ndarray]:
-    """Only the adapter parameters (the part worth checkpointing)."""
-    return {
-        name: param.data.copy()
-        for name, param in model.named_parameters()
-        if "lora_a" in name or "lora_b" in name
-    }
 
 
 def trainable_parameter_fraction(model: Module) -> float:

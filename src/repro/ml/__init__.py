@@ -2,15 +2,8 @@
 
 from repro.ml.features import HashingVectorizer
 from repro.ml.logistic import LogisticRegression
-from repro.ml.stumps import GradientBoostedStumps
-from repro.ml.woe import FeatureIV, WoeBin, dataset_iv, woe_iv
 
 __all__ = [
     "LogisticRegression",
-    "GradientBoostedStumps",
     "HashingVectorizer",
-    "woe_iv",
-    "dataset_iv",
-    "FeatureIV",
-    "WoeBin",
 ]

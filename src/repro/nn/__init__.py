@@ -1,7 +1,7 @@
 """Neural network library: modules, layers and the MistralTiny causal LM."""
 
 from repro.nn.module import Buffer, Module, ModuleList, Parameter
-from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, RMSNorm
+from repro.nn.layers import Dropout, Embedding, Linear, RMSNorm
 from repro.nn.rope import RotaryEmbedding
 from repro.nn.attention import (
     MultiHeadAttention,
@@ -10,7 +10,7 @@ from repro.nn.attention import (
     sliding_window_mask,
 )
 from repro.nn.cache import KVCache, KVCacheSnapshot, LayerKVCache, PrefixCache, PrefixEntry
-from repro.nn.mlp import MLP, SwiGLU
+from repro.nn.mlp import SwiGLU
 from repro.nn.transformer import MistralTiny, ModelConfig, TransformerBlock
 from repro.nn.classifier import SequenceClassifier, pad_sequences
 from repro.nn.flops import FlopsEstimate, count_parameters, estimate_decode_flops, estimate_flops
@@ -44,7 +44,6 @@ __all__ = [
     "Linear",
     "Embedding",
     "RMSNorm",
-    "LayerNorm",
     "Dropout",
     "RotaryEmbedding",
     "MultiHeadAttention",
@@ -57,7 +56,6 @@ __all__ = [
     "PrefixCache",
     "PrefixEntry",
     "SwiGLU",
-    "MLP",
     "ModelConfig",
     "TransformerBlock",
     "MistralTiny",

@@ -90,17 +90,6 @@ class SequenceClassifier(Module):
                 self.train()
         return 1.0 / (1.0 + np.exp(-z.data))
 
-    def predict_proba_sequences(
-        self, token_sequences: Sequence[Sequence[int]]
-    ) -> np.ndarray:
-        """P(positive) for ragged token sequences in one padded forward pass.
-
-        Sequences of unequal length are right-padded with ``self.pad_id``
-        and masked together; equivalent to calling :meth:`predict_proba`
-        per sequence at a fraction of the cost.
-        """
-        return self.predict_proba(pad_sequences(token_sequences, pad_id=self.pad_id))
-
     def fit(
         self,
         token_sequences: Sequence[list[int]],

@@ -43,15 +43,6 @@ class FlopsEstimate:
     head_flops: int
     int8_macs: int = 0
 
-    def tokens_per_second(self, flops_per_second: float) -> float:
-        """Throughput implied by a sustained compute rate."""
-        return flops_per_second / self.flops_per_token
-
-    @property
-    def float_macs(self) -> int:
-        """Multiply-accumulates executed against float weights/activations."""
-        return self.flops_per_token // 2 - self.int8_macs
-
 
 def count_parameters(config: ModelConfig) -> int:
     """Exact parameter count for a :class:`MistralTiny` of this config."""

@@ -1,4 +1,4 @@
-"""Basic layers: Linear, Embedding, RMSNorm, LayerNorm, Dropout.
+"""Basic layers: Linear, Embedding, RMSNorm, Dropout.
 
 Linear layers (plain, biased, unmerged LoRA and the tied head) and
 RMSNorm are each one autograd node: :func:`linear` and :func:`rms_norm`
@@ -200,22 +200,6 @@ class RMSNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return rms_norm(x, self.weight, self.eps)
-
-
-class LayerNorm(Module):
-    """Standard layer normalization with learnable scale and shift."""
-
-    def __init__(self, dim: int, eps: float = 1e-5):
-        super().__init__()
-        self.eps = eps
-        self.weight = Parameter(np.ones(dim, dtype=np.float32))
-        self.bias = Parameter(np.zeros(dim, dtype=np.float32))
-
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centred = x - mu
-        var = (centred * centred).mean(axis=-1, keepdims=True)
-        return centred * ((var + self.eps) ** -0.5) * self.weight + self.bias
 
 
 class Dropout(Module):

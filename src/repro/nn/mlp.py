@@ -1,4 +1,4 @@
-"""Feed-forward blocks: SwiGLU (Mistral's) and a plain SiLU MLP."""
+"""Feed-forward block: SwiGLU (Mistral's)."""
 
 from __future__ import annotations
 
@@ -55,17 +55,3 @@ class SwiGLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.dropout(self.w2(swiglu(self.w1(x), self.w3(x))))
-
-
-class MLP(Module):
-    """Plain two-layer MLP with a SiLU nonlinearity."""
-
-    def __init__(self, d_model: int, d_ff: int, dropout: float = 0.0, rng=None):
-        super().__init__()
-        rng = default_rng(rng)
-        self.fc1 = Linear(d_model, d_ff, rng=rng)
-        self.fc2 = Linear(d_ff, d_model, rng=rng)
-        self.dropout = Dropout(dropout, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.dropout(self.fc2(self.fc1(x).silu()))

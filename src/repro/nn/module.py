@@ -100,9 +100,6 @@ class Module:
         for name, child in self.named_children():
             yield from child.named_buffers(prefix=f"{prefix}{name}.")
 
-    def buffers(self) -> list[Buffer]:
-        return [b for _, b in self.named_buffers()]
-
     def num_parameters(self, trainable_only: bool = False) -> int:
         """Total scalar parameter count."""
         return sum(

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.tensor import Tensor
 
 
 def rotate(
@@ -91,29 +90,3 @@ class RotaryEmbedding:
             sin_table = sin_table[:, None, :, :]
         return cos_table, sin_table
 
-    def apply(self, x: Tensor, positions: np.ndarray | None = None) -> Tensor:
-        """Rotate ``x`` of shape ``(B, H, T, head_dim)`` by position.
-
-        ``positions`` defaults to ``0..T-1``; pass explicit positions when
-        decoding incrementally with a KV cache.  A ``(T,)`` array is
-        shared across the batch; a ``(B, T)`` array gives every row its
-        own positions (ragged batched decoding).  One graph node whose
-        forward and backward are :func:`rotate` over one gather.
-        """
-        if positions is None:
-            positions = np.arange(x.shape[-2])
-        tables = self.tables(positions)
-        out = Tensor._result(rotate(x.data, tables), (x,))
-        if out.requires_grad:
-
-            def _backward():
-                x._accumulate(rotate(out.grad, tables, inverse=True))
-
-            out._backward = _backward
-        return out
-
-    def apply_np(self, x: np.ndarray, positions: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """Raw-numpy rotation of ``x`` at ``positions``: :func:`rotate` over
-        :meth:`tables`.
-        """
-        return rotate(x, self.tables(positions), inverse)

@@ -100,18 +100,9 @@ def get_observability() -> Observability:
     return _default
 
 
-def set_observability(obs: Observability | None) -> Observability | None:
-    """Swap the process default (tests; returns the previous hub)."""
-    global _default
-    previous = _default
-    _default = obs
-    return previous
-
-
 __all__ = [
     "Observability",
     "get_observability",
-    "set_observability",
     "MetricsRegistry",
     "Counter",
     "Gauge",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.errors import ObservabilityError
 
@@ -255,8 +255,3 @@ class MetricsRegistry:
             "gauges": {key: g.value for key, g in sorted(gauges.items())},
             "histograms": {key: h.summary() for key, h in sorted(histograms.items())},
         }
-
-    def series(self) -> Iterable[str]:
-        """All registered series keys (for tests and reports)."""
-        with self._lock:
-            return sorted([*self._counters, *self._gauges, *self._histograms])

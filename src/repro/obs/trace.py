@@ -25,7 +25,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.events import EventSink
@@ -57,12 +57,6 @@ class Span:
             "attrs": self.attrs,
             "children": [child.to_dict() for child in self.children],
         }
-
-    def walk(self) -> Iterator["Span"]:
-        """Yield this span and every descendant, depth-first."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
 
 
 class _NullSpan:
@@ -161,11 +155,6 @@ class Tracer:
                 attrs=record.attrs,
                 n_children=len(record.children),
             )
-
-    def current(self) -> Span | None:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
 
     def aggregates(self) -> dict[str, dict[str, float]]:
         """Per-span-name totals: ``{name: {count, total_s, mean_s, max_s}}``."""

@@ -2,20 +2,17 @@
 
 from repro.optim.optimizer import Optimizer
 from repro.optim.adamw import AdamW
-from repro.optim.lion import Lion
 from repro.optim.sgd import SGD
-from repro.optim.schedule import ConstantLR, CosineDecayLR, LinearDecayLR, LRSchedule
+from repro.optim.schedule import ConstantLR, CosineDecayLR, LRSchedule
 from repro.optim.clip import clip_grad_norm, global_grad_norm
 
 __all__ = [
     "Optimizer",
     "AdamW",
     "SGD",
-    "Lion",
     "LRSchedule",
     "ConstantLR",
     "CosineDecayLR",
-    "LinearDecayLR",
     "clip_grad_norm",
     "global_grad_norm",
 ]

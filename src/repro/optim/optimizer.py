@@ -46,9 +46,8 @@ class Optimizer:
     def _state_buffers(self) -> dict[str, list[np.ndarray]]:
         """Per-parameter moment buffers, keyed by buffer name.
 
-        Subclasses with state (AdamW's ``m``/``v``, SGD's velocity,
-        Lion's momentum) override this; each list must be parallel to
-        ``self.params``.
+        Subclasses with state (AdamW's ``m``/``v``, SGD's velocity)
+        override this; each list must be parallel to ``self.params``.
         """
         return {}
 

@@ -64,18 +64,3 @@ class CosineDecayLR(LRSchedule):
         progress = min(progress, 1.0)
         cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
         return self.min_lr + (self.base_lr - self.min_lr) * cosine
-
-
-class LinearDecayLR(LRSchedule):
-    """Linear decay from ``base_lr`` to ``min_lr`` over ``total_steps``."""
-
-    def __init__(self, base_lr: float, total_steps: int, min_lr: float = 0.0):
-        if base_lr <= 0 or total_steps <= 0:
-            raise ConfigError("base_lr and total_steps must be positive")
-        self.base_lr = base_lr
-        self.total_steps = total_steps
-        self.min_lr = min_lr
-
-    def lr_at(self, step: int) -> float:
-        progress = min(step / self.total_steps, 1.0)
-        return self.base_lr + (self.min_lr - self.base_lr) * progress

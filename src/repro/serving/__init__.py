@@ -35,7 +35,6 @@ from repro.serving.explain import (
     InfluentialExample,
     ReasonCode,
     TokenAttribution,
-    adverse_action_reasons,
     reason_codes,
 )
 from repro.serving.scorecard import ScorecardScaler
@@ -79,7 +78,6 @@ __all__ = [
     "ScorecardScaler",
     "ReasonCode",
     "reason_codes",
-    "adverse_action_reasons",
     "ExplainService",
     "ExplainConfig",
     "ExplainRequest",

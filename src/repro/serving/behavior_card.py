@@ -127,10 +127,6 @@ class ServiceStats:
     def cache_hit_rate(self) -> float:
         return self.cache_hits / self.requests if self.requests else 0.0
 
-    @property
-    def degraded_rate(self) -> float:
-        return self.degraded / self.requests if self.requests else 0.0
-
 
 class BehaviorCardService:
     """Loan-decision scoring service backed by a ZiGong classifier.

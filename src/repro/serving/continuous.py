@@ -14,8 +14,8 @@ and the threaded worker — with a different step policy.  A
    for, expiring stale ones on the way (the core's inclusive deadline
    boundary — once admitted, a request always decodes),
 2. runs **one** decode step, streaming every generated token to its
-   caller through ``PendingResult._emit_token`` (callbacks plus the
-   blocking ``token_stream()`` iterator), and finalizing finished rows
+   caller through ``PendingResult._emit_token`` (its token callbacks and
+   ``stream`` prefix), and finalizing finished rows
    through the app's ``finish`` hook — exactly once.
 
 Because the core is shared, a :class:`~repro.serving.cluster.ClusterSupervisor`
@@ -221,7 +221,6 @@ class ContinuousEngine(ServingEngine):
                 continue
             result = replace(result, latency_s=latency, batch_size=batch_size)
             self.stats.completed += 1
-            self.stats.total_latency_s += latency
             self._m_completed.inc()
             self._h_latency.observe(latency)
             pending._resolve(result)

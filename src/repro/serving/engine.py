@@ -21,8 +21,7 @@ that architecture to the laptop-scale reproduction:
   ``degraded``) when the model path raises.
   :class:`~repro.serving.continuous.ContinuousEngine` is the other
   step policy (streaming decode).
-* :class:`EngineStats` — latency / throughput / queue-depth counters,
-  including latency quantiles backed by the observability layer.
+* :class:`EngineStats` — throughput / queue-depth counters.
 
 The engine is instrumented through :class:`repro.obs.Observability`
 (metric names in ``docs/observability.md``): admission / expiry /
@@ -59,7 +58,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from repro.errors import (
@@ -70,7 +69,6 @@ from repro.errors import (
     ServingTimeout,
 )
 from repro.obs import Observability, get_observability
-from repro.obs.metrics import Histogram
 from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.resilience.faults import fault_point
 
@@ -134,12 +132,7 @@ class EngineConfig:
 
 @dataclass
 class EngineStats:
-    """Counters the engine maintains; cheap enough to read at any time.
-
-    When the engine is observability-enabled the stats also expose
-    end-to-end latency quantiles, backed by the registry's
-    ``serving.latency_s`` histogram (0.0 when disabled or empty).
-    """
+    """Counters the engine maintains; cheap enough to read at any time."""
 
     submitted: int = 0
     completed: int = 0
@@ -148,34 +141,11 @@ class EngineStats:
     failed: int = 0  # model path raised and no fallback absorbed it
     degraded: int = 0  # answered by the fallback scorer
     batches: int = 0
-    total_latency_s: float = 0.0
     max_queue_depth: int = 0
-    latency: Histogram | None = field(default=None, repr=False, compare=False)
 
     @property
     def mean_batch_size(self) -> float:
         return self.completed / self.batches if self.batches else 0.0
-
-    @property
-    def mean_latency_s(self) -> float:
-        return self.total_latency_s / self.completed if self.completed else 0.0
-
-    @property
-    def rejection_rate(self) -> float:
-        offered = self.submitted + self.rejected
-        return self.rejected / offered if offered else 0.0
-
-    def latency_quantile(self, q: float) -> float:
-        """End-to-end latency quantile over the recent window."""
-        return self.latency.quantile(q) if self.latency is not None else 0.0
-
-    @property
-    def p50_latency_s(self) -> float:
-        return self.latency_quantile(0.50)
-
-    @property
-    def p95_latency_s(self) -> float:
-        return self.latency_quantile(0.95)
 
 
 class PendingResult:
@@ -197,7 +167,6 @@ class PendingResult:
         self._finalize_lock = threading.Lock()
         self._stream: list[int] = []
         self._token_callbacks: list[Callable[["PendingResult", int], None]] = []
-        self._stream_cond = threading.Condition(self._finalize_lock)
 
     @property
     def done(self) -> bool:
@@ -236,7 +205,6 @@ class PendingResult:
             self._error = error
             self._event.set()
             callbacks, self._callbacks = self._callbacks, []
-            self._stream_cond.notify_all()
         for fn in callbacks:
             fn(self)
 
@@ -277,34 +245,8 @@ class PendingResult:
                 )
             self._stream.append(token_id)
             callbacks = list(self._token_callbacks)
-            self._stream_cond.notify_all()
         for fn in callbacks:
             fn(self, token_id)
-
-    def token_stream(self, timeout: float | None = None):
-        """Iterate tokens as they decode; ends when the request finalizes.
-
-        Safe to consume from another thread while the engine decodes.
-        ``timeout`` bounds the wait for each *next* token and raises
-        :class:`~repro.errors.ServingTimeout` on expiry.  Iteration
-        always ends cleanly at finalization — for a failed request the
-        stream stops at the last good token and the terminal error is
-        delivered (exactly once) by :meth:`result`.
-        """
-        index = 0
-        while True:
-            with self._stream_cond:
-                while index >= len(self._stream) and not self.done:
-                    if not self._stream_cond.wait(timeout):
-                        raise ServingTimeout(
-                            f"no token for {self.request.user_id!r} within {timeout}s"
-                        )
-                if index < len(self._stream):
-                    token = self._stream[index]
-                    index += 1
-                else:
-                    return
-            yield token
 
     def result(self, timeout: float | None = None) -> ScoreResult:
         """Block until scored; re-raise the stored error if the request failed.
@@ -362,9 +304,7 @@ class ServingEngine:
         self._h_latency = metrics.histogram("serving.latency_s")
         self._h_forward = metrics.histogram("serving.forward_s")
         self._h_batch_size = metrics.histogram("serving.batch_size")
-        self.stats = EngineStats(
-            latency=self._h_latency if metrics.enabled else None
-        )
+        self.stats = EngineStats()
         self._worker: threading.Thread | None = None
         self._running = False
         self._idle_wakeups = 0
@@ -739,7 +679,6 @@ class MicroBatchEngine(ServingEngine):
             )
             self.stats.completed += 1
             self.stats.degraded += int(result.degraded)
-            self.stats.total_latency_s += latency
             self._m_completed.inc()
             self._m_degraded.inc(int(result.degraded))
             self._h_latency.observe(latency)

@@ -45,10 +45,6 @@ class ReasonCode:
     value: str
     delta: float  # score(with feature) − score(without); >0 raised risk
 
-    def describe(self) -> str:
-        direction = "raised" if self.delta > 0 else "lowered"
-        return f"{self.feature}={self.value} {direction} the risk score by {abs(self.delta):.3f}"
-
 
 def _feature_tokens(prompt: str) -> list[tuple[int, str, str]]:
     """(position, name, value) for every ``name=value`` token in the prompt."""
@@ -102,21 +98,6 @@ def reason_codes(
     return codes[:top_k]
 
 
-def adverse_action_reasons(
-    classifier,
-    prompt: str,
-    positive_text: str = "yes",
-    negative_text: str = "no",
-    top_k: int = 4,
-) -> list[ReasonCode]:
-    """Only the risk-*raising* features — what a decline letter cites."""
-    codes = reason_codes(
-        classifier, prompt, positive_text, negative_text, top_k=max(top_k, 4)
-    )
-    raising = [c for c in codes if c.delta > 0]
-    return raising[:top_k]
-
-
 # ----------------------------------------------------------------------
 # Influence-as-a-service: training-data explanations for decisions
 # ----------------------------------------------------------------------
@@ -152,12 +133,6 @@ class TokenAttribution:
     positions: tuple[int, ...]
     scores: tuple[float, ...]
     tokens: tuple[str, ...] = ()
-
-    def top_tokens(self, k: int = 3) -> list[tuple[str, float]]:
-        """The ``k`` tokens with the largest absolute attribution."""
-        names = self.tokens or tuple(f"pos{p}" for p in self.positions)
-        ranked = sorted(zip(names, self.scores), key=lambda ts: abs(ts[1]), reverse=True)
-        return ranked[:k]
 
 
 @dataclass(frozen=True)
@@ -385,14 +360,6 @@ class ExplainService:
             user_id=user_id, behavior_text=behavior_text, k=k, proponents=proponents
         )
         return self.engine.serve([request])[0]  # type: ignore[return-value]
-
-    def explain_requests(self, requests: Sequence[ScoreRequest]) -> list[ExplainResult]:
-        """Explain many requests through the micro-batching engine."""
-        results: list[ExplainResult] = []
-        wave = self.config.queue_capacity
-        for start in range(0, len(requests), wave):
-            results.extend(self.engine.serve(list(requests[start : start + wave])))  # type: ignore[arg-type]
-        return results
 
     # -- construction --------------------------------------------------
 

@@ -55,14 +55,6 @@ class ScorecardScaler:
         raw = self.offset + self.factor * math.log(odds_good)
         return float(min(max(raw, self.min_score), self.max_score))
 
-    def probability(self, score: float) -> float:
-        """Inverse mapping: P(default) implied by scorecard points.
-
-        Only exact for scores inside the clamping range.
-        """
-        odds_good = math.exp((score - self.offset) / self.factor)
-        return float(1.0 / (1.0 + odds_good))
-
     def band(self, p_default: float) -> str:
         """Coarse risk band used in lending UIs."""
         points = self.score(p_default)

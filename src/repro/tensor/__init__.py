@@ -15,13 +15,12 @@ from repro.tensor.ops import (
     concat,
     cross_entropy,
     embedding,
-    log_softmax,
     row_cross_entropy,
     softmax,
     stack,
     where,
 )
-from repro.tensor.random import Initializer, default_rng, normal_init, uniform_init
+from repro.tensor.random import Initializer, default_rng, uniform_init
 
 __all__ = [
     "Tensor",
@@ -31,12 +30,10 @@ __all__ = [
     "stack",
     "where",
     "softmax",
-    "log_softmax",
     "cross_entropy",
     "row_cross_entropy",
     "embedding",
     "default_rng",
     "Initializer",
-    "normal_init",
     "uniform_init",
 ]

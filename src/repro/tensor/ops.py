@@ -98,23 +98,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    logp = shifted - log_z
-    out = Tensor._result(logp, (x,))
-    if out.requires_grad:
-        probs = np.exp(logp)
-
-        def _backward():
-            g = out.grad
-            x._accumulate(g - probs * g.sum(axis=axis, keepdims=True))
-
-        out._backward = _backward
-    return out
-
-
 def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     """Look up rows of ``weight`` by integer ``indices``.
 

@@ -10,8 +10,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor
-
 Initializer = Callable[[tuple[int, ...], np.random.Generator], np.ndarray]
 
 
@@ -20,15 +18,6 @@ def default_rng(seed: int | np.random.Generator | None = 0) -> np.random.Generat
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def normal_init(std: float = 0.02) -> Initializer:
-    """Gaussian initializer with the given standard deviation."""
-
-    def init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(0.0, std, size=shape).astype(np.float32)
-
-    return init
 
 
 def uniform_init(scale: float) -> Initializer:
@@ -43,8 +32,3 @@ def uniform_init(scale: float) -> Initializer:
 def kaiming_init(fan_in: int) -> Initializer:
     """He-style uniform initializer scaled by ``1/sqrt(fan_in)``."""
     return uniform_init(1.0 / np.sqrt(max(fan_in, 1)))
-
-
-def randn_tensor(shape: tuple[int, ...], rng: np.random.Generator, std: float = 1.0, requires_grad: bool = False) -> Tensor:
-    """Convenience: a Gaussian tensor with the given shape."""
-    return Tensor(rng.normal(0.0, std, size=shape).astype(np.float32), requires_grad=requires_grad)

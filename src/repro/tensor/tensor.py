@@ -165,17 +165,6 @@ class Tensor:
         else:
             self.grad += grad
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._backward = None
-        out._parents = ()
-        out.name = self.name
-        return out
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -407,17 +396,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-        out = Tensor._result(data, (self,))
-        if out.requires_grad:
-
-            def _backward():
-                self._accumulate(out.grad * data * (1.0 - data))
-
-            out._backward = _backward
-        return out
-
     def relu(self) -> "Tensor":
         mask = self.data > 0
         out = Tensor._result(self.data * mask, (self,))
@@ -438,23 +416,6 @@ class Tensor:
 
             def _backward():
                 self._accumulate(out.grad * (sig * (1.0 + self.data * (1.0 - sig))))
-
-            out._backward = _backward
-        return out
-
-    def gelu(self) -> "Tensor":
-        """Tanh-approximate GELU."""
-        c = np.float32(np.sqrt(2.0 / np.pi))
-        inner = c * (self.data + 0.044715 * self.data**3)
-        t = np.tanh(inner)
-        data = 0.5 * self.data * (1.0 + t)
-        out = Tensor._result(data, (self,))
-        if out.requires_grad:
-
-            def _backward():
-                dinner = c * (1.0 + 3 * 0.044715 * self.data**2)
-                local = 0.5 * (1.0 + t) + 0.5 * self.data * (1.0 - t**2) * dinner
-                self._accumulate(out.grad * local)
 
             out._backward = _backward
         return out
@@ -507,12 +468,6 @@ class Tensor:
             axes = axis if isinstance(axis, tuple) else (axis,)
             count = int(np.prod([self.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Population variance (ddof=0), differentiable."""
-        mu = self.mean(axis=axis, keepdims=True)
-        sq = (self - mu) * (self - mu)
-        return sq.mean(axis=axis, keepdims=keepdims)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         data = self.data.max(axis=axis, keepdims=keepdims)

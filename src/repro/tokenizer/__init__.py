@@ -1,7 +1,6 @@
-"""Tokenizers: word-level (default for instruct pipelines) and byte-level BPE."""
+"""Word-level tokenizer and its vocabulary."""
 
 from repro.tokenizer.base import BaseTokenizer
-from repro.tokenizer.bpe import BPETokenizer
 from repro.tokenizer.vocab import (
     BOS_TOKEN,
     DEFAULT_SPECIAL_TOKENS,
@@ -16,7 +15,6 @@ from repro.tokenizer.whitespace import WordTokenizer
 __all__ = [
     "BaseTokenizer",
     "WordTokenizer",
-    "BPETokenizer",
     "Vocab",
     "PAD_TOKEN",
     "UNK_TOKEN",

@@ -3,8 +3,7 @@
 Instruction prompts in this reproduction are built from a closed set of
 template words and binned feature tokens (``duration=short``), so a
 word-level vocabulary is both compact and fully lossless on that domain.
-This is the default tokenizer for the ZiGong pipeline; the byte-level BPE
-in :mod:`repro.tokenizer.bpe` covers open text.
+This is the tokenizer of the ZiGong pipeline.
 """
 
 from __future__ import annotations

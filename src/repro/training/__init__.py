@@ -6,7 +6,6 @@ from repro.training.callbacks import (
     EarlyStopping,
     History,
     MetricsLogger,
-    PrintLogger,
     StepLog,
     ValidationLoss,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "Callback",
     "History",
     "MetricsLogger",
-    "PrintLogger",
     "EarlyStopping",
     "ValidationLoss",
     "StepLog",

@@ -59,11 +59,6 @@ class History(Callback):
     def losses(self) -> list[float]:
         return [s.loss for s in self.steps]
 
-    def final_loss(self) -> float:
-        if not self.steps:
-            raise ValueError("no steps recorded")
-        return self.steps[-1].loss
-
 
 class MetricsLogger(Callback):
     """Publish step telemetry into the observability layer.
@@ -109,17 +104,6 @@ class MetricsLogger(Callback):
 
     def on_epoch_end(self, epoch: int, mean_loss: float) -> None:
         self.obs.event("training.epoch", epoch=epoch, mean_loss=mean_loss)
-
-
-class PrintLogger(Callback):
-    """Prints a line every ``every`` steps (for examples/benchmarks)."""
-
-    def __init__(self, every: int = 10):
-        self.every = every
-
-    def on_step(self, log: StepLog) -> None:
-        if log.step % self.every == 0:
-            print(f"step {log.step:5d}  loss {log.loss:.4f}  lr {log.lr:.2e}")
 
 
 class ValidationLoss(Callback):

@@ -1,14 +1,13 @@
-"""SequenceClassifier (classification head) and Platt-calibration tests."""
+"""SequenceClassifier (classification head) tests."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, EvaluationError, ShapeError
+from repro.errors import ConfigError, ShapeError
 from repro.nn import MistralTiny, ModelConfig, SequenceClassifier
 from repro.baselines import HeadClassifierModel
-from repro.eval import PlattCalibrator, expected_calibration_error
 
 HEAD_CONFIG = ModelConfig(
     vocab_size=48, d_model=32, n_layers=1, n_heads=4, n_kv_heads=2, d_ff=64, max_seq_len=16
@@ -98,45 +97,3 @@ class TestHeadClassifierModel:
         assert result.miss == 0.0  # a head never misses
         assert result.accuracy >= 0.5
         assert result.ks is not None
-
-
-class TestPlattCalibrator:
-    def test_fixes_overconfidence(self):
-        """Squash scores of an overconfident model toward honesty."""
-        rng = np.random.default_rng(0)
-        y = rng.integers(0, 2, 600)
-        # True signal is weak, but raw scores pretend certainty.
-        noise = rng.random(600)
-        raw = np.clip(0.5 + (y - 0.5) * 0.2 + (noise - 0.5) * 0.1, 0.01, 0.99)
-        overconfident = np.clip(raw * 1.8 - 0.4, 0.001, 0.999)
-        calibrator = PlattCalibrator().fit(y, overconfident)
-        calibrated = calibrator.transform(overconfident)
-        assert expected_calibration_error(y, calibrated) < expected_calibration_error(
-            y, overconfident
-        )
-
-    def test_identity_when_already_calibrated(self):
-        rng = np.random.default_rng(1)
-        scores = rng.random(2000)
-        y = (rng.random(2000) < scores).astype(int)
-        calibrator = PlattCalibrator().fit(y, scores)
-        calibrated = calibrator.transform(scores)
-        assert np.abs(calibrated - scores).mean() < 0.08
-
-    def test_transform_before_fit_raises(self):
-        with pytest.raises(EvaluationError):
-            PlattCalibrator().transform([0.5])
-
-    def test_monotone(self):
-        y = np.array([0, 0, 1, 1, 0, 1] * 20)
-        scores = np.tile(np.array([0.1, 0.3, 0.5, 0.7, 0.4, 0.9]), 20)
-        calibrator = PlattCalibrator().fit(y, scores)
-        grid = np.linspace(0.01, 0.99, 20)
-        out = calibrator.transform(grid)
-        assert (np.diff(out) > -1e-9).all()
-
-    def test_validation(self):
-        with pytest.raises(EvaluationError):
-            PlattCalibrator(lr=0)
-        with pytest.raises(EvaluationError):
-            PlattCalibrator().fit([1], [1.5])

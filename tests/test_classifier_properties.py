@@ -1,12 +1,7 @@
 """Hypothesis property tests for padded batching in the classifier path.
 
-Two invariants keep the serving engine honest:
-
-* :func:`pad_sequences` preserves every token and only ever *adds*
-  ``pad_id`` on the right, and
-* :meth:`SequenceClassifier.predict_proba_sequences` on a ragged batch
-  matches per-sequence :meth:`predict_proba` — padding positions must be
-  invisible to the score.
+:func:`pad_sequences` preserves every token and only ever *adds*
+``pad_id`` on the right.
 """
 
 from __future__ import annotations
@@ -17,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
-from repro.nn import ModelConfig
-from repro.nn.classifier import SequenceClassifier, pad_sequences
+from repro.nn.classifier import pad_sequences
 
 PAD_ID = 0
 VOCAB = 64
@@ -29,20 +23,6 @@ MAX_LEN = 16
 token_ids = st.integers(min_value=1, max_value=VOCAB - 1)
 sequence = st.lists(token_ids, min_size=1, max_size=MAX_LEN)
 ragged_batch = st.lists(sequence, min_size=1, max_size=6)
-
-_CLASSIFIER = SequenceClassifier(
-    ModelConfig(
-        vocab_size=VOCAB,
-        d_model=32,
-        n_layers=2,
-        n_heads=4,
-        n_kv_heads=2,
-        d_ff=64,
-        max_seq_len=32,
-        sliding_window=16,
-    ),
-    rng=0,
-)
 
 
 class TestPadSequencesProperties:
@@ -83,34 +63,3 @@ class TestPadSequencesProperties:
             pad_sequences([])
         with pytest.raises(ShapeError):
             pad_sequences([[1, 2], []])
-
-
-class TestBatchedScoringParity:
-    @given(ragged_batch)
-    @settings(max_examples=25, deadline=None)
-    def test_predict_proba_sequences_matches_per_sequence(self, sequences):
-        batched = _CLASSIFIER.predict_proba_sequences(sequences)
-        singles = np.array(
-            [
-                float(_CLASSIFIER.predict_proba(np.array([seq]))[0])
-                for seq in sequences
-            ]
-        )
-        assert batched.shape == (len(sequences),)
-        np.testing.assert_allclose(batched, singles, rtol=1e-5, atol=1e-6)
-
-    @given(ragged_batch)
-    @settings(max_examples=25, deadline=None)
-    def test_scores_are_probabilities(self, sequences):
-        scores = _CLASSIFIER.predict_proba_sequences(sequences)
-        assert np.isfinite(scores).all()
-        assert ((scores > 0.0) & (scores < 1.0)).all()
-
-    @given(sequence, st.integers(min_value=1, max_value=MAX_LEN))
-    @settings(max_examples=25, deadline=None)
-    def test_score_independent_of_batch_padding(self, seq, other_len):
-        """A sequence's score does not change with its batch neighbors."""
-        other = [1] * other_len
-        alone = _CLASSIFIER.predict_proba_sequences([seq])[0]
-        paired = _CLASSIFIER.predict_proba_sequences([seq, other])[0]
-        np.testing.assert_allclose(paired, alone, rtol=1e-5, atol=1e-6)

@@ -90,7 +90,3 @@ class TestSelection:
         scores = np.arange(10, dtype=np.float64)
         selected = pruner.select(german_examples[:10], scores, k=3)
         assert selected == [german_examples[9], german_examples[8], german_examples[7]]
-
-    def test_select_indices(self):
-        pruner = DataPruner()
-        np.testing.assert_array_equal(pruner.select_indices(np.array([0.2, 0.9, 0.5]), 2), [1, 2])

@@ -15,7 +15,6 @@ from repro.data import (
     build_classification_examples,
     build_income_examples,
     corpus_texts,
-    get_template,
     hybrid_mix,
     labels_of,
     load_jsonl,
@@ -38,11 +37,6 @@ class TestTemplates:
     def test_missing_field_raises(self):
         with pytest.raises(DataError):
             QA_TEMPLATE.format(context="x")
-
-    def test_get_template(self):
-        assert get_template("qa") is QA_TEMPLATE
-        with pytest.raises(DataError):
-            get_template("nonexistent")
 
 
 class TestExampleBuilders:

@@ -1,58 +1,12 @@
-"""Instruction-data validation tests."""
+"""Instruction-data hygiene tests."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import DataError
-from repro.data import (
-    InstructExample,
-    deduplicate_examples,
-    drop_conflicting_examples,
-    validate_examples,
-)
+from repro.data import InstructExample, deduplicate_examples, drop_conflicting_examples
 
 
 def ex(prompt, answer="yes", label=1):
     return InstructExample(prompt=prompt, answer=answer, label=label)
-
-
-class TestValidateExamples:
-    def test_clean_data_is_ok(self, german_examples):
-        report = validate_examples(german_examples[:50])
-        assert report.ok
-        assert report.n_examples == 50
-        assert set(report.answer_vocabulary) <= {"good", "bad"}
-
-    def test_duplicates_flagged(self):
-        report = validate_examples([ex("p1"), ex("p1"), ex("p2")])
-        assert report.duplicate_prompts == 1
-        assert not report.ok
-        assert any("duplicate" in issue for issue in report.issues)
-
-    def test_conflicts_flagged(self):
-        report = validate_examples([ex("p1", "yes", 1), ex("p1", "no", 0)])
-        assert report.conflicting_prompts == 1
-        assert any("conflicting" in issue for issue in report.issues)
-
-    def test_empty_fields_flagged(self):
-        report = validate_examples([ex("  "), ex("p", "")])
-        assert report.empty_prompts == 1
-        assert report.empty_answers == 1
-
-    def test_vocabulary_overflow_flagged(self):
-        examples = [ex("p1", "a"), ex("p2", "b"), ex("p3", "c"), ex("p4", "d")]
-        report = validate_examples(examples, max_answers=2)
-        assert any("vocabulary" in issue for issue in report.issues)
-
-    def test_prompt_length_limit(self):
-        report = validate_examples([ex("one two three four")], max_prompt_words=3)
-        assert report.max_prompt_words == 4
-        assert any("longest prompt" in issue for issue in report.issues)
-
-    def test_empty_input_raises(self):
-        with pytest.raises(DataError):
-            validate_examples([])
 
 
 class TestCleaners:
@@ -73,6 +27,5 @@ class TestCleaners:
         assert [e.prompt for e in kept] == ["p2"]
 
     def test_pipeline_dedupe_then_validate(self):
-        examples = [ex("p1"), ex("p1"), ex("p2")]
-        report = validate_examples(deduplicate_examples(examples))
-        assert report.duplicate_prompts == 0
+        kept = deduplicate_examples([ex("p1"), ex("p1"), ex("p2")])
+        assert len({e.prompt for e in kept}) == len(kept)

@@ -176,12 +176,6 @@ class TestBehaviorDataset:
         assert len(rows) == 40
         assert {r[2] for r in rows} == {0, 1, 2, 3}
 
-    def test_numeric_at_bounds(self):
-        ds = make_behavior(n_users=5, n_periods=3, seed=0)
-        assert ds.numeric_at(1).shape == (5, 5)
-        with pytest.raises(DataError):
-            ds.numeric_at(3)
-
     def test_invalid_params(self):
         with pytest.raises(DataError):
             make_behavior(signal_decay=1.5)
@@ -216,7 +210,3 @@ class TestIncomeDataset:
         low = ds.income[ds.education == 0].mean()
         high = ds.income[ds.education == 3].mean()
         assert high > low
-
-    def test_numeric_matrix(self):
-        ds = make_income(n=50, seed=0)
-        assert ds.numeric_matrix().shape == (50, 6)

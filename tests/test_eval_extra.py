@@ -140,13 +140,6 @@ class TestEvaluateGenerative:
         assert result.confusion[("good", "bad")] == 1
         assert result.confusion[("good", "good")] == 1
 
-    def test_as_rows_layout(self):
-        examples = _examples(["good"])
-        result = evaluate_generative(_FixedGenerator(["good"]), examples, self.CHOICES)
-        rows = result.as_rows()
-        assert rows[0][0] == "overall"
-        assert len(rows) == 1 + len(self.CHOICES)
-
     def test_unknown_answer_rejected(self):
         examples = [InstructExample("p", "sideways", 0)]
         with pytest.raises(EvaluationError):

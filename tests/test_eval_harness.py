@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import EvaluationError
-from repro.baselines import ExpertSystemModel, MajorityClassModel, RandomGuessModel
+from repro.baselines import ExpertSystemModel, MajorityClassModel
 from repro.eval import (
     CalmBenchmark,
     CreditModel,
@@ -122,22 +122,6 @@ class TestBaselines:
         with pytest.raises(EvaluationError):
             MajorityClassModel([])
 
-    def test_random_seeded(self):
-        samples = _samples([1] * 10)
-        a = [p.label for p in RandomGuessModel(seed=1).predict_many(samples)]
-        b = [p.label for p in RandomGuessModel(seed=1).predict_many(samples)]
-        assert a == b
-
-    def test_random_miss_prob(self):
-        samples = _samples([1] * 200)
-        preds = RandomGuessModel(seed=0, miss_prob=0.5).predict_many(samples)
-        misses = sum(1 for p in preds if p.label is None)
-        assert 60 < misses < 140
-
-    def test_random_invalid_probs(self):
-        with pytest.raises(EvaluationError):
-            RandomGuessModel(miss_prob=1.5)
-
     def test_expert_logistic_on_synthetic(self, german_small):
         train, test = german_small.split(test_fraction=0.3, seed=0)
         model = ExpertSystemModel.logistic(train)
@@ -189,11 +173,11 @@ class TestCalmBenchmark:
     def test_run_produces_results_per_pair(self, bench):
         factories = {
             "majority": lambda task: MajorityClassModel(list(task.train.y)),
-            "random": lambda task: RandomGuessModel(seed=0),
+            "logistic": lambda task: ExpertSystemModel.logistic(task.train),
         }
         results = bench.run(factories)
         assert len(results) == 4
-        assert {r.model for r in results} == {"majority", "random"}
+        assert {r.model for r in results} == {"majority", "logistic"}
 
     def test_table_layout(self, bench):
         factories = {"majority": lambda task: MajorityClassModel(list(task.train.y))}

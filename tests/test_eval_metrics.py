@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.errors import EvaluationError
 from repro.eval import (
     accuracy,
-    confusion_matrix,
     f1_binary,
     ks_statistic,
     miss_rate,
@@ -69,17 +68,6 @@ class TestF1:
 
     def test_weighted_f1_perfect(self):
         assert weighted_f1([1, 0, 0], [1, 0, 0]) == 1.0
-
-
-class TestConfusionMatrix:
-    def test_layout(self):
-        # [[tn, fp], [fn, tp]]
-        matrix = confusion_matrix([0, 0, 1, 1], [0, 1, 0, 1])
-        np.testing.assert_array_equal(matrix, [[1, 1], [1, 1]])
-
-    def test_sums_to_n(self):
-        matrix = confusion_matrix([0, 1, 1, 0, 1], [1, None, 1, 0, 0])
-        assert matrix.sum() == 5
 
 
 class TestKS:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ServingError
 from repro.nn import MistralTiny, ModelConfig, count_parameters, estimate_flops
-from repro.serving import ReasonCode, adverse_action_reasons, reason_codes
+from repro.serving import reason_codes
 
 
 class _LinearStub:
@@ -46,18 +46,6 @@ class TestReasonCodes:
     def test_top_k_truncates(self):
         codes = reason_codes(_LinearStub(), self.PROMPT, top_k=1)
         assert len(codes) == 1
-
-    def test_adverse_action_only_positive(self):
-        reasons = adverse_action_reasons(_LinearStub(), self.PROMPT, top_k=5)
-        assert reasons
-        assert all(c.delta > 0 for c in reasons)
-
-    def test_describe_phrasing(self):
-        code = ReasonCode(feature="late_payments", value="veryhigh", delta=0.2)
-        text = code.describe()
-        assert "late_payments=veryhigh" in text
-        assert "raised" in text
-        assert "lowered" in ReasonCode("x", "y", -0.1).describe()
 
     def test_no_features_raises(self):
         with pytest.raises(ServingError):
@@ -101,10 +89,6 @@ class TestFlops:
         assert narrow.attention_flops < wide.attention_flops
         assert narrow.ffn_flops == wide.ffn_flops
 
-    def test_tokens_per_second(self):
-        estimate = estimate_flops(ModelConfig())
-        assert estimate.tokens_per_second(estimate.flops_per_token * 10.0) == pytest.approx(10.0)
-
     def test_flops_grow_with_layers(self):
         small = estimate_flops(ModelConfig(n_layers=2))
         big = estimate_flops(ModelConfig(n_layers=4))
@@ -119,7 +103,6 @@ class TestFlops:
         assert quant_est.flops_per_token == float_est.flops_per_token
         assert float_est.int8_macs == 0
         assert quant_est.int8_macs > 0
-        assert quant_est.int8_macs + quant_est.float_macs == quant_est.flops_per_token // 2
 
     def test_quantized_int8_macs_are_the_weight_matmuls(self):
         config = ModelConfig()
@@ -128,7 +111,7 @@ class TestFlops:
         # QK^T and AV, scaling with the attended length.
         attended = min(64, config.sliding_window or 64)
         score_macs = config.n_layers * 2 * config.d_model * attended
-        assert est.float_macs == score_macs
+        assert est.flops_per_token // 2 - est.int8_macs == score_macs
 
     def test_decode_flops_cheaper_than_full_forward(self):
         from repro.nn import estimate_decode_flops
@@ -159,4 +142,3 @@ class TestFlops:
 
         est = estimate_decode_flops(ModelConfig(), kv_len=32, quantized=True)
         assert est.int8_macs > 0
-        assert est.int8_macs + est.float_macs == est.flops_per_token // 2

@@ -16,7 +16,6 @@ from repro.influence import (
     normalize_scores,
     per_sample_gradient,
     select_top_k,
-    split_high_low,
     top_k_indices,
     trainable_parameters,
 )
@@ -249,29 +248,6 @@ class TestSelection:
     def test_item_score_mismatch(self):
         with pytest.raises(InfluenceError):
             select_top_k(["a"], np.array([1.0, 2.0]), 1)
-
-    def test_split_high_low_disjoint_at_half(self):
-        scores = np.arange(10, dtype=np.float64)
-        high, low = split_high_low(scores, 0.5)
-        assert len(high) == len(low) == 5
-        assert set(high).isdisjoint(set(low))
-        assert scores[high].min() > scores[low].max()
-
-    def test_split_fraction_validation(self):
-        with pytest.raises(InfluenceError):
-            split_high_low(np.arange(4), 0.0)
-        with pytest.raises(InfluenceError):
-            split_high_low(np.arange(4), 1.5)
-
-    def test_split_fraction_above_half_rejected(self):
-        """fraction > 0.5 would put samples in both groups (Figure 2 bug)."""
-        with pytest.raises(InfluenceError, match="disjoint"):
-            split_high_low(np.arange(10, dtype=np.float64), 0.51)
-
-    def test_split_boundary_half_is_disjoint_odd_n(self):
-        high, low = split_high_low(np.arange(9, dtype=np.float64), 0.5)
-        assert set(high).isdisjoint(set(low))
-        assert len(high) == len(low) == 4
 
     def test_normalize_scores_range(self):
         out = normalize_scores(np.array([2.0, 4.0, 6.0]))

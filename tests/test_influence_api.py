@@ -7,8 +7,7 @@ construction of the same per-layer Hessian approximation within a
 pinned tolerance; token-wise attributions sum to the sequence-level
 score exactly; ``k_most_influential`` orders proponents and opponents
 correctly; a shared :class:`GradientStore` serves every estimator
-without recomputing raw rows (and DataInf's adjusted rows live under
-their own cache keys).
+without recomputing raw rows.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ from repro.influence import (
     TracSeq,
     make_estimator,
     per_token_examples,
-    row_cache_key,
     trainable_parameter_slices,
-    train_set_hash,
 )
 from repro.influence.gradients import gradient_matrix
 from repro.lora.adapter import LoRAConfig
@@ -204,51 +201,18 @@ class TestSharedStore:
         DataInf(lora_model, checkpoints, lam=LAM, store=store, obs=obs).influence(train, test)
         assert obs.metrics.snapshot()["counters"]["influence.gradient_passes"] == passes
 
-    def test_adjusted_rows_use_distinct_keys(self, lora_model, checkpoints, sets):
-        """DataInf-adjusted rows never collide with raw TracIn rows."""
-        train, test = sets
-        store = GradientStore()
-        estimator = DataInf(lora_model, checkpoints, lam=LAM, store=store)
-        estimator.influence(train, test)
-        step = estimator.checkpoint.step
-        pkey = estimator.engine._pkey
-        adjusted_key = row_cache_key(
-            pkey, "datainf", estimator._config_key([])
-        )
-        # The raw key holds raw rows; the adjusted family lives elsewhere.
-        raw_keys = {key[2] for key in store._rows}
-        assert pkey in raw_keys
-        assert any(key.startswith(pkey + "+datainf-") for key in raw_keys)
-        assert adjusted_key != pkey
-        # Raw rows at the final step match what TracInCP would read back.
-        from repro.influence import example_content_hash
-
-        raw = store.get(step, example_content_hash(train[0]), pkey)
-        assert raw is not None
-
     def test_train_set_hash_isolates_hessians(self, lora_model, checkpoints, sets):
-        """Adjusting against a different train set is a cache miss."""
+        """Adjusting against a different train set uses that set's Hessian."""
         train, test = sets
         store = GradientStore()
         estimator = DataInf(lora_model, checkpoints, lam=LAM, store=store)
         full = estimator.influence(train, test)
         subset = estimator.influence(train[:3], test)
-        # Same test rows, different Hessian: the cached adjusted rows
-        # must not leak across train sets.
+        # Same test rows, different Hessian: the adjustment against one
+        # train set must not leak into another.
         direct = DataInf(lora_model, checkpoints, lam=LAM).influence(train[:3], test)
         np.testing.assert_allclose(subset, direct, rtol=0, atol=1e-12)
         assert not np.allclose(full[:3], subset)
-
-    def test_row_cache_key_shapes(self):
-        assert row_cache_key("p0-k8-d64") == "p0-k8-d64"
-        assert row_cache_key("p0-k8-d64", "datainf") == "p0-k8-d64+datainf"
-        assert (
-            row_cache_key("p0-k8-d64", "datainf", "l0.05-tabc")
-            == "p0-k8-d64+datainf-l0.05-tabc"
-        )
-        assert train_set_hash(["b", "a"]) == train_set_hash(["a", "b"])
-        assert train_set_hash(["a"]) != train_set_hash(["a", "b"])
-
 
 class TestEstimatorInterchangeability:
     def test_all_estimators_implement_the_interface(self, lora_model, checkpoints, sets):

@@ -9,7 +9,6 @@ from repro.errors import InfluenceError
 from repro.influence import (
     TracInCP,
     TracSeq,
-    perplexities,
     ppl_quality_scores,
     sample_losses,
 )
@@ -42,13 +41,6 @@ class TestPPLScoring:
         losses = sample_losses(tiny_model, examples)
         assert losses.shape == (2,)
         assert (losses > 0).all()
-
-    def test_perplexity_is_exp_loss(self, tiny_model):
-        examples = [make_example([1, 2, 3, 4])]
-        np.testing.assert_allclose(
-            perplexities(tiny_model, examples),
-            np.exp(sample_losses(tiny_model, examples)),
-        )
 
     def test_quality_is_negated_loss(self, tiny_model):
         examples = [make_example([1, 2, 3]), make_example([4, 5, 6])]

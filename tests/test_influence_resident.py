@@ -21,7 +21,6 @@ from repro.influence import (
     TracInCP,
     example_content_hash,
     per_token_examples,
-    train_set_hash,
 )
 from repro.influence import store as store_module
 from repro.influence.engine import ParallelInfluenceEngine
@@ -71,7 +70,6 @@ class TestTokenSet:
         tokens = TokenSet(examples)
         assert tokens.examples == (((5, 6, 7), (5, 6, 7)), ((8, 9, 10), (-100, 9, 10)))
         assert tokens.hashes == tuple(example_content_hash(e) for e in examples)
-        assert tokens.fingerprint == train_set_hash(tokens.hashes)
         assert len(tokens) == 2 and tokens[1] == tokens.examples[1]
         assert list(tokens) == list(tokens.examples)
         examples[0][0][0] = 40  # the caller's lists are not shared
@@ -141,9 +139,9 @@ class TestWarmQueryWork:
         hashed = [tuple(map(tuple, e)) for e in counted["hashed"]]
         assert len(hashed) == len(variants) + 2
         assert set(hashed) == {tuple(map(tuple, e)) for e in [example] + variants}
-        # Raw rows for the variants and the example, adjusted rows for
-        # the variants, then the example's raw and adjusted rows.
-        assert len(counted["gets"]) == 2 * len(variants) + 3
+        # Raw rows for the variants and the example, then the example's
+        # raw row again for k_most_influential.
+        assert len(counted["gets"]) == len(variants) + 2
         assert set(counted["gets"]) == query_hashes
         assert not set(counted["gets"]) & train_hashes
         stacked = [h for block in counted["stacked"] for h in block]
@@ -155,7 +153,7 @@ class TestWarmQueryWork:
         estimator = service.estimator
         train = service.train_examples
         assert estimator._resident[0] == train.hashes
-        block = estimator._resident[2]
+        block = estimator._resident[1]
         assert not block.flags.writeable
         test = [service._encode(behavior_text(examples[6]), "yes")]
         other = TokenSet(train[:5])
@@ -163,7 +161,7 @@ class TestWarmQueryWork:
         assert estimator._resident[0] == other.hashes
         estimator.influence(list(train), test)  # equal content, plain list
         assert estimator._resident[0] == train.hashes
-        assert np.array_equal(estimator._resident[2], block)
+        assert np.array_equal(estimator._resident[1], block)
 
 
 class TestStoreIndependence:

@@ -18,7 +18,6 @@ from repro.data import (
     build_behavior_examples,
     deduplicate_examples,
     drop_conflicting_examples,
-    validate_examples,
 )
 from repro.datasets import make_behavior
 from repro.eval import evaluate, EvalSample
@@ -39,9 +38,7 @@ def deployed():
     # Quantized prompts can collide across users; run the standard
     # hygiene pass (dedupe, drop label conflicts) before training.
     examples = drop_conflicting_examples(deduplicate_examples(raw))
-    report = validate_examples(examples, max_answers=2)
-    assert report.conflicting_prompts == 0
-    assert report.duplicate_prompts == 0
+    assert len({e.prompt for e in examples}) == len(examples)
 
     base = make_test_config()
     config = PipelineConfig(

@@ -1,4 +1,4 @@
-"""LoRA tests: init identity, merge/unmerge, freezing, injection."""
+"""LoRA tests: init identity, merge, freezing, injection."""
 
 from __future__ import annotations
 
@@ -11,10 +11,8 @@ from repro.lora import (
     LoRALinear,
     apply_lora,
     iter_lora_modules,
-    lora_state_dict,
     merge_lora,
     trainable_parameter_fraction,
-    unmerge_lora,
 )
 from repro.nn import Linear, MistralTiny
 from repro.tensor import Tensor
@@ -65,14 +63,6 @@ class TestLoRALinear:
         adapter.merge()
         assert adapter.merged
         np.testing.assert_allclose(adapter(x).numpy(), before, atol=1e-5)
-
-    def test_unmerge_restores_base(self):
-        _, adapter = self._pair()
-        original = adapter.base.weight.data.copy()
-        adapter.lora_b.data += 0.5
-        adapter.merge()
-        adapter.unmerge()
-        np.testing.assert_allclose(adapter.base.weight.data, original, atol=1e-5)
 
     def test_merge_idempotent(self):
         _, adapter = self._pair()
@@ -134,8 +124,6 @@ class TestInjection:
         count = merge_lora(model)
         assert count == tiny_config.n_layers * 3
         np.testing.assert_allclose(model(token_batch).numpy(), before, atol=1e-4)
-        unmerge_lora(model)
-        np.testing.assert_allclose(model(token_batch).numpy(), before, atol=1e-4)
 
     def test_inject_and_merge_bump_weight_version(self, tiny_config):
         model = MistralTiny(tiny_config, rng=0)
@@ -144,15 +132,6 @@ class TestInjection:
         assert model.weight_version == v0 + 1
         merge_lora(model)
         assert model.weight_version == v0 + 2
-        unmerge_lora(model)
-        assert model.weight_version == v0 + 3
-
-    def test_lora_state_dict_only_adapters(self, tiny_config):
-        model = MistralTiny(tiny_config, rng=0)
-        apply_lora(model, LoRAConfig(rank=2, alpha=4), rng=0)
-        state = lora_state_dict(model)
-        assert state
-        assert all("lora_a" in k or "lora_b" in k for k in state)
 
     def test_gradients_flow_through_adapters(self, tiny_config, token_batch):
         model = MistralTiny(tiny_config, rng=0)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.eval import (
     accuracy,
     brier_score,
-    confusion_matrix,
     f1_binary,
     ks_statistic,
     miss_rate,
@@ -63,15 +62,6 @@ class TestMetricProperties:
         assert accuracy(y, y) == 1.0
         assert weighted_f1(y, y) == 1.0
         assert miss_rate(y) == 0.0
-
-    @given(pairs)
-    @settings(max_examples=60, deadline=None)
-    def test_confusion_matrix_totals(self, data):
-        y = [d[0] for d in data]
-        p = [d[1] for d in data]
-        matrix = confusion_matrix(y, p)
-        assert matrix.sum() == len(y)
-        assert matrix[1].sum() == sum(y)
 
     @given(scored)
     @settings(max_examples=60, deadline=None)

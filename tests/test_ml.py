@@ -1,4 +1,4 @@
-"""Classic-ML toolbox tests: logistic regression, boosted stumps, hashing."""
+"""Classic-ML toolbox tests: logistic regression, hashing."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, DataError
-from repro.ml import GradientBoostedStumps, HashingVectorizer, LogisticRegression
+from repro.ml import HashingVectorizer, LogisticRegression
 
 
 def linearly_separable(n=200, seed=0):
@@ -61,39 +61,6 @@ class TestLogisticRegression:
             LogisticRegression(lr=0)
         with pytest.raises(ConfigError):
             LogisticRegression(epochs=0)
-
-
-class TestGradientBoostedStumps:
-    def test_learns_nonlinear_additive_boundary(self):
-        """|x| > t needs two cuts on one feature — impossible for a linear
-        model, natural for boosted stumps (which are additive, so XOR-style
-        interactions are out of scope)."""
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(300, 2))
-        y = (np.abs(X[:, 0]) > 0.7).astype(np.int64)
-        model = GradientBoostedStumps(n_rounds=60).fit(X, y)
-        assert (model.predict(X) == y).mean() > 0.9
-
-    def test_beats_base_rate_on_linear(self):
-        X, y = linearly_separable()
-        model = GradientBoostedStumps(n_rounds=30).fit(X, y)
-        assert (model.predict(X) == y).mean() > 0.9
-
-    def test_proba_monotone_in_margin(self):
-        X, y = linearly_separable()
-        model = GradientBoostedStumps(n_rounds=10).fit(X, y)
-        margin = model.decision_function(X)
-        proba = model.predict_proba(X)
-        order = np.argsort(margin)
-        assert (np.diff(proba[order]) >= -1e-12).all()
-
-    def test_invalid_hyperparams(self):
-        with pytest.raises(ConfigError):
-            GradientBoostedStumps(n_rounds=0)
-
-    def test_bad_shapes_raise(self):
-        with pytest.raises(DataError):
-            GradientBoostedStumps().fit(np.ones((3, 2)), np.ones(4))
 
 
 class TestHashingVectorizer:

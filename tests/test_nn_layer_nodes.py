@@ -3,8 +3,8 @@
 Each transformer layer is one graph node whose forward is the fused
 inference kernel's and whose backward is written by hand: ``rms_norm``,
 ``linear`` (plain, biased, unmerged LoRA, the tied head), ``attention``
-and the SwiGLU gate ``swiglu``; RoPE's ``apply`` is a node too.  Over
-hypothesis-drawn shapes every node is checked three ways:
+and the SwiGLU gate ``swiglu``.  Over hypothesis-drawn shapes every node
+is checked three ways:
 
 * central differences for every input;
 * the composite formulas the nodes replaced, kept below as the
@@ -31,6 +31,7 @@ from repro.nn import MistralTiny, MultiHeadAttention, RotaryEmbedding, sliding_w
 from repro.nn.attention import attention
 from repro.nn.layers import Dropout, linear, rms_norm
 from repro.nn.mlp import swiglu
+from repro.nn.rope import rotate
 from repro.tensor import Tensor, concat, softmax
 
 from conftest import numeric_grad
@@ -368,23 +369,6 @@ class TestAttentionNode:
 class TestRopeNode:
     @CASES
     @given(
-        heads=st.integers(1, 3),
-        seq=st.integers(1, 6),
-        head_dim=st.sampled_from([2, 4, 6]),
-        seed=st.integers(0, 2**16),
-    )
-    def test_matches_reference_and_central_differences(self, heads, seq, head_dim, seed):
-        rng = np.random.default_rng(seed)
-        rope = RotaryEmbedding(head_dim, max_seq_len=8)
-        check_node(
-            rope.apply,
-            lambda x: ref_rope(rope, x),
-            [normal(rng, 2, heads, seq, head_dim, scale=1.0)],
-            rng,
-        )
-
-    @CASES
-    @given(
         batch=st.integers(1, 3),
         heads=st.integers(1, 3),
         seq=st.integers(1, 6),
@@ -408,15 +392,15 @@ class TestRopeNode:
         else:
             positions = np.arange(seq) + rng.integers(0, 24 - seq + 1)
         expected = ref_rope(rope, Tensor(x), positions, inverse).data
-        np.testing.assert_array_equal(rope.apply_np(x, positions, inverse=inverse), expected)
+        np.testing.assert_array_equal(rotate(x, rope.tables(positions), inverse), expected)
 
     def test_position_beyond_table_raises(self):
         rope = RotaryEmbedding(4, max_seq_len=8)
         x = np.zeros((2, 1, 1, 4), dtype=np.float32)
         with pytest.raises(ShapeError):
-            rope.apply_np(x, np.array([8]))
+            rotate(x, rope.tables(np.array([8])))
         with pytest.raises(ShapeError):
-            rope.apply_np(x, np.array([[0], [8]]), inverse=True)
+            rotate(x, rope.tables(np.array([[0], [8]])), inverse=True)
 
 
 # ----------------------------------------------------------------------

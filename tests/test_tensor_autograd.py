@@ -44,17 +44,11 @@ class TestUnaryGradients:
     def test_tanh(self):
         check_unary(lambda t: t.tanh())
 
-    def test_sigmoid(self):
-        check_unary(lambda t: t.sigmoid())
-
     def test_relu(self):
         check_unary(lambda t: t.relu())
 
     def test_silu(self):
         check_unary(lambda t: t.silu())
-
-    def test_gelu(self):
-        check_unary(lambda t: t.gelu())
 
     def test_neg(self):
         check_unary(lambda t: -t)
@@ -132,9 +126,6 @@ class TestReductions:
 
     def test_mean_axis(self):
         self._check(lambda t: t.mean(axis=-1, keepdims=True))
-
-    def test_var(self):
-        self._check(lambda t: t.var(axis=-1, keepdims=True))
 
     def test_max_axis(self):
         rng = np.random.default_rng(3)
@@ -248,14 +239,6 @@ class TestGraphMechanics:
         y = x * x  # x used twice
         y.sum().backward()
         np.testing.assert_allclose(x.grad, np.full(3, 4.0))
-
-    def test_detach_cuts_graph(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        y = (x * 2).detach()
-        assert not y.requires_grad
-        z = Tensor(np.ones(3), requires_grad=True)
-        (y * z).sum().backward()
-        assert x.grad is None
 
     def test_no_grad_context(self):
         x = Tensor(np.ones(3), requires_grad=True)

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.tensor import Tensor, cross_entropy, log_softmax, softmax
+from repro.tensor import Tensor, cross_entropy, softmax
+
+
+def log_softmax_ref(x):
+    """Reference log-softmax over the last axis."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def arrays(shape=(3, 4), lo=-3.0, hi=3.0):
@@ -69,12 +75,6 @@ class TestAlgebraicInvariants:
         b = softmax(Tensor(data + np.float32(shift))).numpy()
         np.testing.assert_allclose(a, b, atol=1e-5)
 
-    @given(arrays(shape=(3, 6)))
-    @settings(max_examples=40, deadline=None)
-    def test_log_softmax_le_zero(self, data):
-        logp = log_softmax(Tensor(data)).numpy()
-        assert (logp <= 1e-6).all()
-
     @given(
         arrays(shape=(4, 6)),
         hnp.arrays(dtype=np.int64, shape=(4,), elements=st.integers(0, 5)),
@@ -83,7 +83,7 @@ class TestAlgebraicInvariants:
     def test_cross_entropy_nonnegative_and_consistent(self, logits, targets):
         loss = cross_entropy(Tensor(logits), targets).item()
         assert loss >= -1e-6
-        logp = log_softmax(Tensor(logits)).numpy()
+        logp = log_softmax_ref(logits)
         expected = -logp[np.arange(4), targets].mean()
         assert abs(loss - expected) < 1e-4
 

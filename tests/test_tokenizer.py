@@ -1,8 +1,6 @@
-"""Tokenizer tests: vocab, word-level, BPE (with hypothesis round-trips)."""
+"""Tokenizer tests: vocab and word-level (with hypothesis round-trips)."""
 
 from __future__ import annotations
-
-import string
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,6 @@ from repro.tokenizer import (
     BOS_TOKEN,
     EOS_TOKEN,
     PAD_TOKEN,
-    BPETokenizer,
     Vocab,
     WordTokenizer,
 )
@@ -101,63 +98,6 @@ class TestWordTokenizer:
     def test_roundtrip_property(self, words):
         tok = WordTokenizer.train(["loan credit good bad risk"])
         text = " ".join(words)
-        assert tok.decode(tok.encode(text)) == text
-
-
-class TestBPETokenizer:
-    @pytest.fixture(scope="class")
-    def trained(self):
-        corpus = [
-            "the credit application was approved",
-            "the loan application was rejected",
-            "credit risk is high for this loan",
-        ] * 3
-        return BPETokenizer.train(corpus, vocab_size=300)
-
-    def test_roundtrip_training_text(self, trained):
-        text = "the credit application was approved"
-        assert trained.decode(trained.encode(text)) == text
-
-    def test_roundtrip_unseen_text(self, trained):
-        text = "unseen words survive byte fallback"
-        assert trained.decode(trained.encode(text)) == text
-
-    def test_roundtrip_unicode(self, trained):
-        text = "子贡 model — ünïcode"
-        assert trained.decode(trained.encode(text)) == text
-
-    def test_merges_compress(self, trained):
-        text = "the credit application"
-        ids = trained.encode(text)
-        assert len(ids) < len(text.encode("utf-8"))
-
-    def test_vocab_size_floor_enforced(self):
-        with pytest.raises(TokenizerError):
-            BPETokenizer.train(["abc"], vocab_size=100)
-
-    def test_training_deterministic(self):
-        corpus = ["aa ab aa ab abc"] * 2
-        a = BPETokenizer.train(corpus, vocab_size=270)
-        b = BPETokenizer.train(corpus, vocab_size=270)
-        assert a._merge_list == b._merge_list
-
-    def test_save_load_roundtrip(self, trained, tmp_path):
-        path = tmp_path / "tok.json"
-        trained.save(path)
-        loaded = BPETokenizer.load(path)
-        text = "the credit application was approved"
-        assert loaded.encode(text) == trained.encode(text)
-        assert loaded.vocab_size == trained.vocab_size
-
-    def test_special_ids_consistent_with_word_tokenizer(self, trained):
-        word = WordTokenizer.train(["x"])
-        assert trained.pad_id == word.pad_id
-        assert trained.bos_id == word.bos_id
-
-    @given(st.text(alphabet=string.ascii_lowercase + " ", min_size=0, max_size=40))
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_property(self, text):
-        tok = BPETokenizer.train(["some seed corpus text"], vocab_size=265)
         assert tok.decode(tok.encode(text)) == text
 
 
