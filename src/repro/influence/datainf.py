@@ -10,14 +10,15 @@ and each rank-one term inverts exactly via Sherman-Morrison:
 
     (lam I + g g^T)^{-1} v = (1/lam) (v - (g.v) / (lam + |g|^2) g)
 
-so the adjusted test gradient never materializes a ``d x d`` matrix —
-only dot products against the ``n`` training gradients.  The influence
-of training sample ``z_j`` on test sample ``z'`` is then
+so the adjustment never materializes a ``d x d`` matrix — only dot
+products against the ``n`` training gradients.  The influence of
+training sample ``z_j`` on test sample ``z'`` is then
 
-    DataInf(z_j, z') = sum_l  g_jl . H_l^{-1} v_l
+    DataInf(z_j, z') = sum_l  g_jl . H_l^{-1} v_l  =  sum_l  (H_l^{-1} g_jl) . v_l
 
-with ``v`` the test gradient.  Signs follow the repo's TracIn
-convention: positive scores are proponents.  Unlike TracInCP's
+with ``v`` the test gradient; ``H_l^{-1}`` is symmetric, so the
+adjustment can move onto the training side.  Signs follow the repo's
+TracIn convention: positive scores are proponents.  Unlike TracInCP's
 checkpoint replay (``n x n_ckpt`` gradient rows), DataInf needs one
 gradient row per example at the *final* checkpoint only — the source
 of its speedup — at the cost of a curvature approximation that is
@@ -33,14 +34,17 @@ Raw gradient rows come from the shared
 :class:`~repro.influence.store.GradientStore` machinery, so a store
 warmed by TracInCP already holds every row DataInf needs at the final
 step.  The last training set is kept as a resident training block:
-its hashes in row order, the read-only ``g_train`` rows and the
-curvature terms the adjustment needs (per-layer ``lam_l`` and
-``lam_l + |g_il|^2``).  A query against it replays and looks up only
-its test rows, and adjusts them with two small matmuls per layer
-against the resident block, so a score depends on the training set and
-the test row alone, never on which queries came before.  Pass the
-training set as a
-:class:`~repro.influence.store.TokenSet` to hash it once, not per call.
+its hashes in row order and the adjusted rows ``A = H^{-1} g_train``,
+stored transposed and read-only.  A query against it replays and looks
+up only its test rows, and its scores are one matrix product
+``(g_test @ A^T)^T``, so a score depends on the training set and the
+test row alone, never on which queries came before.  Building ``A``
+costs ``2 n^2 d`` once per training set, where adjusting the ``m`` test
+rows of each call would cost ``3 n d m`` per call: a one-shot caller
+with ``n >> m`` (pruning, ``repro influence``) pays more algebra this
+way, still far less than its ``n`` gradient passes.  Pass the
+training set as a :class:`~repro.influence.store.TokenSet` to hash it
+once, not per call.
 """
 
 from __future__ import annotations
@@ -136,60 +140,41 @@ class DataInf(DataInfluence):
             lams.append(self.lam_scale * mean_sq / d_l if mean_sq > 0 else 1.0)
         return lams
 
-    def _train_block(self, train: TokenSet) -> tuple[np.ndarray, list]:
-        """``(g_train, curvature terms)`` of the resident train set.
+    def _train_block(self, train: TokenSet) -> np.ndarray:
+        """``A^T``, the resident train set's adjusted rows, ``(dim, n_train)``.
 
-        The one resident entry holds the train hashes in row order, the
-        read-only ``g_train`` block and per layer
-        ``(slice, lam_l, lam_l + |g_i|^2)``; all of it depends on the
+        The one resident entry holds the train hashes in row order and
+        ``A = H^{-1} g_train`` transposed, C-contiguous and read-only,
+        so a query's product reads it row-major.  ``A`` depends on the
         train rows alone, so every query against the same train set
-        reuses it and another train set replaces it.  ``lam + |g_i|^2``
-        is indexed by row, so the entry is keyed on row order: a
+        reuses it and another train set replaces it.  ``H^{-1}`` sums
+        over rows in row order, so the entry is keyed on row order: a
         permuted train set rebuilds it.
         """
-        entry = self._resident
-        if entry is None or entry[0] != train.hashes:
-            g_train = self.engine.stacked_rows(train, span_name="influence.datainf.rows")
-            g_train.setflags(write=False)
-            terms = []
-            lams = self.layer_lambdas(g_train)
-            for (_, layer), lam in zip(self._layer_slices(g_train.shape[1]), lams):
-                g_l = g_train[:, layer]
-                terms.append((layer, lam, lam + (g_l * g_l).sum(axis=1)))
-            entry = (train.hashes, g_train, terms)
-            self._resident = entry
-        return entry[1:]
+        if self._resident is None or self._resident[0] != train.hashes:
+            adjusted_t = self._adjust(self._rows(train)).T
+            adjusted_t.setflags(write=False)
+            self._resident = (train.hashes, adjusted_t)
+        return self._resident[1]
 
-    @staticmethod
-    def _adjust(g_train: np.ndarray, terms: list, g_test: np.ndarray) -> np.ndarray:
-        """Apply ``H^{-1}`` to every test gradient row, per layer."""
-        n = g_train.shape[0]
-        adjusted = np.empty_like(g_test)
-        for layer, lam, denominator in terms:
-            g_l = g_train[:, layer]  # (n, d_l)
-            v_l = g_test[:, layer]  # (m, d_l)
-            # coef[i, t] = (g_i . v_t) / (lam + |g_i|^2)
-            coef = (g_l @ v_l.T) / denominator[:, None]
-            adjusted[:, layer] = (v_l - (coef.T @ g_l) / n) / lam
-        return adjusted
+    def _rows(self, examples: Sequence[TokenExample]) -> np.ndarray:
+        """Raw (or unit-normalized) gradient rows at the final checkpoint."""
+        return self.engine.stacked_rows(examples, span_name="influence.datainf.rows")
 
-    def _adjusted_rows(
-        self,
-        train_examples: Sequence[TokenExample],
-        test_examples: Sequence[TokenExample],
-        unadjusted: Sequence[TokenExample] = (),
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(g_train, adjusted_test)`` against the resident train block.
+    def _adjust(self, g_train: np.ndarray) -> np.ndarray:
+        """``H^{-1} g_j`` for every training row ``g_j``, per layer.
 
-        Only the test and ``unadjusted`` rows are replayed; the train
-        rows come from the resident block.  ``unadjusted`` examples
-        only join the replay: their raw rows are computed and stored in
-        the same batched passes, nothing more.
+        Fortran-ordered, so its transpose is C-contiguous.
         """
-        g_train, terms = self._train_block(TokenSet.of(train_examples))
-        test = TokenSet.of(test_examples)
-        rows = self.engine.stacked_rows(test + unadjusted, span_name="influence.datainf.rows")
-        return g_train, self._adjust(g_train, terms, rows[: len(test)])
+        n = g_train.shape[0]
+        adjusted = np.empty_like(g_train, order="F")
+        layers = self._layer_slices(g_train.shape[1])
+        for (_, layer), lam in zip(layers, self.layer_lambdas(g_train)):
+            g_l = g_train[:, layer]  # (n, d_l)
+            # coef[i, j] = (g_i . g_j) / (lam + |g_i|^2)
+            coef = (g_l @ g_l.T) / (lam + (g_l * g_l).sum(axis=1))[:, None]
+            adjusted[:, layer] = (g_l - (coef.T @ g_l) / n) / lam
+        return adjusted
 
     # -- DataInfluence interface ---------------------------------------
 
@@ -207,8 +192,8 @@ class DataInf(DataInfluence):
             n_test=len(test_examples),
             step=self.checkpoint.step,
         ):
-            g_train, adjusted = self._adjusted_rows(train_examples, test_examples)
-            return g_train @ adjusted.T
+            adjusted_t = self._train_block(TokenSet.of(train_examples))
+            return (self._rows(test_examples) @ adjusted_t).T
 
     def self_influence(self, train_examples: Sequence[TokenExample]) -> np.ndarray:
         """``g_j . H^{-1} g_j`` per training example, shape ``(n_train,)``."""
@@ -219,9 +204,9 @@ class DataInf(DataInfluence):
             n_train=len(train_examples),
             step=self.checkpoint.step,
         ):
-            g_train, terms = self._train_block(TokenSet.of(train_examples))
-            adjusted = self._adjust(g_train, terms, g_train)
-            return (g_train * adjusted).sum(axis=1)
+            train = TokenSet.of(train_examples)
+            adjusted_t = self._train_block(train)
+            return (self._rows(train) * adjusted_t.T).sum(axis=1)
 
     def token_influence(
         self,
@@ -243,14 +228,13 @@ class DataInf(DataInfluence):
             n_positions=len(positions),
             step=self.checkpoint.step,
         ):
+            adjusted_t = self._train_block(TokenSet.of(train_examples))
             # The example rides along: its raw row comes out of the
             # variants' batched pass (same input ids), so a following
-            # influence() on it hits the store.  It is not adjusted here:
-            # an adjusted row's low bits can depend on which rows share
-            # its _adjust call, and the variants' must not depend on the
+            # influence() on it hits the store.  It is not scored here:
+            # a product row's low bits can depend on which rows share
+            # its matmul, and the variants' must not depend on the
             # example.
-            g_train, adjusted = self._adjusted_rows(
-                train_examples, variants, unadjusted=[test_example]
-            )
-            matrix = g_train @ adjusted.T
+            rows = self._rows(TokenSet.of(variants) + [test_example])
+            matrix = (rows[: len(variants)] @ adjusted_t).T
         return TokenInfluence(positions=positions, scores=matrix / len(positions))

@@ -51,6 +51,7 @@ from repro.errors import InfluenceError
 from repro.influence.gradients import (
     GradientProjector,
     TokenExample,
+    TracePlan,
     gradient_matrix,
     pass_plan,
 )
@@ -68,8 +69,8 @@ CHUNK_SIZE = 256
 _WORKER: dict = {}
 
 
-def _worker_init(model, projector) -> None:
-    _WORKER["model"] = model
+def _worker_init(plan, projector) -> None:
+    _WORKER["plan"] = plan
     _WORKER["projector"] = projector
 
 
@@ -80,10 +81,10 @@ def _worker_replay(payload):
     # chaos tests arm this point to crash a worker's chunk.
     fault_point("influence.worker", step=step)
     started = time.perf_counter()
-    model = _WORKER["model"]
+    plan = _WORKER["plan"]
     with np.load(path) as data:
-        model.load_state_dict({name: data[name] for name in data.files})
-    rows = gradient_matrix(model, examples, _WORKER["projector"])
+        plan.model.load_state_dict({name: data[name] for name in data.files})
+    rows = gradient_matrix(plan, examples, _WORKER["projector"])
     return step, rows, time.perf_counter() - started
 
 
@@ -138,6 +139,10 @@ class ParallelInfluenceEngine:
         self._replay_model = copy.deepcopy(model)
         self._replay_model.zero_grad()
         self._loaded = None
+        # The replay model's trainable parameters and the attributes
+        # holding them, resolved once: a restore loads parameter data in
+        # place, so the plan holds for every checkpoint.
+        self._plan = TracePlan(self._replay_model)
         self.checkpoints = sorted(checkpoints, key=lambda r: r.step)
         self.projector = projector
         self.normalize = normalize
@@ -181,7 +186,7 @@ class ParallelInfluenceEngine:
                 self._loaded = record.path
                 self._m_loads.inc()
             examples = list(missing.values())
-            rows = gradient_matrix(self._replay_model, examples, self.projector)
+            rows = gradient_matrix(self._plan, examples, self.projector)
             for example_hash, row in zip(missing, rows):
                 self.store.put(record.step, example_hash, self._pkey, row)
                 fetched[example_hash] = row
@@ -217,7 +222,7 @@ class ParallelInfluenceEngine:
             with ctx.Pool(
                 processes=min(self.workers, len(jobs)),
                 initializer=_worker_init,
-                initargs=(self._replay_model, self.projector),
+                initargs=(self._plan, self.projector),
             ) as pool:
                 replies = pool.imap(_worker_replay, payloads)
                 for record, missing in jobs:

@@ -16,11 +16,17 @@ the batch, and the loss is the sum of per-row mean cross entropies, so every
 row is seeded exactly as a one-row pass seeds it (the per-example
 gradient trick, Goodfellow 2015).  Examples of different lengths never
 share a pass: right-padding changes the rows' low bits.
+
+A :class:`TracePlan` resolves a model's trainable parameters, and the
+module attributes that hold them, once; a caller that traces one model
+many times (the influence engine's replay model) keeps its plan, so a
+pass does not walk the module tree.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import warnings
 from typing import Iterator, Sequence
@@ -151,6 +157,15 @@ def per_sample_gradient(model, example: TokenExample) -> np.ndarray:
     return _loss_gradient(model, params, example)
 
 
+@functools.lru_cache(maxsize=4)
+def _projection_matrix(dim: int, k: int, seed: int) -> np.ndarray:
+    """The read-only ``(dim, k)`` Gaussian sketch, drawn once per arguments."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((dim, k)) / np.sqrt(k)
+    matrix.setflags(write=False)
+    return matrix
+
+
 class GradientProjector:
     """Random Gaussian projection of gradient vectors to ``k`` dimensions.
 
@@ -161,6 +176,8 @@ class GradientProjector:
     ``numpy.random.default_rng(seed)``, never from process state, so the
     parallel influence engine's workers reproduce the parent's sketch
     exactly (pinned by a subprocess test via :meth:`fingerprint`).
+    Projectors built with the same ``(dim, k, seed)`` share one read-only
+    matrix, so a job that builds a projector per run draws it once.
 
     A ``k`` larger than ``dim`` is clamped to ``dim`` with a
     ``RuntimeWarning`` — two runs configured with different over-large
@@ -182,8 +199,7 @@ class GradientProjector:
                 stacklevel=2,
             )
         self.k = min(k, dim)
-        rng = np.random.default_rng(seed)
-        self._matrix = rng.standard_normal((dim, self.k)) / np.sqrt(self.k)
+        self._matrix = _projection_matrix(dim, self.k, seed)
 
     def key(self) -> str:
         """Cache-key component: effective projection identity."""
@@ -209,6 +225,29 @@ def _modules(model: Module) -> Iterator[Module]:
         stack.extend(child for _, child in module.named_children())
 
 
+class TracePlan:
+    """A model's trainable parameters and the attributes holding them.
+
+    ``params`` is :func:`trainable_parameters` of ``model``; ``sites``
+    lists ``(module, attribute, index into params)`` for every module
+    attribute that holds one of them, which :func:`_per_row_parameters`
+    swaps.  ``load_state_dict`` writes parameter data in place, so a
+    plan stays valid across checkpoint restores; a model whose
+    parameters or modules are replaced (LoRA injection) needs a new plan.
+    """
+
+    def __init__(self, model: Module):
+        self.model = model
+        self.params = trainable_parameters(model)
+        index = {id(param): i for i, param in enumerate(self.params)}
+        self.sites = [
+            (module, key, index[id(value)])
+            for module in _modules(model)
+            for key, value in vars(module).items()
+            if id(value) in index
+        ]
+
+
 def pass_plan(model, examples: Sequence[TokenExample]) -> list[list[int]]:
     """Indices of ``examples`` in each pass of :func:`gradient_matrix`.
 
@@ -231,42 +270,37 @@ def pass_plan(model, examples: Sequence[TokenExample]) -> list[list[int]]:
 
 
 @contextlib.contextmanager
-def _per_row_parameters(model: Module, params: Sequence[Parameter], batch: int):
-    """Swap ``params`` on ``model`` for ``batch``-row copies; yield the copies.
+def _per_row_parameters(plan: TracePlan, batch: int):
+    """Swap the plan's parameters for ``batch``-row copies; yield the copies.
 
     2-D weights become ``(batch, *shape)`` and 1-D weights
     ``(batch, 1, n)``, so each broadcasts against ``(batch, T, ...)``
     activations row by row.  The copies are read-only broadcast views
-    of the parameter data.  Every swapped attribute is restored on exit,
-    also when the pass raises.
+    of the parameter data.  Every site is restored on exit, also when
+    the pass raises.
     """
-    copies = {}
-    for param in params:
+    copies = []
+    for param in plan.params:
         shape = (batch, 1) + param.shape if param.ndim == 1 else (batch,) + param.shape
-        copies[id(param)] = Parameter(np.broadcast_to(param.data, shape))
-    swapped = []
+        copies.append(Parameter(np.broadcast_to(param.data, shape)))
     try:
-        for module in _modules(model):
-            for key, value in list(vars(module).items()):
-                if id(value) in copies:
-                    swapped.append((module, key, value))
-                    setattr(module, key, copies[id(value)])
-        yield [copies[id(param)] for param in params]
+        for module, key, index in plan.sites:
+            setattr(module, key, copies[index])
+        yield copies
     finally:
-        for module, key, value in reversed(swapped):
-            setattr(module, key, value)
+        for module, key, index in plan.sites:
+            setattr(module, key, plan.params[index])
 
 
-def _batched_gradients(
-    model, params: Sequence[Parameter], examples: Sequence[TokenExample]
-) -> np.ndarray:
+def _batched_gradients(plan: TracePlan, examples: Sequence[TokenExample]) -> np.ndarray:
     """Per-example gradients of equal-length ``examples`` in one pass, ``(B, d)``."""
     batch = len(examples)
     input_ids = np.array([example[0] for example in examples], dtype=np.int64)
     labels = np.array([example[1] for example in examples], dtype=np.int64)
-    with _per_row_parameters(model, params, batch) as copies:
-        logits = model(input_ids)
+    with _per_row_parameters(plan, batch) as copies:
+        logits = plan.model(input_ids)
         row_cross_entropy(logits[:, :-1, :], labels[:, 1:]).backward()
+    params = plan.params
     rows = np.zeros((batch, sum(param.size for param in params)))
     offset = 0
     for param, copy in zip(params, copies):
@@ -276,21 +310,21 @@ def _batched_gradients(
     return rows
 
 
-def _passes(model, params: Sequence[Parameter], examples: Sequence[TokenExample]):
+def _passes(plan: TracePlan, examples: Sequence[TokenExample]):
     """Yield ``(indices, rows)`` for each pass of :func:`pass_plan`.
 
     A pass of one example takes the plain one-example path: per-row
     copies buy nothing there.
     """
-    for indices in pass_plan(model, examples):
+    for indices in pass_plan(plan.model, examples):
         if len(indices) == 1:
-            yield indices, [_loss_gradient(model, params, examples[indices[0]])]
+            yield indices, [_loss_gradient(plan.model, plan.params, examples[indices[0]])]
         else:
-            yield indices, _batched_gradients(model, params, [examples[i] for i in indices])
+            yield indices, _batched_gradients(plan, [examples[i] for i in indices])
 
 
 def gradient_matrix(
-    model,
+    model: Module | TracePlan,
     examples: Sequence[TokenExample],
     projector: GradientProjector | None = None,
 ) -> np.ndarray:
@@ -304,14 +338,15 @@ def gradient_matrix(
     During a pass they are swapped out for per-row copies, so the model
     must not run in another thread meanwhile; the influence engine only
     traces its private replay model, and this function is not
-    re-exported from :mod:`repro.influence`.
+    re-exported from :mod:`repro.influence`.  ``model`` may be given as
+    its :class:`TracePlan`, which skips resolving the parameters.
     """
     if not examples:
         raise InfluenceError("gradient_matrix() received no examples")
-    params = trainable_parameters(model)
-    _clear_grads(params)
+    plan = model if isinstance(model, TracePlan) else TracePlan(model)
+    _clear_grads(plan.params)
     rows: list[np.ndarray | None] = [None] * len(examples)
-    for indices, grads in _passes(model, params, examples):
+    for indices, grads in _passes(plan, examples):
         for index, grad in zip(indices, grads):
             if projector is not None:
                 # A fresh vector, like the one per_sample_gradient returns,

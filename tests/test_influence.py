@@ -89,6 +89,16 @@ class TestGradients:
         v = np.ones(100)
         np.testing.assert_allclose(a.project(v), b.project(v))
 
+    def test_same_arguments_share_one_read_only_matrix(self):
+        a = GradientProjector(120, k=12, seed=5)
+        b = GradientProjector(120, k=12, seed=5)
+        assert a._matrix is b._matrix
+        assert not a._matrix.flags.writeable
+        drawn = np.random.default_rng(5).standard_normal((120, 12)) / np.sqrt(12)
+        assert np.array_equal(a._matrix, drawn)
+        assert a.fingerprint() == b.fingerprint()
+        assert GradientProjector(120, k=12, seed=6)._matrix is not a._matrix
+
     def test_projector_dim_mismatch(self):
         projector = GradientProjector(10, k=4)
         with pytest.raises(InfluenceError):

@@ -2,9 +2,8 @@
 
 A :class:`~repro.influence.store.TokenSet` carries its content hashes,
 so a training set built once is hashed once.  DataInf keeps one
-resident entry per estimator — the train hashes in row order, the
-config key, the read-only ``g_train`` block and the curvature terms —
-so a warm explain query replays, hashes and looks up only the
+resident entry per estimator — the train hashes in row order and the
+read-only adjusted block ``H^{-1} g_train``, transposed — so a warm explain query replays, hashes and looks up only the
 applicant's example and its token variants.  These tests count that
 work and pin that results do not depend on the store keeping the
 training rows.
@@ -153,8 +152,9 @@ class TestWarmQueryWork:
         estimator = service.estimator
         train = service.train_examples
         assert estimator._resident[0] == train.hashes
-        block = estimator._resident[1]
-        assert not block.flags.writeable
+        block = estimator._resident[1]  # H^-1 g_train, transposed
+        assert block.shape == (estimator.engine.stacked_rows(train).shape[1], len(train))
+        assert block.flags.c_contiguous and not block.flags.writeable
         test = [service._encode(behavior_text(examples[6]), "yes")]
         other = TokenSet(train[:5])
         estimator.influence(other, test)
