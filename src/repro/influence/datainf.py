@@ -39,12 +39,15 @@ stored transposed and read-only.  A query against it replays and looks
 up only its test rows, and its scores are one matrix product
 ``(g_test @ A^T)^T``, so a score depends on the training set and the
 test row alone, never on which queries came before.  Building ``A``
-costs ``2 n^2 d`` once per training set, where adjusting the ``m`` test
-rows of each call would cost ``3 n d m`` per call: a one-shot caller
-with ``n >> m`` (pruning, ``repro influence``) pays more algebra this
-way, still far less than its ``n`` gradient passes.  Pass the
-training set as a :class:`~repro.influence.store.TokenSet` to hash it
-once, not per call.
+costs about ``2 n d_l min(n, d_l)`` multiply-adds per layer once per
+training set, with ``min(n, d_l)^2`` floats of scratch, and holds ``A``
+beside the stacked ``g_train`` while it runs; adjusting the ``m`` test
+rows of each call instead would cost ``3 n d m`` per call.  So a
+one-shot caller with ``n >> m`` and exact gradients (DataInf pruning
+or ``repro influence`` without a sketch) pays more time and peak
+memory than a per-query adjustment would; ``docs/influence.md`` gives
+measured costs.  Pass the training set as a
+:class:`~repro.influence.store.TokenSet` to hash it once, not per call.
 """
 
 from __future__ import annotations
@@ -164,16 +167,29 @@ class DataInf(DataInfluence):
     def _adjust(self, g_train: np.ndarray) -> np.ndarray:
         """``H^{-1} g_j`` for every training row ``g_j``, per layer.
 
-        Fortran-ordered, so its transpose is C-contiguous.
+        ``H_l^{-1} g_j = (g_j - (1/n) sum_i g_i (g_i . g_j) / w_i) / lam``
+        with ``w_i = lam + |g_i|^2``: the sum is the rows of
+        ``g_l g_l^T diag(1/w) g_l``.  A layer at least as wide as the
+        training set multiplies it through the ``(n, n)`` matrix
+        ``g_l g_l^T``, a narrower one through the ``(d_l, d_l)`` matrix
+        ``g_l^T diag(1/w) g_l``, so a layer costs about
+        ``2 n d_l min(n, d_l)`` multiply-adds and ``min(n, d_l)^2``
+        floats of scratch.  Fortran-ordered, so its transpose is
+        C-contiguous.
         """
         n = g_train.shape[0]
         adjusted = np.empty_like(g_train, order="F")
         layers = self._layer_slices(g_train.shape[1])
         for (_, layer), lam in zip(layers, self.layer_lambdas(g_train)):
             g_l = g_train[:, layer]  # (n, d_l)
-            # coef[i, j] = (g_i . g_j) / (lam + |g_i|^2)
-            coef = (g_l @ g_l.T) / (lam + (g_l * g_l).sum(axis=1))[:, None]
-            adjusted[:, layer] = (g_l - (coef.T @ g_l) / n) / lam
+            w = lam + (g_l * g_l).sum(axis=1)
+            if n <= g_l.shape[1]:
+                weighted = ((g_l @ g_l.T) / w) @ g_l
+            else:
+                weighted = g_l @ ((g_l.T / w) @ g_l)
+            weighted /= n
+            np.subtract(g_l, weighted, out=weighted)
+            np.divide(weighted, lam, out=adjusted[:, layer])
         return adjusted
 
     # -- DataInfluence interface ---------------------------------------

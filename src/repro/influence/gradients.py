@@ -26,7 +26,6 @@ pass does not walk the module tree.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import warnings
 from typing import Iterator, Sequence
@@ -157,15 +156,6 @@ def per_sample_gradient(model, example: TokenExample) -> np.ndarray:
     return _loss_gradient(model, params, example)
 
 
-@functools.lru_cache(maxsize=4)
-def _projection_matrix(dim: int, k: int, seed: int) -> np.ndarray:
-    """The read-only ``(dim, k)`` Gaussian sketch, drawn once per arguments."""
-    rng = np.random.default_rng(seed)
-    matrix = rng.standard_normal((dim, k)) / np.sqrt(k)
-    matrix.setflags(write=False)
-    return matrix
-
-
 class GradientProjector:
     """Random Gaussian projection of gradient vectors to ``k`` dimensions.
 
@@ -176,8 +166,6 @@ class GradientProjector:
     ``numpy.random.default_rng(seed)``, never from process state, so the
     parallel influence engine's workers reproduce the parent's sketch
     exactly (pinned by a subprocess test via :meth:`fingerprint`).
-    Projectors built with the same ``(dim, k, seed)`` share one read-only
-    matrix, so a job that builds a projector per run draws it once.
 
     A ``k`` larger than ``dim`` is clamped to ``dim`` with a
     ``RuntimeWarning`` — two runs configured with different over-large
@@ -199,7 +187,8 @@ class GradientProjector:
                 stacklevel=2,
             )
         self.k = min(k, dim)
-        self._matrix = _projection_matrix(dim, self.k, seed)
+        rng = np.random.default_rng(seed)
+        self._matrix = rng.standard_normal((dim, self.k)) / np.sqrt(self.k)
 
     def key(self) -> str:
         """Cache-key component: effective projection identity."""
@@ -324,7 +313,7 @@ def _passes(plan: TracePlan, examples: Sequence[TokenExample]):
 
 
 def gradient_matrix(
-    model: Module | TracePlan,
+    plan: TracePlan,
     examples: Sequence[TokenExample],
     projector: GradientProjector | None = None,
 ) -> np.ndarray:
@@ -338,12 +327,12 @@ def gradient_matrix(
     During a pass they are swapped out for per-row copies, so the model
     must not run in another thread meanwhile; the influence engine only
     traces its private replay model, and this function is not
-    re-exported from :mod:`repro.influence`.  ``model`` may be given as
-    its :class:`TracePlan`, which skips resolving the parameters.
+    re-exported from :mod:`repro.influence`.  The model is given as its
+    :class:`TracePlan`, so a caller tracing one model many times resolves
+    its parameters once.
     """
     if not examples:
         raise InfluenceError("gradient_matrix() received no examples")
-    plan = model if isinstance(model, TracePlan) else TracePlan(model)
     _clear_grads(plan.params)
     rows: list[np.ndarray | None] = [None] * len(examples)
     for indices, grads in _passes(plan, examples):

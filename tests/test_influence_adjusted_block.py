@@ -24,6 +24,7 @@ from repro.influence import (
 )
 from repro.influence.gradients import (
     GradientProjector,
+    TracePlan,
     gradient_matrix,
     per_sample_gradient,
     trainable_parameters,
@@ -80,7 +81,7 @@ def final_rows(model, checkpoints, examples):
     saved = model.state_dict()
     try:
         CheckpointManager.restore(model, sorted(checkpoints, key=lambda r: r.step)[-1])
-        return gradient_matrix(model, examples)
+        return gradient_matrix(TracePlan(model), examples)
     finally:
         model.load_state_dict(saved)
 
@@ -139,13 +140,40 @@ class TestScores:
             atol=1e-10,
         )
 
-    @pytest.mark.parametrize("projected", [False, True])
-    def test_match_per_query_adjustment(self, lora_model, checkpoints, sets, projected):
+    def test_block_narrower_than_train_set_matches_explicit_inverse(
+        self, lora_model, checkpoints, sets
+    ):
+        # A 4-wide sketch under 6 training rows: H^{-1} goes through the
+        # (d_l, d_l) association, not the (n, n) one.
+        train, test = sets
+        dim = sum(p.size for p in trainable_parameters(lora_model))
+        estimator = DataInf(
+            lora_model, checkpoints, lam=LAM, projector=GradientProjector(dim, k=4, seed=2)
+        )
+        g_train = estimator.engine.stacked_rows(train)
+        g_test = estimator.engine.stacked_rows(test)
+        layers = estimator._layer_slices(4)
+        assert len(train) > 4 and layers == [("projected", slice(0, 4))]
+        np.testing.assert_allclose(
+            estimator.influence(train, test),
+            explicit_inverse(g_train, g_test, layers),
+            rtol=1e-8,
+            atol=1e-10,
+        )
+        np.testing.assert_allclose(
+            estimator.self_influence(train),
+            np.diag(explicit_inverse(g_train, g_train, layers)),
+            rtol=1e-8,
+            atol=1e-10,
+        )
+
+    @pytest.mark.parametrize("k", [None, 16, 4], ids=["exact", "projected", "narrow"])
+    def test_match_per_query_adjustment(self, lora_model, checkpoints, sets, k):
         train, test = sets
         projector = None
-        if projected:
+        if k is not None:
             dim = sum(p.size for p in trainable_parameters(lora_model))
-            projector = GradientProjector(dim, k=16, seed=2)
+            projector = GradientProjector(dim, k=k, seed=2)
         estimator = DataInf(lora_model, checkpoints, projector=projector)  # heuristic lam
         variants, positions = per_token_examples(test[0])
         g_train = estimator.engine.stacked_rows(train)

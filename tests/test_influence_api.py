@@ -26,7 +26,7 @@ from repro.influence import (
     per_token_examples,
     trainable_parameter_slices,
 )
-from repro.influence.gradients import gradient_matrix
+from repro.influence.gradients import TracePlan, gradient_matrix
 from repro.lora.adapter import LoRAConfig
 from repro.lora.inject import apply_lora
 from repro.obs import Observability
@@ -85,8 +85,8 @@ class TestDataInfGolden:
         saved = lora_model.state_dict()
         try:
             CheckpointManager.restore(lora_model, last)
-            g_train = gradient_matrix(lora_model, train)
-            g_test = gradient_matrix(lora_model, test)
+            g_train = gradient_matrix(TracePlan(lora_model), train)
+            g_test = gradient_matrix(TracePlan(lora_model), test)
         finally:
             lora_model.load_state_dict(saved)
         expected = np.zeros((len(train), len(test)))

@@ -29,7 +29,7 @@ from repro.influence import (
     example_content_hash,
     per_sample_gradient,
 )
-from repro.influence.gradients import PASS_TOKENS, gradient_matrix, pass_plan
+from repro.influence.gradients import PASS_TOKENS, TracePlan, gradient_matrix, pass_plan
 from repro.lora import LoRAConfig, apply_lora
 from repro.nn import MistralTiny, ModelConfig
 from repro.nn.layers import Linear
@@ -103,7 +103,7 @@ class TestRowsMatchOneExamplePasses:
     def test_any_batch_composition(self, kind, lengths, seed):
         model = shared_model(kind)
         examples = make_examples(lengths, seed)
-        assert_rows_equal(gradient_matrix(model, examples), reference(model, examples))
+        assert_rows_equal(gradient_matrix(TracePlan(model), examples), reference(model, examples))
 
     @pytest.mark.parametrize(
         "build, traced",
@@ -117,14 +117,14 @@ class TestRowsMatchOneExamplePasses:
         assert traced <= {name for name, p in model.named_parameters() if p.requires_grad}
         examples = make_examples([9] * 6)
         assert len(pass_plan(model, examples)) == 1
-        assert_rows_equal(gradient_matrix(model, examples), reference(model, examples))
+        assert_rows_equal(gradient_matrix(TracePlan(model), examples), reference(model, examples))
 
     def test_mixed_lengths_keep_input_order(self):
         model = build_lora_model()
         lengths = [7, 12, 7, 5, 12, 7]
         examples = make_examples(lengths, seed=4)
         assert pass_plan(model, examples) == [[0, 2, 5], [1, 4], [3]]
-        assert_rows_equal(gradient_matrix(model, examples), reference(model, examples))
+        assert_rows_equal(gradient_matrix(TracePlan(model), examples), reference(model, examples))
 
     def test_group_over_the_budget_is_split(self):
         model = build_lora_model()
@@ -134,7 +134,7 @@ class TestRowsMatchOneExamplePasses:
         plan = pass_plan(model, examples)
         assert [len(indices) for indices in plan] == [per_pass, per_pass, 1]
         assert sum(plan, []) == list(range(len(examples)))
-        assert_rows_equal(gradient_matrix(model, examples), reference(model, examples))
+        assert_rows_equal(gradient_matrix(TracePlan(model), examples), reference(model, examples))
 
     def test_projected_rows(self):
         model = build_lora_model()
@@ -142,13 +142,14 @@ class TestRowsMatchOneExamplePasses:
         dim = per_sample_gradient(model, examples[0]).shape[0]
         projector = GradientProjector(dim, k=16, seed=3)
         assert_rows_equal(
-            gradient_matrix(model, examples, projector), reference(model, examples, projector)
+            gradient_matrix(TracePlan(model), examples, projector),
+            reference(model, examples, projector),
         )
 
     def test_parameters_restored_and_left_without_gradient(self):
         model = build_lora_model()
         before = {name: p for name, p in model.named_parameters()}
-        gradient_matrix(model, make_examples([8, 8, 8]))
+        gradient_matrix(TracePlan(model), make_examples([8, 8, 8]))
         after = dict(model.named_parameters())
         assert all(after[name] is param for name, param in before.items())
         assert all(param.grad is None for param in after.values())

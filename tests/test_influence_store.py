@@ -25,7 +25,7 @@ from repro.influence import (
     projector_key,
     trainable_parameters,
 )
-from repro.influence.gradients import gradient_matrix
+from repro.influence.gradients import TracePlan, gradient_matrix
 from repro.obs import Observability
 from repro.optim import AdamW
 from repro.training import CheckpointManager, Trainer, TrainingConfig
@@ -191,7 +191,7 @@ class TestCachedParity:
         try:
             for record in checkpoints:
                 CheckpointManager.restore(tiny_model, record)
-                g = gradient_matrix(tiny_model, train)
+                g = gradient_matrix(TracePlan(tiny_model), train)
                 expected += record.lr * (g * g).sum(axis=1)
         finally:
             tiny_model.load_state_dict(saved)
