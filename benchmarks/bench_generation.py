@@ -8,7 +8,7 @@ CALM-style generative eval (the paper's Table-2 read-out is literally
   per-example ``generate_answer`` loop vs one batched decode through
   ``generate_answer_batch`` — asserts the ISSUE-4 acceptance claim of a
   >= 3x speedup with **identical greedy outputs**;
-* KV-cache step time: the preallocated ring buffer
+* KV-cache step time: the preallocated append buffer
   (:class:`~repro.nn.cache.LayerKVCache`) vs a naive
   concatenate-per-step reference cache, at long contexts where the
   O(T^2) copying of the naive scheme dominates;
@@ -48,17 +48,15 @@ RING_SHAPE = (1, 2, 16)  # (batch, kv heads, head dim) of each appended token
 
 
 class ConcatLayerCache:
-    """The pre-ring-buffer reference: concatenate k/v on every append.
+    """The naive reference: concatenate k/v on every append.
 
     Kept here (not in the library) purely as the benchmark baseline —
-    every decode step reallocates and copies the whole retained history,
+    every decode step reallocates and copies the whole cached history,
     so per-step cost grows linearly with context and total cost is
-    O(T^2).  The ring buffer writes each step into a preallocated slot.
+    O(T^2).  The library cache writes each step into a preallocated slot.
     """
 
-    def __init__(self, window: int | None = None):
-        self.window = window
-        self.offset = 0
+    def __init__(self):
         self._k: np.ndarray | None = None
         self._v: np.ndarray | None = None
 
@@ -68,11 +66,6 @@ class ConcatLayerCache:
         else:
             self._k = np.concatenate([self._k, k], axis=2)
             self._v = np.concatenate([self._v, v], axis=2)
-        if self.window is not None and self._k.shape[2] > self.window:
-            drop = self._k.shape[2] - self.window
-            self._k = self._k[:, :, drop:].copy()
-            self._v = self._v[:, :, drop:].copy()
-            self.offset += drop
         return self._k, self._v
 
 
@@ -87,14 +80,13 @@ def _time_cache_appends(cache, steps: int) -> float:
 
 
 def ring_vs_concat(steps: int = RING_STEPS) -> dict[str, float]:
-    """Total append time (s) for ring-buffer vs concat caches."""
+    """Total append time (s) for the preallocated vs the concat cache."""
     from repro.nn.cache import LayerKVCache
 
-    times = {}
-    for label, window in (("unwindowed", None), ("window=256", 256)):
-        times[f"ring {label}"] = _time_cache_appends(LayerKVCache(window=window), steps)
-        times[f"concat {label}"] = _time_cache_appends(ConcatLayerCache(window=window), steps)
-    return times
+    return {
+        "ring unwindowed": _time_cache_appends(LayerKVCache(), steps),
+        "concat unwindowed": _time_cache_appends(ConcatLayerCache(), steps),
+    }
 
 
 def _build_eval(n_eval: int, epochs: int = 2):

@@ -7,7 +7,6 @@ from repro.nn.attention import (
     MultiHeadAttention,
     fused_attention,
     rect_attention_mask,
-    sliding_window_mask,
 )
 from repro.nn.cache import KVCache, KVCacheSnapshot, LayerKVCache, PrefixCache, PrefixEntry
 from repro.nn.mlp import SwiGLU
@@ -48,7 +47,6 @@ __all__ = [
     "RotaryEmbedding",
     "MultiHeadAttention",
     "fused_attention",
-    "sliding_window_mask",
     "rect_attention_mask",
     "KVCache",
     "KVCacheSnapshot",

@@ -28,45 +28,27 @@ def _freeze(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=320)
 def rect_attention_mask(
-    q_len: int,
-    kv_len: int,
-    window: int | None,
-    q_offset: int = 0,
-    kv_offset: int = 0,
+    q_len: int, kv_len: int, window: int | None, q_offset: int = 0
 ) -> np.ndarray:
-    """Additive mask of shape ``(q_len, kv_len)`` for cached decoding.
+    """Additive attention mask of shape ``(q_len, kv_len)``.
 
-    Query ``i`` sits at absolute position ``q_offset + i`` and key ``j``
-    at ``kv_offset + j``; attention is allowed when the key is not in
-    the future and (with a window) not older than ``window`` positions.
+    Query ``i`` sits at position ``q_offset + i`` and key ``j`` at
+    position ``j``.  Entry ``(i, j)`` is 0 when the key is not in the
+    future and (with a window) not older than ``window`` positions,
+    ``-1e9`` otherwise.  This mask is the one place the sliding window
+    is enforced: KV caches keep every key.  ``rect_attention_mask(n, n,
+    w)`` is the square causal mask of a full forward.
 
     Results are memoized and returned **read-only** — callers share the
     same array, so mutation would corrupt every future forward pass.
     """
     q_pos = (q_offset + np.arange(q_len))[:, None]
-    k_pos = (kv_offset + np.arange(kv_len))[None, :]
+    k_pos = np.arange(kv_len)[None, :]
     allowed = k_pos <= q_pos
     if window is not None:
         allowed &= (q_pos - k_pos) < window
-    return _freeze(np.where(allowed, np.float32(0.0), _NEG_INF).astype(np.float32))
-
-
-@functools.lru_cache(maxsize=64)
-def sliding_window_mask(seq_len: int, window: int | None) -> np.ndarray:
-    """Additive attention mask of shape ``(seq_len, seq_len)``.
-
-    Entry ``(i, j)`` is 0 when token ``i`` may attend to token ``j``
-    (``j <= i`` and, with a window, ``i - j < window``) and ``-1e9``
-    otherwise.  Memoized and returned **read-only** (see
-    :func:`rect_attention_mask`).
-    """
-    i = np.arange(seq_len)[:, None]
-    j = np.arange(seq_len)[None, :]
-    allowed = j <= i
-    if window is not None:
-        allowed &= (i - j) < window
     return _freeze(np.where(allowed, np.float32(0.0), _NEG_INF).astype(np.float32))
 
 
@@ -162,7 +144,7 @@ def attention(attn: "MultiHeadAttention", q: Tensor, k: Tensor, v: Tensor) -> Te
     if keep is not None:  # (B, H, T, S) and (B, KV, G·T, S) share one memory order
         keep = keep.reshape(batch, n_kv, -1, seq)
     data, probs = fused_attention(
-        qh, kh, vh, n_kv, sliding_window_mask(seq, attn.sliding_window), keep
+        qh, kh, vh, n_kv, rect_attention_mask(seq, seq, attn.sliding_window), keep
     )
     out = Tensor._result(data, (q, k, v))
     if out.requires_grad:

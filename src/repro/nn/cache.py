@@ -4,26 +4,29 @@ Generation re-uses the attention keys/values of already-processed
 tokens instead of re-running the full prefix each step.  Two layers of
 reuse live here:
 
-* :class:`LayerKVCache` / :class:`KVCache` — a **preallocated rolling
-  buffer** per attention layer.  Appends write into reserved slots
-  (amortized O(1) per token) instead of reallocating the whole buffer
-  with ``np.concatenate`` every step, and with a sliding window of
-  ``w`` the buffer is compacted in place so retained entries stay a
-  contiguous view — the same trick Mistral uses to bound memory at
-  long contexts.
+* :class:`LayerKVCache` / :class:`KVCache` — a **preallocated
+  append-only buffer** per attention layer.  Slot ``j`` holds position
+  ``j``; appends write into reserved slots (amortized O(1) per token)
+  instead of reallocating the whole buffer with ``np.concatenate``
+  every step.  The cache keeps every key it is given: how far back a
+  query may look is the attention mask's business
+  (:func:`~repro.nn.attention.rect_attention_mask`), and
+  ``MistralTiny.forward`` bounds the buffer at ``max_seq_len``
+  positions.
 * :class:`PrefixCache` — a trie keyed by token ids that stores
   immutable :class:`KVCacheSnapshot` objects for already-prefilled
   prompts.  Repeated behavior texts, shared few-shot / instruct
   preambles and repeat sampling seeds re-use the longest matching
-  prefix via :meth:`KVCache.fork` instead of re-running prefill; hit /
-  miss / saved-token counters are reported through :mod:`repro.obs`.
+  prefix via :meth:`KVCache.from_snapshot` instead of re-running
+  prefill; hit / miss / saved-token counters are reported through
+  :mod:`repro.obs`.
 
 Caches hold plain numpy arrays (decoding runs under ``no_grad``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +40,17 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _capacity(t: int) -> int:
+    """Slots to reserve for ``t`` positions: room to append as many again."""
+    return max(_MIN_CAPACITY, 2 * t)
+
+
 @dataclass(frozen=True)
 class LayerKVSnapshot:
-    """Immutable copy of one layer's retained keys/values."""
+    """Immutable copy of one layer's keys/values."""
 
     k: np.ndarray  # (batch, n_kv_heads, t, head_dim), read-only
     v: np.ndarray
-    offset: int
 
 
 @dataclass(frozen=True)
@@ -51,23 +58,16 @@ class KVCacheSnapshot:
     """Frozen state of a full :class:`KVCache` (one entry per layer).
 
     Snapshots are safe to share: the arrays are copies marked
-    read-only, so no amount of decoding on a forked cache can corrupt
-    them.  ``length`` is the number of *retained* positions;
-    ``next_position`` the absolute position decoding resumes from.
+    read-only, so no amount of decoding on a cache rebuilt from one can
+    corrupt them.  ``length`` is the number of cached positions, which
+    is also the position decoding resumes from.
     """
 
     layers: tuple[LayerKVSnapshot, ...]
-    window: int | None
 
     @property
     def length(self) -> int:
         return self.layers[0].k.shape[2] if self.layers else 0
-
-    @property
-    def next_position(self) -> int:
-        if not self.layers:
-            return 0
-        return self.layers[0].offset + self.length
 
     @property
     def nbytes(self) -> int:
@@ -75,96 +75,41 @@ class KVCacheSnapshot:
 
 
 class LayerKVCache:
-    """Rolling key/value buffer for one attention layer.
+    """Append-only key/value buffer for one attention layer.
 
-    Shapes are ``(batch, n_heads, t, head_dim)``; ``offset`` is the
-    absolute position of the first retained entry.  Internally the
-    buffer is preallocated with slack: appends write into free slots,
-    window trims advance the start index, and the retained span is
-    compacted to the front only when it would run off the end of the
-    buffer — amortized O(1) work per appended token, versus the
-    O(T) (unwindowed: O(T^2) total) reallocation of a
-    concatenate-per-step cache.
+    Shapes are ``(batch, n_heads, t, head_dim)`` and slot ``j`` holds
+    position ``j``, so ``len(cache)`` is the position of the next token.
+    Internally the buffer is preallocated with slack: appends write
+    into free slots and the buffer doubles when full — amortized O(1)
+    work per appended token, versus the O(T) (O(T^2) total)
+    reallocation of a concatenate-per-step cache.
     """
 
-    __slots__ = ("window", "offset", "_k", "_v", "_start", "_len")
+    __slots__ = ("_k", "_v", "_len")
 
-    def __init__(self, window: int | None = None):
-        if window is not None and window <= 0:
-            raise ShapeError(f"window must be positive when set, got {window}")
-        self.window = window
-        self.offset = 0
+    def __init__(self):
         self._k: np.ndarray | None = None
         self._v: np.ndarray | None = None
-        self._start = 0
         self._len = 0
 
     def __len__(self) -> int:
         return self._len
 
     @property
-    def next_position(self) -> int:
-        """Absolute position of the next token to be appended."""
-        return self.offset + self._len
-
-    @property
     def batch_size(self) -> int:
         return 0 if self._k is None else self._k.shape[0]
 
-    @property
-    def capacity(self) -> int:
-        return 0 if self._k is None else self._k.shape[2]
-
-    # -- internal buffer management ------------------------------------
-
-    def _initial_capacity(self, t: int) -> int:
-        if self.window is not None:
-            # window + equal slack => one O(window) compaction per
-            # ~window appended tokens.
-            return max(self.window + max(self.window, t), t)
-        return max(_MIN_CAPACITY, 2 * t)
-
-    def _allocate(self, like: np.ndarray, t: int) -> None:
-        batch, heads, _, head_dim = like.shape
-        cap = self._initial_capacity(t)
-        self._k = np.empty((batch, heads, cap, head_dim), dtype=like.dtype)
-        self._v = np.empty_like(self._k)
-        self._start = 0
-        self._len = 0
-
-    def _make_room(self, t: int) -> None:
-        """Ensure ``t`` more slots are writable after the retained span."""
-        cap = self.capacity
-        need = self._len + t
-        if self._start + need <= cap:
-            return
-        if need > cap:  # grow geometrically (unwindowed long decode)
-            new_cap = cap
-            while new_cap < need:
-                new_cap *= 2
-            k = np.empty(self._k.shape[:2] + (new_cap,) + self._k.shape[3:], dtype=self._k.dtype)
-            v = np.empty_like(k)
-            k[:, :, : self._len] = self._k[:, :, self._start : self._start + self._len]
-            v[:, :, : self._len] = self._v[:, :, self._start : self._start + self._len]
-            self._k, self._v = k, v
-        else:
-            # Compact the retained span to the front.  With a window the
-            # buffer has >= window slack, so source and destination never
-            # overlap; without one we only land here via the grow branch.
-            if self._start < self._len:
-                retained_k = self._k[:, :, self._start : self._start + self._len].copy()
-                retained_v = self._v[:, :, self._start : self._start + self._len].copy()
-            else:
-                retained_k = self._k[:, :, self._start : self._start + self._len]
-                retained_v = self._v[:, :, self._start : self._start + self._len]
-            self._k[:, :, : self._len] = retained_k
-            self._v[:, :, : self._len] = retained_v
-        self._start = 0
-
-    # -- public API ----------------------------------------------------
+    def _resize(self, cap: int) -> None:
+        """Move the cached span into fresh buffers of ``cap`` slots."""
+        batch, heads, _, head_dim = self._k.shape
+        k = np.empty((batch, heads, cap, head_dim), dtype=self._k.dtype)
+        v = np.empty_like(k)
+        k[:, :, : self._len] = self._k[:, :, : self._len]
+        v[:, :, : self._len] = self._v[:, :, : self._len]
+        self._k, self._v = k, v
 
     def append(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Append new keys/values; return views of the retained buffers.
+        """Append new keys/values; return views of every cached position.
 
         The returned arrays are views into the internal buffer and are
         only valid until the next ``append`` — attention consumes them
@@ -176,110 +121,76 @@ class LayerKVCache:
             raise ShapeError(f"cache entries must be (batch, heads, t, head_dim), got {k.shape}")
         t = k.shape[2]
         if self._k is None:
-            self._allocate(k, t)
+            self._k = np.empty(k.shape[:2] + (_capacity(t),) + k.shape[3:], dtype=k.dtype)
+            self._v = np.empty_like(self._k)
         elif k.shape[:2] != self._k.shape[:2] or k.shape[3] != self._k.shape[3]:
             raise ShapeError(
                 f"cache append shape {k.shape} incompatible with "
                 f"{self._k.shape[:2] + (self._len,) + self._k.shape[3:]}"
             )
-        self._make_room(t)
-        end = self._start + self._len
-        self._k[:, :, end : end + t] = k
-        self._v[:, :, end : end + t] = v
+        if self._len + t > self._k.shape[2]:
+            self._resize(max(self._len + t, 2 * self._k.shape[2]))
+        self._k[:, :, self._len : self._len + t] = k
+        self._v[:, :, self._len : self._len + t] = v
         self._len += t
-        if self.window is not None and self._len > self.window:
-            drop = self._len - self.window
-            self._start += drop
-            self.offset += drop
-            self._len = self.window
         return self.views()
 
     def views(self) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy views of the retained keys and values."""
+        """Zero-copy views of the cached keys and values."""
         if self._k is None:
             raise ShapeError("cache is empty; nothing to view")
-        span = slice(self._start, self._start + self._len)
-        return self._k[:, :, span], self._v[:, :, span]
+        return self._k[:, :, : self._len], self._v[:, :, : self._len]
 
     def snapshot(self) -> LayerKVSnapshot:
-        """An immutable (read-only, copied) view of the retained state."""
+        """An immutable (read-only, copied) view of the cached state."""
         if self._k is None:
             return LayerKVSnapshot(
                 k=_read_only(np.empty((0, 0, 0, 0), dtype=np.float32)),
                 v=_read_only(np.empty((0, 0, 0, 0), dtype=np.float32)),
-                offset=self.offset,
             )
         k, v = self.views()
-        return LayerKVSnapshot(k=_read_only(k.copy()), v=_read_only(v.copy()), offset=self.offset)
+        return LayerKVSnapshot(k=_read_only(k.copy()), v=_read_only(v.copy()))
 
     @classmethod
-    def from_arrays(
-        cls, k: np.ndarray, v: np.ndarray, offset: int = 0, window: int | None = None
-    ) -> "LayerKVCache":
-        """A fresh cache whose retained span is a copy of ``k`` / ``v``."""
-        cache = cls(window)
+    def from_arrays(cls, k: np.ndarray, v: np.ndarray) -> "LayerKVCache":
+        """A fresh cache holding a copy of ``k`` / ``v``."""
+        cache = cls()
         if k.ndim == 4 and k.shape[2] > 0:
-            cache._allocate(k, k.shape[2])
-            cache._k[:, :, : k.shape[2]] = k
-            cache._v[:, :, : k.shape[2]] = v
-            cache._len = k.shape[2]
-        cache.offset = offset
+            cache.append(k, v)
         return cache
-
-    @classmethod
-    def from_snapshot(
-        cls, snap: LayerKVSnapshot, window: int | None = None
-    ) -> "LayerKVCache":
-        return cls.from_arrays(snap.k, snap.v, offset=snap.offset, window=window)
-
-    def fork(self) -> "LayerKVCache":
-        """An independent copy: decoding on the fork never touches this cache."""
-        if self._k is None:
-            fork = LayerKVCache(self.window)
-            fork.offset = self.offset
-            return fork
-        k, v = self.views()
-        return LayerKVCache.from_arrays(k, v, offset=self.offset, window=self.window)
 
     def select_rows(self, indices, columns=None) -> None:
         """Keep only the given batch rows (early retirement compaction).
 
-        ``columns``, when given, also keeps only those retained slots
-        (indices into the retained span, in order) — the batched decode
-        state drops slots no remaining row can attend to.
+        ``columns``, when given, also keeps only those slots (in order)
+        — the batched decode state drops slots no remaining row can
+        attend to.
         """
         if self._k is None:
             return
         indices = np.asarray(indices, dtype=np.intp)
         if columns is None:
-            span = slice(self._start, self._start + self._len)
+            span = slice(0, self._len)
         else:
-            span = self._start + np.asarray(columns, dtype=np.intp)
+            span = np.asarray(columns, dtype=np.intp)
             self._len = len(span)
         self._k = np.ascontiguousarray(self._k[indices][:, :, span])
         self._v = np.ascontiguousarray(self._v[indices][:, :, span])
-        self._start = 0
 
     def admit_rows(self, other: "LayerKVCache") -> None:
         """Append another cache's batch rows to this one (ragged admit).
 
         The continuous scheduler uses this to merge a freshly prefilled
         batch into the live decode batch between steps.  Both caches
-        must be zero-offset stacked caches (the batched-decode
-        convention: per-row positions live in the caller's slot table)
-        with matching head count and head dim.  Retained spans are
-        padded with zeros to a common length; slots past a row's own
-        valid span must stay hidden by the caller's additive mask
-        (zero K/V keeps their scores finite, so the ``-1e9`` mask lanes
-        underflow to exactly 0 in softmax).
+        must have matching head count and head dim (per-row positions
+        live in the caller's slot table).  Cached spans are padded with
+        zeros to a common length; slots past a row's own valid span
+        must stay hidden by the caller's additive mask (zero K/V keeps
+        their scores finite, so the ``-1e9`` mask lanes underflow to
+        exactly 0 in softmax).
         """
         if self._k is None or other._k is None:
             raise ShapeError("admit_rows() requires non-empty caches on both sides")
-        if self.offset != 0 or other.offset != 0:
-            raise ShapeError(
-                f"admit_rows() requires zero-offset stacked caches, "
-                f"got offsets {self.offset} and {other.offset}"
-            )
         if self._k.shape[1] != other._k.shape[1] or self._k.shape[3] != other._k.shape[3]:
             raise ShapeError(
                 f"admit_rows() head layout mismatch: {self._k.shape[1:2] + self._k.shape[3:]} "
@@ -290,7 +201,7 @@ class LayerKVCache:
         k_other, v_other = other.views()
         rows_self = k_self.shape[0]
         batch = rows_self + k_other.shape[0]
-        cap = max(self.capacity, self._initial_capacity(t))
+        cap = max(self._k.shape[2], _capacity(t))
         new_k = np.zeros((batch, self._k.shape[1], cap, self._k.shape[3]), dtype=self._k.dtype)
         new_v = np.zeros_like(new_k)
         new_k[:rows_self, :, : self._len] = k_self
@@ -298,18 +209,16 @@ class LayerKVCache:
         new_k[rows_self:, :, : other._len] = k_other
         new_v[rows_self:, :, : other._len] = v_other
         self._k, self._v = new_k, new_v
-        self._start = 0
         self._len = t
 
 
 class KVCache:
     """Per-layer cache bundle for a full model."""
 
-    def __init__(self, n_layers: int, window: int | None = None):
+    def __init__(self, n_layers: int):
         if n_layers <= 0:
             raise ShapeError("n_layers must be positive")
-        self.layers = [LayerKVCache(window) for _ in range(n_layers)]
-        self.window = window
+        self.layers = [LayerKVCache() for _ in range(n_layers)]
 
     def __getitem__(self, index: int) -> LayerKVCache:
         return self.layers[index]
@@ -319,44 +228,29 @@ class KVCache:
 
     @property
     def next_position(self) -> int:
-        return self.layers[0].next_position
+        return len(self.layers[0])
 
     @property
     def batch_size(self) -> int:
         return self.layers[0].batch_size
 
+    @classmethod
+    def from_layers(cls, layers: list[LayerKVCache]) -> "KVCache":
+        """A bundle of the given per-layer caches (not copied)."""
+        cache = cls(len(layers))
+        cache.layers = list(layers)
+        return cache
+
     def snapshot(self) -> KVCacheSnapshot:
         """Freeze the current state (copied, read-only arrays)."""
-        return KVCacheSnapshot(
-            layers=tuple(layer.snapshot() for layer in self.layers),
-            window=self.window,
-        )
+        return KVCacheSnapshot(layers=tuple(layer.snapshot() for layer in self.layers))
 
     @classmethod
-    def from_snapshot(
-        cls, snap: KVCacheSnapshot, window: int | None = "unset"  # type: ignore[assignment]
-    ) -> "KVCache":
-        """Rehydrate a writable cache from a snapshot.
-
-        ``window`` defaults to the snapshot's own window; pass ``None``
-        explicitly to disable trimming on the rehydrated cache (the
-        batched decode path enforces the window via masks instead).
-        """
+    def from_snapshot(cls, snap: KVCacheSnapshot) -> "KVCache":
+        """A writable cache holding a copy of a snapshot's state."""
         if not snap.layers:
             raise ShapeError("cannot rebuild a KVCache from an empty snapshot")
-        if window == "unset":
-            window = snap.window
-        cache = cls.__new__(cls)
-        cache.layers = [LayerKVCache.from_snapshot(layer, window=window) for layer in snap.layers]
-        cache.window = window
-        return cache
-
-    def fork(self) -> "KVCache":
-        """An independent deep copy sharing nothing with this cache."""
-        cache = KVCache.__new__(KVCache)
-        cache.layers = [layer.fork() for layer in self.layers]
-        cache.window = self.window
-        return cache
+        return cls.from_layers([LayerKVCache.from_arrays(l.k, l.v) for l in snap.layers])
 
     def select_rows(self, indices, columns=None) -> None:
         """Keep only the given batch rows (and slots) in every layer."""
@@ -416,7 +310,7 @@ class PrefixCache:
     the deepest stored entry — the longest cached prefix — so repeat
     behavior texts, shared instruction preambles and repeat sampling
     seeds skip the matching part of prefill entirely.  Matches shorter
-    than ``min_match`` tokens are ignored (forking a cache for a
+    than ``min_match`` tokens are ignored (copying a cache for a
     two-token match costs more than it saves), and prefixes that short
     are never stored.
 

@@ -168,11 +168,10 @@ def _snapshot_row(layers_kv, row: int, length: int) -> KVCacheSnapshot:
         LayerKVSnapshot(
             k=_read_only(np.ascontiguousarray(k[row : row + 1, :, :length])),
             v=_read_only(np.ascontiguousarray(v[row : row + 1, :, :length])),
-            offset=0,
         )
         for k, v in layers_kv
     ]
-    return KVCacheSnapshot(layers=tuple(snaps), window=None)
+    return KVCacheSnapshot(layers=tuple(snaps))
 
 
 def _prefill_batch(
@@ -184,11 +183,10 @@ def _prefill_batch(
     """Prefill every prompt and stack the results into one decode state.
 
     Rows without a cached prefix share one left-aligned padded prefill
-    forward; rows with a prefix hit fork the stored snapshot and prefill
-    only their unseen suffix.  Both forwards read out each row's last
-    prompt position only.  Prefill runs through *untrimmed* caches:
-    the masks enforce the sliding window exactly, whereas trimming keys
-    mid-prompt would drop history early queries still depend on.
+    forward; rows with a prefix hit copy the stored snapshot into a
+    fresh cache and prefill only their unseen suffix.  Both forwards
+    read out each row's last prompt position only.  The caches keep
+    every key; the attention masks enforce the sliding window.
     """
     n_layers = model.config.n_layers
     window = model.config.sliding_window
@@ -199,7 +197,6 @@ def _prefill_batch(
 
     last_logits: list[np.ndarray | None] = [None] * batch
     row_kv: list[list[tuple[np.ndarray, np.ndarray]] | None] = [None] * batch
-    row_offsets = [0] * batch
     row_kv_len = [0] * batch
 
     if miss_idx:
@@ -207,7 +204,7 @@ def _prefill_batch(
         padded = np.zeros((len(miss_idx), pad_to), dtype=np.int64)
         for r, i in enumerate(miss_idx):
             padded[r, : lengths[i]] = rows[i]
-        miss_cache = KVCache(n_layers, window=None)
+        miss_cache = KVCache(n_layers)
         readout = np.asarray([lengths[i] - 1 for i in miss_idx])
         logits = model.forward(padded, cache=miss_cache, readout=readout).data
         metrics["prefill_tokens"].inc(sum(lengths[i] for i in miss_idx))
@@ -226,24 +223,21 @@ def _prefill_batch(
     for i, entry in enumerate(entries):
         if entry is None:
             continue
-        fork = KVCache.from_snapshot(entry.snapshot, window=None)
+        row_cache = KVCache.from_snapshot(entry.snapshot)
         if entry.length == lengths[i]:
             last_logits[i] = np.asarray(entry.logits)
         else:
             suffix = rows[i][entry.length :]
-            logits = model.forward(suffix[None, :], cache=fork, readout=[len(suffix) - 1])
+            logits = model.forward(suffix[None, :], cache=row_cache, readout=[len(suffix) - 1])
             last_logits[i] = logits.data[0, -1]
             metrics["prefill_tokens"].inc(len(suffix))
             if prefix_cache is not None:
-                prefix_cache.insert(rows[i], fork.snapshot(), last_logits[i])
-        row_kv[i] = [fork[layer].views() for layer in range(n_layers)]
-        row_offsets[i] = fork[0].offset
-        row_kv_len[i] = len(fork[0])
+                prefix_cache.insert(rows[i], row_cache.snapshot(), last_logits[i])
+        row_kv[i] = [row_cache[layer].views() for layer in range(n_layers)]
+        row_kv_len[i] = len(row_cache[0])
 
     # Stack every row's KV block left-aligned into one batched cache.
     kv_capacity = max(row_kv_len)
-    kv_pos = np.zeros((batch, kv_capacity), dtype=np.int64)
-    kv_valid = np.zeros((batch, kv_capacity), dtype=bool)
     stacked = []
     for layer in range(n_layers):
         template = row_kv[0][layer][0]
@@ -255,25 +249,15 @@ def _prefill_batch(
             k_l[i, :, : row_kv_len[i]] = k_row[0]
             v_l[i, :, : row_kv_len[i]] = v_row[0]
         stacked.append((k_l, v_l))
-    for i in range(batch):
-        span = np.arange(row_kv_len[i])
-        kv_pos[i, : row_kv_len[i]] = row_offsets[i] + span
+    slots = np.arange(kv_capacity, dtype=np.int64)
+    row_pos = np.asarray(lengths, dtype=np.int64)
+    state = DecodeState(
+        cache=KVCache.from_layers([LayerKVCache.from_arrays(k, v) for k, v in stacked]),
+        kv_pos=np.tile(slots, (batch, 1)),
         # Padding slots of a shared prefill (beyond the row's own prompt
         # length) hold garbage K/V and must stay masked forever.
-        valid_len = min(lengths[i] - row_offsets[i], row_kv_len[i])
-        kv_valid[i, :valid_len] = True
-
-    cache = KVCache.__new__(KVCache)
-    cache.layers = [
-        LayerKVCache.from_arrays(k_l, v_l, offset=0, window=None) for k_l, v_l in stacked
-    ]
-    cache.window = None
-
-    state = DecodeState(
-        cache=cache,
-        kv_pos=kv_pos,
-        kv_valid=kv_valid,
-        row_pos=np.asarray(lengths, dtype=np.int64),
+        kv_valid=slots < row_pos[:, None],
+        row_pos=row_pos,
         window=window,
     )
     return state, [np.asarray(l) for l in last_logits]

@@ -15,7 +15,7 @@ one decode loop, :class:`~repro.nn.continuous.ContinuousScheduler`:
 Seeded sampling matches row-for-row because every row draws from its
 own ``default_rng(config.seed)`` stream, just like a sequential call.
 A :class:`~repro.nn.cache.PrefixCache` lets prompts that share a cached
-token prefix fork the stored KV snapshot and only prefill the unseen
+token prefix copy the stored KV snapshot and only prefill the unseen
 suffix.  Counters and the decode-step histogram are reported through
 :mod:`repro.obs` (``generation.*`` series; see ``docs/generation.md``).
 """

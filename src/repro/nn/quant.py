@@ -46,7 +46,6 @@ from repro.nn.attention import (
     MultiHeadAttention,
     fused_attention,
     rect_attention_mask,
-    sliding_window_mask,
 )
 from repro.nn.layers import Embedding, Linear, RMSNorm, linear_np, rms_norm_np
 from repro.nn.mlp import SwiGLU, swiglu_np
@@ -334,35 +333,23 @@ def _swiglu_np(ffn: SwiGLU, x: np.ndarray) -> np.ndarray:
     return layer_np(ffn.w2, gate)
 
 
-def mask_for(attn: MultiHeadAttention, seq, kv_len, start, kv_offset, cache, attn_mask):
+def mask_for(attn: MultiHeadAttention, seq, kv_len, attn_mask):
     """The additive mask a forward step needs, or ``None`` on the decode
-    fast path (single newest query, every retained key visible) where
-    building an all-zero mask would be pure waste.
+    fast path (single newest query, every cached key inside the window)
+    where building an all-zero mask would be pure waste.  The ``seq``
+    queries are the newest positions of the ``kv_len`` keys.
     """
-    if cache is not None and seq == 1 and attn_mask is None:
-        # The single query is the newest position, so causality admits
-        # every retained key, and the rolling window trim (or an explicit
-        # length check) guarantees no key is older than the window.
-        if (
-            attn.sliding_window is None
-            or cache.window is not None  # append() already trimmed to window
-            or kv_len <= attn.sliding_window
-        ):
-            return None
     if attn_mask is not None:
         return attn_mask
-    if cache is not None:
-        return rect_attention_mask(
-            seq, kv_len, attn.sliding_window, q_offset=start, kv_offset=kv_offset
-        )
-    return sliding_window_mask(seq, attn.sliding_window)
+    window = attn.sliding_window
+    if seq == 1 and (window is None or kv_len <= window):
+        return None
+    return rect_attention_mask(seq, kv_len, window, q_offset=kv_len - seq)
 
 
 def _attention_np(
     attn: MultiHeadAttention, x: np.ndarray, cache, tables, attn_mask, readout=None
 ):
-    seq = x.shape[1]
-    start = cache.next_position if cache is not None else 0
     # K/V cover every position (the cache needs them all); with a readout
     # only the read rows get a query, at their own RoPE positions.
     xq, q_tables = x, None
@@ -374,10 +361,7 @@ def _attention_np(
     )
     if cache is not None:
         k, v = cache.append(k, v)
-        kv_offset = cache.offset
-    else:
-        kv_offset = 0
-    mask = mask_for(attn, seq, k.shape[2], start, kv_offset, cache, attn_mask)
+    mask = mask_for(attn, x.shape[1], k.shape[2], attn_mask)
     if readout is not None:
         mask = mask[readout][:, None, None, :]  # (T, S) rows -> (B, 1, 1, S)
     out, _ = fused_attention(q, k, v, attn.n_kv_heads, mask)

@@ -196,8 +196,8 @@ class MistralTiny(Module):
         return self.final_norm(x)
 
     def make_cache(self) -> KVCache:
-        """A fresh KV cache sized for this model's layers and window."""
-        return KVCache(self.config.n_layers, window=self.config.sliding_window)
+        """A fresh KV cache with one layer cache per transformer block."""
+        return KVCache(self.config.n_layers)
 
     def loss(self, token_ids: np.ndarray, labels: np.ndarray | None = None) -> Tensor:
         """Next-token cross entropy.

@@ -306,10 +306,13 @@ class ThreadTransport:
 def _replica_child_main(conn, factory: ReplicaFactory, replica_id: int) -> None:
     """The fork-transport child loop: recv op, run it, send the reply.
 
-    Scoring errors are *replies* (the replica stays up); ``SystemExit``
-    and ``KeyboardInterrupt`` — including ones raised by an armed fault
-    point — hard-exit without replying, which the parent observes as a
-    dead pipe and maps to :class:`ReplicaCrashedError`.
+    Every reply is a ``(status, value)`` pair; an ``"err"`` reply's value
+    is ``(type_name, message)``, which the parent rebuilds into the
+    original error type.  Scoring errors are *replies* (the replica
+    stays up); ``SystemExit`` and ``KeyboardInterrupt`` — including ones
+    raised by an armed fault point — hard-exit without replying, which
+    the parent observes as a dead pipe and maps to
+    :class:`ReplicaCrashedError`.
     """
     app = factory(replica_id)
     while True:
@@ -340,11 +343,11 @@ def _replica_child_main(conn, factory: ReplicaFactory, replica_id: int) -> None:
                 conn.send(("ok", None))
                 os._exit(0)
             else:
-                conn.send(("err", "ClusterError", f"unknown op {op!r}"))
+                conn.send(("err", ("ClusterError", f"unknown op {op!r}")))
         except (SystemExit, KeyboardInterrupt):
             os._exit(1)
         except BaseException as error:  # noqa: BLE001 — replied, not fatal
-            conn.send(("err", type(error).__name__, str(error)))
+            conn.send(("err", (type(error).__name__, str(error))))
 
 
 def _rebuild_error(type_name: str, message: str) -> BaseException:
@@ -424,7 +427,7 @@ class ForkTransport:
             except (EOFError, OSError, BrokenPipeError):
                 raise self._dead(f"pipe lost during {op!r}") from None
         if status == "err":
-            raise _rebuild_error(*value) if isinstance(value, tuple) else _rebuild_error(value[0], value[1])
+            raise _rebuild_error(*value)
         return value
 
     def score(self, requests: list[ScoreRequest]) -> list[ScoreResult]:

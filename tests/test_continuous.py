@@ -266,13 +266,6 @@ class TestAdmitPrimitives:
             rng.normal(size=(1, 2, 4, 4)).astype(np.float32),
             rng.normal(size=(1, 2, 4, 4)).astype(np.float32),
         )
-        offset = LayerKVCache.from_arrays(
-            rng.normal(size=(1, 2, 4, 4)).astype(np.float32),
-            rng.normal(size=(1, 2, 4, 4)).astype(np.float32),
-            offset=2,
-        )
-        with pytest.raises(ShapeError):
-            a.admit_rows(offset)
         wrong_heads = LayerKVCache.from_arrays(
             rng.normal(size=(1, 4, 4, 4)).astype(np.float32),
             rng.normal(size=(1, 4, 4, 4)).astype(np.float32),

@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.nn import MistralTiny
-from repro.nn.attention import rect_attention_mask, sliding_window_mask
+from repro.nn.attention import rect_attention_mask
 from repro.nn.cache import KVCache, LayerKVCache, PrefixCache
 from repro.nn.generation import GenerationConfig, generate, generate_batch
 
@@ -109,9 +109,7 @@ class TestBudgetValidation:
 class ConcatLayerCache:
     """Golden reference: the old concatenate-per-step cache semantics."""
 
-    def __init__(self, window=None):
-        self.window = window
-        self.offset = 0
+    def __init__(self):
         self._k = self._v = None
 
     def append(self, k, v):
@@ -120,21 +118,15 @@ class ConcatLayerCache:
         else:
             self._k = np.concatenate([self._k, k], axis=2)
             self._v = np.concatenate([self._v, v], axis=2)
-        if self.window is not None and self._k.shape[2] > self.window:
-            drop = self._k.shape[2] - self.window
-            self._k = self._k[:, :, drop:].copy()
-            self._v = self._v[:, :, drop:].copy()
-            self.offset += drop
         return self._k, self._v
 
 
 class TestRingBuffer:
-    @pytest.mark.parametrize("window", [None, 8])
     @pytest.mark.parametrize("chunks", [[1] * 40, [5, 1, 1, 7, 1, 30, 1, 1]])
-    def test_matches_concat_reference(self, window, chunks):
+    def test_matches_concat_reference(self, chunks):
         rng = np.random.default_rng(0)
-        ring = LayerKVCache(window=window)
-        concat = ConcatLayerCache(window=window)
+        ring = LayerKVCache()
+        concat = ConcatLayerCache()
         for t in chunks:
             k = rng.standard_normal((1, 2, t, 4)).astype(np.float32)
             v = rng.standard_normal((1, 2, t, 4)).astype(np.float32)
@@ -142,11 +134,10 @@ class TestRingBuffer:
             ck, cv = concat.append(k, v)
             np.testing.assert_array_equal(rk, ck)
             np.testing.assert_array_equal(rv, cv)
-            assert ring.offset == concat.offset
 
     def test_snapshot_isolated_from_later_appends(self):
         rng = np.random.default_rng(1)
-        cache = LayerKVCache(window=None)
+        cache = LayerKVCache()
         k = rng.standard_normal((1, 2, 6, 4)).astype(np.float32)
         cache.append(k, k)
         snap = cache.snapshot()
@@ -157,11 +148,11 @@ class TestRingBuffer:
 
     def test_fork_is_independent(self):
         rng = np.random.default_rng(2)
-        cache = KVCache(n_layers=2, window=None)
+        cache = KVCache(n_layers=2)
         for layer in cache.layers:
             k = rng.standard_normal((1, 2, 5, 4)).astype(np.float32)
             layer.append(k, k)
-        fork = cache.fork()
+        fork = KVCache.from_snapshot(cache.snapshot())
         extra = rng.standard_normal((1, 2, 1, 4)).astype(np.float32)
         fork.layers[0].append(extra, extra)
         assert fork.layers[0].views()[0].shape[2] == 6
@@ -169,7 +160,7 @@ class TestRingBuffer:
 
     def test_select_rows_reorders_and_drops(self):
         rng = np.random.default_rng(3)
-        cache = LayerKVCache(window=None)
+        cache = LayerKVCache()
         k = rng.standard_normal((4, 2, 5, 4)).astype(np.float32)
         cache.append(k, k)
         cache.select_rows([3, 1])
@@ -304,7 +295,7 @@ class TestPrefixCache:
 
 class TestMaskSafety:
     def test_cached_masks_are_read_only(self):
-        for mask in (sliding_window_mask(8, 4), rect_attention_mask(1, 8, 4, 7, 0)):
+        for mask in (rect_attention_mask(8, 8, 4), rect_attention_mask(1, 8, 4, 7)):
             assert not mask.flags.writeable
             with pytest.raises(ValueError):
                 mask[0, 0] = 1.0

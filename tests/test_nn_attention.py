@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.nn import MultiHeadAttention, sliding_window_mask
+from repro.nn import MultiHeadAttention, rect_attention_mask
 from repro.tensor import Tensor
 
 
 class TestSlidingWindowMask:
     def test_pure_causal(self):
-        mask = sliding_window_mask(4, None)
+        mask = rect_attention_mask(4, 4, None)
         allowed = mask == 0
         expected = np.tril(np.ones((4, 4), dtype=bool))
         np.testing.assert_array_equal(allowed, expected)
 
     def test_window_limits_lookback(self):
-        mask = sliding_window_mask(5, 2)
+        mask = rect_attention_mask(5, 5, 2)
         allowed = mask == 0
         # Token i attends to j in {i-1, i}.
         for i in range(5):
@@ -26,11 +26,11 @@ class TestSlidingWindowMask:
                 assert allowed[i, j] == (0 <= i - j < 2)
 
     def test_window_one_is_diagonal(self):
-        mask = sliding_window_mask(4, 1)
+        mask = rect_attention_mask(4, 4, 1)
         np.testing.assert_array_equal(mask == 0, np.eye(4, dtype=bool))
 
     def test_cached_instances_shared(self):
-        assert sliding_window_mask(8, 4) is sliding_window_mask(8, 4)
+        assert rect_attention_mask(8, 8, 4) is rect_attention_mask(8, 8, 4)
 
 
 class TestMultiHeadAttention:

@@ -13,7 +13,6 @@ from repro.nn import (
     MistralTiny,
     generate,
     rect_attention_mask,
-    sliding_window_mask,
 )
 from repro.tensor import no_grad
 
@@ -29,23 +28,6 @@ class TestLayerKVCache:
         k, v = cache.append(self._kv(2, 2), self._kv(2, 3))
         assert k.shape[2] == 5
         assert len(cache) == 5
-        assert cache.next_position == 5
-
-    def test_rolling_window_trims(self):
-        cache = LayerKVCache(window=4)
-        cache.append(self._kv(3), self._kv(3))
-        cache.append(self._kv(3, 1), self._kv(3, 1))
-        assert len(cache) == 4
-        assert cache.offset == 2
-        assert cache.next_position == 6
-
-    def test_trimmed_content_is_most_recent(self):
-        cache = LayerKVCache(window=2)
-        first = self._kv(2, 0)
-        second = self._kv(2, 1)
-        cache.append(first, first)
-        k, _ = cache.append(second, second)
-        np.testing.assert_allclose(k, second)
 
     def test_shape_mismatch_raises(self):
         cache = LayerKVCache()
@@ -62,7 +44,7 @@ class TestLayerKVCache:
 
 class TestKVCache:
     def test_per_layer(self):
-        cache = KVCache(3, window=8)
+        cache = KVCache(3)
         assert len(cache) == 3
         assert cache[0] is not cache[1]
 
@@ -72,19 +54,14 @@ class TestKVCache:
 
 
 class TestRectMask:
-    def test_matches_square_mask_without_offset(self):
-        np.testing.assert_array_equal(
-            rect_attention_mask(5, 5, 3), sliding_window_mask(5, 3)
-        )
-
     def test_single_query_over_prefix(self):
-        mask = rect_attention_mask(1, 6, None, q_offset=5, kv_offset=0)
+        mask = rect_attention_mask(1, 6, None, q_offset=5)
         assert (mask == 0).all()  # causal: position 5 sees keys 0..5
 
     def test_window_with_offsets(self):
-        mask = rect_attention_mask(1, 4, 2, q_offset=5, kv_offset=2)
-        # keys at absolute 2,3,4,5; window 2 allows 4 and 5.
-        np.testing.assert_array_equal(mask[0] == 0, [False, False, True, True])
+        mask = rect_attention_mask(1, 6, 2, q_offset=5)
+        # keys at positions 0..5; window 2 allows 4 and 5.
+        np.testing.assert_array_equal(mask[0] == 0, [False] * 4 + [True, True])
 
 
 class TestCachedForwardExactness:
@@ -112,6 +89,20 @@ class TestCachedForwardExactness:
                 out = tiny_model.forward(ids[None, t : t + 1], cache=cache).data
                 last.append(out[0, -1])
         np.testing.assert_allclose(np.stack(last), full[0], atol=1e-4)
+
+    @pytest.mark.parametrize("splits", [[24], [4, 20], [10, 1, 13]])
+    def test_chunked_prefill_across_window_matches_full_forward(self, tiny_model, splits):
+        # Each split crosses the 16-token window: a chunk's early queries
+        # still attend to keys older than the window of its last one.
+        ids = np.random.default_rng(2).integers(5, 60, size=sum(splits))
+        with no_grad():
+            full = tiny_model.forward(ids[None, :]).data
+            cache = tiny_model.make_cache()
+            outs, start = [], 0
+            for size in splits:
+                outs.append(tiny_model.forward(ids[None, start : start + size], cache=cache).data)
+                start += size
+        np.testing.assert_allclose(np.concatenate(outs, axis=1), full, atol=1e-4)
 
     def test_cache_respects_max_seq_len(self, tiny_model, tiny_config):
         cache = tiny_model.make_cache()

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro.config import bench_config
 from repro.errors import ShapeError
 from repro.lora import apply_lora
-from repro.nn import MistralTiny, MultiHeadAttention, RotaryEmbedding, sliding_window_mask
+from repro.nn import MistralTiny, MultiHeadAttention, RotaryEmbedding, rect_attention_mask
 from repro.nn.attention import attention
 from repro.nn.layers import Dropout, linear, rms_norm
 from repro.nn.mlp import swiglu
@@ -93,7 +93,7 @@ def ref_attention(attn, q, k, v):
         k = k[:, idx]
         v = v[:, idx]
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(attn.head_dim))
-    scores = scores + Tensor(sliding_window_mask(seq, attn.sliding_window))
+    scores = scores + Tensor(rect_attention_mask(seq, seq, attn.sliding_window))
     weights = attn.attn_dropout(softmax(scores, axis=-1))
     out = weights @ v
     return out.transpose((0, 2, 1, 3)).reshape(batch, seq, attn.n_heads * attn.head_dim)

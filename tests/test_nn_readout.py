@@ -70,7 +70,7 @@ def _forward(model, ids, prefix, readout=None):
     """Logits (and the cache after) for ``ids``, after ``prefix`` if given."""
     cache = None
     if prefix is not None:
-        cache = KVCache(model.config.n_layers, window=None)
+        cache = KVCache(model.config.n_layers)
         if len(prefix):
             infer_logits_np(model, np.repeat(prefix[None, :], ids.shape[0], axis=0), cache)
     logits = infer_logits_np(model, ids, cache, readout=readout)

@@ -187,7 +187,7 @@ class TestKernelMatchesGraph:
         np.testing.assert_array_equal(fused, graph)
 
     def test_cached_decode_token_by_token(self, float_model, tiny_config):
-        # Longer than the sliding window, so the rolling cache trims.
+        # Longer than the sliding window, so the decode masks drop old keys.
         ids = np.random.default_rng(1).integers(5, tiny_config.vocab_size, size=24)
         graph = self._graph(float_model, ids[None, :])[0]
         cache = float_model.make_cache()

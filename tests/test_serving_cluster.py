@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import (
     ClusterError,
+    QuantizationError,
     QueueFullError,
     ReplicaCrashedError,
     ServingError,
@@ -21,6 +22,7 @@ from repro.obs import Observability
 from repro.serving import (
     ClusterConfig,
     ClusterSupervisor,
+    ForkTransport,
     ReplicaApp,
     ScoreRequest,
     ScoreResult,
@@ -386,3 +388,24 @@ class TestForkTransport:
             assert set(cluster.weight_versions().values()) == {2}
         finally:
             cluster.stop()
+
+    def test_child_errors_come_back_with_their_type(self):
+        def failing_app(replica_id: int) -> ReplicaApp:
+            def batch_fn(batch):
+                raise QuantizationError("int8 scoring failed")
+
+            def swap(state):
+                raise ClusterError("swap refused")
+
+            return ReplicaApp(batch_fn=batch_fn, swap_weights=swap)
+
+        transport = ForkTransport(failing_app, replica_id=0)
+        transport.start()
+        try:
+            with pytest.raises(QuantizationError, match="int8 scoring failed"):
+                transport.score(requests(1))
+            with pytest.raises(ClusterError, match="swap refused"):
+                transport.swap({"w": 1.0})
+            assert transport.alive  # errors are replies; the replica stays up
+        finally:
+            transport.stop()
