@@ -43,6 +43,13 @@ TokenExample = tuple[list[int], list[int]]
 # ``max(1, PASS_TOKENS // length)`` examples of one token length.
 PASS_TOKENS = 256
 
+# Rows per projection GEMM.  Not derived: in tiles of 8 a row's output
+# bits came out identical at every tile position and beside any other
+# rows, over 300 random (dim, k) shapes up to 12,000 x 600 on OpenBLAS
+# 0.3.31 (a Xeon with the Sapphire Rapids instruction set); in 16-row
+# tiles they did not.
+PROJECTION_TILE = 8
+
 
 def trainable_parameters(model: Module) -> list[Parameter]:
     """The parameters gradients are traced over, in a stable order."""
@@ -167,6 +174,13 @@ class GradientProjector:
     parallel influence engine's workers reproduce the parent's sketch
     exactly (pinned by a subprocess test via :meth:`fingerprint`).
 
+    :meth:`project` multiplies rows by the sketch in zero-padded tiles of
+    :data:`PROJECTION_TILE` rows, so every row, alone or in any batch and
+    at any position in it, goes through the same ``(8, dim) @ (dim, k)``
+    GEMM.  A row's projection is then a function of the row alone: BLAS
+    picks its kernel and summation order by the operand shapes, and a
+    plain ``rows @ matrix`` would change both with the row count.
+
     A ``k`` larger than ``dim`` is clamped to ``dim`` with a
     ``RuntimeWarning`` — two runs configured with different over-large
     ``k`` would otherwise silently produce identical sketches.  The
@@ -188,22 +202,47 @@ class GradientProjector:
             )
         self.k = min(k, dim)
         rng = np.random.default_rng(seed)
-        self._matrix = rng.standard_normal((dim, self.k)) / np.sqrt(self.k)
+        self._matrix = rng.standard_normal((dim, self.k))
+        self._matrix /= np.sqrt(self.k)
 
     def key(self) -> str:
-        """Cache-key component: effective projection identity."""
-        return f"p{self.seed}-k{self.k}-d{self.dim}"
+        """Cache-key component: effective projection identity.
+
+        The ``t`` part names the tile height, since rows projected in
+        other tiles (or one by one) differ in their low bits.
+        """
+        return f"p{self.seed}-k{self.k}-d{self.dim}-t{PROJECTION_TILE}"
 
     def fingerprint(self) -> str:
         """Content hash of the projection matrix (determinism checks)."""
         return hashlib.sha1(np.ascontiguousarray(self._matrix).tobytes()).hexdigest()
 
-    def project(self, vec: np.ndarray) -> np.ndarray:
-        if vec.shape[-1] != self.dim:
+    def project(self, rows: np.ndarray) -> np.ndarray:
+        """Project a ``(dim,)`` vector to ``(k,)`` or ``(n, dim)`` rows to ``(n, k)``.
+
+        Rows run through the sketch :data:`PROJECTION_TILE` at a time; the
+        last, partial tile is zero-padded, so each output row is
+        ``np.array_equal`` to the projection of that row alone.
+        """
+        rows = np.asarray(rows)
+        if rows.ndim not in (1, 2):
+            raise InfluenceError(f"project() takes (dim,) or (n, dim) rows, got shape {rows.shape}")
+        if rows.shape[-1] != self.dim:
             raise InfluenceError(
-                f"vector dim {vec.shape[-1]} does not match projector dim {self.dim}"
+                f"vector dim {rows.shape[-1]} does not match projector dim {self.dim}"
             )
-        return vec @ self._matrix
+        if rows.ndim == 1:
+            return self.project(rows[None, :])[0]
+        out = np.empty((len(rows), self.k))
+        for start in range(0, len(rows), PROJECTION_TILE):
+            tile = rows[start : start + PROJECTION_TILE]
+            filled = len(tile)
+            if filled < PROJECTION_TILE or tile.dtype != np.float64 or not tile.flags.c_contiguous:
+                # Pad (and lay out as C-order float64), so BLAS sees one operand shape.
+                tile = np.zeros((PROJECTION_TILE, self.dim))
+                tile[:filled] = rows[start : start + filled]
+            out[start : start + filled] = (tile @ self._matrix)[:filled]
+        return out
 
 
 def _modules(model: Module) -> Iterator[Module]:
@@ -320,10 +359,14 @@ def gradient_matrix(
     """Stack per-sample gradients into an ``(n, d)`` (or ``(n, k)``) matrix.
 
     Row ``i`` is ``np.array_equal`` to :func:`per_sample_gradient` on
-    ``examples[i]``, but examples of one token length share a forward
-    and backward pass (see the module docstring and :func:`pass_plan`).
-    Projection runs per row, as on a single row, so projected rows keep
-    their bits too.  The model's parameters are left without gradient.
+    ``examples[i]`` (projected, ``projector.project`` of it), but
+    examples of one token length share a forward and backward pass (see
+    the module docstring and :func:`pass_plan`).  With a projector, each
+    row is copied into one :data:`PROJECTION_TILE`-row staging tile as
+    its pass produces it; every full tile is projected at once and the
+    last, partial one on return, so the raw ``(n, d)`` rows are never
+    stacked and every projected row keeps the bits ``projector.project``
+    gives it alone.  The model's parameters are left without gradient.
     During a pass they are swapped out for per-row copies, so the model
     must not run in another thread meanwhile; the influence engine only
     traces its private replay model, and this function is not
@@ -334,12 +377,23 @@ def gradient_matrix(
     if not examples:
         raise InfluenceError("gradient_matrix() received no examples")
     _clear_grads(plan.params)
-    rows: list[np.ndarray | None] = [None] * len(examples)
+    dim = sum(param.size for param in plan.params)
+    if projector is None:
+        out = np.empty((len(examples), dim))
+        for indices, grads in _passes(plan, examples):
+            for index, grad in zip(indices, grads):
+                out[index] = grad
+        return out
+    out = np.empty((len(examples), projector.k))
+    tile = np.empty((PROJECTION_TILE, dim))
+    staged: list[int] = []
     for indices, grads in _passes(plan, examples):
         for index, grad in zip(indices, grads):
-            if projector is not None:
-                # A fresh vector, like the one per_sample_gradient returns,
-                # so the projection's BLAS call sees the same operand.
-                grad = projector.project(np.array(grad))
-            rows[index] = grad
-    return np.stack(rows)
+            tile[len(staged)] = grad
+            staged.append(index)
+            if len(staged) == PROJECTION_TILE:
+                out[staged] = projector.project(tile)
+                staged.clear()
+    if staged:
+        out[staged] = projector.project(tile[: len(staged)])
+    return out

@@ -5,7 +5,9 @@ length in shared forward/backward passes, with every trainable
 parameter swapped for a per-row copy.  Every row must stay
 ``np.array_equal`` to the one-example reference ``per_sample_gradient``
 — for LoRA and full fine-tune models, mixed lengths, groups split by the
-pass budget, projected rows and rows computed in pool workers.  The
+pass budget, projected rows and rows computed in pool workers.  A
+projected row is likewise ``np.array_equal`` to the projection of that
+row alone, in any batch and at any position in a projection tile.  The
 counters ``influence.gradient_passes`` (rows) and
 ``influence.gradient_batches`` (passes) record the saving.  Also here:
 ``Tensor.backward`` releases the graph it ran through, so a second
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GradientError
@@ -28,8 +30,15 @@ from repro.influence import (
     ParallelInfluenceEngine,
     example_content_hash,
     per_sample_gradient,
+    trainable_parameters,
 )
-from repro.influence.gradients import PASS_TOKENS, TracePlan, gradient_matrix, pass_plan
+from repro.influence.gradients import (
+    PASS_TOKENS,
+    PROJECTION_TILE,
+    TracePlan,
+    gradient_matrix,
+    pass_plan,
+)
 from repro.lora import LoRAConfig, apply_lora
 from repro.nn import MistralTiny, ModelConfig
 from repro.nn.layers import Linear
@@ -68,6 +77,12 @@ def shared_model(kind: str) -> MistralTiny:
     return build_lora_model() if kind == "lora" else build_full_model()
 
 
+@functools.lru_cache(maxsize=None)
+def shared_projector(kind: str, k: int) -> GradientProjector:
+    model = shared_model(kind)
+    return GradientProjector(sum(p.size for p in trainable_parameters(model)), k=k, seed=k)
+
+
 def make_example(rng, length: int):
     """Random ids; the first half of the labels is masked like a prompt."""
     ids = rng.integers(5, TINY.vocab_size, size=length).tolist()
@@ -104,6 +119,24 @@ class TestRowsMatchOneExamplePasses:
         model = shared_model(kind)
         examples = make_examples(lengths, seed)
         assert_rows_equal(gradient_matrix(TracePlan(model), examples), reference(model, examples))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["lora", "full"]),
+        lengths=st.lists(st.integers(min_value=2, max_value=TINY.max_seq_len), min_size=1, max_size=20),
+        seed=st.integers(min_value=0, max_value=2**16),
+        k=st.integers(min_value=1, max_value=64),
+    )
+    # Two full projection tiles and a partial one.
+    @example(kind="lora", lengths=[6] * (2 * PROJECTION_TILE + 3), seed=10, k=16)
+    def test_any_batch_composition_projected(self, kind, lengths, seed, k):
+        model = shared_model(kind)
+        examples = make_examples(lengths, seed)
+        projector = shared_projector(kind, k)
+        assert_rows_equal(
+            gradient_matrix(TracePlan(model), examples, projector),
+            reference(model, examples, projector),
+        )
 
     @pytest.mark.parametrize(
         "build, traced",
@@ -178,6 +211,29 @@ class TestRowsMatchOneExamplePasses:
                 [engine.store.get(record.step, example_content_hash(e), "exact") for e in examples]
             )
             assert_rows_equal(stored, reference(fresh, examples))
+
+
+class TestProjectionTiles:
+    """A projected row is a function of the row alone, not of its batch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(min_value=1, max_value=3000),
+        k=st.integers(min_value=1, max_value=160),
+        n=st.integers(min_value=1, max_value=20),
+        seed=st.integers(min_value=0, max_value=2**16),
+        data=st.data(),
+    )
+    def test_rows_project_as_they_do_alone(self, dim, k, n, seed, data):
+        projector = GradientProjector(dim, k=min(k, dim), seed=seed)
+        rows = np.random.default_rng(seed).standard_normal((n, dim))
+        order = data.draw(st.permutations(range(n)))
+        projected = projector.project(rows[order])
+        assert projected.shape == (n, projector.k)
+        differing = [
+            i for i, j in enumerate(order) if not np.array_equal(projected[i], projector.project(rows[j]))
+        ]
+        assert not differing, f"rows {differing} differ from their one-row projection"
 
 
 class TestBatchCounters:

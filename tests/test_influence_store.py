@@ -25,7 +25,7 @@ from repro.influence import (
     projector_key,
     trainable_parameters,
 )
-from repro.influence.gradients import TracePlan, gradient_matrix
+from repro.influence.gradients import PROJECTION_TILE, TracePlan, gradient_matrix
 from repro.obs import Observability
 from repro.optim import AdamW
 from repro.training import CheckpointManager, Trainer, TrainingConfig
@@ -239,6 +239,31 @@ class TestCacheInvalidation:
         assert projector_key(GradientProjector(10, k=4, seed=0)) != projector_key(
             GradientProjector(10, k=5, seed=0)
         )
+        assert projector_key(GradientProjector(10, k=4, seed=0)) != projector_key(
+            GradientProjector(11, k=4, seed=0)
+        )
+        # The tile height is part of the key: rows projected one by one,
+        # stored under the unmarked key, differ in their low bits.
+        key = projector_key(GradientProjector(10, k=4, seed=0))
+        assert key.endswith(f"-t{PROJECTION_TILE}")
+        assert key != "p0-k4-d10"
+
+    def test_shards_of_per_row_projection_are_not_read(self, tiny_model, checkpoints, sets, tmp_path):
+        train, test = sets
+        dim = sum(p.size for p in trainable_parameters(tiny_model))
+        cache = tmp_path / "grads"
+        per_row = GradientStore(cache_dir=cache)
+        for record in checkpoints:
+            for example in train + test:
+                per_row.put(record.step, example_content_hash(example), f"p0-k32-d{dim}", np.zeros(32))
+        per_row.flush()
+        obs = Observability.create()
+        TracInCP(
+            tiny_model, checkpoints, projector=GradientProjector(dim, k=32, seed=0),
+            store=GradientStore(cache_dir=cache), obs=obs,
+        ).influence(train, test)
+        passes = obs.metrics.snapshot()["counters"]["influence.gradient_passes"]
+        assert passes == len(checkpoints) * len(train + test)
 
 
 class TestParallelEngine:
