@@ -34,7 +34,6 @@ class PipelineConfig:
     zigong: ZiGongConfig = field(default_factory=test_config)
     pruner: PrunerConfig = field(default_factory=PrunerConfig)
     pruned_fraction: float = 0.3
-    mix_total: int | None = None
     warmup_epochs: int = 2
     seed: int = 0
 
@@ -99,7 +98,6 @@ class ZiGongPipeline:
         mixed = hybrid_mix(
             list(train_examples),
             scores,
-            total=cfg.mix_total,
             pruned_fraction=cfg.pruned_fraction,
             seed=cfg.seed,
             labels=labels_of(train_examples),

@@ -55,7 +55,6 @@ class PrunerConfig:
     gamma: float = 0.9
     use_sample_time: bool = True
     projection_dim: int | None = 128
-    agent_features: int = 256
     normalize_gradients: bool = False
     workers: int = 0
     cache_dir: str | None = None
@@ -150,7 +149,7 @@ class DataPruner:
         labels = labels_of(examples)
         if labels.min() < 0 or labels.max() > 1:
             raise InfluenceError("agent strategy needs binary example labels")
-        scorer = AgentScorer(n_features=self.config.agent_features)
+        scorer = AgentScorer()
         scorer.fit(texts, labels)
         return scorer.score(texts, labels)
 

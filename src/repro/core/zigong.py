@@ -27,7 +27,7 @@ from repro.optim.adamw import AdamW
 from repro.optim.schedule import CosineDecayLR
 from repro.tokenizer.vocab import Vocab
 from repro.tokenizer.whitespace import WordTokenizer
-from repro.training.callbacks import Callback, History
+from repro.training.callbacks import History
 from repro.training.checkpoint import CheckpointManager
 from repro.training.trainer import Trainer
 
@@ -85,7 +85,6 @@ class ZiGong:
         examples: Sequence[InstructExample],
         checkpoint_dir: str | Path | None = None,
         use_lora: bool = True,
-        callbacks: Sequence[Callback] = (),
         resume: bool = False,
     ) -> History:
         """Supervised fine-tuning with the configured Table-3 recipe.
@@ -123,7 +122,6 @@ class ZiGong:
             config=replace(training, pad_id=self.tokenizer.pad_id),
             schedule=schedule,
             checkpoint_manager=manager,
-            callbacks=callbacks,
         )
         if resume:
             trainer.resume()

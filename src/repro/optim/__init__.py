@@ -2,14 +2,12 @@
 
 from repro.optim.optimizer import Optimizer
 from repro.optim.adamw import AdamW
-from repro.optim.sgd import SGD
 from repro.optim.schedule import ConstantLR, CosineDecayLR, LRSchedule
 from repro.optim.clip import clip_grad_norm, global_grad_norm
 
 __all__ = [
     "Optimizer",
     "AdamW",
-    "SGD",
     "LRSchedule",
     "ConstantLR",
     "CosineDecayLR",

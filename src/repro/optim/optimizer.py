@@ -46,7 +46,7 @@ class Optimizer:
     def _state_buffers(self) -> dict[str, list[np.ndarray]]:
         """Per-parameter moment buffers, keyed by buffer name.
 
-        Subclasses with state (AdamW's ``m``/``v``, SGD's velocity)
+        Subclasses with state (AdamW's ``m``/``v``)
         override this; each list must be parallel to ``self.params``.
         """
         return {}

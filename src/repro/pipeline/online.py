@@ -69,6 +69,8 @@ from repro.serving.monitoring import DriftMonitor, ShadowDeployment
 from repro.training.checkpoint import CheckpointManager
 
 _CHECKPOINT_STRATEGIES = ("tracseq", "tracin", "datainf", "combined", "ppl")
+# Recent shadow prompts replayed through the cluster after a deploy.
+VERIFY_PROBES = 4
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,6 @@ class OnlineConfig:
     gate: PromotionGate = field(default_factory=PromotionGate)
     question: str | None = None
     threshold: float = 0.5
-    verify_probes: int = 4
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -519,7 +520,7 @@ class OnlinePipeline:
         """
         if self._shadow is None:
             return
-        records = self._shadow.records()[-self.config.verify_probes:]
+        records = self._shadow.records()[-VERIFY_PROBES:]
         if not records:
             return
         results = self.cluster.serve(

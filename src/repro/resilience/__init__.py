@@ -22,7 +22,7 @@ requeue).  Policies, fault points and tuning live in
 
 from repro.errors import CircuitOpenError, InjectedFault, ResilienceError
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.resilience.faults import FaultInjector, Schedule, fault_point, installed
+from repro.resilience.faults import FaultInjector, Schedule, fault_point
 from repro.resilience.retry import RetryPolicy
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "FaultInjector",
     "Schedule",
     "fault_point",
-    "installed",
     "ResilienceError",
     "CircuitOpenError",
     "InjectedFault",

@@ -45,11 +45,6 @@ def fault_point(name: str, **context) -> None:
         _ACTIVE.hit(name, context)
 
 
-def installed() -> "FaultInjector | None":
-    """The currently installed injector (``None`` in production)."""
-    return _ACTIVE
-
-
 class FaultInjector:
     """Named fault points armed with deterministic schedules.
 

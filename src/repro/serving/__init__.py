@@ -29,13 +29,10 @@ from repro.serving.engine import (
 )
 from repro.serving.explain import (
     ExplainConfig,
-    ExplainRequest,
     ExplainResult,
     ExplainService,
     InfluentialExample,
-    ReasonCode,
     TokenAttribution,
-    reason_codes,
 )
 from repro.serving.scorecard import ScorecardScaler
 from repro.serving.monitoring import (
@@ -76,11 +73,8 @@ __all__ = [
     "PSI_WATCH",
     "PSI_DRIFT",
     "ScorecardScaler",
-    "ReasonCode",
-    "reason_codes",
     "ExplainService",
     "ExplainConfig",
-    "ExplainRequest",
     "ExplainResult",
     "ExplainAuditEntry",
     "InfluentialExample",

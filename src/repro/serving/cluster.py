@@ -51,7 +51,7 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from repro.errors import (
@@ -79,6 +79,9 @@ STARTING = "starting"
 HEALTHY = "healthy"
 DRAINING = "draining"
 DEAD = "dead"
+
+# Calls in each replica breaker's rolling failure-rate window.
+BREAKER_WINDOW = 8
 
 
 @dataclass
@@ -149,7 +152,6 @@ class ClusterConfig:
     rpc_timeout_s: float = 30.0
     ping_timeout_s: float = 2.0
     drain_timeout_s: float = 10.0
-    breaker_window: int = 8
     breaker_min_calls: int = 2
     breaker_failure_threshold: float = 0.5
     breaker_reset_timeout_s: float = 0.25
@@ -213,6 +215,30 @@ class ClusterStats:
 # ----------------------------------------------------------------------
 
 
+def _run_op(app: ReplicaApp, replica_id: int, op: str, payload=None):
+    """Run one replica op on ``app``: ``score``, ``ping``, ``swap`` or ``version``.
+
+    Both transports dispatch through here, so a replica behaves the same
+    — fault points, errors and all — in-process and in a forked child.
+    """
+    if op == "score":
+        fault_point("cluster.replica.forward", replica=replica_id)
+        return app.batch_fn(payload)
+    if op == "ping":
+        fault_point("cluster.replica.ping", replica=replica_id)
+        if app.ping is not None:
+            app.ping()
+        return None
+    if op == "swap":
+        if app.swap_weights is None:
+            raise ClusterError(f"replica {replica_id} app does not support weight swaps")
+        app.swap_weights(payload)
+        return None
+    if op == "version":
+        return app.weight_version() if app.weight_version is not None else None
+    raise ClusterError(f"unknown op {op!r}")
+
+
 class ThreadTransport:
     """In-process replica: the app lives in the supervisor's process.
 
@@ -243,14 +269,16 @@ class ThreadTransport:
             raise ReplicaCrashedError(f"replica {self.replica_id} is dead")
         return self._app
 
-    def score(self, requests: list[ScoreRequest]) -> list[ScoreResult]:
+    def _call(self, op: str, payload=None):
         app = self._check_alive()
         try:
-            fault_point("cluster.replica.forward", replica=self.replica_id)
-            return app.batch_fn(requests)
+            return _run_op(app, self.replica_id, op, payload)
         except ReplicaCrashedError:
             self._crashed = True
             raise
+
+    def score(self, requests: list[ScoreRequest]) -> list[ScoreResult]:
+        return self._call("score", requests)
 
     def generation_app(self):
         """The app's generation bundle (continuous engine mode).
@@ -269,26 +297,13 @@ class ThreadTransport:
         return app.generation
 
     def ping(self) -> None:
-        app = self._check_alive()
-        try:
-            fault_point("cluster.replica.ping", replica=self.replica_id)
-            if app.ping is not None:
-                app.ping()
-        except ReplicaCrashedError:
-            self._crashed = True
-            raise
+        self._call("ping")
 
     def swap(self, state: Mapping[str, object]) -> None:
-        app = self._check_alive()
-        if app.swap_weights is None:
-            raise ClusterError(
-                f"replica {self.replica_id} app does not support weight swaps"
-            )
-        app.swap_weights(state)
+        self._call("swap", state)
 
     def weight_version(self) -> int | None:
-        app = self._check_alive()
-        return app.weight_version() if app.weight_version is not None else None
+        return self._call("version")
 
     def kill(self) -> None:
         """Chaos helper: make this replica dead until restarted."""
@@ -320,30 +335,11 @@ def _replica_child_main(conn, factory: ReplicaFactory, replica_id: int) -> None:
             op, payload = conn.recv()
         except (EOFError, OSError):
             os._exit(0)
+        if op == "stop":
+            conn.send(("ok", None))
+            os._exit(0)
         try:
-            if op == "score":
-                fault_point("cluster.replica.forward", replica=replica_id)
-                conn.send(("ok", app.batch_fn(payload)))
-            elif op == "ping":
-                fault_point("cluster.replica.ping", replica=replica_id)
-                if app.ping is not None:
-                    app.ping()
-                conn.send(("ok", None))
-            elif op == "swap":
-                if app.swap_weights is None:
-                    raise ClusterError(
-                        f"replica {replica_id} app does not support weight swaps"
-                    )
-                app.swap_weights(payload)
-                conn.send(("ok", None))
-            elif op == "version":
-                version = app.weight_version() if app.weight_version is not None else None
-                conn.send(("ok", version))
-            elif op == "stop":
-                conn.send(("ok", None))
-                os._exit(0)
-            else:
-                conn.send(("err", ("ClusterError", f"unknown op {op!r}")))
+            conn.send(("ok", _run_op(app, replica_id, op, payload)))
         except (SystemExit, KeyboardInterrupt):
             os._exit(1)
         except BaseException as error:  # noqa: BLE001 — replied, not fatal
@@ -599,7 +595,7 @@ class ClusterSupervisor:
                 )
             breaker = CircuitBreaker(
                 failure_threshold=self.config.breaker_failure_threshold,
-                window=self.config.breaker_window,
+                window=BREAKER_WINDOW,
                 min_calls=self.config.breaker_min_calls,
                 reset_timeout_s=self.config.breaker_reset_timeout_s,
                 clock=breaker_clock,

@@ -17,8 +17,6 @@ from repro.tensor.ops import (
     embedding,
     row_cross_entropy,
     softmax,
-    stack,
-    where,
 )
 from repro.tensor.random import Initializer, default_rng, uniform_init
 
@@ -27,8 +25,6 @@ __all__ = [
     "no_grad",
     "is_grad_enabled",
     "concat",
-    "stack",
-    "where",
     "softmax",
     "cross_entropy",
     "row_cross_entropy",

@@ -3,7 +3,7 @@
 These complement the methods on :class:`~repro.tensor.Tensor` with the
 pieces a causal language model needs: embedding lookup, numerically stable
 softmax / log-softmax, token-level cross entropy with an ignore index, and
-structural ops (concat, stack, where).
+concat.
 """
 
 from __future__ import annotations
@@ -34,48 +34,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                     index = [slice(None)] * out.grad.ndim
                     index[axis] = slice(start, stop)
                     tensor._accumulate(out.grad[tuple(index)])
-
-        out._backward = _backward
-    return out
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis (differentiable)."""
-    if not tensors:
-        raise ShapeError("stack() requires at least one tensor")
-    data = np.stack([t.data for t in tensors], axis=axis)
-    out = Tensor._result(data, tuple(tensors))
-    if out.requires_grad:
-
-        def _backward():
-            for i, tensor in enumerate(tensors):
-                if tensor.requires_grad:
-                    tensor._accumulate(np.take(out.grad, i, axis=axis))
-
-        out._backward = _backward
-    return out
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select: ``condition ? a : b``.
-
-    ``condition`` is a plain boolean numpy array (it is not differentiated).
-    """
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    cond = np.asarray(condition, dtype=bool)
-    out = Tensor._result(np.where(cond, a.data, b.data), (a, b))
-    if out.requires_grad:
-
-        def _backward():
-            if a.requires_grad:
-                from repro.tensor.tensor import _unbroadcast
-
-                a._accumulate(_unbroadcast(out.grad * cond, a.shape))
-            if b.requires_grad:
-                from repro.tensor.tensor import _unbroadcast
-
-                b._accumulate(_unbroadcast(out.grad * (~cond), b.shape))
 
         out._backward = _backward
     return out

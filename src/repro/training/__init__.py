@@ -3,11 +3,9 @@
 from repro.training.batching import IGNORE_INDEX, TokenBatch, collate, iter_batches
 from repro.training.callbacks import (
     Callback,
-    EarlyStopping,
     History,
     MetricsLogger,
     StepLog,
-    ValidationLoss,
 )
 from repro.training.checkpoint import CheckpointManager, CheckpointRecord
 from repro.training.trainer import Trainer, TrainingConfig
@@ -20,8 +18,6 @@ __all__ = [
     "Callback",
     "History",
     "MetricsLogger",
-    "EarlyStopping",
-    "ValidationLoss",
     "StepLog",
     "CheckpointManager",
     "CheckpointRecord",

@@ -84,7 +84,6 @@ class Trainer:
         config: TrainingConfig | None = None,
         schedule: LRSchedule | None = None,
         checkpoint_manager: CheckpointManager | None = None,
-        callbacks: Sequence[Callback] = (),
         obs: Observability | None = None,
         clock: Callable[[], float] = time.perf_counter,
     ):
@@ -98,7 +97,7 @@ class Trainer:
         self._clock = clock
         # Per-step timing, tokens/sec and the loss gauge publish through
         # an auto-installed MetricsLogger wired to this trainer's hub.
-        self.callbacks: list[Callback] = [self.history, MetricsLogger(self.obs), *callbacks]
+        self.callbacks: list[Callback] = [self.history, MetricsLogger(self.obs)]
         self.global_step = 0
         # Position within the epoch loop, captured into checkpoint
         # metadata for exact resume.
@@ -218,16 +217,13 @@ class Trainer:
                 epoch_losses.append(loss)
                 if cfg.max_steps is not None and self.global_step >= cfg.max_steps:
                     stop = True
-                if any(cb.should_stop() for cb in self.callbacks):
-                    stop = True
-                if stop:
                     break
             if pending and not stop:
                 epoch_losses.append(self._step(pending))
             mean_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
             for cb in self.callbacks:
                 cb.on_epoch_end(epoch, mean_loss)
-            if stop or any(cb.should_stop() for cb in self.callbacks):
+            if stop:
                 break
         return self.history
 

@@ -1,67 +1,10 @@
-"""Reason-code explanations and FLOPs estimator tests."""
+"""FLOPs and parameter-count estimator tests."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro.errors import ServingError
 from repro.nn import MistralTiny, ModelConfig, count_parameters, estimate_flops
-from repro.serving import reason_codes
-
-
-class _LinearStub:
-    """Score rises with the number of 'bad' risk tokens in the prompt."""
-
-    RISKY = {"late_payments=veryhigh", "cash_advance=high"}
-
-    def score(self, prompt, positive, negative):
-        tokens = set(prompt.split())
-        return 0.2 + 0.3 * len(tokens & self.RISKY)
-
-
-class TestReasonCodes:
-    PROMPT = (
-        "late_payments=veryhigh cash_advance=high repay_ratio=low "
-        "question: will this user default ? answer:"
-    )
-
-    def test_risky_features_get_positive_delta(self):
-        codes = reason_codes(_LinearStub(), self.PROMPT, top_k=3)
-        by_feature = {c.feature: c for c in codes}
-        assert by_feature["late_payments"].delta == pytest.approx(0.3)
-        assert by_feature["cash_advance"].delta == pytest.approx(0.3)
-
-    def test_neutral_feature_has_zero_delta(self):
-        codes = reason_codes(_LinearStub(), self.PROMPT, top_k=3)
-        by_feature = {c.feature: c for c in codes}
-        assert by_feature["repay_ratio"].delta == pytest.approx(0.0)
-
-    def test_sorted_by_magnitude(self):
-        codes = reason_codes(_LinearStub(), self.PROMPT, top_k=3)
-        deltas = [abs(c.delta) for c in codes]
-        assert deltas == sorted(deltas, reverse=True)
-
-    def test_top_k_truncates(self):
-        codes = reason_codes(_LinearStub(), self.PROMPT, top_k=1)
-        assert len(codes) == 1
-
-    def test_no_features_raises(self):
-        with pytest.raises(ServingError):
-            reason_codes(_LinearStub(), "question: anything ? answer:")
-
-    def test_invalid_top_k(self):
-        with pytest.raises(ServingError):
-            reason_codes(_LinearStub(), self.PROMPT, top_k=0)
-
-    def test_with_real_model(self, fitted_zigong, german_examples):
-        codes = reason_codes(
-            fitted_zigong.classifier(), german_examples[0].prompt,
-            positive_text="good", negative_text="bad", top_k=3,
-        )
-        assert len(codes) == 3
-        assert all("=" not in c.feature for c in codes)
 
 
 class TestFlops:

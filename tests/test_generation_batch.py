@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.nn import MistralTiny
 from repro.nn.attention import rect_attention_mask
 from repro.nn.cache import KVCache, LayerKVCache, PrefixCache
 from repro.nn.generation import GenerationConfig, generate, generate_batch
@@ -351,22 +350,6 @@ class TestWiring:
                 lambda p: "", examples, choices,
                 generate_batch_fn=lambda prompts: [""],
             )
-
-    def test_reason_codes_batched_matches_scalar(self, fitted_zigong):
-        from repro.serving.explain import reason_codes
-
-        classifier = fitted_zigong.classifier("explain")
-
-        class ScalarOnly:
-            def score(self, prompt, positive, negative):
-                return classifier.score(prompt, positive, negative)
-
-        prompt = "status=low duration=long amount=high question: default ? answer:"
-        fast = reason_codes(classifier, prompt)
-        slow = reason_codes(ScalarOnly(), prompt)
-        assert [(c.feature, c.value) for c in fast] == [(c.feature, c.value) for c in slow]
-        for got, want in zip(fast, slow):
-            assert got.delta == pytest.approx(want.delta, abs=1e-5)
 
     def test_prefix_counters_reach_obs(self, tiny_model, tiny_config):
         from repro.obs import Observability

@@ -2,14 +2,13 @@
 
 Small but *real*: a full TracSeq pipeline run, the resulting model
 deployed in the Behavior Card service, decisions monitored for drift,
-explained with reason codes and scaled to scorecard points.
+and scaled to scorecard points.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.config import test_config as make_test_config
@@ -26,7 +25,6 @@ from repro.serving import (
     BehaviorCardService,
     DriftMonitor,
     ScorecardScaler,
-    reason_codes,
 )
 
 
@@ -83,13 +81,6 @@ class TestPipelineToService:
         for u in range(dataset.n_users):
             monitor.observe(service.decide(f"m{u}", dataset.row_text(u, last)).score)
         assert monitor.psi() < 0.05  # identical traffic: no drift
-
-    def test_reason_codes_on_live_prompt(self, deployed):
-        dataset, result, _ = deployed
-        prompt = build_behavior_examples(dataset)[0].prompt
-        codes = reason_codes(result.zigong.classifier(), prompt, top_k=3)
-        assert len(codes) == 3
-        assert all(np.isfinite(c.delta) for c in codes)
 
     def test_scorecard_view_of_decisions(self, deployed):
         dataset, _, service = deployed

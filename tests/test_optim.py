@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.nn.module import Parameter
 from repro.optim import (
-    SGD,
     AdamW,
     ConstantLR,
     CosineDecayLR,
@@ -34,23 +31,6 @@ def quadratic_step(params):
 
 
 class TestOptimizers:
-    def test_sgd_converges_on_quadratic(self):
-        params = quadratic_params()
-        opt = SGD(params, lr=0.1)
-        first = quadratic_step(params)
-        for _ in range(100):
-            quadratic_step(params)
-            opt.step()
-        assert quadratic_step(params) < 1e-3 * first
-
-    def test_sgd_momentum_converges(self):
-        params = quadratic_params()
-        opt = SGD(params, lr=0.05, momentum=0.9)
-        for _ in range(100):
-            quadratic_step(params)
-            opt.step()
-        assert quadratic_step(params) < 1e-3
-
     def test_adamw_converges_on_quadratic(self):
         params = quadratic_params()
         opt = AdamW(params, lr=0.1)
@@ -76,17 +56,17 @@ class TestOptimizers:
     def test_frozen_params_excluded(self):
         frozen = Parameter(np.ones(2, dtype=np.float32), requires_grad=False)
         live = Parameter(np.ones(2, dtype=np.float32))
-        opt = SGD([frozen, live], lr=0.1)
+        opt = AdamW([frozen, live], lr=0.1)
         assert opt.params == [live]
 
     def test_no_trainable_params_raises(self):
         frozen = Parameter(np.ones(2, dtype=np.float32), requires_grad=False)
         with pytest.raises(ConfigError):
-            SGD([frozen], lr=0.1)
+            AdamW([frozen], lr=0.1)
 
     def test_invalid_lr_raises(self):
         with pytest.raises(ConfigError):
-            SGD(quadratic_params(), lr=0.0)
+            AdamW(quadratic_params(), lr=0.0)
 
     def test_none_grad_skipped(self):
         p = Parameter(np.ones(2, dtype=np.float32))
@@ -96,7 +76,7 @@ class TestOptimizers:
 
     def test_zero_grad(self):
         params = quadratic_params()
-        opt = SGD(params, lr=0.1)
+        opt = AdamW(params, lr=0.1)
         quadratic_step(params)
         opt.zero_grad()
         assert all(p.grad is None for p in params)

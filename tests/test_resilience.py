@@ -22,7 +22,7 @@ from repro.errors import (
 )
 from repro.nn import MistralTiny, ModelConfig
 from repro.obs import Observability
-from repro.optim import SGD, AdamW
+from repro.optim import AdamW
 from repro.resilience import (
     CLOSED,
     HALF_OPEN,
@@ -31,7 +31,6 @@ from repro.resilience import (
     FaultInjector,
     RetryPolicy,
     fault_point,
-    installed,
 )
 from repro.serving import EngineConfig, MicroBatchEngine, ScoreRequest, ScoreResult
 from repro.training import CheckpointManager, Trainer, TrainingConfig
@@ -326,7 +325,6 @@ class TestCircuitBreaker:
 
 class TestFaultInjector:
     def test_uninstalled_fault_point_is_noop(self):
-        assert installed() is None
         fault_point("anything.at.all", step=1)  # must not raise
 
     def test_fail_nth(self):
@@ -377,15 +375,15 @@ class TestFaultInjector:
                 fault_point("p")
 
     def test_active_restores_previous_injector(self):
-        outer = FaultInjector().install()
+        outer = FaultInjector().fail_rate("p", 1.0).install()
         try:
-            inner = FaultInjector()
-            with inner.active():
-                assert installed() is inner
-            assert installed() is outer
+            with FaultInjector().active():
+                fault_point("p")  # the inner injector leaves "p" unarmed
+            with pytest.raises(InjectedFault):
+                fault_point("p")
         finally:
             outer.uninstall()
-        assert installed() is None
+        fault_point("p")
 
     def test_invalid_schedules(self):
         injector = FaultInjector()
@@ -593,13 +591,12 @@ class TestIdleWorker:
 # ----------------------------------------------------------------------
 
 
-def run_training(tmp_path, name, config, crash_after_step=None, opt_factory=None):
+def run_training(tmp_path, name, config, crash_after_step=None):
     """One training run; returns (model, trainer, manager)."""
-    opt_factory = opt_factory or (lambda params: AdamW(params, lr=3e-3))
     model = MistralTiny(TINY, rng=0)
     manager = CheckpointManager(tmp_path / name)
     trainer = Trainer(
-        model, opt_factory(model.parameters()),
+        model, AdamW(model.parameters(), lr=3e-3),
         config=config, checkpoint_manager=manager,
     )
     if crash_after_step is None:
@@ -655,24 +652,6 @@ class TestKillAndResume:
         trainer = Trainer(
             model, AdamW(model.parameters(), lr=3e-3),
             config=config, checkpoint_manager=manager,
-        )
-        trainer.resume()
-        trainer.train(random_examples())
-        reference = ref_model.state_dict()
-        resumed = model.state_dict()
-        for key in reference:
-            assert np.array_equal(reference[key], resumed[key]), key
-
-    def test_parity_with_sgd_momentum(self, tmp_path):
-        opt = lambda params: SGD(params, lr=1e-2, momentum=0.9)
-        ref_model, _, _ = run_training(tmp_path, "ref", self.CONFIG, opt_factory=opt)
-        _, _, manager = run_training(
-            tmp_path, "crash", self.CONFIG, crash_after_step=4, opt_factory=opt
-        )
-        model = MistralTiny(TINY, rng=11)
-        trainer = Trainer(
-            model, SGD(model.parameters(), lr=1e-2, momentum=0.9),
-            config=self.CONFIG, checkpoint_manager=manager,
         )
         trainer.resume()
         trainer.train(random_examples())
@@ -762,7 +741,7 @@ class TestInfluenceRequeue:
         model = MistralTiny(TINY, rng=0)
         manager = CheckpointManager(tmp_path)
         trainer = Trainer(
-            model, SGD(model.parameters(), lr=1e-2),
+            model, AdamW(model.parameters(), lr=1e-2),
             config=TrainingConfig(epochs=1, batch_size=4, checkpoint_every=2, seed=0),
             checkpoint_manager=manager,
         )

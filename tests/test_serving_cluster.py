@@ -9,6 +9,8 @@ live in ``test_serving_cluster_chaos.py``.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import (
@@ -26,6 +28,7 @@ from repro.serving import (
     ReplicaApp,
     ScoreRequest,
     ScoreResult,
+    ThreadTransport,
 )
 
 
@@ -407,5 +410,20 @@ class TestForkTransport:
             with pytest.raises(ClusterError, match="swap refused"):
                 transport.swap({"w": 1.0})
             assert transport.alive  # errors are replies; the replica stays up
+        finally:
+            transport.stop()
+
+    @pytest.mark.parametrize("transport_cls", [ThreadTransport, ForkTransport])
+    def test_swap_unsupported_is_a_cluster_error_on_both_transports(self, transport_cls):
+        def no_swap_app(replica_id: int) -> ReplicaApp:
+            return dataclasses.replace(stub_app(replica_id), swap_weights=None)
+
+        transport = transport_cls(no_swap_app, replica_id=0)
+        transport.start()
+        try:
+            with pytest.raises(ClusterError, match="does not support weight swaps") as caught:
+                transport.swap({"w": 1.0})
+            assert type(caught.value) is ClusterError
+            assert transport.alive
         finally:
             transport.stop()

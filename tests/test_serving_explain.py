@@ -1,27 +1,22 @@
 """Influence-as-a-service tests: the served explain round trip.
 
-Pins the ISSUE-6 serving acceptance point: an online "why was this
-applicant declined" query returns the top-k influential training
-examples plus per-token scores, runs through the micro-batching engine
-(so results carry latency / batch metadata like any score), emits the
-``explain.*`` counters and ``serving.explain*`` spans, and lands in the
-Behavior Card audit log as an :class:`ExplainAuditEntry` next to the
-decision it explains.
+Pins the serving acceptance point: an online "why was this applicant
+declined" query returns the top-k influential training examples plus
+per-token scores, emits the ``explain.*`` counters and the
+``serving.explain.query`` span, and lands in the Behavior Card audit
+log as an :class:`ExplainAuditEntry` next to the decision it explains.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import ServingError
 from repro.obs import Observability
 from repro.serving import (
     AuditEntry,
-    BehaviorCardService,
     ExplainAuditEntry,
     ExplainConfig,
-    ExplainRequest,
     ExplainResult,
     ExplainService,
 )
@@ -64,17 +59,6 @@ class TestExplainRoundTrip:
         assert result.approved == direct.approved
         assert result.threshold == direct.threshold
 
-    def test_engine_metadata_attached(self, served):
-        """Explain traffic rides the MicroBatchEngine like score traffic."""
-        service, text, _ = served
-        results = service.engine.serve([
-            ExplainRequest(user_id="a", behavior_text=text, k=2),
-            ExplainRequest(user_id="b", behavior_text=text, k=2),
-        ])
-        assert [r.user_id for r in results] == ["a", "b"]
-        assert all(r.latency_s >= 0 for r in results)
-        assert all(r.batch_size >= 1 for r in results)
-
     def test_opponents_direction(self, served):
         service, text, _ = served
         pro = service.explain("p", text, k=2, proponents=True)
@@ -112,28 +96,13 @@ class TestExplainAudit:
         counters = obs.metrics.snapshot()["counters"]
         assert counters["explain.requests"] == before + 1
         assert counters["explain.token_attributions"] >= 1
-        names = set(obs.tracer.aggregates())
-        assert "serving.explain" in names
-        assert "serving.explain.query" in names
+        assert "serving.explain.query" in obs.tracer.aggregates()
 
 
 class TestExplainConfig:
     def test_validates_top_k(self):
         with pytest.raises(ServingError):
             ExplainConfig(top_k=0)
-
-    def test_token_attribution_can_be_disabled(self, served):
-        service, text, _ = served
-        quiet = ExplainService(
-            service.estimator,
-            service.train_examples,
-            service._encode,
-            service.behavior_card,
-            config=ExplainConfig(attribute_tokens=False),
-        )
-        result = quiet.explain("no-tokens", text, k=2)
-        assert result.token_attribution is None
-        assert len(result.influential) == 2
 
     def test_requires_training_examples(self, served):
         service, _, _ = served

@@ -10,7 +10,6 @@ from repro.nn import MistralTiny
 from repro.optim import AdamW, ConstantLR
 from repro.training import (
     CheckpointManager,
-    EarlyStopping,
     Trainer,
     TrainingConfig,
     collate,
@@ -194,15 +193,6 @@ class TestTrainer:
         assert all(s.lr > 0 for s in history.steps)
         assert all(np.isfinite(s.grad_norm) for s in history.steps)
 
-    def test_early_stopping(self, tiny_model):
-        stopper = EarlyStopping(patience=1, min_delta=1e9)  # any epoch "fails"
-        opt = AdamW(tiny_model.parameters(), lr=1e-3)
-        trainer = Trainer(
-            tiny_model, opt, config=TrainingConfig(epochs=50, batch_size=4), callbacks=[stopper]
-        )
-        history = trainer.train(random_examples(n=8))
-        assert len(history.epoch_losses) <= 3
-
     def test_schedule_drives_lr(self, tiny_model):
         opt = AdamW(tiny_model.parameters(), lr=1.0)
         trainer = Trainer(
@@ -278,57 +268,6 @@ class TestResume:
 
 
 class TestValidationLossAndBatchScore:
-    def test_validation_loss_recorded_per_epoch(self, tiny_model):
-        from repro.training import ValidationLoss
-
-        examples = random_examples(n=12)
-        val = ValidationLoss(tiny_model, examples[:4])
-        trainer = Trainer(
-            tiny_model,
-            AdamW(tiny_model.parameters(), lr=3e-3),
-            config=TrainingConfig(epochs=3, batch_size=4),
-            callbacks=[val],
-        )
-        trainer.train(examples[4:])
-        assert len(val.losses) == 3
-        assert all(np.isfinite(v) for v in val.losses)
-        assert val.best == min(val.losses)
-
-    def test_validation_loss_decreases_with_training(self, tiny_model):
-        from repro.training import ValidationLoss
-
-        examples = random_examples(n=16)
-        val = ValidationLoss(tiny_model, examples[:4])
-        trainer = Trainer(
-            tiny_model,
-            AdamW(tiny_model.parameters(), lr=3e-3),
-            config=TrainingConfig(epochs=8, batch_size=4),
-            callbacks=[val],
-        )
-        trainer.train(examples[:4] * 3)  # val examples in train: must improve
-        assert val.losses[-1] < val.losses[0]
-
-    def test_early_stopping_on_validation(self, tiny_model):
-        from repro.training import ValidationLoss
-
-        examples = random_examples(n=12)
-        val = ValidationLoss(tiny_model, examples[:4])
-        stopper = EarlyStopping(patience=1, min_delta=1e9, watch=val)
-        trainer = Trainer(
-            tiny_model,
-            AdamW(tiny_model.parameters(), lr=1e-3),
-            config=TrainingConfig(epochs=50, batch_size=4),
-            callbacks=[val, stopper],
-        )
-        history = trainer.train(examples[4:])
-        assert len(history.epoch_losses) <= 3
-
-    def test_empty_validation_set_rejected(self, tiny_model):
-        from repro.training import ValidationLoss
-
-        with pytest.raises(ValueError):
-            ValidationLoss(tiny_model, [])
-
     def test_score_batch_matches_single(self, fitted_zigong, german_examples):
         clf = fitted_zigong.classifier()
         prompts = [e.prompt for e in german_examples[:6]]
