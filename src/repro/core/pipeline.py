@@ -60,6 +60,7 @@ class ZiGongPipeline:
 
     def __init__(self, config: PipelineConfig | None = None):
         self.config = config or PipelineConfig()
+        self._pruner = DataPruner(self.config.pruner)
 
     def run(
         self,
@@ -88,8 +89,7 @@ class ZiGongPipeline:
         from repro.training.checkpoint import CheckpointManager
 
         checkpoints = CheckpointManager(checkpoint_dir).checkpoints()
-        pruner = DataPruner(cfg.pruner)
-        scores = pruner.score(warmup, train_examples, val_examples, checkpoints)
+        scores = self._pruner.score(warmup, train_examples, val_examples, checkpoints)
 
         # Stage 3: 70/30 hybrid mix (Section 3.2), label-stratified so the
         # Top-K slice keeps the pool's class balance.

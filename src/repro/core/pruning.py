@@ -70,10 +70,16 @@ class PrunerConfig:
 
 
 class DataPruner:
-    """Scores instruction examples and selects the Top-K (Eq. 2)."""
+    """Scores instruction examples and selects the Top-K (Eq. 2).
+
+    The gradient sketch is drawn once per ``(dim, k, seed)`` and kept
+    for the pruner's lifetime, so an owner that prunes repeatedly (a
+    pipeline) holds one pruner instead of redrawing the sketch per call.
+    """
 
     def __init__(self, config: PrunerConfig | None = None):
         self.config = config or PrunerConfig()
+        self._projectors: dict[tuple[int, int, int], GradientProjector] = {}
 
     # ------------------------------------------------------------------
     # Scoring
@@ -85,7 +91,10 @@ class DataPruner:
         projector = None
         if cfg.projection_dim is not None:
             dim = sum(p.size for p in trainable_parameters(zigong.model))
-            projector = GradientProjector(dim, k=cfg.projection_dim, seed=cfg.seed)
+            key = (dim, cfg.projection_dim, cfg.seed)
+            if key not in self._projectors:
+                self._projectors[key] = GradientProjector(*key)
+            projector = self._projectors[key]
         return make_estimator(
             "tracseq" if cfg.strategy == "combined" else cfg.strategy,
             zigong.model,

@@ -36,8 +36,9 @@ warmed by TracInCP already holds every row DataInf needs at the final
 step.  The last training set is kept as a resident training block:
 its hashes in row order and the adjusted rows ``A = H^{-1} g_train``,
 stored transposed and read-only.  A query against it replays and looks
-up only its test rows, and its scores are one matrix product
-``(g_test @ A^T)^T``, so a score depends on the training set and the
+up only its test rows (inside an explain request they are the
+request's and never enter the store), and its scores are one matrix
+product ``(g_test @ A^T)^T``, so a score depends on the training set and the
 test row alone, never on which queries came before.  Building ``A``
 costs about ``2 n d_l min(n, d_l)`` multiply-adds per layer once per
 training set, with ``min(n, d_l)^2`` floats of scratch, and holds ``A``
@@ -247,7 +248,8 @@ class DataInf(DataInfluence):
             adjusted_t = self._train_block(TokenSet.of(train_examples))
             # The example rides along: its raw row comes out of the
             # variants' batched pass (same input ids), so a following
-            # influence() on it hits the store.  It is not scored here:
+            # influence() on it finds the row (in an explain request's
+            # rows, else in the store).  It is not scored here:
             # a product row's low bits can depend on which rows share
             # its matmul, and the variants' must not depend on the
             # example.

@@ -24,6 +24,11 @@ disk, and streams gradient rows back to the parent, which records an
 deterministic for a given seed across processes, which is pinned by
 test.
 
+Inside an explain request (:meth:`ParallelInfluenceEngine._request`)
+the query's rows belong to the request: the calls that answer it share
+them, and they are dropped when it ends instead of entering the store,
+so a serving store holds training rows only.
+
 Numerics are identical to the serial in-process path: rows are computed
 by the same :func:`~repro.influence.gradients.gradient_matrix` either
 way, and the recombination applies weights per checkpoint exactly as
@@ -40,10 +45,11 @@ computed them.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import multiprocessing
 import time
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -151,6 +157,9 @@ class ParallelInfluenceEngine:
         self.workers = workers
         self.retry_policy = retry_policy
         self._pkey = projector_key(projector)
+        # The request in progress: its training hashes and its own rows
+        # by (step, example hash), see _request.
+        self._scope: tuple[Collection[str], dict] | None = None
         metrics = self.obs.metrics
         self._m_replays = metrics.counter("influence.checkpoints_replayed")
         self._m_loads = metrics.counter("influence.checkpoint_loads")
@@ -160,6 +169,49 @@ class ParallelInfluenceEngine:
         self._h_worker = metrics.histogram("influence.worker_s")
 
     # -- row production ------------------------------------------------
+
+    @contextlib.contextmanager
+    def _request(self, train_hashes: Collection[str]):
+        """Keep the rows of one request's query examples to the request.
+
+        Inside the scope, rows of examples whose hash is in
+        ``train_hashes`` go through the store as always.  Every other
+        row is the query's: it is looked up in the request's own map
+        before the store, a computed one goes into that map and never
+        into the store, and the map is dropped when the scope ends.
+        Scopes do not nest: the engine serves one request at a time, as
+        its replay model does.
+        """
+        self._scope = (train_hashes, {})
+        try:
+            yield
+        finally:
+            self._scope = None
+
+    def _request_rows(self, example_hash: str) -> dict | None:
+        """The request's row map if it owns ``example_hash``'s rows, else ``None``."""
+        if self._scope is None or example_hash in self._scope[0]:
+            return None
+        return self._scope[1]
+
+    def _has(self, step: int, example_hash: str) -> bool:
+        request = self._request_rows(example_hash)
+        if request is not None and (step, example_hash) in request:
+            return True
+        return self.store.contains(step, example_hash, self._pkey)
+
+    def _get(self, step: int, example_hash: str) -> np.ndarray | None:
+        request = self._request_rows(example_hash)
+        if request is not None and (step, example_hash) in request:
+            return request[step, example_hash]
+        return self.store.get(step, example_hash, self._pkey)
+
+    def _keep(self, step: int, example_hash: str, row: np.ndarray) -> None:
+        request = self._request_rows(example_hash)
+        if request is None:
+            self.store.put(step, example_hash, self._pkey, row)
+        else:
+            request[step, example_hash] = row
 
     def _count_replay(self, examples: Sequence[TokenExample]) -> None:
         """Count one checkpoint replay that computed rows for ``examples``."""
@@ -174,7 +226,7 @@ class ParallelInfluenceEngine:
         fetched: dict[str, np.ndarray] = {}
         missing: dict[str, TokenExample] = {}
         for example_hash, example in unique.items():
-            row = self.store.get(record.step, example_hash, self._pkey)
+            row = self._get(record.step, example_hash)
             if row is None:
                 missing[example_hash] = example
             else:
@@ -188,7 +240,7 @@ class ParallelInfluenceEngine:
             examples = list(missing.values())
             rows = gradient_matrix(self._plan, examples, self.projector)
             for example_hash, row in zip(missing, rows):
-                self.store.put(record.step, example_hash, self._pkey, row)
+                self._keep(record.step, example_hash, row)
                 fetched[example_hash] = row
             self._count_replay(examples)
         return fetched
@@ -204,7 +256,7 @@ class ParallelInfluenceEngine:
             missing = {
                 example_hash: example
                 for example_hash, example in unique.items()
-                if not self.store.contains(record.step, example_hash, self._pkey)
+                if not self._has(record.step, example_hash)
             }
             if missing:
                 jobs.append((record, missing))
@@ -247,12 +299,12 @@ class ParallelInfluenceEngine:
                         worker_s=worker_s,
                     ):
                         for example_hash, row in zip(missing, rows):
-                            self.store.put(record.step, example_hash, self._pkey, row)
+                            self._keep(record.step, example_hash, row)
                     self._h_worker.observe(worker_s)
                     self._count_replay(list(missing.values()))
         for record, missing in failed:
             # _checkpoint_rows loads the checkpoint into the parent's
-            # replay model (if it holds another) and computes + stores
+            # replay model (if it holds another) and computes + keeps
             # the rows.
             if self.retry_policy is not None:
                 self.retry_policy.call(self._checkpoint_rows, record, missing)
@@ -277,7 +329,9 @@ class ParallelInfluenceEngine:
         order (unit-normalized when the engine normalizes) inside an
         ``influence.checkpoint`` span; its return values come back as a
         list.  Misses are computed on the resident replay model, never
-        on the caller's; the store is flushed after the whole replay.
+        on the caller's, and kept in the store (a query's, inside a
+        request, in the request's rows); the store is flushed after the
+        whole replay.
         """
         examples = TokenSet.of(examples)
         # Equal hashes mean equal content, so keeping any one is exact.
@@ -306,7 +360,8 @@ class ParallelInfluenceEngine:
         normalizes, raw otherwise.  They come from the store when
         present; misses are computed (fanned out across workers when
         configured) and cached, so any estimator sharing this store
-        reuses them.
+        reuses them.  Inside a request, a query's rows are the
+        request's instead (see :meth:`_request`).
         """
         if not examples:
             raise InfluenceError("stacked_rows() needs a non-empty example list")

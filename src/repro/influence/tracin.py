@@ -78,7 +78,8 @@ class TracInCP(DataInfluence):
         variants, positions = per_token_examples(test_example)
         # The example rides along: its row comes out of the variants'
         # batched pass (same input ids), so a following influence() on
-        # it hits the store.
+        # it finds the row (in an explain request's rows, else in the
+        # store).
         matrix = self.engine.influence_matrix(
             train_examples,
             [test_example] + variants,

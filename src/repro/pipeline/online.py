@@ -195,6 +195,11 @@ class OnlinePipeline:
         obs: Observability | None = None,
     ):
         self.config = config or OnlineConfig()
+        # One pruner for the pipeline's lifetime, so every round's
+        # influence filter reuses its gradient sketch.
+        self._pruner = DataPruner(
+            PrunerConfig(strategy=self.config.influence_strategy, seed=self.config.seed)
+        )
         self.zigong = zigong
         self.zigong.apply_lora()
         self.cluster = cluster
@@ -398,7 +403,6 @@ class OnlinePipeline:
         n_val = max(1, int(round(cfg.influence_val_fraction * len(recent))))
         train, val = recent[:-n_val], recent[-n_val:]
         keep = min(keep, len(train))
-        pruner = DataPruner(PrunerConfig(strategy=cfg.influence_strategy, seed=cfg.seed))
         checkpoints = ()
         scorer = self.zigong
         if cfg.influence_strategy in _CHECKPOINT_STRATEGIES:
@@ -409,8 +413,8 @@ class OnlinePipeline:
             warmup_dir = round_dir / "warmup"
             scorer.finetune(train, checkpoint_dir=warmup_dir)
             checkpoints = CheckpointManager(warmup_dir).checkpoints()
-        scores = pruner.score(scorer, train, val, checkpoints)
-        return pruner.select(train, scores, keep)
+        scores = self._pruner.score(scorer, train, val, checkpoints)
+        return self._pruner.select(train, scores, keep)
 
     def _clone_deployed(self, epochs: int | None = None) -> ZiGong:
         """A fresh ZiGong carrying the deployed weights (LoRA applied)."""

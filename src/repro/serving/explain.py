@@ -8,9 +8,10 @@ top-k influential examples from any
 default: one gradient row per example at the final checkpoint, no
 replay), and every query is recorded in the Behavior Card audit log next
 to the decision it explains — model governance wants attribution
-queries as auditable as decisions.  A query's new gradient rows — the
+queries as auditable as decisions.  A query's gradient rows — the
 applicant's example and its per-token variants — share one batched
-backward pass per checkpoint.
+backward pass per checkpoint and belong to the query: they are dropped
+when it ends, so the estimator's store holds training rows only.
 """
 
 from __future__ import annotations
@@ -132,6 +133,7 @@ class ExplainService:
             )
         self.estimator = estimator
         self.train_examples = TokenSet.of(train_examples)
+        self._train_hashes = frozenset(self.train_examples.hashes)
         self.train_texts = list(train_texts) if train_texts is not None else None
         self.behavior_card = behavior_card
         self.config = config or ExplainConfig()
@@ -142,7 +144,6 @@ class ExplainService:
         metrics = self.obs.metrics
         self._m_requests = metrics.counter("explain.requests")
         self._m_declines = metrics.counter("explain.declines_explained")
-        self._m_token_attr = metrics.counter("explain.token_attributions")
         self._h_top_score = metrics.histogram("explain.top_score")
 
     # -- query path ----------------------------------------------------
@@ -167,8 +168,9 @@ class ExplainService:
 
         ``k`` and ``proponents`` default to the config's.  The per-token
         decomposition costs one gradient row per supervised position of
-        the test example (cached thereafter); those rows and the
-        example's own share one batched gradient pass per checkpoint.
+        the test example; those rows and the example's own share one
+        batched gradient pass per checkpoint, and live for this call
+        only.
         """
         if not behavior_text.strip():
             raise ServingError("behavior_text must be non-empty")
@@ -184,13 +186,15 @@ class ExplainService:
             decision = self.behavior_card.decide(user_id, behavior_text)
             answer = "no" if decision.approved else "yes"
             test_example = self._encode(behavior_text, answer)
-            # Before top-k: the example's own gradient row comes out of
-            # the same batched pass as its token variants', so top-k
-            # below finds it in the store.
-            tokens = self.estimator.token_influence(self.train_examples, test_example)
-            top = self.estimator.k_most_influential(
-                self.train_examples, [test_example], k=k, proponents=proponents
-            )
+            # The request keeps the applicant's rows out of the store.
+            # Token attribution runs first: the example's own row comes
+            # out of the same batched pass as its token variants', so
+            # top-k below reads it from the request's rows.
+            with self.estimator.engine._request(self._train_hashes):
+                tokens = self.estimator.token_influence(self.train_examples, test_example)
+                top = self.estimator.k_most_influential(
+                    self.train_examples, [test_example], k=k, proponents=proponents
+                )
             indices = [int(i) for i in top.indices[0]]
             scores = [float(s) for s in top.scores[0]]
             aggregate = tokens.scores[indices].sum(axis=0)
@@ -199,7 +203,6 @@ class ExplainService:
                 scores=tuple(float(s) for s in aggregate),
                 tokens=self._token_names(test_example, tokens.positions),
             )
-            self._m_token_attr.inc()
             self._m_requests.inc()
             self._m_declines.inc(int(not decision.approved))
             if scores:

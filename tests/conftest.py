@@ -149,6 +149,22 @@ def make_zigong(zigong_template):
     return make
 
 
+@pytest.fixture
+def projector_inits(monkeypatch) -> list:
+    """One entry ``(dim, k, seed)`` per ``GradientProjector`` built."""
+    from repro.influence.gradients import GradientProjector
+
+    inits = []
+    init = GradientProjector.__init__
+
+    def counting(self, dim, k=256, seed=0):
+        inits.append((dim, k, seed))
+        init(self, dim, k=k, seed=seed)
+
+    monkeypatch.setattr(GradientProjector, "__init__", counting)
+    return inits
+
+
 @pytest.fixture(scope="session")
 def explained_zigong(german_examples, tmp_path_factory):
     """A fine-tuned ZiGong with checkpoint trail, for influence serving.

@@ -61,3 +61,23 @@ class TestPipeline:
             PipelineConfig(pruned_fraction=1.5)
         with pytest.raises(ConfigError):
             PipelineConfig(warmup_epochs=0)
+
+
+class TestPrunerReuse:
+    def test_runs_share_one_sketch(self, german_examples, tmp_path, projector_inits):
+        """The pipeline's pruner, built once, keeps its sketch across runs."""
+        base = make_test_config()
+        config = PipelineConfig(
+            zigong=dataclasses.replace(
+                base, training=dataclasses.replace(base.training, epochs=1)
+            ),
+            pruner=PrunerConfig(projection_dim=64),
+            warmup_epochs=1,
+        )
+        pipeline = ZiGongPipeline(config)
+        train, val = german_examples[:16], german_examples[48:52]
+        first = pipeline.run(train, val, checkpoint_dir=tmp_path / "first")
+        second = pipeline.run(train, val, checkpoint_dir=tmp_path / "second")
+        assert len(projector_inits) == 1
+        # The first run drew the sketch fresh; the second reuses it.
+        assert np.array_equal(first.scores, second.scores)

@@ -90,3 +90,21 @@ class TestSelection:
         scores = np.arange(10, dtype=np.float64)
         selected = pruner.select(german_examples[:10], scores, k=3)
         assert selected == [german_examples[9], german_examples[8], german_examples[7]]
+
+
+class TestProjectorReuse:
+    def test_one_sketch_across_score_calls(self, warm, german_examples, projector_inits):
+        """A pruner draws its sketch once; later calls score as fresh pruners do."""
+        zigong, checkpoints = warm
+        config = PrunerConfig(strategy="tracseq", projection_dim=64)
+        rounds = [
+            (german_examples[:8], german_examples[64:68]),
+            (german_examples[8:16], german_examples[68:72]),
+        ]
+        pruner = DataPruner(config)
+        scores = [pruner.score(zigong, train, val, checkpoints) for train, val in rounds]
+        assert len(projector_inits) == 1
+        for (train, val), got in zip(rounds, scores):
+            fresh = DataPruner(config).score(zigong, train, val, checkpoints)
+            assert np.array_equal(got, fresh)
+        assert len(projector_inits) == 1 + len(rounds)

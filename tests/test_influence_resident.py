@@ -138,9 +138,10 @@ class TestWarmQueryWork:
         hashed = [tuple(map(tuple, e)) for e in counted["hashed"]]
         assert len(hashed) == len(variants) + 2
         assert set(hashed) == {tuple(map(tuple, e)) for e in [example] + variants}
-        # Raw rows for the variants and the example, then the example's
-        # raw row again for k_most_influential.
-        assert len(counted["gets"]) == len(variants) + 2
+        # Raw rows for the variants and the example, once each: the
+        # example's second read, for k_most_influential, comes from the
+        # request's own rows.
+        assert len(counted["gets"]) == len(variants) + 1
         assert set(counted["gets"]) == query_hashes
         assert not set(counted["gets"]) & train_hashes
         stacked = [h for block in counted["stacked"] for h in block]
@@ -171,7 +172,8 @@ class TestStoreIndependence:
     def test_results_do_not_depend_on_the_store_keeping_train_rows(
         self, explained_zigong, store
     ):
-        """With memory caching off, or train rows evicted, results hold."""
+        """With memory caching off, or train rows evicted by a bound below
+        the training set, results hold."""
         zigong, examples, checkpoints = explained_zigong
         texts = [behavior_text(e) for e in examples[2:5]] + [behavior_text(examples[2])]
         reference = ExplainService.for_zigong(
@@ -195,4 +197,9 @@ class TestStoreIndependence:
         estimator = bounded.estimator
         step, pkey = estimator.checkpoint.step, estimator.engine._pkey
         train = bounded.train_examples
-        assert not any(estimator.store.contains(step, h, pkey) for h in train.hashes)
+        # Applicants' rows never enter the store, so it holds as many
+        # training rows as its bound allows and no more.
+        bound = estimator.store.max_entries
+        assert bound < len(train)
+        kept = sum(estimator.store.contains(step, h, pkey) for h in train.hashes)
+        assert kept == len(estimator.store) == bound

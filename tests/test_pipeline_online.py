@@ -484,3 +484,31 @@ class TestGuards:
         pipeline.ingest(examples)
         assert len(pipeline._buffer) == 16
         assert pipeline._buffer[-1] is examples[-1]
+
+
+class TestInfluenceFilterSketch:
+    def test_rounds_share_one_sketch(self, scenario, tmp_path, projector_inits, monkeypatch):
+        """Every round's influence filter reuses the pipeline's one sketch."""
+        from repro.core import DataPruner
+
+        base, examples, _ = scenario
+        pipeline = make_pipeline(
+            base, tmp_path / "loop", config=loop_config(influence_strategy="tracseq")
+        )
+        scores = []
+        score = DataPruner.score
+
+        def recording(self, *args, **kwargs):
+            scores.append(score(self, *args, **kwargs))
+            return scores[-1]
+
+        monkeypatch.setattr(DataPruner, "score", recording)
+        recent = examples[:20]
+        for round_index in range(2):
+            round_dir = tmp_path / f"round-{round_index}"
+            round_dir.mkdir()
+            pipeline._select(recent, round_dir)
+        assert len(projector_inits) == 1
+        # The first round drew the sketch; the second, over the same
+        # buffer, scores exactly as that fresh one did.
+        assert len(scores) == 2 and np.array_equal(scores[0], scores[1])

@@ -95,7 +95,6 @@ class TestExplainAudit:
         service.explain("obs-user", text)
         counters = obs.metrics.snapshot()["counters"]
         assert counters["explain.requests"] == before + 1
-        assert counters["explain.token_attributions"] >= 1
         assert "serving.explain.query" in obs.tracer.aggregates()
 
 
