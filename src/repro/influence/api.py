@@ -111,8 +111,10 @@ class DataInfluence(abc.ABC):
         share rows across estimators (e.g. a gamma sweep), or
         ``cache_dir`` to add a disk tier next to the checkpoints.
     workers:
-        ``> 1`` fans missing checkpoint replays out across a process
-        pool (see :class:`ParallelInfluenceEngine`).
+        ``> 1`` fans the missing rows of two or more checkpoints out
+        across a process pool, one job per checkpoint (see
+        :class:`ParallelInfluenceEngine`); a single-checkpoint
+        estimator (DataInf) computes in-process.
     obs:
         Observability hub; every checkpoint replay is timed in an
         ``influence.checkpoint`` span (child of the surrounding

@@ -93,7 +93,8 @@ class DataInf(DataInfluence):
     store / cache_dir / workers / obs:
         As in :class:`~repro.influence.api.DataInfluence`.  Share the
         ``store`` with a TracIn tracer and DataInf reuses its raw rows
-        at the final step without a single new backward pass.
+        at the final step without a single new backward pass.  With one
+        checkpoint there is one replay job, so ``workers`` never forks.
     """
 
     estimator_name = "datainf"

@@ -15,11 +15,14 @@ only when a miss needs a different one than the copy holds, so a
 single-checkpoint estimator (DataInf) loads once per engine, and the
 caller's model — possibly one that is serving — is never written.
 
-With ``workers > 1`` the missing checkpoint replays fan out across a
-``multiprocessing`` pool (fork start method): each worker inherits the
-replay copy, restores its assigned checkpoint from the ``.npz`` on
-disk, and streams gradient rows back to the parent, which records an
-``influence.worker`` span per completed job.  Workers rely on
+Each ``(checkpoint, example)`` row is looked up once, and each
+checkpoint's misses are one job whose rows go straight to the
+recombination and into the store.  With ``workers > 1``, two or more
+jobs fan out across a fork ``multiprocessing`` pool: each worker
+inherits the replay copy and the jobs, restores its checkpoint as the
+parent does, and sends the rows back in job order (an
+``influence.worker`` span each); a job whose worker fails is recomputed
+in-process, once.  Workers rely on
 :class:`~repro.influence.gradients.GradientProjector` being
 deterministic for a given seed across processes, which is pinned by
 test.
@@ -49,7 +52,7 @@ import contextlib
 import copy
 import multiprocessing
 import time
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -63,7 +66,6 @@ from repro.influence.gradients import (
 )
 from repro.influence.store import GradientStore, TokenSet
 from repro.obs import Observability, get_observability
-from repro.resilience import RetryPolicy
 from repro.resilience.faults import fault_point
 from repro.training.checkpoint import CheckpointManager, CheckpointRecord
 
@@ -71,27 +73,29 @@ from repro.training.checkpoint import CheckpointManager, CheckpointRecord
 CHUNK_SIZE = 256
 
 # Worker-process state, installed by the pool initializer.  With the
-# fork start method the initargs are inherited, not pickled.
+# fork start method the initargs are inherited, not pickled: the jobs'
+# records carry a read-only ``extra`` mapping that pickle refuses, so a
+# task is the index of its job.
 _WORKER: dict = {}
 
 
-def _worker_init(plan, projector) -> None:
+def _worker_init(plan, projector, jobs) -> None:
     _WORKER["plan"] = plan
     _WORKER["projector"] = projector
+    _WORKER["jobs"] = jobs
 
 
-def _worker_replay(payload):
-    """Restore one checkpoint in this worker and compute gradient rows."""
-    step, path, examples = payload
+def _worker_replay(index: int):
+    """Restore one job's checkpoint in this worker and compute its rows."""
+    record, examples = _WORKER["jobs"][index]
     # Fault injectors installed in the parent are inherited by fork;
-    # chaos tests arm this point to crash a worker's chunk.
-    fault_point("influence.worker", step=step)
+    # chaos tests arm this point to crash a worker's job.
+    fault_point("influence.worker", step=record.step)
     started = time.perf_counter()
     plan = _WORKER["plan"]
-    with np.load(path) as data:
-        plan.model.load_state_dict({name: data[name] for name in data.files})
+    CheckpointManager.restore(plan.model, record)
     rows = gradient_matrix(plan, examples, _WORKER["projector"])
-    return step, rows, time.perf_counter() - started
+    return rows, time.perf_counter() - started
 
 
 def projector_key(projector: GradientProjector | None) -> str:
@@ -115,14 +119,10 @@ class ParallelInfluenceEngine:
         :class:`GradientStore`.  Pass one store to several engines (or
         tracers) to share rows across gamma sweeps and repeated calls.
     workers:
-        ``0`` or ``1`` computes in-process; ``> 1`` fans missing
-        checkpoint replays out across a fork-based process pool.
-    retry_policy:
-        Optional :class:`~repro.resilience.RetryPolicy` for requeued
-        worker chunks: when a pool worker raises (crash, injected
-        fault), its chunk is recomputed in-process under this policy
-        instead of losing the work; without a policy the chunk is
-        recomputed once.
+        ``0`` or ``1`` computes in-process; ``> 1`` fans the missing
+        rows of two or more checkpoints out across a fork-based process
+        pool, one job per checkpoint.  A single-checkpoint engine
+        (DataInf) never forks.
     """
 
     def __init__(
@@ -133,7 +133,6 @@ class ParallelInfluenceEngine:
         normalize: bool = False,
         store: GradientStore | None = None,
         workers: int = 0,
-        retry_policy: RetryPolicy | None = None,
         obs: Observability | None = None,
     ):
         if not checkpoints:
@@ -155,7 +154,6 @@ class ParallelInfluenceEngine:
         self.obs = obs or get_observability()
         self.store = store if store is not None else GradientStore(obs=self.obs)
         self.workers = workers
-        self.retry_policy = retry_policy
         self._pkey = projector_key(projector)
         # The request in progress: its training hashes and its own rows
         # by (step, example hash), see _request.
@@ -194,12 +192,6 @@ class ParallelInfluenceEngine:
             return None
         return self._scope[1]
 
-    def _has(self, step: int, example_hash: str) -> bool:
-        request = self._request_rows(example_hash)
-        if request is not None and (step, example_hash) in request:
-            return True
-        return self.store.contains(step, example_hash, self._pkey)
-
     def _get(self, step: int, example_hash: str) -> np.ndarray | None:
         request = self._request_rows(example_hash)
         if request is not None and (step, example_hash) in request:
@@ -219,98 +211,82 @@ class ParallelInfluenceEngine:
         self._m_gradient_passes.inc(len(examples))
         self._m_gradient_batches.inc(len(pass_plan(self._replay_model, examples)))
 
-    def _checkpoint_rows(
-        self, record: CheckpointRecord, unique: dict[str, TokenExample]
-    ) -> dict[str, np.ndarray]:
-        """Rows for every unique example at one checkpoint (compute missing)."""
-        fetched: dict[str, np.ndarray] = {}
+    def _lookup(
+        self, step: int, unique: dict[str, TokenExample]
+    ) -> tuple[dict[str, np.ndarray], dict[str, TokenExample]]:
+        """Split ``unique`` at ``step`` into found rows and missing examples."""
+        rows: dict[str, np.ndarray] = {}
         missing: dict[str, TokenExample] = {}
         for example_hash, example in unique.items():
-            row = self._get(record.step, example_hash)
+            row = self._get(step, example_hash)
             if row is None:
                 missing[example_hash] = example
             else:
-                fetched[example_hash] = row
-        if missing:
-            if self._loaded != record.path:
-                self._loaded = None
-                CheckpointManager.restore(self._replay_model, record)
-                self._loaded = record.path
-                self._m_loads.inc()
-            examples = list(missing.values())
-            rows = gradient_matrix(self._plan, examples, self.projector)
-            for example_hash, row in zip(missing, rows):
-                self._keep(record.step, example_hash, row)
-                fetched[example_hash] = row
-            self._count_replay(examples)
-        return fetched
+                rows[example_hash] = row
+        return rows, missing
 
-    def _prefetch(self, unique: dict[str, TokenExample]) -> None:
-        """Fan missing checkpoint replays out across a process pool."""
-        if self.workers <= 1:
-            return
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return  # platform without fork: fall back to in-process replay
-        jobs = []
-        for record in self.checkpoints:
-            missing = {
-                example_hash: example
-                for example_hash, example in unique.items()
-                if not self._has(record.step, example_hash)
-            }
-            if missing:
-                jobs.append((record, missing))
-        if not jobs:
-            return
-        ctx = multiprocessing.get_context("fork")
-        payloads = [
-            (record.step, str(record.path), list(missing.values()))
-            for record, missing in jobs
-        ]
-        failed: list[tuple[CheckpointRecord, dict[str, TokenExample]]] = []
-        with self.obs.span(
-            "influence.prefetch", n_jobs=len(jobs), workers=self.workers
+    def _compute(
+        self, record: CheckpointRecord, examples: list[TokenExample]
+    ) -> np.ndarray:
+        """Rows for ``examples`` at ``record``, on the resident replay model."""
+        if self._loaded != record.path:
+            self._loaded = None
+            CheckpointManager.restore(self._replay_model, record)
+            self._loaded = record.path
+            self._m_loads.inc()
+        rows = gradient_matrix(self._plan, examples, self.projector)
+        self._count_replay(examples)
+        return rows
+
+    def _run(self, jobs: list, stack: contextlib.ExitStack) -> Iterator[np.ndarray]:
+        """Each ``(record, examples)`` job's rows, lazily, in job order.
+
+        Two or more jobs with ``workers > 1`` run in a fork pool that
+        ``stack`` closes; otherwise (one job would only add a fork) they
+        run in-process.
+        """
+        if (
+            self.workers <= 1
+            or len(jobs) < 2
+            or "fork" not in multiprocessing.get_all_start_methods()
         ):
-            with ctx.Pool(
+            return (self._compute(record, examples) for record, examples in jobs)
+        stack.enter_context(
+            self.obs.span("influence.prefetch", n_jobs=len(jobs), workers=self.workers)
+        )
+        pool = stack.enter_context(
+            multiprocessing.get_context("fork").Pool(
                 processes=min(self.workers, len(jobs)),
                 initializer=_worker_init,
-                initargs=(self._plan, self.projector),
-            ) as pool:
-                replies = pool.imap(_worker_replay, payloads)
-                for record, missing in jobs:
-                    try:
-                        step, rows, worker_s = next(replies)
-                    except Exception as error:
-                        # A crashed worker loses its chunk, not the run:
-                        # the job is requeued for in-process recompute
-                        # below, under the retry policy if one is set.
-                        self._m_requeued.inc()
-                        self.obs.event(
-                            "influence.worker_requeued",
-                            step=record.step,
-                            error=type(error).__name__,
-                        )
-                        failed.append((record, missing))
-                        continue
-                    with self.obs.span(
-                        "influence.worker",
-                        step=step,
-                        n_rows=len(missing),
-                        worker_s=worker_s,
-                    ):
-                        for example_hash, row in zip(missing, rows):
-                            self._keep(record.step, example_hash, row)
-                    self._h_worker.observe(worker_s)
-                    self._count_replay(list(missing.values()))
-        for record, missing in failed:
-            # _checkpoint_rows loads the checkpoint into the parent's
-            # replay model (if it holds another) and computes + keeps
-            # the rows.
-            if self.retry_policy is not None:
-                self.retry_policy.call(self._checkpoint_rows, record, missing)
+                initargs=(self._plan, self.projector, jobs),
+            )
+        )
+        return self._pooled(jobs, pool.imap(_worker_replay, range(len(jobs))))
+
+    def _pooled(self, jobs: list, replies: Iterator) -> Iterator[np.ndarray]:
+        for record, examples in jobs:
+            try:
+                rows, worker_s = next(replies)
+            except Exception as error:
+                # A crashed worker loses its job, not the run: the job
+                # is recomputed in-process, once.
+                self._m_requeued.inc()
+                self.obs.event(
+                    "influence.worker_requeued",
+                    step=record.step,
+                    error=type(error).__name__,
+                )
+                rows = self._compute(record, examples)
             else:
-                self._checkpoint_rows(record, missing)
-        self.store.flush()
+                with self.obs.span(
+                    "influence.worker",
+                    step=record.step,
+                    n_rows=len(examples),
+                    worker_s=worker_s,
+                ):
+                    self._h_worker.observe(worker_s)
+                    self._count_replay(examples)
+            yield rows
 
     def _replay(
         self,
@@ -328,21 +304,31 @@ class ParallelInfluenceEngine:
         checkpoint's ``(len(examples), dim)`` row matrix in example
         order (unit-normalized when the engine normalizes) inside an
         ``influence.checkpoint`` span; its return values come back as a
-        list.  Misses are computed on the resident replay model, never
-        on the caller's, and kept in the store (a query's, inside a
-        request, in the request's rows); the store is flushed after the
-        whole replay.
+        list.  Each row is looked up once (see :meth:`_get`); each
+        checkpoint's misses are one job, computed on the resident replay
+        model or a pool worker, never on the caller's model, and a
+        computed row goes to ``visit`` and :meth:`_keep`.  The store is
+        flushed after the whole replay.
         """
         examples = TokenSet.of(examples)
         # Equal hashes mean equal content, so keeping any one is exact.
         unique = dict(zip(examples.hashes, examples))
         try:
-            out = []
-            with self.obs.span(span_name, **attrs):
-                self._prefetch(unique)
+            with self.obs.span(span_name, **attrs), contextlib.ExitStack() as stack:
+                lookups = [self._lookup(record.step, unique) for record in records]
+                computed = self._run(
+                    [(r, list(m.values())) for r, (_, m) in zip(records, lookups) if m],
+                    stack,
+                )
+                out = []
                 for index, record in enumerate(records):
+                    # Popped, so a checkpoint's rows are dropped once visited.
+                    rows, missing = lookups.pop(0)
                     with self.obs.span("influence.checkpoint", step=record.step):
-                        rows = self._checkpoint_rows(record, unique)
+                        if missing:
+                            for example_hash, row in zip(missing, next(computed)):
+                                self._keep(record.step, example_hash, row)
+                                rows[example_hash] = row
                         out.append(visit(index, self._stack(rows, examples.hashes)))
             return out
         finally:

@@ -17,6 +17,7 @@ import pytest
 
 from repro.errors import InfluenceError
 from repro.influence import (
+    DataInf,
     GradientStore,
     GradientProjector,
     TracInCP,
@@ -267,11 +268,28 @@ class TestCacheInvalidation:
 
 
 class TestParallelEngine:
-    def test_parallel_matches_serial(self, tiny_model, checkpoints, sets):
+    # Store bounds: the default, no memory tier at all, and fewer
+    # entries than one replay's rows (checkpoints x 9 unique examples).
+    @pytest.mark.parametrize(
+        "store_kwargs",
+        [{}, {"max_entries": 0}, {"max_entries": 5}],
+        ids=["default", "no-memory", "below-one-replay"],
+    )
+    def test_parallel_matches_serial(self, tiny_model, checkpoints, sets, store_kwargs):
+        """workers=2 scores equal workers=0's, and each row is computed once."""
         train, test = sets
-        serial = TracSeq(tiny_model, checkpoints, gamma=0.9).influence(train, test).sum(axis=1)
-        parallel = TracSeq(tiny_model, checkpoints, gamma=0.9, workers=2).influence(train, test).sum(axis=1)
-        np.testing.assert_allclose(serial, parallel, rtol=0, atol=1e-10)
+        n_unique = len({example_content_hash(ex) for ex in train + test})
+        scores, passes = {}, {}
+        for workers in (0, 2):
+            obs = Observability.create()
+            tracer = TracSeq(
+                tiny_model, checkpoints, gamma=0.9, workers=workers, obs=obs,
+                store=GradientStore(obs=obs, **store_kwargs),
+            )
+            scores[workers] = tracer.influence(train, test)
+            passes[workers] = obs.metrics.snapshot()["counters"]["influence.gradient_passes"]
+        assert np.array_equal(scores[2], scores[0])
+        assert passes == {0: len(checkpoints) * n_unique, 2: len(checkpoints) * n_unique}
 
     def test_parallel_with_projector_matches_serial(self, tiny_model, checkpoints, sets):
         train, test = sets
@@ -292,6 +310,24 @@ class TestParallelEngine:
         aggregates = obs.tracer.aggregates()
         assert aggregates["influence.worker"]["count"] == len(checkpoints)
         assert "influence.prefetch" in aggregates
+
+    def test_single_checkpoint_engine_forks_no_pool(self, tiny_model, checkpoints, sets):
+        """One checkpoint is one job: DataInf at workers=2 replays in-process."""
+        train, test = sets
+        results = {}
+        for workers in (0, 2):
+            obs = Observability.create()
+            estimator = DataInf(tiny_model, checkpoints, workers=workers, obs=obs)
+            scores = estimator.influence(train, test)
+            rows = estimator.engine.stacked_rows(train + test)
+            aggregates = obs.tracer.aggregates()
+            assert "influence.prefetch" not in aggregates
+            assert "influence.worker" not in aggregates
+            passes = obs.metrics.snapshot()["counters"]["influence.gradient_passes"]
+            results[workers] = (scores, rows, passes)
+        assert np.array_equal(results[2][0], results[0][0])
+        assert np.array_equal(results[2][1], results[0][1])
+        assert results[2][2] == results[0][2]
 
     def test_invalid_workers_rejected(self, tiny_model, checkpoints):
         with pytest.raises(InfluenceError):

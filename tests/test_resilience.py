@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import (
+    CheckpointError,
     CircuitOpenError,
     InjectedFault,
     ResilienceError,
@@ -770,9 +771,6 @@ class TestInfluenceRequeue:
         engine = ParallelInfluenceEngine(
             model, checkpoints, workers=2,
             store=GradientStore(obs=obs),
-            retry_policy=RetryPolicy(
-                max_attempts=2, sleep=SleepRecorder(), obs=obs
-            ),
             obs=obs,
         )
         with injector.active():
@@ -781,6 +779,28 @@ class TestInfluenceRequeue:
         np.testing.assert_allclose(actual, expected, atol=1e-10)
         counters = obs.metrics.snapshot()["counters"]
         assert counters["influence.worker_requeued"] >= 1
+
+    def test_missing_checkpoint_fails_alike_in_worker_and_parent(self, tmp_path):
+        """Worker and parent restore through one path: one error type."""
+        from repro.influence.engine import ParallelInfluenceEngine
+        from repro.influence.store import GradientStore
+
+        model, checkpoints = self.build(tmp_path / "ckpt")
+        checkpoints[1].path.unlink()
+        obs = Observability.create(events_path=tmp_path / "events.jsonl")
+        engine = ParallelInfluenceEngine(
+            model, checkpoints, workers=2, store=GradientStore(obs=obs), obs=obs,
+        )
+        with pytest.raises(CheckpointError):
+            engine.influence_matrix(
+                random_examples(n=4, seed=1), random_examples(n=2, seed=2),
+                [0.01] * len(checkpoints),
+            )
+        requeued = [
+            event for event in obs.events.events()
+            if event["kind"] == "influence.worker_requeued"
+        ]
+        assert [event["error"] for event in requeued] == ["CheckpointError"]
 
 
 # ----------------------------------------------------------------------
