@@ -14,7 +14,7 @@ from repro.config import test_config
 from repro.core import ZiGong
 from repro.data import build_behavior_examples
 from repro.datasets import make_behavior
-from repro.data.templates import CLASSIFICATION_TEMPLATE as CLASSIFICATION_PROMPT
+from repro.data.templates import behavior_prompt
 from repro.serving import BehaviorCardConfig, BehaviorCardService, ScoreRequest
 
 SEED = 0
@@ -98,11 +98,7 @@ def main() -> None:
     candidate.finetune(examples[: len(examples) // 2])  # trained on less data
     shadow = ShadowDeployment(zigong.classifier(), candidate.classifier())
     for user in range(10):
-        prompt = CLASSIFICATION_PROMPT.format(
-            sentence=fresh.row_text(user, last),
-            question="will this user default on their loan",
-        )
-        shadow.score(prompt)
+        shadow.score(behavior_prompt(fresh.row_text(user, last)))
     print(f"shadow deployment: agreement={shadow.agreement_rate():.2f} "
           f"score correlation={shadow.score_correlation():.2f} "
           f"disagreements={len(shadow.disagreements())}")

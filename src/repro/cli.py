@@ -174,12 +174,11 @@ def cmd_pipeline_run(args) -> int:
     import numpy as np
 
     from repro.data import build_behavior_examples
-    from repro.data.templates import CLASSIFICATION_TEMPLATE
     from repro.datasets import make_behavior
     from repro.obs import Observability, get_observability
     from repro.pipeline import OnlineConfig, OnlinePipeline, PromotionGate
     from repro.serving import ClusterConfig, ScoreRequest
-    from repro.serving.behavior_card import DEFAULT_QUESTION
+    from repro.serving.behavior_card import default_scores
 
     obs = Observability.create(events_path=args.events) if args.events else get_observability()
 
@@ -196,11 +195,7 @@ def cmd_pipeline_run(args) -> int:
         for user in range(dataset.n_users)
         for period in range(dataset.n_periods)
     ]
-    prompts = [
-        CLASSIFICATION_TEMPLATE.format(sentence=r.behavior_text, question=DEFAULT_QUESTION)
-        for r in traffic[:32]
-    ]
-    calibration = np.asarray(zigong.score_batch(prompts, "yes", "no"))
+    calibration = np.asarray(default_scores(zigong, [r.behavior_text for r in traffic[:32]]))
     if args.no_drift:
         reference = calibration
     else:

@@ -10,7 +10,7 @@ import numpy as np
 from repro.errors import DataError
 from repro.datasets.base import TabularDataset
 from repro.datasets.behavior import BehaviorDataset
-from repro.data.templates import CLASSIFICATION_TEMPLATE, QA_TEMPLATE
+from repro.data.templates import CLASSIFICATION_TEMPLATE, QA_TEMPLATE, behavior_prompt
 from repro.tokenizer.base import BaseTokenizer
 
 
@@ -60,13 +60,11 @@ def build_behavior_examples(dataset: BehaviorDataset) -> list[InstructExample]:
     on.  The supervision target for every period is the user's final
     default outcome, so early-period samples are intrinsically noisier.
     """
-    question = "will this user default on their loan"
     examples = []
     for text, label, period, user in dataset.supervised_rows():
-        prompt = CLASSIFICATION_TEMPLATE.format(sentence=text, question=question)
         examples.append(
             InstructExample(
-                prompt=prompt,
+                prompt=behavior_prompt(text),
                 answer="yes" if label == 1 else "no",
                 label=label,
                 timestamp=float(period),

@@ -50,3 +50,13 @@ QA_TEMPLATE = PromptTemplate(
     name="qa",
     template="{context} question: {question} ? answer:",
 )
+
+# The Behavior Card task: the paper's deployed model is fine-tuned on
+# this one question and served behind it, so training, serving, shadow
+# scoring and explanations all build their prompt with behavior_prompt.
+BEHAVIOR_QUESTION = "will this user default on their loan"
+
+
+def behavior_prompt(behavior_text: str) -> str:
+    """The Behavior Card prompt for one behavior summary."""
+    return CLASSIFICATION_TEMPLATE.format(sentence=behavior_text, question=BEHAVIOR_QUESTION)

@@ -179,13 +179,6 @@ class GradientStore:
 
     # -- public API ----------------------------------------------------
 
-    def contains(self, step: int, example_hash: str, projector_key: str) -> bool:
-        """Presence probe that does not touch hit/miss accounting."""
-        key = (step, example_hash, projector_key)
-        if key in self._rows:
-            return True
-        return example_hash in self._shard(step, projector_key)
-
     def get(self, step: int, example_hash: str, projector_key: str) -> np.ndarray | None:
         """Look up one row; memory tier first, then the disk shard."""
         key = (step, example_hash, projector_key)

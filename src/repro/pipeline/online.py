@@ -49,7 +49,6 @@ from repro.core.pruning import DataPruner, PrunerConfig
 from repro.core.zigong import ZiGong
 from repro.data.instruct import InstructExample
 from repro.data.serialization import load_jsonl, save_jsonl
-from repro.data.templates import CLASSIFICATION_TEMPLATE
 from repro.errors import ConfigError, PipelineError
 from repro.eval.fairness import FairnessReport, fairness_report
 from repro.eval.harness import EvalResult, EvalSample, evaluate
@@ -63,6 +62,7 @@ from repro.pipeline.state import (
     PipelineState,
 )
 from repro.resilience.faults import fault_point
+from repro.serving.behavior_card import default_scores
 from repro.serving.cluster import ClusterConfig, ClusterSupervisor, zigong_replica_factory
 from repro.serving.engine import ScoreRequest
 from repro.serving.monitoring import DriftMonitor, ShadowDeployment
@@ -97,8 +97,6 @@ class OnlineConfig:
     shadow_requests: int = 24
     shadow_window: int = 256
     gate: PromotionGate = field(default_factory=PromotionGate)
-    question: str | None = None
-    threshold: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -139,21 +137,20 @@ class _ClusterScorer:
 class _CandidateScorer:
     """The shadow candidate scoring the same raw behavior text.
 
-    Formats prompts exactly like :func:`zigong_replica_factory` replicas
-    (same template, same question) so shadow scores are comparable to —
-    and, post-promotion, bit-identical with — cluster scores.
+    Scores through :func:`~repro.serving.behavior_card.default_scores`,
+    as :func:`zigong_replica_factory` replicas do, so shadow scores are
+    comparable to — and, post-promotion, bit-identical with — cluster
+    scores.
     """
 
-    def __init__(self, candidate: ZiGong, question: str):
+    def __init__(self, candidate: ZiGong):
         self.candidate = candidate
-        self.question = question
 
     def score(self, behavior_text: str, positive_text: str = "yes",
               negative_text: str = "no") -> float:
         fault_point("pipeline.shadow.score")
-        prompt = CLASSIFICATION_TEMPLATE.format(sentence=behavior_text, question=self.question)
-        classifier = self.candidate.classifier("pipeline-candidate")
-        return float(classifier.score(prompt, positive_text, negative_text))
+        [score] = default_scores(self.candidate.classifier("pipeline-candidate"), [behavior_text])
+        return score
 
 
 class OnlinePipeline:
@@ -283,10 +280,9 @@ class OnlinePipeline:
         """
         config = config or OnlineConfig()
         zigong.apply_lora()
-        factory = zigong_replica_factory(
-            zigong, threshold=config.threshold, question=config.question
+        cluster = ClusterSupervisor(
+            zigong_replica_factory(zigong), cluster_config or ClusterConfig(), obs=obs
         )
-        cluster = ClusterSupervisor(factory, cluster_config or ClusterConfig(), obs=obs)
         return cls(zigong, cluster, reference_scores, work_dir,
                    config=config, obs=obs, **kwargs)
 
@@ -430,14 +426,11 @@ class OnlinePipeline:
     # -- phase: shadow -------------------------------------------------
 
     def _arm_shadow(self) -> None:
-        from repro.serving.behavior_card import DEFAULT_QUESTION
-
         if self._candidate is None:
             raise PipelineError("cannot arm shadow scoring without a candidate")
-        question = self.config.question or DEFAULT_QUESTION
         self._shadow = ShadowDeployment(
             _ClusterScorer(self.cluster),
-            _CandidateScorer(self._candidate, question),
+            _CandidateScorer(self._candidate),
             window=self.config.shadow_window,
             obs=self.obs,
         )

@@ -32,7 +32,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import ServingError
-from repro.data.templates import CLASSIFICATION_TEMPLATE
+from repro.data.templates import BEHAVIOR_QUESTION as DEFAULT_QUESTION  # noqa: F401
+from repro.data.templates import behavior_prompt
+from repro.eval.parsing import parse_answer
 from repro.obs import Observability, get_observability
 from repro.serving.engine import (
     EngineConfig,
@@ -41,7 +43,32 @@ from repro.serving.engine import (
     ScoreResult,
 )
 
-DEFAULT_QUESTION = "will this user default on their loan"
+# The Behavior Card decision, read by every serving path: a score is
+# P("yes", the user defaults) against "no".
+DECLINE_ANSWER, APPROVE_ANSWER = "yes", "no"
+DEFAULT_THRESHOLD = 0.5
+
+
+def default_scores(classifier, behavior_texts: Sequence[str]) -> list[float]:
+    """P(default) per behavior text, in one ``score_batch`` forward pass."""
+    prompts = [behavior_prompt(text) for text in behavior_texts]
+    return [float(s) for s in classifier.score_batch(prompts, DECLINE_ANSWER, APPROVE_ANSWER)]
+
+
+def approves(score: float, threshold: float) -> bool:
+    """Approve when P(default) is strictly below ``threshold``; decline at or above it."""
+    return score < threshold
+
+
+def generated_decision(text: str) -> tuple[float, bool]:
+    """``(score, approved)`` from a generated answer, parsed as the Miss metric counts.
+
+    A miss scores 0.5 and is never approved, whatever the threshold.
+    """
+    label = parse_answer(text, DECLINE_ANSWER, APPROVE_ANSWER)
+    score = 1.0 if label == 1 else 0.0 if label == 0 else 0.5
+    return score, label == 0
+
 
 @dataclass(frozen=True)
 class BehaviorCardConfig:
@@ -51,16 +78,13 @@ class BehaviorCardConfig:
         Approve when P(default) is strictly below this value.
     cache_size:
         Maximum number of cached (behavior text -> score) entries.
-    question:
-        The classification question templated into every prompt.
     max_batch_size / max_wait_s / queue_capacity:
         Micro-batching engine knobs; see
         :class:`~repro.serving.engine.EngineConfig`.
     """
 
-    threshold: float = 0.5
+    threshold: float = DEFAULT_THRESHOLD
     cache_size: int = 1024
-    question: str = DEFAULT_QUESTION
     max_batch_size: int = 8
     max_wait_s: float = 0.005
     queue_capacity: int = 64
@@ -135,9 +159,8 @@ class BehaviorCardService:
     ----------
     classifier:
         An :class:`~repro.baselines.lm.LMClassifier` (or anything with a
-        compatible ``score(prompt, positive, negative)`` method; a
-        ``score_batch(prompts, positive, negative)`` method, when
-        present, is used for one-forward-pass micro-batches).
+        compatible ``score_batch(prompts, positive, negative)`` method,
+        which scores each micro-batch in one forward pass).
     config:
         A :class:`BehaviorCardConfig` (defaults when omitted).
     clock:
@@ -185,15 +208,6 @@ class BehaviorCardService:
     # Scoring internals (these run *inside* the engine's batch path)
     # ------------------------------------------------------------------
 
-    def _prompt(self, behavior_text: str) -> str:
-        return CLASSIFICATION_TEMPLATE.format(sentence=behavior_text, question=self.config.question)
-
-    def _classifier_scores(self, prompts: list[str]) -> list[float]:
-        """Model scores for prompts — one padded forward pass when possible."""
-        if hasattr(self.classifier, "score_batch"):
-            return [float(s) for s in self.classifier.score_batch(prompts, "yes", "no")]
-        return [float(self.classifier.score(p, "yes", "no")) for p in prompts]
-
     def _score_texts(self, texts: Sequence[str]) -> tuple[list[float], list[bool]]:
         """Cache-aware batched scoring: misses share one forward pass.
 
@@ -217,7 +231,7 @@ class BehaviorCardService:
                 first_seen[text] = [i]
                 miss_texts.append(text)
         if miss_texts:
-            fresh = self._classifier_scores([self._prompt(t) for t in miss_texts])
+            fresh = default_scores(self.classifier, miss_texts)
             for text, score in zip(miss_texts, fresh):
                 for i in first_seen[text]:
                     scores[i] = score
@@ -231,7 +245,7 @@ class BehaviorCardService:
         degraded: bool = False,
     ) -> ScoreResult:
         """Record one decision (stats + audit) and build its result."""
-        approved = score < self.config.threshold
+        approved = approves(score, self.config.threshold)
         self.stats.requests += 1
         self.stats.cache_hits += int(cached)
         self.stats.approvals += int(approved)
@@ -247,7 +261,7 @@ class BehaviorCardService:
                 user_id=user_id,
                 score=score,
                 approved=approved,
-                prompt=self._prompt(behavior_text),
+                prompt=behavior_prompt(behavior_text),
                 degraded=degraded,
             )
         )

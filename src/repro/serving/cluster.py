@@ -65,6 +65,7 @@ from repro.errors import (
 from repro.obs import Observability, get_observability
 from repro.resilience import CircuitBreaker
 from repro.resilience.faults import fault_point
+from repro.serving.behavior_card import DEFAULT_THRESHOLD, approves, default_scores, generated_decision
 from repro.serving.engine import (
     BatchFn,
     EngineConfig,
@@ -1005,38 +1006,46 @@ class ClusterSupervisor:
 # ----------------------------------------------------------------------
 
 
+def _replica_model(config, lora_applied: bool, state: dict, quantize: str | None):
+    """A private model loaded with ``state``, merged and quantized when ``quantize`` is set.
+
+    LoRA adapters mirror the source's, so its state dict loads one-to-one.
+    """
+    from repro.lora.inject import apply_lora, merge_lora
+    from repro.nn.quant import quantize_model
+    from repro.nn.transformer import MistralTiny
+
+    model = MistralTiny(config.model, rng=config.seed)
+    if lora_applied:
+        apply_lora(model, config.lora, rng=config.seed)
+    model.load_state_dict(state)
+    if quantize is not None:
+        merge_lora(model)
+        quantize_model(model, dtype=quantize)
+    return model
+
+
 def zigong_quantized_state(zigong) -> dict:
     """Stage an int8 deploy payload from a (float, possibly LoRA) ZiGong.
 
-    Builds a throwaway copy of the source model, merges any LoRA
-    adapters, runs :func:`repro.nn.quantize_model` and returns its
+    Builds a throwaway replica model from the source weights, merges any
+    LoRA adapters, runs :func:`repro.nn.quantize_model` and returns its
     ``state_dict()`` — the exact key/dtype layout that replicas built by
     ``zigong_replica_factory(..., quantize="int8")`` expect, so the
     result can be handed straight to
     :meth:`ClusterSupervisor.deploy` for a stage->drain->swap rollout.
     The source ``zigong`` is never mutated (checkpoints stay float).
     """
-    from repro.lora.inject import apply_lora, merge_lora
-    from repro.nn.quant import quantize_model
-    from repro.nn.transformer import MistralTiny
-
-    config = zigong.config
-    model = MistralTiny(config.model, rng=config.seed)
-    if getattr(zigong, "_lora_applied", False):
-        apply_lora(model, config.lora, rng=config.seed)
-    model.load_state_dict({k: v.copy() for k, v in zigong.model.state_dict().items()})
-    merge_lora(model)
-    quantize_model(model)
-    return model.state_dict()
+    lora = getattr(zigong, "_lora_applied", False)
+    return _replica_model(zigong.config, lora, zigong.model.state_dict(), "int8").state_dict()
 
 
 def zigong_replica_factory(
     zigong,
-    threshold: float = 0.5,
-    question: str | None = None,
+    threshold: float = DEFAULT_THRESHOLD,
     quantize: str | None = None,
 ) -> ReplicaFactory:
-    """A :class:`ReplicaFactory` serving Behavior-Card-style decisions.
+    """A :class:`ReplicaFactory` serving Behavior Card decisions.
 
     Each replica builds **its own** :class:`~repro.nn.transformer.MistralTiny`
     instance (same config/seed as the source model, then loads its
@@ -1045,7 +1054,8 @@ def zigong_replica_factory(
     — replicas share nothing mutable, which is what makes fork
     transport, kills and rolling swaps safe.  ``swap_weights`` loads a
     staged state dict (bumping ``weight_version``, which flushes the
-    prefix cache on the next generate call).
+    prefix cache on the next generate call).  Prompts and decisions are
+    :mod:`repro.serving.behavior_card`'s, as in the service.
 
     With ``quantize="int8"`` every replica merges its LoRA adapters and
     runs :func:`repro.nn.quantize_model` after loading the source
@@ -1057,12 +1067,7 @@ def zigong_replica_factory(
     one from a float model.
     """
     from repro.baselines.lm import LMClassifier
-    from repro.data.templates import CLASSIFICATION_TEMPLATE
-    from repro.eval.parsing import parse_answer
-    from repro.lora.inject import apply_lora, merge_lora
-    from repro.nn.quant import quantize_model
-    from repro.nn.transformer import MistralTiny
-    from repro.serving.behavior_card import DEFAULT_QUESTION
+    from repro.data.templates import behavior_prompt
     from repro.serving.continuous import GenerationApp
 
     if quantize not in (None, "int8"):
@@ -1071,31 +1076,18 @@ def zigong_replica_factory(
     tokenizer = zigong.tokenizer
     lora_applied = getattr(zigong, "_lora_applied", False)
     source_state = {k: v.copy() for k, v in zigong.model.state_dict().items()}
-    asked = question if question is not None else DEFAULT_QUESTION
 
     def factory(replica_id: int) -> ReplicaApp:
-        model = MistralTiny(config.model, rng=config.seed)
-        if lora_applied:
-            # Mirror the source model's structure so its state dict
-            # (which names LoRA params) loads one-to-one.
-            apply_lora(model, config.lora, rng=config.seed)
-        model.load_state_dict(source_state)
-        if quantize is not None:
-            merge_lora(model)
-            quantize_model(model, dtype=quantize)
+        model = _replica_model(config, lora_applied, source_state, quantize)
         classifier = LMClassifier(model, tokenizer, name=f"replica-{replica_id}")
 
         def batch_fn(requests: list[ScoreRequest]) -> list[ScoreResult]:
-            prompts = [
-                CLASSIFICATION_TEMPLATE.format(sentence=r.behavior_text, question=asked)
-                for r in requests
-            ]
-            scores = [float(s) for s in classifier.score_batch(prompts, "yes", "no")]
+            scores = default_scores(classifier, [r.behavior_text for r in requests])
             return [
                 ScoreResult(
                     user_id=r.user_id,
                     score=s,
-                    approved=s < threshold,
+                    approved=approves(s, threshold),
                     threshold=threshold,
                     cached=False,
                 )
@@ -1103,22 +1095,14 @@ def zigong_replica_factory(
             ]
 
         def encode(request: ScoreRequest):
-            prompt = CLASSIFICATION_TEMPLATE.format(
-                sentence=request.behavior_text, question=asked
-            )
-            return classifier._prompt_ids(prompt)
+            return classifier._prompt_ids(behavior_prompt(request.behavior_text))
 
         def finish(request: ScoreRequest, tokens: list[int]) -> ScoreResult:
-            # Generative read-out: the decoded answer text is parsed the
-            # same way the eval harness counts the Miss metric.  A miss
-            # scores 0.5 and is conservatively not approved.
-            text = tokenizer.decode(tokens)
-            label = parse_answer(text, "yes", "no")
-            score = 1.0 if label == 1 else 0.0 if label == 0 else 0.5
+            score, approved = generated_decision(tokenizer.decode(tokens))
             return ScoreResult(
                 user_id=request.user_id,
                 score=score,
-                approved=label == 0,
+                approved=approved,
                 threshold=threshold,
                 cached=False,
             )

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 from repro.errors import ServingError
 from repro.influence.store import TokenSet
 from repro.obs import Observability, get_observability
-from repro.serving.behavior_card import ExplainAuditEntry
+from repro.serving.behavior_card import APPROVE_ANSWER, DECLINE_ANSWER, ExplainAuditEntry
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,9 @@ class ExplainService:
     encode:
         ``(behavior_text, answer) -> TokenExample``: how a live request
         becomes a test example whose loss gradient is attributed.  The
-        answer is the *decided* one ("yes" for a decline under the
-        default-probability question), so the explanation covers the
-        decision actually made.
+        answer is the *decided* one
+        (:data:`~repro.serving.behavior_card.DECLINE_ANSWER` for a
+        decline), so the explanation covers the decision actually made.
     behavior_card:
         The :class:`~repro.serving.behavior_card.BehaviorCardService`
         that scores the request first and records both the decision and
@@ -184,7 +184,7 @@ class ExplainService:
             k=k,
         ):
             decision = self.behavior_card.decide(user_id, behavior_text)
-            answer = "no" if decision.approved else "yes"
+            answer = APPROVE_ANSWER if decision.approved else DECLINE_ANSWER
             test_example = self._encode(behavior_text, answer)
             # The request keeps the applicant's rows out of the store.
             # Token attribution runs first: the example's own row comes
@@ -260,7 +260,7 @@ class ExplainService:
         saved during that fine-tune; ``estimator`` picks the backend by
         name (``datainf`` / ``tracin`` / ``tracseq``).
         """
-        from repro.data.templates import CLASSIFICATION_TEMPLATE
+        from repro.data.templates import behavior_prompt
         from repro.influence import make_estimator
 
         service = behavior_card
@@ -272,14 +272,10 @@ class ExplainService:
             estimator, zigong.model, checkpoints, obs=obs, **estimator_kwargs
         )
         encoded = zigong.tokenize(train_examples)
-        question = service.config.question
         max_len = zigong.config.model.max_seq_len
 
         def encode(behavior_text: str, answer: str):
-            prompt = CLASSIFICATION_TEMPLATE.format(
-                sentence=behavior_text, question=question
-            )
-            input_ids, labels = zigong.tokenizer.encode_pair(prompt, answer)
+            input_ids, labels = zigong.tokenizer.encode_pair(behavior_prompt(behavior_text), answer)
             return input_ids[:max_len], labels[:max_len]
 
         return cls(

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.errors import ServingError
 from repro.obs import Observability, get_observability
+from repro.serving.behavior_card import DEFAULT_THRESHOLD, approves
 
 PSI_WATCH = 0.1
 PSI_DRIFT = 0.25
@@ -130,7 +131,7 @@ class DriftMonitor:
 
 @dataclass(frozen=True)
 class ShadowRecord:
-    """One request scored by both the primary and the shadow model."""
+    """One request scored by both models; a label is 1 for a served decline."""
 
     prompt: str
     primary_score: float
@@ -138,11 +139,11 @@ class ShadowRecord:
 
     @property
     def primary_label(self) -> int:
-        return int(self.primary_score >= 0.5)
+        return int(not approves(self.primary_score, DEFAULT_THRESHOLD))
 
     @property
     def shadow_label(self) -> int:
-        return int(self.shadow_score >= 0.5)
+        return int(not approves(self.shadow_score, DEFAULT_THRESHOLD))
 
 
 class ShadowDeployment:

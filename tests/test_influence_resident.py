@@ -201,5 +201,5 @@ class TestStoreIndependence:
         # training rows as its bound allows and no more.
         bound = estimator.store.max_entries
         assert bound < len(train)
-        kept = sum(estimator.store.contains(step, h, pkey) for h in train.hashes)
+        kept = len({(step, h, pkey) for h in train.hashes} & estimator.store._rows.keys())
         assert kept == len(estimator.store) == bound

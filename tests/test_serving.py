@@ -7,16 +7,7 @@ import pytest
 from repro.errors import ServingError
 from repro.serving import BehaviorCardConfig, BehaviorCardService, ScoreRequest
 
-
-class _StubClassifier:
-    """Deterministic scorer: P(default) derived from the text length."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def score(self, prompt, positive, negative):
-        self.calls += 1
-        return (len(prompt) % 10) / 10.0 + 0.05
+from conftest import StubClassifier
 
 
 class _Clock:
@@ -31,7 +22,7 @@ class _Clock:
 @pytest.fixture
 def service():
     return BehaviorCardService(
-        _StubClassifier(), BehaviorCardConfig(threshold=0.5, cache_size=4), clock=_Clock()
+        StubClassifier(), BehaviorCardConfig(threshold=0.5, cache_size=4), clock=_Clock()
     )
 
 
@@ -109,7 +100,7 @@ class TestStats:
         assert 0.0 <= stats.approval_rate <= 1.0
 
     def test_zero_requests(self):
-        service = BehaviorCardService(_StubClassifier())
+        service = BehaviorCardService(StubClassifier())
         assert service.stats.approval_rate == 0.0
         assert service.stats.cache_hit_rate == 0.0
 
