@@ -51,8 +51,7 @@ def traffic():
 def _make_service(classifier, traffic, obs):
     return BehaviorCardService(
         classifier,
-        BehaviorCardConfig(cache_size=4096, max_batch_size=8,
-                           queue_capacity=max(64, len(traffic))),
+        BehaviorCardConfig(max_batch_size=8, queue_capacity=max(64, len(traffic))),
         obs=obs,
     )
 

@@ -23,9 +23,11 @@ batched forward pass) so every timed run does identical work — a live
 between runs.
 
 The benchmark then runs a short outage scenario (injected transient
-faults, then a hard failure streak that trips the breaker) and renders
-the registry so the ``resilience.retry.*`` / ``resilience.breaker.*``
-counters appear in the recorded output alongside the serving metrics.
+faults, then a hard failure streak that trips the breaker, after which
+batches fail fast with :class:`~repro.errors.CircuitOpenError`) and
+renders the registry so the ``resilience.retry.*`` /
+``resilience.breaker.*`` counters appear in the recorded output
+alongside the serving metrics.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import time
 
 import numpy as np
 
+from repro.errors import CircuitOpenError, InjectedFault
 from repro.obs import Observability, render_registry
 from repro.resilience import CircuitBreaker, FaultInjector, RetryPolicy
 from repro.resilience.faults import fault_point
@@ -57,14 +60,8 @@ _W = np.linspace(-0.5, 0.5, 512 * 512, dtype=np.float32).reshape(512, 512)
 def synthetic_batch_fn(requests):
     h = np.tanh(_X[: len(requests)] @ _W) @ _W[:, :1]
     return [
-        ScoreResult(r.user_id, float(abs(s) % 1.0), bool(s < 0), 0.5, cached=False)
+        ScoreResult(r.user_id, float(abs(s) % 1.0), bool(s < 0), 0.5)
         for r, s in zip(requests, h[:, 0])
-    ]
-
-
-def fallback_fn(requests):
-    return [
-        ScoreResult(r.user_id, 0.9, False, 0.5, cached=False) for r in requests
     ]
 
 
@@ -78,7 +75,6 @@ def make_engine(resilient: bool, obs) -> MicroBatchEngine:
     return MicroBatchEngine(
         synthetic_batch_fn,
         EngineConfig(max_batch_size=8, queue_capacity=max(64, N_REQUESTS)),
-        fallback_fn=fallback_fn,
         obs=obs,
         **kwargs,
     )
@@ -148,12 +144,11 @@ def test_resilience_overhead():
 
     # An outage scenario, for the record: two transient forward faults
     # (absorbed by retries, callers never notice), then a hard failure
-    # streak that trips the breaker and routes traffic to the fallback.
+    # streak that trips the breaker, after which batches fail fast.
     obs = Observability.create()
     engine = MicroBatchEngine(
         synthetic_batch_fn,
         EngineConfig(max_batch_size=8, queue_capacity=max(64, N_REQUESTS)),
-        fallback_fn=fallback_fn,
         retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.001, obs=obs),
         breaker=CircuitBreaker(min_calls=2, window=4, obs=obs),
         obs=obs,
@@ -163,9 +158,11 @@ def test_resilience_overhead():
         healthy = engine.serve(traffic[:16])
     hard_down = FaultInjector(seed=0).fail_rate("serving.forward", 1.0)
     with hard_down.active():
-        degraded = engine.serve(traffic[16:48])
-    assert all(not r.degraded for r in healthy)
-    assert all(r.degraded for r in degraded)
+        outage = [engine.submit(request) for request in traffic[16:48]]
+        engine.drain()
+    assert len(healthy) == 16
+    assert all(isinstance(p.error, (InjectedFault, CircuitOpenError)) for p in outage)
+    assert isinstance(outage[-1].error, CircuitOpenError)  # tripped: failed fast
     assert engine.breaker.state == "open"
     report = render_registry(obs.metrics)
     assert "resilience.retry.attempts" in report

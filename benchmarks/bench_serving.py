@@ -81,7 +81,7 @@ def _requests_per_second(fn, n_requests: int) -> float:
 
 
 def _single_loop_rps(classifier, traffic) -> float:
-    service = BehaviorCardService(classifier, BehaviorCardConfig(cache_size=4096))
+    service = BehaviorCardService(classifier, BehaviorCardConfig())
 
     def run():
         for request in traffic:
@@ -93,7 +93,7 @@ def _single_loop_rps(classifier, traffic) -> float:
 def _batched_rps(classifier, traffic, max_batch_size: int) -> float:
     service = BehaviorCardService(
         classifier,
-        BehaviorCardConfig(cache_size=4096, max_batch_size=max_batch_size,
+        BehaviorCardConfig(max_batch_size=max_batch_size,
                            queue_capacity=max(64, len(traffic))),
     )
     return _requests_per_second(
@@ -133,14 +133,13 @@ def test_engine_accounting_under_load(classifier, traffic):
     """Batched traffic leaves the same audit/stats trail as sequential."""
     service = BehaviorCardService(
         classifier,
-        BehaviorCardConfig(cache_size=4096, max_batch_size=8,
-                           queue_capacity=len(traffic)),
+        BehaviorCardConfig(max_batch_size=8, queue_capacity=len(traffic)),
     )
     results = service.score_requests(traffic)
     assert len(results) == len(traffic)
-    assert service.stats.requests == len(traffic)
+    assert service.stats.completed == len(traffic)
     assert len(service.audit_log()) == len(traffic)
-    stats = service.engine.stats
+    stats = service.replicas[0].engine.stats
     assert stats.completed == len(traffic)
     assert stats.batches == -(-len(traffic) // 8)  # ceil division
     assert stats.mean_batch_size == pytest.approx(8.0)

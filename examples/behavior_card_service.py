@@ -1,7 +1,8 @@
 """Behavior Card service demo — the paper's production deployment.
 
 Fine-tunes a model on behavior data, stands up the scoring service and
-pushes loan-decision traffic through it (with caching and audit logs).
+pushes loan-decision traffic through it; every decision leaves one
+audit record.
 
 Run:  python examples/behavior_card_service.py
 """
@@ -32,13 +33,10 @@ def main() -> None:
     zigong.finetune(examples)
     print(f"operational model trained on {len(examples)} behavior windows")
 
-    # Stand up the Behavior Card service behind the micro-batching engine.
-    serving_config = BehaviorCardConfig(threshold=0.5, cache_size=64,
-                                        max_batch_size=4, queue_capacity=32)
-    service = BehaviorCardService(
-        zigong.classifier(), serving_config,
-        fallback_scorer=lambda text: 0.9,  # conservative degraded-mode score
-    )
+    # Stand up the Behavior Card service: a one-replica serving cluster
+    # whose replica micro-batches requests through the classifier.
+    serving_config = BehaviorCardConfig(threshold=0.5, max_batch_size=4, queue_capacity=32)
+    service = BehaviorCardService(zigong.classifier(), serving_config)
 
     # Incoming loan applications: the engine scores each micro-batch of
     # applicants in one padded forward pass.
@@ -53,22 +51,23 @@ def main() -> None:
         verdict = "APPROVE" if result.approved else "DECLINE"
         print(f"  {result.user_id}  P(default)={result.score:.3f}  -> {verdict}  "
               f"(batch of {result.batch_size})")
-    engine_stats = service.engine.stats
+    engine_stats = service.replicas[0].engine.stats
     print(f"engine: batches={engine_stats.batches}  "
           f"mean_batch_size={engine_stats.mean_batch_size:.1f}")
 
-    # A repeat request for user 0 hits the cache.
+    # A single decision takes the same path and is audited the same way.
     repeat = service.decide("user-000", fresh.row_text(0, last))
-    print(f"\nrepeat request cached: {repeat.cached}")
+    print(f"\nsingle decision for {repeat.user_id}: P(default)={repeat.score:.3f}")
 
-    stats = service.stats
-    print(f"requests={stats.requests}  approval_rate={stats.approval_rate:.2f}  "
-          f"cache_hit_rate={stats.cache_hit_rate:.2f}")
+    log = service.audit_log()
+    approvals = sum(entry["approved"] for entry in log)
+    print(f"decisions={service.stats.completed}  audit records={len(log)}  "
+          f"approval_rate={approvals / len(log):.2f}")
 
-    print("\nlast 3 audit entries:")
-    for entry in service.audit_log()[-3:]:
-        print(f"  {entry.timestamp:.0f}  {entry.user_id}  score={entry.score:.3f}  "
-              f"approved={entry.approved}")
+    print("\nlast 3 audit records:")
+    for entry in log[-3:]:
+        print(f"  {entry['ts']:.0f}  {entry['kind']}  {entry['user_id']}  "
+              f"score={entry['score']:.3f}  approved={entry['approved']}")
 
     # --- Production monitoring ----------------------------------------
     from repro.serving import DriftMonitor, ShadowDeployment

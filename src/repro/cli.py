@@ -411,6 +411,7 @@ def cmd_serve(args) -> int:
             queue_capacity=max(64, args.max_batch_size * 4),
         ),
         obs=obs,
+        audit_path=args.audit,
     )
     start = _time.perf_counter()
     with cluster:
@@ -445,6 +446,8 @@ def cmd_serve(args) -> int:
         obs.events.emit_metrics(obs.metrics)
         obs.events.close()
         print(f"events written to {args.events}; inspect with: repro obs report --events {args.events}")
+    if args.audit:
+        print(f"{len(results)} audit.decision records appended to {args.audit}")
     return 0
 
 
@@ -608,6 +611,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show", type=int, default=10, help="decisions to print")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--events", default=None, help="record an obs run file (for `repro obs report`)")
+    p.add_argument(
+        "--audit",
+        default=None,
+        help="append one JSON-lines audit.decision record per served decision to this file",
+    )
     p.set_defaults(fn=cmd_serve)
 
     sub.add_parser("table3", help="print the configuration table").set_defaults(fn=cmd_table3)

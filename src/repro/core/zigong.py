@@ -150,10 +150,6 @@ class ZiGong:
         """Generate an answer for a raw prompt string."""
         return self.classifier().generate_answer(prompt)
 
-    def generate_answer_batch(self, prompts: Sequence[str]) -> list[str]:
-        """Batched :meth:`generate_answer`: one decode loop for all prompts."""
-        return self.classifier().generate_answer_batch(list(prompts))
-
     def score_batch(
         self,
         prompts: Sequence[str],

@@ -10,7 +10,13 @@ import numpy as np
 from repro.errors import DataError
 from repro.datasets.base import TabularDataset
 from repro.datasets.behavior import BehaviorDataset
-from repro.data.templates import CLASSIFICATION_TEMPLATE, QA_TEMPLATE, behavior_prompt
+from repro.data.templates import (
+    APPROVE_ANSWER,
+    CLASSIFICATION_TEMPLATE,
+    DECLINE_ANSWER,
+    QA_TEMPLATE,
+    behavior_prompt,
+)
 from repro.tokenizer.base import BaseTokenizer
 
 
@@ -65,7 +71,7 @@ def build_behavior_examples(dataset: BehaviorDataset) -> list[InstructExample]:
         examples.append(
             InstructExample(
                 prompt=behavior_prompt(text),
-                answer="yes" if label == 1 else "no",
+                answer=DECLINE_ANSWER if label == 1 else APPROVE_ANSWER,
                 label=label,
                 timestamp=float(period),
                 meta={"dataset": "behavior", "user": user, "period": period},

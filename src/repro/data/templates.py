@@ -53,8 +53,10 @@ QA_TEMPLATE = PromptTemplate(
 
 # The Behavior Card task: the paper's deployed model is fine-tuned on
 # this one question and served behind it, so training, serving, shadow
-# scoring and explanations all build their prompt with behavior_prompt.
+# scoring and explanations all build their prompt with behavior_prompt
+# and read its answer words from here ("yes": the user defaults).
 BEHAVIOR_QUESTION = "will this user default on their loan"
+DECLINE_ANSWER, APPROVE_ANSWER = "yes", "no"
 
 
 def behavior_prompt(behavior_text: str) -> str:

@@ -66,8 +66,8 @@ class CircuitOpenError(ResilienceError):
     """A call was rejected because its circuit breaker is open.
 
     Raised by :meth:`repro.resilience.CircuitBreaker.call` (and checked
-    by the serving engine) so callers can route straight to a degraded
-    path instead of hammering a failing dependency.
+    by the serving engine) so callers fail fast instead of hammering a
+    failing dependency.
     """
 
 

@@ -59,15 +59,10 @@ class KVCacheSnapshot:
 
     Snapshots are safe to share: the arrays are copies marked
     read-only, so no amount of decoding on a cache rebuilt from one can
-    corrupt them.  ``length`` is the number of cached positions, which
-    is also the position decoding resumes from.
+    corrupt them.
     """
 
     layers: tuple[LayerKVSnapshot, ...]
-
-    @property
-    def length(self) -> int:
-        return self.layers[0].k.shape[2] if self.layers else 0
 
     @property
     def nbytes(self) -> int:
@@ -230,10 +225,6 @@ class KVCache:
     def next_position(self) -> int:
         return len(self.layers[0])
 
-    @property
-    def batch_size(self) -> int:
-        return self.layers[0].batch_size
-
     @classmethod
     def from_layers(cls, layers: list[LayerKVCache]) -> "KVCache":
         """A bundle of the given per-layer caches (not copied)."""
@@ -296,11 +287,6 @@ class PrefixCacheStats:
     evictions: int = 0
     rejected: int = 0  # inserts refused by the admission policy
     invalidations: int = 0  # full flushes after a model weight change
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class PrefixCache:

@@ -40,18 +40,6 @@ class Buffer:
     def __init__(self, data):
         self.data = np.asarray(data)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def nbytes(self) -> int:
-        return self.data.nbytes
-
 
 class Module:
     """Base class for neural network components.

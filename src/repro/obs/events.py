@@ -2,14 +2,15 @@
 
 Every event is one JSON object per line::
 
-    {"ts": 1722945600.0, "kind": "serving.batch", "size": 8, "degraded": false}
+    {"ts": 1722945600.0, "kind": "serving.batch", "size": 8, "queue_depth": 0}
 
 ``ts`` comes from the sink's injectable clock and ``kind`` namespaces the
 event (``span``, ``serving.batch``, ``training.epoch``, ``metrics`` ...).
 Events always land in a bounded in-memory ring (so tests and live
 debugging can inspect them) and, when the sink has a path, are appended
 to the file as they happen — a recorded run that ``repro obs report``
-can replay later.
+can replay later.  :meth:`EventSink.close` releases the file; a later
+event reopens it for appending.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ class EventSink:
         """Record one event; returns the event dict."""
         event = {"ts": self._clock(), "kind": kind, **fields}
         self._ring.append(event)
-        if self._file is not None:
+        if self.path is not None:
+            if self._file is None:
+                self._file = self.path.open("a", encoding="utf-8")
             self._file.write(json.dumps(event, default=str) + "\n")
             self._file.flush()
         return event

@@ -47,17 +47,6 @@ class Span:
     def duration_s(self) -> float:
         return max(0.0, self.end_s - self.start_s)
 
-    def to_dict(self) -> dict:
-        """JSON-able view of the subtree (used by the event sink)."""
-        return {
-            "name": self.name,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "status": self.status,
-            "attrs": self.attrs,
-            "children": [child.to_dict() for child in self.children],
-        }
-
 
 class _NullSpan:
     """Shared inert span handed out by a disabled tracer."""

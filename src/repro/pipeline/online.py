@@ -62,8 +62,8 @@ from repro.pipeline.state import (
     PipelineState,
 )
 from repro.resilience.faults import fault_point
-from repro.serving.behavior_card import default_scores
-from repro.serving.cluster import ClusterConfig, ClusterSupervisor, zigong_replica_factory
+from repro.serving.behavior_card import default_scores, zigong_replica_factory
+from repro.serving.cluster import ClusterConfig, ClusterSupervisor
 from repro.serving.engine import ScoreRequest
 from repro.serving.monitoring import DriftMonitor, ShadowDeployment
 from repro.training.checkpoint import CheckpointManager
@@ -118,22 +118,6 @@ class OnlineConfig:
             raise ConfigError("min_retrain_examples must be at least 1")
 
 
-class _ClusterScorer:
-    """Behavior-Card scoring through the live cluster (the primary path)."""
-
-    def __init__(self, cluster: ClusterSupervisor):
-        self.cluster = cluster
-        self._n = 0
-
-    def score(self, behavior_text: str, positive_text: str = "yes",
-              negative_text: str = "no") -> float:
-        self._n += 1
-        [result] = self.cluster.serve(
-            [ScoreRequest(user_id=f"pipeline-shadow-{self._n}", behavior_text=behavior_text)]
-        )
-        return float(result.score)
-
-
 class _CandidateScorer:
     """The shadow candidate scoring the same raw behavior text.
 
@@ -146,8 +130,9 @@ class _CandidateScorer:
     def __init__(self, candidate: ZiGong):
         self.candidate = candidate
 
-    def score(self, behavior_text: str, positive_text: str = "yes",
-              negative_text: str = "no") -> float:
+    def score(self, behavior_text: str, *_answers: str) -> float:
+        # ShadowDeployment passes the Behavior Card answer words, which
+        # default_scores reads itself.
         fault_point("pipeline.shadow.score")
         [score] = default_scores(self.candidate.classifier("pipeline-candidate"), [behavior_text])
         return score
@@ -330,13 +315,12 @@ class OnlinePipeline:
     def _score(self, requests: list[ScoreRequest]) -> list[float]:
         if not requests:
             return []
+        scores = [float(r.score) for r in self.cluster.serve(requests)]
         if self.state.phase == SHADOW and self._shadow is not None:
-            scores = [self._shadow.score(r.behavior_text) for r in requests]
+            for request, score in zip(requests, scores):
+                self._shadow.compare(request.behavior_text, score)
             self.state.shadow_scored = self._shadow.n_window
             self.state.save(self._state_path)
-        else:
-            results = self.cluster.serve(requests)
-            scores = [float(r.score) for r in results]
         self.monitor.observe_many(scores)
         return scores
 
@@ -429,7 +413,7 @@ class OnlinePipeline:
         if self._candidate is None:
             raise PipelineError("cannot arm shadow scoring without a candidate")
         self._shadow = ShadowDeployment(
-            _ClusterScorer(self.cluster),
+            None,  # production is the cluster, which _score serves first
             _CandidateScorer(self._candidate),
             window=self.config.shadow_window,
             obs=self.obs,

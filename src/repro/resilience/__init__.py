@@ -13,7 +13,7 @@ fault handling a first-class subsystem instead of ad-hoc ``try`` blocks:
   (:mod:`repro.resilience.faults`).
 
 Wired through :class:`repro.serving.MicroBatchEngine` (retry within the
-request deadline, breaker routing to the degraded fallback),
+request deadline, breaker failing batches fast while open),
 :class:`repro.training.Trainer` (exact crash-resume checkpoints) and
 :class:`repro.influence.ParallelInfluenceEngine` (crashed-worker
 requeue).  Policies, fault points and tuning live in

@@ -1,11 +1,10 @@
-"""Serving layer: the Behavior Card service, its two engines, monitoring."""
+"""Serving layer: the Behavior Card on a replica cluster, its two engines, monitoring."""
 
 from repro.serving.behavior_card import (
-    AuditEntry,
     BehaviorCardConfig,
     BehaviorCardService,
-    ExplainAuditEntry,
-    ServiceStats,
+    zigong_quantized_state,
+    zigong_replica_factory,
 )
 from repro.serving.cluster import (
     ClusterConfig,
@@ -15,8 +14,6 @@ from repro.serving.cluster import (
     Replica,
     ReplicaApp,
     ThreadTransport,
-    zigong_quantized_state,
-    zigong_replica_factory,
 )
 from repro.serving.continuous import ContinuousEngine, GenerationApp
 from repro.serving.engine import (
@@ -56,8 +53,6 @@ __all__ = [
     "zigong_quantized_state",
     "BehaviorCardService",
     "BehaviorCardConfig",
-    "AuditEntry",
-    "ServiceStats",
     "MicroBatchEngine",
     "ContinuousEngine",
     "GenerationApp",
@@ -76,7 +71,6 @@ __all__ = [
     "ExplainService",
     "ExplainConfig",
     "ExplainResult",
-    "ExplainAuditEntry",
     "InfluentialExample",
     "TokenAttribution",
 ]

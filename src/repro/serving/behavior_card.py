@@ -1,51 +1,46 @@
-"""Behavior Card service — the paper's production deployment surface.
+"""The Behavior Card — the paper's production deployment surface.
 
 "This method has been successfully deployed in our Behavior Card
 service, which supports the operational model in the loan process."
 
-The service wraps a fine-tuned classifier: behavior text in, default
-probability and approve/decline decision out, with an LRU response
-cache and an append-only audit log (both regulatory table stakes for
-credit decisioning).
+This module holds the Behavior Card decision and what serves it:
 
-Traffic flows through a :class:`~repro.serving.engine.MicroBatchEngine`:
-requests are admitted to a bounded queue, assembled into dynamic
-micro-batches and scored through one padded forward pass, with
-backpressure (:class:`~repro.errors.QueueFullError`), per-request
-deadlines and an optional degraded-mode fallback scorer.  The cache,
-audit log, stats and drift monitoring all sit inside the batch path, so
-batched and single-request traffic observe identical semantics.
+* the decision rule every path reads: :func:`default_scores` (one
+  ``score_batch`` over the Behavior Card prompts), :func:`approves` and
+  :func:`generated_decision`, and :func:`decision_batch_fn`, the one
+  replica scoring function built from the first two;
+* :func:`zigong_replica_factory`, replicas over private copies of a
+  ZiGong model, for a :class:`~repro.serving.cluster.ClusterSupervisor`;
+* :class:`BehaviorCardService`, that supervisor over one thread replica
+  scoring through a given classifier.
 
-API (see ``docs/serving.md``)::
+There is one front door: every served decision is resolved by a
+supervisor, which writes its ``audit.decision`` record
+(``docs/serving.md``).
 
-    config = BehaviorCardConfig(threshold=0.5, max_batch_size=8)
-    service = BehaviorCardService(zigong.classifier(), config)
-    results = service.score_requests([ScoreRequest("u1", "spend=low ...")])
-    result = service.decide("u2", "spend=high ...")  # one ScoreResult
+API::
+
+    service = BehaviorCardService(zigong.classifier(), BehaviorCardConfig(threshold=0.5))
+    result = service.decide("u1", "spend=low ...")  # one ScoreResult
+    results = service.score_requests([ScoreRequest("u2", "spend=high ...")])
+    service.audit_log()[-1]["kind"]  # "audit.decision"
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.errors import ServingError
 from repro.data.templates import BEHAVIOR_QUESTION as DEFAULT_QUESTION  # noqa: F401
-from repro.data.templates import behavior_prompt
+from repro.data.templates import APPROVE_ANSWER, DECLINE_ANSWER, behavior_prompt
+from repro.errors import ConfigError, ServingError
 from repro.eval.parsing import parse_answer
-from repro.obs import Observability, get_observability
-from repro.serving.engine import (
-    EngineConfig,
-    MicroBatchEngine,
-    ScoreRequest,
-    ScoreResult,
-)
+from repro.obs import Observability
+from repro.serving.cluster import ClusterConfig, ClusterSupervisor, ReplicaApp, ReplicaFactory
+from repro.serving.engine import BatchFn, ScoreRequest, ScoreResult
 
-# The Behavior Card decision, read by every serving path: a score is
-# P("yes", the user defaults) against "no".
-DECLINE_ANSWER, APPROVE_ANSWER = "yes", "no"
 DEFAULT_THRESHOLD = 0.5
 
 
@@ -70,21 +65,137 @@ def generated_decision(text: str) -> tuple[float, bool]:
     return score, label == 0
 
 
+def decision_batch_fn(classifier, threshold: float) -> BatchFn:
+    """A replica ``batch_fn``: one :func:`default_scores` pass, decided by :func:`approves`."""
+
+    def batch_fn(requests: list[ScoreRequest]) -> list[ScoreResult]:
+        scores = default_scores(classifier, [r.behavior_text for r in requests])
+        return [
+            ScoreResult(
+                user_id=r.user_id,
+                score=s,
+                approved=approves(s, threshold),
+                threshold=threshold,
+            )
+            for r, s in zip(requests, scores)
+        ]
+
+    return batch_fn
+
+
+def _replica_model(config, lora_applied: bool, state: dict, quantize: str | None):
+    """A private model loaded with ``state``, merged and quantized when ``quantize`` is set.
+
+    LoRA adapters mirror the source's, so its state dict loads one-to-one.
+    """
+    from repro.lora.inject import apply_lora, merge_lora
+    from repro.nn.quant import quantize_model
+    from repro.nn.transformer import MistralTiny
+
+    model = MistralTiny(config.model, rng=config.seed)
+    if lora_applied:
+        apply_lora(model, config.lora, rng=config.seed)
+    model.load_state_dict(state)
+    if quantize is not None:
+        merge_lora(model)
+        quantize_model(model, dtype=quantize)
+    return model
+
+
+def zigong_quantized_state(zigong) -> dict:
+    """Stage an int8 deploy payload from a (float, possibly LoRA) ZiGong.
+
+    Builds a throwaway replica model from the source weights, merges any
+    LoRA adapters, runs :func:`repro.nn.quantize_model` and returns its
+    ``state_dict()`` — the exact key/dtype layout that replicas built by
+    ``zigong_replica_factory(..., quantize="int8")`` expect, so the
+    result can be handed straight to
+    :meth:`ClusterSupervisor.deploy` for a stage->drain->swap rollout.
+    The source ``zigong`` is never mutated (checkpoints stay float).
+    """
+    lora = getattr(zigong, "_lora_applied", False)
+    return _replica_model(zigong.config, lora, zigong.model.state_dict(), "int8").state_dict()
+
+
+def zigong_replica_factory(
+    zigong,
+    threshold: float = DEFAULT_THRESHOLD,
+    quantize: str | None = None,
+) -> ReplicaFactory:
+    """A :class:`ReplicaFactory` serving Behavior Card decisions.
+
+    Each replica builds **its own** :class:`~repro.nn.transformer.MistralTiny`
+    instance (same config/seed as the source model, then loads its
+    weights) plus its own
+    :class:`~repro.baselines.lm.LMClassifier`/:class:`~repro.nn.cache.PrefixCache`
+    — replicas share nothing mutable, which is what makes fork
+    transport, kills and rolling swaps safe.  ``swap_weights`` loads a
+    staged state dict (bumping ``weight_version``, which flushes the
+    prefix cache on the next generate call).  Replicas score through
+    :func:`decision_batch_fn`, as :class:`BehaviorCardService` does.
+
+    With ``quantize="int8"`` every replica merges its LoRA adapters and
+    runs :func:`repro.nn.quantize_model` after loading the source
+    weights: replicas serve from int8 weights on the fused inference
+    kernel (~4x less weight memory per replica) while the source
+    ``zigong`` — and therefore training, influence and explain paths —
+    stays float.  Rolling deploys to quantized replicas must stage a
+    matching quantized state dict; :func:`zigong_quantized_state` builds
+    one from a float model.
+    """
+    from repro.baselines.lm import LMClassifier
+    from repro.serving.continuous import GenerationApp
+
+    if quantize not in (None, "int8"):
+        raise ConfigError(f"unsupported replica quantization {quantize!r}; use 'int8' or None")
+    config = zigong.config
+    tokenizer = zigong.tokenizer
+    lora_applied = getattr(zigong, "_lora_applied", False)
+    source_state = {k: v.copy() for k, v in zigong.model.state_dict().items()}
+
+    def factory(replica_id: int) -> ReplicaApp:
+        model = _replica_model(config, lora_applied, source_state, quantize)
+        classifier = LMClassifier(model, tokenizer, name=f"replica-{replica_id}")
+
+        def encode(request: ScoreRequest):
+            return classifier._prompt_ids(behavior_prompt(request.behavior_text))
+
+        def finish(request: ScoreRequest, tokens: list[int]) -> ScoreResult:
+            score, approved = generated_decision(tokenizer.decode(tokens))
+            return ScoreResult(
+                user_id=request.user_id, score=score, approved=approved, threshold=threshold
+            )
+
+        generation = GenerationApp(
+            model=model,
+            encode=encode,
+            finish=finish,
+            generation=classifier._generation_config(),
+            prefix_cache=classifier.prefix_cache,
+        )
+
+        return ReplicaApp(
+            batch_fn=decision_batch_fn(classifier, threshold),
+            swap_weights=model.load_state_dict,
+            weight_version=lambda: model.weight_version,
+            generation=generation,
+        )
+
+    return factory
+
+
 @dataclass(frozen=True)
 class BehaviorCardConfig:
-    """All serving knobs in one (validated, immutable) place.
+    """The service's knobs (validated, immutable).
 
     threshold:
         Approve when P(default) is strictly below this value.
-    cache_size:
-        Maximum number of cached (behavior text -> score) entries.
     max_batch_size / max_wait_s / queue_capacity:
-        Micro-batching engine knobs; see
+        The replica's micro-batching engine knobs; see
         :class:`~repro.serving.engine.EngineConfig`.
     """
 
     threshold: float = DEFAULT_THRESHOLD
-    cache_size: int = 1024
     max_batch_size: int = 8
     max_wait_s: float = 0.005
     queue_capacity: int = 64
@@ -92,68 +203,19 @@ class BehaviorCardConfig:
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise ServingError(f"threshold must be in (0, 1), got {self.threshold}")
-        if self.cache_size <= 0:
-            raise ServingError(f"cache_size must be positive, got {self.cache_size}")
-        self.engine_config()  # validate the engine knobs eagerly too
+        self.cluster_config()  # validate the engine knobs eagerly too
 
-    def engine_config(self) -> EngineConfig:
-        return EngineConfig(
+    def cluster_config(self) -> ClusterConfig:
+        return ClusterConfig(
+            replicas=1,
             max_batch_size=self.max_batch_size,
             max_wait_s=self.max_wait_s,
             queue_capacity=self.queue_capacity,
         )
 
 
-@dataclass(frozen=True)
-class AuditEntry:
-    """Immutable audit-log record of one decision."""
-
-    timestamp: float
-    user_id: str
-    score: float
-    approved: bool
-    prompt: str
-    degraded: bool = False
-
-
-@dataclass(frozen=True)
-class ExplainAuditEntry:
-    """Immutable audit record of one influence-explanation query.
-
-    Explanation queries disclose which training data shaped a decision;
-    model governance wants them as auditable as the decisions
-    themselves, so they land in the same append-only log (interleaved
-    with :class:`AuditEntry` decision records, in arrival order).
-    """
-
-    timestamp: float
-    user_id: str
-    estimator: str  # which DataInfluence backend answered
-    k: int
-    proponents: bool
-    approved: bool  # the decision being explained
-    top_indices: tuple[int, ...]  # train-set indices returned
-    top_scores: tuple[float, ...]
-
-
-@dataclass
-class ServiceStats:
-    requests: int = 0
-    cache_hits: int = 0
-    approvals: int = 0
-    degraded: int = 0
-
-    @property
-    def approval_rate(self) -> float:
-        return self.approvals / self.requests if self.requests else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.cache_hits / self.requests if self.requests else 0.0
-
-
-class BehaviorCardService:
-    """Loan-decision scoring service backed by a ZiGong classifier.
+class BehaviorCardService(ClusterSupervisor):
+    """Loan decisions from one classifier: a cluster of one thread replica.
 
     Parameters
     ----------
@@ -164,13 +226,10 @@ class BehaviorCardService:
     config:
         A :class:`BehaviorCardConfig` (defaults when omitted).
     clock:
-        Injected time source — audit timestamps and queue deadlines are
+        Injected time source — queue deadlines and audit timestamps are
         deterministic under test.
-    fallback_scorer:
-        Optional ``behavior_text -> P(default)`` callable for degraded
-        mode: when the model path raises, batches are re-scored through
-        it (results and audit entries flagged ``degraded``) so the
-        service keeps answering.
+    obs / audit_path:
+        As for :class:`~repro.serving.cluster.ClusterSupervisor`.
     """
 
     def __init__(
@@ -179,160 +238,34 @@ class BehaviorCardService:
         config: BehaviorCardConfig | None = None,
         *,
         clock: Callable[[], float] = time.time,
-        fallback_scorer: Callable[[str], float] | None = None,
         obs: Observability | None = None,
+        audit_path: str | Path | None = None,
     ):
+        config = config or BehaviorCardConfig()
         self.classifier = classifier
-        self.config = config or BehaviorCardConfig()
-        self._clock = clock
-        self._fallback = fallback_scorer
-        self._cache: OrderedDict[str, float] = OrderedDict()
-        self._audit: list[AuditEntry | ExplainAuditEntry] = []
-        self.stats = ServiceStats()
-        self.obs = obs or get_observability()
-        metrics = self.obs.metrics
-        self._m_requests = metrics.counter("behavior_card.requests")
-        self._m_cache_hits = metrics.counter("behavior_card.cache_hits")
-        self._m_approvals = metrics.counter("behavior_card.approvals")
-        self._m_degraded = metrics.counter("behavior_card.degraded")
-        self._h_score = metrics.histogram("behavior_card.score")
-        self.engine = MicroBatchEngine(
-            batch_fn=self._score_batch_fn,
-            config=self.config.engine_config(),
-            fallback_fn=self._fallback_batch_fn if fallback_scorer is not None else None,
+        app = ReplicaApp(batch_fn=decision_batch_fn(classifier, config.threshold))
+        super().__init__(
+            lambda replica_id: app,
+            config.cluster_config(),
             clock=clock,
-            obs=self.obs,
+            obs=obs,
+            audit_path=audit_path,
         )
-
-    # ------------------------------------------------------------------
-    # Scoring internals (these run *inside* the engine's batch path)
-    # ------------------------------------------------------------------
-
-    def _score_texts(self, texts: Sequence[str]) -> tuple[list[float], list[bool]]:
-        """Cache-aware batched scoring: misses share one forward pass.
-
-        Duplicate texts within a batch are scored once; later occurrences
-        count as cache hits, matching what sequential ``decide`` calls
-        would have observed.
-        """
-        scores: list[float | None] = [None] * len(texts)
-        cached = [False] * len(texts)
-        first_seen: dict[str, list[int]] = {}
-        miss_texts: list[str] = []
-        for i, text in enumerate(texts):
-            if text in self._cache:
-                self._cache.move_to_end(text)
-                scores[i] = self._cache[text]
-                cached[i] = True
-            elif text in first_seen:
-                first_seen[text].append(i)
-                cached[i] = True
-            else:
-                first_seen[text] = [i]
-                miss_texts.append(text)
-        if miss_texts:
-            fresh = default_scores(self.classifier, miss_texts)
-            for text, score in zip(miss_texts, fresh):
-                for i in first_seen[text]:
-                    scores[i] = score
-                self._cache[text] = score
-                if len(self._cache) > self.config.cache_size:
-                    self._cache.popitem(last=False)
-        return scores, cached  # type: ignore[return-value]
-
-    def _finish(
-        self, user_id: str, behavior_text: str, score: float, cached: bool,
-        degraded: bool = False,
-    ) -> ScoreResult:
-        """Record one decision (stats + audit) and build its result."""
-        approved = approves(score, self.config.threshold)
-        self.stats.requests += 1
-        self.stats.cache_hits += int(cached)
-        self.stats.approvals += int(approved)
-        self.stats.degraded += int(degraded)
-        self._m_requests.inc()
-        self._m_cache_hits.inc(int(cached))
-        self._m_approvals.inc(int(approved))
-        self._m_degraded.inc(int(degraded))
-        self._h_score.observe(score)
-        self._audit.append(
-            AuditEntry(
-                timestamp=self._clock(),
-                user_id=user_id,
-                score=score,
-                approved=approved,
-                prompt=behavior_prompt(behavior_text),
-                degraded=degraded,
-            )
-        )
-        return ScoreResult(
-            user_id=user_id,
-            score=score,
-            approved=approved,
-            threshold=self.config.threshold,
-            cached=cached,
-            degraded=degraded,
-        )
-
-    def _score_batch_fn(self, requests: list[ScoreRequest]) -> list[ScoreResult]:
-        """The engine's primary batch path: cache, one forward pass, audit.
-
-        ``engine.submit`` has already rejected empty behavior text.
-        """
-        scores, cached = self._score_texts([r.behavior_text for r in requests])
-        return [
-            self._finish(r.user_id, r.behavior_text, s, c)
-            for r, s, c in zip(requests, scores, cached)
-        ]
-
-    def _fallback_batch_fn(self, requests: list[ScoreRequest]) -> list[ScoreResult]:
-        """Degraded mode: keep answering via the fallback scorer."""
-        assert self._fallback is not None
-        return [
-            self._finish(
-                r.user_id,
-                r.behavior_text,
-                float(self._fallback(r.behavior_text)),
-                cached=False,
-                degraded=True,
-            )
-            for r in requests
-        ]
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
 
     def decide(self, user_id: str, behavior_text: str) -> ScoreResult:
-        """Score a user's behavior summary and record the decision."""
-        if not behavior_text.strip():
-            raise ServingError("behavior_text must be non-empty")
-        scores, cached = self._score_texts([behavior_text])
-        return self._finish(user_id, behavior_text, scores[0], cached[0])
+        """Score one applicant's behavior summary; the decision is audited."""
+        [result] = self.serve([ScoreRequest(user_id, behavior_text)])
+        return result
 
     def score_requests(self, requests: Sequence[ScoreRequest]) -> list[ScoreResult]:
-        """Score requests through the micro-batching engine (unified API).
+        """Serve requests in queue-capacity-sized waves.
 
-        Requests are admitted in queue-capacity-sized waves so arbitrarily
-        long lists never trip the engine's own backpressure; use
-        ``service.engine.submit`` directly for per-request admission
-        control under concurrent load.
+        Long lists never trip the replica's own backpressure; use
+        ``submit`` for per-request admission control under concurrent
+        load.
         """
-        results: list[ScoreResult] = []
         wave = self.config.queue_capacity
+        results: list[ScoreResult] = []
         for start in range(0, len(requests), wave):
-            results.extend(self.engine.serve(list(requests[start : start + wave])))
+            results.extend(self.serve(requests[start : start + wave]))
         return results
-
-    def record_explanation(self, entry: ExplainAuditEntry) -> None:
-        """Append one influence-explanation query to the audit log.
-
-        Called by :class:`~repro.serving.explain.ExplainService` for
-        every query it serves; the entry sits next to the
-        :class:`AuditEntry` of the decision it explains.
-        """
-        self._audit.append(entry)
-
-    def audit_log(self) -> list[AuditEntry | ExplainAuditEntry]:
-        """A copy of the append-only audit log (decisions + explanations)."""
-        return list(self._audit)

@@ -32,11 +32,18 @@ auto-restart of dead workers), scaled to this reproduction:
   entry survives a deploy.  Replicas restarted mid- or post-deploy
   re-apply the staged weights, so a crash cannot resurrect old ones.
 
+* **Audit** — the supervisor writes one ``audit.decision`` record per
+  request it resolves, in the parent process, so a request redispatched
+  off a crashed replica is still recorded exactly once.  Records land in
+  the supervisor's own :class:`~repro.obs.EventSink`: a bounded ring
+  (:meth:`ClusterSupervisor.audit_log`) plus an append-only JSON-lines
+  file when ``audit_path`` is given.
+
 Every lifecycle transition lands on the observability hub as a
 ``cluster.replica`` event plus ``cluster.*`` counters and gauges
-(``docs/serving.md`` documents the names); ``repro serve --replicas N``
-is the CLI front end and ``benchmarks/bench_serving.py`` measures the
-scaling curve.
+(``docs/serving.md`` documents the names and the audit record);
+``repro serve --replicas N`` is the CLI front end and
+``benchmarks/bench_serving.py`` measures the scaling curve.
 
 Drive modes mirror the engine: **synchronous** (``submit`` +
 ``pump``/``drain``/``serve``, plus explicit ``check_health()`` — fully
@@ -52,20 +59,20 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from repro.data.templates import behavior_prompt
 from repro.errors import (
     ClusterError,
-    ConfigError,
     DeadlineExceededError,
     QueueFullError,
     ReplicaCrashedError,
     ServingError,
 )
-from repro.obs import Observability, get_observability
+from repro.obs import EventSink, Observability, get_observability
 from repro.resilience import CircuitBreaker
 from repro.resilience.faults import fault_point
-from repro.serving.behavior_card import DEFAULT_THRESHOLD, approves, default_scores, generated_decision
 from repro.serving.engine import (
     BatchFn,
     EngineConfig,
@@ -83,6 +90,9 @@ DEAD = "dead"
 
 # Calls in each replica breaker's rolling failure-rate window.
 BREAKER_WINDOW = 8
+
+# Audit records each supervisor keeps in memory (the file keeps them all).
+AUDIT_RING = 10_000
 
 
 @dataclass
@@ -531,6 +541,10 @@ class ClusterSupervisor:
     obs:
         Observability hub shared by the supervisor and every
         parent-side engine.
+    audit_path:
+        Append-only JSON-lines file that receives every audit record
+        (decisions and explanations) as it is written; without it the
+        records live only in the bounded in-memory ring.
     """
 
     def __init__(
@@ -540,10 +554,12 @@ class ClusterSupervisor:
         clock: Callable[[], float] = time.time,
         breaker_clock: Callable[[], float] = time.monotonic,
         obs: Observability | None = None,
+        audit_path: str | Path | None = None,
     ):
         self.config = config or ClusterConfig()
         self._factory = factory
         self._clock = clock
+        self._audit = EventSink(audit_path, clock=clock, max_events=AUDIT_RING)
         self.obs = obs or get_observability()
         metrics = self.obs.metrics
         self._m_submitted = metrics.counter("cluster.submitted")
@@ -619,11 +635,6 @@ class ClusterSupervisor:
         with self._lock:
             return sum(r.state == HEALTHY for r in self._replicas)
 
-    @property
-    def outstanding(self) -> int:
-        with self._lock:
-            return sum(r.outstanding for r in self._replicas)
-
     def weight_versions(self) -> dict[int, int | None]:
         """Per-replica model weight version (None where unsupported)."""
         versions: dict[int, int | None] = {}
@@ -636,6 +647,18 @@ class ClusterSupervisor:
 
     def _event(self, kind: str, **fields) -> None:
         self.obs.event(kind, **fields)
+
+    # -- audit ---------------------------------------------------------
+
+    def audit_log(self) -> list[dict]:
+        """The in-memory audit records, oldest first (a copy)."""
+        with self._lock:
+            return self._audit.events()
+
+    def record_explanation(self, **fields) -> dict:
+        """Append one ``audit.explain`` record next to the decisions."""
+        with self._lock:
+            return self._audit.emit("audit.explain", **fields)
 
     def _set_state(self, replica: Replica, state: str) -> None:
         """Record a lifecycle transition (lock held or single-threaded)."""
@@ -689,6 +712,7 @@ class ClusterSupervisor:
                 self._set_state(replica, STARTING)
         with self._lock:
             self._launched = False
+            self._audit.close()
 
     def __enter__(self) -> "ClusterSupervisor":
         self.start()
@@ -789,6 +813,16 @@ class ClusterSupervisor:
         if error is None:
             result = replace(engine_pending.result(timeout=0), replica=replica.id)
             replica.breaker.record_success()
+            with self._lock:  # one whole file line per record, in resolve order
+                self._audit.emit(
+                    "audit.decision",
+                    user_id=result.user_id,
+                    score=result.score,
+                    approved=result.approved,
+                    threshold=result.threshold,
+                    replica=replica.id,
+                    prompt=behavior_prompt(pending.request.behavior_text),
+                )
             self.stats.completed += 1
             self._m_completed.inc()
             pending._resolve(result)
@@ -999,127 +1033,3 @@ class ClusterSupervisor:
             f"replica {replica.id} failed to drain within {timeout}s "
             f"({replica.outstanding} outstanding)"
         )
-
-
-# ----------------------------------------------------------------------
-# ZiGong wiring
-# ----------------------------------------------------------------------
-
-
-def _replica_model(config, lora_applied: bool, state: dict, quantize: str | None):
-    """A private model loaded with ``state``, merged and quantized when ``quantize`` is set.
-
-    LoRA adapters mirror the source's, so its state dict loads one-to-one.
-    """
-    from repro.lora.inject import apply_lora, merge_lora
-    from repro.nn.quant import quantize_model
-    from repro.nn.transformer import MistralTiny
-
-    model = MistralTiny(config.model, rng=config.seed)
-    if lora_applied:
-        apply_lora(model, config.lora, rng=config.seed)
-    model.load_state_dict(state)
-    if quantize is not None:
-        merge_lora(model)
-        quantize_model(model, dtype=quantize)
-    return model
-
-
-def zigong_quantized_state(zigong) -> dict:
-    """Stage an int8 deploy payload from a (float, possibly LoRA) ZiGong.
-
-    Builds a throwaway replica model from the source weights, merges any
-    LoRA adapters, runs :func:`repro.nn.quantize_model` and returns its
-    ``state_dict()`` — the exact key/dtype layout that replicas built by
-    ``zigong_replica_factory(..., quantize="int8")`` expect, so the
-    result can be handed straight to
-    :meth:`ClusterSupervisor.deploy` for a stage->drain->swap rollout.
-    The source ``zigong`` is never mutated (checkpoints stay float).
-    """
-    lora = getattr(zigong, "_lora_applied", False)
-    return _replica_model(zigong.config, lora, zigong.model.state_dict(), "int8").state_dict()
-
-
-def zigong_replica_factory(
-    zigong,
-    threshold: float = DEFAULT_THRESHOLD,
-    quantize: str | None = None,
-) -> ReplicaFactory:
-    """A :class:`ReplicaFactory` serving Behavior Card decisions.
-
-    Each replica builds **its own** :class:`~repro.nn.transformer.MistralTiny`
-    instance (same config/seed as the source model, then loads its
-    weights) plus its own
-    :class:`~repro.baselines.lm.LMClassifier`/:class:`~repro.nn.cache.PrefixCache`
-    — replicas share nothing mutable, which is what makes fork
-    transport, kills and rolling swaps safe.  ``swap_weights`` loads a
-    staged state dict (bumping ``weight_version``, which flushes the
-    prefix cache on the next generate call).  Prompts and decisions are
-    :mod:`repro.serving.behavior_card`'s, as in the service.
-
-    With ``quantize="int8"`` every replica merges its LoRA adapters and
-    runs :func:`repro.nn.quantize_model` after loading the source
-    weights: replicas serve from int8 weights on the fused inference
-    kernel (~4x less weight memory per replica) while the source
-    ``zigong`` — and therefore training, influence and explain paths —
-    stays float.  Rolling deploys to quantized replicas must stage a
-    matching quantized state dict; :func:`zigong_quantized_state` builds
-    one from a float model.
-    """
-    from repro.baselines.lm import LMClassifier
-    from repro.data.templates import behavior_prompt
-    from repro.serving.continuous import GenerationApp
-
-    if quantize not in (None, "int8"):
-        raise ConfigError(f"unsupported replica quantization {quantize!r}; use 'int8' or None")
-    config = zigong.config
-    tokenizer = zigong.tokenizer
-    lora_applied = getattr(zigong, "_lora_applied", False)
-    source_state = {k: v.copy() for k, v in zigong.model.state_dict().items()}
-
-    def factory(replica_id: int) -> ReplicaApp:
-        model = _replica_model(config, lora_applied, source_state, quantize)
-        classifier = LMClassifier(model, tokenizer, name=f"replica-{replica_id}")
-
-        def batch_fn(requests: list[ScoreRequest]) -> list[ScoreResult]:
-            scores = default_scores(classifier, [r.behavior_text for r in requests])
-            return [
-                ScoreResult(
-                    user_id=r.user_id,
-                    score=s,
-                    approved=approves(s, threshold),
-                    threshold=threshold,
-                    cached=False,
-                )
-                for r, s in zip(requests, scores)
-            ]
-
-        def encode(request: ScoreRequest):
-            return classifier._prompt_ids(behavior_prompt(request.behavior_text))
-
-        def finish(request: ScoreRequest, tokens: list[int]) -> ScoreResult:
-            score, approved = generated_decision(tokenizer.decode(tokens))
-            return ScoreResult(
-                user_id=request.user_id,
-                score=score,
-                approved=approved,
-                threshold=threshold,
-                cached=False,
-            )
-
-        generation = GenerationApp(
-            model=model,
-            encode=encode,
-            finish=finish,
-            generation=classifier._generation_config(),
-            prefix_cache=classifier.prefix_cache,
-        )
-
-        return ReplicaApp(
-            batch_fn=batch_fn,
-            swap_weights=model.load_state_dict,
-            weight_version=lambda: model.weight_version,
-            generation=generation,
-        )
-
-    return factory

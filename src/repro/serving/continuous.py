@@ -27,7 +27,7 @@ rolling deploys and the chaos suite all apply.  The per-step
 the supervisor's redispatch callback moves the traffic elsewhere.
 
 Failure semantics differ from micro-batch scoring on purpose: there is
-no retry/fallback path, because a half-decoded stream is not
+no retry, because a half-decoded stream is not
 re-enterable — a mid-decode fault fails the affected streams and the
 caller (or the cluster's redispatch) decides whether to resubmit.
 """

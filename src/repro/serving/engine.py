@@ -16,16 +16,15 @@ that architecture to the laptop-scale reproduction:
   ``serve``/``drain`` and the threaded worker live here too.  Each
   engine is this core plus one step policy (its ``pump``).
 * :class:`MicroBatchEngine` — the scoring step policy: one padded
-  forward per batch, with retry, circuit breaker and an optional
-  fallback scorer that keeps the service answering (flagged
-  ``degraded``) when the model path raises.
+  forward per batch, with optional retry and circuit breaker; when the
+  model path raises, the batch's requests fail with that error.
   :class:`~repro.serving.continuous.ContinuousEngine` is the other
   step policy (streaming decode).
 * :class:`EngineStats` — throughput / queue-depth counters.
 
 The engine is instrumented through :class:`repro.obs.Observability`
 (metric names in ``docs/observability.md``): admission / expiry /
-degradation counters, a queue-depth gauge, batch-size and latency
+failure counters, a queue-depth gauge, batch-size and latency
 histograms, and ``serving.batch`` / ``serving.forward`` trace spans.
 Instrumentation is on by default and costs well under 3 % of serving
 throughput (``benchmarks/bench_obs_overhead.py``); pass
@@ -33,16 +32,15 @@ throughput (``benchmarks/bench_obs_overhead.py``); pass
 
 Fault containment is delegated to :mod:`repro.resilience`
 (``docs/resilience.md``): an optional :class:`RetryPolicy` retries the
-primary scorer within the request deadline, and an optional
-:class:`CircuitBreaker` routes traffic straight to the degraded
-fallback while the primary path is known-broken, instead of paying a
-failing forward pass per batch.
+scorer within the request deadline, and an optional
+:class:`CircuitBreaker` fails batches fast with
+:class:`~repro.errors.CircuitOpenError` while the scorer is
+known-broken, instead of paying a failing forward pass per batch.
 
 The engine is transport-agnostic: it schedules any
-``batch_fn(list[ScoreRequest]) -> list[ScoreResult]``.
-:class:`~repro.serving.behavior_card.BehaviorCardService` supplies one
-that runs its cache, audit log and stats, so batched traffic observes
-identical semantics to single-request ``decide`` calls.
+``batch_fn(list[ScoreRequest]) -> list[ScoreResult]``.  The serving
+cluster (:mod:`repro.serving.cluster`) runs one per replica and writes
+each resolved decision's audit record.
 
 Two drive modes:
 
@@ -96,8 +94,6 @@ class ScoreResult:
     score: float  # P(default)
     approved: bool
     threshold: float
-    cached: bool
-    degraded: bool = False  # scored by the fallback path
     latency_s: float = 0.0  # enqueue -> completion on the engine clock
     batch_size: int = 1  # size of the batch this request rode in
     replica: int | None = None  # which cluster replica scored it (None: single engine)
@@ -138,8 +134,7 @@ class EngineStats:
     completed: int = 0
     rejected: int = 0  # QueueFullError admissions
     expired: int = 0  # deadline passed in-queue
-    failed: int = 0  # model path raised and no fallback absorbed it
-    degraded: int = 0  # answered by the fallback scorer
+    failed: int = 0  # model path raised
     batches: int = 0
     max_queue_depth: int = 0
 
@@ -297,7 +292,6 @@ class ServingEngine:
         self._m_rejected = metrics.counter("serving.rejected")
         self._m_expired = metrics.counter("serving.expired")
         self._m_failed = metrics.counter("serving.failed")
-        self._m_degraded = metrics.counter("serving.degraded")
         self._m_completed = metrics.counter("serving.completed")
         self._m_withdrawn = metrics.counter("serving.withdrawn")
         self._g_queue_depth = metrics.gauge("serving.queue_depth")
@@ -348,7 +342,7 @@ class ServingEngine:
 
         The deadline boundary is inclusive: a request whose deadline
         equals the current clock is still admitted, and once admitted it
-        always gets its one attempt (a primary scoring, or a decode).
+        always gets its one attempt (a scoring, or a decode).
         """
         taken: list[tuple[PendingResult, float]] = []
         expired: list[PendingResult] = []
@@ -448,10 +442,6 @@ class ServingEngine:
     # Threaded worker
     # ------------------------------------------------------------------
 
-    @property
-    def running(self) -> bool:
-        return self._running
-
     def start(self) -> None:
         """Launch the background worker loop (idempotent)."""
         if self._running:
@@ -513,30 +503,24 @@ class MicroBatchEngine(ServingEngine):
     ----------
     batch_fn:
         Scores a non-empty list of requests and returns one
-        :class:`ScoreResult` per request, in order.
+        :class:`ScoreResult` per request, in order.  When it raises,
+        the error propagates to each caller's :class:`PendingResult`.
     config:
         Batching / admission knobs (:class:`EngineConfig`).
-    fallback_fn:
-        Optional degraded-mode scorer with the same signature as
-        ``batch_fn``.  When the primary path raises, the batch is
-        re-scored through the fallback and every result is flagged
-        ``degraded=True``; without a fallback the error propagates to
-        each caller's :class:`PendingResult`.
     clock:
-        Injected time source — deadlines, latency accounting and (via
-        the service's ``batch_fn``) audit timestamps are all
+        Injected time source — deadlines and latency accounting are
         deterministic under test.
     retry_policy:
-        Optional :class:`~repro.resilience.RetryPolicy` around the
-        primary ``batch_fn``.  Transient faults are retried with
+        Optional :class:`~repro.resilience.RetryPolicy` around
+        ``batch_fn``.  Transient faults are retried with
         backoff, bounded by the earliest request deadline in the batch
         (on the engine clock), so retries never outlive the callers.
     breaker:
         Optional :class:`~repro.resilience.CircuitBreaker`.  Each
-        batch's primary-path outcome feeds the breaker; while it is
-        open the engine skips the primary scorer entirely and routes
-        straight to ``fallback_fn`` (results flagged ``degraded``)
-        instead of hammering a failing model.
+        batch's outcome feeds the breaker; while it is open the engine
+        skips the scorer entirely and fails the batch with
+        :class:`~repro.errors.CircuitOpenError` instead of hammering a
+        failing model.
     obs:
         Observability hub; defaults to the process-wide hub from
         :func:`repro.obs.get_observability`.  Pass
@@ -547,7 +531,6 @@ class MicroBatchEngine(ServingEngine):
         self,
         batch_fn: BatchFn,
         config: EngineConfig | None = None,
-        fallback_fn: BatchFn | None = None,
         clock: Callable[[], float] = time.time,
         retry_policy: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
@@ -555,7 +538,6 @@ class MicroBatchEngine(ServingEngine):
     ):
         super().__init__(config, clock, obs)
         self._batch_fn = batch_fn
-        self._fallback_fn = fallback_fn
         self._retry = retry_policy
         self._breaker = breaker
 
@@ -586,10 +568,10 @@ class MicroBatchEngine(ServingEngine):
     # Scoring
     # ------------------------------------------------------------------
 
-    def _attempt_primary(
+    def _attempt(
         self, requests: list[ScoreRequest], deadline: float | None
     ) -> list[ScoreResult]:
-        """One primary-path scoring, retried under the policy if present."""
+        """One scoring of the batch, retried under the policy if present."""
 
         def attempt() -> list[ScoreResult]:
             fault_point("serving.forward", batch_size=len(requests))
@@ -608,10 +590,6 @@ class MicroBatchEngine(ServingEngine):
             budget = max(0.0, deadline - self._clock())
         return self._retry.call(attempt, budget_s=budget)
 
-    def _score_batch(self, batch: list[tuple[PendingResult, float]]) -> None:
-        with self.obs.span("serving.batch", batch_size=len(batch)) as span:
-            self._score_batch_inner(batch, span)
-
     def _batch_deadline(self, batch: list[tuple[PendingResult, float]]) -> float | None:
         """Earliest request deadline in the batch (bounds retry backoff)."""
         deadlines = [
@@ -621,71 +599,42 @@ class MicroBatchEngine(ServingEngine):
         ]
         return min(deadlines) if deadlines else None
 
-    def _score_batch_inner(self, batch: list[tuple[PendingResult, float]], span) -> None:
-        requests = [pending.request for pending, _ in batch]
-        pendings = [pending for pending, _ in batch]
-        degraded = False
-        results: list[ScoreResult] | None = None
-        primary_error: BaseException | None = None
-        forward_start = self._clock()
-        if self._breaker is not None and not self._breaker.allow():
-            # Tripped breaker: don't touch the failing primary path at
-            # all; the degraded fallback answers immediately.
-            primary_error = CircuitOpenError(
-                "serving circuit breaker is open; primary scorer bypassed"
-            )
-        else:
+    def _score_batch(self, batch: list[tuple[PendingResult, float]]) -> None:
+        with self.obs.span("serving.batch", batch_size=len(batch)):
+            requests = [pending.request for pending, _ in batch]
+            pendings = [pending for pending, _ in batch]
+            forward_start = self._clock()
+            if self._breaker is not None and not self._breaker.allow():
+                # Tripped breaker: fail fast without touching the failing scorer.
+                self._fail(pendings, CircuitOpenError("serving circuit breaker is open; scorer bypassed"))
+                return
             try:
                 with self.obs.span("serving.forward", batch_size=len(batch)):
-                    results = self._attempt_primary(requests, self._batch_deadline(batch))
+                    results = self._attempt(requests, self._batch_deadline(batch))
             except Exception as error:
-                primary_error = error
                 if self._breaker is not None:
                     self._breaker.record_failure()
-            else:
-                if self._breaker is not None:
-                    self._breaker.record_success()
-        if results is None:
-            assert primary_error is not None
-            if self._fallback_fn is None:
-                self._fail(pendings, primary_error)
+                self._fail(pendings, error)
                 return
-            try:
-                results = self._fallback_fn(requests)
-            except Exception as fallback_error:
-                self._fail(pendings, fallback_error)
+            if self._breaker is not None:
+                self._breaker.record_success()
+            self._h_forward.observe(max(0.0, self._clock() - forward_start))
+            if len(results) != len(batch):
+                self._fail(
+                    pendings,
+                    ServingError(
+                        f"batch_fn returned {len(results)} results for {len(batch)} requests"
+                    ),
+                )
                 return
-            degraded = True
-        self._h_forward.observe(max(0.0, self._clock() - forward_start))
-        if len(results) != len(batch):
-            self._fail(
-                pendings,
-                ServingError(
-                    f"batch_fn returned {len(results)} results for {len(batch)} requests"
-                ),
-            )
-            return
-        now = self._clock()
-        self.stats.batches += 1
-        self._h_batch_size.observe(len(batch))
-        span.attrs["degraded"] = degraded
-        for (pending, enqueued_at), result in zip(batch, results):
-            latency = max(0.0, now - enqueued_at)
-            result = replace(
-                result,
-                degraded=degraded or result.degraded,
-                latency_s=latency,
-                batch_size=len(batch),
-            )
-            self.stats.completed += 1
-            self.stats.degraded += int(result.degraded)
-            self._m_completed.inc()
-            self._m_degraded.inc(int(result.degraded))
-            self._h_latency.observe(latency)
-            pending._resolve(result)
-        self.obs.event(
-            "serving.batch",
-            size=len(batch),
-            degraded=degraded,
-            queue_depth=self.queue_depth,
-        )
+            now = self._clock()
+            self.stats.batches += 1
+            self._h_batch_size.observe(len(batch))
+            for (pending, enqueued_at), result in zip(batch, results):
+                latency = max(0.0, now - enqueued_at)
+                result = replace(result, latency_s=latency, batch_size=len(batch))
+                self.stats.completed += 1
+                self._m_completed.inc()
+                self._h_latency.observe(latency)
+                pending._resolve(result)
+            self.obs.event("serving.batch", size=len(batch), queue_depth=self.queue_depth)

@@ -6,9 +6,10 @@ that drove the model toward this decision.  A query answers with the
 top-k influential examples from any
 :class:`~repro.influence.api.DataInfluence` estimator (DataInf by
 default: one gradient row per example at the final checkpoint, no
-replay), and every query is recorded in the Behavior Card audit log next
-to the decision it explains — model governance wants attribution
-queries as auditable as decisions.  A query's gradient rows — the
+replay), and every query is recorded as an ``audit.explain`` record in
+the Behavior Card audit log, next to the ``audit.decision`` record of
+the decision it explains — model governance wants attribution queries
+as auditable as decisions.  A query's gradient rows — the
 applicant's example and its per-token variants — share one batched
 backward pass per checkpoint and belong to the query: they are dropped
 when it ends, so the estimator's store holds training rows only.
@@ -16,14 +17,13 @@ when it ends, so the estimator's store holds training rows only.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro.data.templates import APPROVE_ANSWER, DECLINE_ANSWER
 from repro.errors import ServingError
 from repro.influence.store import TokenSet
 from repro.obs import Observability, get_observability
-from repro.serving.behavior_card import APPROVE_ANSWER, DECLINE_ANSWER, ExplainAuditEntry
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class ExplainResult:
     score: float  # P(default)
     approved: bool
     threshold: float
-    cached: bool
     estimator: str
     influential: tuple[InfluentialExample, ...]
     token_attribution: TokenAttribution
@@ -100,12 +99,13 @@ class ExplainService:
         ``(behavior_text, answer) -> TokenExample``: how a live request
         becomes a test example whose loss gradient is attributed.  The
         answer is the *decided* one
-        (:data:`~repro.serving.behavior_card.DECLINE_ANSWER` for a
-        decline), so the explanation covers the decision actually made.
+        (:data:`~repro.data.templates.DECLINE_ANSWER` for a decline),
+        so the explanation covers the decision actually made.
     behavior_card:
         The :class:`~repro.serving.behavior_card.BehaviorCardService`
-        that scores the request first and records both the decision and
-        the :class:`~repro.serving.behavior_card.ExplainAuditEntry`.
+        that decides the request first; its audit log gets the
+        decision's ``audit.decision`` and the query's ``audit.explain``
+        record.
     train_texts:
         Optional human-readable snippet per training example, surfaced
         on :class:`InfluentialExample`.
@@ -122,7 +122,6 @@ class ExplainService:
         config: ExplainConfig | None = None,
         train_texts: Sequence[str] | None = None,
         decode: Callable[[int], str] | None = None,
-        clock: Callable[[], float] = time.time,
         obs: Observability | None = None,
     ):
         if not train_examples:
@@ -139,7 +138,6 @@ class ExplainService:
         self.config = config or ExplainConfig()
         self._encode = encode
         self._decode = decode
-        self._clock = clock
         self.obs = obs or get_observability()
         metrics = self.obs.metrics
         self._m_requests = metrics.counter("explain.requests")
@@ -208,16 +206,13 @@ class ExplainService:
             if scores:
                 self._h_top_score.observe(scores[0])
             self.behavior_card.record_explanation(
-                ExplainAuditEntry(
-                    timestamp=self._clock(),
-                    user_id=user_id,
-                    estimator=self.estimator.estimator_name,
-                    k=k,
-                    proponents=proponents,
-                    approved=decision.approved,
-                    top_indices=tuple(indices),
-                    top_scores=tuple(scores),
-                )
+                user_id=user_id,
+                estimator=self.estimator.estimator_name,
+                k=k,
+                proponents=proponents,
+                approved=decision.approved,
+                top_indices=indices,
+                top_scores=scores,
             )
             self.obs.event(
                 "serving.explain.audited",
@@ -230,7 +225,6 @@ class ExplainService:
                 score=decision.score,
                 approved=decision.approved,
                 threshold=decision.threshold,
-                cached=decision.cached,
                 estimator=self.estimator.estimator_name,
                 influential=tuple(
                     InfluentialExample(index=i, score=s, text=self._train_text(i))

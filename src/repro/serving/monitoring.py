@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.data.templates import APPROVE_ANSWER, DECLINE_ANSWER
 from repro.errors import ServingError
 from repro.obs import Observability, get_observability
 from repro.serving.behavior_card import DEFAULT_THRESHOLD, approves
@@ -150,7 +151,10 @@ class ShadowDeployment:
     """Score live traffic with a candidate model alongside production.
 
     Only the primary's score is returned to callers; the shadow's output
-    is recorded for offline comparison.  The shadow is strictly
+    is recorded for offline comparison.  :meth:`score` asks ``primary``
+    first; a caller that serves production itself (the online pipeline
+    serves through its cluster) passes ``primary=None`` and hands each
+    served score to :meth:`compare` instead.  The shadow is strictly
     best-effort: a shadow exception is counted (``monitoring.shadow_errors``)
     and the primary score is served as if the shadow did not exist.
 
@@ -175,12 +179,16 @@ class ShadowDeployment:
         self._m_disagreements = self.obs.metrics.counter("monitoring.shadow_disagreements")
         self._m_errors = self.obs.metrics.counter("monitoring.shadow_errors")
 
-    def score(self, prompt: str, positive_text: str = "yes", negative_text: str = "no") -> float:
-        primary_score = float(self.primary.score(prompt, positive_text, negative_text))
+    def score(self, prompt: str) -> float:
+        """Score ``prompt`` on the primary, then compare the shadow on it."""
+        return self.compare(prompt, float(self.primary.score(prompt, DECLINE_ANSWER, APPROVE_ANSWER)))
+
+    def compare(self, prompt: str, primary_score: float) -> float:
+        """Score ``prompt`` on the shadow against a served ``primary_score``; returns the latter."""
         self._total_requests += 1
         self._m_requests.inc()
         try:
-            shadow_score = float(self.shadow.score(prompt, positive_text, negative_text))
+            shadow_score = float(self.shadow.score(prompt, DECLINE_ANSWER, APPROVE_ANSWER))
         except Exception as error:
             # A shadow must never take down live scoring: count the failure
             # and serve the production answer.  No record is kept — window

@@ -141,9 +141,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def __len__(self) -> int:
-        return self.data.shape[0]
-
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"
@@ -261,9 +258,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         return self + (-Tensor._coerce(other))
 
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor._coerce(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
         out = Tensor._result(self.data * other.data, (self, other))
@@ -295,9 +289,6 @@ class Tensor:
 
             out._backward = _backward
         return out
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor._coerce(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):

@@ -230,7 +230,7 @@ def make_stub_service(**kwargs):
     from repro.serving import BehaviorCardConfig, BehaviorCardService
 
     defaults = dict(
-        config=BehaviorCardConfig(cache_size=32, max_batch_size=4, queue_capacity=8),
+        config=BehaviorCardConfig(max_batch_size=4, queue_capacity=8),
         clock=StepClock(),
     )
     defaults.update(kwargs)
@@ -257,13 +257,13 @@ def stub_finish(request, tokens: list[int]):
     from repro.serving import ScoreResult
 
     score = (sum(tokens) % 10) / 10.0 + 0.05
-    return ScoreResult(request.user_id, score, score < 0.5, 0.5, False)
+    return ScoreResult(request.user_id, score, score < 0.5, 0.5)
 
 
 def stub_batch_fn(requests):
     from repro.serving import ScoreResult
 
-    return [ScoreResult(r.user_id, 0.1, True, 0.5, False) for r in requests]
+    return [ScoreResult(r.user_id, 0.1, True, 0.5) for r in requests]
 
 
 def make_generation_app(model, **overrides):

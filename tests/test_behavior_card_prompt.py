@@ -86,7 +86,7 @@ class TestOnePrompt:
         service = BehaviorCardService(zigong.classifier())
         service.decide("u1", text)
         [audit] = service.audit_log()
-        assert audit.prompt == examples[0].prompt
+        assert audit["prompt"] == examples[0].prompt
 
         replica = zigong_replica_factory(zigong)(0)
         replica_ids = list(replica.generation.encode(ScoreRequest("u1", text)))
@@ -100,7 +100,7 @@ class TestOnePrompt:
         # service, replica batch_fn, shadow candidate: each scored one prompt.
         assert len(scored_prompts) == 3
         for ids in (
-            prompt_ids(audit.prompt),
+            prompt_ids(audit["prompt"]),
             replica_ids,
             explained,
             *(prompt_ids(p) for p in scored_prompts),

@@ -277,6 +277,21 @@ class TestServeCommand:
         out = capsys.readouterr().out
         assert "alice" in out and "bob" in out
 
+    def test_audit_file_has_one_record_per_decision(self, model_dir, tmp_path, capsys):
+        from repro.obs import read_events
+
+        audit = tmp_path / "audit.jsonl"
+        code = main([
+            "serve", "--model", str(model_dir), "--replicas", "2",
+            "--synthetic", "6", "--audit", str(audit),
+        ])
+        assert code == 0
+        assert "6 audit.decision records appended" in capsys.readouterr().out
+        records = read_events(audit)
+        assert [r["kind"] for r in records] == ["audit.decision"] * 6
+        assert len({r["user_id"] for r in records}) == 6
+        assert {r["replica"] for r in records} <= {0, 1}
+
     def test_requires_exactly_one_source(self, model_dir, capsys):
         assert main(["serve", "--model", str(model_dir)]) == 2
         assert main([

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.errors import QueueFullError
 from repro.serving import ClusterConfig, ClusterSupervisor, ScoreRequest
-from repro.serving.cluster import zigong_replica_factory
+from repro.serving.behavior_card import zigong_replica_factory
 from repro.tensor import is_grad_enabled, no_grad
 
 

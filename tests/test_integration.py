@@ -92,4 +92,4 @@ class TestPipelineToService:
 
     def test_audit_log_covers_all_requests(self, deployed):
         _, _, service = deployed
-        assert len(service.audit_log()) == service.stats.requests
+        assert len(service.audit_log()) == service.stats.completed

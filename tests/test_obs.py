@@ -304,7 +304,7 @@ class TestServingWiring:
     def make_service(self, obs, **config_kwargs):
         from repro.serving import BehaviorCardConfig, BehaviorCardService
 
-        defaults = dict(cache_size=32, max_batch_size=4, queue_capacity=8)
+        defaults = dict(max_batch_size=4, queue_capacity=8)
         defaults.update(config_kwargs)
         return BehaviorCardService(
             _StubClassifier(), BehaviorCardConfig(**defaults), obs=obs
@@ -317,10 +317,12 @@ class TestServingWiring:
         service = self.make_service(obs)
         service.score_requests([ScoreRequest(f"u{i}", f"x={i}") for i in range(6)])
         counters = obs.metrics.snapshot()["counters"]
-        assert counters["serving.submitted"] == service.engine.stats.submitted == 6
-        assert counters["serving.completed"] == service.engine.stats.completed == 6
-        assert counters["behavior_card.requests"] == 6
-        assert counters["behavior_card.approvals"] == 6  # 0.25 < 0.5 threshold
+        stats = service.replicas[0].engine.stats
+        assert counters["serving.submitted"] == stats.submitted == 6
+        assert counters["serving.completed"] == stats.completed == 6
+        assert counters["cluster.completed"] == service.stats.completed == 6
+        # 0.25 < 0.5 threshold: every audited decision approves.
+        assert [entry["approved"] for entry in service.audit_log()] == [True] * 6
 
     def test_latency_histogram_and_stats_quantiles(self):
         from repro.serving import ScoreRequest
@@ -336,13 +338,12 @@ class TestServingWiring:
 
         obs = Observability.create()
         service = self.make_service(obs, queue_capacity=2)
-        engine = service.engine
-        engine.submit(ScoreRequest("a", "x=1"))
-        engine.submit(ScoreRequest("b", "x=2"))
+        service.submit(ScoreRequest("a", "x=1"))
+        service.submit(ScoreRequest("b", "x=2"))
         with pytest.raises(QueueFullError):
-            engine.submit(ScoreRequest("c", "x=3"))
+            service.submit(ScoreRequest("c", "x=3"))
         assert obs.metrics.counter("serving.rejected").value == 1
-        engine.drain()
+        service.drain()
 
     def test_queue_depth_gauge_tracks_queue(self):
         from repro.serving import ScoreRequest
@@ -350,9 +351,9 @@ class TestServingWiring:
         obs = Observability.create()
         service = self.make_service(obs)
         gauge = obs.metrics.gauge("serving.queue_depth")
-        service.engine.submit(ScoreRequest("a", "x=1"))
+        service.submit(ScoreRequest("a", "x=1"))
         assert gauge.value == 1
-        service.engine.drain()
+        service.drain()
         assert gauge.value == 0
 
     def test_batch_spans_recorded(self):
@@ -364,7 +365,7 @@ class TestServingWiring:
         aggregates = obs.tracer.aggregates()
         assert aggregates["serving.batch"]["count"] >= 1
         assert aggregates["serving.forward"]["count"] >= 1
-        root = obs.tracer.roots[0]
+        root = next(r for r in obs.tracer.roots if r.name != "cluster.launch")
         assert root.name == "serving.batch"
         assert [child.name for child in root.children] == ["serving.forward"]
 

@@ -414,15 +414,14 @@ class ScriptedScorer:
         self.calls += 1
         if self.calls <= self.fail_first:
             raise RuntimeError("scorer down")
-        return [
-            ScoreResult(r.user_id, 0.2, True, 0.5, cached=False) for r in requests
-        ]
+        return [ScoreResult(r.user_id, 0.2, True, 0.5) for r in requests]
 
 
-def fallback_fn(requests):
-    return [
-        ScoreResult(r.user_id, 0.9, False, 0.5, cached=False) for r in requests
-    ]
+def serve_one(engine, user_id: str):
+    """Submit one request and drain; returns its finalized PendingResult."""
+    pending = engine.submit(ScoreRequest(user_id, "text"))
+    engine.drain()
+    return pending
 
 
 class TestEngineRetry:
@@ -437,18 +436,18 @@ class TestEngineRetry:
         )
         engine = MicroBatchEngine(
             scorer, EngineConfig(max_batch_size=4),
-            fallback_fn=fallback_fn, clock=clock, retry_policy=policy, obs=obs,
+            clock=clock, retry_policy=policy, obs=obs,
         )
         results = engine.serve(
             [ScoreRequest("u1", "pays on time", deadline=clock.now + 5.0)]
         )
-        assert results[0].degraded is False  # primary answered after retries
+        assert results[0].score == 0.2  # the scorer answered after retries
         assert scorer.calls == 3
         counters = obs.metrics.snapshot()["counters"]
         assert counters["resilience.retry.attempts"] == 3
         assert counters["resilience.retry.retries"] == 2
 
-    def test_no_budget_to_retry_falls_back(self):
+    def test_no_budget_to_retry_fails_after_one_attempt(self):
         clock = Clock()
         sleep = SleepRecorder(clock)
         obs = Observability.disabled()
@@ -458,14 +457,12 @@ class TestEngineRetry:
             sleep=sleep, clock=clock, obs=obs,
         )
         engine = MicroBatchEngine(
-            scorer, EngineConfig(),
-            fallback_fn=fallback_fn, clock=clock, retry_policy=policy, obs=obs,
+            scorer, EngineConfig(), clock=clock, retry_policy=policy, obs=obs,
         )
-        # Deadline leaves no room for a 1s backoff: one attempt, then fallback.
-        results = engine.serve(
-            [ScoreRequest("u1", "pays on time", deadline=clock.now + 0.5)]
-        )
-        assert results[0].degraded is True
+        # Deadline leaves no room for a 1s backoff: one attempt, then the error.
+        pending = engine.submit(ScoreRequest("u1", "pays on time", deadline=clock.now + 0.5))
+        engine.drain()
+        assert isinstance(pending.error, RuntimeError)
         assert scorer.calls == 1
 
 
@@ -476,29 +473,26 @@ class TestEngineBreaker:
             reset_timeout_s=10.0, clock=clock, obs=obs,
         )
         engine = MicroBatchEngine(
-            scorer, EngineConfig(max_batch_size=2),
-            fallback_fn=fallback_fn, clock=clock,
+            scorer, EngineConfig(max_batch_size=2), clock=clock,
             retry_policy=retry, breaker=breaker, obs=obs,
         )
         return engine, breaker
 
-    def test_trip_routes_to_fallback_without_primary_calls(self):
+    def test_trip_fails_fast_without_primary_calls(self):
         clock = Clock()
         obs = Observability.create()
         scorer = ScriptedScorer(fail_first=1000)
         engine, breaker = self.make_engine(scorer, clock, obs)
 
-        # Two failing batches trip the breaker; every request is still
-        # answered (degraded), never an unhandled exception.
+        # Two failing batches trip the breaker; each request fails with
+        # the scorer's error, never an unhandled exception.
         for i in range(2):
-            result = engine.serve([ScoreRequest(f"u{i}", "text")])[0]
-            assert result.degraded is True
+            assert isinstance(serve_one(engine, f"u{i}").error, RuntimeError)
         assert breaker.state == OPEN
         calls_when_tripped = scorer.calls
 
-        result = engine.serve([ScoreRequest("u9", "text")])[0]
-        assert result.degraded is True
-        assert scorer.calls == calls_when_tripped  # primary path bypassed
+        assert isinstance(serve_one(engine, "u9").error, CircuitOpenError)
+        assert scorer.calls == calls_when_tripped  # scorer bypassed
         counters = obs.metrics.snapshot()["counters"]
         assert counters["resilience.breaker.open"] >= 1
         assert counters["resilience.breaker.rejected"] >= 1
@@ -510,14 +504,14 @@ class TestEngineBreaker:
         engine, breaker = self.make_engine(scorer, clock, obs)
 
         for i in range(2):
-            engine.serve([ScoreRequest(f"u{i}", "text")])
+            serve_one(engine, f"u{i}")
         assert breaker.state == OPEN
 
         # Scorer heals; once the reset timeout elapses the next batch is
         # the half-open probe and closes the breaker.
         clock.advance(11.0)
         result = engine.serve([ScoreRequest("u3", "text")])[0]
-        assert result.degraded is False
+        assert result.score == 0.2
         assert breaker.state == CLOSED
         counters = obs.metrics.snapshot()["counters"]
         assert counters["resilience.breaker.half_open"] == 1
@@ -536,7 +530,7 @@ class TestEngineBreaker:
         )
         engine, _ = self.make_engine(scorer, clock, obs, retry=policy)
         for i in range(3):
-            engine.serve([ScoreRequest(f"u{i}", "text")])
+            serve_one(engine, f"u{i}")
         registry = render_registry(obs.metrics)
         assert "resilience.breaker.open" in registry
         assert "resilience.retry.attempts" in registry

@@ -51,7 +51,6 @@ def stub_app(replica_id: int, threshold: float = 0.5, version_box: dict | None =
                     score=score,
                     approved=score < threshold,
                     threshold=threshold,
-                    cached=False,
                 )
             )
         return results

@@ -46,7 +46,6 @@ def stub_factory(replica_id: int) -> ReplicaApp:
                 score=(len(r.behavior_text) % 10) / 10.0 + 0.05,
                 approved=True,
                 threshold=0.5,
-                cached=False,
             )
             for r in requests
         ]

@@ -227,7 +227,7 @@ class TestClusterIntegration:
         def plain_factory(replica_id: int) -> ReplicaApp:
             return ReplicaApp(
                 batch_fn=lambda reqs: [
-                    ScoreResult(r.user_id, 0.1, True, 0.5, False) for r in reqs
+                    ScoreResult(r.user_id, 0.1, True, 0.5) for r in reqs
                 ]
             )
 
@@ -264,7 +264,7 @@ class TestClusterIntegration:
         cluster.stop()
 
     def test_zigong_factory_builds_generation_bundle(self, fitted_zigong):
-        from repro.serving.cluster import zigong_replica_factory
+        from repro.serving.behavior_card import zigong_replica_factory
 
         factory = zigong_replica_factory(fitted_zigong)
         app = factory(0)

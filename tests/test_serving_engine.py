@@ -30,17 +30,16 @@ from conftest import make_stub_service as make_service
 
 class TestConfigAPI:
     def test_config_object_init(self):
-        config = BehaviorCardConfig(threshold=0.4, cache_size=16, max_batch_size=2)
+        config = BehaviorCardConfig(threshold=0.4, max_batch_size=2)
         service = BehaviorCardService(_StubClassifier(), config)
-        assert service.config.threshold == 0.4
+        assert service.config.replicas == 1
         assert service.config.max_batch_size == 2
-        assert service.engine.config.max_batch_size == 2
+        assert service.replicas[0].engine.config.max_batch_size == 2
+        assert service.decide("u1", "a=1").threshold == 0.4
 
     def test_config_validation(self):
         with pytest.raises(ServingError):
             BehaviorCardConfig(threshold=0.0)
-        with pytest.raises(ServingError):
-            BehaviorCardConfig(cache_size=0)
         with pytest.raises(ServingError):
             EngineConfig(max_batch_size=0)
         with pytest.raises(ServingError):
@@ -78,7 +77,7 @@ class TestBatchSingleParity:
     def test_model_parity(self, fitted_zigong, german_examples):
         """Engine micro-batches match ``decide`` one-by-one to 1e-6."""
         texts = [e.prompt[:80] for e in german_examples[:6]]
-        config = BehaviorCardConfig(cache_size=64, max_batch_size=3)
+        config = BehaviorCardConfig(max_batch_size=3)
         single = BehaviorCardService(fitted_zigong.classifier(), config)
         batched = BehaviorCardService(fitted_zigong.classifier(), config)
         one_by_one = [single.decide(f"u{i}", t).score for i, t in enumerate(texts)]
@@ -179,44 +178,29 @@ class TestBackpressure:
             [ScoreRequest(f"u{i}", f"t={i}") for i in range(30)]
         )
         assert len(results) == 30
-        assert service.engine.stats.rejected == 0
+        assert service.replicas[0].engine.stats.rejected == 0
 
     def test_max_queue_depth_tracked(self):
         service = make_service()
         for i in range(5):
-            service.engine.submit(ScoreRequest(f"u{i}", f"t={i}"))
-        service.engine.drain()
-        assert service.engine.stats.max_queue_depth == 5
+            service.submit(ScoreRequest(f"u{i}", f"t={i}"))
+        service.drain()
+        assert service.replicas[0].engine.stats.max_queue_depth == 5
 
 
 class TestDeadlines:
     def test_future_deadline_scored(self):
         clock = _Clock()
         service = make_service(clock=clock)
-        pending = service.engine.submit(
+        pending = service.submit(
             ScoreRequest("u1", "t=1", deadline=clock.now + 1e6)
         )
-        service.engine.drain()
+        service.drain()
         assert pending.result(timeout=0).score > 0
 
 
 class TestDegradedMode:
-    def test_fallback_keeps_answering(self):
-        service = BehaviorCardService(
-            _StubClassifier(fail=True),
-            BehaviorCardConfig(max_batch_size=4, queue_capacity=8),
-            clock=_Clock(),
-            fallback_scorer=lambda text: 0.25,
-        )
-        results = service.score_requests(
-            [ScoreRequest(f"u{i}", f"t={i}") for i in range(3)]
-        )
-        assert all(r.degraded for r in results)
-        assert all(r.score == 0.25 for r in results)
-        assert all(r.approved for r in results)
-        assert service.engine.stats.degraded == 3
-        assert service.stats.degraded == 3
-        assert all(entry.degraded for entry in service.audit_log())
+    """There is no degraded mode: a failing model fails its requests."""
 
     def test_no_fallback_propagates_error(self):
         service = BehaviorCardService(
@@ -224,17 +208,12 @@ class TestDegradedMode:
             BehaviorCardConfig(max_batch_size=4, queue_capacity=8),
             clock=_Clock(),
         )
-        pending = service.engine.submit(ScoreRequest("u1", "t=1"))
-        service.engine.drain()
+        pending = service.submit(ScoreRequest("u1", "t=1"))
+        service.drain()
         with pytest.raises(RuntimeError):
             pending.result(timeout=0)
-        assert service.engine.stats.failed == 1
-
-    def test_healthy_path_not_degraded(self):
-        service = make_service(fallback_scorer=lambda text: 0.25)
-        results = service.score_requests([ScoreRequest("u1", "t=1")])
-        assert not results[0].degraded
-        assert service.stats.degraded == 0
+        assert service.replicas[0].engine.stats.failed == 1
+        assert service.audit_log() == []  # no decision, no record
 
 
 class TestUnifiedAPI:
@@ -249,23 +228,6 @@ class TestUnifiedAPI:
     def test_empty_batch(self):
         assert make_service().score_requests([]) == []
 
-    def test_batched_traffic_shares_cache_and_stats(self):
-        service = make_service()
-        service.decide("u1", "same=text")
-        results = service.score_requests([ScoreRequest("u2", "same=text")])
-        assert results[0].cached
-        assert service.stats.cache_hits == 1
-        assert service.stats.requests == 2
-
-    def test_duplicates_within_batch_scored_once(self):
-        service = make_service()
-        results = service.score_requests(
-            [ScoreRequest("u1", "same"), ScoreRequest("u2", "same")]
-        )
-        assert service.classifier.calls == 1
-        assert results[0].score == results[1].score
-        assert not results[0].cached and results[1].cached
-
     def test_result_metadata(self):
         service = make_service()
         results = service.score_requests(
@@ -273,7 +235,7 @@ class TestUnifiedAPI:
         )
         assert all(r.batch_size == 4 for r in results)
         assert all(r.latency_s >= 0 for r in results)
-        assert service.engine.stats.mean_batch_size == 4.0
+        assert service.replicas[0].engine.stats.mean_batch_size == 4.0
 
 
 class TestDeterministicClock:
@@ -281,7 +243,7 @@ class TestDeterministicClock:
         clock = _Clock(now=0.0)
         service = make_service(clock=clock)
         service.score_requests([ScoreRequest("u1", "a=1"), ScoreRequest("u2", "b=2")])
-        stamps = [entry.timestamp for entry in service.audit_log()]
+        stamps = [entry["ts"] for entry in service.audit_log()]
         # Every tick comes from the injected clock — no wall-clock reads.
         assert all(float(s).is_integer() for s in stamps)
         assert stamps == sorted(stamps)
@@ -300,7 +262,6 @@ class TestThreadedWorker:
                     score=0.1,
                     approved=True,
                     threshold=0.5,
-                    cached=False,
                 )
                 for r in requests
             ]
@@ -318,7 +279,7 @@ class TestThreadedWorker:
     def test_stop_drains_remaining(self):
         engine = MicroBatchEngine(
             lambda reqs: [
-                ScoreResult(r.user_id, 0.1, True, 0.5, False) for r in reqs
+                ScoreResult(r.user_id, 0.1, True, 0.5) for r in reqs
             ],
             EngineConfig(max_batch_size=2, queue_capacity=16),
         )
@@ -356,24 +317,24 @@ class TestEngineEdgeCases:
         clock = _Clock()
         service = make_service(clock=clock)
         classifier = service.classifier
-        pending = service.engine.submit(
+        pending = service.submit(
             ScoreRequest("u1", "t=1", deadline=0.0)  # already in the past
         )
-        service.engine.drain()
+        service.drain()
         with pytest.raises(DeadlineExceededError):
             pending.result(timeout=0)
-        assert service.engine.stats.expired == 1
+        assert service.replicas[0].engine.stats.expired == 1
         assert classifier.calls == 0  # never reached the model
 
     def test_pump_empty_queue_is_noop(self):
         service = make_service()
-        assert service.engine.pump() == 0
-        service.engine.drain()  # idempotent on empty queue
-        assert service.engine.stats.submitted == 0
-        assert service.engine.stats.completed == 0
+        assert service.pump() == 0
+        service.drain()  # idempotent on empty queue
+        assert service.replicas[0].engine.stats.submitted == 0
+        assert service.replicas[0].engine.stats.completed == 0
 
     def test_serve_empty_list(self):
-        assert make_service().engine.serve([]) == []
+        assert make_service().serve([]) == []
 
     def test_burst_load_no_lost_or_double_scored(self):
         """Concurrent submitters against the threaded worker: every request
@@ -386,7 +347,7 @@ class TestEngineEdgeCases:
         def batch_fn(requests):
             with lock:
                 scored.extend(r.user_id for r in requests)
-            return [ScoreResult(r.user_id, 0.1, True, 0.5, False) for r in requests]
+            return [ScoreResult(r.user_id, 0.1, True, 0.5) for r in requests]
 
         engine = MicroBatchEngine(
             batch_fn,
@@ -418,24 +379,6 @@ class TestEngineEdgeCases:
         assert engine.stats.completed == len(expected)
         assert engine.stats.failed == 0
 
-    def test_degraded_fallback_counters(self):
-        from repro.obs import Observability
-
-        obs = Observability.create()
-        service = BehaviorCardService(
-            _StubClassifier(fail=True),
-            BehaviorCardConfig(max_batch_size=4, queue_capacity=8),
-            clock=_Clock(),
-            fallback_scorer=lambda text: 0.25,
-            obs=obs,
-        )
-        service.score_requests([ScoreRequest(f"u{i}", f"t={i}") for i in range(3)])
-        counters = obs.metrics.snapshot()["counters"]
-        assert counters["serving.degraded"] == service.engine.stats.degraded == 3
-        assert counters["serving.completed"] == 3
-        assert counters["behavior_card.degraded"] == 3
-        assert counters["serving.failed"] == 0  # fallback answered; no failures
-
     def test_failed_batch_counter_without_fallback(self):
         from repro.obs import Observability
 
@@ -446,15 +389,15 @@ class TestEngineEdgeCases:
             clock=_Clock(),
             obs=obs,
         )
-        pending = service.engine.submit(ScoreRequest("u1", "t=1"))
-        service.engine.drain()
+        pending = service.submit(ScoreRequest("u1", "t=1"))
+        service.drain()
         with pytest.raises(RuntimeError):
             pending.result(timeout=0)
         assert obs.metrics.counter("serving.failed").value == 1
 
 
 def _ok_batch_fn(requests):
-    return [ScoreResult(r.user_id, 0.1, True, 0.5, False) for r in requests]
+    return [ScoreResult(r.user_id, 0.1, True, 0.5) for r in requests]
 
 
 class TestExpiryCallbackReentrancy:
@@ -592,7 +535,7 @@ class TestPendingResultStreaming:
     def test_emit_after_finalize_raises(self):
         pending = self._pending()
         pending._emit_token(3)
-        pending._resolve(ScoreResult("u1", 0.1, True, 0.5, False))
+        pending._resolve(ScoreResult("u1", 0.1, True, 0.5))
         with pytest.raises(ServingError):
             pending._emit_token(4)
         assert pending.stream == (3,)  # prefix preserved

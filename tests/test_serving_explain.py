@@ -4,7 +4,8 @@ Pins the serving acceptance point: an online "why was this applicant
 declined" query returns the top-k influential training examples plus
 per-token scores, emits the ``explain.*`` counters and the
 ``serving.explain.query`` span, and lands in the Behavior Card audit
-log as an :class:`ExplainAuditEntry` next to the decision it explains.
+log as an ``audit.explain`` record next to the ``audit.decision``
+record of the decision it explains.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import pytest
 from repro.errors import ServingError
 from repro.obs import Observability
 from repro.serving import (
-    AuditEntry,
-    ExplainAuditEntry,
     ExplainConfig,
     ExplainResult,
     ExplainService,
@@ -77,17 +76,18 @@ class TestExplainAudit:
         before = len(service.behavior_card.audit_log())
         service.explain("audited-user", text, k=2)
         log = service.behavior_card.audit_log()
-        # One decision entry + one explanation entry, in that order.
+        # One decision record + one explanation record, in that order.
         new = log[before:]
-        assert [type(e) for e in new] == [AuditEntry, ExplainAuditEntry]
-        explanation = new[-1]
-        assert explanation.user_id == "audited-user"
-        assert explanation.estimator == "datainf"
-        assert explanation.k == 2
-        assert explanation.proponents is True
-        assert len(explanation.top_indices) == 2
-        assert len(explanation.top_scores) == 2
-        assert explanation.approved == new[0].approved
+        assert [e["kind"] for e in new] == ["audit.decision", "audit.explain"]
+        decision, explanation = new
+        assert decision["user_id"] == explanation["user_id"] == "audited-user"
+        assert explanation["estimator"] == "datainf"
+        assert explanation["k"] == 2
+        assert explanation["proponents"] is True
+        assert len(explanation["top_indices"]) == 2
+        assert len(explanation["top_scores"]) == 2
+        assert explanation["approved"] == decision["approved"]
+        assert explanation["ts"] >= decision["ts"]
 
     def test_obs_counters_and_spans(self, served):
         service, text, obs = served

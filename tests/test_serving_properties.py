@@ -48,7 +48,6 @@ def _result_for(request: ScoreRequest) -> ScoreResult:
         score=score,
         approved=score < 0.5,
         threshold=0.5,
-        cached=False,
     )
 
 
