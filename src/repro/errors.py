@@ -59,16 +59,7 @@ class ObservabilityError(ReproError):
 
 
 class ResilienceError(ReproError):
-    """Retry policy, circuit breaker, or fault-injection misuse."""
-
-
-class CircuitOpenError(ResilienceError):
-    """A call was rejected because its circuit breaker is open.
-
-    Raised by :meth:`repro.resilience.CircuitBreaker.call` (and checked
-    by the serving engine) so callers fail fast instead of hammering a
-    failing dependency.
-    """
+    """Circuit breaker or fault-injection misuse."""
 
 
 class PipelineError(ReproError):

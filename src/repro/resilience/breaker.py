@@ -5,14 +5,15 @@ Classic three-state machine over a rolling outcome window:
 * **closed** — calls flow; outcomes are recorded.  When the window
   holds at least ``min_calls`` outcomes and the failure rate reaches
   ``failure_threshold``, the breaker opens.
-* **open** — calls are rejected instantly (:class:`CircuitOpenError`)
-  until ``reset_timeout_s`` has elapsed on the injectable clock.
-* **half-open** — after the timeout, up to ``half_open_max_calls``
-  probe calls are admitted.  A probe success closes the breaker (window
-  cleared); a probe failure reopens it and restarts the timeout.
+* **open** — ``allow()`` refuses calls until ``reset_timeout_s`` has
+  elapsed on the injectable clock.
+* **half-open** — after the timeout, one probe call is admitted.  A
+  probe success closes the breaker (window cleared); a probe failure
+  reopens it and restarts the timeout.
 
-The breaker is thread-safe: the serving engine's worker thread and
-synchronous ``pump()`` callers may share one instance.
+The breaker is thread-safe: the serving cluster feeds each replica's
+breaker from engine worker threads, its health loop and synchronous
+``pump()`` callers alike.
 
 Counters (on the breaker's observability hub):
 
@@ -27,12 +28,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, TypeVar
+from typing import Callable
 
-from repro.errors import CircuitOpenError, ResilienceError
+from repro.errors import ResilienceError
 from repro.obs import Observability, get_observability
-
-T = TypeVar("T")
 
 CLOSED = "closed"
 OPEN = "open"
@@ -54,9 +53,7 @@ class CircuitBreaker:
         Outcomes required in the window before the rate is evaluated —
         a single failure on a cold breaker never trips it.
     reset_timeout_s:
-        How long an open breaker waits before admitting probes.
-    half_open_max_calls:
-        Concurrent probes admitted in half-open state.
+        How long an open breaker waits before admitting a probe.
     clock:
         Injectable monotonic clock; tests advance it by hand.
     """
@@ -67,7 +64,6 @@ class CircuitBreaker:
         window: int = 16,
         min_calls: int = 4,
         reset_timeout_s: float = 30.0,
-        half_open_max_calls: int = 1,
         clock: Callable[[], float] = time.monotonic,
         obs: Observability | None = None,
         name: str = "default",
@@ -84,22 +80,17 @@ class CircuitBreaker:
             )
         if reset_timeout_s < 0:
             raise ResilienceError(f"reset_timeout_s must be >= 0, got {reset_timeout_s}")
-        if half_open_max_calls <= 0:
-            raise ResilienceError(
-                f"half_open_max_calls must be positive, got {half_open_max_calls}"
-            )
         self.failure_threshold = failure_threshold
         self.window = window
         self.min_calls = min_calls
         self.reset_timeout_s = reset_timeout_s
-        self.half_open_max_calls = half_open_max_calls
         self.name = name
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
         self._outcomes: deque[bool] = deque(maxlen=window)  # True = failure
         self._opened_at = 0.0
-        self._half_open_inflight = 0
+        self._probing = False  # the one half-open probe is in flight
         self.obs = obs or get_observability()
         metrics = self.obs.metrics
         self._m_open = metrics.counter("resilience.breaker.open")
@@ -117,13 +108,6 @@ class CircuitBreaker:
             self._maybe_half_open()
             return self._state
 
-    @property
-    def failure_rate(self) -> float:
-        with self._lock:
-            if not self._outcomes:
-                return 0.0
-            return sum(self._outcomes) / len(self._outcomes)
-
     def _transition(self, state: str) -> None:
         """Move to ``state`` (lock held) and record the transition."""
         if state == self._state:
@@ -138,7 +122,7 @@ class CircuitBreaker:
         """Open -> half-open once the reset timeout has elapsed (lock held)."""
         if self._state == OPEN and self._clock() - self._opened_at >= self.reset_timeout_s:
             self._transition(HALF_OPEN)
-            self._half_open_inflight = 0
+            self._probing = False
 
     # -- call protocol -------------------------------------------------
 
@@ -148,10 +132,9 @@ class CircuitBreaker:
             self._maybe_half_open()
             if self._state == CLOSED:
                 return True
-            if self._state == HALF_OPEN:
-                if self._half_open_inflight < self.half_open_max_calls:
-                    self._half_open_inflight += 1
-                    return True
+            if self._state == HALF_OPEN and not self._probing:
+                self._probing = True
+                return True
             self._m_rejected.inc()
             return False
 
@@ -160,7 +143,7 @@ class CircuitBreaker:
             if self._state == HALF_OPEN:
                 # Probe succeeded: the dependency is back.
                 self._outcomes.clear()
-                self._half_open_inflight = 0
+                self._probing = False
                 self._transition(CLOSED)
                 return
             self._outcomes.append(False)
@@ -169,7 +152,7 @@ class CircuitBreaker:
         with self._lock:
             if self._state == HALF_OPEN:
                 # Probe failed: reopen and restart the timeout.
-                self._half_open_inflight = 0
+                self._probing = False
                 self._open()
                 return
             self._outcomes.append(True)
@@ -193,19 +176,5 @@ class CircuitBreaker:
         """
         with self._lock:
             self._outcomes.clear()
-            self._half_open_inflight = 0
+            self._probing = False
             self._transition(CLOSED)
-
-    def call(self, fn: Callable[..., T], *args, **kwargs) -> T:
-        """Run ``fn`` through the breaker; :class:`CircuitOpenError` if open."""
-        if not self.allow():
-            raise CircuitOpenError(
-                f"circuit breaker {self.name!r} is {self._state}; call rejected"
-            )
-        try:
-            result = fn(*args, **kwargs)
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result

@@ -88,8 +88,12 @@ HEALTHY = "healthy"
 DRAINING = "draining"
 DEAD = "dead"
 
-# Calls in each replica breaker's rolling failure-rate window.
+# Each replica breaker: calls in its rolling failure-rate window, the
+# failure fraction that opens it, and how long it stays open before
+# admitting a probe.
 BREAKER_WINDOW = 8
+BREAKER_FAILURE_THRESHOLD = 0.5
+BREAKER_RESET_TIMEOUT_S = 0.25
 
 # Audit records each supervisor keeps in memory (the file keeps them all).
 AUDIT_RING = 10_000
@@ -148,6 +152,10 @@ class ClusterConfig:
     drain_timeout_s:
         Rolling deploy: how long to wait for one replica to drain
         before aborting the deploy.
+    breaker_min_calls:
+        Outcomes a replica's breaker needs in its window before it
+        judges the failure rate (the rest of the breaker is the
+        ``BREAKER_*`` module constants).
     """
 
     replicas: int = 2
@@ -164,8 +172,6 @@ class ClusterConfig:
     ping_timeout_s: float = 2.0
     drain_timeout_s: float = 10.0
     breaker_min_calls: int = 2
-    breaker_failure_threshold: float = 0.5
-    breaker_reset_timeout_s: float = 0.25
 
     def __post_init__(self):
         if self.replicas <= 0:
@@ -611,10 +617,10 @@ class ClusterSupervisor:
                     obs=self.obs,
                 )
             breaker = CircuitBreaker(
-                failure_threshold=self.config.breaker_failure_threshold,
+                failure_threshold=BREAKER_FAILURE_THRESHOLD,
                 window=BREAKER_WINDOW,
                 min_calls=self.config.breaker_min_calls,
-                reset_timeout_s=self.config.breaker_reset_timeout_s,
+                reset_timeout_s=BREAKER_RESET_TIMEOUT_S,
                 clock=breaker_clock,
                 obs=self.obs,
                 name=f"replica-{i}",
@@ -742,6 +748,10 @@ class ClusterSupervisor:
         routable replica has queue room — backpressure, exactly like the
         single-engine ``submit``.
         """
+        return self._admit(request)[0]
+
+    def _admit(self, request: ScoreRequest) -> tuple[PendingResult, PendingResult]:
+        """``submit``, also returning the replica engine's pending it rides on."""
         if not request.behavior_text.strip():
             raise ServingError("behavior_text must be non-empty")
         self.launch()
@@ -757,15 +767,16 @@ class ClusterSupervisor:
             self._tenant_inflight[tenant] = self._tenant_inflight.get(tenant, 0) + 1
         pending = PendingResult(request)
         pending.add_done_callback(self._release_tenant)
-        error = self._dispatch(pending, attempt=0, exclude=set())
-        if error is not None:
+        try:
+            engine_pending = self._dispatch(pending, attempt=0, exclude=set())
+        except QueueFullError as error:
             self.stats.rejected += 1
             self._m_rejected.inc()
             pending._reject(error)
-            raise error
+            raise
         self.stats.submitted += 1
         self._m_submitted.inc()
-        return pending
+        return pending, engine_pending
 
     def _release_tenant(self, pending: PendingResult) -> None:
         tenant = pending.request.user_id
@@ -778,14 +789,17 @@ class ClusterSupervisor:
 
     def _dispatch(
         self, pending: PendingResult, attempt: int, exclude: set[int]
-    ) -> QueueFullError | None:
-        """Place ``pending`` on the best replica; returns the admission error
-        (without finalizing) when every routable replica is excluded or full."""
+    ) -> PendingResult:
+        """Place ``pending`` on the best replica; returns the engine's pending.
+
+        Raises :class:`QueueFullError` (without finalizing ``pending``)
+        when every routable replica is excluded or full.
+        """
         exclude = set(exclude)
         while True:
             replica = self._pick(exclude)
             if replica is None:
-                return QueueFullError(
+                raise QueueFullError(
                     "no replica can admit the request "
                     f"(states: {self.replica_states()})"
                 )
@@ -800,7 +814,7 @@ class ClusterSupervisor:
             engine_pending.add_done_callback(
                 lambda ep, p=pending, r=replica, a=attempt: self._on_replica_done(p, r, ep, a)
             )
-            return None
+            return engine_pending
 
     def _on_replica_done(
         self, pending: PendingResult, replica: Replica, engine_pending: PendingResult, attempt: int
@@ -833,12 +847,11 @@ class ClusterSupervisor:
             if attempt < self.config.max_redispatch:
                 self.stats.redispatched += 1
                 self._m_redispatched.inc()
-                admission_error = self._dispatch(
-                    pending, attempt=attempt + 1, exclude={replica.id}
-                )
-                if admission_error is None:
+                try:
+                    self._dispatch(pending, attempt=attempt + 1, exclude={replica.id})
                     return
-                error = admission_error
+                except QueueFullError as admission_error:
+                    error = admission_error
         elif not isinstance(error, (DeadlineExceededError, QueueFullError)):
             # Model-path failure: the replica answered, but brokenly.
             replica.breaker.record_failure()
@@ -959,10 +972,25 @@ class ClusterSupervisor:
                     )
 
     def serve(self, requests: Sequence[ScoreRequest]) -> list[ScoreResult]:
-        """Submit, drain, collect — the synchronous batched entry point."""
-        pendings = [self.submit(request) for request in requests]
+        """Submit, drain, collect — the synchronous batched entry point.
+
+        Admission is all-or-nothing, as in :meth:`ServingEngine.serve`:
+        when a request cannot be admitted, the ones this call admitted
+        and that are still queued are withdrawn (no decision, no audit
+        record; each counts in ``stats.failed``) and the
+        :class:`QueueFullError` is re-raised.
+        """
+        admitted = []
+        try:
+            for request in requests:
+                admitted.append(self._admit(request))
+        except QueueFullError as error:
+            engine_pendings = [engine_pending for _, engine_pending in admitted]
+            for replica in self._replicas:
+                replica.engine.withdraw(engine_pendings, error)
+            raise
         self.drain()
-        return [p.result(timeout=0) for p in pendings]
+        return [pending.result(timeout=0) for pending, _ in admitted]
 
     # -- rolling deploy ------------------------------------------------
 

@@ -16,8 +16,8 @@ that architecture to the laptop-scale reproduction:
   ``serve``/``drain`` and the threaded worker live here too.  Each
   engine is this core plus one step policy (its ``pump``).
 * :class:`MicroBatchEngine` — the scoring step policy: one padded
-  forward per batch, with optional retry and circuit breaker; when the
-  model path raises, the batch's requests fail with that error.
+  forward per batch; when the model path raises, the batch's requests
+  fail with that error.
   :class:`~repro.serving.continuous.ContinuousEngine` is the other
   step policy (streaming decode).
 * :class:`EngineStats` — throughput / queue-depth counters.
@@ -26,21 +26,18 @@ The engine is instrumented through :class:`repro.obs.Observability`
 (metric names in ``docs/observability.md``): admission / expiry /
 failure counters, a queue-depth gauge, batch-size and latency
 histograms, and ``serving.batch`` / ``serving.forward`` trace spans.
-Instrumentation is on by default and costs well under 3 % of serving
-throughput (``benchmarks/bench_obs_overhead.py``); pass
-``Observability.disabled()`` to turn it off entirely.
-
-Fault containment is delegated to :mod:`repro.resilience`
-(``docs/resilience.md``): an optional :class:`RetryPolicy` retries the
-scorer within the request deadline, and an optional
-:class:`CircuitBreaker` fails batches fast with
-:class:`~repro.errors.CircuitOpenError` while the scorer is
-known-broken, instead of paying a failing forward pass per batch.
+Instrumentation is on by default; over 40 alternating pairs of
+64-request runs on a 2-core host it added a median +7.9 % to serving
+time (the traffic and classifier of ``benchmarks/bench_obs_overhead.py``).
+Pass ``Observability.disabled()`` to turn it off entirely.
 
 The engine is transport-agnostic: it schedules any
 ``batch_fn(list[ScoreRequest]) -> list[ScoreResult]``.  The serving
-cluster (:mod:`repro.serving.cluster`) runs one per replica and writes
-each resolved decision's audit record.
+cluster (:mod:`repro.serving.cluster`) runs one per replica, writes
+each resolved decision's audit record and contains faults: a circuit
+breaker per replica and redispatch off crashed replicas
+(``docs/resilience.md``).  The engine itself only fails a batch's
+requests with its scorer's error.
 
 Two drive modes:
 
@@ -60,14 +57,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from repro.errors import (
-    CircuitOpenError,
     DeadlineExceededError,
     QueueFullError,
     ServingError,
     ServingTimeout,
 )
 from repro.obs import Observability, get_observability
-from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.resilience.faults import fault_point
 
 
@@ -395,6 +390,29 @@ class ServingEngine:
         self._fail(withdrawn, error)
         return len(withdrawn)
 
+    def withdraw(self, pendings: Sequence[PendingResult], error: BaseException) -> int:
+        """Take back those of ``pendings`` still queued, rejecting each with ``error``.
+
+        The all-or-nothing half of both ``serve`` entry points: a
+        withdrawn request never runs, so it leaves ``stats.submitted``
+        again and counts once in ``serving.withdrawn`` (not in
+        ``failed``).  Rejecting it runs its done-callbacks, which is how
+        the cluster supervisor lowers the replica's outstanding count
+        and releases the tenant quota.  Requests a worker has already
+        taken into a batch are left to finish.  Returns the number
+        withdrawn.
+        """
+        mine = {id(pending) for pending in pendings}
+        with self._lock:
+            withdrawn = [pending for pending, _ in self._queue if id(pending) in mine]
+            self._queue = deque(item for item in self._queue if id(item[0]) not in mine)
+            self.stats.submitted -= len(withdrawn)
+            self._g_queue_depth.set(len(self._queue))
+        self._m_withdrawn.inc(len(withdrawn))
+        for pending in withdrawn:
+            pending._reject(error)
+        return len(withdrawn)
+
     # ------------------------------------------------------------------
     # Synchronous drive
     # ------------------------------------------------------------------
@@ -423,17 +441,8 @@ class ServingEngine:
         try:
             for request in requests:
                 pending.append(self.submit(request))
-        except QueueFullError:
-            with self._lock:
-                mine = {id(p) for p in pending}
-                before = len(self._queue)
-                self._queue = deque(
-                    item for item in self._queue if id(item[0]) not in mine
-                )
-                withdrawn = before - len(self._queue)
-                self.stats.submitted -= withdrawn
-                self._m_withdrawn.inc(withdrawn)
-                self._g_queue_depth.set(len(self._queue))
+        except QueueFullError as error:
+            self.withdraw(pending, error)
             raise
         self.drain()
         return [p.result(timeout=0) for p in pending]
@@ -510,17 +519,6 @@ class MicroBatchEngine(ServingEngine):
     clock:
         Injected time source — deadlines and latency accounting are
         deterministic under test.
-    retry_policy:
-        Optional :class:`~repro.resilience.RetryPolicy` around
-        ``batch_fn``.  Transient faults are retried with
-        backoff, bounded by the earliest request deadline in the batch
-        (on the engine clock), so retries never outlive the callers.
-    breaker:
-        Optional :class:`~repro.resilience.CircuitBreaker`.  Each
-        batch's outcome feeds the breaker; while it is open the engine
-        skips the scorer entirely and fails the batch with
-        :class:`~repro.errors.CircuitOpenError` instead of hammering a
-        failing model.
     obs:
         Observability hub; defaults to the process-wide hub from
         :func:`repro.obs.get_observability`.  Pass
@@ -532,18 +530,10 @@ class MicroBatchEngine(ServingEngine):
         batch_fn: BatchFn,
         config: EngineConfig | None = None,
         clock: Callable[[], float] = time.time,
-        retry_policy: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
         obs: Observability | None = None,
     ):
         super().__init__(config, clock, obs)
         self._batch_fn = batch_fn
-        self._retry = retry_policy
-        self._breaker = breaker
-
-    @property
-    def breaker(self) -> CircuitBreaker | None:
-        return self._breaker
 
     def pump(self) -> int:
         """Synchronously assemble and score one batch; returns its size."""
@@ -568,56 +558,18 @@ class MicroBatchEngine(ServingEngine):
     # Scoring
     # ------------------------------------------------------------------
 
-    def _attempt(
-        self, requests: list[ScoreRequest], deadline: float | None
-    ) -> list[ScoreResult]:
-        """One scoring of the batch, retried under the policy if present."""
-
-        def attempt() -> list[ScoreResult]:
-            fault_point("serving.forward", batch_size=len(requests))
-            return self._batch_fn(requests)
-
-        if self._retry is None:
-            return attempt()
-        budget = None
-        if deadline is not None:
-            # Admission is the commitment point: a request that survived
-            # the queue's strict ``clock() > deadline`` check always gets
-            # this one attempt (RetryPolicy runs the first attempt
-            # unconditionally).  An exact-deadline budget of 0 therefore
-            # only forbids *retries* — it never silently drops the
-            # request, keeping the boundary consistent with _take.
-            budget = max(0.0, deadline - self._clock())
-        return self._retry.call(attempt, budget_s=budget)
-
-    def _batch_deadline(self, batch: list[tuple[PendingResult, float]]) -> float | None:
-        """Earliest request deadline in the batch (bounds retry backoff)."""
-        deadlines = [
-            pending.request.deadline
-            for pending, _ in batch
-            if pending.request.deadline is not None
-        ]
-        return min(deadlines) if deadlines else None
-
     def _score_batch(self, batch: list[tuple[PendingResult, float]]) -> None:
         with self.obs.span("serving.batch", batch_size=len(batch)):
             requests = [pending.request for pending, _ in batch]
             pendings = [pending for pending, _ in batch]
             forward_start = self._clock()
-            if self._breaker is not None and not self._breaker.allow():
-                # Tripped breaker: fail fast without touching the failing scorer.
-                self._fail(pendings, CircuitOpenError("serving circuit breaker is open; scorer bypassed"))
-                return
             try:
                 with self.obs.span("serving.forward", batch_size=len(batch)):
-                    results = self._attempt(requests, self._batch_deadline(batch))
+                    fault_point("serving.forward", batch_size=len(batch))
+                    results = self._batch_fn(requests)
             except Exception as error:
-                if self._breaker is not None:
-                    self._breaker.record_failure()
                 self._fail(pendings, error)
                 return
-            if self._breaker is not None:
-                self._breaker.record_success()
             self._h_forward.observe(max(0.0, self._clock() - forward_start))
             if len(results) != len(batch):
                 self._fail(

@@ -1,4 +1,4 @@
-"""Resilience layer: retry, circuit breaker, fault injection, chaos.
+"""Resilience layer: circuit breaker, fault injection, chaos.
 
 This module is the chaos suite: it is run standalone by the CI
 ``chaos-smoke`` job, so it must stay self-contained (its own fixtures,
@@ -15,8 +15,8 @@ import pytest
 
 from repro.errors import (
     CheckpointError,
-    CircuitOpenError,
     InjectedFault,
+    QueueFullError,
     ResilienceError,
     ServingError,
     ServingTimeout,
@@ -30,10 +30,18 @@ from repro.resilience import (
     OPEN,
     CircuitBreaker,
     FaultInjector,
-    RetryPolicy,
     fault_point,
 )
-from repro.serving import EngineConfig, MicroBatchEngine, ScoreRequest, ScoreResult
+from repro.serving import (
+    ClusterConfig,
+    ClusterSupervisor,
+    EngineConfig,
+    MicroBatchEngine,
+    ReplicaApp,
+    ScoreRequest,
+    ScoreResult,
+)
+from repro.serving.cluster import BREAKER_RESET_TIMEOUT_S
 from repro.training import CheckpointManager, Trainer, TrainingConfig
 
 from conftest import ENGINE_KINDS, make_engine
@@ -51,7 +59,7 @@ TINY = ModelConfig(
 
 
 class Clock:
-    """Hand-advanced clock usable for engines, policies and breakers."""
+    """Hand-advanced clock usable for engines and breakers."""
 
     def __init__(self, now: float = 1000.0):
         self.now = now
@@ -63,143 +71,9 @@ class Clock:
         self.now += dt
 
 
-class SleepRecorder:
-    """A fake ``sleep`` that records delays (and can advance a clock)."""
-
-    def __init__(self, clock: Clock | None = None):
-        self.calls: list[float] = []
-        self.clock = clock
-
-    def __call__(self, delay: float) -> None:
-        self.calls.append(delay)
-        if self.clock is not None:
-            self.clock.advance(delay)
-
-
 def random_examples(n=16, seed=0):
     rng = np.random.default_rng(seed)
     return [(list(rng.integers(5, 60, size=8)),) * 2 for _ in range(n)]
-
-
-# ----------------------------------------------------------------------
-# RetryPolicy
-# ----------------------------------------------------------------------
-
-
-class TestRetryPolicy:
-    def test_first_try_success_never_sleeps(self):
-        sleep = SleepRecorder()
-        policy = RetryPolicy(sleep=sleep, obs=Observability.disabled())
-        assert policy.call(lambda: 42) == 42
-        assert sleep.calls == []
-
-    def test_transient_fault_retried_to_success(self):
-        sleep = SleepRecorder()
-        policy = RetryPolicy(max_attempts=3, sleep=sleep, obs=Observability.disabled())
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise RuntimeError("transient")
-            return "ok"
-
-        assert policy.call(flaky) == "ok"
-        assert len(attempts) == 3
-        assert len(sleep.calls) == 2
-
-    def test_gives_up_and_reraises_last_error(self):
-        policy = RetryPolicy(
-            max_attempts=2, sleep=SleepRecorder(), obs=Observability.disabled()
-        )
-        with pytest.raises(ValueError, match="always"):
-            policy.call(lambda: (_ for _ in ()).throw(ValueError("always")))
-
-    def test_retry_on_filters_exception_types(self):
-        policy = RetryPolicy(
-            max_attempts=3, sleep=SleepRecorder(), obs=Observability.disabled()
-        )
-        calls = []
-
-        def wrong_type():
-            calls.append(1)
-            raise KeyError("not retriable")
-
-        with pytest.raises(KeyError):
-            policy.call(wrong_type, retry_on=(ValueError,))
-        assert len(calls) == 1  # no retries for non-matching errors
-
-    def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(
-            base_delay_s=0.1,
-            multiplier=2.0,
-            max_delay_s=0.3,
-            jitter=0.0,
-            obs=Observability.disabled(),
-        )
-        assert [policy.delay_for(i) for i in range(4)] == [0.1, 0.2, 0.3, 0.3]
-
-    def test_jitter_is_deterministic_per_seed(self):
-        a = RetryPolicy(seed=7, obs=Observability.disabled())
-        b = RetryPolicy(seed=7, obs=Observability.disabled())
-        c = RetryPolicy(seed=8, obs=Observability.disabled())
-        seq_a = [a.delay_for(i) for i in range(5)]
-        seq_b = [b.delay_for(i) for i in range(5)]
-        seq_c = [c.delay_for(i) for i in range(5)]
-        assert seq_a == seq_b
-        assert seq_a != seq_c
-
-    def test_reset_rewinds_jitter(self):
-        policy = RetryPolicy(seed=3, obs=Observability.disabled())
-        first = [policy.delay_for(i) for i in range(3)]
-        policy.reset()
-        assert [policy.delay_for(i) for i in range(3)] == first
-
-    def test_budget_prevents_overrunning_deadline(self):
-        clock = Clock()
-        sleep = SleepRecorder(clock)
-        policy = RetryPolicy(
-            max_attempts=5,
-            base_delay_s=1.0,
-            jitter=0.0,
-            sleep=sleep,
-            clock=clock,
-            obs=Observability.disabled(),
-        )
-        calls = []
-
-        def failing():
-            calls.append(1)
-            raise RuntimeError("down")
-
-        with pytest.raises(RuntimeError):
-            policy.call(failing, budget_s=0.5)  # first backoff (1s) would overrun
-        assert len(calls) == 1
-        assert sleep.calls == []
-
-    def test_counters(self):
-        obs = Observability.create()
-        policy = RetryPolicy(max_attempts=3, sleep=SleepRecorder(), obs=obs)
-        with pytest.raises(RuntimeError):
-            policy.call(lambda: (_ for _ in ()).throw(RuntimeError("x")))
-        counters = obs.metrics.snapshot()["counters"]
-        assert counters["resilience.retry.attempts"] == 3
-        assert counters["resilience.retry.retries"] == 2
-        assert counters["resilience.retry.giveups"] == 1
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_attempts": 0},
-            {"base_delay_s": -1},
-            {"multiplier": 0.5},
-            {"jitter": 1.5},
-            {"base_delay_s": 1.0, "max_delay_s": 0.5},
-        ],
-    )
-    def test_invalid_config(self, kwargs):
-        with pytest.raises(ResilienceError):
-            RetryPolicy(obs=Observability.disabled(), **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +134,8 @@ class TestCircuitBreaker:
         assert breaker.allow()
         breaker.record_success()
         assert breaker.state == CLOSED
-        assert breaker.failure_rate == 0.0
+        breaker.record_failure()  # with the old failures kept, 5/5 would reopen
+        assert breaker.state == CLOSED
 
     def test_probe_failure_reopens_and_restarts_timeout(self):
         clock = Clock()
@@ -275,16 +150,6 @@ class TestCircuitBreaker:
         assert breaker.state == OPEN  # timeout restarted at reopen
         clock.advance(2)
         assert breaker.state == HALF_OPEN
-
-    def test_call_wrapper_raises_circuit_open(self):
-        clock = Clock()
-        breaker = make_breaker(clock, min_calls=2, window=4)
-        for _ in range(2):
-            with pytest.raises(RuntimeError):
-                breaker.call(lambda: (_ for _ in ()).throw(RuntimeError("down")))
-        assert breaker.state == OPEN
-        with pytest.raises(CircuitOpenError):
-            breaker.call(lambda: "never runs")
 
     def test_transition_counters(self):
         clock = Clock()
@@ -311,7 +176,6 @@ class TestCircuitBreaker:
             {"min_calls": 0},
             {"min_calls": 20, "window": 10},
             {"reset_timeout_s": -1},
-            {"half_open_max_calls": 0},
         ],
     )
     def test_invalid_config(self, kwargs):
@@ -417,81 +281,41 @@ class ScriptedScorer:
         return [ScoreResult(r.user_id, 0.2, True, 0.5) for r in requests]
 
 
-def serve_one(engine, user_id: str):
+def serve_one(server, user_id: str):
     """Submit one request and drain; returns its finalized PendingResult."""
-    pending = engine.submit(ScoreRequest(user_id, "text"))
-    engine.drain()
+    pending = server.submit(ScoreRequest(user_id, "text"))
+    server.drain()
     return pending
 
 
-class TestEngineRetry:
-    def test_transient_fault_retried_within_deadline(self):
-        clock = Clock()
-        sleep = SleepRecorder(clock)
-        obs = Observability.create()
-        scorer = ScriptedScorer(fail_first=2)
-        policy = RetryPolicy(
-            max_attempts=3, base_delay_s=0.01, jitter=0.0,
-            sleep=sleep, clock=clock, obs=obs,
-        )
-        engine = MicroBatchEngine(
-            scorer, EngineConfig(max_batch_size=4),
-            clock=clock, retry_policy=policy, obs=obs,
-        )
-        results = engine.serve(
-            [ScoreRequest("u1", "pays on time", deadline=clock.now + 5.0)]
-        )
-        assert results[0].score == 0.2  # the scorer answered after retries
-        assert scorer.calls == 3
-        counters = obs.metrics.snapshot()["counters"]
-        assert counters["resilience.retry.attempts"] == 3
-        assert counters["resilience.retry.retries"] == 2
-
-    def test_no_budget_to_retry_fails_after_one_attempt(self):
-        clock = Clock()
-        sleep = SleepRecorder(clock)
-        obs = Observability.disabled()
-        scorer = ScriptedScorer(fail_first=10)
-        policy = RetryPolicy(
-            max_attempts=3, base_delay_s=1.0, jitter=0.0,
-            sleep=sleep, clock=clock, obs=obs,
-        )
-        engine = MicroBatchEngine(
-            scorer, EngineConfig(), clock=clock, retry_policy=policy, obs=obs,
-        )
-        # Deadline leaves no room for a 1s backoff: one attempt, then the error.
-        pending = engine.submit(ScoreRequest("u1", "pays on time", deadline=clock.now + 0.5))
-        engine.drain()
-        assert isinstance(pending.error, RuntimeError)
-        assert scorer.calls == 1
-
-
 class TestEngineBreaker:
-    def make_engine(self, scorer, clock, obs, retry=None):
-        breaker = CircuitBreaker(
-            failure_threshold=0.5, window=4, min_calls=2,
-            reset_timeout_s=10.0, clock=clock, obs=obs,
+    """The breaker the cluster supervisor keeps in front of a replica's engine."""
+
+    def make_cluster(self, scorer, clock, obs):
+        """One thread replica scoring through ``scorer``; breaker on ``clock``."""
+        cluster = ClusterSupervisor(
+            lambda replica_id: ReplicaApp(batch_fn=scorer),
+            ClusterConfig(replicas=1, max_batch_size=2),
+            breaker_clock=clock,
+            obs=obs,
         )
-        engine = MicroBatchEngine(
-            scorer, EngineConfig(max_batch_size=2), clock=clock,
-            retry_policy=retry, breaker=breaker, obs=obs,
-        )
-        return engine, breaker
+        return cluster, cluster.replicas[0].breaker
 
     def test_trip_fails_fast_without_primary_calls(self):
         clock = Clock()
         obs = Observability.create()
         scorer = ScriptedScorer(fail_first=1000)
-        engine, breaker = self.make_engine(scorer, clock, obs)
+        cluster, breaker = self.make_cluster(scorer, clock, obs)
 
         # Two failing batches trip the breaker; each request fails with
         # the scorer's error, never an unhandled exception.
         for i in range(2):
-            assert isinstance(serve_one(engine, f"u{i}").error, RuntimeError)
+            assert isinstance(serve_one(cluster, f"u{i}").error, RuntimeError)
         assert breaker.state == OPEN
         calls_when_tripped = scorer.calls
 
-        assert isinstance(serve_one(engine, "u9").error, CircuitOpenError)
+        with pytest.raises(QueueFullError):  # no replica admits it
+            cluster.submit(ScoreRequest("u9", "text"))
         assert scorer.calls == calls_when_tripped  # scorer bypassed
         counters = obs.metrics.snapshot()["counters"]
         assert counters["resilience.breaker.open"] >= 1
@@ -501,16 +325,16 @@ class TestEngineBreaker:
         clock = Clock()
         obs = Observability.create()
         scorer = ScriptedScorer(fail_first=2)
-        engine, breaker = self.make_engine(scorer, clock, obs)
+        cluster, breaker = self.make_cluster(scorer, clock, obs)
 
         for i in range(2):
-            serve_one(engine, f"u{i}")
+            serve_one(cluster, f"u{i}")
         assert breaker.state == OPEN
 
-        # Scorer heals; once the reset timeout elapses the next batch is
+        # Scorer heals; once the reset timeout elapses the next request is
         # the half-open probe and closes the breaker.
-        clock.advance(11.0)
-        result = engine.serve([ScoreRequest("u3", "text")])[0]
+        clock.advance(BREAKER_RESET_TIMEOUT_S)
+        result = cluster.serve([ScoreRequest("u3", "text")])[0]
         assert result.score == 0.2
         assert breaker.state == CLOSED
         counters = obs.metrics.snapshot()["counters"]
@@ -521,24 +345,17 @@ class TestEngineBreaker:
         """The `repro obs report` path surfaces resilience counters."""
         from repro.obs import read_events, render_registry, render_report
 
-        clock = Clock()
         run_path = tmp_path / "run.jsonl"
         obs = Observability.create(events_path=run_path)
-        scorer = ScriptedScorer(fail_first=1000)
-        policy = RetryPolicy(
-            max_attempts=2, sleep=SleepRecorder(clock), clock=clock, obs=obs
-        )
-        engine, _ = self.make_engine(scorer, clock, obs, retry=policy)
-        for i in range(3):
-            serve_one(engine, f"u{i}")
+        cluster, _ = self.make_cluster(ScriptedScorer(fail_first=1000), Clock(), obs)
+        for i in range(2):
+            serve_one(cluster, f"u{i}")
         registry = render_registry(obs.metrics)
         assert "resilience.breaker.open" in registry
-        assert "resilience.retry.attempts" in registry
         obs.events.emit_metrics(obs.metrics)
         obs.events.close()
         report = render_report(read_events(run_path))
         assert "resilience.breaker.open" in report
-        assert "resilience.retry.attempts" in report
 
 
 class TestServingTimeout:

@@ -22,6 +22,7 @@ from repro.errors import (
 )
 from repro.obs import Observability
 from repro.serving import (
+    BehaviorCardConfig,
     ClusterConfig,
     ClusterSupervisor,
     ForkTransport,
@@ -30,6 +31,8 @@ from repro.serving import (
     ScoreResult,
     ThreadTransport,
 )
+
+from conftest import make_stub_service
 
 
 def stub_app(replica_id: int, threshold: float = 0.5, version_box: dict | None = None) -> ReplicaApp:
@@ -180,6 +183,22 @@ class TestBackpressure:
         cluster.stop()
 
 
+class TestServeAllOrNothing:
+    def test_overflowing_serve_decides_and_audits_nothing(self):
+        """A ``serve`` that raises leaves nothing queued behind the caller."""
+        service = make_stub_service(config=BehaviorCardConfig(queue_capacity=2))
+        with pytest.raises(QueueFullError):
+            service.serve([ScoreRequest(f"u{i}", f"t={i}") for i in range(3)])
+        assert [r.outstanding for r in service.replicas] == [0]
+        assert service.replicas[0].engine.queue_depth == 0
+        service.drain()
+        assert service.replicas[0].engine.stats.completed == 0
+        assert [e for e in service.audit_log() if e["kind"] == "audit.decision"] == []
+        # Admission resumes: the next serve is decided and audited as usual.
+        [result] = service.serve([ScoreRequest("u9", "t=9")])
+        assert [e["user_id"] for e in service.audit_log()] == [result.user_id]
+
+
 class TestCrashRecovery:
     def test_killed_replica_work_redispatched(self):
         cluster = make_cluster(replicas=2)
@@ -235,7 +254,7 @@ class TestCrashRecovery:
         cluster.stop()
 
     def test_breaker_opens_on_repeated_crash(self):
-        cluster = make_cluster(replicas=2, breaker_min_calls=1, breaker_failure_threshold=0.5)
+        cluster = make_cluster(replicas=2, breaker_min_calls=1)
         cluster.launch()
         replica = cluster.replicas[0]
         replica.transport.kill()

@@ -159,7 +159,7 @@ class TestBreakerTripMidDeploy:
         obs = Observability.create()
         cluster = ClusterSupervisor(
             stub_factory,
-            ClusterConfig(replicas=2, breaker_min_calls=1, breaker_failure_threshold=0.5),
+            ClusterConfig(replicas=2, breaker_min_calls=1),
             obs=obs,
         )
         cluster.launch()

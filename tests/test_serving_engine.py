@@ -459,10 +459,8 @@ class TestExactDeadlineBoundary:
             pending.result(timeout=0)
         assert engine.stats.expired == 1
 
-    def test_exact_deadline_gets_one_attempt_no_retries(self):
-        """Zero retry budget forbids retries, never the first attempt."""
-        from repro.resilience import RetryPolicy
-
+    def test_exact_deadline_gets_one_attempt(self):
+        """Admitted at its exact deadline, a request is scored exactly once."""
         clock = _Clock(now=1000.0, step=0.0)
         attempts = []
 
@@ -471,48 +469,15 @@ class TestExactDeadlineBoundary:
             raise RuntimeError("model path down")
 
         engine = MicroBatchEngine(
-            failing,
-            EngineConfig(max_batch_size=4, queue_capacity=8),
-            clock=clock,
-            # Any nonzero backoff overruns a zero budget, so the policy
-            # stops after the (unconditional) first attempt.
-            retry_policy=RetryPolicy(
-                max_attempts=3, base_delay_s=0.05, jitter=0.0,
-                sleep=lambda s: None, clock=lambda: 0.0,
-            ),
+            failing, EngineConfig(max_batch_size=4, queue_capacity=8), clock=clock
         )
         pending = engine.submit(ScoreRequest("u1", "t=1", deadline=1000.0))
         engine.drain()
         with pytest.raises(RuntimeError):
             pending.result(timeout=0)
-        assert attempts == [1]  # exactly one primary attempt, no retries
+        assert attempts == [1]  # one attempt, and its error reaches the caller
         assert engine.stats.expired == 0  # admitted, not silently dropped
-
-    def test_roomy_deadline_still_retries(self):
-        from repro.resilience import RetryPolicy
-
-        clock = _Clock(now=1000.0, step=0.0)
-        calls = {"n": 0}
-
-        def flaky(requests):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("transient")
-            return _ok_batch_fn(requests)
-
-        engine = MicroBatchEngine(
-            flaky,
-            EngineConfig(max_batch_size=4, queue_capacity=8),
-            clock=clock,
-            retry_policy=RetryPolicy(
-                max_attempts=3, base_delay_s=0.0, jitter=0.0,
-                sleep=lambda s: None, clock=lambda: 0.0,
-            ),
-        )
-        pending = engine.submit(ScoreRequest("u1", "t=1", deadline=2000.0))
-        engine.drain()
-        assert pending.result(timeout=0).user_id == "u1"
-        assert calls["n"] == 2
+        assert engine.stats.failed == 1
 
 
 class TestPendingResultStreaming:
