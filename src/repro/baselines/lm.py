@@ -10,8 +10,8 @@ The generative read-out is the deployed hot path (Behavior Card, CALM
 eval), so ``predict_many`` overrides the sequential default with one
 batched decode (:func:`~repro.nn.generation.generate_batch`) plus one
 padded scoring pass, and every classifier carries a
-:class:`~repro.nn.cache.PrefixCache` so repeated prompts and shared
-preambles skip prefill entirely.
+:class:`~repro.nn.cache.PrefixCache` so a prompt generated from before
+skips prefill (only identical prompts hit: each ends in SEP).
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from repro.tokenizer.base import BaseTokenizer
 from repro.eval.harness import CreditModel, EvalSample, Prediction
 from repro.eval.parsing import parse_answer
 
+# Byte bound on each classifier's prefix cache (its KV snapshots and logits).
+PREFIX_CACHE_BYTES = 64 * 1024 * 1024
+
 
 class LMClassifier(CreditModel):
     """Generate-and-parse classification with logit-based scoring."""
@@ -40,7 +43,6 @@ class LMClassifier(CreditModel):
         max_new_tokens: int = 4,
         name: str = "lm",
         prefix_cache_size: int = 64,
-        prefix_cache_bytes: int | None = 64 * 1024 * 1024,
         obs=None,
     ):
         self.model = model
@@ -52,7 +54,7 @@ class LMClassifier(CreditModel):
         # a finetune/LoRA-merge/checkpoint-load between calls flushes it,
         # so holding one classifier across training phases stays correct.
         self.prefix_cache = (
-            PrefixCache(prefix_cache_size, max_bytes=prefix_cache_bytes, obs=obs)
+            PrefixCache(prefix_cache_size, max_bytes=PREFIX_CACHE_BYTES, obs=obs)
             if prefix_cache_size > 0
             else None
         )

@@ -82,9 +82,6 @@ class BehaviorDataset:
             parts.append(f"{name}={_BIN_LABELS[bin_index]}")
         return " ".join(parts)
 
-    def label_text(self, user: int) -> str:
-        return "yes" if self.y[user] == 1 else "no"
-
     def supervised_rows(self) -> list[tuple[str, int, int, int]]:
         """Flatten to ``(text, label, timestamp, user)`` rows.
 

@@ -13,19 +13,18 @@ reuse live here:
   (:func:`~repro.nn.attention.rect_attention_mask`), and
   ``MistralTiny.forward`` bounds the buffer at ``max_seq_len``
   positions.
-* :class:`PrefixCache` — a trie keyed by token ids that stores
-  immutable :class:`KVCacheSnapshot` objects for already-prefilled
-  prompts.  Repeated behavior texts, shared few-shot / instruct
-  preambles and repeat sampling seeds re-use the longest matching
-  prefix via :meth:`KVCache.from_snapshot` instead of re-running
-  prefill; hit / miss / saved-token counters are reported through
-  :mod:`repro.obs`.
+* :class:`PrefixCache` — an LRU dict keyed by a whole prompt's token
+  ids that stores immutable :class:`KVCacheSnapshot` objects for
+  already-prefilled prompts.  A repeated prompt copies its stored K/V
+  and last-position logits instead of re-running prefill; hit / miss /
+  saved-token counters are reported through :mod:`repro.obs`.
 
 Caches hold plain numpy arrays (decoding runs under ``no_grad``).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +57,7 @@ class KVCacheSnapshot:
     """Frozen state of a full :class:`KVCache` (one entry per layer).
 
     Snapshots are safe to share: the arrays are copies marked
-    read-only, so no amount of decoding on a cache rebuilt from one can
+    read-only, so decoding from a cache they were copied into cannot
     corrupt them.
     """
 
@@ -135,16 +134,6 @@ class LayerKVCache:
         if self._k is None:
             raise ShapeError("cache is empty; nothing to view")
         return self._k[:, :, : self._len], self._v[:, :, : self._len]
-
-    def snapshot(self) -> LayerKVSnapshot:
-        """An immutable (read-only, copied) view of the cached state."""
-        if self._k is None:
-            return LayerKVSnapshot(
-                k=_read_only(np.empty((0, 0, 0, 0), dtype=np.float32)),
-                v=_read_only(np.empty((0, 0, 0, 0), dtype=np.float32)),
-            )
-        k, v = self.views()
-        return LayerKVSnapshot(k=_read_only(k.copy()), v=_read_only(v.copy()))
 
     @classmethod
     def from_arrays(cls, k: np.ndarray, v: np.ndarray) -> "LayerKVCache":
@@ -232,17 +221,6 @@ class KVCache:
         cache.layers = list(layers)
         return cache
 
-    def snapshot(self) -> KVCacheSnapshot:
-        """Freeze the current state (copied, read-only arrays)."""
-        return KVCacheSnapshot(layers=tuple(layer.snapshot() for layer in self.layers))
-
-    @classmethod
-    def from_snapshot(cls, snap: KVCacheSnapshot) -> "KVCache":
-        """A writable cache holding a copy of a snapshot's state."""
-        if not snap.layers:
-            raise ShapeError("cannot rebuild a KVCache from an empty snapshot")
-        return cls.from_layers([LayerKVCache.from_arrays(l.k, l.v) for l in snap.layers])
-
     def select_rows(self, indices, columns=None) -> None:
         """Keep only the given batch rows (and slots) in every layer."""
         for layer in self.layers:
@@ -254,21 +232,13 @@ class KVCache:
 # ----------------------------------------------------------------------
 
 
-class _TrieNode:
-    __slots__ = ("children", "key")
-
-    def __init__(self):
-        self.children: dict[int, _TrieNode] = {}
-        self.key: tuple[int, ...] | None = None  # set when an entry ends here
-
-
 @dataclass(frozen=True)
 class PrefixEntry:
     """One cached prefill: frozen KV state plus the last-position logits."""
 
     key: tuple[int, ...]
     snapshot: KVCacheSnapshot
-    logits: np.ndarray  # (vocab,), read-only — logits after the last prefix token
+    logits: np.ndarray  # (vocab,), read-only — logits after the last prompt token
 
     @property
     def length(self) -> int:
@@ -285,32 +255,28 @@ class PrefixCacheStats:
     misses: int = 0
     tokens_saved: int = 0
     evictions: int = 0
-    rejected: int = 0  # inserts refused by the admission policy
     invalidations: int = 0  # full flushes after a model weight change
 
 
+def _key(ids) -> tuple[int, ...]:
+    return tuple(np.asarray(ids, dtype=np.int64).reshape(-1).tolist())
+
+
 class PrefixCache:
-    """Trie-keyed LRU cache of prefilled prompt prefixes.
+    """LRU cache of prefilled prompts, keyed by the whole prompt.
 
-    ``lookup`` walks the query's token ids down the trie and returns
-    the deepest stored entry — the longest cached prefix — so repeat
-    behavior texts, shared instruction preambles and repeat sampling
-    seeds skip the matching part of prefill entirely.  Matches shorter
-    than ``min_match`` tokens are ignored (copying a cache for a
-    two-token match costs more than it saves), and prefixes that short
-    are never stored.
+    ``lookup`` returns an entry only for a prompt whose token ids are
+    identical to a stored one; a hit skips that prompt's prefill.  Every
+    prompt the library builds ends in the tokenizer's SEP token, so no
+    stored prompt is a strict prefix of another and matching on shorter
+    prefixes could never hit.
 
-    Three policies bound the cache and keep it correct:
+    Two policies bound the cache and keep it correct:
 
     * **LRU by entries and bytes** — eviction keeps at most ``capacity``
       entries and, when ``max_bytes`` is set, at most that many bytes of
       KV snapshots (each entry holds full per-layer K/V for its prompt,
       so entry count alone is a weak memory bound).
-    * **Second-sighting admission** — while the cache has free room every
-      prefix is stored, but once full a *new* key is only admitted after
-      it has been seen before (tracked in a small fingerprint table).  A
-      stream of unique one-off prompts therefore cannot churn out the
-      genuinely shared preamble entries the cache exists for.
     * **Weight-version invalidation** — :meth:`sync` compares the owning
       model's ``weight_version`` counter and flushes every entry when the
       weights changed (finetune step, LoRA inject/merge, checkpoint
@@ -318,35 +284,21 @@ class PrefixCache:
 
     Counters (``generation.prefix_hits`` / ``generation.prefix_misses``
     / ``generation.prefill_tokens_saved`` / ``generation.prefix_evictions``
-    / ``generation.prefix_rejected`` / ``generation.prefix_invalidations``)
-    are registered on the :mod:`repro.obs` hub so ``repro obs report``
-    shows prefix reuse next to the serving metrics.
+    / ``generation.prefix_invalidations``) are registered on the
+    :mod:`repro.obs` hub so ``repro obs report`` shows prefix reuse next
+    to the serving metrics.
     """
 
-    def __init__(
-        self,
-        capacity: int = 64,
-        min_match: int = 4,
-        max_bytes: int | None = None,
-        obs=None,
-    ):
+    def __init__(self, capacity: int = 64, max_bytes: int | None = None, obs=None):
         if capacity <= 0:
             raise ShapeError(f"PrefixCache capacity must be positive, got {capacity}")
-        if min_match < 1:
-            raise ShapeError(f"min_match must be >= 1, got {min_match}")
         if max_bytes is not None and max_bytes <= 0:
             raise ShapeError(f"max_bytes must be positive when set, got {max_bytes}")
         self.capacity = capacity
-        self.min_match = min_match
         self.max_bytes = max_bytes
-        self._root = _TrieNode()
-        self._entries: dict[tuple[int, ...], PrefixEntry] = {}
-        self._order: list[tuple[int, ...]] = []  # LRU order, oldest first
+        self._entries: OrderedDict[tuple[int, ...], PrefixEntry] = OrderedDict()  # oldest first
         self._bytes = 0
         self._weight_version: int | None = None
-        # Fingerprints of keys refused while full; a key seen here gets
-        # admitted on its next insert.  Bounded FIFO (oldest forgotten).
-        self._candidates: dict[tuple[int, ...], None] = {}
         self.stats = PrefixCacheStats()
         if obs is None:
             from repro.obs import get_observability
@@ -357,7 +309,6 @@ class PrefixCache:
         self._m_misses = metrics.counter("generation.prefix_misses")
         self._m_saved = metrics.counter("generation.prefill_tokens_saved")
         self._m_evictions = metrics.counter("generation.prefix_evictions")
-        self._m_rejected = metrics.counter("generation.prefix_rejected")
         self._m_invalidations = metrics.counter("generation.prefix_invalidations")
 
     def __len__(self) -> int:
@@ -383,118 +334,50 @@ class PrefixCache:
         self.clear()
         self._weight_version = weight_version
 
-    def _touch(self, key: tuple[int, ...]) -> None:
-        self._order.remove(key)
-        self._order.append(key)
-
     def lookup(self, ids) -> PrefixEntry | None:
-        """Longest stored prefix of ``ids`` (>= ``min_match`` tokens)."""
-        node = self._root
-        best: tuple[int, ...] | None = None
-        for token in np.asarray(ids).reshape(-1).tolist():
-            node = node.children.get(int(token))
-            if node is None:
-                break
-            if node.key is not None:
-                best = node.key
-        if best is None or len(best) < self.min_match:
+        """The entry stored for exactly these token ids, or ``None``."""
+        key = _key(ids)
+        entry = self._entries.get(key)
+        if entry is None:
             self.stats.misses += 1
             self._m_misses.inc()
             return None
-        self._touch(best)
-        entry = self._entries[best]
+        self._entries.move_to_end(key)
         self.stats.hits += 1
         self.stats.tokens_saved += entry.length
         self._m_hits.inc()
         self._m_saved.inc(entry.length)
         return entry
 
-    def insert(self, ids, snapshot: KVCacheSnapshot, logits: np.ndarray) -> PrefixEntry | None:
+    def insert(self, ids, snapshot: KVCacheSnapshot, logits: np.ndarray) -> PrefixEntry:
         """Store the prefilled state for ``ids`` (refreshes an existing key).
 
-        Returns ``None`` when the prefix is not stored: keys shorter than
-        ``min_match`` can never be returned by :meth:`lookup`, and once
-        the cache is full a never-before-seen key must be sighted twice
-        before it is admitted (so one-off prompts cannot evict shared
-        preambles).
-        """
-        key = tuple(int(t) for t in np.asarray(ids).reshape(-1).tolist())
-        if not key:
-            raise ShapeError("cannot cache an empty prefix")
-        if len(key) < self.min_match:
-            return None
-        logits = _read_only(np.asarray(logits).reshape(-1).copy())
-        entry = PrefixEntry(key=key, snapshot=snapshot, logits=logits)
-        if key in self._entries:
-            self._bytes += entry.nbytes - self._entries[key].nbytes
-            self._entries[key] = entry
-            self._touch(key)
-            self._shrink()
-            return entry
-        if not self._admit(key):
-            self.stats.rejected += 1
-            self._m_rejected.inc()
-            return None
-        node = self._root
-        for token in key:
-            node = node.children.setdefault(token, _TrieNode())
-        node.key = key
-        self._entries[key] = entry
-        self._order.append(key)
-        self._bytes += entry.nbytes
-        self._shrink()
-        return entry
-
-    def _admit(self, key: tuple[int, ...]) -> bool:
-        """Second-sighting admission: free room admits; full requires a re-sight."""
-        full = len(self._entries) >= self.capacity or (
-            self.max_bytes is not None and self._bytes >= self.max_bytes
-        )
-        if not full:
-            self._candidates.pop(key, None)
-            return True
-        if key in self._candidates:
-            del self._candidates[key]
-            return True
-        self._candidates[key] = None
-        while len(self._candidates) > 4 * self.capacity:
-            del self._candidates[next(iter(self._candidates))]
-        return False
-
-    def _shrink(self) -> None:
-        """Evict LRU entries to satisfy the entry and byte bounds.
-
-        The newest entry is always retained, so a single prefix larger
-        than ``max_bytes`` still caches (memory is bounded by
+        Evicts least-recently-used entries past the entry and byte
+        bounds; the newest entry is always kept, so a single prompt
+        larger than ``max_bytes`` still caches (memory is bounded by
         ``max(max_bytes, one entry)``).
         """
+        key = _key(ids)
+        if not key:
+            raise ShapeError("cannot cache an empty prompt")
+        logits = _read_only(np.asarray(logits).reshape(-1).copy())
+        entry = PrefixEntry(key=key, snapshot=snapshot, logits=logits)
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self._bytes -= old.nbytes
+        self._entries[key] = entry
+        self._bytes += entry.nbytes
         while len(self._entries) > self.capacity or (
             self.max_bytes is not None
             and self._bytes > self.max_bytes
             and len(self._entries) > 1
         ):
-            self._evict(self._order[0])
-
-    def _evict(self, key: tuple[int, ...]) -> None:
-        self._order.remove(key)
-        self._bytes -= self._entries[key].nbytes
-        del self._entries[key]
-        self.stats.evictions += 1
-        self._m_evictions.inc()
-        # Walk down recording the path, then prune childless entry-less nodes.
-        path = [self._root]
-        for token in key:
-            path.append(path[-1].children[token])
-        path[-1].key = None
-        for depth in range(len(key), 0, -1):
-            node = path[depth]
-            if node.children or node.key is not None:
-                break
-            del path[depth - 1].children[key[depth - 1]]
+            _, evicted = self._entries.popitem(last=False)
+            self._bytes -= evicted.nbytes
+            self.stats.evictions += 1
+            self._m_evictions.inc()
+        return entry
 
     def clear(self) -> None:
-        self._root = _TrieNode()
         self._entries.clear()
-        self._order.clear()
-        self._candidates.clear()
         self._bytes = 0

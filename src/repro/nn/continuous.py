@@ -162,16 +162,16 @@ class DecodeState:
         self._refresh_uniform()
 
 
-def _snapshot_row(layers_kv, row: int, length: int) -> KVCacheSnapshot:
-    """Freeze one row's first ``length`` KV slots as a cache snapshot."""
-    snaps = [
-        LayerKVSnapshot(
-            k=_read_only(np.ascontiguousarray(k[row : row + 1, :, :length])),
-            v=_read_only(np.ascontiguousarray(v[row : row + 1, :, :length])),
+def _snapshot_row(row_kv) -> KVCacheSnapshot:
+    """Freeze one row's per-layer ``(k, v)`` slots as a cache snapshot."""
+    return KVCacheSnapshot(
+        layers=tuple(
+            LayerKVSnapshot(
+                k=_read_only(np.ascontiguousarray(k)), v=_read_only(np.ascontiguousarray(v))
+            )
+            for k, v in row_kv
         )
-        for k, v in layers_kv
-    ]
-    return KVCacheSnapshot(layers=tuple(snaps))
+    )
 
 
 def _prefill_batch(
@@ -182,11 +182,11 @@ def _prefill_batch(
 ) -> tuple[DecodeState, list[np.ndarray]]:
     """Prefill every prompt and stack the results into one decode state.
 
-    Rows without a cached prefix share one left-aligned padded prefill
-    forward; rows with a prefix hit copy the stored snapshot into a
-    fresh cache and prefill only their unseen suffix.  Both forwards
-    read out each row's last prompt position only.  The caches keep
-    every key; the attention masks enforce the sliding window.
+    Rows without a cached entry share one left-aligned padded prefill
+    forward that reads out each row's last prompt position only; a row
+    whose whole prompt is cached takes the stored K/V and logits as they
+    are.  The caches keep every key; the attention masks enforce the
+    sliding window.
     """
     n_layers = model.config.n_layers
     window = model.config.sliding_window
@@ -195,9 +195,14 @@ def _prefill_batch(
     entries = [prefix_cache.lookup(r) if prefix_cache is not None else None for r in rows]
     miss_idx = [i for i, e in enumerate(entries) if e is None]
 
+    # Per row: logits after its last prompt token, and per layer the
+    # (1, kv_heads, length, head_dim) keys and values of its prompt.
     last_logits: list[np.ndarray | None] = [None] * batch
     row_kv: list[list[tuple[np.ndarray, np.ndarray]] | None] = [None] * batch
-    row_kv_len = [0] * batch
+    for i, entry in enumerate(entries):
+        if entry is not None:
+            last_logits[i] = entry.logits
+            row_kv[i] = [(layer.k, layer.v) for layer in entry.snapshot.layers]
 
     if miss_idx:
         pad_to = max(lengths[i] for i in miss_idx)
@@ -211,33 +216,13 @@ def _prefill_batch(
         miss_layers = [miss_cache[layer].views() for layer in range(n_layers)]
         for r, i in enumerate(miss_idx):
             last_logits[i] = logits[r, -1]
-            row_kv[i] = [(k[r : r + 1], v[r : r + 1]) for k, v in miss_layers]
-            row_kv_len[i] = pad_to
+            n = lengths[i]
+            row_kv[i] = [(k[r : r + 1, :, :n], v[r : r + 1, :, :n]) for k, v in miss_layers]
             if prefix_cache is not None:
-                prefix_cache.insert(
-                    rows[i],
-                    _snapshot_row(miss_layers, r, lengths[i]),
-                    last_logits[i],
-                )
-
-    for i, entry in enumerate(entries):
-        if entry is None:
-            continue
-        row_cache = KVCache.from_snapshot(entry.snapshot)
-        if entry.length == lengths[i]:
-            last_logits[i] = np.asarray(entry.logits)
-        else:
-            suffix = rows[i][entry.length :]
-            logits = model.forward(suffix[None, :], cache=row_cache, readout=[len(suffix) - 1])
-            last_logits[i] = logits.data[0, -1]
-            metrics["prefill_tokens"].inc(len(suffix))
-            if prefix_cache is not None:
-                prefix_cache.insert(rows[i], row_cache.snapshot(), last_logits[i])
-        row_kv[i] = [row_cache[layer].views() for layer in range(n_layers)]
-        row_kv_len[i] = len(row_cache[0])
+                prefix_cache.insert(rows[i], _snapshot_row(row_kv[i]), last_logits[i])
 
     # Stack every row's KV block left-aligned into one batched cache.
-    kv_capacity = max(row_kv_len)
+    kv_capacity = max(lengths)
     stacked = []
     for layer in range(n_layers):
         template = row_kv[0][layer][0]
@@ -246,16 +231,16 @@ def _prefill_batch(
         v_l = np.zeros_like(k_l)
         for i in range(batch):
             k_row, v_row = row_kv[i][layer]
-            k_l[i, :, : row_kv_len[i]] = k_row[0]
-            v_l[i, :, : row_kv_len[i]] = v_row[0]
+            k_l[i, :, : lengths[i]] = k_row[0]
+            v_l[i, :, : lengths[i]] = v_row[0]
         stacked.append((k_l, v_l))
     slots = np.arange(kv_capacity, dtype=np.int64)
     row_pos = np.asarray(lengths, dtype=np.int64)
     state = DecodeState(
         cache=KVCache.from_layers([LayerKVCache.from_arrays(k, v) for k, v in stacked]),
         kv_pos=np.tile(slots, (batch, 1)),
-        # Padding slots of a shared prefill (beyond the row's own prompt
-        # length) hold garbage K/V and must stay masked forever.
+        # Slots beyond a row's own prompt length are zero padding and
+        # must stay masked forever.
         kv_valid=slots < row_pos[:, None],
         row_pos=row_pos,
         window=window,

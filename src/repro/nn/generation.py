@@ -14,9 +14,9 @@ one decode loop, :class:`~repro.nn.continuous.ContinuousScheduler`:
 
 Seeded sampling matches row-for-row because every row draws from its
 own ``default_rng(config.seed)`` stream, just like a sequential call.
-A :class:`~repro.nn.cache.PrefixCache` lets prompts that share a cached
-token prefix copy the stored KV snapshot and only prefill the unseen
-suffix.  Counters and the decode-step histogram are reported through
+A :class:`~repro.nn.cache.PrefixCache` lets a prompt identical to a
+cached one copy the stored KV snapshot and logits instead of running
+its prefill.  Counters and the decode-step histogram are reported through
 :mod:`repro.obs` (``generation.*`` series; see ``docs/generation.md``).
 """
 

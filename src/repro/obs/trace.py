@@ -10,9 +10,8 @@ and a TracSeq scoring run produces ``influence.matrix`` with one
 Completed root spans land in ``tracer.roots`` (a bounded deque); every
 finished span also feeds
 
-* a per-name aggregate (``tracer.aggregates()`` — count / total / max),
-* the ``span.duration_s{name=...}`` histogram when the tracer has a
-  metrics registry, and
+* the ``span.duration_s{name=...}`` histogram (count / sum / mean / max
+  per span name) when the tracer has a metrics registry, and
 * a ``kind="span"`` event when it has an event sink,
 
 so traces are queryable live, from metrics, or from a recorded run.
@@ -29,7 +28,7 @@ from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.events import EventSink
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 @dataclass
@@ -93,8 +92,8 @@ class Tracer:
         self._events = events
         self.roots: deque[Span] = deque(maxlen=max_roots)
         self._local = threading.local()
-        self._lock = threading.Lock()
-        self._aggregates: dict[str, list[float]] = {}  # name -> [count, total, max]
+        # span name -> its span.duration_s histogram, looked up once per name
+        self._durations: dict[str, "Histogram"] = {}
 
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)
@@ -126,15 +125,13 @@ class Tracer:
             self._finish(record)
 
     def _finish(self, record: Span) -> None:
-        with self._lock:
-            agg = self._aggregates.setdefault(record.name, [0, 0.0, 0.0])
-            agg[0] += 1
-            agg[1] += record.duration_s
-            agg[2] = max(agg[2], record.duration_s)
         if self._metrics is not None:
-            self._metrics.histogram("span.duration_s", name=record.name).observe(
-                record.duration_s
-            )
+            durations = self._durations.get(record.name)
+            if durations is None:
+                durations = self._durations[record.name] = self._metrics.histogram(
+                    "span.duration_s", name=record.name
+                )
+            durations.observe(record.duration_s)
         if self._events is not None:
             self._events.emit(
                 "span",
@@ -144,16 +141,3 @@ class Tracer:
                 attrs=record.attrs,
                 n_children=len(record.children),
             )
-
-    def aggregates(self) -> dict[str, dict[str, float]]:
-        """Per-span-name totals: ``{name: {count, total_s, mean_s, max_s}}``."""
-        with self._lock:
-            return {
-                name: {
-                    "count": count,
-                    "total_s": total,
-                    "mean_s": total / count if count else 0.0,
-                    "max_s": peak,
-                }
-                for name, (count, total, peak) in sorted(self._aggregates.items())
-            }

@@ -1,12 +1,7 @@
-"""Training loop, batching, checkpoints and callbacks."""
+"""Training loop, batching, checkpoints, step history and metrics."""
 
 from repro.training.batching import IGNORE_INDEX, TokenBatch, collate, iter_batches
-from repro.training.callbacks import (
-    Callback,
-    History,
-    MetricsLogger,
-    StepLog,
-)
+from repro.training.callbacks import History, MetricsLogger, StepLog
 from repro.training.checkpoint import CheckpointManager, CheckpointRecord
 from repro.training.trainer import Trainer, TrainingConfig
 
@@ -15,7 +10,6 @@ __all__ = [
     "TokenBatch",
     "collate",
     "iter_batches",
-    "Callback",
     "History",
     "MetricsLogger",
     "StepLog",

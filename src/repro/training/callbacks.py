@@ -1,4 +1,4 @@
-"""Trainer callbacks: step history and metrics publishing."""
+"""What the trainer does after each step and epoch: keep history, publish metrics."""
 
 from __future__ import annotations
 
@@ -28,19 +28,9 @@ class StepLog:
         return self.tokens / self.step_s if self.step_s > 0 else 0.0
 
 
-class Callback:
-    """Hook interface; all methods are optional no-ops."""
-
-    def on_step(self, log: StepLog) -> None:
-        """Called after every optimizer step."""
-
-    def on_epoch_end(self, epoch: int, mean_loss: float) -> None:
-        """Called after each pass over the training data."""
-
-
 @dataclass
-class History(Callback):
-    """Records every step; the trainer installs one automatically."""
+class History:
+    """Records every step and epoch loss; ``Trainer.train`` returns it."""
 
     steps: list[StepLog] = field(default_factory=list)
     epoch_losses: list[float] = field(default_factory=list)
@@ -56,10 +46,10 @@ class History(Callback):
         return [s.loss for s in self.steps]
 
 
-class MetricsLogger(Callback):
+class MetricsLogger:
     """Publish step telemetry into the observability layer.
 
-    The trainer installs one automatically (wired to its own hub), so
+    The trainer keeps one wired to its own hub, so
     ``training.steps`` / ``training.tokens`` counters, the
     ``training.step_s`` histogram and the ``training.loss`` /
     ``training.lr`` / ``training.grad_norm`` / ``training.tokens_per_s``

@@ -29,7 +29,7 @@ from repro.optim.optimizer import Optimizer
 from repro.optim.schedule import ConstantLR, LRSchedule
 from repro.resilience.faults import fault_point
 from repro.training.batching import iter_batches
-from repro.training.callbacks import Callback, History, MetricsLogger, StepLog
+from repro.training.callbacks import History, MetricsLogger, StepLog
 from repro.training.checkpoint import CheckpointManager
 
 TokenExample = tuple[list[int], list[int]]
@@ -96,8 +96,8 @@ class Trainer:
         self.obs = obs or get_observability()
         self._clock = clock
         # Per-step timing, tokens/sec and the loss gauge publish through
-        # an auto-installed MetricsLogger wired to this trainer's hub.
-        self.callbacks: list[Callback] = [self.history, MetricsLogger(self.obs)]
+        # a MetricsLogger wired to this trainer's hub.
+        self._metrics = MetricsLogger(self.obs)
         self.global_step = 0
         # Position within the epoch loop, captured into checkpoint
         # metadata for exact resume.
@@ -221,8 +221,8 @@ class Trainer:
             if pending and not stop:
                 epoch_losses.append(self._step(pending))
             mean_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
-            for cb in self.callbacks:
-                cb.on_epoch_end(epoch, mean_loss)
+            self.history.on_epoch_end(epoch, mean_loss)
+            self._metrics.on_epoch_end(epoch, mean_loss)
             if stop:
                 break
         return self.history
@@ -280,8 +280,8 @@ class Trainer:
             step_s=max(0.0, self._clock() - started),
             tokens=tokens,
         )
-        for cb in self.callbacks:
-            cb.on_step(log)
+        self.history.on_step(log)
+        self._metrics.on_step(log)
         if (
             self.checkpoints is not None
             and self.config.checkpoint_every is not None

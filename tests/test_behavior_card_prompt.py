@@ -6,9 +6,10 @@ token for token, and each path must turn a score into a decision the
 same way.  These tests fail as soon as one path drifts from the others:
 training examples, the service's audit prompt, a cluster replica's
 generative ``encode``, the explain query's test example and the shadow
-candidate's scored prompt; and, for the decision, the service, a
-replica's ``batch_fn`` and :class:`ShadowRecord` labels at a score
-exactly at the threshold and one ulp below it.
+candidate's scored prompt (each ends in SEP, also when left-truncated);
+and, for the decision, the service, a replica's ``batch_fn`` and
+:class:`ShadowRecord` labels at a score exactly at the threshold and
+one ulp below it.
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ import numpy as np
 import pytest
 
 from repro.baselines.lm import LMClassifier
+from repro.config import bench_config
 from repro.config import test_config as make_test_config
 from repro.core import ZiGong
 from repro.data import build_behavior_examples
+from repro.data.templates import behavior_prompt
 from repro.datasets import make_behavior
+from repro.nn import MistralTiny
 from repro.pipeline.online import _CandidateScorer
 from repro.serving import (
     BehaviorCardConfig,
@@ -106,6 +110,16 @@ class TestOnePrompt:
             *(prompt_ids(p) for p in scored_prompts),
         ):
             assert ids == trained
+
+        # Every built prompt ends in SEP, also after left truncation, so
+        # none is a strict prefix of another: the prefix cache keys whole
+        # prompts.
+        long_text = " ".join([text] * 40)
+        bench = LMClassifier(MistralTiny(bench_config().model, rng=0), tokenizer)
+        truncated = bench._prompt_ids(behavior_prompt(long_text))
+        assert len(truncated) == bench.model.config.max_seq_len - bench.max_new_tokens
+        for ids in (trained, truncated, replica.generation.encode(ScoreRequest("u1", long_text))):
+            assert ids[-1] == tokenizer.sep_id
 
 
 class TestOneDecisionRule:

@@ -307,9 +307,9 @@ class TestParallelEngine:
         train, test = sets
         obs = Observability.create()
         TracInCP(tiny_model, checkpoints, workers=2, obs=obs).influence(train, test).sum(axis=1)
-        aggregates = obs.tracer.aggregates()
-        assert aggregates["influence.worker"]["count"] == len(checkpoints)
-        assert "influence.prefetch" in aggregates
+        spans = obs.metrics.snapshot()["histograms"]
+        assert spans["span.duration_s{name=influence.worker}"]["count"] == len(checkpoints)
+        assert "span.duration_s{name=influence.prefetch}" in spans
 
     def test_single_checkpoint_engine_forks_no_pool(self, tiny_model, checkpoints, sets):
         """One checkpoint is one job: DataInf at workers=2 replays in-process."""
@@ -320,9 +320,9 @@ class TestParallelEngine:
             estimator = DataInf(tiny_model, checkpoints, workers=workers, obs=obs)
             scores = estimator.influence(train, test)
             rows = estimator.engine.stacked_rows(train + test)
-            aggregates = obs.tracer.aggregates()
-            assert "influence.prefetch" not in aggregates
-            assert "influence.worker" not in aggregates
+            spans = obs.metrics.snapshot()["histograms"]
+            assert "span.duration_s{name=influence.prefetch}" not in spans
+            assert "span.duration_s{name=influence.worker}" not in spans
             passes = obs.metrics.snapshot()["counters"]["influence.gradient_passes"]
             results[workers] = (scores, rows, passes)
         assert np.array_equal(results[2][0], results[0][0])

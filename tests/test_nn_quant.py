@@ -478,7 +478,7 @@ class TestKernelMatchesSplitFormulas:
         config = bench_config().model
         model = quantize_model(MistralTiny(config, rng=0))
         rows = ragged_prompts(config.vocab_size, lengths=(11, 4, 23, 9, 17, 6))
-        rows.append(np.concatenate([rows[2], rows[1]]))  # prefix hit, suffix readout
+        rows.append(np.concatenate([rows[2], rows[1]]))  # extends a cached prompt: a full prefill
         tokens, logits = self._logits(model, rows)
         ref_tokens, ref_logits = self._logits(
             model,

@@ -132,14 +132,15 @@ class TestTracer:
         assert tracer.roots[0].status == "error"
 
     def test_aggregates(self):
-        tracer = Tracer(clock=FakeClock(tick=1.0))
+        metrics = MetricsRegistry()
+        tracer = Tracer(clock=FakeClock(tick=1.0), metrics=metrics)
         for _ in range(3):
             with tracer.span("work"):
                 pass
-        agg = tracer.aggregates()["work"]
-        assert agg["count"] == 3
-        assert agg["total_s"] == pytest.approx(3.0)
-        assert agg["mean_s"] == pytest.approx(1.0)
+        hist = metrics.histogram("span.duration_s", name="work")
+        assert hist.count == 3
+        assert hist.sum == pytest.approx(3.0)
+        assert hist.mean == pytest.approx(1.0)
 
     def test_spans_feed_metrics_histogram(self):
         metrics = MetricsRegistry()
@@ -160,11 +161,12 @@ class TestTracer:
         assert event["attrs"] == {"index": 3}
 
     def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
+        metrics = MetricsRegistry()
+        tracer = Tracer(enabled=False, metrics=metrics)
         with tracer.span("x") as span:
             span.attrs["ignored"] = True  # writes on a null span vanish
         assert len(tracer.roots) == 0
-        assert tracer.aggregates() == {}
+        assert metrics.snapshot()["histograms"] == {}
 
     def test_attrs_mutable_while_open(self):
         tracer = Tracer(clock=FakeClock())
@@ -362,9 +364,8 @@ class TestServingWiring:
         obs = Observability.create()
         service = self.make_service(obs)
         service.score_requests([ScoreRequest(f"u{i}", f"x={i}") for i in range(4)])
-        aggregates = obs.tracer.aggregates()
-        assert aggregates["serving.batch"]["count"] >= 1
-        assert aggregates["serving.forward"]["count"] >= 1
+        assert obs.metrics.histogram("span.duration_s", name="serving.batch").count >= 1
+        assert obs.metrics.histogram("span.duration_s", name="serving.forward").count >= 1
         root = next(r for r in obs.tracer.roots if r.name != "cluster.launch")
         assert root.name == "serving.batch"
         assert [child.name for child in root.children] == ["serving.forward"]
@@ -439,7 +440,7 @@ class TestTrainingWiring:
     def test_step_spans(self, tiny_model):
         obs = Observability.create()
         self.train_briefly(tiny_model, obs)
-        assert obs.tracer.aggregates()["training.step"]["count"] == 2
+        assert obs.metrics.histogram("span.duration_s", name="training.step").count == 2
 
     def test_metrics_logger_standalone(self):
         from repro.training import MetricsLogger, StepLog
@@ -484,8 +485,8 @@ class TestInfluenceWiring:
         counters = obs.metrics.snapshot()["counters"]
         assert counters["influence.checkpoints_replayed"] == n_ckpt
         assert counters["influence.gradient_passes"] == n_ckpt * 6
-        aggregates = obs.tracer.aggregates()
-        assert aggregates["influence.checkpoint"]["count"] == n_ckpt
+        spans = obs.metrics.histogram("span.duration_s", name="influence.checkpoint")
+        assert spans.count == n_ckpt
         root = obs.tracer.roots[-1]
         assert root.name == "influence.matrix"
         assert len(root.children) == n_ckpt

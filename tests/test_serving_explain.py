@@ -95,7 +95,7 @@ class TestExplainAudit:
         service.explain("obs-user", text)
         counters = obs.metrics.snapshot()["counters"]
         assert counters["explain.requests"] == before + 1
-        assert "serving.explain.query" in obs.tracer.aggregates()
+        assert "span.duration_s{name=serving.explain.query}" in obs.metrics.snapshot()["histograms"]
 
 
 class TestExplainConfig:
