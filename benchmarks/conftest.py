@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import subprocess
 from pathlib import Path
 
 import pytest
@@ -20,23 +19,10 @@ from repro.core import PipelineConfig, PrunerConfig, ZiGong, ZiGongPipeline
 from repro.data import InstructExample
 from repro.eval import EvalSample
 
+from ledger import git_rev
+
 RESULTS_DIR = Path(__file__).parent / "results"
 SEED = 0
-
-
-def _git_rev() -> str | None:
-    """Short commit hash of the repo, or None outside a checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return out.stdout.strip() or None if out.returncode == 0 else None
 
 
 def save_result(name: str, text: str, metrics: dict | None = None,
@@ -45,14 +31,17 @@ def save_result(name: str, text: str, metrics: dict | None = None,
 
     Writes two files: the human-readable ``<name>.txt`` table, and a
     machine-readable ``<name>.json`` carrying the structured ``metrics``
-    and ``config`` the caller passes (plus the git revision), so runs can
-    be diffed/plotted without re-parsing rendered tables.
+    and ``config`` the caller passes (plus the git revision and whether
+    tracked files differed from it), so runs can be diffed/plotted
+    without re-parsing rendered tables.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    rev, dirty = git_rev()
     payload = {
         "name": name,
-        "git_rev": _git_rev(),
+        "git_rev": rev,
+        "dirty": dirty,
         "config": config or {},
         "metrics": metrics or {},
     }

@@ -143,6 +143,19 @@ class LayerKVCache:
             cache.append(k, v)
         return cache
 
+    @classmethod
+    def zeros(cls, batch: int, heads: int, t: int, head_dim: int, dtype) -> "LayerKVCache":
+        """A cache holding ``t`` zeroed positions, with ``append``'s slack.
+
+        Write the positions through :meth:`views`: the views are the
+        cache's own buffer, so filling them copies nothing further.
+        """
+        cache = cls()
+        cache._k = np.zeros((batch, heads, _capacity(t), head_dim), dtype=dtype)
+        cache._v = np.zeros_like(cache._k)
+        cache._len = t
+        return cache
+
     def select_rows(self, indices, columns=None) -> None:
         """Keep only the given batch rows (early retirement compaction).
 

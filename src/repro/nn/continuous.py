@@ -221,23 +221,24 @@ def _prefill_batch(
             if prefix_cache is not None:
                 prefix_cache.insert(rows[i], _snapshot_row(row_kv[i]), last_logits[i])
 
-    # Stack every row's KV block left-aligned into one batched cache.
+    # Stack every row's KV block left-aligned, straight into the
+    # batched cache's own buffers.
     kv_capacity = max(lengths)
-    stacked = []
+    layers = []
     for layer in range(n_layers):
         template = row_kv[0][layer][0]
         _, kv_heads, _, head_dim = template.shape
-        k_l = np.zeros((batch, kv_heads, kv_capacity, head_dim), dtype=template.dtype)
-        v_l = np.zeros_like(k_l)
+        layer_cache = LayerKVCache.zeros(batch, kv_heads, kv_capacity, head_dim, template.dtype)
+        k_l, v_l = layer_cache.views()
         for i in range(batch):
             k_row, v_row = row_kv[i][layer]
             k_l[i, :, : lengths[i]] = k_row[0]
             v_l[i, :, : lengths[i]] = v_row[0]
-        stacked.append((k_l, v_l))
+        layers.append(layer_cache)
     slots = np.arange(kv_capacity, dtype=np.int64)
     row_pos = np.asarray(lengths, dtype=np.int64)
     state = DecodeState(
-        cache=KVCache.from_layers([LayerKVCache.from_arrays(k, v) for k, v in stacked]),
+        cache=KVCache.from_layers(layers),
         kv_pos=np.tile(slots, (batch, 1)),
         # Slots beyond a row's own prompt length are zero padding and
         # must stay masked forever.

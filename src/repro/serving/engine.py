@@ -20,6 +20,9 @@ that architecture to the laptop-scale reproduction:
   fail with that error.
   :class:`~repro.serving.continuous.ContinuousEngine` is the other
   step policy (streaming decode).
+* :class:`PendingResult` — the future ``submit`` returns: one lock per
+  request, finalized exactly once.  Its ``threading.Event`` is made
+  only by a ``result(timeout)`` call that has to wait.
 * :class:`EngineStats` — throughput / queue-depth counters.
 
 The engine is instrumented through :class:`repro.obs.Observability`
@@ -43,9 +46,10 @@ Two drive modes:
 
 * **Synchronous** — ``submit()`` then ``pump()``/``drain()`` (or the
   ``serve()`` convenience).  Deterministic; what the tests use.
+  Nothing blocks: finished requests are read with ``result(timeout=0)``.
 * **Threaded** — ``start()`` spins a daemon worker that batches
   concurrent ``submit()`` traffic; callers block on
-  ``PendingResult.result()``.
+  ``PendingResult.result()``, the one place a pending makes an Event.
 """
 
 from __future__ import annotations
@@ -146,21 +150,37 @@ class PendingResult:
     first outcome.  The serving-tier property suite leans on this guard
     — any scheduler interleaving that double-completes a request fails
     loudly rather than corrupting a caller's result.
+
+    One lock guards the slot.  ``done`` is a plain bool set under it,
+    and the callback, stream and token-callback lists are made on first
+    use.  A ``threading.Event`` exists only once a :meth:`result` call
+    finds the request unfinished and has to wait, so a request whose
+    caller reads it after completion (the cluster supervisor, the
+    synchronous drive, a callback) never builds one.
     """
+
+    __slots__ = (
+        "request",
+        "done",
+        "_lock",
+        "_result",
+        "_error",
+        "_event",
+        "_callbacks",
+        "_stream",
+        "_token_callbacks",
+    )
 
     def __init__(self, request: ScoreRequest):
         self.request = request
-        self._event = threading.Event()
+        self.done = False
+        self._lock = threading.Lock()
         self._result: ScoreResult | None = None
         self._error: BaseException | None = None
-        self._callbacks: list[Callable[["PendingResult"], None]] = []
-        self._finalize_lock = threading.Lock()
-        self._stream: list[int] = []
-        self._token_callbacks: list[Callable[["PendingResult", int], None]] = []
-
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
+        self._event: threading.Event | None = None
+        self._callbacks: list[Callable[["PendingResult"], None]] | None = None
+        self._stream: list[int] | None = None
+        self._token_callbacks: list[Callable[["PendingResult", int], None]] | None = None
 
     @property
     def error(self) -> BaseException | None:
@@ -176,26 +196,27 @@ class PendingResult:
         and to re-dispatch requests off a crashed replica.  Exceptions
         raised by a callback propagate to the finalizer.
         """
-        run_now = False
-        with self._finalize_lock:
-            if self.done:
-                run_now = True
-            else:
+        with self._lock:
+            if not self.done:
+                if self._callbacks is None:
+                    self._callbacks = []
                 self._callbacks.append(fn)
-        if run_now:
-            fn(self)
+                return
+        fn(self)
 
     def _finalize(self, result: ScoreResult | None, error: BaseException | None) -> None:
-        with self._finalize_lock:
+        with self._lock:
             if self.done:
                 raise ServingError(
                     f"request for {self.request.user_id!r} finalized twice"
                 )
             self._result = result
             self._error = error
-            self._event.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
+            self.done = True
+            if self._event is not None:
+                self._event.set()
+            callbacks, self._callbacks = self._callbacks, None
+        for fn in callbacks or ():
             fn(self)
 
     def _resolve(self, result: ScoreResult) -> None:
@@ -213,8 +234,8 @@ class PendingResult:
         Populated only by generation engines (:class:`ContinuousEngine`);
         micro-batch scoring leaves it empty.
         """
-        with self._finalize_lock:
-            return tuple(self._stream)
+        with self._lock:
+            return tuple(self._stream or ())
 
     def add_token_callback(self, fn: Callable[["PendingResult", int], None]) -> None:
         """Run ``fn(self, token_id)`` for every streamed token.
@@ -223,18 +244,22 @@ class PendingResult:
         Tokens emitted before registration are not replayed — read
         :attr:`stream` for the full prefix.
         """
-        with self._finalize_lock:
+        with self._lock:
+            if self._token_callbacks is None:
+                self._token_callbacks = []
             self._token_callbacks.append(fn)
 
     def _emit_token(self, token_id: int) -> None:
-        with self._finalize_lock:
+        with self._lock:
             if self.done:
                 raise ServingError(
                     f"request for {self.request.user_id!r} streamed a token "
                     "after finalization"
                 )
+            if self._stream is None:
+                self._stream = []
             self._stream.append(token_id)
-            callbacks = list(self._token_callbacks)
+            callbacks = tuple(self._token_callbacks or ())
         for fn in callbacks:
             fn(self, token_id)
 
@@ -245,9 +270,17 @@ class PendingResult:
         :class:`ServingError`) when the wait expires: the request is
         **still queued / in flight** and may complete later — retry
         :meth:`result` or abandon the answer, but do not assume scoring
-        failed.
+        failed.  ``result(timeout=0)`` on an unfinished request raises
+        at once without waiting.
         """
-        if not self._event.wait(timeout):
+        with self._lock:
+            wait = not self.done and (timeout is None or timeout > 0)
+            if wait and self._event is None:
+                self._event = threading.Event()
+            event = self._event
+        if wait:
+            event.wait(timeout)
+        if not self.done:
             raise ServingTimeout(
                 f"result for {self.request.user_id!r} not ready within "
                 f"{timeout}s; the request is still queued"

@@ -29,6 +29,20 @@ class TestLayerKVCache:
         assert k.shape[2] == 5
         assert len(cache) == 5
 
+    def test_zeros_is_filled_through_its_views(self):
+        k, v = self._kv(3), self._kv(3, 1)
+        cache = LayerKVCache.zeros(1, 2, 3, 4, np.float32)
+        k_view, v_view = cache.views()
+        np.testing.assert_array_equal(k_view, 0.0)
+        k_view[...] = k
+        v_view[...] = v
+        copied = LayerKVCache.from_arrays(k, v)
+        for grown in (cache, copied):
+            grown.append(self._kv(2, 2), self._kv(2, 3))
+        assert len(cache) == 5
+        for ours, theirs in zip(cache.views(), copied.views()):
+            np.testing.assert_array_equal(ours, theirs)
+
     def test_shape_mismatch_raises(self):
         cache = LayerKVCache()
         with pytest.raises(ShapeError):
