@@ -2,12 +2,19 @@
 
 An observability layer only earns its place on the hot path if it is
 effectively free.  This benchmark drives the same micro-batched traffic
-as ``bench_serving.py`` through two Behavior Card services — one with a
-fully wired :class:`~repro.obs.Observability` hub (metrics + spans +
-JSON-lines events), one with ``Observability.disabled()`` — and asserts
-the throughput cost of instrumentation stays under the ~3 % budget
-(ISSUE-2 acceptance).  Alternating best-of-``REPEATS`` timing keeps the
-comparison robust to scheduler noise.
+as ``bench_serving.py`` through Behavior Card services that differ only
+in their hub: one fully wired :class:`~repro.obs.Observability` (metrics
+and spans), one ``Observability.disabled()``.  It asserts that the
+median cost of instrumentation stays under the 3 % budget.
+
+Timing is :func:`conftest.paired_timing`: ``ROUNDS`` rounds in rotating
+order, each side timed as the driving thread's CPU time of
+``score_requests`` with BLAS pinned to one thread, gated on the median
+of the per-round overheads (their IQR is reported beside it).  A third
+side runs instrumented with an ``audit_path`` file (``repro serve
+--audit``): the audit trail is a record the service must keep, not
+instrumentation, so its cost is reported next to the ring-only number
+and not gated.
 
 It also records a run file (events + a final metrics snapshot) and
 renders it through the same path as ``repro obs report``, so the
@@ -16,17 +23,17 @@ recorded-run tooling is exercised on real serving traffic.
 
 from __future__ import annotations
 
-import time
+import statistics
 
 import pytest
 
 from repro.obs import Observability, read_events, render_report
 from repro.serving import BehaviorCardConfig, BehaviorCardService, ScoreRequest
 
-from conftest import save_result, synthetic_traffic, train_plain
+from conftest import paired_timing, save_result, synthetic_traffic, train_plain
 
 N_REQUESTS = 64
-REPEATS = 3
+ROUNDS = 60
 MAX_OVERHEAD = 0.03
 
 
@@ -48,34 +55,37 @@ def traffic():
     ]
 
 
-def _make_service(classifier, traffic, obs):
+def _make_service(classifier, traffic, obs, audit_path=None):
     return BehaviorCardService(
         classifier,
         BehaviorCardConfig(max_batch_size=8, queue_capacity=max(64, len(traffic))),
         obs=obs,
+        audit_path=audit_path,
     )
 
 
-def _time_run(classifier, traffic, obs) -> float:
-    service = _make_service(classifier, traffic, obs)
-    start = time.perf_counter()
-    service.score_requests(traffic)
-    return time.perf_counter() - start
-
-
 def test_obs_overhead(classifier, traffic, tmp_path):
-    # Warm both paths once (numpy buffers, code paths) before timing.
-    _time_run(classifier, traffic, Observability.disabled())
-    _time_run(classifier, traffic, Observability.create())
+    audit_path = tmp_path / "audit.jsonl"
+    services = []
 
-    disabled_times, enabled_times = [], []
-    for _ in range(REPEATS):
-        disabled_times.append(_time_run(classifier, traffic, Observability.disabled()))
-        enabled_times.append(_time_run(classifier, traffic, Observability.create()))
+    def side(obs_factory, audit=None):
+        def build():
+            services.append(_make_service(classifier, traffic, obs_factory(), audit))
+            return lambda service=services[-1]: service.score_requests(traffic)
 
-    best_disabled = min(disabled_times)
-    best_enabled = min(enabled_times)
-    overhead = best_enabled / best_disabled - 1.0
+        return build
+
+    timing = paired_timing(
+        {
+            "disabled": side(Observability.disabled),
+            "enabled": side(Observability.create),
+            "enabled + audit file": side(Observability.create, audit_path),
+        },
+        rounds=ROUNDS,
+    )
+    for service in services:
+        service.stop(drain=False)
+    overhead = timing.median("enabled")
 
     # A recorded run: instrumented traffic with an event sink attached,
     # snapshotted at the end — exactly what `repro obs report` consumes.
@@ -89,15 +99,22 @@ def test_obs_overhead(classifier, traffic, tmp_path):
     assert "serving.latency_s" in report
     assert "serving.batch" in report
 
+    def per_request_us(name: str) -> float:
+        return statistics.median(timing.seconds[name]) / len(traffic) * 1e6
+
     lines = [
         f"observability overhead on {len(traffic)} micro-batched requests "
-        f"(best of {REPEATS})",
+        f"(median of {ROUNDS} rotating rounds, thread CPU time, BLAS pinned to one "
+        f"thread: {'yes' if timing.blas_pinned else 'no, not found'})",
         "",
-        f"  disabled  {best_disabled * 1000:8.1f} ms  "
-        f"({len(traffic) / best_disabled:7.1f} req/s)",
-        f"  enabled   {best_enabled * 1000:8.1f} ms  "
-        f"({len(traffic) / best_enabled:7.1f} req/s)",
-        f"  overhead  {overhead * 100:+7.2f} %  (budget {MAX_OVERHEAD * 100:.0f} %)",
+        f"  disabled              {per_request_us('disabled'):7.1f} us/request  (base)",
+        f"  enabled               {per_request_us('enabled'):7.1f} us/request  "
+        f"{timing.row('enabled')}",
+        f"  enabled + audit file  {per_request_us('enabled + audit file'):7.1f} us/request  "
+        f"{timing.row('enabled + audit file')}",
+        "",
+        f"  gate: enabled median {overhead * 100:+.2f} % < budget {MAX_OVERHEAD * 100:.0f} %; "
+        "the audit-file row is reported, not gated",
         "",
         "recorded-run report (metrics + spans from the instrumented run):",
         "",
@@ -106,6 +123,6 @@ def test_obs_overhead(classifier, traffic, tmp_path):
     save_result("obs_overhead", "\n".join(lines))
 
     assert overhead < MAX_OVERHEAD, (
-        f"instrumentation costs {overhead * 100:.2f} % throughput "
+        f"instrumentation costs a median {overhead * 100:.2f} % "
         f"(budget {MAX_OVERHEAD * 100:.0f} %)"
     )

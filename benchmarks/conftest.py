@@ -8,9 +8,15 @@ tables are printed and written to ``benchmarks/results/``.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import gc
 import json
+import statistics
+import time
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -50,6 +56,124 @@ def save_result(name: str, text: str, metrics: dict | None = None,
     )
     print()
     print(text)
+
+
+# ----------------------------------------------------------------------
+# Paired timing (the P3 and P5 gates)
+# ----------------------------------------------------------------------
+
+_BLAS_THREADS = (  # (set, get) symbol pairs of the OpenBLAS builds numpy ships with
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _loaded_openblas():
+    """``(set_num_threads, get_num_threads)`` of the OpenBLAS numpy loaded, or None."""
+    import numpy  # noqa: F401 - loads the BLAS library
+
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    paths = sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower()})
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _BLAS_THREADS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(n: int = 1):
+    """Run the block with the loaded OpenBLAS on ``n`` threads; yields whether it could.
+
+    ``perfbench/run.py`` pins BLAS through the environment before numpy
+    loads; a pytest session has numpy loaded already, so this sets the
+    library's thread count directly and restores it afterwards.
+    """
+    calls = _loaded_openblas()
+    if calls is None:
+        yield False
+        return
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(n)
+    try:
+        yield True
+    finally:
+        set_threads(before)
+
+
+@dataclasses.dataclass
+class PairedTiming:
+    """Thread-CPU seconds per side, one entry per round, and their overheads."""
+
+    seconds: dict[str, list[float]]
+    base: str
+    blas_pinned: bool
+
+    def overheads(self, side: str, base: str | None = None) -> list[float]:
+        """Per round, ``side`` / ``base`` - 1 (``base`` defaults to the first side)."""
+        reference = self.seconds[base or self.base]
+        return [t / b - 1.0 for t, b in zip(self.seconds[side], reference)]
+
+    def median(self, side: str, base: str | None = None) -> float:
+        return statistics.median(self.overheads(side, base))
+
+    def iqr(self, side: str, base: str | None = None) -> tuple[float, float]:
+        q1, _, q3 = statistics.quantiles(self.overheads(side, base), n=4)
+        return q1, q3
+
+    def slower(self, side: str, base: str | None = None) -> int:
+        """Rounds in which ``side`` took longer than ``base``."""
+        return sum(o > 0 for o in self.overheads(side, base))
+
+    def row(self, side: str, base: str | None = None) -> str:
+        q1, q3 = self.iqr(side, base)
+        return (
+            f"{self.median(side, base) * 100:+6.2f} %  (IQR {q1 * 100:+.2f} % to {q3 * 100:+.2f} %; "
+            f"slower in {self.slower(side, base)} of {len(self.overheads(side, base))} rounds)"
+        )
+
+
+def paired_timing(
+    sides: dict[str, Callable[[], Callable[[], object]]], rounds: int, warmup: int = 1
+) -> PairedTiming:
+    """Time each side's run in ``rounds`` rounds, rotating the order every round.
+
+    Each side is a factory: it builds what its run needs (untimed) and
+    returns the callable to time.  The timed clock is the calling
+    thread's CPU time (``time.thread_time``) with BLAS pinned to one
+    thread, as ``perfbench`` times; the first side is the default base of an
+    overhead.  With two sides this is alternating pairs.  Report the
+    median and IQR of the per-round overheads: a best-of-N on shared
+    hosts flips with scheduler noise at a few-percent budget.
+    """
+    names = list(sides)
+    seconds: dict[str, list[float]] = {name: [] for name in names}
+    with blas_threads(1) as pinned:
+        for _ in range(warmup):
+            for name in names:
+                sides[name]()()
+        for i in range(rounds):
+            shift = i % len(names)
+            for name in names[shift:] + names[:shift]:
+                run = sides[name]()
+                gc.collect()
+                start = time.thread_time()
+                run()
+                seconds[name].append(time.thread_time() - start)
+    return PairedTiming(seconds, base=names[0], blas_pinned=pinned)
 
 
 def fast_zigong_config(epochs: int = 8, seed: int = SEED):

@@ -13,6 +13,11 @@ Usage, from the root of a checkout::
 ``benchmarks/results/BENCH_<workload>.json`` (``--results`` names
 another directory).  ``dirty`` is true when tracked files differ from
 ``git_rev``, so an entry taken in an uncommitted tree says so.
+Besides perfbench's counts, ``counts`` holds the same checkout's
+request-path counts (:func:`request_path_counts`): instrument calls and
+Python function calls per decision on a synchronous stub cluster, run
+in one fresh interpreter that imports only that checkout's ``src/``.
+They are exact, so they repeat on any host.
 
 ``ab`` checks ``--rev`` out with ``git worktree add`` under a temporary
 directory and runs ``--pairs`` pairs of that rev and this checkout,
@@ -25,7 +30,9 @@ removes the worktree.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -59,6 +66,121 @@ def git_rev(cwd: Path | str = ROOT) -> tuple[str | None, bool]:
     return rev, bool(git("status", "--porcelain", "--untracked-files=no"))
 
 
+REQUESTS = 256  # decisions in the request-path count run
+WAVE = 16  # requests per wave: one full batch of 8 on each of 2 replicas
+
+
+def request_path_counts(requests: int = REQUESTS, src: Path = ROOT / "src") -> dict[str, float]:
+    """Instrument calls and Python function calls per decision on a stub cluster.
+
+    A synchronous 2-replica thread cluster (batches of 8, instruments
+    on, no event file) over a stub ``batch_fn`` serves ``requests``
+    requests in waves of 16: each wave is submitted, one cluster pump
+    scores one full batch per replica, and every result is read.  One
+    wave warms the cluster first.  Instrument calls are counter
+    ``inc``s, gauge ``set``/``inc``s, histogram ``observe``s and
+    ``observe_many``s, spans and hub events; Python calls are
+    ``sys.setprofile`` ``call`` events, counted in a second, unwrapped
+    run with the garbage collector paused.  Nothing is timed, so both
+    numbers are exact.  ``repro`` is imported from ``src`` unless this
+    process has imported it already.
+    """
+    src = str(src)
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from repro.obs import Counter, Gauge, Histogram, Observability, Tracer
+    from repro.serving import ClusterConfig, ClusterSupervisor, ReplicaApp, ScoreRequest, ScoreResult
+
+    def batch_fn(batch):
+        return [
+            ScoreResult(r.user_id, (len(r.behavior_text) % 10) / 10 + 0.05, True, 0.5)
+            for r in batch
+        ]
+
+    def serve(count: int, first: int = 0) -> None:
+        cluster = serve.cluster
+        for start in range(first, first + count, WAVE):
+            pendings = [
+                cluster.submit(ScoreRequest(f"user-{i}", f"txn {'x' * (i % 11)}"))
+                for i in range(start, start + WAVE)
+            ]
+            cluster.pump()
+            for pending in pendings:
+                pending.result(timeout=0)
+
+    def fresh_cluster() -> None:
+        serve.cluster = ClusterSupervisor(
+            lambda replica_id: ReplicaApp(batch_fn=batch_fn),
+            ClusterConfig(replicas=2, max_batch_size=8, queue_capacity=64),
+            obs=Observability.create(),
+        )
+        serve.cluster.launch()
+        serve(WAVE)  # warm-up wave, not counted
+
+    instrumented = [
+        (Counter, "inc"), (Gauge, "set"), (Gauge, "inc"), (Histogram, "observe"),
+        (Histogram, "observe_many"), (Tracer, "span"), (Observability, "event"),
+    ]
+    calls = {"instrument": 0, "python": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls["instrument"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    originals = [(cls, name, getattr(cls, name)) for cls, name in instrumented]
+    for cls, name, fn in originals:
+        setattr(cls, name, counted(fn))
+    try:
+        fresh_cluster()  # built under the wrappers: a hub binds its tracer's span
+        calls["instrument"] = 0
+        serve(requests, WAVE)
+    finally:
+        for cls, name, fn in originals:
+            setattr(cls, name, fn)
+    serve.cluster.stop(drain=False)
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls["python"] += 1
+
+    fresh_cluster()
+    gc.collect()
+    gc.disable()  # a collection would run other objects' finalizers inside the count
+    sys.setprofile(profile)
+    try:
+        serve(requests, WAVE)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    serve.cluster.stop(drain=False)
+    return {
+        "instrument_calls_per_decision": calls["instrument"] / requests,
+        "python_calls_per_decision": calls["python"] / requests,
+    }
+
+
+def checkout_counts(checkout: Path) -> dict[str, float]:
+    """:func:`request_path_counts` of ``checkout``'s ``src/``, in a fresh interpreter."""
+    src = Path(checkout) / "src"
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import ledger; "
+        "print(json.dumps(ledger.request_path_counts(src=sys.argv[2])))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).resolve().parent), str(src)],
+        cwd=checkout, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"request-path counts failed in {checkout} (exit {proc.returncode}):\n"
+            + (proc.stdout + proc.stderr)[-2000:]
+        )
+    return json.loads(proc.stdout)
+
+
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """Run ``perfbench/run.py --trace 0`` in ``checkout``; return its report."""
     command = [
@@ -82,10 +204,15 @@ def record(
     checkout: Path = ROOT,
     results_dir: Path = RESULTS_DIR,
 ) -> dict:
-    """Run one workload in ``checkout``; append its entry to the workload's ledger."""
+    """Run one workload in ``checkout``; append its entry to the workload's ledger.
+
+    Every figure in the entry, the request-path counts included, comes
+    from ``checkout``.
+    """
     report = run_perfbench(checkout, workload, seed, seconds)
     rev, dirty = git_rev(checkout)
     (counts,) = report["counts"]  # --trace 0 measures one run
+    counts = {**counts, **checkout_counts(checkout)}
     item = {
         "git_rev": rev,
         "dirty": dirty,

@@ -11,6 +11,7 @@ replay; the deployed model is trained from scratch on the mixed data.
 
 from __future__ import annotations
 
+import contextlib
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -73,23 +74,30 @@ class ZiGongPipeline:
             raise ConfigError("pipeline needs training examples")
         cfg = self.config
 
-        if checkpoint_dir is None:
-            checkpoint_dir = Path(tempfile.mkdtemp(prefix="zigong-ckpt-"))
+        # Without a checkpoint_dir the warmup checkpoints live in a
+        # temporary directory that is removed once scoring is done.
+        with contextlib.ExitStack() as scratch:
+            if checkpoint_dir is None:
+                checkpoint_dir = scratch.enter_context(
+                    tempfile.TemporaryDirectory(prefix="zigong-ckpt-")
+                )
 
-        # Stage 1: warmup fine-tune to produce checkpoints for replay.
-        warmup_cfg = replace(
-            cfg.zigong,
-            training=replace(cfg.zigong.training, epochs=cfg.warmup_epochs),
-            seed=cfg.seed,
-        )
-        warmup = ZiGong.from_examples(list(train_examples) + list(val_examples), config=warmup_cfg)
-        warmup_history = warmup.finetune(train_examples, checkpoint_dir=checkpoint_dir)
+            # Stage 1: warmup fine-tune to produce checkpoints for replay.
+            warmup_cfg = replace(
+                cfg.zigong,
+                training=replace(cfg.zigong.training, epochs=cfg.warmup_epochs),
+                seed=cfg.seed,
+            )
+            warmup = ZiGong.from_examples(
+                list(train_examples) + list(val_examples), config=warmup_cfg
+            )
+            warmup_history = warmup.finetune(train_examples, checkpoint_dir=checkpoint_dir)
 
-        # Stage 2: agent / TracSeq scoring over the warmup checkpoints.
-        from repro.training.checkpoint import CheckpointManager
+            # Stage 2: agent / TracSeq scoring over the warmup checkpoints.
+            from repro.training.checkpoint import CheckpointManager
 
-        checkpoints = CheckpointManager(checkpoint_dir).checkpoints()
-        scores = self._pruner.score(warmup, train_examples, val_examples, checkpoints)
+            checkpoints = CheckpointManager(checkpoint_dir).checkpoints()
+            scores = self._pruner.score(warmup, train_examples, val_examples, checkpoints)
 
         # Stage 3: 70/30 hybrid mix (Section 3.2), label-stratified so the
         # Top-K slice keeps the pool's class balance.

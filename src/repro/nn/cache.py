@@ -136,14 +136,6 @@ class LayerKVCache:
         return self._k[:, :, : self._len], self._v[:, :, : self._len]
 
     @classmethod
-    def from_arrays(cls, k: np.ndarray, v: np.ndarray) -> "LayerKVCache":
-        """A fresh cache holding a copy of ``k`` / ``v``."""
-        cache = cls()
-        if k.ndim == 4 and k.shape[2] > 0:
-            cache.append(k, v)
-        return cache
-
-    @classmethod
     def zeros(cls, batch: int, heads: int, t: int, head_dim: int, dtype) -> "LayerKVCache":
         """A cache holding ``t`` zeroed positions, with ``append``'s slack.
 

@@ -40,7 +40,8 @@ class Observability:
 
     ``metrics`` and ``tracer`` are always present (possibly disabled);
     ``events`` is optional — most processes only record events when
-    asked to produce a run file.
+    asked to produce a run file.  ``span(name, **attrs)`` is
+    ``tracer.span``.
     """
 
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
@@ -73,9 +74,11 @@ class Observability:
     def enabled(self) -> bool:
         return self.metrics.enabled
 
-    def span(self, name: str, **attrs):
-        """Shorthand for ``self.tracer.span(...)``."""
-        return self.tracer.span(name, **attrs)
+    def __post_init__(self):
+        # ``span(name, **attrs)`` is the tracer's own method, bound once: a
+        # span costs one call, and a disabled one returns the shared inert
+        # span from it.
+        self.span = self.tracer.span
 
     def event(self, kind: str, **fields) -> dict | None:
         """Emit a structured event if a sink is attached (else no-op)."""

@@ -57,6 +57,25 @@ class EventSink:
             self._file.flush()
         return event
 
+    def emit_many(self, kind: str, items: list[dict]) -> None:
+        """Record a batch of same-kind events, in order, with one file write.
+
+        The events share one ``ts`` (one clock read), land in the ring in
+        ``items`` order, and reach the file as one ``write`` and one
+        ``flush``; the serving cluster writes a batch's audit records
+        this way before any caller in the batch is resolved.
+        """
+        if not items:
+            return
+        ts = self._clock()
+        events = [{"ts": ts, "kind": kind, **fields} for fields in items]
+        self._ring.extend(events)
+        if self.path is not None:
+            if self._file is None:
+                self._file = self.path.open("a", encoding="utf-8")
+            self._file.write("".join(json.dumps(event, default=str) + "\n" for event in events))
+            self._file.flush()
+
     def emit_metrics(self, registry: "MetricsRegistry") -> dict:
         """Record a point-in-time snapshot of a registry's series."""
         return self.emit("metrics", snapshot=registry.snapshot())

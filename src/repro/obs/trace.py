@@ -15,6 +15,10 @@ finished span also feeds
 * a ``kind="span"`` event when it has an event sink,
 
 so traces are queryable live, from metrics, or from a recorded run.
+
+``span()`` returns a context manager, not a generator: an enabled span
+builds one small scope object, and a disabled tracer hands back one
+shared inert span, so a disabled span allocates nothing per call.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -31,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.metrics import Histogram, MetricsRegistry
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed block; ``attrs`` may be filled in while the span is open."""
 
@@ -48,7 +51,7 @@ class Span:
 
 
 class _NullSpan:
-    """Shared inert span handed out by a disabled tracer."""
+    """Shared inert span handed out by a disabled tracer (its own context)."""
 
     name = "null"
     duration_s = 0.0
@@ -58,6 +61,12 @@ class _NullSpan:
     @property
     def attrs(self) -> dict[str, object]:
         return {}  # fresh throwaway dict: attr writes on a null span vanish
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
 
 
 _NULL_SPAN = _NullSpan()
@@ -95,36 +104,14 @@ class Tracer:
         # span name -> its span.duration_s histogram, looked up once per name
         self._durations: dict[str, "Histogram"] = {}
 
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    @contextmanager
     def span(self, name: str, **attrs):
         """Time a block; nested calls become children of the open span."""
         if not self.enabled:
-            yield _NULL_SPAN
-            return
-        record = Span(name=name, start_s=self._clock(), attrs=dict(attrs))
-        stack = self._stack()
-        stack.append(record)
-        try:
-            yield record
-        except BaseException:
-            record.status = "error"
-            raise
-        finally:
-            record.end_s = self._clock()
-            stack.pop()
-            if stack:
-                stack[-1].children.append(record)
-            else:
-                self.roots.append(record)
-            self._finish(record)
+            return _NULL_SPAN
+        return _SpanScope(self, name, attrs)
 
     def _finish(self, record: Span) -> None:
+        """Mirror a finished span into the metrics registry and event sink."""
         if self._metrics is not None:
             durations = self._durations.get(record.name)
             if durations is None:
@@ -141,3 +128,35 @@ class Tracer:
                 attrs=record.attrs,
                 n_children=len(record.children),
             )
+
+
+class _SpanScope:
+    """The context manager of one enabled span: opens it on enter, files it on exit."""
+
+    __slots__ = ("_tracer", "_record", "_stack")
+
+    def __init__(self, tracer: Tracer, name: str, attrs: dict[str, object]):
+        self._tracer = tracer
+        self._record = Span(name, 0.0, attrs=attrs)
+
+    def __enter__(self) -> Span:
+        tracer, record = self._tracer, self._record
+        stack = getattr(tracer._local, "stack", None)
+        if stack is None:
+            stack = tracer._local.stack = []
+        self._stack = stack  # this thread's: a span is entered and exited on one thread
+        record.start_s = tracer._clock()
+        stack.append(record)
+        return record
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        tracer, record, stack = self._tracer, self._record, self._stack
+        if exc_type is not None:
+            record.status = "error"
+        record.end_s = tracer._clock()
+        stack.pop()
+        if stack:
+            stack[-1].children.append(record)
+        else:
+            tracer.roots.append(record)
+        tracer._finish(record)

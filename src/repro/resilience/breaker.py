@@ -13,7 +13,9 @@ Classic three-state machine over a rolling outcome window:
 
 The breaker is thread-safe: the serving cluster feeds each replica's
 breaker from engine worker threads, its health loop and synchronous
-``pump()`` callers alike.
+``pump()`` callers alike.  ``record_success(n)`` / ``record_failure(n)``
+take a count, so the cluster records a whole batch's outcomes with one
+call; the window arithmetic is that of ``n`` single records.
 
 Counters (on the breaker's observability hub):
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from itertools import repeat
 from typing import Callable
 
 from repro.errors import ResilienceError
@@ -127,35 +130,53 @@ class CircuitBreaker:
     # -- call protocol -------------------------------------------------
 
     def allow(self) -> bool:
-        """May a call proceed right now?  ``False`` counts as a rejection."""
+        """May a call proceed right now?  ``False`` counts as a rejection.
+
+        A closed breaker answers without its lock: reading the state is
+        atomic, and a call admitted just before another thread opens
+        the breaker is one that arrived first.
+        """
+        if self._state == CLOSED:
+            return True
         with self._lock:
-            self._maybe_half_open()
             if self._state == CLOSED:
                 return True
+            self._maybe_half_open()
             if self._state == HALF_OPEN and not self._probing:
                 self._probing = True
                 return True
             self._m_rejected.inc()
             return False
 
-    def record_success(self) -> None:
+    def record_success(self, n: int = 1) -> None:
+        """Record ``n`` successful calls, exactly as ``n`` single records would."""
+        if n < 1:
+            return
         with self._lock:
             if self._state == HALF_OPEN:
                 # Probe succeeded: the dependency is back.
                 self._outcomes.clear()
                 self._probing = False
                 self._transition(CLOSED)
-                return
-            self._outcomes.append(False)
+                n -= 1
+            self._outcomes.extend(repeat(False, min(n, self.window)))
 
-    def record_failure(self) -> None:
+    def record_failure(self, n: int = 1) -> None:
+        """Record ``n`` failed calls, exactly as ``n`` single records would.
+
+        Appending failures never lowers the window's failure rate, so
+        judging the rate once after all ``n`` opens the breaker exactly
+        when one of ``n`` single records would have.
+        """
+        if n < 1:
+            return
         with self._lock:
             if self._state == HALF_OPEN:
                 # Probe failed: reopen and restart the timeout.
                 self._probing = False
                 self._open()
-                return
-            self._outcomes.append(True)
+                n -= 1
+            self._outcomes.extend(repeat(True, min(n, self.window)))
             if self._state == CLOSED and len(self._outcomes) >= self.min_calls:
                 rate = sum(self._outcomes) / len(self._outcomes)
                 if rate >= self.failure_threshold:

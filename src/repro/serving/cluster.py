@@ -32,12 +32,20 @@ auto-restart of dead workers), scaled to this reproduction:
   entry survives a deploy.  Replicas restarted mid- or post-deploy
   re-apply the staged weights, so a crash cannot resurrect old ones.
 
-* **Audit** — the supervisor writes one ``audit.decision`` record per
-  request it resolves, in the parent process, so a request redispatched
-  off a crashed replica is still recorded exactly once.  Records land in
-  the supervisor's own :class:`~repro.obs.EventSink`: a bounded ring
-  (:meth:`ClusterSupervisor.audit_log`) plus an append-only JSON-lines
-  file when ``audit_path`` is given.
+* **One settle step per batch** — the supervisor owns each replica
+  engine's ``settle``.  A caller holds the one pending its replica
+  engine queued (a crash re-queues that same object elsewhere), and
+  per batch, before any caller in it resolves, the supervisor updates
+  the replica's ``outstanding`` count and the ``cluster.outstanding``
+  gauge once, records the breaker outcomes as counts, releases tenant
+  quota and writes the batch's audit records.
+* **Audit** — one ``audit.decision`` record per request the supervisor
+  resolves, in the parent process, so a request redispatched off a
+  crashed replica is still recorded exactly once.  Records land in the
+  supervisor's own :class:`~repro.obs.EventSink`, in resolve order: a
+  bounded ring (:meth:`ClusterSupervisor.audit_log`) plus an
+  append-only JSON-lines file when ``audit_path`` is given, one write
+  and one flush per batch.
 
 Every lifecycle transition lands on the observability hub as a
 ``cluster.replica`` event plus ``cluster.*`` counters and gauges
@@ -58,9 +66,10 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.data.templates import behavior_prompt
 from repro.errors import (
@@ -80,7 +89,12 @@ from repro.serving.engine import (
     PendingResult,
     ScoreRequest,
     ScoreResult,
+    settle_batch,
 )
+
+# Failures that do not count against a replica's breaker: the request
+# never reached the replica's model.
+_NOT_THE_REPLICA = (DeadlineExceededError, QueueFullError)
 
 # Replica lifecycle states.
 STARTING = "starting"
@@ -519,12 +533,7 @@ class Replica:
         self.breaker = breaker
         self.state = STARTING
         self.restarts = 0
-        self.outstanding = 0  # dispatched (queued or scoring), not yet finalized
-
-    @property
-    def routable(self) -> bool:
-        """State admits traffic (breaker consulted separately at pick time)."""
-        return self.state == HEALTHY
+        self.outstanding = 0  # dispatched (queued or scoring), not yet settled
 
 
 class ClusterSupervisor:
@@ -581,9 +590,12 @@ class ClusterSupervisor:
         self._g_healthy = metrics.gauge("cluster.replicas_healthy")
         self._g_outstanding = metrics.gauge("cluster.outstanding")
         self.stats = ClusterStats()
+        self._submitted_recorded = 0  # stats.submitted already added to cluster.submitted
         self._lock = threading.RLock()
         self._drained = threading.Condition(self._lock)
-        self._tenant_inflight: dict[str, int] = {}
+        self._tenant_inflight: dict[str, int] = {}  # kept only with a tenant_quota
+        # Redispatches so far of each request moved off a crashed replica.
+        self._attempts: dict[PendingResult, int] = {}
         self._staged_state: Mapping[str, object] | None = None
         self._launched = False
         self._running = False
@@ -625,7 +637,10 @@ class ClusterSupervisor:
                 obs=self.obs,
                 name=f"replica-{i}",
             )
-            self._replicas.append(Replica(i, transport, engine, breaker))
+            replica = Replica(i, transport, engine, breaker)
+            engine.replica = i
+            engine.settle = partial(self._settle, replica)
+            self._replicas.append(replica)
 
     # -- introspection -------------------------------------------------
 
@@ -730,13 +745,15 @@ class ClusterSupervisor:
     # -- routing + admission -------------------------------------------
 
     def _pick(self, exclude: set[int]) -> Replica | None:
-        """Least-loaded routable replica whose breaker admits traffic."""
+        """Least-loaded healthy replica whose breaker admits traffic."""
         with self._lock:
-            candidates = sorted(
-                (r for r in self._replicas if r.id not in exclude and r.routable),
-                key=lambda r: (r.outstanding, r.id),
-            )
-        for replica in candidates:
+            candidates = [
+                (r.outstanding, r.id, r)
+                for r in self._replicas
+                if r.state == HEALTHY and r.id not in exclude
+            ]
+        candidates.sort()  # least loaded, then lowest id (ids are unique)
+        for _, _, replica in candidates:
             if replica.breaker.allow():
                 return replica
         return None
@@ -744,56 +761,61 @@ class ClusterSupervisor:
     def submit(self, request: ScoreRequest) -> PendingResult:
         """Route one request to a replica; raises on admission failure.
 
-        Raises :class:`QueueFullError` when the tenant is at quota or no
-        routable replica has queue room — backpressure, exactly like the
-        single-engine ``submit``.
+        Returns the pending the replica engine queued: the one object
+        the caller holds for the request's whole life, redispatches
+        included.  Raises :class:`QueueFullError` when the tenant is at
+        quota or no routable replica has queue room — backpressure,
+        exactly like the single-engine ``submit``.
         """
-        return self._admit(request)[0]
-
-    def _admit(self, request: ScoreRequest) -> tuple[PendingResult, PendingResult]:
-        """``submit``, also returning the replica engine's pending it rides on."""
         if not request.behavior_text.strip():
             raise ServingError("behavior_text must be non-empty")
-        self.launch()
-        tenant = request.user_id
-        with self._lock:
-            quota = self.config.tenant_quota
-            if quota is not None and self._tenant_inflight.get(tenant, 0) >= quota:
-                self.stats.quota_rejected += 1
-                self._m_quota_rejected.inc()
-                raise QueueFullError(
-                    f"tenant {tenant!r} at admission quota ({quota} in flight)"
-                )
-            self._tenant_inflight[tenant] = self._tenant_inflight.get(tenant, 0) + 1
-        pending = PendingResult(request)
-        pending.add_done_callback(self._release_tenant)
+        if not self._launched:
+            self.launch()
+        quota = self.config.tenant_quota
+        if quota is not None:
+            tenant = request.user_id
+            with self._lock:
+                if self._tenant_inflight.get(tenant, 0) >= quota:
+                    self.stats.quota_rejected += 1
+                    self._m_quota_rejected.inc()
+                    raise QueueFullError(
+                        f"tenant {tenant!r} at admission quota ({quota} in flight)"
+                    )
+                self._tenant_inflight[tenant] = self._tenant_inflight.get(tenant, 0) + 1
         try:
-            engine_pending = self._dispatch(pending, attempt=0, exclude=set())
-        except QueueFullError as error:
-            self.stats.rejected += 1
+            return self._dispatch(request, None, ())
+        except QueueFullError:
+            with self._lock:
+                self.stats.rejected += 1
+                if quota is not None:
+                    self._release_tenants([request])
             self._m_rejected.inc()
-            pending._reject(error)
             raise
-        self.stats.submitted += 1
-        self._m_submitted.inc()
-        return pending, engine_pending
 
-    def _release_tenant(self, pending: PendingResult) -> None:
-        tenant = pending.request.user_id
-        with self._lock:
-            count = self._tenant_inflight.get(tenant, 0) - 1
+    def _release_tenants(self, requests: Iterable[ScoreRequest]) -> None:
+        """Free the quota slots of finalized requests (lock held)."""
+        inflight = self._tenant_inflight
+        for request in requests:
+            count = inflight.get(request.user_id, 0) - 1
             if count > 0:
-                self._tenant_inflight[tenant] = count
+                inflight[request.user_id] = count
             else:
-                self._tenant_inflight.pop(tenant, None)
+                inflight.pop(request.user_id, None)
 
     def _dispatch(
-        self, pending: PendingResult, attempt: int, exclude: set[int]
+        self, request: ScoreRequest, pending: PendingResult | None, exclude: Iterable[int]
     ) -> PendingResult:
-        """Place ``pending`` on the best replica; returns the engine's pending.
+        """Queue a request on the best replica; returns its pending.
 
-        Raises :class:`QueueFullError` (without finalizing ``pending``)
-        when every routable replica is excluded or full.
+        A new request (``pending`` is None) enters through the replica
+        engine's ``submit``, which makes its pending; a redispatched one
+        re-queues its own pending with ``enqueue``.  The replica's
+        outstanding slot is taken before the engine can settle the
+        request; a new request counts in ``stats.submitted`` only once
+        its engine has admitted it, so a settle running meanwhile never
+        records an admission that is then taken back.  Raises
+        :class:`QueueFullError` (without finalizing anything) when every
+        routable replica is excluded or full.
         """
         exclude = set(exclude)
         while True:
@@ -803,61 +825,123 @@ class ClusterSupervisor:
                     "no replica can admit the request "
                     f"(states: {self.replica_states()})"
                 )
-            try:
-                engine_pending = replica.engine.submit(pending.request)
-            except QueueFullError:
-                exclude.add(replica.id)
-                continue
             with self._lock:
                 replica.outstanding += 1
-                self._g_outstanding.set(sum(r.outstanding for r in self._replicas))
-            engine_pending.add_done_callback(
-                lambda ep, p=pending, r=replica, a=attempt: self._on_replica_done(p, r, ep, a)
-            )
-            return engine_pending
+            try:
+                if pending is None:
+                    queued = replica.engine.submit(request)
+                    with self._lock:
+                        self.stats.submitted += 1
+                    return queued
+                replica.engine.enqueue(pending)
+                return pending
+            except QueueFullError:
+                with self._lock:
+                    replica.outstanding -= 1
+                exclude.add(replica.id)
 
-    def _on_replica_done(
-        self, pending: PendingResult, replica: Replica, engine_pending: PendingResult, attempt: int
+    def _settle(
+        self,
+        replica: Replica,
+        done: list[tuple[PendingResult, ScoreResult]],
+        failed: list[tuple[PendingResult, BaseException]],
     ) -> None:
+        """Settle one batch of ``replica``'s engine; the replica engines' ``settle``.
+
+        Before any caller in the batch resolves: the breaker records
+        the batch's outcomes as counts (deadline expiry and
+        ``QueueFullError`` never count against it), a crash declares
+        the replica dead and re-queues each crashed request's own
+        pending on another replica (up to ``max_redispatch`` times),
+        and, under one lock, ``outstanding`` and its gauge, the
+        counters, the tenant quota and the batch's audit records (in
+        resolve order, one file write) are brought up to date.
+        """
+        crashed = []
+        finals = []
+        for item in failed:
+            error = item[1]
+            if isinstance(error, ReplicaCrashedError):
+                crashed.append(item)
+            else:
+                finals.append(item)
+        if done:
+            replica.breaker.record_success(len(done))
+        charged = len(crashed)
+        if finals:
+            charged += sum(not isinstance(e, _NOT_THE_REPLICA) for _, e in finals)
+        if charged:
+            replica.breaker.record_failure(charged)
+        redispatched = 0
+        if crashed:
+            self._declare_dead(replica, crashed[0][1])
+            redispatched = self._redispatch(replica, crashed, finals)
         with self._lock:
-            replica.outstanding -= 1
+            replica.outstanding -= len(done) + len(failed)
             self._g_outstanding.set(sum(r.outstanding for r in self._replicas))
             self._drained.notify_all()
-        error = engine_pending.error
-        if error is None:
-            result = replace(engine_pending.result(timeout=0), replica=replica.id)
-            replica.breaker.record_success()
-            with self._lock:  # one whole file line per record, in resolve order
-                self._audit.emit(
+            if done:
+                self._audit.emit_many(
                     "audit.decision",
-                    user_id=result.user_id,
-                    score=result.score,
-                    approved=result.approved,
-                    threshold=result.threshold,
-                    replica=replica.id,
-                    prompt=behavior_prompt(pending.request.behavior_text),
+                    [
+                        {
+                            "user_id": result.user_id,
+                            "score": result.score,
+                            "approved": result.approved,
+                            "threshold": result.threshold,
+                            "replica": replica.id,
+                            "prompt": behavior_prompt(pending.request.behavior_text),
+                        }
+                        for pending, result in done
+                    ],
                 )
-            self.stats.completed += 1
-            self._m_completed.inc()
-            pending._resolve(result)
-            return
-        if isinstance(error, ReplicaCrashedError):
-            replica.breaker.record_failure()
-            self._declare_dead(replica, error)
+            self.stats.completed += len(done)
+            self.stats.failed += len(finals)
+            self.stats.redispatched += redispatched
+            if self.config.tenant_quota is not None:
+                self._release_tenants(p.request for p, _ in done)
+                self._release_tenants(p.request for p, _ in finals)
+            if self._attempts:
+                for pending, _ in done:
+                    self._attempts.pop(pending, None)
+                for pending, _ in finals:
+                    self._attempts.pop(pending, None)
+            submitted = self.stats.submitted - self._submitted_recorded
+            self._submitted_recorded = self.stats.submitted
+        if submitted:
+            self._m_submitted.inc(submitted)
+        if done:
+            self._m_completed.inc(len(done))
+        if finals:
+            self._m_failed.inc(len(finals))
+        if redispatched:
+            self._m_redispatched.inc(redispatched)
+        settle_batch(done, finals)
+
+    def _redispatch(
+        self,
+        replica: Replica,
+        crashed: list[tuple[PendingResult, BaseException]],
+        finals: list[tuple[PendingResult, BaseException]],
+    ) -> int:
+        """Re-queue crashed requests off ``replica``; returns the attempts made.
+
+        A request past ``max_redispatch``, or that no replica admits,
+        joins ``finals`` with its error instead.
+        """
+        tried = 0
+        for pending, error in crashed:
+            attempt = self._attempts.get(pending, 0)
             if attempt < self.config.max_redispatch:
-                self.stats.redispatched += 1
-                self._m_redispatched.inc()
+                tried += 1
+                self._attempts[pending] = attempt + 1
                 try:
-                    self._dispatch(pending, attempt=attempt + 1, exclude={replica.id})
-                    return
+                    self._dispatch(pending.request, pending, {replica.id})
+                    continue
                 except QueueFullError as admission_error:
                     error = admission_error
-        elif not isinstance(error, (DeadlineExceededError, QueueFullError)):
-            # Model-path failure: the replica answered, but brokenly.
-            replica.breaker.record_failure()
-        self.stats.failed += 1
-        self._m_failed.inc()
-        pending._reject(error)
+            finals.append((pending, error))
+        return tried
 
     # -- failure handling ----------------------------------------------
 
@@ -867,8 +951,8 @@ class ClusterSupervisor:
             if replica.state == DEAD:
                 return
             self._set_state(replica, DEAD)
-        # Rejecting the queued requests triggers their done-callbacks,
-        # which re-dispatch each one to a healthy replica.
+        # Settling the withdrawn requests re-dispatches each one to a
+        # healthy replica.
         replica.engine.withdraw_all(
             ReplicaCrashedError(f"replica {replica.id} died with queued requests: {error}")
         )
@@ -947,28 +1031,31 @@ class ClusterSupervisor:
         return total
 
     def drain(self) -> None:
-        """Pump until no replica holds queued work (redispatches included)."""
+        """Pump until no replica has work left (redispatches included).
+
+        Returns as soon as a pump leaves no engine with queued or
+        in-flight work (a continuous engine's live rows count), so it
+        never runs a trailing idle pump.
+        """
         while True:
             pumped = self.pump()
-            leftovers = [r for r in self._replicas if r.engine.queue_depth]
-            if not leftovers:
-                if pumped == 0:
-                    return
-                continue
+            busy = [r for r in self._replicas if r.engine.has_work]
+            if not busy:
+                return
             if pumped == 0:
                 # Only dead replicas hold work: withdraw it so the
-                # done-callbacks redispatch (or surface explicit errors).
-                for replica in leftovers:
+                # settle step redispatches it (or surfaces explicit errors).
+                for replica in busy:
                     if replica.state == DEAD:
                         replica.engine.withdraw_all(
                             ReplicaCrashedError(
                                 f"replica {replica.id} is dead; request withdrawn"
                             )
                         )
-                if all(r.state != DEAD for r in leftovers):
+                if all(r.state != DEAD for r in busy):
                     raise ClusterError(
                         f"drain stalled with live replicas still queued: "
-                        f"{[(r.id, r.state, r.engine.queue_depth) for r in leftovers]}"
+                        f"{[(r.id, r.state, r.engine.queue_depth) for r in busy]}"
                     )
 
     def serve(self, requests: Sequence[ScoreRequest]) -> list[ScoreResult]:
@@ -983,14 +1070,13 @@ class ClusterSupervisor:
         admitted = []
         try:
             for request in requests:
-                admitted.append(self._admit(request))
+                admitted.append(self.submit(request))
         except QueueFullError as error:
-            engine_pendings = [engine_pending for _, engine_pending in admitted]
             for replica in self._replicas:
-                replica.engine.withdraw(engine_pendings, error)
+                replica.engine.withdraw(admitted, error)
             raise
         self.drain()
-        return [pending.result(timeout=0) for pending, _ in admitted]
+        return [pending.result(timeout=0) for pending in admitted]
 
     # -- rolling deploy ------------------------------------------------
 
@@ -1053,7 +1139,7 @@ class ClusterSupervisor:
                     continue
             # Synchronous mode: drive the replica's own engine dry.
             if replica.engine.pump() == 0 and replica.outstanding > 0:
-                # Queued nothing but outstanding: engine callbacks run
+                # Queued nothing but outstanding: the settle step runs
                 # inline in pump, so this means bookkeeping is stuck.
                 if time.monotonic() >= deadline:
                     break

@@ -15,8 +15,9 @@ and the threaded worker — with a different step policy.  A
    boundary — once admitted, a request always decodes),
 2. runs **one** decode step, streaming every generated token to its
    caller through ``PendingResult._emit_token`` (its token callbacks and
-   ``stream`` prefix), and finalizing finished rows
-   through the app's ``finish`` hook — exactly once.
+   ``stream`` prefix), and settles the rows that step finished — built
+   through the app's ``finish`` hook, recorded and handed to the engine's
+   ``settle`` as one batch, exactly once.
 
 Because the core is shared, a :class:`~repro.serving.cluster.ClusterSupervisor`
 replica can run either engine unchanged: redispatch-off-crashed-replica,
@@ -35,7 +36,7 @@ caller (or the cluster's redispatch) decides whether to resubmit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -60,9 +61,9 @@ class GenerationApp:
     """What a continuous replica runs: a model plus request codecs.
 
     ``encode`` turns a :class:`ScoreRequest` into prompt token ids;
-    ``finish`` turns the request and its generated tokens into the
-    :class:`ScoreResult` handed to the caller (latency / batch-size /
-    replica metadata is filled in by the engine and supervisor).
+    ``finish`` turns the request and its generated tokens into a fresh
+    :class:`ScoreResult` for the caller (the engine stamps its latency /
+    batch-size / replica metadata).
     """
 
     model: object  # MistralTiny (duck-typed: anything generate() accepts)
@@ -203,27 +204,32 @@ class ContinuousEngine(ServingEngine):
         return rows
 
     def _finalize_done(self, app: GenerationApp) -> None:
+        """Settle the streams this step finished, as one batch."""
         finished = [stream for stream in self._flights if stream.done]
         if not finished:
             return
         now = self._clock()
         batch_size = max(1, self.live_rows + len(finished))
+        done, failed, results, latencies = [], [], [], []
         for stream in finished:
             pending, enqueued_at = self._flights.pop(stream)
             if stream.error is not None:
-                self._fail([pending], stream.error)
+                failed.append((pending, stream.error))
                 continue
-            latency = max(0.0, now - enqueued_at)
             try:
                 result = app.finish(pending.request, list(stream.tokens))
             except Exception as error:
-                self._fail([pending], error)
+                failed.append((pending, error))
                 continue
-            result = replace(result, latency_s=latency, batch_size=batch_size)
-            self.stats.completed += 1
-            self._m_completed.inc()
-            self._h_latency.observe(latency)
-            pending._resolve(result)
+            if any(result is kept for kept in results):  # stamped in place: one each
+                error = ServingError("finish returned a ScoreResult given to another request")
+                failed.append((pending, error))
+                continue
+            done.append((pending, result))
+            results.append(result)
+            latencies.append(max(0.0, now - enqueued_at))
+        self._stamp(results, latencies, batch_size)
+        self._complete(done, latencies, failed)
 
     def _crash(self, scheduler: ContinuousScheduler | None, error: BaseException) -> None:
         """Fail every in-flight stream with ``error`` and reset the loop."""

@@ -20,24 +20,38 @@ that architecture to the laptop-scale reproduction:
   fail with that error.
   :class:`~repro.serving.continuous.ContinuousEngine` is the other
   step policy (streaming decode).
-* :class:`PendingResult` — the future ``submit`` returns: one lock per
-  request, finalized exactly once.  Its ``threading.Event`` is made
-  only by a ``result(timeout)`` call that has to wait.
+* :class:`PendingResult` — the future ``submit`` returns, finalized
+  exactly once.  It guards itself with one of a fixed stripe of shared
+  locks, and its ``threading.Event`` is made only by a
+  ``result(timeout)`` call that has to wait.
 * :class:`EngineStats` — throughput / queue-depth counters.
+
+Every batch ends in one **settle step**: the engine stamps each
+:class:`ScoreResult` once (latency, batch size, replica), records the
+batch's metrics once, and hands the batch's outcomes to
+:attr:`ServingEngine.settle` — ``settle(done, failed)``, with ``done``
+a list of ``(pending, result)`` and ``failed`` a list of
+``(pending, error)``.  The default settle resolves and rejects each
+caller in order; the cluster supervisor replaces it on its replica
+engines to write the batch's audit records, feed the replica's breaker
+and redispatch crashed traffic before any caller resolves.  Every
+finalization the engine makes (scored, failed, expired, withdrawn)
+goes through ``settle``.
 
 The engine is instrumented through :class:`repro.obs.Observability`
 (metric names in ``docs/observability.md``): admission / expiry /
 failure counters, a queue-depth gauge, batch-size and latency
 histograms, and ``serving.batch`` / ``serving.forward`` trace spans.
-Instrumentation is on by default; over 40 alternating pairs of
-64-request runs on a 2-core host it added a median +7.9 % to serving
-time (the traffic and classifier of ``benchmarks/bench_obs_overhead.py``).
+It records per batch, not per request: counters take ``inc(n)``,
+latencies go through one ``observe_many``, and the admission counter
+and queue-depth gauge are brought up to date once per pump.
 Pass ``Observability.disabled()`` to turn it off entirely.
 
 The engine is transport-agnostic: it schedules any
-``batch_fn(list[ScoreRequest]) -> list[ScoreResult]``.  The serving
-cluster (:mod:`repro.serving.cluster`) runs one per replica, writes
-each resolved decision's audit record and contains faults: a circuit
+``batch_fn(list[ScoreRequest]) -> list[ScoreResult]`` that returns one
+fresh :class:`ScoreResult` per request.  The serving cluster
+(:mod:`repro.serving.cluster`) runs one per replica, writes each
+resolved decision's audit record and contains faults: a circuit
 breaker per replica and redispatch off crashed replicas
 (``docs/resilience.md``).  The engine itself only fails a batch's
 requests with its scorer's error.
@@ -57,7 +71,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import (
@@ -70,7 +84,7 @@ from repro.obs import Observability, get_observability
 from repro.resilience.faults import fault_point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreRequest:
     """One scoring request: who is asking and what to score.
 
@@ -85,9 +99,14 @@ class ScoreRequest:
     deadline: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreResult:
-    """Unified response: decision fields plus serving metadata."""
+    """Unified response: decision fields plus serving metadata.
+
+    A scorer builds one per request; the engine fills in the serving
+    metadata once, in place, before the result reaches anyone (see
+    :meth:`ServingEngine._stamp`).  To every caller it is immutable.
+    """
 
     user_id: str
     score: float  # P(default)
@@ -142,21 +161,35 @@ class EngineStats:
         return self.completed / self.batches if self.batches else 0.0
 
 
+# The one writer of a frozen ScoreResult's serving fields (the engine's stamp).
+_set_field = object.__setattr__
+
+# The locks pendings guard themselves with, picked by the pending's
+# hash.  A pending holds its stripe's lock only for a few attribute
+# writes and never takes another pending's lock while holding its own,
+# so sharing cannot deadlock; a lock per pending would cost two
+# allocations (~90 B) per request that a caller keeping its futures holds.
+_PENDING_LOCKS = tuple(threading.Lock() for _ in range(64))
+
+
 class PendingResult:
     """A slot for one in-flight request (a minimal, thread-safe future).
 
-    Finalization is **exactly-once**: a second ``_resolve``/``_reject``
-    raises :class:`ServingError` instead of silently overwriting the
-    first outcome.  The serving-tier property suite leans on this guard
-    — any scheduler interleaving that double-completes a request fails
-    loudly rather than corrupting a caller's result.
+    Finalization is **exactly-once**: a second ``_finalize`` (the one
+    way in, which every settle step uses) raises :class:`ServingError`
+    instead of silently overwriting the first outcome.  The serving-tier
+    property suite leans on this guard — any scheduler interleaving that
+    double-completes a request fails loudly rather than corrupting a
+    caller's result.
 
-    One lock guards the slot.  ``done`` is a plain bool set under it,
-    and the callback, stream and token-callback lists are made on first
-    use.  A ``threading.Event`` exists only once a :meth:`result` call
-    finds the request unfinished and has to wait, so a request whose
-    caller reads it after completion (the cluster supervisor, the
-    synchronous drive, a callback) never builds one.
+    One lock guards the slot: a shared stripe lock (see
+    ``_PENDING_LOCKS``), never held while another pending's is taken or
+    a callback runs.  ``done`` is a plain bool set under it, and the
+    callback, stream and token-callback lists are made on first use.
+    A ``threading.Event`` exists only once a :meth:`result` call finds
+    the request unfinished and has to wait, so a request whose caller
+    reads it after completion (the synchronous drive, a callback) never
+    builds one.
     """
 
     __slots__ = (
@@ -174,7 +207,7 @@ class PendingResult:
     def __init__(self, request: ScoreRequest):
         self.request = request
         self.done = False
-        self._lock = threading.Lock()
+        self._lock = _PENDING_LOCKS[hash(self) % len(_PENDING_LOCKS)]
         self._result: ScoreResult | None = None
         self._error: BaseException | None = None
         self._event: threading.Event | None = None
@@ -191,9 +224,9 @@ class PendingResult:
         """Run ``fn(self)`` when the request finalizes (immediately if done).
 
         Callbacks fire on the finalizing thread, after the result/error
-        is stored and waiters are released.  This is the engine hook the
-        cluster supervisor uses to propagate per-replica completions —
-        and to re-dispatch requests off a crashed replica.  Exceptions
+        is stored and waiters are released.  A request the cluster moves
+        off a crashed replica is the same pending on its next replica,
+        so a callback fires once, at the final outcome.  Exceptions
         raised by a callback propagate to the finalizer.
         """
         with self._lock:
@@ -218,12 +251,6 @@ class PendingResult:
             callbacks, self._callbacks = self._callbacks, None
         for fn in callbacks or ():
             fn(self)
-
-    def _resolve(self, result: ScoreResult) -> None:
-        self._finalize(result, None)
-
-    def _reject(self, error: BaseException) -> None:
-        self._finalize(None, error)
 
     # -- token streaming (continuous engine) ---------------------------
 
@@ -291,6 +318,22 @@ class PendingResult:
         return self._result
 
 
+Settle = Callable[
+    [list[tuple[PendingResult, ScoreResult]], list[tuple[PendingResult, BaseException]]], None
+]
+
+
+def settle_batch(
+    done: list[tuple[PendingResult, ScoreResult]],
+    failed: list[tuple[PendingResult, BaseException]],
+) -> None:
+    """The default settle step: resolve, then reject, each caller in order."""
+    for pending, result in done:
+        pending._finalize(result, None)
+    for pending, error in failed:
+        pending._finalize(None, error)
+
+
 class ServingEngine:
     """The admission core both engines share; subclasses supply ``pump``.
 
@@ -301,6 +344,11 @@ class ServingEngine:
     A subclass is one *step policy*: ``pump`` takes what it can run
     with :meth:`_take`, runs one step and returns the work it did
     (0 means idle).
+
+    ``settle`` (default :func:`settle_batch`) finalizes every outcome
+    the engine produces, one call per batch; ``replica`` is the id the
+    engine stamps on its results (``None`` outside a cluster).  The
+    cluster supervisor sets both on its replica engines.
     """
 
     def __init__(
@@ -327,6 +375,9 @@ class ServingEngine:
         self._h_forward = metrics.histogram("serving.forward_s")
         self._h_batch_size = metrics.histogram("serving.batch_size")
         self.stats = EngineStats()
+        self.settle: Settle = settle_batch
+        self.replica: int | None = None
+        self._admitted = 0  # admissions not yet added to serving.submitted
         self._worker: threading.Thread | None = None
         self._running = False
         self._idle_wakeups = 0
@@ -345,32 +396,50 @@ class ServingEngine:
         with self._lock:
             return len(self._queue)
 
+    @property
+    def has_work(self) -> bool:
+        """Whether a pump would make progress (queued or in-flight work)."""
+        with self._lock:
+            return self._has_work()
+
     def submit(self, request: ScoreRequest) -> PendingResult:
         """Enqueue one request; raises :class:`QueueFullError` when full."""
         if not request.behavior_text.strip():
             raise ServingError("behavior_text must be non-empty")
-        with self._not_empty:
+        pending = PendingResult(request)
+        self.enqueue(pending)
+        return pending
+
+    def enqueue(self, pending: PendingResult) -> None:
+        """Queue an existing, unfinished pending; raises :class:`QueueFullError` when full.
+
+        ``submit`` is this plus a new pending.  The cluster supervisor
+        calls it directly to move a request off a crashed replica, so
+        the caller keeps the one pending it was handed.
+        """
+        with self._lock:
             if len(self._queue) >= self.config.queue_capacity:
                 self.stats.rejected += 1
                 self._m_rejected.inc()
                 raise QueueFullError(
                     f"queue at capacity ({self.config.queue_capacity}); retry later"
                 )
-            pending = PendingResult(request)
             self._queue.append((pending, self._clock()))
             self.stats.submitted += 1
-            self._m_submitted.inc()
-            self.stats.max_queue_depth = max(self.stats.max_queue_depth, len(self._queue))
-            self._g_queue_depth.set(len(self._queue))
-            self._not_empty.notify()
-        return pending
+            self._admitted += 1
+            if len(self._queue) > self.stats.max_queue_depth:
+                self.stats.max_queue_depth = len(self._queue)
+            if self._running:  # only a running worker waits for work
+                self._not_empty.notify()
 
     def _take(self, limit: int) -> list[tuple[PendingResult, float]]:
         """Pop up to ``limit`` live requests, expiring stale ones.
 
         The deadline boundary is inclusive: a request whose deadline
         equals the current clock is still admitted, and once admitted it
-        always gets its one attempt (a scoring, or a decode).
+        always gets its one attempt (a scoring, or a decode).  Brings
+        ``serving.submitted`` and ``serving.queue_depth`` up to date:
+        they are recorded once per pump, not per admission.
         """
         taken: list[tuple[PendingResult, float]] = []
         expired: list[PendingResult] = []
@@ -379,47 +448,83 @@ class ServingEngine:
                 pending, enqueued_at = self._queue.popleft()
                 deadline = pending.request.deadline
                 if deadline is not None and self._clock() > deadline:
-                    self.stats.expired += 1
-                    self._m_expired.inc()
                     expired.append(pending)
                     continue
                 taken.append((pending, enqueued_at))
-            self._g_queue_depth.set(len(self._queue))
-        # Reject outside the lock: _reject runs done-callbacks on this
-        # thread, and a callback may re-enter submit() (the cluster
-        # supervisor's redispatch hook does exactly that) — finalizing
-        # while holding self._lock would deadlock on the re-entry.
-        for pending in expired:
-            pending._reject(
-                DeadlineExceededError(
-                    f"request for {pending.request.user_id!r} expired in queue"
-                )
+            self.stats.expired += len(expired)
+            admitted, self._admitted = self._admitted, 0
+            depth = len(self._queue)
+        if admitted:
+            self._m_submitted.inc(admitted)
+        self._g_queue_depth.set(depth)
+        # Settle outside the lock: the cluster's settle re-enters an
+        # engine's enqueue() to redispatch, which takes the lock.
+        if expired:
+            self._m_expired.inc(len(expired))
+            self.settle(
+                [],
+                [
+                    (
+                        pending,
+                        DeadlineExceededError(
+                            f"request for {pending.request.user_id!r} expired in queue"
+                        ),
+                    )
+                    for pending in expired
+                ],
             )
         return taken
 
     def _fail(self, pendings: list[PendingResult], error: BaseException) -> None:
         """Finalize admitted requests with ``error``, counted as failed."""
+        if not pendings:
+            return
         self.stats.failed += len(pendings)
         self._m_failed.inc(len(pendings))
-        for pending in pendings:
-            pending._reject(error)
+        self.settle([], [(pending, error) for pending in pendings])
+
+    def _stamp(self, results: list[ScoreResult], latencies: list[float], batch_size: int) -> None:
+        """Fill in each result's serving metadata, once, before anyone sees it."""
+        replica = self.replica
+        for result, latency in zip(results, latencies):
+            _set_field(result, "latency_s", latency)
+            _set_field(result, "batch_size", batch_size)
+            _set_field(result, "replica", replica)
+
+    def _complete(
+        self,
+        done: list[tuple[PendingResult, ScoreResult]],
+        latencies: list[float],
+        failed: list[tuple[PendingResult, BaseException]] | None = None,
+    ) -> None:
+        """Record one batch's outcomes once, then settle them."""
+        failed = failed or []
+        if done:
+            self.stats.completed += len(done)
+            self._m_completed.inc(len(done))
+            self._h_latency.observe_many(latencies)
+        if failed:
+            self.stats.failed += len(failed)
+            self._m_failed.inc(len(failed))
+        self.settle(done, failed)
 
     def withdraw_all(self, error: BaseException) -> int:
         """Empty the queue, rejecting every queued request with ``error``.
 
         The cluster supervisor calls this when it declares a replica
-        dead: queued traffic is finalized with a
-        :class:`~repro.errors.ReplicaCrashedError` so done-callbacks can
-        re-dispatch it to a healthy replica instead of leaving it
-        stranded behind a corpse.  Every withdrawn request counts once in
-        ``stats.failed``, ``serving.failed`` and ``serving.withdrawn``.
-        Returns the number withdrawn.
+        dead: queued traffic is settled with a
+        :class:`~repro.errors.ReplicaCrashedError`, which the
+        supervisor's settle re-dispatches to a healthy replica instead
+        of leaving it stranded behind a corpse.  Every withdrawn request
+        counts once in ``stats.failed``, ``serving.failed`` and
+        ``serving.withdrawn``.  Returns the number withdrawn.
         """
         with self._lock:
             withdrawn = [pending for pending, _ in self._queue]
             self._queue.clear()
-            self._g_queue_depth.set(0)
-        self._m_withdrawn.inc(len(withdrawn))
+        self._g_queue_depth.set(0)
+        if withdrawn:
+            self._m_withdrawn.inc(len(withdrawn))
         self._fail(withdrawn, error)
         return len(withdrawn)
 
@@ -429,21 +534,22 @@ class ServingEngine:
         The all-or-nothing half of both ``serve`` entry points: a
         withdrawn request never runs, so it leaves ``stats.submitted``
         again and counts once in ``serving.withdrawn`` (not in
-        ``failed``).  Rejecting it runs its done-callbacks, which is how
-        the cluster supervisor lowers the replica's outstanding count
-        and releases the tenant quota.  Requests a worker has already
-        taken into a batch are left to finish.  Returns the number
-        withdrawn.
+        ``failed``).  Its settling is how the cluster supervisor lowers
+        the replica's outstanding count and releases the tenant quota.
+        Requests a worker has already taken into a batch are left to
+        finish.  Returns the number withdrawn.
         """
         mine = {id(pending) for pending in pendings}
         with self._lock:
             withdrawn = [pending for pending, _ in self._queue if id(pending) in mine]
+            if not withdrawn:
+                return 0
             self._queue = deque(item for item in self._queue if id(item[0]) not in mine)
             self.stats.submitted -= len(withdrawn)
-            self._g_queue_depth.set(len(self._queue))
+            depth = len(self._queue)
+        self._g_queue_depth.set(depth)
         self._m_withdrawn.inc(len(withdrawn))
-        for pending in withdrawn:
-            pending._reject(error)
+        self.settle([], [(pending, error) for pending in withdrawn])
         return len(withdrawn)
 
     # ------------------------------------------------------------------
@@ -455,8 +561,8 @@ class ServingEngine:
         raise NotImplementedError
 
     def drain(self) -> None:
-        """Pump until no queued or in-flight work remains."""
-        while self.pump():
+        """Pump until no queued or in-flight work remains (no trailing idle pump)."""
+        while self.pump() and self.has_work:
             pass
 
     def serve(self, requests: Sequence[ScoreRequest]) -> list[ScoreResult]:
@@ -544,9 +650,11 @@ class MicroBatchEngine(ServingEngine):
     Parameters
     ----------
     batch_fn:
-        Scores a non-empty list of requests and returns one
-        :class:`ScoreResult` per request, in order.  When it raises,
-        the error propagates to each caller's :class:`PendingResult`.
+        Scores a non-empty list of requests and returns one new
+        :class:`ScoreResult` per request, in order (the engine stamps
+        each in place, so a batch that repeats an object fails with
+        :class:`ServingError`).  When it raises, the error propagates
+        to each caller's :class:`PendingResult`.
     config:
         Batching / admission knobs (:class:`EngineConfig`).
     clock:
@@ -592,34 +700,36 @@ class MicroBatchEngine(ServingEngine):
     # ------------------------------------------------------------------
 
     def _score_batch(self, batch: list[tuple[PendingResult, float]]) -> None:
-        with self.obs.span("serving.batch", batch_size=len(batch)):
-            requests = [pending.request for pending, _ in batch]
-            pendings = [pending for pending, _ in batch]
+        size = len(batch)
+        pendings = [pending for pending, _ in batch]
+        with self.obs.span("serving.batch", batch_size=size):
             forward_start = self._clock()
             try:
-                with self.obs.span("serving.forward", batch_size=len(batch)):
-                    fault_point("serving.forward", batch_size=len(batch))
-                    results = self._batch_fn(requests)
+                with self.obs.span("serving.forward", batch_size=size):
+                    fault_point("serving.forward", batch_size=size)
+                    results = self._batch_fn([pending.request for pending in pendings])
             except Exception as error:
                 self._fail(pendings, error)
                 return
-            self._h_forward.observe(max(0.0, self._clock() - forward_start))
-            if len(results) != len(batch):
+            now = self._clock()
+            self._h_forward.observe(max(0.0, now - forward_start))
+            if len(results) != size:
                 self._fail(
                     pendings,
-                    ServingError(
-                        f"batch_fn returned {len(results)} results for {len(batch)} requests"
-                    ),
+                    ServingError(f"batch_fn returned {len(results)} results for {size} requests"),
                 )
                 return
-            now = self._clock()
+            if len(set(map(id, results))) != size:
+                # Each result is stamped in place: a shared one would
+                # carry another caller's latency, batch and replica.
+                self._fail(
+                    pendings,
+                    ServingError("batch_fn returned one ScoreResult object for several requests"),
+                )
+                return
+            latencies = [max(0.0, now - enqueued_at) for _, enqueued_at in batch]
+            self._stamp(results, latencies, size)
             self.stats.batches += 1
-            self._h_batch_size.observe(len(batch))
-            for (pending, enqueued_at), result in zip(batch, results):
-                latency = max(0.0, now - enqueued_at)
-                result = replace(result, latency_s=latency, batch_size=len(batch))
-                self.stats.completed += 1
-                self._m_completed.inc()
-                self._h_latency.observe(latency)
-                pending._resolve(result)
-            self.obs.event("serving.batch", size=len(batch), queue_depth=self.queue_depth)
+            self._h_batch_size.observe(size)
+            self.obs.event("serving.batch", size=size, queue_depth=self.queue_depth)
+            self._complete(list(zip(pendings, results)), latencies)

@@ -236,6 +236,15 @@ class TestStreamGuards:
             stream.result()
 
 
+def filled_cache(k: np.ndarray, v: np.ndarray) -> LayerKVCache:
+    """A cache holding ``k`` / ``v``, written through ``zeros``' views."""
+    cache = LayerKVCache.zeros(*k.shape, dtype=k.dtype)
+    k_view, v_view = cache.views()
+    k_view[...] = k
+    v_view[...] = v
+    return cache
+
+
 class TestAdmitPrimitives:
     def test_admission_policy_validation(self):
         with pytest.raises(ConfigError):
@@ -245,13 +254,13 @@ class TestAdmitPrimitives:
 
     def test_layer_admit_rows_pads_shorter_side(self):
         rng = np.random.default_rng(0)
-        a = LayerKVCache.from_arrays(
+        a = filled_cache(
             rng.normal(size=(2, 2, 5, 4)).astype(np.float32),
             rng.normal(size=(2, 2, 5, 4)).astype(np.float32),
         )
         bk = rng.normal(size=(1, 2, 3, 4)).astype(np.float32)
         bv = rng.normal(size=(1, 2, 3, 4)).astype(np.float32)
-        b = LayerKVCache.from_arrays(bk, bv)
+        b = filled_cache(bk, bv)
         a.admit_rows(b)
         assert a.batch_size == 3
         assert len(a) == 5
@@ -262,11 +271,11 @@ class TestAdmitPrimitives:
 
     def test_layer_admit_rows_rejects_offset_and_shape_mismatch(self):
         rng = np.random.default_rng(0)
-        a = LayerKVCache.from_arrays(
+        a = filled_cache(
             rng.normal(size=(1, 2, 4, 4)).astype(np.float32),
             rng.normal(size=(1, 2, 4, 4)).astype(np.float32),
         )
-        wrong_heads = LayerKVCache.from_arrays(
+        wrong_heads = filled_cache(
             rng.normal(size=(1, 4, 4, 4)).astype(np.float32),
             rng.normal(size=(1, 4, 4, 4)).astype(np.float32),
         )

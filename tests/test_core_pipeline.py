@@ -81,3 +81,25 @@ class TestPrunerReuse:
         assert len(projector_inits) == 1
         # The first run drew the sketch fresh; the second reuses it.
         assert np.array_equal(first.scores, second.scores)
+
+
+class TestTemporaryCheckpoints:
+    def test_run_without_checkpoint_dir_leaves_no_temp_dir(
+        self, german_examples, tmp_path, monkeypatch
+    ):
+        """The warmup checkpoints' temporary directory is gone once the run returns."""
+        import tempfile
+
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        base = make_test_config()
+        config = PipelineConfig(
+            zigong=dataclasses.replace(
+                base, training=dataclasses.replace(base.training, epochs=1)
+            ),
+            pruner=PrunerConfig(projection_dim=64),
+            warmup_epochs=1,
+        )
+        result = ZiGongPipeline(config).run(german_examples[:16], german_examples[48:52])
+        assert len(result.scores) == 16
+        assert list(tmp_path.glob("zigong-ckpt-*")) == []

@@ -85,7 +85,12 @@ class TestGitRev:
 
 
 class TestRecord:
-    def test_appends_one_entry_per_run(self, ledger, checkout, tmp_path):
+    def test_appends_one_entry_per_run(self, ledger, checkout, tmp_path, monkeypatch):
+        path_counts = {"instrument_calls_per_decision": 1.5, "python_calls_per_decision": 20.0}
+        counted: list[Path] = []
+        monkeypatch.setattr(
+            ledger, "checkout_counts", lambda root: counted.append(root) or dict(path_counts)
+        )
         results = tmp_path / "results"
         head = git(checkout, "rev-parse", "--short", "HEAD")
         first = ledger.record("decide_microbatch", 3, 0.5, checkout=checkout, results_dir=results)
@@ -95,13 +100,20 @@ class TestRecord:
             "seed": 3,
             "seconds": 0.5,
             "metrics": {"latency_p50_ms": 1.25, "peak_rss_mb": 90.5},
-            "counts": {"light.decisions": 40, "deploy.swaps": 2},
+            "counts": {"light.decisions": 40, "deploy.swaps": 2, **path_counts},
         }
         (checkout / "canned.json").write_text(json.dumps(REPORT, indent=1))
         second = ledger.record("decide_microbatch", 3, 0.5, checkout=checkout, results_dir=results)
         assert second["dirty"] is True
         entries = json.loads((results / "BENCH_decide_microbatch.json").read_text())
         assert entries == [first, second]
+        assert counted == [checkout, checkout]
+
+    def test_counts_come_from_the_checkouts_own_src(self, ledger, checkout):
+        # The checkout has no src/: the count run must fail rather than
+        # fall back on the ledger's own tree.
+        with pytest.raises(RuntimeError, match="request-path counts failed"):
+            ledger.checkout_counts(checkout)
 
     def test_a_failed_run_records_nothing(self, ledger, checkout, tmp_path):
         (checkout / "canned.json").write_text(json.dumps({"fail": True}))

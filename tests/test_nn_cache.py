@@ -36,7 +36,8 @@ class TestLayerKVCache:
         np.testing.assert_array_equal(k_view, 0.0)
         k_view[...] = k
         v_view[...] = v
-        copied = LayerKVCache.from_arrays(k, v)
+        copied = LayerKVCache()
+        copied.append(k, v)
         for grown in (cache, copied):
             grown.append(self._kv(2, 2), self._kv(2, 3))
         assert len(cache) == 5

@@ -77,6 +77,47 @@ class TestMetricsRegistry:
         assert hist.quantile(1.0) == 4.0
         assert hist.quantile(0.5) in (2.0, 3.0)
 
+    def test_observe_many_matches_one_observe_per_value(self):
+        values = [0.3, 1e-9, 7.25, 0.1, 2.0, 0.1]
+        one, many = Histogram("one", window=4), Histogram("many", window=4)
+        for value in values:
+            one.observe(value)
+        many.observe_many(values)
+        many.observe_many([])
+        assert many.summary() == one.summary()
+        assert many.sum == one.sum  # same order of additions, same bits
+
+    def test_concurrent_observers_and_readers_lose_nothing(self):
+        """Lock-free recording: no observation is lost or counted twice under threads."""
+        import sys
+        import threading
+
+        hist = Histogram("h", window=64)  # small window: folds happen mid-run
+        values = [float(i % 7) for i in range(3000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def observer(many):
+                if many:
+                    for i in range(0, len(values), 5):
+                        hist.observe_many(values[i : i + 5])
+                else:
+                    for value in values:
+                        hist.observe(value)
+
+            threads = [threading.Thread(target=observer, args=(i % 2,)) for i in range(6)]
+            threads.append(threading.Thread(target=lambda: [hist.count for _ in range(2000)]))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert hist.count == 6 * len(values)
+        assert hist.sum == 6 * sum(values)
+        assert (hist.min, hist.max) == (0.0, 6.0)
+
     def test_histogram_quantile_validation(self):
         hist = MetricsRegistry().histogram("lat")
         with pytest.raises(ObservabilityError):
@@ -168,6 +209,14 @@ class TestTracer:
         assert len(tracer.roots) == 0
         assert metrics.snapshot()["histograms"] == {}
 
+    def test_disabled_span_is_one_shared_object(self):
+        """A disabled span allocates nothing per call: every call returns the same object."""
+        tracer = Tracer(enabled=False)
+        first, second = tracer.span("a", size=1), tracer.span("b")
+        assert first is second
+        with first as span:
+            assert span is first
+
     def test_attrs_mutable_while_open(self):
         tracer = Tracer(clock=FakeClock())
         with tracer.span("x") as span:
@@ -209,6 +258,24 @@ class TestEventSink:
         path.write_text('{"ok": 1}\nnot json\n')
         with pytest.raises(ObservabilityError):
             read_events(path)
+
+    def test_emit_many_writes_a_batch_in_order_with_one_write(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        sink = EventSink(path, clock=FakeClock())
+        sink.emit("before", n=0)
+        writes = []
+        write = sink._file.write
+        sink._file.write = lambda text: writes.append(text) or write(text)
+        sink.emit_many("decision", [{"n": 1}, {"n": 2}, {"n": 3}])
+        sink.emit_many("decision", [])
+        assert len(writes) == 1
+        ring = sink.events()
+        assert [(e["kind"], e["n"]) for e in ring] == [
+            ("before", 0), ("decision", 1), ("decision", 2), ("decision", 3)
+        ]
+        assert len({e["ts"] for e in ring[1:]}) == 1  # one clock read per batch
+        assert read_events(path) == ring  # flushed: readable before close
+        sink.close()
 
     def test_emit_metrics_snapshot(self):
         registry = MetricsRegistry()
@@ -348,13 +415,16 @@ class TestServingWiring:
         service.drain()
 
     def test_queue_depth_gauge_tracks_queue(self):
+        """The gauge is set once per pump: the depth that pump left behind."""
         from repro.serving import ScoreRequest
 
         obs = Observability.create()
-        service = self.make_service(obs)
+        service = self.make_service(obs)  # batches of 4
         gauge = obs.metrics.gauge("serving.queue_depth")
-        service.submit(ScoreRequest("a", "x=1"))
-        assert gauge.value == 1
+        for i in range(6):
+            service.submit(ScoreRequest(f"u{i}", f"x={i}"))
+        service.pump()
+        assert gauge.value == 2
         service.drain()
         assert gauge.value == 0
 

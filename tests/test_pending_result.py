@@ -33,7 +33,7 @@ class TestBlockingWait:
         waiter = threading.Thread(target=lambda: got.append(pending.result(timeout=5)))
         waiter.start()
         wait_until_blocked(pending, waiter)
-        pending._resolve(RESULT)
+        pending._finalize(RESULT, None)
         waiter.join(5)
         assert not waiter.is_alive()
         assert got == [RESULT]
@@ -54,7 +54,7 @@ class TestBlockingWait:
                 waiter = threading.Thread(target=wait)
                 waiter.start()
                 start.wait(5)
-                pending._resolve(RESULT)
+                pending._finalize(RESULT, None)
                 waiter.join(5)
                 assert not waiter.is_alive(), f"waiter {i} still blocked"
                 assert got == [RESULT], f"waiter {i} got {got}"
@@ -66,7 +66,7 @@ class TestBlockingWait:
         # to resolve while result() builds its Event.  That resolve must
         # wait for the Event, or it finds none to set and the wait hangs.
         pending = PendingResult(REQUEST)
-        resolver = threading.Thread(target=pending._resolve, args=(RESULT,))
+        resolver = threading.Thread(target=pending._finalize, args=(RESULT, None))
         make_event = threading.Event
 
         def event_racing_a_resolve():
@@ -95,7 +95,7 @@ class TestBlockingWait:
         waiter = threading.Thread(target=wait)
         waiter.start()
         boom = RuntimeError("boom")
-        pending._reject(boom)
+        pending._finalize(None, boom)
         waiter.join(5)
         assert not waiter.is_alive()
         assert errors == [boom]
@@ -108,19 +108,19 @@ class TestTimeout:
             pending.result(timeout=0)
         assert pending._event is None
         assert not pending.done
-        pending._resolve(RESULT)
+        pending._finalize(RESULT, None)
         assert pending.result(timeout=0) is RESULT
 
     def test_expired_wait_raises_and_a_later_result_succeeds(self):
         pending = PendingResult(REQUEST)
         with pytest.raises(ServingTimeout):
             pending.result(timeout=0.01)
-        pending._resolve(RESULT)
+        pending._finalize(RESULT, None)
         assert pending.result(timeout=0.01) is RESULT
 
     def test_a_finished_request_is_read_without_an_event(self):
         pending = PendingResult(REQUEST)
-        pending._resolve(RESULT)
+        pending._finalize(RESULT, None)
         assert pending.result() is RESULT
         assert pending._event is None
 
@@ -128,16 +128,16 @@ class TestTimeout:
 class TestExactlyOnce:
     def test_double_finalize_raises(self):
         pending = PendingResult(REQUEST)
-        pending._resolve(RESULT)
+        pending._finalize(RESULT, None)
         with pytest.raises(ServingError, match="finalized twice"):
-            pending._resolve(RESULT)
+            pending._finalize(RESULT, None)
         with pytest.raises(ServingError, match="finalized twice"):
-            pending._reject(RuntimeError("late"))
+            pending._finalize(None, RuntimeError("late"))
         assert pending.result(timeout=0) is RESULT
 
     def test_token_after_finalization_raises(self):
         pending = PendingResult(REQUEST)
-        pending._reject(RuntimeError("boom"))
+        pending._finalize(None, RuntimeError("boom"))
         with pytest.raises(ServingError, match="after finalization"):
             pending._emit_token(7)
         assert pending.stream == ()
@@ -147,7 +147,7 @@ class TestExactlyOnce:
         seen = []
         pending.add_done_callback(lambda p: seen.append(("a", p.done, p.result(timeout=0))))
         pending.add_done_callback(lambda p: seen.append(("b", p.done, p.result(timeout=0))))
-        pending._resolve(RESULT)
+        pending._finalize(RESULT, None)
         assert seen == [("a", True, RESULT), ("b", True, RESULT)]
         pending.add_done_callback(lambda p: seen.append(("late", p.done, p.error)))
         assert seen[-1] == ("late", True, None)
@@ -160,7 +160,7 @@ class TestExactlyOnce:
         wait_until_blocked(pending, waiter)
         released = []
         pending.add_done_callback(lambda p: released.append(p._event.is_set()))
-        pending._resolve(RESULT)
+        pending._finalize(RESULT, None)
         waiter.join(5)
         assert released == [True]
         assert got == [RESULT]
@@ -175,7 +175,7 @@ class TestFootprint:
             before = tracemalloc.get_traced_memory()[0]
             for _ in range(n):
                 pending = PendingResult(REQUEST)
-                pending._resolve(RESULT)
+                pending._finalize(RESULT, None)
                 kept.append(pending)
             per_pending = (tracemalloc.get_traced_memory()[0] - before) / n
         finally:

@@ -151,6 +151,26 @@ class TestCircuitBreaker:
         clock.advance(2)
         assert breaker.state == HALF_OPEN
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_counted_records_match_single_records(self, seed):
+        """record_success(n) / record_failure(n) act as n single records."""
+        rng = np.random.default_rng(seed)
+        clock = Clock()
+        single, counted = make_breaker(clock), make_breaker(clock)
+        for _ in range(30):
+            success, n = bool(rng.random() < 0.5), int(rng.integers(1, 12))
+            if success:
+                counted.record_success(n)
+            else:
+                counted.record_failure(n)
+            for _ in range(n):
+                single.record_success() if success else single.record_failure()
+            if rng.random() < 0.3:
+                clock.advance(11)  # let an open breaker reach half-open
+            assert counted.allow() == single.allow()
+            assert counted.state == single.state
+            assert list(counted._outcomes) == list(single._outcomes)
+
     def test_transition_counters(self):
         clock = Clock()
         obs = Observability.create()

@@ -1,7 +1,7 @@
 """One front door: every request the cluster resolves leaves one audit record.
 
-The supervisor writes an ``audit.decision`` record when it resolves a
-request (``ClusterSupervisor._on_replica_done``), in the parent process,
+The supervisor writes an ``audit.decision`` record when it settles a
+request's batch (``ClusterSupervisor._settle``), in the parent process,
 so the record is written once whichever replica scored the request,
 over the thread and fork transports, and after a crashed replica's
 traffic is redispatched.  Each test sends N requests and reads back

@@ -500,7 +500,7 @@ class TestPendingResultStreaming:
     def test_emit_after_finalize_raises(self):
         pending = self._pending()
         pending._emit_token(3)
-        pending._resolve(ScoreResult("u1", 0.1, True, 0.5))
+        pending._finalize(ScoreResult("u1", 0.1, True, 0.5), None)
         with pytest.raises(ServingError):
             pending._emit_token(4)
         assert pending.stream == (3,)  # prefix preserved

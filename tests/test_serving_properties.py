@@ -267,9 +267,9 @@ class TestPendingResultExactlyOnce:
 
         def finalize(kind):
             if kind == "resolve":
-                pending._resolve(_result_for(pending.request))
+                pending._finalize(_result_for(pending.request), None)
             else:
-                pending._reject(RuntimeError("boom"))
+                pending._finalize(None, RuntimeError("boom"))
 
         finalize(first)
         with pytest.raises(ServingError):
@@ -279,7 +279,7 @@ class TestPendingResultExactlyOnce:
 
     def test_late_callback_fires_immediately(self):
         pending = PendingResult(ScoreRequest("u", "text"))
-        pending._resolve(_result_for(pending.request))
+        pending._finalize(_result_for(pending.request), None)
         fired = []
         pending.add_done_callback(lambda p: fired.append(p.request.user_id))
         assert fired == ["u"]

@@ -1,0 +1,328 @@
+"""One settle step per replica batch: one pending per request, settled once.
+
+A cluster request has one pending, the one its replica engine queued;
+a crash re-queues that same object on another replica.  Each replica
+batch settles once: the breaker records the batch's outcomes as counts,
+the audit records are written (in resolve order, before any caller in
+the batch resolves), and only then are the callers resolved.  Fork
+cases are ``slow``, like the other cluster suites.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+from repro.errors import QueueFullError, ReplicaCrashedError, ServingError
+from repro.obs import Observability, read_events
+from repro.serving import ClusterConfig, ClusterSupervisor, ReplicaApp, ScoreRequest, ScoreResult
+
+from conftest import (
+    StepClock,
+    make_engine,
+    make_generation_app,
+    stub_batch_fn,
+    stub_generation_model,
+)
+
+LEDGER = Path(__file__).resolve().parent.parent / "benchmarks" / "ledger.py"
+
+TRANSPORTS = ["thread", pytest.param("fork", marks=pytest.mark.slow)]
+
+
+def stub_factory(replica_id: int) -> ReplicaApp:
+    return ReplicaApp(batch_fn=stub_batch_fn)
+
+
+def requests(n: int) -> list[ScoreRequest]:
+    return [ScoreRequest(f"user-{i}", f"txn {i}") for i in range(n)]
+
+
+def make_cluster(transport: str = "thread", **config) -> ClusterSupervisor:
+    settings = dict(replicas=2, transport=transport, max_batch_size=4)
+    settings.update(config)
+    return ClusterSupervisor(stub_factory, ClusterConfig(**settings), obs=Observability.create())
+
+
+def spy(obj, name: str, returns: list | None = None) -> list:
+    """Record the arguments (and, into ``returns``, the results) of ``obj.name``."""
+    calls: list = []
+    original = getattr(obj, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        result = original(*args)
+        if returns is not None:
+            returns.append(result)
+        return result
+
+    setattr(obj, name, wrapper)
+    return calls
+
+
+def count_callbacks(pendings) -> dict[int, int]:
+    fired = {id(p): 0 for p in pendings}
+    for pending in pendings:
+        pending.add_done_callback(lambda p: fired.__setitem__(id(p), fired[id(p)] + 1))
+    return fired
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+class TestOnePendingPerRequest:
+    def test_submit_returns_the_pending_the_replica_engine_queued(self, transport):
+        cluster = make_cluster(transport)
+        cluster.launch()
+        queued: list = []
+        for replica in cluster.replicas:
+            spy(replica.engine, "submit", returns=queued)
+        try:
+            pendings = [cluster.submit(r) for r in requests(6)]
+            cluster.drain()
+        finally:
+            cluster.stop()
+        assert [id(p) for p in pendings] == [id(p) for p in queued]
+        assert all(p.result(timeout=0).replica in (0, 1) for p in pendings)
+
+    def test_crash_redispatches_the_same_pending(self, transport):
+        cluster = make_cluster(transport, queue_capacity=16)
+        cluster.launch()
+        try:
+            pendings = [cluster.submit(r) for r in requests(8)]
+            requeued = spy(cluster.replicas[1].engine, "enqueue")
+            on_zero = [p for p in pendings if p in replica_queue(cluster, 0)]
+            assert on_zero
+            fired = count_callbacks(pendings)
+            cluster.replicas[0].transport.kill()
+            cluster.drain()
+        finally:
+            cluster.stop()
+        # The pendings the caller holds are the very objects re-queued.
+        assert {id(p) for (p,) in requeued} == {id(p) for p in on_zero}
+        assert all(p.result(timeout=0).replica == 1 for p in on_zero)
+        assert all(count == 1 for count in fired.values())
+        assert cluster.stats.redispatched == len(on_zero)
+        assert cluster.stats.completed == 8 and cluster.stats.failed == 0
+        assert [r.outstanding for r in cluster.replicas] == [0, 0]
+        decided = [e["user_id"] for e in cluster.audit_log() if e["kind"] == "audit.decision"]
+        assert sorted(decided) == sorted(r.request.user_id for r in pendings)
+
+    def test_max_redispatch_is_honoured(self, transport):
+        cluster = make_cluster(transport, max_redispatch=0)
+        cluster.launch()
+        try:
+            pendings = [cluster.submit(r) for r in requests(4)]
+            on_zero = [p for p in pendings if p in replica_queue(cluster, 0)]
+            cluster.replicas[0].transport.kill()
+            cluster.drain()
+        finally:
+            cluster.stop()
+        assert on_zero and all(isinstance(p.error, ReplicaCrashedError) for p in on_zero)
+        assert cluster.stats.redispatched == 0
+        assert cluster.stats.failed == len(on_zero)
+
+    def test_tenant_quota_is_released_on_every_outcome(self, transport):
+        cluster = make_cluster(transport, tenant_quota=2, max_redispatch=0)
+        cluster.launch()
+        try:
+            cluster.submit(ScoreRequest("acme", "a"))
+            cluster.submit(ScoreRequest("acme", "bb"))
+            with pytest.raises(QueueFullError):
+                cluster.submit(ScoreRequest("acme", "ccc"))
+            cluster.replicas[0].transport.kill()  # one fails, one completes
+            cluster.drain()
+            cluster.check_health()
+            # Both slots are free again, whichever way each request ended.
+            results = cluster.serve([ScoreRequest("acme", "dddd"), ScoreRequest("acme", "e")])
+        finally:
+            cluster.stop()
+        assert len(results) == 2
+        assert cluster.stats.failed == 1 and cluster.stats.quota_rejected == 1
+
+    def test_overflowing_serve_runs_nothing(self, transport):
+        cluster = make_cluster(transport, replicas=1, queue_capacity=2)
+        try:
+            with pytest.raises(QueueFullError):
+                cluster.serve(requests(3))
+            assert [r.outstanding for r in cluster.replicas] == [0]
+            assert cluster.replicas[0].engine.queue_depth == 0
+            assert cluster.audit_log() == []
+            assert cluster.stats.failed == 2
+        finally:
+            cluster.stop()
+
+
+def replica_queue(cluster: ClusterSupervisor, replica_id: int) -> list:
+    """The pendings queued on one replica's engine (a peek at its queue)."""
+    engine = cluster.replicas[replica_id].engine
+    return [pending for pending, _ in engine._queue]
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+class TestAuditBeforeResolve:
+    def test_records_are_in_resolve_order_and_written_first(self, transport, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        cluster = ClusterSupervisor(
+            stub_factory,
+            ClusterConfig(replicas=2, transport=transport, max_batch_size=4),
+            obs=Observability.create(),
+            audit_path=path,
+        )
+        cluster.launch()
+        resolved: list[str] = []
+        on_file_at_resolve: list[bool] = []
+
+        def check(pending):
+            user = pending.request.user_id
+            resolved.append(user)
+            written = [e["user_id"] for e in read_events(path) if e["kind"] == "audit.decision"]
+            on_file_at_resolve.append(user in written)
+
+        try:
+            pendings = [cluster.submit(r) for r in requests(10)]
+            for pending in pendings:
+                pending.add_done_callback(check)
+            cluster.drain()
+        finally:
+            cluster.stop()
+        assert all(on_file_at_resolve) and len(resolved) == 10
+        decided = [e["user_id"] for e in read_events(path) if e["kind"] == "audit.decision"]
+        assert decided == resolved
+        assert cluster.audit_log() == read_events(path)
+
+
+class TestOneSettlePerBatch:
+    def test_breaker_records_one_count_per_batch(self):
+        cluster = make_cluster(replicas=1, max_batch_size=4, queue_capacity=16)
+        cluster.launch()
+        successes = spy(cluster.replicas[0].breaker, "record_success")
+        cluster.serve(requests(10))
+        cluster.stop()
+        assert successes == [(4,), (4,), (2,)]
+
+    def test_expiry_and_backpressure_do_not_charge_the_breaker(self):
+        clock = StepClock(now=0.0)
+        cluster = ClusterSupervisor(
+            stub_factory, ClusterConfig(replicas=1, queue_capacity=2), clock=clock
+        )
+        cluster.launch()
+        failures = spy(cluster.replicas[0].breaker, "record_failure")
+        stale = cluster.submit(ScoreRequest("late", "text", deadline=0.5))  # clock passes it
+        with pytest.raises(QueueFullError):
+            cluster.serve(requests(2))  # one fits, the next overflows: withdrawn
+        cluster.drain()
+        cluster.stop()
+        assert stale.error is not None
+        assert failures == []
+        assert cluster.replicas[0].breaker.state == "closed"
+
+    def test_serve_of_one_request_pumps_once(self):
+        cluster = make_cluster()
+        pumps = spy(cluster, "pump")
+        [result] = cluster.serve(requests(1))
+        assert len(pumps) == 1
+        assert result.replica is not None
+        cluster.stop()
+
+
+class TestOneResultObjectPerRequest:
+    """Results are stamped in place, so a scorer may not hand one object to two callers."""
+
+    def test_a_batch_that_repeats_a_result_fails(self):
+        shared = ScoreResult("any", 0.1, True, 0.5)
+        engine = make_engine("microbatch", batch_fn=lambda batch: [shared] * len(batch))
+        pendings = [engine.submit(r) for r in requests(3)]
+        engine.drain()
+        assert all(isinstance(p.error, ServingError) for p in pendings)
+        assert (shared.latency_s, shared.batch_size, shared.replica) == (0.0, 1, None)
+
+    def test_a_finish_that_repeats_a_result_fails_the_repeat(self):
+        shared = ScoreResult("any", 0.1, True, 0.5)
+        app = make_generation_app(stub_generation_model(), finish=lambda request, tokens: shared)
+        engine = make_engine("continuous", app=app)
+        pendings = [engine.submit(r) for r in requests(3)]
+        engine.drain()
+        served = [p for p in pendings if p.error is None]
+        assert len(served) == 1 and served[0].result(timeout=0) is shared
+        assert all(isinstance(p.error, ServingError) for p in pendings if p.error is not None)
+
+
+class TestBackpressureWhileSettling:
+    def test_a_settle_inside_a_refused_admission_counts_nothing_twice(self):
+        # The interleaving threaded replicas can hit: a batch settles
+        # while an admission is in flight, and the engine then refuses it.
+        cluster = make_cluster(replicas=1, max_batch_size=1, queue_capacity=4)
+        cluster.launch()
+        engine = cluster.replicas[0].engine
+        first = cluster.submit(ScoreRequest("a", "x"))
+        second = cluster.submit(ScoreRequest("b", "y"))
+        admit = engine.submit
+
+        def refuse_after_a_settle(request):
+            engine.pump()  # settles ``first`` inside the admission
+            raise QueueFullError("full")
+
+        engine.submit = refuse_after_a_settle
+        with pytest.raises(QueueFullError):
+            cluster.submit(ScoreRequest("c", "z"))
+        engine.submit = admit
+        cluster.pump()  # settles ``second`` before any admission succeeds
+        cluster.stop()
+        assert first.result(timeout=0) and second.result(timeout=0)
+        assert cluster.stats.submitted == 2 and cluster.stats.rejected == 1
+        assert cluster.obs.metrics.counter("cluster.submitted").value == 2
+        assert [r.outstanding for r in cluster.replicas] == [0]
+
+    def test_threaded_submitters_at_full_queues_keep_the_workers_serving(self):
+        cluster = make_cluster(max_batch_size=2, queue_capacity=2, max_wait_s=0.0)
+        admitted: list = []
+        refused = [0]
+
+        def submitter(offset: int) -> None:
+            for i in range(150):
+                try:
+                    admitted.append(cluster.submit(ScoreRequest(f"u{offset}-{i}", f"txn {i}")))
+                except QueueFullError:
+                    refused[0] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cluster.start()
+            threads = [threading.Thread(target=submitter, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            for pending in admitted:
+                pending.result(timeout=10.0)
+            workers = [replica.engine._worker for replica in cluster.replicas]
+            assert all(worker is not None and worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+            cluster.stop()
+        assert refused[0] > 0  # the queues really were kept full
+        assert cluster.stats.completed == len(admitted) == cluster.stats.submitted
+        assert cluster.obs.metrics.counter("cluster.submitted").value == len(admitted)
+
+
+class TestRequestPathCounts:
+    @pytest.fixture(scope="class")
+    def counts(self):
+        spec = importlib.util.spec_from_file_location("ledger", LEDGER)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.request_path_counts(), module.request_path_counts()
+
+    def test_at_most_two_instrument_calls_per_decision(self, counts):
+        first, _ = counts
+        assert 0 < first["instrument_calls_per_decision"] <= 2
+
+    def test_counts_repeat_exactly(self, counts):
+        first, second = counts
+        assert first == second
+        assert first["python_calls_per_decision"] > 0
