@@ -325,8 +325,7 @@ def _saturation_workload(model, config, pool_size: int, n_requests: int):
     """A deterministic bimodal request mix plus its expected outputs.
 
     Greedy decoding with a large stop set gives genuinely ragged
-    generation lengths (sampling would not: every row shares the same
-    per-row RNG stream, so sampled lengths cluster).  A sequential
+    generation lengths.  A sequential
     ``generate`` pass over a prompt pool both measures each prompt's
     natural length and doubles as the parity reference; the workload
     then interleaves short requests (<= 8 tokens) with long stragglers

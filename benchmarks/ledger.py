@@ -24,7 +24,10 @@ directory and runs ``--pairs`` pairs of that rev and this checkout,
 alternating which side runs first.  It prints each metric's median and
 quartiles per side and how many pairs each side won (ties count for
 neither; the better direction comes from ``BENCHMARK.json``), then
-removes the worktree.
+removes the worktree.  It also compares perfbench's ``counts`` within
+each pair and prints every count that differs, or "counts identical":
+for a given seed and ``--seconds`` they repeat exactly, so a change
+that keeps behaviour leaves them equal.
 """
 
 from __future__ import annotations
@@ -258,6 +261,16 @@ def summarize(base: list[dict], this: list[dict], better: dict[str, str]) -> lis
     return rows
 
 
+def count_diffs(base: list[dict], this: list[dict]) -> list[str]:
+    """Each count that differs within a pair: ``pair i: name base -> this``."""
+    lines = []
+    for i, (a, b) in enumerate(zip(base, this), 1):
+        for name in sorted(a.keys() | b.keys()):
+            if a.get(name) != b.get(name):
+                lines.append(f"pair {i}: {name} {a.get(name)} -> {b.get(name)}")
+    return lines
+
+
 def render(rows: list[dict], rev: str, label: str, pairs: int) -> str:
     def side(q1: float, med: float, q3: float) -> str:
         return f"{med:>10.6g} [{q1:.6g}, {q3:.6g}]"
@@ -291,12 +304,15 @@ def ab(rev: str, workload: str, seed: int, seconds: float, pairs: int, checkout:
         shutil.rmtree(scratch, ignore_errors=True)
         raise RuntimeError(f"git worktree add {rev} failed: {added.stderr.strip()}")
     runs: dict[str, list[dict]] = {"base": [], "this": []}
+    counts: dict[str, list[dict]] = {"base": [], "this": []}
     try:
         for i in range(pairs):
             order = ("base", "this") if i % 2 == 0 else ("this", "base")
             for side in order:
                 report = run_perfbench(other if side == "base" else checkout, workload, seed, seconds)
                 runs[side].append({n: m["value"] for n, m in report["metrics"].items()})
+                (run_counts,) = report["counts"]  # --trace 0 measures one run
+                counts[side].append(run_counts)
                 print(f"pair {i + 1}/{pairs}: {side} done", file=sys.stderr, flush=True)
     finally:
         subprocess.run(
@@ -305,7 +321,9 @@ def ab(rev: str, workload: str, seed: int, seconds: float, pairs: int, checkout:
         shutil.rmtree(scratch, ignore_errors=True)
         subprocess.run(["git", "worktree", "prune"], cwd=checkout, capture_output=True)
     header = f"ab {workload} seed {seed} seconds {seconds:g}: {pairs} pairs, alternating order"
-    return header + "\n" + render(summarize(runs["base"], runs["this"], _better()), rev, label, pairs)
+    table = render(summarize(runs["base"], runs["this"], _better()), rev, label, pairs)
+    diffs = count_diffs(counts["base"], counts["this"])
+    return "\n".join([header, table, *(diffs or ["counts identical"])])
 
 
 def main(argv=None) -> int:

@@ -124,8 +124,7 @@ class LMClassifier(CreditModel):
         works because causal attention ignores everything to the right;
         the kernel's ``readout`` runs the last block's query, MLP and
         head on that position only.  Runs the fused kernel directly,
-        which is the eval-mode forward, so the model's train/eval mode
-        is left alone.
+        the forward every no-grad call runs.
         """
         if not prompts:
             raise EvaluationError("score_batch() received no prompts")

@@ -23,19 +23,13 @@ def sample_losses(model, examples: Sequence[TokenExample]) -> np.ndarray:
     if not examples:
         raise InfluenceError("sample_losses() received no examples")
     losses = np.empty(len(examples))
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            for i, (input_ids, labels) in enumerate(examples):
-                loss = model.loss(
-                    np.asarray(input_ids, dtype=np.int64)[None, :],
-                    np.asarray(labels, dtype=np.int64)[None, :],
-                )
-                losses[i] = loss.item()
-    finally:
-        if was_training:
-            model.train()
+    with no_grad():
+        for i, (input_ids, labels) in enumerate(examples):
+            loss = model.loss(
+                np.asarray(input_ids, dtype=np.int64)[None, :],
+                np.asarray(labels, dtype=np.int64)[None, :],
+            )
+            losses[i] = loss.item()
     return losses
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.tensor import Tensor
 from repro.tensor.random import default_rng
-from repro.nn.layers import Dropout, Linear, linear
+from repro.nn.layers import Linear, linear
 from repro.nn.module import Module, Parameter
 
 
@@ -26,7 +26,6 @@ class LoRAConfig:
     rank: int = 8
     alpha: float = 16.0
     target_modules: tuple[str, ...] = ("wq", "wk", "wv")
-    dropout: float = 0.0
     # Keep embedding tables trainable alongside the adapters (the
     # ``modules_to_save`` pattern from HF PEFT).  Our base model is not
     # pretrained at 7B scale, so the tied embedding/head must adapt for
@@ -69,7 +68,6 @@ class LoRALinear(Module):
             rng.normal(0.0, 1.0 / config.rank, size=(config.rank, in_features)).astype(np.float32)
         )
         self.lora_b = Parameter(np.zeros((out_features, config.rank), dtype=np.float32))
-        self.lora_dropout = Dropout(config.dropout, rng=rng)
         self._merged = False
 
     @property
@@ -83,7 +81,7 @@ class LoRALinear(Module):
     def forward(self, x: Tensor) -> Tensor:
         if self._merged:
             return self.base(x)
-        lora = (self.lora_a, self.lora_b, self.scaling, self.lora_dropout)
+        lora = (self.lora_a, self.lora_b, self.scaling)
         return linear(x, self.base.weight, self.base.bias, lora)
 
     def merge(self) -> None:

@@ -1,7 +1,7 @@
 """Neural network library: modules, layers and the MistralTiny causal LM."""
 
 from repro.nn.module import Buffer, Module, ModuleList, Parameter
-from repro.nn.layers import Dropout, Embedding, Linear, RMSNorm
+from repro.nn.layers import Embedding, Linear, RMSNorm
 from repro.nn.rope import RotaryEmbedding
 from repro.nn.attention import (
     MultiHeadAttention,
@@ -43,7 +43,6 @@ __all__ = [
     "Linear",
     "Embedding",
     "RMSNorm",
-    "Dropout",
     "RotaryEmbedding",
     "MultiHeadAttention",
     "fused_attention",

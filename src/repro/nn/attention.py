@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.tensor import Tensor
 from repro.tensor.random import default_rng
-from repro.nn.layers import Dropout, Linear
+from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.nn.rope import RotaryEmbedding, rotate
 
@@ -77,7 +77,6 @@ def fused_attention(
     v: np.ndarray,
     n_kv_heads: int,
     mask: np.ndarray | None = None,
-    keep: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fused scaled-dot-product attention over raw numpy arrays.
 
@@ -92,13 +91,11 @@ def fused_attention(
 
     Shapes: ``q`` is ``(B, H, T, hd)``, ``k``/``v`` are ``(B, KV, S, hd)``;
     ``mask`` broadcasts over ``(B, H, T, S)`` — either ``(T, S)`` or
-    ``(B, 1, 1, S)`` / ``(B, H, T, S)``.  ``keep`` is an attention
-    dropout multiplier laid out like the probabilities,
-    ``(B, KV, group·T, S)``.  Returns ``(out, probs)``: merged heads
-    ``(B, T, H·hd)`` and the softmax probabilities before dropout,
-    which the training node's backward reuses.  Serves prefill
-    (``T > 1``), the ``T == 1`` decode fast path (``mask=None``) and
-    the training forward (:func:`attention`).
+    ``(B, 1, 1, S)`` / ``(B, H, T, S)``.  Returns ``(out, probs)``:
+    merged heads ``(B, T, H·hd)`` and the softmax probabilities laid
+    out as ``(B, KV, group·T, S)``, which the training node's backward
+    reuses.  Serves prefill (``T > 1``), the ``T == 1`` decode fast
+    path (``mask=None``) and the training forward (:func:`attention`).
     """
     batch, n_heads, q_len, head_dim = q.shape
     group = n_heads // n_kv_heads
@@ -119,7 +116,7 @@ def fused_attention(
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
-    out = np.matmul(scores if keep is None else scores * keep, v)  # (B, KV, group*T, hd)
+    out = np.matmul(scores, v)  # (B, KV, group*T, hd)
     out = out.reshape(batch, n_kv_heads, group, q_len, head_dim)
     return out.transpose(0, 3, 1, 2, 4).reshape(batch, q_len, n_heads * head_dim), scores
 
@@ -130,8 +127,7 @@ def attention(attn: "MultiHeadAttention", q: Tensor, k: Tensor, v: Tensor) -> Te
     ``q`` is ``(B, T, H·hd)`` and ``k``/``v`` are ``(B, T, KV·hd)``, the
     outputs of ``attn``'s projections.  The forward is the fused
     kernel's: RoPE (:meth:`MultiHeadAttention.heads_np`), the sliding
-    window mask and :func:`fused_attention`, with ``attn``'s live
-    dropout drawn as one ``(B, H, T, T)`` mask.  The backward keeps the
+    window mask and :func:`fused_attention`.  The backward keeps the
     grouped-query layout, so dK and dV come out of one batched matmul
     each against the un-repeated heads, and rotates dQ and dK back with
     the forward's RoPE tables.  Returns ``(B, T, H·hd)``.
@@ -140,11 +136,8 @@ def attention(attn: "MultiHeadAttention", q: Tensor, k: Tensor, v: Tensor) -> Te
     n_kv = attn.n_kv_heads
     tables = attn.rope.tables(np.arange(seq))
     qh, kh, vh = attn.heads_np(q.data, k.data, v.data, tables)
-    keep = attn.attn_dropout.mask((batch, attn.n_heads, seq, seq))
-    if keep is not None:  # (B, H, T, S) and (B, KV, G·T, S) share one memory order
-        keep = keep.reshape(batch, n_kv, -1, seq)
     data, probs = fused_attention(
-        qh, kh, vh, n_kv, rect_attention_mask(seq, seq, attn.sliding_window), keep
+        qh, kh, vh, n_kv, rect_attention_mask(seq, seq, attn.sliding_window)
     )
     out = Tensor._result(data, (q, k, v))
     if out.requires_grad:
@@ -153,13 +146,10 @@ def attention(attn: "MultiHeadAttention", q: Tensor, k: Tensor, v: Tensor) -> Te
             grad = out.grad.reshape(batch, seq, n_kv, -1, attn.head_dim)
             grad = grad.transpose(0, 2, 3, 1, 4).reshape(batch, n_kv, -1, attn.head_dim)
             if v.requires_grad:
-                weights = probs if keep is None else probs * keep
-                v._accumulate(merge_heads(np.matmul(weights.swapaxes(-1, -2), grad)))
+                v._accumulate(merge_heads(np.matmul(probs.swapaxes(-1, -2), grad)))
             if not (q.requires_grad or k.requires_grad):
                 return
             d_weights = np.matmul(grad, vh.swapaxes(-1, -2))  # (B, KV, G·T, S)
-            if keep is not None:
-                d_weights *= keep
             d_scores = probs * (d_weights - (d_weights * probs).sum(axis=-1, keepdims=True))
             if q.requires_grad:
                 dq = np.matmul(d_scores, kh).reshape(qh.shape)
@@ -184,7 +174,6 @@ class MultiHeadAttention(Module):
         max_seq_len: int = 512,
         sliding_window: int | None = None,
         rope_theta: float = 10000.0,
-        dropout: float = 0.0,
         rng=None,
     ):
         super().__init__()
@@ -203,7 +192,6 @@ class MultiHeadAttention(Module):
         self.wv = Linear(d_model, n_kv_heads * self.head_dim, bias=False, rng=rng)
         self.wo = Linear(n_heads * self.head_dim, d_model, bias=False, rng=rng)
         self.rope = RotaryEmbedding(self.head_dim, max_seq_len, theta=rope_theta)
-        self.attn_dropout = Dropout(dropout, rng=rng)
 
     def heads_np(self, q: np.ndarray, k: np.ndarray, v: np.ndarray, tables, q_tables=None):
         """Raw projections ``(B, T, ·)`` to heads, with RoPE on q and k.

@@ -80,14 +80,8 @@ class SequenceClassifier(Module):
 
     def predict_proba(self, token_ids: np.ndarray) -> np.ndarray:
         """P(positive) per sequence (no gradients)."""
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                z = self.forward(token_ids)
-        finally:
-            if was_training:
-                self.train()
+        with no_grad():
+            z = self.forward(token_ids)
         return 1.0 / (1.0 + np.exp(-z.data))
 
     def fit(

@@ -12,7 +12,7 @@ Each :meth:`~ContinuousScheduler.step`:
 
 1. **Admits** up to ``max_prefills_per_step`` waiting prompts (while the
    batch has fewer than ``max_live_rows`` live rows): one padded prefill
-   forward for the cohort, first token sampled from the prefill logits,
+   forward for the cohort, first token read from the prefill logits,
    then the new rows are merged into the live :class:`DecodeState` via
    the ragged ``LayerKVCache.admit_rows`` path.
 2. **Decodes** one token for every live row and **retires** rows at stop
@@ -22,8 +22,8 @@ Each :meth:`~ContinuousScheduler.step`:
 
 Outputs equal per-prompt ``generate(..., use_cache=False)`` — the
 uncached re-forward reference — for *any* arrival interleaving: every
-row draws from its own ``default_rng(config.seed)`` stream, padding
-slots are additively masked (``-1e9`` lanes underflow to exactly 0 in
+row's token is the ``argmax`` of its own logits, padding slots are
+additively masked (``-1e9`` lanes underflow to exactly 0 in
 softmax), and per-row RoPE positions continue from each row's own
 prompt length.  The parity suite in ``tests/test_continuous.py`` pins
 this.
@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.errors import ConfigError, ServingError
 from repro.tensor import no_grad
-from repro.tensor.random import default_rng
 from repro.nn.cache import (
     KVCache,
     KVCacheSnapshot,
@@ -53,7 +52,7 @@ from repro.nn.cache import (
     PrefixCache,
     _read_only,
 )
-from repro.nn.generation import GenerationConfig, _check_budget, _sample_token
+from repro.nn.generation import GenerationConfig, _check_budget
 from repro.nn.transformer import MistralTiny
 
 _NEG_INF = np.float32(-1e9)
@@ -179,14 +178,15 @@ def _prefill_batch(
     rows: list[np.ndarray],
     prefix_cache: PrefixCache | None,
     metrics,
-) -> tuple[DecodeState, list[np.ndarray]]:
+) -> tuple[DecodeState, np.ndarray]:
     """Prefill every prompt and stack the results into one decode state.
 
     Rows without a cached entry share one left-aligned padded prefill
     forward that reads out each row's last prompt position only; a row
     whose whole prompt is cached takes the stored K/V and logits as they
     are.  The caches keep every key; the attention masks enforce the
-    sliding window.
+    sliding window.  Returns the state and the ``(B, vocab)`` logits
+    after each row's last prompt token.
     """
     n_layers = model.config.n_layers
     window = model.config.sliding_window
@@ -246,7 +246,7 @@ def _prefill_batch(
         row_pos=row_pos,
         window=window,
     )
-    return state, [np.asarray(l) for l in last_logits]
+    return state, np.stack(last_logits)
 
 
 @dataclass(frozen=True)
@@ -378,7 +378,6 @@ class ContinuousScheduler:
         self._waiting: deque[tuple[GenerationStream, np.ndarray]] = deque()
         self._state: DecodeState | None = None
         self._live: list[GenerationStream] = []
-        self._rngs: list = []  # per live row, parallel to _live
         self._tokens: list[int] = []  # next input token per live row
         self._counter = 0
 
@@ -434,16 +433,9 @@ class ContinuousScheduler:
         """
         if not self.has_work:
             return 0
-        was_training = self.model.training
-        if was_training:  # avoid a full module-tree walk on every step
-            self.model.eval()
-        try:
-            with no_grad():
-                emitted = self._admit()
-                emitted += self._decode()
-        finally:
-            if was_training:
-                self.model.train()
+        with no_grad():
+            emitted = self._admit()
+            emitted += self._decode()
         self._m_steps.inc()
         self._g_live.set(len(self._live))
         self._g_waiting.set(len(self._waiting))
@@ -471,9 +463,8 @@ class ContinuousScheduler:
         self._metrics["tokens"].inc(take)
 
         keep: list[int] = []
-        rngs = [default_rng(self.config.seed) for _ in cohort]
-        for r, (stream, _ids) in enumerate(cohort):
-            next_id = _sample_token(last_logits[r], self.config, rngs[r])
+        for r, next_id in enumerate(last_logits.argmax(-1).tolist()):
+            stream = cohort[r][0]
             stream._emit(next_id)
             self._m_stream.inc()
             if (
@@ -495,7 +486,6 @@ class ContinuousScheduler:
         for r in keep:
             stream, _ids = cohort[r]
             self._live.append(stream)
-            self._rngs.append(rngs[r])
             self._tokens.append(stream.tokens[-1])
         return take
 
@@ -519,8 +509,7 @@ class ContinuousScheduler:
 
         keep: list[int] = []
         next_tokens: list[int] = []
-        for row, stream in enumerate(self._live):
-            next_id = _sample_token(logits[row], self.config, self._rngs[row])
+        for row, (stream, next_id) in enumerate(zip(self._live, logits.argmax(-1).tolist())):
             stream._emit(next_id)
             if (
                 next_id in self.config.stop_tokens
@@ -533,7 +522,6 @@ class ContinuousScheduler:
             next_tokens.append(next_id)
         if len(keep) < len(self._live):
             self._live = [self._live[row] for row in keep]
-            self._rngs = [self._rngs[row] for row in keep]
             if self._live:
                 self._state.select_rows(keep)
             else:
@@ -558,7 +546,6 @@ class ContinuousScheduler:
             stream._finalize(error)
             self._m_retired.inc()
         self._live = []
-        self._rngs = []
         self._tokens = []
         self._waiting.clear()
         self._state = None

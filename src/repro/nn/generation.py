@@ -1,4 +1,4 @@
-"""Decoding: greedy / temperature / top-k sampling, single and batched.
+"""Greedy decoding, single and batched.
 
 Generation always runs under :func:`~repro.tensor.no_grad` and shares
 one decode loop, :class:`~repro.nn.continuous.ContinuousScheduler`:
@@ -12,9 +12,9 @@ one decode loop, :class:`~repro.nn.continuous.ContinuousScheduler`:
   whole sequence each step: the independent reference the batched,
   cached and continuous paths are tested against.
 
-Seeded sampling matches row-for-row because every row draws from its
-own ``default_rng(config.seed)`` stream, just like a sequential call.
-A :class:`~repro.nn.cache.PrefixCache` lets a prompt identical to a
+Every step picks each row's most likely next token (``argmax``), so a
+row's output depends only on its own prompt and the weights.  A
+:class:`~repro.nn.cache.PrefixCache` lets a prompt identical to a
 cached one copy the stored KV snapshot and logits instead of running
 its prefill.  Counters and the decode-step histogram are reported through
 :mod:`repro.obs` (``generation.*`` series; see ``docs/generation.md``).
@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.tensor import no_grad
-from repro.tensor.random import default_rng
 from repro.nn.cache import PrefixCache
 from repro.nn.quant import infer_logits_np
 from repro.nn.transformer import MistralTiny
@@ -36,26 +35,15 @@ from repro.nn.transformer import MistralTiny
 
 @dataclass(frozen=True)
 class GenerationConfig:
-    """Decoding parameters.
-
-    ``temperature == 0`` means greedy decoding; ``top_k`` (when set)
-    restricts sampling to the k most likely tokens.
-    """
+    """Greedy decoding parameters: a length budget and the stop tokens."""
 
     max_new_tokens: int = 16
-    temperature: float = 0.0
-    top_k: int | None = None
     stop_tokens: tuple[int, ...] = ()
-    seed: int = 0
     use_cache: bool = True
 
     def __post_init__(self):
         if self.max_new_tokens <= 0:
             raise ConfigError("max_new_tokens must be positive")
-        if self.temperature < 0:
-            raise ConfigError("temperature must be non-negative")
-        if self.top_k is not None and self.top_k <= 0:
-            raise ConfigError("top_k must be positive when set")
 
 
 def _check_budget(model: MistralTiny, config: GenerationConfig) -> int:
@@ -76,19 +64,6 @@ def _check_budget(model: MistralTiny, config: GenerationConfig) -> int:
     return budget
 
 
-def _sample_token(logits: np.ndarray, config: GenerationConfig, rng) -> int:
-    if config.temperature == 0.0:
-        return int(logits.argmax())
-    scaled = logits / config.temperature
-    if config.top_k is not None and config.top_k < scaled.size:
-        cutoff = np.partition(scaled, -config.top_k)[-config.top_k]
-        scaled = np.where(scaled >= cutoff, scaled, -np.inf)
-    scaled = scaled - scaled.max()
-    probs = np.exp(scaled)
-    probs /= probs.sum()
-    return int(rng.choice(probs.size, p=probs))
-
-
 def generate(
     model: MistralTiny,
     prompt_ids: np.ndarray,
@@ -106,25 +81,18 @@ def generate(
     if config.use_cache:
         return generate_batch(model, [prompt_ids], config, prefix_cache=prefix_cache)[0]
     budget = _check_budget(model, config)
-    rng = default_rng(config.seed)
     # Left-truncate to the prompt budget up front, exactly as the cached
     # path does, so both condition on the identical context window.
     ids = list(np.asarray(prompt_ids, dtype=np.int64).reshape(-1))[-budget:]
     generated: list[int] = []
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            for _ in range(config.max_new_tokens):
-                logits = model.forward(np.asarray(ids, dtype=np.int64)[None, :])
-                next_id = _sample_token(logits.data[0, -1], config, rng)
-                ids.append(next_id)
-                generated.append(next_id)
-                if next_id in config.stop_tokens:
-                    break
-    finally:
-        if was_training:
-            model.train()
+    with no_grad():
+        for _ in range(config.max_new_tokens):
+            logits = model.forward(np.asarray(ids, dtype=np.int64)[None, :])
+            next_id = int(logits.data[0, -1].argmax())
+            ids.append(next_id)
+            generated.append(next_id)
+            if next_id in config.stop_tokens:
+                break
     return generated
 
 
@@ -164,8 +132,7 @@ def next_token_logits(model: MistralTiny, prompt_ids: np.ndarray) -> np.ndarray:
 
     Used by the evaluation harness to score discrete answers (e.g. the
     relative likelihood of "yes" vs "no"), which feeds the KS metric.
-    Runs the fused kernel directly (the eval-mode forward), leaving the
-    model's train/eval mode alone.
+    Runs the fused kernel directly, the forward every no-grad call runs.
     """
     ids = np.asarray(prompt_ids, dtype=np.int64).reshape(-1)
     ids = ids[-model.config.max_seq_len:]

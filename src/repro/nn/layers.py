@@ -1,4 +1,4 @@
-"""Basic layers: Linear, Embedding, RMSNorm, Dropout.
+"""Basic layers: Linear, Embedding, RMSNorm.
 
 Linear layers (plain, biased, unmerged LoRA and the tied head) and
 RMSNorm are each one autograd node: :func:`linear` and :func:`rms_norm`
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigError
 from repro.tensor import Tensor, embedding
 from repro.tensor.random import default_rng, kaiming_init
 from repro.nn.module import Module, Parameter
@@ -39,11 +38,10 @@ def _vector_grad(grad: np.ndarray, param: np.ndarray) -> np.ndarray:
 
 
 def linear_np(x: np.ndarray, weight: np.ndarray, bias=None, lora=None):
-    """Raw forward of the linear node: ``x @ W^T (+ b) (+ s * (x_d @ A^T) @ B^T)``.
+    """Raw forward of the linear node: ``x @ W^T (+ b) (+ s * (x @ A^T) @ B^T)``.
 
-    ``lora`` is ``None`` or ``(A, B, scaling, keep)`` for an unmerged
-    LoRA adapter, ``keep`` being its dropout multiplier on ``x`` (or
-    ``None``).  Returns ``(out, h)`` with ``h = x_d @ A^T`` (``None``
+    ``lora`` is ``None`` or ``(A, B, scaling)`` for an unmerged LoRA
+    adapter.  Returns ``(out, h)`` with ``h = x @ A^T`` (``None``
     without LoRA), which the backward needs.  The fused inference
     kernel and the graph both run this function.
     """
@@ -52,25 +50,22 @@ def linear_np(x: np.ndarray, weight: np.ndarray, bias=None, lora=None):
         out += bias
     if lora is None:
         return out, None
-    lora_a, lora_b, scaling, keep = lora
-    h = (x if keep is None else x * keep) @ lora_a.swapaxes(-1, -2)
+    lora_a, lora_b, scaling = lora
+    h = x @ lora_a.swapaxes(-1, -2)
     return out + h @ lora_b.swapaxes(-1, -2) * scaling, h
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, lora=None) -> Tensor:
     """One graph node for a linear layer; forward is :func:`linear_np`.
 
-    ``lora`` is ``None`` or ``(A, B, scaling, dropout)`` with the
-    adapter factors as tensors and its :class:`Dropout`, whose mask is
-    drawn here, once per forward.
+    ``lora`` is ``None`` or ``(A, B, scaling)`` with the adapter
+    factors as tensors.
     """
-    keep = None
     raw_lora = None
     parents = (x, weight) if bias is None else (x, weight, bias)
     if lora is not None:
-        lora_a, lora_b, scaling, dropout = lora
-        keep = dropout.mask(x.shape)
-        raw_lora = (lora_a.data, lora_b.data, scaling, keep)
+        lora_a, lora_b, scaling = lora
+        raw_lora = (lora_a.data, lora_b.data, scaling)
         parents += (lora_a, lora_b)
     data, h = linear_np(x.data, weight.data, None if bias is None else bias.data, raw_lora)
     out = Tensor._result(data, parents)
@@ -90,13 +85,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, lora=None) -> 
                 if lora_a.requires_grad or dx is not None:
                     dh = grad_u @ lora_b.data
                     if lora_a.requires_grad:
-                        dropped = x.data if keep is None else x.data * keep
-                        lora_a._accumulate(_weight_grad(dh, dropped, lora_a.data))
+                        lora_a._accumulate(_weight_grad(dh, x.data, lora_a.data))
                     if dx is not None:
-                        dx_lora = dh @ lora_a.data
-                        if keep is not None:
-                            dx_lora *= keep
-                        dx += dx_lora
+                        dx += dh @ lora_a.data
             if dx is not None:
                 x._accumulate(dx)
 
@@ -200,30 +191,3 @@ class RMSNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return rms_norm(x, self.weight, self.eps)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity when ``p == 0`` or in eval mode."""
-
-    def __init__(self, p: float = 0.0, rng=None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = default_rng(rng)
-
-    def mask(self, shape: tuple[int, ...]) -> np.ndarray | None:
-        """The multiplier for one forward over ``shape``, ``None`` when inactive.
-
-        Draws from this module's generator, so layer nodes that apply
-        dropout inside their forward consume the same stream as
-        :meth:`forward` on an input of that shape.
-        """
-        if not self.training or self.p == 0.0:
-            return None
-        keep = 1.0 - self.p
-        return (self._rng.random(shape) < keep).astype(np.float32) / keep
-
-    def forward(self, x: Tensor) -> Tensor:
-        mask = self.mask(x.shape)
-        return x if mask is None else x * Tensor(mask)

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.tensor import Tensor
 from repro.tensor.random import default_rng
-from repro.nn.layers import Dropout, Linear
+from repro.nn.layers import Linear
 from repro.nn.module import Module
 
 
@@ -45,13 +45,12 @@ class SwiGLU(Module):
     activation named in Table 3 of the paper.
     """
 
-    def __init__(self, d_model: int, d_ff: int, dropout: float = 0.0, rng=None):
+    def __init__(self, d_model: int, d_ff: int, rng=None):
         super().__init__()
         rng = default_rng(rng)
         self.w1 = Linear(d_model, d_ff, bias=False, rng=rng)  # gate projection
         self.w3 = Linear(d_model, d_ff, bias=False, rng=rng)  # up projection
         self.w2 = Linear(d_ff, d_model, bias=False, rng=rng)  # down projection
-        self.dropout = Dropout(dropout, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.dropout(self.w2(swiglu(self.w1(x), self.w3(x))))
+        return self.w2(swiglu(self.w1(x), self.w3(x)))

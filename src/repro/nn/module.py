@@ -54,7 +54,6 @@ class Module:
     """
 
     def __init__(self):
-        self.training = True
         self.weight_version = 0
 
     def bump_weight_version(self) -> None:
@@ -93,20 +92,6 @@ class Module:
         return sum(
             p.size for p in self.parameters() if p.requires_grad or not trainable_only
         )
-
-    # -- modes ---------------------------------------------------------
-
-    def train(self) -> "Module":
-        self.training = True
-        for _, child in self.named_children():
-            child.train()
-        return self
-
-    def eval(self) -> "Module":
-        self.training = False
-        for _, child in self.named_children():
-            child.eval()
-        return self
 
     def zero_grad(self) -> None:
         for p in self.parameters():

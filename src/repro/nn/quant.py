@@ -18,9 +18,8 @@ Two tightly coupled pieces live here:
   int8 alike: one Python call per layer instead of one autograd
   ``Tensor`` per op, with attention collapsed into the single
   einsum-style kernel :func:`repro.nn.attention.fused_attention`.
-  ``MistralTiny.forward`` runs it whenever gradients are off and the
-  forward is incremental (KV cache, positions or mask) or in eval mode;
-  the autograd graph is the training path only.  The graph's layer
+  ``MistralTiny.forward`` runs it whenever gradients are off; the
+  autograd graph is the training path only.  The graph's layer
   nodes run the same raw forwards (``linear_np``, ``rms_norm_np``,
   ``fused_attention``, ``swiglu_np``), so for a float model — including
   unmerged LoRA adapters — the kernel's logits equal the graph's bit
@@ -223,10 +222,10 @@ def quantize_model(
     adapters raise, because quantizing would silently drop the adapter
     delta: call :func:`repro.lora.merge_lora` first.
 
-    The model is then put in eval mode (so no-grad forwards run the
-    fused kernel, :func:`infer_logits_np`) and ``weight_version`` is
-    bumped exactly once so :meth:`PrefixCache.sync` flushes KV/logit
-    entries computed under float weights.
+    ``weight_version`` is then bumped exactly once so
+    :meth:`PrefixCache.sync` flushes KV/logit entries computed under
+    float weights.  No-grad forwards of the result run the fused
+    kernel, :func:`infer_logits_np`, as they do on a float model.
 
     The pass mutates ``model`` in place and returns it.
     """
@@ -268,7 +267,6 @@ def quantize_model(
     for module in _iter_modules(model):
         if isinstance(module, MistralTiny):
             module._inference_kernel = infer_logits_np  # marker only; see MistralTiny
-    model.eval()
     model.bump_weight_version()
     return model
 
@@ -316,7 +314,7 @@ def layer_np(layer, x: np.ndarray) -> np.ndarray:
         )
     if layer.merged:
         return layer_np(base, x)
-    lora = (layer.lora_a.data, layer.lora_b.data, layer.scaling, None)
+    lora = (layer.lora_a.data, layer.lora_b.data, layer.scaling)
     return linear_np(x, base.weight.data, _data(base.bias), lora)[0]
 
 

@@ -18,7 +18,7 @@ from repro.tensor import Tensor, cross_entropy, is_grad_enabled
 from repro.tensor.random import default_rng
 from repro.nn.attention import MultiHeadAttention
 from repro.nn.cache import KVCache
-from repro.nn.layers import Dropout, Embedding, Linear, RMSNorm
+from repro.nn.layers import Embedding, Linear, RMSNorm
 from repro.nn.mlp import SwiGLU
 from repro.nn.module import Module, ModuleList
 from repro.nn.quant import infer_logits_np
@@ -41,7 +41,6 @@ class ModelConfig:
     max_seq_len: int = 128
     sliding_window: int | None = 64
     rope_theta: float = 10000.0
-    dropout: float = 0.0
     tie_embeddings: bool = True
 
     def __post_init__(self):
@@ -63,6 +62,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        """Inverse of :meth:`to_dict`; drops an older config's ``"dropout": 0.0``."""
+        data = dict(data)
+        dropout = data.pop("dropout", 0.0)
+        if dropout != 0.0:  # a model trained with dropout, which nothing here runs
+            raise ConfigError(f"model_config key 'dropout' is {dropout!r}; only 0.0 loads")
         return cls(**data)
 
 
@@ -80,11 +84,10 @@ class TransformerBlock(Module):
             max_seq_len=config.max_seq_len,
             sliding_window=config.sliding_window,
             rope_theta=config.rope_theta,
-            dropout=config.dropout,
             rng=rng,
         )
         self.ffn_norm = RMSNorm(config.d_model)
-        self.ffn = SwiGLU(config.d_model, config.d_ff, dropout=config.dropout, rng=rng)
+        self.ffn = SwiGLU(config.d_model, config.d_ff, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.attn_norm(x))
@@ -106,7 +109,6 @@ class MistralTiny(Module):
         rng = default_rng(rng)
         self.config = config
         self.tok_embed = Embedding(config.vocab_size, config.d_model, rng=rng)
-        self.embed_dropout = Dropout(config.dropout, rng=rng)
         self.blocks = ModuleList(TransformerBlock(config, rng=rng) for _ in range(config.n_layers))
         self.final_norm = RMSNorm(config.d_model)
         if config.tie_embeddings:
@@ -123,13 +125,12 @@ class MistralTiny(Module):
     ) -> Tensor:
         """Logits for ``token_ids``.
 
-        Two paths, one rule.  With gradients off, a forward that is
-        incremental (``cache``, ``positions``, ``attn_mask`` or
-        ``readout`` given) or runs in eval mode goes through the fused
-        raw-numpy kernel (:func:`~repro.nn.quant.infer_logits_np`) — float
-        and int8 models alike.  Everything else runs the autograd graph,
-        which is the training path.  Incremental forwards are
-        inference-only: with gradients on they raise
+        Two paths, one rule.  With gradients off the forward runs the
+        fused raw-numpy kernel (:func:`~repro.nn.quant.infer_logits_np`)
+        — float and int8 models alike; with gradients on it runs the
+        autograd graph, which is the training path.  Incremental
+        forwards (``cache``, ``positions``, ``attn_mask`` or ``readout``
+        given) are inference-only: with gradients on they raise
         :class:`~repro.errors.ConfigError`.
 
         With ``cache`` (a :class:`~repro.nn.cache.KVCache`), ``token_ids``
@@ -163,15 +164,13 @@ class MistralTiny(Module):
                     f"sequence length {start + token_ids.shape[1]} exceeds max_seq_len "
                     f"{self.config.max_seq_len}"
                 )
-        incremental = any(a is not None for a in (cache, positions, attn_mask, readout))
-        if is_grad_enabled():
-            if incremental:
-                raise ConfigError(
-                    "forward() with cache/positions/attn_mask/readout is inference-only: "
-                    "run it under no_grad()"
-                )
-        elif incremental or not self.training:
+        if not is_grad_enabled():
             return Tensor(infer_logits_np(self, token_ids, cache, positions, attn_mask, readout))
+        if any(a is not None for a in (cache, positions, attn_mask, readout)):
+            raise ConfigError(
+                "forward() with cache/positions/attn_mask/readout is inference-only: "
+                "run it under no_grad()"
+            )
         x = self.hidden_states(token_ids)
         if self.lm_head is not None:
             return self.lm_head(x)
@@ -190,7 +189,7 @@ class MistralTiny(Module):
                 f"sequence length {token_ids.shape[1]} exceeds max_seq_len "
                 f"{self.config.max_seq_len}"
             )
-        x = self.embed_dropout(self.tok_embed(token_ids))
+        x = self.tok_embed(token_ids)
         for block in self.blocks:
             x = block(x)
         return self.final_norm(x)

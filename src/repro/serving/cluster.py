@@ -873,8 +873,12 @@ class ClusterSupervisor:
         if charged:
             replica.breaker.record_failure(charged)
         redispatched = 0
+        deferred: Exception | None = None
         if crashed:
-            self._declare_dead(replica, crashed[0][1])
+            try:
+                self._declare_dead(replica, crashed[0][1])
+            except Exception as error:  # a withdrawn caller's done-callback: settle this batch first
+                deferred = error
             redispatched = self._redispatch(replica, crashed, finals)
         with self._lock:
             replica.outstanding -= len(done) + len(failed)
@@ -917,6 +921,8 @@ class ClusterSupervisor:
         if redispatched:
             self._m_redispatched.inc(redispatched)
         settle_batch(done, finals)
+        if deferred is not None:
+            raise deferred
 
     def _redispatch(
         self,

@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -227,7 +228,8 @@ class PendingResult:
         is stored and waiters are released.  A request the cluster moves
         off a crashed replica is the same pending on its next replica,
         so a callback fires once, at the final outcome.  Exceptions
-        raised by a callback propagate to the finalizer.
+        raised by a callback propagate to the finalizer; a settle step
+        finalizes the rest of its batch before re-raising the first.
         """
         with self._lock:
             if not self.done:
@@ -327,11 +329,24 @@ def settle_batch(
     done: list[tuple[PendingResult, ScoreResult]],
     failed: list[tuple[PendingResult, BaseException]],
 ) -> None:
-    """The default settle step: resolve, then reject, each caller in order."""
+    """The default settle step: resolve, then reject, each caller in order.
+
+    A done-callback that raises does not stop the step: every caller in
+    the batch is finalized first, then the first such error is raised.
+    """
+    raised: list[Exception] = []
     for pending, result in done:
-        pending._finalize(result, None)
-    for pending, error in failed:
-        pending._finalize(None, error)
+        try:
+            pending._finalize(result, None)
+        except Exception as error:
+            raised.append(error)
+    for pending, failure in failed:
+        try:
+            pending._finalize(None, failure)
+        except Exception as error:
+            raised.append(error)
+    if raised:
+        raise raised[0]
 
 
 class ServingEngine:
@@ -370,6 +385,7 @@ class ServingEngine:
         self._m_failed = metrics.counter("serving.failed")
         self._m_completed = metrics.counter("serving.completed")
         self._m_withdrawn = metrics.counter("serving.withdrawn")
+        self._m_worker_errors = metrics.counter("serving.worker_errors")
         self._g_queue_depth = metrics.gauge("serving.queue_depth")
         self._h_latency = metrics.histogram("serving.latency_s")
         self._h_forward = metrics.histogram("serving.forward_s")
@@ -461,18 +477,14 @@ class ServingEngine:
         # engine's enqueue() to redispatch, which takes the lock.
         if expired:
             self._m_expired.inc(len(expired))
-            self.settle(
-                [],
-                [
-                    (
-                        pending,
-                        DeadlineExceededError(
-                            f"request for {pending.request.user_id!r} expired in queue"
-                        ),
-                    )
-                    for pending in expired
-                ],
-            )
+            message = "request for {!r} expired in queue"
+            failed = [(p, DeadlineExceededError(message.format(p.request.user_id))) for p in expired]
+            try:
+                self.settle([], failed)
+            except Exception:  # a done-callback raised: requeue what was taken
+                with self._lock:
+                    self._queue.extendleft(reversed(taken))
+                raise
         return taken
 
     def _fail(self, pendings: list[PendingResult], error: BaseException) -> None:
@@ -638,7 +650,12 @@ class ServingEngine:
                 if not self._running:
                     return
             self._hold()
-            self.pump()
+            try:
+                self.pump()
+            except Exception as error:  # e.g. a done-callback's, raised once its batch settled
+                self._m_worker_errors.inc()
+                self.obs.event("serving.worker_error", error=repr(error))
+                traceback.print_exception(error)
 
 
 BatchFn = Callable[[list[ScoreRequest]], list["ScoreResult"]]

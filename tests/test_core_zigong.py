@@ -138,3 +138,39 @@ class TestPersistence:
         loaded = ZiGong.load(tmp_path / "model")
         prompt = german_examples[1].prompt
         assert fitted_zigong.generate_answer(prompt) == loaded.generate_answer(prompt)
+
+
+# A zigong.json as written before ``ModelConfig`` lost its dropout field.
+OLD_FORMAT_META = """{"model_config": {"vocab_size": 16, "d_model": 16, "n_layers": 1, "n_heads": 2,
+"n_kv_heads": 1, "d_ff": 32, "max_seq_len": 24, "sliding_window": 8, "rope_theta": 10000.0,
+"dropout": 0.0, "tie_embeddings": true},
+"tokens": ["<pad>", "<unk>", "<s>", "</s>", "<sep>", "good", "bad", "loan"],
+"lora_applied": false, "lora": {"rank": 8, "alpha": 16.0, "target_modules": ["wq", "wk", "wv"]}}"""
+
+
+class TestLoadOlderFormat:
+    def write(self, directory, meta: str):
+        from repro.nn import MistralTiny, ModelConfig
+
+        directory.mkdir()
+        (directory / "zigong.json").write_text(meta)
+        config = ModelConfig(
+            vocab_size=16, d_model=16, n_layers=1, n_heads=2, n_kv_heads=1, d_ff=32,
+            max_seq_len=24, sliding_window=8,
+        )
+        state = MistralTiny(config, rng=3).state_dict()
+        np.savez(directory / "weights.npz", **state)
+        return config, state
+
+    def test_a_zero_dropout_key_is_dropped(self, tmp_path):
+        config, state = self.write(tmp_path / "model", OLD_FORMAT_META)
+        loaded = ZiGong.load(tmp_path / "model")
+        assert loaded.config.model == config
+        assert loaded.tokenizer.vocab.tokens() == ["<pad>", "<unk>", "<s>", "</s>", "<sep>", "good", "bad", "loan"]
+        for name, value in loaded.model.state_dict().items():
+            np.testing.assert_array_equal(value, state[name])
+
+    def test_a_live_dropout_key_is_refused(self, tmp_path):
+        self.write(tmp_path / "model", OLD_FORMAT_META.replace('"dropout": 0.0', '"dropout": 0.1'))
+        with pytest.raises(ConfigError, match="'dropout' is 0.1"):
+            ZiGong.load(tmp_path / "model")

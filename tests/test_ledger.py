@@ -134,3 +134,37 @@ class TestSummarize:
     def test_a_metric_without_a_direction_has_no_wins(self, ledger):
         rows = ledger.summarize([{"x": 1.0}], [{"x": 2.0}], {})
         assert rows == [{"metric": "x", "base": (1.0, 1.0, 1.0), "this": (2.0, 2.0, 2.0), "wins": None}]
+
+
+class TestAbCounts:
+    """``ab`` compares perfbench's counts within each pair (perfbench stubbed)."""
+
+    def run_ab(self, ledger, checkout, monkeypatch, this_counts):
+        runs = {"base": 0, "this": 0}
+
+        def fake_run(root, workload, seed, seconds):
+            side = "this" if Path(root) == checkout else "base"
+            runs[side] += 1
+            counts = REPORT["counts"][0] if side == "base" else this_counts(runs[side])
+            return {**REPORT, "counts": [counts]}
+
+        monkeypatch.setattr(ledger, "run_perfbench", fake_run)
+        out = ledger.ab("HEAD", "decide_microbatch", 3, 0.5, 3, checkout=checkout)
+        assert runs == {"base": 3, "this": 3}
+        return out.splitlines()
+
+    def test_equal_counts_print_counts_identical(self, ledger, checkout, monkeypatch):
+        lines = self.run_ab(ledger, checkout, monkeypatch, lambda _run: dict(REPORT["counts"][0]))
+        assert lines[-1] == "counts identical"
+
+    def test_each_differing_count_is_printed_per_pair(self, ledger, checkout, monkeypatch):
+        def this_counts(run):
+            counts = dict(REPORT["counts"][0])
+            if run == 2:
+                counts["light.decisions"] = 41
+                counts["light.extra"] = 1
+            return counts
+
+        lines = self.run_ab(ledger, checkout, monkeypatch, this_counts)
+        assert "counts identical" not in lines
+        assert lines[-2:] == ["pair 2: light.decisions 40 -> 41", "pair 2: light.extra None -> 1"]

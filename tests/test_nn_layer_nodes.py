@@ -4,13 +4,11 @@ Each transformer layer is one graph node whose forward is the fused
 inference kernel's and whose backward is written by hand: ``rms_norm``,
 ``linear`` (plain, biased, unmerged LoRA, the tied head), ``attention``
 and the SwiGLU gate ``swiglu``.  Over hypothesis-drawn shapes every node
-is checked three ways:
+is checked two ways:
 
 * central differences for every input;
 * the composite formulas the nodes replaced, kept below as the
-  reference, to a few float32 ulp in outputs and gradients;
-* seeded live dropout draws the same masks from the same stream as
-  the composite path.
+  reference, to a few float32 ulp in outputs and gradients.
 
 Also pinned: per-row ``(B, *shape)`` weights give row ``b`` exactly the
 one-row result, and the size of a ``bench_config`` loss graph, so
@@ -29,7 +27,7 @@ from repro.errors import ShapeError
 from repro.lora import apply_lora
 from repro.nn import MistralTiny, MultiHeadAttention, RotaryEmbedding, rect_attention_mask
 from repro.nn.attention import attention
-from repro.nn.layers import Dropout, linear, rms_norm
+from repro.nn.layers import linear, rms_norm
 from repro.nn.mlp import swiglu
 from repro.nn.rope import rotate
 from repro.tensor import Tensor, concat, softmax
@@ -51,9 +49,8 @@ def ref_linear(x, weight, bias=None, lora=None):
         out = out + bias
     if lora is None:
         return out
-    lora_a, lora_b, scaling, dropout = lora
-    dropped = dropout(x)
-    update = (dropped @ lora_a.swapaxes(-1, -2)) @ lora_b.swapaxes(-1, -2)
+    lora_a, lora_b, scaling = lora
+    update = (x @ lora_a.swapaxes(-1, -2)) @ lora_b.swapaxes(-1, -2)
     return out + update * scaling
 
 
@@ -94,8 +91,7 @@ def ref_attention(attn, q, k, v):
         v = v[:, idx]
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(attn.head_dim))
     scores = scores + Tensor(rect_attention_mask(seq, seq, attn.sliding_window))
-    weights = attn.attn_dropout(softmax(scores, axis=-1))
-    out = weights @ v
+    out = softmax(scores, axis=-1) @ v
     return out.transpose((0, 2, 1, 3)).reshape(batch, seq, attn.n_heads * attn.head_dim)
 
 
@@ -163,7 +159,6 @@ def linear_cases(draw):
         "d_out": draw(st.integers(1, 5)),
         "bias": draw(st.booleans()),
         "rank": draw(st.sampled_from([0, 1, 3])),
-        "dropout": draw(st.sampled_from([0.0, 0.4])),
         "per_row": draw(st.booleans()),
         "seed": draw(st.integers(0, 2**16)),
     }
@@ -181,22 +176,17 @@ def linear_arrays(case, rng):
 
 
 def linear_fns(case):
-    """``(node, reference)``: both draw a fresh seeded LoRA dropout mask."""
+    """``(node, reference)`` over the arrays of :func:`linear_arrays`."""
 
-    def unpack(args, lora_dropout):
+    def unpack(args):
         x, weight, *rest = args
         bias = rest.pop(0) if case["bias"] else None
-        lora = None
-        if case["rank"]:
-            lora = (rest[0], rest[1], 2.0 / case["rank"], lora_dropout())
+        lora = (rest[0], rest[1], 2.0 / case["rank"]) if case["rank"] else None
         return x, weight, bias, lora
 
-    def dropout():
-        return Dropout(case["dropout"], rng=case["seed"])
-
     return (
-        lambda *args: linear(*unpack(args, dropout)),
-        lambda *args: ref_linear(*unpack(args, dropout)),
+        lambda *args: linear(*unpack(args)),
+        lambda *args: ref_linear(*unpack(args)),
     )
 
 
@@ -211,7 +201,7 @@ class TestLinearNode:
     @CASES
     @given(linear_cases())
     def test_per_row_weights_give_each_row_its_one_row_result(self, case):
-        case = {**case, "per_row": True, "dropout": 0.0}
+        case = {**case, "per_row": True}
         rng = np.random.default_rng(case["seed"])
         node, _ = linear_fns(case)
         arrays = linear_arrays(case, rng)
@@ -228,18 +218,6 @@ class TestLinearNode:
             np.testing.assert_array_equal(grads[0][b : b + 1], row_grads[0])
             for grad, row_grad in zip(grads[1:], row_grads[1:]):
                 np.testing.assert_array_equal(grad[b].reshape(row_grad.shape), row_grad)
-
-    def test_lora_dropout_draws_the_composite_stream(self):
-        case = {"batch": 2, "seq": 3, "d_in": 4, "d_out": 3, "bias": True, "rank": 2,
-                "dropout": 0.5, "per_row": False, "seed": 7}
-        arrays = [Tensor(a) for a in linear_arrays(case, np.random.default_rng(0))]
-        x, weight, bias, lora_a, lora_b = arrays
-        node_drop, ref_drop = Dropout(0.5, rng=3), Dropout(0.5, rng=3)
-        for _ in range(3):  # consecutive forwards keep drawing in step
-            out = linear(x, weight, bias, (lora_a, lora_b, 1.0, node_drop))
-            ref = ref_linear(x, weight, bias, (lora_a, lora_b, 1.0, ref_drop))
-            assert_ulp_close(out.data, ref.data)
-        assert node_drop._rng.bit_generator.state == ref_drop._rng.bit_generator.state
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +276,6 @@ def attention_cases(draw):
         "batch": draw(st.integers(1, 2)),
         "seq": draw(st.integers(1, 6)),
         "window": draw(st.sampled_from([None, 1, 2, 3])),
-        "dropout": draw(st.sampled_from([0.0, 0.3])),
         "seed": draw(st.integers(0, 2**16)),
     }
 
@@ -310,22 +287,8 @@ def attention_module(case) -> MultiHeadAttention:
         n_kv_heads=case["n_kv"],
         max_seq_len=8,
         sliding_window=case["window"],
-        dropout=case["dropout"],
         rng=0,
     )
-
-
-def attention_fns(case, attn):
-    """``(node, reference)``, each redrawing the same seeded dropout masks."""
-
-    def reseeded(fn):
-        def call(q, k, v):
-            attn.attn_dropout._rng = np.random.default_rng(case["seed"])
-            return fn(attn, q, k, v)
-
-        return call
-
-    return reseeded(attention), reseeded(ref_attention)
 
 
 class TestAttentionNode:
@@ -340,30 +303,12 @@ class TestAttentionNode:
             normal(rng, batch, seq, case["n_kv"] * hd, scale=1.0),
             normal(rng, batch, seq, case["n_kv"] * hd, scale=1.0),
         ]
-        check_node(*attention_fns(case, attn), arrays, rng)
-
-    @pytest.mark.parametrize("group", [1, 2, 4])
-    def test_seeded_dropout_draws_the_composite_masks(self, group):
-        case = {"n_kv": 2, "n_heads": 2 * group, "head_dim": 4, "batch": 2, "seq": 7,
-                "window": 3, "dropout": 0.5, "seed": 0}
-        rng = np.random.default_rng(1)
-        arrays = [Tensor(normal(rng, 2, 7, n * 4)) for n in (2 * group, 2, 2)]
-        node_attn, ref_attn = attention_module(case), attention_module(case)
-        for _ in range(3):  # consecutive forwards keep drawing in step
-            out = attention(node_attn, *arrays)
-            ref = ref_attention(ref_attn, *arrays)
-            assert_ulp_close(out.data, ref.data)
-        node_state = node_attn.attn_dropout._rng.bit_generator.state
-        assert node_state == ref_attn.attn_dropout._rng.bit_generator.state
-
-    def test_eval_mode_draws_nothing(self):
-        case = {"n_kv": 1, "n_heads": 2, "head_dim": 4, "batch": 1, "seq": 3,
-                "window": None, "dropout": 0.5, "seed": 0}
-        attn = attention_module(case).eval()
-        state = attn.attn_dropout._rng.bit_generator.state
-        rng = np.random.default_rng(0)
-        attention(attn, *[Tensor(normal(rng, 1, 3, n * 4)) for n in (2, 1, 1)])
-        assert attn.attn_dropout._rng.bit_generator.state == state
+        check_node(
+            lambda q, k, v: attention(attn, q, k, v),
+            lambda q, k, v: ref_attention(attn, q, k, v),
+            arrays,
+            rng,
+        )
 
 
 class TestRopeNode:

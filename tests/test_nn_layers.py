@@ -1,12 +1,12 @@
-"""Layer tests: Linear, Embedding, RMSNorm, dropout, RoPE, SwiGLU."""
+"""Layer tests: Linear, Embedding, RMSNorm, RoPE, SwiGLU."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, ShapeError
-from repro.nn import Dropout, Embedding, Linear, RMSNorm, RotaryEmbedding, SwiGLU
+from repro.errors import ShapeError
+from repro.nn import Embedding, Linear, RMSNorm, RotaryEmbedding, SwiGLU
 from repro.nn.rope import rotate
 from repro.tensor import Tensor
 
@@ -102,34 +102,6 @@ class TestNorms:
             return float(norm(Tensor(x.data)).numpy().sum())
 
         np.testing.assert_allclose(x.grad, numeric_grad(f, x.data), atol=2e-2, rtol=1e-2)
-
-
-class TestDropout:
-    def test_eval_mode_identity(self):
-        drop = Dropout(0.5, rng=0)
-        drop.eval()
-        x = Tensor(np.ones((4, 4), dtype=np.float32))
-        np.testing.assert_allclose(drop(x).numpy(), x.numpy())
-
-    def test_zero_p_identity_in_train(self):
-        drop = Dropout(0.0)
-        x = Tensor(np.ones((4, 4), dtype=np.float32))
-        assert drop(x) is x
-
-    def test_train_mode_zeroes_and_scales(self):
-        drop = Dropout(0.5, rng=0)
-        x = Tensor(np.ones((100, 100), dtype=np.float32))
-        out = drop(x).numpy()
-        zero_fraction = (out == 0).mean()
-        assert 0.4 < zero_fraction < 0.6
-        kept = out[out != 0]
-        np.testing.assert_allclose(kept, 2.0)  # inverted dropout scaling
-
-    def test_invalid_p_raises(self):
-        with pytest.raises(ConfigError):
-            Dropout(1.0)
-        with pytest.raises(ConfigError):
-            Dropout(-0.1)
 
 
 class TestRotaryEmbedding:

@@ -49,14 +49,6 @@ class TestTraversal:
 
 
 class TestModes:
-    def test_train_eval_propagate(self):
-        toy = Toy()
-        toy.eval()
-        assert not toy.training
-        assert not toy.blocks[0].training
-        toy.train()
-        assert toy.blocks[1].training
-
     def test_zero_grad_clears_all(self):
         toy = Toy()
         x = np.random.default_rng(0).normal(size=(2, 4)).astype(np.float32)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,12 +238,10 @@ class TestQuantizeModel:
         assert isinstance(tiny_model.blocks[0].ffn.w2, QuantizedLinear)
         assert isinstance(tiny_model.tok_embed, QuantizedEmbedding)
         assert is_quantized(tiny_model)
-        assert not tiny_model.training  # compile pass leaves eval mode
 
     def test_float_model_not_quantized(self, tiny_model, token_batch):
         assert not is_quantized(tiny_model)
         # Float models run the same fused kernel; it matches their graph.
-        tiny_model.eval()
         graph = tiny_model(token_batch).data
         with no_grad():
             fused = tiny_model(token_batch).data
@@ -261,7 +257,6 @@ class TestQuantizeModel:
     def test_logits_close_to_float(self, tiny_config, token_batch):
         float_model = MistralTiny(tiny_config, rng=0)
         qmodel = quantize_model(MistralTiny(tiny_config, rng=0))
-        float_model.eval()
         with no_grad():
             ref = float_model(token_batch).data
             got = qmodel(token_batch).data
@@ -304,7 +299,6 @@ class TestQuantizeModel:
         from repro.lora import LoRAConfig, apply_lora, merge_lora
 
         base_model = MistralTiny(tiny_config, rng=0)
-        base_model.eval()
         with no_grad():
             base_ref = base_model(token_batch).data
 
@@ -313,7 +307,6 @@ class TestQuantizeModel:
         for adapter in adapters:  # make the delta visible
             adapter.lora_b.data[:] = 0.1
         merge_lora(model)
-        model.eval()
         with no_grad():
             merged_ref = model(token_batch).data
         quantize_model(model)
@@ -346,10 +339,9 @@ class TestFusedKernelParity:
         "config",
         [
             CONFIG,
-            GenerationConfig(max_new_tokens=8, temperature=0.8, top_k=5, seed=3),
-            GenerationConfig(max_new_tokens=6, stop_tokens=(7, 11)),
+            GenerationConfig(max_new_tokens=6, stop_tokens=(51,)),  # stops 3 of 6 rows at 4
         ],
-        ids=["greedy", "sampled", "stop"],
+        ids=["greedy", "stop"],
     )
     def test_generate_entry_points_bit_identical(self, tiny_config, config):
         from repro.nn import generate_continuous
@@ -370,32 +362,24 @@ class TestFusedKernelParity:
     ):
         """The fused kernel vs the Tensor graph over the same int8 weights.
 
-        Int8 layers refuse to record gradients, so the graph is run in
-        training mode under ``no_grad`` instead of with gradients on.
+        Int8 layers refuse to record gradients, so the graph's layers
+        (``hidden_states`` and the tied head) are run under ``no_grad``.
         """
         model = quantize_model(MistralTiny(tiny_config, rng=0))
         with no_grad():
             fused = model(token_batch).data
-            model.train()
-            graph = model(token_batch).data
+            graph = model.tok_embed.project(model.hidden_states(token_batch)).data
         np.testing.assert_allclose(fused, graph, rtol=1e-4, atol=1e-5)
 
-    def test_training_mode_bypasses_kernel(self, tiny_config, token_batch):
-        config = dataclasses.replace(tiny_config, dropout=0.5)
-        model = quantize_model(MistralTiny(config, rng=0))
-        with no_grad():
-            fused = model(token_batch).data  # eval: the kernel, no dropout
-            model.train()
-            dropped = model(token_batch).data  # training: the graph, dropout live
-        assert not np.allclose(fused, dropped)
-        # Gradients on run the graph too, whose int8 layers refuse to record.
+    def test_gradients_on_run_the_graph(self, tiny_config, token_batch):
+        """With gradients on the forward is the graph, whose int8 layers refuse to record."""
+        model = quantize_model(MistralTiny(tiny_config, rng=0))
         with pytest.raises(QuantizationError):
             model(token_batch)
 
     def test_quantize_flushes_prefix_cache(self, tiny_config):
         """No KV/logit entry computed under float weights survives the pass."""
         model = MistralTiny(tiny_config, rng=0)
-        model.eval()
         cache = PrefixCache(capacity=16)
         rows = ragged_prompts(tiny_config.vocab_size)
         generate_batch(model, rows, self.CONFIG, prefix_cache=cache)

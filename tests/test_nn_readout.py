@@ -54,7 +54,6 @@ def _model(n_kv_heads, group, tied, lora, int8, window, seed) -> MistralTiny:
             merge_lora(model)
     if int8:
         quantize_model(model)
-    model.eval()
     return model
 
 

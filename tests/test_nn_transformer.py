@@ -138,12 +138,11 @@ def float_model(request, tiny_config) -> MistralTiny:
         model = MistralTiny(tiny_config, rng=0)
     else:
         model = _lora_model(tiny_config, merged=request.param == "lora_merged")
-    model.eval()
     return model
 
 
 class TestKernelMatchesGraph:
-    """The fused kernel (eval, no_grad) against the autograd graph (grad on)."""
+    """The fused kernel (no_grad) against the autograd graph (grad on)."""
 
     def _graph(self, model, ids):
         logits = model(ids)
@@ -179,7 +178,6 @@ class TestKernelMatchesGraph:
             model = MistralTiny(config, rng=seed)
         else:
             model = _lora_model(config, merged=lora == "merged")
-        model.eval()
         ids = np.random.default_rng(seed).integers(0, config.vocab_size, size=(batch, seq))
         graph = self._graph(model, ids)
         with no_grad():
@@ -198,6 +196,20 @@ class TestKernelMatchesGraph:
             )
         np.testing.assert_allclose(fused, graph, atol=1e-6)
         np.testing.assert_array_equal(fused.argmax(-1), graph.argmax(-1))
+
+    def test_gradient_mode_alone_picks_the_path(self, tiny_model, token_batch, monkeypatch):
+        import repro.nn.transformer as transformer
+
+        calls = []
+        kernel = transformer.infer_logits_np
+        monkeypatch.setattr(
+            transformer, "infer_logits_np", lambda *args: calls.append(1) or kernel(*args)
+        )
+        with no_grad():
+            assert not tiny_model(token_batch).requires_grad
+        assert len(calls) == 1  # no_grad: the kernel
+        assert tiny_model(token_batch).requires_grad
+        assert len(calls) == 1  # gradients on: the graph
 
     def test_cached_forward_with_grad_raises(self, tiny_model, token_batch):
         with pytest.raises(ConfigError, match="no_grad"):

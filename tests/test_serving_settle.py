@@ -310,6 +310,99 @@ class TestBackpressureWhileSettling:
         assert cluster.obs.metrics.counter("cluster.submitted").value == len(admitted)
 
 
+class TestRaisingDoneCallback:
+    """A done-callback that raises neither strands its batch nor kills the worker.
+
+    Two requests are queued before the worker starts, so they share one
+    batch; the first carries a ``1/0`` callback.  The second must still
+    resolve, the worker must count and print the error and keep
+    serving a later request.
+    """
+
+    def queue_two(self, submit):
+        first, second = submit(ScoreRequest("user-0", "txn 0")), submit(ScoreRequest("user-1", "txn 1"))
+        first.add_done_callback(lambda _p: 1 / 0)
+        return first, second
+
+    def check(self, first, second, later, metrics, capsys):
+        assert second.result(timeout=5.0).user_id == "user-1"
+        assert first.result(timeout=0).user_id == "user-0"
+        assert later.result(timeout=5.0).user_id == "user-2"
+        assert metrics.counter("serving.worker_errors").value == 1
+        assert "ZeroDivisionError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["microbatch", "continuous"])
+    def test_thread_engine(self, kind, capsys):
+        from repro.serving import EngineConfig
+
+        engine = make_engine(kind, EngineConfig(max_batch_size=2, queue_capacity=8))
+        first, second = self.queue_two(engine.submit)
+        engine.start()
+        try:
+            assert second.result(timeout=5.0).batch_size == 2
+            later = engine.submit(ScoreRequest("user-2", "txn 2"))
+            self.check(first, second, later, engine.obs.metrics, capsys)
+            assert engine._worker.is_alive()
+        finally:
+            engine.stop()
+
+    def test_threaded_cluster(self, capsys):
+        cluster = make_cluster("thread", replicas=1, max_batch_size=2)
+        cluster.launch()
+        first, second = self.queue_two(cluster.submit)
+        cluster.start()
+        try:
+            assert second.result(timeout=5.0).batch_size == 2
+            later = cluster.submit(ScoreRequest("user-2", "txn 2"))
+            self.check(first, second, later, cluster.obs.metrics, capsys)
+            assert cluster.replicas[0].engine._worker.is_alive()
+        finally:
+            cluster.stop()
+        assert cluster.stats.completed == 3
+        assert [r.outstanding for r in cluster.replicas] == [0]
+
+    def test_a_raising_withdrawal_still_settles_the_crashed_batch(self):
+        # A crash withdraws the dead replica's queue inside the crashed
+        # batch's settle step; a withdrawn caller's raising callback must
+        # not cut that outer settle short.
+        cluster = make_cluster(max_batch_size=2, max_redispatch=0, queue_capacity=16)
+        cluster.launch()
+        pendings = [cluster.submit(r) for r in requests(8)]
+        queued = replica_queue(cluster, 0)
+        assert len(queued) == 4
+        queued[-1].add_done_callback(lambda _p: 1 / 0)
+        cluster.replicas[0].transport.kill()
+        with pytest.raises(ZeroDivisionError):
+            cluster.pump()
+        assert all(p.done for p in queued)
+        assert cluster.replicas[0].outstanding == 0
+        cluster.drain()
+        assert all(p.done for p in pendings)
+        assert [r.outstanding for r in cluster.replicas] == [0, 0]
+
+    def test_synchronous_drain_settles_the_batch_then_raises(self):
+        engine = make_engine("microbatch")
+        first, second = self.queue_two(engine.submit)
+        with pytest.raises(ZeroDivisionError):
+            engine.drain()
+        assert [p.result(timeout=0).user_id for p in (first, second)] == ["user-0", "user-1"]
+
+    def test_a_raising_expiry_leaves_the_taken_requests_queued(self):
+        # The expired request is settled while the live one is being
+        # taken: its raising callback must not lose the live request.
+        clock = StepClock(now=0.0, step=1.0)
+        engine = make_engine("microbatch", clock=clock)
+        stale = engine.submit(ScoreRequest("user-0", "txn 0", deadline=1.5))
+        stale.add_done_callback(lambda _p: 1 / 0)
+        live = engine.submit(ScoreRequest("user-1", "txn 1"))
+        with pytest.raises(ZeroDivisionError):
+            engine.pump()
+        assert stale.done and [pending for pending, _ in engine._queue] == [live]
+        engine.drain()
+        assert live.result(timeout=0).user_id == "user-1"
+        assert engine.stats.expired == 1 and engine.stats.completed == 1
+
+
 class TestRequestPathCounts:
     @pytest.fixture(scope="class")
     def counts(self):
