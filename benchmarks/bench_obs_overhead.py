@@ -28,7 +28,7 @@ import statistics
 import pytest
 
 from repro.obs import Observability, read_events, render_report
-from repro.serving import BehaviorCardConfig, BehaviorCardService, ScoreRequest
+from repro.serving import BehaviorCardService, EngineConfig, ScoreRequest
 
 from conftest import paired_timing, save_result, synthetic_traffic, train_plain
 
@@ -58,7 +58,7 @@ def traffic():
 def _make_service(classifier, traffic, obs, audit_path=None):
     return BehaviorCardService(
         classifier,
-        BehaviorCardConfig(max_batch_size=8, queue_capacity=max(64, len(traffic))),
+        EngineConfig(max_batch_size=8, queue_capacity=max(64, len(traffic))),
         obs=obs,
         audit_path=audit_path,
     )

@@ -27,7 +27,6 @@ import time
 import pytest
 
 from repro.serving import (
-    BehaviorCardConfig,
     BehaviorCardService,
     ClusterConfig,
     ClusterSupervisor,
@@ -81,7 +80,7 @@ def _requests_per_second(fn, n_requests: int) -> float:
 
 
 def _single_loop_rps(classifier, traffic) -> float:
-    service = BehaviorCardService(classifier, BehaviorCardConfig())
+    service = BehaviorCardService(classifier)
 
     def run():
         for request in traffic:
@@ -93,8 +92,7 @@ def _single_loop_rps(classifier, traffic) -> float:
 def _batched_rps(classifier, traffic, max_batch_size: int) -> float:
     service = BehaviorCardService(
         classifier,
-        BehaviorCardConfig(max_batch_size=max_batch_size,
-                           queue_capacity=max(64, len(traffic))),
+        EngineConfig(max_batch_size=max_batch_size, queue_capacity=max(64, len(traffic))),
     )
     return _requests_per_second(
         lambda: service.score_requests(traffic), len(traffic)
@@ -133,7 +131,7 @@ def test_engine_accounting_under_load(classifier, traffic):
     """Batched traffic leaves the same audit/stats trail as sequential."""
     service = BehaviorCardService(
         classifier,
-        BehaviorCardConfig(max_batch_size=8, queue_capacity=len(traffic)),
+        EngineConfig(max_batch_size=8, queue_capacity=len(traffic)),
     )
     results = service.score_requests(traffic)
     assert len(results) == len(traffic)
@@ -169,7 +167,6 @@ def _factory(zigong, stall_s: float = 0.0):
             batch_fn=batch_fn,
             swap_weights=app.swap_weights,
             weight_version=app.weight_version,
-            ping=app.ping,
         )
 
     return factory

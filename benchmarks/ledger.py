@@ -12,7 +12,10 @@ Usage, from the root of a checkout::
 ``{git_rev, dirty, seed, seconds, metrics, counts}`` to
 ``benchmarks/results/BENCH_<workload>.json`` (``--results`` names
 another directory).  ``dirty`` is true when tracked files differ from
-``git_rev``, so an entry taken in an uncommitted tree says so.
+``git_rev``, so an entry taken in an uncommitted tree says so.  It then
+compares the entry's ``counts`` with the last entry of the same seed
+and ``--seconds`` and prints each count that differs, "counts identical
+to <rev>" or "no previous entry"; this reports and gates nothing.
 Besides perfbench's counts, ``counts`` holds the same checkout's
 request-path counts (:func:`request_path_counts`): instrument calls and
 Python function calls per decision on a synchronous stub cluster, run
@@ -226,6 +229,7 @@ def record(
     }
     path = Path(results_dir) / f"BENCH_{workload}.json"
     entries = json.loads(path.read_text()) if path.exists() else []
+    print("\n".join(against_previous(entries, item)))
     entries.append(item)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(entries, indent=2) + "\n")
@@ -261,14 +265,24 @@ def summarize(base: list[dict], this: list[dict], better: dict[str, str]) -> lis
     return rows
 
 
-def count_diffs(base: list[dict], this: list[dict]) -> list[str]:
+def count_diffs(base: list[dict], this: list[dict], prefix: str = "pair {i}: ") -> list[str]:
     """Each count that differs within a pair: ``pair i: name base -> this``."""
     lines = []
     for i, (a, b) in enumerate(zip(base, this), 1):
         for name in sorted(a.keys() | b.keys()):
             if a.get(name) != b.get(name):
-                lines.append(f"pair {i}: {name} {a.get(name)} -> {b.get(name)}")
+                lines.append(f"{prefix.format(i=i)}{name} {a.get(name)} -> {b.get(name)}")
     return lines
+
+
+def against_previous(entries: list[dict], item: dict) -> list[str]:
+    """``item``'s counts against the last of ``entries`` with its seed and seconds."""
+    same_run = [e for e in entries if (e["seed"], e["seconds"]) == (item["seed"], item["seconds"])]
+    if not same_run:
+        return ["no previous entry"]
+    previous = same_run[-1]
+    diffs = count_diffs([previous["counts"]], [item["counts"]], prefix=f"since {previous['git_rev']}: ")
+    return diffs or [f"counts identical to {previous['git_rev']}"]
 
 
 def render(rows: list[dict], rev: str, label: str, pairs: int) -> str:

@@ -15,8 +15,8 @@ from repro.config import test_config
 from repro.core import ZiGong
 from repro.data import build_behavior_examples
 from repro.datasets import make_behavior
-from repro.data.templates import behavior_prompt
-from repro.serving import BehaviorCardConfig, BehaviorCardService, ScoreRequest
+from repro.serving import BehaviorCardService, EngineConfig, ScoreRequest
+from repro.serving.behavior_card import default_scores
 
 SEED = 0
 
@@ -35,8 +35,8 @@ def main() -> None:
 
     # Stand up the Behavior Card service: a one-replica serving cluster
     # whose replica micro-batches requests through the classifier.
-    serving_config = BehaviorCardConfig(threshold=0.5, max_batch_size=4, queue_capacity=32)
-    service = BehaviorCardService(zigong.classifier(), serving_config)
+    engine_config = EngineConfig(max_batch_size=4, queue_capacity=32)
+    service = BehaviorCardService(zigong.classifier(), engine_config, threshold=0.5)
 
     # Incoming loan applications: the engine scores each micro-batch of
     # applicants in one padded forward pass.
@@ -92,12 +92,18 @@ def main() -> None:
     print(f"\ndrift monitor after risky cohort: PSI={monitor.psi():.3f} "
           f"status={monitor.status()}")
 
-    # Shadow deployment: compare a candidate model on live traffic.
+    # Shadow deployment: the service serves live traffic and the
+    # candidate scores the same behavior text beside it, as the online
+    # learning loop does.
     candidate = ZiGong.from_examples(examples, config=config)
     candidate.finetune(examples[: len(examples) // 2])  # trained on less data
-    shadow = ShadowDeployment(zigong.classifier(), candidate.classifier())
-    for user in range(10):
-        shadow.score(behavior_prompt(fresh.row_text(user, last)))
+    candidate_classifier = candidate.classifier("candidate")
+    shadow = ShadowDeployment(lambda text: default_scores(candidate_classifier, [text])[0])
+    traffic = [
+        ScoreRequest(f"shadow-{user}", fresh.row_text(user, last)) for user in range(10)
+    ]
+    for request, served in zip(traffic, service.score_requests(traffic)):
+        shadow.compare(request.behavior_text, served.score)
     print(f"shadow deployment: agreement={shadow.agreement_rate():.2f} "
           f"score correlation={shadow.score_correlation():.2f} "
           f"disagreements={len(shadow.disagreements())}")

@@ -23,7 +23,6 @@ from repro.core import (
 )
 from repro.influence import TracInCP, TracSeq
 from repro.serving import (
-    BehaviorCardConfig,
     BehaviorCardService,
     MicroBatchEngine,
     ScoreRequest,
@@ -43,7 +42,6 @@ __all__ = [
     "TracInCP",
     "TracSeq",
     "BehaviorCardService",
-    "BehaviorCardConfig",
     "MicroBatchEngine",
     "ScoreRequest",
     "ScoreResult",

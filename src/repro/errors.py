@@ -100,9 +100,9 @@ class ReplicaCrashedError(ClusterError):
 
     The supervisor treats this error as *re-dispatchable*: requests that
     were queued or in flight on the dead replica are resubmitted to a
-    healthy one (up to ``ClusterConfig.max_redispatch`` attempts) before
-    the error is surfaced to the caller, so a replica crash never
-    silently drops traffic.
+    healthy one (up to ``repro.serving.cluster.MAX_REDISPATCH``
+    attempts) before the error is surfaced to the caller, so a replica
+    crash never silently drops traffic.
     """
 
 

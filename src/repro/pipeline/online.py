@@ -41,7 +41,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -118,24 +118,22 @@ class OnlineConfig:
             raise ConfigError("min_retrain_examples must be at least 1")
 
 
-class _CandidateScorer:
-    """The shadow candidate scoring the same raw behavior text.
+def _shadow_scorer(candidate: ZiGong) -> Callable[[str], float]:
+    """The shadow candidate's P(default) for a raw behavior text.
 
     Scores through :func:`~repro.serving.behavior_card.default_scores`,
     as :func:`zigong_replica_factory` replicas do, so shadow scores are
     comparable to — and, post-promotion, bit-identical with — cluster
     scores.
     """
+    classifier = candidate.classifier("pipeline-candidate")
 
-    def __init__(self, candidate: ZiGong):
-        self.candidate = candidate
-
-    def score(self, behavior_text: str, *_answers: str) -> float:
-        # ShadowDeployment passes the Behavior Card answer words, which
-        # default_scores reads itself.
+    def score(behavior_text: str) -> float:
         fault_point("pipeline.shadow.score")
-        [score] = default_scores(self.candidate.classifier("pipeline-candidate"), [behavior_text])
-        return score
+        [value] = default_scores(classifier, [behavior_text])
+        return value
+
+    return score
 
 
 class OnlinePipeline:
@@ -413,8 +411,7 @@ class OnlinePipeline:
         if self._candidate is None:
             raise PipelineError("cannot arm shadow scoring without a candidate")
         self._shadow = ShadowDeployment(
-            None,  # production is the cluster, which _score serves first
-            _CandidateScorer(self._candidate),
+            _shadow_scorer(self._candidate),
             window=self.config.shadow_window,
             obs=self.obs,
         )

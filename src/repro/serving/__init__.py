@@ -1,7 +1,6 @@
 """Serving layer: the Behavior Card on a replica cluster, its two engines, monitoring."""
 
 from repro.serving.behavior_card import (
-    BehaviorCardConfig,
     BehaviorCardService,
     zigong_quantized_state,
     zigong_replica_factory,
@@ -52,7 +51,6 @@ __all__ = [
     "zigong_replica_factory",
     "zigong_quantized_state",
     "BehaviorCardService",
-    "BehaviorCardConfig",
     "MicroBatchEngine",
     "ContinuousEngine",
     "GenerationApp",

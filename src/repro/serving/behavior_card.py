@@ -20,7 +20,7 @@ supervisor, which writes its ``audit.decision`` record
 
 API::
 
-    service = BehaviorCardService(zigong.classifier(), BehaviorCardConfig(threshold=0.5))
+    service = BehaviorCardService(zigong.classifier(), threshold=0.5)
     result = service.decide("u1", "spend=low ...")  # one ScoreResult
     results = service.score_requests([ScoreRequest("u2", "spend=high ...")])
     service.audit_log()[-1]["kind"]  # "audit.decision"
@@ -29,7 +29,6 @@ API::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -39,7 +38,7 @@ from repro.errors import ConfigError, ServingError
 from repro.eval.parsing import parse_answer
 from repro.obs import Observability
 from repro.serving.cluster import ClusterConfig, ClusterSupervisor, ReplicaApp, ReplicaFactory
-from repro.serving.engine import BatchFn, ScoreRequest, ScoreResult
+from repro.serving.engine import BatchFn, EngineConfig, ScoreRequest, ScoreResult
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -48,6 +47,13 @@ def default_scores(classifier, behavior_texts: Sequence[str]) -> list[float]:
     """P(default) per behavior text, in one ``score_batch`` forward pass."""
     prompts = [behavior_prompt(text) for text in behavior_texts]
     return [float(s) for s in classifier.score_batch(prompts, DECLINE_ANSWER, APPROVE_ANSWER)]
+
+
+def _check_threshold(threshold: float) -> float:
+    """``threshold`` when it lies in (0, 1); both front doors check it when built."""
+    if not 0.0 < threshold < 1.0:
+        raise ServingError(f"threshold must be in (0, 1), got {threshold}")
+    return threshold
 
 
 def approves(score: float, threshold: float) -> bool:
@@ -146,6 +152,7 @@ def zigong_replica_factory(
     from repro.baselines.lm import LMClassifier
     from repro.serving.continuous import GenerationApp
 
+    _check_threshold(threshold)
     if quantize not in (None, "int8"):
         raise ConfigError(f"unsupported replica quantization {quantize!r}; use 'int8' or None")
     config = zigong.config
@@ -184,36 +191,6 @@ def zigong_replica_factory(
     return factory
 
 
-@dataclass(frozen=True)
-class BehaviorCardConfig:
-    """The service's knobs (validated, immutable).
-
-    threshold:
-        Approve when P(default) is strictly below this value.
-    max_batch_size / max_wait_s / queue_capacity:
-        The replica's micro-batching engine knobs; see
-        :class:`~repro.serving.engine.EngineConfig`.
-    """
-
-    threshold: float = DEFAULT_THRESHOLD
-    max_batch_size: int = 8
-    max_wait_s: float = 0.005
-    queue_capacity: int = 64
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ServingError(f"threshold must be in (0, 1), got {self.threshold}")
-        self.cluster_config()  # validate the engine knobs eagerly too
-
-    def cluster_config(self) -> ClusterConfig:
-        return ClusterConfig(
-            replicas=1,
-            max_batch_size=self.max_batch_size,
-            max_wait_s=self.max_wait_s,
-            queue_capacity=self.queue_capacity,
-        )
-
-
 class BehaviorCardService(ClusterSupervisor):
     """Loan decisions from one classifier: a cluster of one thread replica.
 
@@ -224,7 +201,10 @@ class BehaviorCardService(ClusterSupervisor):
         compatible ``score_batch(prompts, positive, negative)`` method,
         which scores each micro-batch in one forward pass).
     config:
-        A :class:`BehaviorCardConfig` (defaults when omitted).
+        The replica engine's :class:`~repro.serving.engine.EngineConfig`
+        (defaults when omitted).
+    threshold:
+        Approve when P(default) is strictly below this value, in (0, 1).
     clock:
         Injected time source — queue deadlines and audit timestamps are
         deterministic under test.
@@ -235,18 +215,23 @@ class BehaviorCardService(ClusterSupervisor):
     def __init__(
         self,
         classifier,
-        config: BehaviorCardConfig | None = None,
+        config: EngineConfig | None = None,
         *,
+        threshold: float = DEFAULT_THRESHOLD,
         clock: Callable[[], float] = time.time,
         obs: Observability | None = None,
         audit_path: str | Path | None = None,
     ):
-        config = config or BehaviorCardConfig()
+        config = config or EngineConfig()
         self.classifier = classifier
-        app = ReplicaApp(batch_fn=decision_batch_fn(classifier, config.threshold))
+        app = ReplicaApp(batch_fn=decision_batch_fn(classifier, _check_threshold(threshold)))
         super().__init__(
             lambda replica_id: app,
-            config.cluster_config(),
+            ClusterConfig(
+                replicas=1,
+                max_batch_size=config.max_batch_size,
+                queue_capacity=config.queue_capacity,
+            ),
             clock=clock,
             obs=obs,
             audit_path=audit_path,

@@ -22,7 +22,7 @@ auto-restart of dead workers), scaled to this reproduction:
   out mid-request.
 * **Auto-restart** — a crashed replica is declared dead, its queued
   requests are withdrawn and re-dispatched to healthy replicas (up to
-  ``max_redispatch`` attempts — a crash never silently drops traffic),
+  ``MAX_REDISPATCH`` attempts — a crash never silently drops traffic),
   and the supervisor restarts it (``cluster.replica_restarted``).
 * **Rolling weight deploys** — :meth:`ClusterSupervisor.deploy` stages
   a new state dict, then per replica: drain, swap, resume
@@ -103,11 +103,22 @@ DRAINING = "draining"
 DEAD = "dead"
 
 # Each replica breaker: calls in its rolling failure-rate window, the
-# failure fraction that opens it, and how long it stays open before
+# outcomes it needs in that window before it judges the failure rate,
+# the failure fraction that opens it, and how long it stays open before
 # admitting a probe.
 BREAKER_WINDOW = 8
+BREAKER_MIN_CALLS = 2
 BREAKER_FAILURE_THRESHOLD = 0.5
 BREAKER_RESET_TIMEOUT_S = 0.25
+
+MAX_REDISPATCH = 2  # moves of one request off crashed replicas before its crash error stands
+MAX_RESTARTS = 8  # auto-restarts per replica before it is left dead
+HEALTH_INTERVAL_S = 0.05  # period of the threaded health-check loop
+# Fork transport: bound on a scoring or swap round trip, and on a health
+# probe or version query, before the replica counts as crashed.
+RPC_TIMEOUT_S = 30.0
+PING_TIMEOUT_S = 2.0
+DRAIN_TIMEOUT_S = 10.0  # rolling deploy: one replica's drain bound before the deploy aborts
 
 # Audit records each supervisor keeps in memory (the file keeps them all).
 AUDIT_RING = 10_000
@@ -120,14 +131,13 @@ class ReplicaApp:
     ``batch_fn`` has the engine contract — one :class:`ScoreResult` per
     request, in order.  ``swap_weights`` applies a staged state dict
     (enables rolling deploys); ``weight_version`` reports the model's
-    monotonic weight counter; ``ping`` is an optional deep health probe
-    (transport liveness is always checked regardless).
+    monotonic weight counter.  A health probe checks the transport's
+    liveness and passes the ``cluster.replica.ping`` fault point.
     """
 
     batch_fn: BatchFn
     swap_weights: Callable[[Mapping[str, object]], None] | None = None
     weight_version: Callable[[], int] | None = None
-    ping: Callable[[], None] | None = None
     # Optional generation bundle (a serving.continuous.GenerationApp):
     # required when the cluster runs engine_mode="continuous", unused
     # otherwise.  Thread transport only — the fork RPC ships whole score
@@ -147,45 +157,21 @@ class ClusterConfig:
     transport:
         ``"thread"`` (in-process replicas, deterministic) or ``"fork"``
         (one subprocess per replica).
+    engine_mode / max_batch_size / queue_capacity:
+        Each replica's engine: ``"microbatch"`` scoring or
+        ``"continuous"`` decode (thread transport only), and its
+        :class:`EngineConfig`.
     tenant_quota:
         Maximum in-flight requests per tenant (``user_id``); admissions
         beyond it raise :class:`QueueFullError`.  ``None`` disables.
-    max_redispatch:
-        How many times one request may be re-dispatched off crashed
-        replicas before the crash error is surfaced to the caller.
-    max_restarts:
-        Auto-restarts allowed per replica before the supervisor
-        abandons it (leaves it ``dead``).
-    health_interval_s:
-        Period of the threaded health-check loop.
-    rpc_timeout_s:
-        Fork transport: how long one scoring round trip may take before
-        the replica is declared crashed.
-    ping_timeout_s:
-        Fork transport: health-probe round-trip bound.
-    drain_timeout_s:
-        Rolling deploy: how long to wait for one replica to drain
-        before aborting the deploy.
-    breaker_min_calls:
-        Outcomes a replica's breaker needs in its window before it
-        judges the failure rate (the rest of the breaker is the
-        ``BREAKER_*`` module constants).
     """
 
     replicas: int = 2
     transport: str = "thread"
-    engine_mode: str = "microbatch"  # or "continuous" (streaming decode)
+    engine_mode: str = "microbatch"
     max_batch_size: int = 8
-    max_wait_s: float = 0.005
     queue_capacity: int = 64
     tenant_quota: int | None = None
-    max_redispatch: int = 2
-    max_restarts: int = 8
-    health_interval_s: float = 0.05
-    rpc_timeout_s: float = 30.0
-    ping_timeout_s: float = 2.0
-    drain_timeout_s: float = 10.0
-    breaker_min_calls: int = 2
 
     def __post_init__(self):
         if self.replicas <= 0:
@@ -205,21 +191,10 @@ class ClusterConfig:
             )
         if self.tenant_quota is not None and self.tenant_quota <= 0:
             raise ClusterError(f"tenant_quota must be positive, got {self.tenant_quota}")
-        if self.max_redispatch < 0:
-            raise ClusterError(f"max_redispatch must be >= 0, got {self.max_redispatch}")
-        if self.max_restarts < 0:
-            raise ClusterError(f"max_restarts must be >= 0, got {self.max_restarts}")
-        for name in ("health_interval_s", "rpc_timeout_s", "ping_timeout_s", "drain_timeout_s"):
-            if getattr(self, name) <= 0:
-                raise ClusterError(f"{name} must be positive, got {getattr(self, name)}")
         self.engine_config()  # validate engine knobs eagerly
 
     def engine_config(self) -> EngineConfig:
-        return EngineConfig(
-            max_batch_size=self.max_batch_size,
-            max_wait_s=self.max_wait_s,
-            queue_capacity=self.queue_capacity,
-        )
+        return EngineConfig(max_batch_size=self.max_batch_size, queue_capacity=self.queue_capacity)
 
 
 @dataclass
@@ -257,8 +232,6 @@ def _run_op(app: ReplicaApp, replica_id: int, op: str, payload=None):
         return app.batch_fn(payload)
     if op == "ping":
         fault_point("cluster.replica.ping", replica=replica_id)
-        if app.ping is not None:
-            app.ping()
         return None
     if op == "swap":
         if app.swap_weights is None:
@@ -398,17 +371,9 @@ class ForkTransport:
     into replicas exactly like they do into influence workers.
     """
 
-    def __init__(
-        self,
-        factory: ReplicaFactory,
-        replica_id: int,
-        rpc_timeout_s: float = 30.0,
-        ping_timeout_s: float = 2.0,
-    ):
+    def __init__(self, factory: ReplicaFactory, replica_id: int):
         self._factory = factory
         self.replica_id = replica_id
-        self._rpc_timeout_s = rpc_timeout_s
-        self._ping_timeout_s = ping_timeout_s
         self._proc = None
         self._conn = None
         self._lock = threading.Lock()
@@ -458,18 +423,18 @@ class ForkTransport:
         return value
 
     def score(self, requests: list[ScoreRequest]) -> list[ScoreResult]:
-        return self._rpc("score", requests, self._rpc_timeout_s)
+        return self._rpc("score", requests, RPC_TIMEOUT_S)
 
     def ping(self) -> None:
         if not self.alive:
             raise self._dead("process exited")
-        self._rpc("ping", None, self._ping_timeout_s)
+        self._rpc("ping", None, PING_TIMEOUT_S)
 
     def swap(self, state: Mapping[str, object]) -> None:
-        self._rpc("swap", dict(state), self._rpc_timeout_s)
+        self._rpc("swap", dict(state), RPC_TIMEOUT_S)
 
     def weight_version(self) -> int | None:
-        return self._rpc("version", None, self._ping_timeout_s)
+        return self._rpc("version", None, PING_TIMEOUT_S)
 
     def kill(self) -> None:
         """Chaos helper: SIGKILL the child — a real, unannounced crash."""
@@ -604,12 +569,7 @@ class ClusterSupervisor:
         self._replicas: list[Replica] = []
         for i in range(self.config.replicas):
             if self.config.transport == "fork":
-                transport = ForkTransport(
-                    factory,
-                    i,
-                    rpc_timeout_s=self.config.rpc_timeout_s,
-                    ping_timeout_s=self.config.ping_timeout_s,
-                )
+                transport = ForkTransport(factory, i)
             else:
                 transport = ThreadTransport(factory, i)
             if self.config.engine_mode == "continuous":
@@ -631,7 +591,7 @@ class ClusterSupervisor:
             breaker = CircuitBreaker(
                 failure_threshold=BREAKER_FAILURE_THRESHOLD,
                 window=BREAKER_WINDOW,
-                min_calls=self.config.breaker_min_calls,
+                min_calls=BREAKER_MIN_CALLS,
                 reset_timeout_s=BREAKER_RESET_TIMEOUT_S,
                 clock=breaker_clock,
                 obs=self.obs,
@@ -852,7 +812,7 @@ class ClusterSupervisor:
         the batch's outcomes as counts (deadline expiry and
         ``QueueFullError`` never count against it), a crash declares
         the replica dead and re-queues each crashed request's own
-        pending on another replica (up to ``max_redispatch`` times),
+        pending on another replica (up to ``MAX_REDISPATCH`` times),
         and, under one lock, ``outstanding`` and its gauge, the
         counters, the tenant quota and the batch's audit records (in
         resolve order, one file write) are brought up to date.
@@ -932,13 +892,13 @@ class ClusterSupervisor:
     ) -> int:
         """Re-queue crashed requests off ``replica``; returns the attempts made.
 
-        A request past ``max_redispatch``, or that no replica admits,
+        A request past ``MAX_REDISPATCH``, or that no replica admits,
         joins ``finals`` with its error instead.
         """
         tried = 0
         for pending, error in crashed:
             attempt = self._attempts.get(pending, 0)
-            if attempt < self.config.max_redispatch:
+            if attempt < MAX_REDISPATCH:
                 tried += 1
                 self._attempts[pending] = attempt + 1
                 try:
@@ -964,8 +924,8 @@ class ClusterSupervisor:
         )
 
     def restart_replica(self, replica: Replica) -> bool:
-        """Restart one dead replica; returns False once past max_restarts."""
-        if replica.restarts >= self.config.max_restarts:
+        """Restart one dead replica; returns False once past ``MAX_RESTARTS``."""
+        if replica.restarts >= MAX_RESTARTS:
             return False
         with self.obs.span("cluster.restart", replica=replica.id):
             replica.transport.restart()
@@ -1015,7 +975,7 @@ class ClusterSupervisor:
         return self.replica_states()
 
     def _health_loop(self) -> None:
-        while not self._health_stop.wait(self.config.health_interval_s):
+        while not self._health_stop.wait(HEALTH_INTERVAL_S):
             try:
                 self.check_health()
             except Exception:
@@ -1086,7 +1046,7 @@ class ClusterSupervisor:
 
     # -- rolling deploy ------------------------------------------------
 
-    def deploy(self, state: Mapping[str, object], drain_timeout_s: float | None = None) -> int:
+    def deploy(self, state: Mapping[str, object]) -> int:
         """Rolling weight deploy: stage, then drain/swap/resume per replica.
 
         Returns the number of replicas swapped.  Replicas that are dead
@@ -1094,7 +1054,6 @@ class ClusterSupervisor:
         the cluster converges on the new version either way.
         """
         self.launch()
-        timeout = drain_timeout_s if drain_timeout_s is not None else self.config.drain_timeout_s
         self._staged_state = dict(state)
         swapped = 0
         with self.obs.span("cluster.deploy", replicas=len(self._replicas)):
@@ -1106,7 +1065,7 @@ class ClusterSupervisor:
                 with self._lock:
                     self._set_state(replica, DRAINING)
                 try:
-                    self._await_drained(replica, timeout)
+                    self._await_drained(replica)
                     fault_point("cluster.deploy.swap", replica=replica.id)
                     replica.transport.swap(self._staged_state)
                 except ReplicaCrashedError as error:
@@ -1130,9 +1089,9 @@ class ClusterSupervisor:
                 self._event("cluster.deploy_swapped", replica=replica.id)
         return swapped
 
-    def _await_drained(self, replica: Replica, timeout: float) -> None:
+    def _await_drained(self, replica: Replica) -> None:
         """Wait (threaded) or pump (sync) until a replica has no work."""
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
         while True:
             with self._lock:
                 if replica.outstanding == 0:
@@ -1150,6 +1109,6 @@ class ClusterSupervisor:
                 if time.monotonic() >= deadline:
                     break
         raise ClusterError(
-            f"replica {replica.id} failed to drain within {timeout}s "
+            f"replica {replica.id} failed to drain within {DRAIN_TIMEOUT_S}s "
             f"({replica.outstanding} outstanding)"
         )

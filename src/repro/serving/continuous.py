@@ -11,8 +11,9 @@ and the threaded worker — with a different step policy.  A
 :meth:`~ContinuousEngine.pump`:
 
 1. takes as many queued requests as the admission policy has free rows
-   for, expiring stale ones on the way (the core's inclusive deadline
-   boundary — once admitted, a request always decodes),
+   for (``max_live_rows`` is the config's ``max_batch_size``), expiring
+   stale ones on the way (the core's inclusive deadline boundary — once
+   admitted, a request always decodes),
 2. runs **one** decode step, streaming every generated token to its
    caller through ``PendingResult._emit_token`` (its token callbacks and
    ``stream`` prefix), and settles the rows that step finished — built
@@ -91,11 +92,8 @@ class ContinuousEngine(ServingEngine):
     config:
         :class:`~repro.serving.engine.EngineConfig`; ``queue_capacity``
         bounds admission exactly like the micro-batch engine, and
-        ``max_batch_size`` seeds the default admission policy's
-        ``max_live_rows``.  ``max_wait_s`` is unused — a decode step,
-        not a timer, is the batching heartbeat.
-    policy:
-        :class:`~repro.nn.continuous.AdmissionPolicy` override.
+        ``max_batch_size`` is the admission policy's ``max_live_rows``.
+        A decode step, not a timer, is the batching heartbeat.
     clock / obs:
         As on :class:`~repro.serving.engine.MicroBatchEngine`.
     """
@@ -104,12 +102,11 @@ class ContinuousEngine(ServingEngine):
         self,
         app: GenerationApp | AppProvider,
         config: EngineConfig | None = None,
-        policy: AdmissionPolicy | None = None,
         clock: Callable[[], float] = time.time,
         obs: Observability | None = None,
     ):
         super().__init__(config, clock, obs)
-        self.policy = policy or AdmissionPolicy(max_live_rows=self.config.max_batch_size)
+        self.policy = AdmissionPolicy(max_live_rows=self.config.max_batch_size)
         self._provider: AppProvider = app if callable(app) else (lambda: app)
         self._scheduler: ContinuousScheduler | None = None
         self._scheduler_app: GenerationApp | None = None

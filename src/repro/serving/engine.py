@@ -3,7 +3,7 @@
 Production inference stacks (Xinference, vLLM, Triton) get their
 throughput from *dynamic batching*: requests land in a bounded FIFO
 queue, a single worker loop assembles batches of up to
-``max_batch_size`` (waiting at most ``max_wait_s`` for stragglers) and
+``max_batch_size`` (waiting at most ``MAX_WAIT_S`` for stragglers) and
 scores each batch through one padded forward pass.  This module brings
 that architecture to the laptop-scale reproduction:
 
@@ -84,6 +84,9 @@ from repro.errors import (
 from repro.obs import Observability, get_observability
 from repro.resilience.faults import fault_point
 
+# How long the threaded worker holds an underfull batch open for stragglers.
+MAX_WAIT_S = 0.005
+
 
 @dataclass(frozen=True, slots=True)
 class ScoreRequest:
@@ -124,23 +127,17 @@ class EngineConfig:
 
     max_batch_size:
         Largest batch the worker assembles per forward pass.
-    max_wait_s:
-        How long the threaded worker holds an underfull batch open for
-        stragglers.  Synchronous ``pump()`` never waits.
     queue_capacity:
         Bound on the FIFO queue; admissions beyond it raise
         :class:`QueueFullError`.
     """
 
     max_batch_size: int = 8
-    max_wait_s: float = 0.005
     queue_capacity: int = 64
 
     def __post_init__(self):
         if self.max_batch_size <= 0:
             raise ServingError(f"max_batch_size must be positive, got {self.max_batch_size}")
-        if self.max_wait_s < 0:
-            raise ServingError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
         if self.queue_capacity <= 0:
             raise ServingError(f"queue_capacity must be positive, got {self.queue_capacity}")
 
@@ -227,9 +224,10 @@ class PendingResult:
         Callbacks fire on the finalizing thread, after the result/error
         is stored and waiters are released.  A request the cluster moves
         off a crashed replica is the same pending on its next replica,
-        so a callback fires once, at the final outcome.  Exceptions
-        raised by a callback propagate to the finalizer; a settle step
-        finalizes the rest of its batch before re-raising the first.
+        so a callback fires once, at the final outcome.  A callback that
+        raises stops neither the pending's later callbacks nor the rest
+        of a settle step's batch; the first error is re-raised after
+        them.
         """
         with self._lock:
             if not self.done:
@@ -251,8 +249,14 @@ class PendingResult:
             if self._event is not None:
                 self._event.set()
             callbacks, self._callbacks = self._callbacks, None
+        raised: list[Exception] = []
         for fn in callbacks or ():
-            fn(self)
+            try:
+                fn(self)
+            except Exception as error:
+                raised.append(error)
+        if raised:
+            raise raised[0]
 
     # -- token streaming (continuous engine) ---------------------------
 
@@ -702,9 +706,9 @@ class MicroBatchEngine(ServingEngine):
 
     def _hold(self) -> None:
         # Hold the batch open for stragglers: condition-timed waits
-        # computed from max_wait_s, woken early by submit() when the
+        # computed from MAX_WAIT_S, woken early by submit() when the
         # batch fills — never a sleep/poll spin.
-        deadline = time.monotonic() + self.config.max_wait_s
+        deadline = time.monotonic() + MAX_WAIT_S
         with self._not_empty:
             while self._running and len(self._queue) < self.config.max_batch_size:
                 remaining = deadline - time.monotonic()

@@ -68,7 +68,7 @@ class ExplainConfig:
     """Knobs for the explanation service.
 
     top_k / proponents:
-        Default number and direction of influential examples per query
+        Number and direction of influential examples per query
         (``proponents=False`` returns the strongest opponents instead).
     """
 
@@ -155,26 +155,18 @@ class ExplainService:
         input_ids, _ = test_example
         return tuple(self._decode(int(input_ids[p])) for p in positions)
 
-    def explain(
-        self,
-        user_id: str,
-        behavior_text: str,
-        k: int | None = None,
-        proponents: bool | None = None,
-    ) -> ExplainResult:
+    def explain(self, user_id: str, behavior_text: str) -> ExplainResult:
         """Score one applicant and explain the decision.
 
-        ``k`` and ``proponents`` default to the config's.  The per-token
-        decomposition costs one gradient row per supervised position of
-        the test example; those rows and the example's own share one
-        batched gradient pass per checkpoint, and live for this call
-        only.
+        ``config`` sets how many examples answer and in which direction.
+        The per-token decomposition costs one gradient row per supervised
+        position of the test example; those rows and the example's own
+        share one batched gradient pass per checkpoint, and live for this
+        call only.
         """
         if not behavior_text.strip():
             raise ServingError("behavior_text must be non-empty")
-        k = k or self.config.top_k
-        if proponents is None:
-            proponents = self.config.proponents
+        k, proponents = self.config.top_k, self.config.proponents
         with self.obs.span(
             "serving.explain.query",
             user_id=user_id,

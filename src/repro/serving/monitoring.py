@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from repro.data.templates import APPROVE_ANSWER, DECLINE_ANSWER
 from repro.errors import ServingError
 from repro.obs import Observability, get_observability
 from repro.serving.behavior_card import DEFAULT_THRESHOLD, approves
@@ -85,17 +85,8 @@ class DriftMonitor:
         self._m_observations = self.obs.metrics.counter("monitoring.observations")
         self._g_psi = self.obs.metrics.gauge("monitoring.psi")
 
-    def observe(self, score: float) -> None:
-        """Record one live score."""
-        self._window.append(float(score))
-        self._m_observations.inc()
-
     def observe_many(self, scores) -> None:
-        """Record a micro-batch of live scores (oldest first).
-
-        The batched counterpart of :meth:`observe` for engine traffic —
-        equivalent to observing each score in order.
-        """
+        """Record a micro-batch of live scores, oldest first."""
         n = 0
         for score in scores:
             self._window.append(float(score))
@@ -150,13 +141,13 @@ class ShadowRecord:
 class ShadowDeployment:
     """Score live traffic with a candidate model alongside production.
 
-    Only the primary's score is returned to callers; the shadow's output
-    is recorded for offline comparison.  :meth:`score` asks ``primary``
-    first; a caller that serves production itself (the online pipeline
-    serves through its cluster) passes ``primary=None`` and hands each
-    served score to :meth:`compare` instead.  The shadow is strictly
-    best-effort: a shadow exception is counted (``monitoring.shadow_errors``)
-    and the primary score is served as if the shadow did not exist.
+    ``shadow`` maps a behavior text to the candidate's P(default).  The
+    caller serves production itself (the online pipeline serves through
+    its cluster) and hands each served score to :meth:`compare`, which
+    returns it unchanged; the shadow's score is recorded for comparison.
+    The shadow is strictly best-effort: a shadow exception is counted
+    (``monitoring.shadow_errors``) and the primary score is served as if
+    the shadow did not exist.
 
     Comparison records are kept in a count-bounded window (``window`` most
     recent paired scores) so a long-lived deployment cannot grow without
@@ -164,11 +155,10 @@ class ShadowDeployment:
     while ``n_requests`` / ``n_shadow_errors`` count all traffic ever seen.
     """
 
-    def __init__(self, primary, shadow, window: int = 1000,
+    def __init__(self, shadow: Callable[[str], float], window: int = 1000,
                  obs: Observability | None = None):
         if window <= 0:
             raise ServingError("window must be positive")
-        self.primary = primary
         self.shadow = shadow
         self.window = window
         self._records: deque[ShadowRecord] = deque(maxlen=window)
@@ -179,16 +169,12 @@ class ShadowDeployment:
         self._m_disagreements = self.obs.metrics.counter("monitoring.shadow_disagreements")
         self._m_errors = self.obs.metrics.counter("monitoring.shadow_errors")
 
-    def score(self, prompt: str) -> float:
-        """Score ``prompt`` on the primary, then compare the shadow on it."""
-        return self.compare(prompt, float(self.primary.score(prompt, DECLINE_ANSWER, APPROVE_ANSWER)))
-
     def compare(self, prompt: str, primary_score: float) -> float:
         """Score ``prompt`` on the shadow against a served ``primary_score``; returns the latter."""
         self._total_requests += 1
         self._m_requests.inc()
         try:
-            shadow_score = float(self.shadow.score(prompt, DECLINE_ANSWER, APPROVE_ANSWER))
+            shadow_score = float(self.shadow(prompt))
         except Exception as error:
             # A shadow must never take down live scoring: count the failure
             # and serve the production answer.  No record is kept — window

@@ -227,10 +227,10 @@ class StepClock:
 
 def make_stub_service(**kwargs):
     """A BehaviorCardService over the stub classifier and step clock."""
-    from repro.serving import BehaviorCardConfig, BehaviorCardService
+    from repro.serving import BehaviorCardService, EngineConfig
 
     defaults = dict(
-        config=BehaviorCardConfig(max_batch_size=4, queue_capacity=8),
+        config=EngineConfig(max_batch_size=4, queue_capacity=8),
         clock=StepClock(),
     )
     defaults.update(kwargs)

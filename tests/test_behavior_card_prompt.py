@@ -24,10 +24,10 @@ from repro.core import ZiGong
 from repro.data import build_behavior_examples
 from repro.data.templates import behavior_prompt
 from repro.datasets import make_behavior
+from repro.errors import ServingError
 from repro.nn import MistralTiny
-from repro.pipeline.online import _CandidateScorer
+from repro.pipeline.online import _shadow_scorer
 from repro.serving import (
-    BehaviorCardConfig,
     BehaviorCardService,
     ExplainService,
     ScoreRequest,
@@ -99,7 +99,7 @@ class TestOnePrompt:
         explain = ExplainService.for_zigong(zigong, examples, checkpoints, behavior_card=service)
         explained = unsupervised(explain._encode(text, "yes"))
 
-        _CandidateScorer(zigong).score(text)
+        _shadow_scorer(zigong)(text)
 
         # service, replica batch_fn, shadow candidate: each scored one prompt.
         assert len(scored_prompts) == 3
@@ -131,7 +131,7 @@ class TestOneDecisionRule:
         zigong, _, _, text = behavior_zigong
         score = np.nextafter(threshold, 0.0) if below else threshold
         replica = zigong_replica_factory(zigong, threshold=threshold)(0)
-        service = BehaviorCardService(zigong.classifier(), BehaviorCardConfig(threshold=threshold))
+        service = BehaviorCardService(zigong.classifier(), threshold=threshold)
         _fixed_scores(monkeypatch, score)
         served = service.decide("u1", text)
         [replicated] = replica.batch_fn([ScoreRequest("u1", text)])
@@ -140,6 +140,19 @@ class TestOneDecisionRule:
         if threshold == DEFAULT_THRESHOLD:
             record = ShadowRecord("prompt", score, score)
             assert record.primary_label == record.shadow_label == int(not below)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -0.2])
+    def test_both_front_doors_refuse_a_threshold_outside_the_unit_interval(
+        self, behavior_zigong, threshold
+    ):
+        # Refused when the door is built, before any replica scores:
+        # at 1.5 a P(default) of 0.97 would otherwise be approved.
+        zigong = behavior_zigong[0]
+        message = rf"threshold must be in \(0, 1\), got {threshold}"
+        with pytest.raises(ServingError, match=message):
+            zigong_replica_factory(zigong, threshold=threshold)
+        with pytest.raises(ServingError, match=message):
+            BehaviorCardService(zigong.classifier(), threshold=threshold)
 
     def test_generated_miss_is_never_approved(self):
         assert generated_decision("yes") == (1.0, False)

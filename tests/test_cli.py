@@ -349,6 +349,15 @@ class TestServeCommand:
                 "--quantize", "fp4",
             ])
 
+    def test_refuses_a_threshold_outside_the_unit_interval(self, model_dir, capsys):
+        code = main([
+            "serve", "--model", str(model_dir), "--synthetic", "2", "--threshold", "1.5",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "threshold must be in (0, 1), got 1.5" in captured.err
+        assert "decisions" not in captured.out
+
     def test_continuous_requires_thread_transport(self, model_dir, capsys):
         code = main([
             "serve", "--model", str(model_dir), "--replicas", "1",

@@ -29,7 +29,7 @@ from repro.lora.inject import apply_lora
 from repro.nn import MistralTiny
 from repro.obs import Observability
 from repro.optim import AdamW
-from repro.serving import ExplainService
+from repro.serving import ExplainConfig, ExplainService
 from repro.training import CheckpointManager, Trainer, TrainingConfig
 
 from conftest import TINY
@@ -135,22 +135,23 @@ def test_query_sequences_match_fresh_estimators(trained, plan):
 def test_served_round_trip_matches_a_fresh_service(explained_zigong):
     zigong, examples, checkpoints = explained_zigong
 
-    def build():
+    def build(config=None):
         return ExplainService.for_zigong(
-            zigong, examples, checkpoints, obs=Observability.create()
+            zigong, examples, checkpoints, config=config, obs=Observability.create()
         )
 
     warm = build()
     texts = [e.prompt.split(" question:")[0] for e in examples]
     queries = [
-        ("u1", texts[1], None, None),
-        ("u2", texts[2], 2, False),
-        ("u3", texts[1], None, None),  # a repeat: served from the caches
-        ("u4", texts[3], 4, True),
+        ("u1", texts[1], ExplainConfig()),
+        ("u2", texts[2], ExplainConfig(top_k=2, proponents=False)),
+        ("u3", texts[1], ExplainConfig()),  # a repeat: served from the caches
+        ("u4", texts[3], ExplainConfig(top_k=4, proponents=True)),
     ]
-    for user_id, text, k, proponents in queries:
-        got = warm.explain(user_id, text, k=k, proponents=proponents)
-        want = build().explain(user_id, text, k=k, proponents=proponents)
+    for user_id, text, config in queries:
+        warm.config = config
+        got = warm.explain(user_id, text)
+        want = build(config).explain(user_id, text)
         assert [e.index for e in got.influential] == [e.index for e in want.influential]
         assert [e.score for e in got.influential] == [e.score for e in want.influential]
         assert got.token_attribution == want.token_attribution

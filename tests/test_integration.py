@@ -21,7 +21,6 @@ from repro.data import (
 from repro.datasets import make_behavior
 from repro.eval import evaluate, EvalSample
 from repro.serving import (
-    BehaviorCardConfig,
     BehaviorCardService,
     DriftMonitor,
     ScorecardScaler,
@@ -48,7 +47,7 @@ def deployed():
     )
     split = len(examples) - 40
     result = ZiGongPipeline(config).run(examples[:split], examples[split : split + 20])
-    service = BehaviorCardService(result.zigong.classifier(), BehaviorCardConfig(threshold=0.5))
+    service = BehaviorCardService(result.zigong.classifier(), threshold=0.5)
     return dataset, result, service
 
 
@@ -78,8 +77,10 @@ class TestPipelineToService:
             for u in range(dataset.n_users)
         ]
         monitor = DriftMonitor(reference, window=100)
-        for u in range(dataset.n_users):
-            monitor.observe(service.decide(f"m{u}", dataset.row_text(u, last)).score)
+        monitor.observe_many(
+            service.decide(f"m{u}", dataset.row_text(u, last)).score
+            for u in range(dataset.n_users)
+        )
         assert monitor.psi() < 0.05  # identical traffic: no drift
 
     def test_scorecard_view_of_decisions(self, deployed):

@@ -122,6 +122,53 @@ class TestRecord:
         assert not (tmp_path / "BENCH_decide_microbatch.json").exists()
 
 
+class TestRecordAgainstPrevious:
+    """``record`` reports its counts against the last entry of the same run shape."""
+
+    def record(self, ledger, checkout, results, monkeypatch, capsys, counts, seconds=0.5):
+        monkeypatch.setattr(ledger, "checkout_counts", lambda root: {})
+        monkeypatch.setattr(
+            ledger,
+            "run_perfbench",
+            lambda root, workload, seed, secs: {**REPORT, "seconds": secs, "counts": [counts]},
+        )
+        ledger.record("decide_microbatch", 3, seconds, checkout=checkout, results_dir=results)
+        return capsys.readouterr().out.splitlines()
+
+    def test_first_identical_then_changed_counts(self, ledger, checkout, tmp_path, monkeypatch, capsys):
+        head = git(checkout, "rev-parse", "--short", "HEAD")
+        results = tmp_path / "results"
+        counts = dict(REPORT["counts"][0])
+
+        def run(counts, **kwargs):
+            return self.record(ledger, checkout, results, monkeypatch, capsys, counts, **kwargs)
+
+        assert run(counts) == ["no previous entry"]
+        assert run(counts) == [f"counts identical to {head}"]
+        # Another --seconds is another run shape: nothing to compare with.
+        assert run({**counts, "light.decisions": 99}, seconds=2.0) == ["no previous entry"]
+        changed = {"light.decisions": 41, "light.extra": 1, "deploy.swaps": 2}
+        assert run(changed) == [
+            f"since {head}: light.decisions 40 -> 41",
+            f"since {head}: light.extra None -> 1",
+        ]
+        entries = json.loads((results / "BENCH_decide_microbatch.json").read_text())
+        assert len(entries) == 4  # reported, never gated
+
+    def test_main_exit_code_is_unchanged_by_differing_counts(self, ledger, checkout, tmp_path, monkeypatch, capsys):
+        results = tmp_path / "results"
+        monkeypatch.setattr(ledger, "checkout_counts", lambda root: {})
+        for decisions in (40, 41):
+            monkeypatch.setattr(
+                ledger,
+                "run_perfbench",
+                lambda *args, n=decisions: {**REPORT, "counts": [{"light.decisions": n}]},
+            )
+            argv = ["record", "--workload", "w", "--seed", "3", "--seconds", "0.5", "--results", str(results)]
+            assert ledger.main(argv) == 0
+        assert "light.decisions 40 -> 41" in capsys.readouterr().out
+
+
 class TestSummarize:
     def test_wins_follow_the_better_direction_and_ties_count_for_neither(self, ledger):
         base = [{"lat": 2.0, "rps": 10.0}, {"lat": 2.0, "rps": 10.0}, {"lat": 1.0, "rps": 12.0}]

@@ -371,13 +371,11 @@ class _StubClassifier:
 
 class TestServingWiring:
     def make_service(self, obs, **config_kwargs):
-        from repro.serving import BehaviorCardConfig, BehaviorCardService
+        from repro.serving import BehaviorCardService, EngineConfig
 
         defaults = dict(max_batch_size=4, queue_capacity=8)
         defaults.update(config_kwargs)
-        return BehaviorCardService(
-            _StubClassifier(), BehaviorCardConfig(**defaults), obs=obs
-        )
+        return BehaviorCardService(_StubClassifier(), EngineConfig(**defaults), obs=obs)
 
     def test_counters_match_engine_stats(self):
         from repro.serving import ScoreRequest
@@ -446,7 +444,7 @@ class TestServingWiring:
         obs = Observability.create()
         rng = np.random.default_rng(0)
         monitor = DriftMonitor(rng.uniform(size=100), obs=obs)
-        monitor.observe(0.5)
+        monitor.observe_many([0.5])
         monitor.observe_many([0.2, 0.9])
         monitor.psi()
         assert obs.metrics.counter("monitoring.observations").value == 3
@@ -456,17 +454,10 @@ class TestServingWiring:
     def test_shadow_deployment_metrics(self):
         from repro.serving import ShadowDeployment
 
-        class Fixed:
-            def __init__(self, value):
-                self.value = value
-
-            def score(self, prompt, positive, negative):
-                return self.value
-
         obs = Observability.create()
-        shadow = ShadowDeployment(Fixed(0.8), Fixed(0.2), obs=obs)
-        shadow.score("p1")
-        shadow.score("p2")
+        shadow = ShadowDeployment(lambda text: 0.2, obs=obs)
+        shadow.compare("p1", 0.8)
+        shadow.compare("p2", 0.8)
         assert obs.metrics.counter("monitoring.shadow_requests").value == 2
         assert obs.metrics.counter("monitoring.shadow_disagreements").value == 2
 

@@ -184,10 +184,10 @@ class _EchoScorer:
 
 
 def _shadow_with(primary, shadow, n=20, obs=None):
-    deployment = ShadowDeployment(primary, shadow, window=64,
-                                  obs=obs or Observability.disabled())
+    deployment = ShadowDeployment(shadow.score, window=64, obs=obs or Observability.disabled())
     for i in range(n):
-        deployment.score("x" * (i + 1))
+        text = "x" * (i + 1)
+        deployment.compare(text, primary.score(text))
     return deployment
 
 

@@ -41,6 +41,7 @@ from repro.serving import (
     ScoreRequest,
     ScoreResult,
 )
+from repro.serving import engine as engine_module
 from repro.serving.cluster import BREAKER_RESET_TIMEOUT_S
 from repro.training import CheckpointManager, Trainer, TrainingConfig
 
@@ -395,18 +396,17 @@ class TestServingTimeout:
 class TestIdleWorker:
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_idle_engine_does_no_periodic_wakeups(self, kind):
-        engine = make_engine(
-            kind, EngineConfig(max_wait_s=0.005), obs=Observability.disabled()
-        )
+        engine = make_engine(kind, EngineConfig(), obs=Observability.disabled())
         engine.start()
         time.sleep(0.25)  # old loop would have woken ~5 times by now
         assert engine.idle_wakeups == 0
         engine.stop()
         assert engine.idle_wakeups == 0
 
-    def test_threaded_submit_still_served(self):
+    def test_threaded_submit_still_served(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_WAIT_S", 0.01)
         engine = MicroBatchEngine(
-            ScriptedScorer(), EngineConfig(max_batch_size=4, max_wait_s=0.01),
+            ScriptedScorer(), EngineConfig(max_batch_size=4),
             obs=Observability.disabled(),
         )
         with engine:

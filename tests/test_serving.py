@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ServingError
-from repro.serving import BehaviorCardConfig, BehaviorCardService, ScoreRequest
+from repro.serving import BehaviorCardService, EngineConfig, ScoreRequest
 
 from conftest import StubClassifier
 
@@ -21,9 +21,7 @@ class _Clock:
 
 @pytest.fixture
 def service():
-    return BehaviorCardService(
-        StubClassifier(), BehaviorCardConfig(threshold=0.5), clock=_Clock()
-    )
+    return BehaviorCardService(StubClassifier(), threshold=0.5, clock=_Clock())
 
 
 class TestDecisions:
@@ -45,9 +43,9 @@ class TestDecisions:
 
     def test_invalid_config(self):
         with pytest.raises(ServingError):
-            BehaviorCardConfig(threshold=0.0)
+            BehaviorCardService(StubClassifier(), threshold=0.0)
         with pytest.raises(ServingError):
-            BehaviorCardConfig(queue_capacity=0)
+            BehaviorCardService(StubClassifier(), EngineConfig(queue_capacity=0))
 
 
 class TestAuditLog:
@@ -93,7 +91,7 @@ class TestEndToEndWithModel:
     def test_with_fitted_zigong(self, fitted_zigong):
         from repro.datasets import make_behavior
 
-        service = BehaviorCardService(fitted_zigong.classifier(), BehaviorCardConfig(threshold=0.5))
+        service = BehaviorCardService(fitted_zigong.classifier(), threshold=0.5)
         ds = make_behavior(n_users=3, n_periods=2, seed=0)
         decision = service.decide("user0", ds.row_text(0, 1))
         assert 0.0 <= decision.score <= 1.0

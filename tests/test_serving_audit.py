@@ -51,7 +51,7 @@ def requests(n: int) -> list[ScoreRequest]:
 
 
 def make_cluster(path, **config_kwargs) -> ClusterSupervisor:
-    config = dict(replicas=2, max_batch_size=4, rpc_timeout_s=30.0)
+    config = dict(replicas=2, max_batch_size=4)
     config.update(config_kwargs)
     return ClusterSupervisor(
         stub_factory, ClusterConfig(**config), obs=Observability.create(), audit_path=path

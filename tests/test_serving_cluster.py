@@ -22,7 +22,6 @@ from repro.errors import (
 )
 from repro.obs import Observability
 from repro.serving import (
-    BehaviorCardConfig,
     ClusterConfig,
     ClusterSupervisor,
     ForkTransport,
@@ -31,6 +30,8 @@ from repro.serving import (
     ScoreResult,
     ThreadTransport,
 )
+from repro.serving import cluster as cluster_module
+from repro.serving.engine import EngineConfig
 
 from conftest import make_stub_service
 
@@ -90,10 +91,6 @@ class TestConfig:
             ClusterConfig(transport="carrier-pigeon")
         with pytest.raises(ClusterError):
             ClusterConfig(tenant_quota=0)
-        with pytest.raises(ClusterError):
-            ClusterConfig(max_redispatch=-1)
-        with pytest.raises(ClusterError):
-            ClusterConfig(health_interval_s=0)
         with pytest.raises(ServingError):
             ClusterConfig(max_batch_size=0)  # engine knobs validated eagerly
 
@@ -186,7 +183,7 @@ class TestBackpressure:
 class TestServeAllOrNothing:
     def test_overflowing_serve_decides_and_audits_nothing(self):
         """A ``serve`` that raises leaves nothing queued behind the caller."""
-        service = make_stub_service(config=BehaviorCardConfig(queue_capacity=2))
+        service = make_stub_service(config=EngineConfig(queue_capacity=2))
         with pytest.raises(QueueFullError):
             service.serve([ScoreRequest(f"u{i}", f"t={i}") for i in range(3)])
         assert [r.outstanding for r in service.replicas] == [0]
@@ -229,8 +226,9 @@ class TestCrashRecovery:
         assert {r.replica for r in results} == {0, 1}
         cluster.stop()
 
-    def test_restart_cap_abandons_replica(self):
-        cluster = make_cluster(replicas=2, max_restarts=1)
+    def test_restart_cap_abandons_replica(self, monkeypatch):
+        monkeypatch.setattr(cluster_module, "MAX_RESTARTS", 1)
+        cluster = make_cluster(replicas=2)
         cluster.launch()
         replica = cluster.replicas[0]
         for _ in range(3):
@@ -243,8 +241,10 @@ class TestCrashRecovery:
         assert len(cluster.serve(requests(4))) == 4
         cluster.stop()
 
-    def test_total_loss_surfaces_crash_error(self):
-        cluster = make_cluster(replicas=1, max_redispatch=1, max_restarts=0)
+    def test_total_loss_surfaces_crash_error(self, monkeypatch):
+        monkeypatch.setattr(cluster_module, "MAX_REDISPATCH", 1)
+        monkeypatch.setattr(cluster_module, "MAX_RESTARTS", 0)
+        cluster = make_cluster(replicas=1)
         cluster.launch()
         pending = cluster.submit(ScoreRequest("u", "text"))
         cluster.replicas[0].transport.kill()
@@ -253,8 +253,9 @@ class TestCrashRecovery:
         assert cluster.stats.failed == 1
         cluster.stop()
 
-    def test_breaker_opens_on_repeated_crash(self):
-        cluster = make_cluster(replicas=2, breaker_min_calls=1)
+    def test_breaker_opens_on_repeated_crash(self, monkeypatch):
+        monkeypatch.setattr(cluster_module, "BREAKER_MIN_CALLS", 1)
+        cluster = make_cluster(replicas=2)
         cluster.launch()
         replica = cluster.replicas[0]
         replica.transport.kill()
@@ -378,12 +379,13 @@ class TestThreadedMode:
         finally:
             cluster.stop()
 
-    def test_threaded_deploy_drains_then_swaps(self):
+    def test_threaded_deploy_drains_then_swaps(self, monkeypatch):
+        monkeypatch.setattr(cluster_module, "DRAIN_TIMEOUT_S", 5.0)
         cluster = make_cluster()
         cluster.start()
         try:
             pendings = [cluster.submit(r) for r in requests(6)]
-            swapped = cluster.deploy({"w": 3.0}, drain_timeout_s=5.0)
+            swapped = cluster.deploy({"w": 3.0})
             assert swapped == 2
             assert all(p.result(timeout=5.0) for p in pendings)
             assert set(cluster.weight_versions().values()) == {2}
@@ -395,7 +397,7 @@ class TestForkTransport:
     def test_fork_smoke_scores_and_deploys(self):
         cluster = ClusterSupervisor(
             stub_app,
-            ClusterConfig(replicas=2, transport="fork", rpc_timeout_s=30.0),
+            ClusterConfig(replicas=2, transport="fork"),
         )
         cluster.start()
         try:
@@ -405,7 +407,7 @@ class TestForkTransport:
             assert all(r.replica in (0, 1) for r in results)
             pids = {r.transport.pid for r in cluster.replicas}
             assert len(pids) == 2  # genuinely separate processes
-            assert cluster.deploy({"w": 1.5}, drain_timeout_s=10.0) == 2
+            assert cluster.deploy({"w": 1.5}) == 2
             assert set(cluster.weight_versions().values()) == {2}
         finally:
             cluster.stop()

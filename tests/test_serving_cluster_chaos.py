@@ -31,6 +31,7 @@ from repro.serving import (
     ScoreRequest,
     ScoreResult,
 )
+from repro.serving import cluster as cluster_module
 
 
 pytestmark = pytest.mark.chaos
@@ -107,13 +108,9 @@ class TestKillMidBatch:
         cluster.stop()
 
     @pytest.mark.slow
-    def test_fork_replica_sigkill_mid_batch(self):
-        cluster = ClusterSupervisor(
-            stub_factory,
-            ClusterConfig(
-                replicas=2, transport="fork", rpc_timeout_s=15.0, health_interval_s=0.05
-            ),
-        )
+    def test_fork_replica_sigkill_mid_batch(self, monkeypatch):
+        monkeypatch.setattr(cluster_module, "RPC_TIMEOUT_S", 15.0)
+        cluster = ClusterSupervisor(stub_factory, ClusterConfig(replicas=2, transport="fork"))
         cluster.start()
         try:
             pendings = [cluster.submit(r) for r in requests(8)]
@@ -155,11 +152,12 @@ class TestBreakerTripMidDeploy:
         assert counters["cluster.replica_restarted"] == 1
         cluster.stop()
 
-    def test_breaker_opens_then_deploy_still_converges(self):
+    def test_breaker_opens_then_deploy_still_converges(self, monkeypatch):
+        monkeypatch.setattr(cluster_module, "BREAKER_MIN_CALLS", 1)
         obs = Observability.create()
         cluster = ClusterSupervisor(
             stub_factory,
-            ClusterConfig(replicas=2, breaker_min_calls=1),
+            ClusterConfig(replicas=2),
             obs=obs,
         )
         cluster.launch()
@@ -198,14 +196,11 @@ class TestHealthLoopCrash:
         cluster.stop()
 
     @pytest.mark.slow
-    def test_threaded_loop_survives_sweep_crashes(self):
+    def test_threaded_loop_survives_sweep_crashes(self, monkeypatch):
+        monkeypatch.setattr(cluster_module, "HEALTH_INTERVAL_S", 0.02)
         injector = FaultInjector().fail_times("cluster.health_check", 3)
         obs = Observability.create()
-        cluster = ClusterSupervisor(
-            stub_factory,
-            ClusterConfig(replicas=2, health_interval_s=0.02),
-            obs=obs,
-        )
+        cluster = ClusterSupervisor(stub_factory, ClusterConfig(replicas=2), obs=obs)
         with injector.active():
             cluster.start()
             try:

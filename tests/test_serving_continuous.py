@@ -16,16 +16,18 @@ import threading
 import pytest
 
 from repro.errors import ClusterError, ReplicaCrashedError, ServingError
-from repro.nn import AdmissionPolicy, MistralTiny, generate
+from repro.nn import MistralTiny, generate
 from repro.obs import Observability
 from repro.serving import (
     ClusterConfig,
     ClusterSupervisor,
+    EngineConfig,
     GenerationApp,
     ReplicaApp,
     ScoreRequest,
     ScoreResult,
 )
+from repro.serving import cluster as cluster_module
 
 from conftest import STUB_GENERATION as GEN
 from conftest import TINY, make_engine, stub_generation_model
@@ -74,10 +76,8 @@ class TestServeParity:
             assert pending.result(timeout=0).user_id == request.user_id
 
     def test_queue_depth_counts_scheduler_waiting(self):
-        # Admission room is max_live_rows; the rest stays queued.
-        engine = make_engine(
-            "continuous", policy=AdmissionPolicy(max_live_rows=2, max_prefills_per_step=1)
-        )
+        # Admission room is max_live_rows (max_batch_size); the rest stays queued.
+        engine = make_engine("continuous", EngineConfig(max_batch_size=2, queue_capacity=8))
         for r in requests(5):
             engine.submit(r)
         assert engine.queue_depth == 5
@@ -108,9 +108,7 @@ class TestBackpressureAndDeadlines:
 
 class TestFailureContainment:
     def test_withdraw_all_covers_live_and_queued(self):
-        engine = make_engine(
-            "continuous", policy=AdmissionPolicy(max_live_rows=2, max_prefills_per_step=2)
-        )
+        engine = make_engine("continuous", EngineConfig(max_batch_size=2, queue_capacity=8))
         pendings = [engine.submit(r) for r in requests(6)]
         engine.pump()  # 2 rows now live with partial streams
         live_streams = [p for p in pendings if len(p.stream) > 0]
@@ -223,7 +221,9 @@ class TestClusterIntegration:
         with pytest.raises(ClusterError):
             ClusterConfig(replicas=1, engine_mode="warp-drive")
 
-    def test_missing_generation_bundle_fails_loudly(self):
+    def test_missing_generation_bundle_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(cluster_module, "MAX_REDISPATCH", 0)
+
         def plain_factory(replica_id: int) -> ReplicaApp:
             return ReplicaApp(
                 batch_fn=lambda reqs: [
@@ -233,7 +233,7 @@ class TestClusterIntegration:
 
         cluster = ClusterSupervisor(
             plain_factory,
-            ClusterConfig(replicas=1, engine_mode="continuous", max_redispatch=0),
+            ClusterConfig(replicas=1, engine_mode="continuous"),
             obs=Observability.create(),
         )
         cluster.launch()

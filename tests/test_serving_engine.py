@@ -12,14 +12,15 @@ from repro.errors import (
     ServingError,
 )
 from repro.serving import (
-    BehaviorCardConfig,
     BehaviorCardService,
+    ClusterConfig,
     DriftMonitor,
     EngineConfig,
     MicroBatchEngine,
     ScoreRequest,
     ScoreResult,
 )
+from repro.serving import engine as engine_module
 
 
 from conftest import ENGINE_KINDS, make_engine
@@ -30,8 +31,8 @@ from conftest import make_stub_service as make_service
 
 class TestConfigAPI:
     def test_config_object_init(self):
-        config = BehaviorCardConfig(threshold=0.4, max_batch_size=2)
-        service = BehaviorCardService(_StubClassifier(), config)
+        config = EngineConfig(max_batch_size=2)
+        service = BehaviorCardService(_StubClassifier(), config, threshold=0.4)
         assert service.config.replicas == 1
         assert service.config.max_batch_size == 2
         assert service.replicas[0].engine.config.max_batch_size == 2
@@ -39,7 +40,7 @@ class TestConfigAPI:
 
     def test_config_validation(self):
         with pytest.raises(ServingError):
-            BehaviorCardConfig(threshold=0.0)
+            BehaviorCardService(_StubClassifier(), threshold=0.0)
         with pytest.raises(ServingError):
             EngineConfig(max_batch_size=0)
         with pytest.raises(ServingError):
@@ -47,18 +48,15 @@ class TestConfigAPI:
 
     def test_engine_knobs_validated_eagerly(self):
         with pytest.raises(ServingError):
-            BehaviorCardConfig(max_batch_size=0)
+            ClusterConfig(max_batch_size=0)
         with pytest.raises(ServingError):
-            BehaviorCardConfig(queue_capacity=0)
-        with pytest.raises(ServingError):
-            BehaviorCardConfig(max_wait_s=-1.0)
+            ClusterConfig(queue_capacity=0)
 
     def test_types_reexported_at_top_level(self):
         import repro
 
         assert repro.ScoreRequest is ScoreRequest
         assert repro.ScoreResult is ScoreResult
-        assert repro.BehaviorCardConfig is BehaviorCardConfig
 
 
 class TestBatchSingleParity:
@@ -77,7 +75,7 @@ class TestBatchSingleParity:
     def test_model_parity(self, fitted_zigong, german_examples):
         """Engine micro-batches match ``decide`` one-by-one to 1e-6."""
         texts = [e.prompt[:80] for e in german_examples[:6]]
-        config = BehaviorCardConfig(max_batch_size=3)
+        config = EngineConfig(max_batch_size=3)
         single = BehaviorCardService(fitted_zigong.classifier(), config)
         batched = BehaviorCardService(fitted_zigong.classifier(), config)
         one_by_one = [single.decide(f"u{i}", t).score for i, t in enumerate(texts)]
@@ -205,7 +203,7 @@ class TestDegradedMode:
     def test_no_fallback_propagates_error(self):
         service = BehaviorCardService(
             _StubClassifier(fail=True),
-            BehaviorCardConfig(max_batch_size=4, queue_capacity=8),
+            EngineConfig(max_batch_size=4, queue_capacity=8),
             clock=_Clock(),
         )
         pending = service.submit(ScoreRequest("u1", "t=1"))
@@ -251,7 +249,8 @@ class TestDeterministicClock:
 
 
 class TestThreadedWorker:
-    def test_background_worker_scores_submissions(self):
+    def test_background_worker_scores_submissions(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_WAIT_S", 0.01)
         calls = []
 
         def batch_fn(requests):
@@ -267,7 +266,7 @@ class TestThreadedWorker:
             ]
 
         engine = MicroBatchEngine(
-            batch_fn, EngineConfig(max_batch_size=4, max_wait_s=0.01, queue_capacity=64)
+            batch_fn, EngineConfig(max_batch_size=4, queue_capacity=64)
         )
         with engine:
             pending = [engine.submit(ScoreRequest(f"u{i}", f"t={i}")) for i in range(12)]
@@ -290,12 +289,13 @@ class TestThreadedWorker:
 
 class TestMonitoringIntegration:
     def test_observe_many_matches_observe(self):
+        """Scores observed one at a time match the same scores observed as one batch."""
         reference = np.linspace(0, 1, 50)
         a = DriftMonitor(reference, window=100)
         b = DriftMonitor(reference, window=100)
         scores = np.random.default_rng(0).uniform(size=20)
         for s in scores:
-            a.observe(s)
+            a.observe_many([s])
         b.observe_many(scores)
         assert a.n_observed == b.n_observed
         assert a.psi() == pytest.approx(b.psi())
@@ -351,7 +351,7 @@ class TestEngineEdgeCases:
 
         engine = MicroBatchEngine(
             batch_fn,
-            EngineConfig(max_batch_size=4, max_wait_s=0.005, queue_capacity=256),
+            EngineConfig(max_batch_size=4, queue_capacity=256),
         )
         n_threads, per_thread = 4, 16
         pending: list = [None] * (n_threads * per_thread)
@@ -385,7 +385,7 @@ class TestEngineEdgeCases:
         obs = Observability.create()
         service = BehaviorCardService(
             _StubClassifier(fail=True),
-            BehaviorCardConfig(max_batch_size=4, queue_capacity=8),
+            EngineConfig(max_batch_size=4, queue_capacity=8),
             clock=_Clock(),
             obs=obs,
         )

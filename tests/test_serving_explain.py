@@ -34,9 +34,10 @@ def served(explained_zigong):
 
 
 class TestExplainRoundTrip:
-    def test_returns_topk_and_token_scores(self, served):
+    def test_returns_topk_and_token_scores(self, served, monkeypatch):
         service, text, _ = served
-        result = service.explain("applicant-1", text, k=3)
+        monkeypatch.setattr(service, "config", ExplainConfig(top_k=3))
+        result = service.explain("applicant-1", text)
         assert isinstance(result, ExplainResult)
         assert result.estimator == "datainf"
         assert len(result.influential) == 3
@@ -58,10 +59,12 @@ class TestExplainRoundTrip:
         assert result.approved == direct.approved
         assert result.threshold == direct.threshold
 
-    def test_opponents_direction(self, served):
+    def test_opponents_direction(self, served, monkeypatch):
         service, text, _ = served
-        pro = service.explain("p", text, k=2, proponents=True)
-        con = service.explain("c", text, k=2, proponents=False)
+        monkeypatch.setattr(service, "config", ExplainConfig(top_k=2, proponents=True))
+        pro = service.explain("p", text)
+        monkeypatch.setattr(service, "config", ExplainConfig(top_k=2, proponents=False))
+        con = service.explain("c", text)
         assert pro.influential[0].score >= con.influential[0].score
 
     def test_empty_text_rejected(self, served):
@@ -71,10 +74,11 @@ class TestExplainRoundTrip:
 
 
 class TestExplainAudit:
-    def test_query_lands_in_behavior_card_audit_log(self, served):
+    def test_query_lands_in_behavior_card_audit_log(self, served, monkeypatch):
         service, text, _ = served
+        monkeypatch.setattr(service, "config", ExplainConfig(top_k=2))
         before = len(service.behavior_card.audit_log())
-        service.explain("audited-user", text, k=2)
+        service.explain("audited-user", text)
         log = service.behavior_card.audit_log()
         # One decision record + one explanation record, in that order.
         new = log[before:]

@@ -54,21 +54,18 @@ class TestDriftMonitor:
 
     def test_stable_when_same_distribution(self):
         monitor = DriftMonitor(self._reference(), window=300)
-        for s in np.random.default_rng(1).beta(2, 5, 300):
-            monitor.observe(s)
+        monitor.observe_many(np.random.default_rng(1).beta(2, 5, 300))
         assert monitor.status() == "stable"
 
     def test_drift_detected_on_shift(self):
         monitor = DriftMonitor(self._reference(), window=300)
-        for s in np.random.default_rng(1).beta(5, 2, 300):  # flipped shape
-            monitor.observe(s)
+        monitor.observe_many(np.random.default_rng(1).beta(5, 2, 300))  # flipped shape
         assert monitor.status() == "drift"
         assert monitor.psi() > 0.25
 
     def test_window_rolls(self):
         monitor = DriftMonitor(self._reference(), window=10)
-        for s in np.linspace(0, 1, 25):
-            monitor.observe(s)
+        monitor.observe_many(np.linspace(0, 1, 25))
         assert monitor.n_observed == 10
 
     def test_psi_before_observations_raises(self):
@@ -83,51 +80,53 @@ class TestDriftMonitor:
             DriftMonitor(self._reference(), window=0)
 
 
-class _ScoreStub:
-    def __init__(self, offset):
-        self.offset = offset
+def _stub(offset):
+    """A scorer: P(default) from the text's length, shifted by ``offset``."""
+    return lambda text: min(1.0, (len(text) % 10) / 10.0 + offset)
 
-    def score(self, prompt, positive, negative):
-        return min(1.0, (len(prompt) % 10) / 10.0 + self.offset)
+
+def _serve(shadow, primary, text):
+    """Serve ``text`` on ``primary``, then compare the shadow against it."""
+    return shadow.compare(text, primary(text))
 
 
 class TestShadowDeployment:
     def test_returns_primary_score(self):
-        shadow = ShadowDeployment(_ScoreStub(0.0), _ScoreStub(0.5))
-        value = shadow.score("abcd")
+        shadow = ShadowDeployment(_stub(0.5))
+        value = _serve(shadow, _stub(0.0), "abcd")
         assert value == pytest.approx(0.4)
         assert shadow.n_requests == 1
 
     def test_agreement_rate(self):
-        shadow = ShadowDeployment(_ScoreStub(0.0), _ScoreStub(0.0))
+        shadow = ShadowDeployment(_stub(0.0))
         for i in range(10):
-            shadow.score("x" * i)
+            _serve(shadow, _stub(0.0), "x" * i)
         assert shadow.agreement_rate() == 1.0
         assert shadow.disagreements() == []
 
     def test_disagreements_found(self):
         # Primary low, shadow shifted above the 0.5 decision line.
-        shadow = ShadowDeployment(_ScoreStub(0.0), _ScoreStub(0.6))
-        shadow.score("ab")  # primary 0.2 -> 0 ; shadow 0.8 -> 1
+        shadow = ShadowDeployment(_stub(0.6))
+        _serve(shadow, _stub(0.0), "ab")  # primary 0.2 -> 0 ; shadow 0.8 -> 1
         assert shadow.agreement_rate() == 0.0
         assert len(shadow.disagreements()) == 1
 
     def test_correlation_of_identical_models(self):
-        shadow = ShadowDeployment(_ScoreStub(0.0), _ScoreStub(0.0))
+        shadow = ShadowDeployment(_stub(0.0))
         for i in range(12):
-            shadow.score("y" * i)
+            _serve(shadow, _stub(0.0), "y" * i)
         assert shadow.score_correlation() == pytest.approx(1.0)
 
     def test_errors_without_traffic(self):
-        shadow = ShadowDeployment(_ScoreStub(0.0), _ScoreStub(0.0))
+        shadow = ShadowDeployment(_stub(0.0))
         with pytest.raises(ServingError):
             shadow.agreement_rate()
         with pytest.raises(ServingError):
             shadow.score_correlation()
 
     def test_records_are_copies(self):
-        shadow = ShadowDeployment(_ScoreStub(0.0), _ScoreStub(0.0))
-        shadow.score("abc")
+        shadow = ShadowDeployment(_stub(0.0))
+        _serve(shadow, _stub(0.0), "abc")
         shadow.records().clear()
         assert shadow.n_requests == 1
 
@@ -187,7 +186,7 @@ class _ExplodingStub:
         self.calls = 0
         self.fail_times = fail_times
 
-    def score(self, prompt, positive, negative):
+    def __call__(self, text):
         self.calls += 1
         if self.fail_times is None or self.calls <= self.fail_times:
             raise RuntimeError("shadow model OOM")
@@ -196,8 +195,8 @@ class _ExplodingStub:
 
 class TestShadowErrorContainment:
     def test_shadow_exception_serves_primary(self):
-        shadow = ShadowDeployment(_ScoreStub(0.0), _ExplodingStub())
-        assert shadow.score("abcd") == pytest.approx(0.4)
+        shadow = ShadowDeployment(_ExplodingStub())
+        assert _serve(shadow, _stub(0.0), "abcd") == pytest.approx(0.4)
         assert shadow.n_requests == 1
         assert shadow.n_shadow_errors == 1
         assert shadow.n_window == 0  # no half-scored comparison record
@@ -206,25 +205,26 @@ class TestShadowErrorContainment:
         from repro.obs import Observability
 
         obs = Observability.create()
-        shadow = ShadowDeployment(_ScoreStub(0.0), _ExplodingStub(), obs=obs)
+        shadow = ShadowDeployment(_ExplodingStub(), obs=obs)
         for i in range(5):
-            shadow.score("x" * i)
+            _serve(shadow, _stub(0.0), "x" * i)
         assert obs.metrics.counter("monitoring.shadow_errors").value == 5
         assert obs.metrics.counter("monitoring.shadow_requests").value == 5
 
     def test_recovery_resumes_recording(self):
-        shadow = ShadowDeployment(_ScoreStub(0.4), _ExplodingStub(fail_times=3))
+        shadow = ShadowDeployment(_ExplodingStub(fail_times=3))
         for i in range(6):
-            shadow.score("z" * i)
+            _serve(shadow, _stub(0.4), "z" * i)
         assert shadow.n_shadow_errors == 3
         assert shadow.n_window == 3
         assert shadow.n_requests == 6
 
     def test_primary_exception_still_propagates(self):
         """Only the shadow is best-effort; a broken primary is a real outage."""
-        shadow = ShadowDeployment(_ExplodingStub(), _ScoreStub(0.0))
+        shadow = ShadowDeployment(_stub(0.0))
         with pytest.raises(RuntimeError):
-            shadow.score("abc")
+            _serve(shadow, _ExplodingStub(), "abc")
+        assert shadow.n_requests == 0  # nothing served, nothing compared
 
 
 # ----------------------------------------------------------------------
@@ -234,53 +234,51 @@ class TestShadowErrorContainment:
 
 class TestShadowWindow:
     def test_records_bounded_by_window(self):
-        shadow = ShadowDeployment(_ScoreStub(0.0), _ScoreStub(0.0), window=5)
+        shadow = ShadowDeployment(_stub(0.0), window=5)
         for i in range(12):
-            shadow.score("w" * i)
+            _serve(shadow, _stub(0.0), "w" * i)
         assert shadow.n_window == 5
         assert len(shadow.records()) == 5
         assert shadow.n_requests == 12  # lifetime counter unaffected
 
     def test_window_stats_exact_over_window(self):
         """Old disagreements age out: stats cover the window, exactly."""
-        primary = _ScoreStub(0.0)
-        disagreeing = _ScoreStub(0.6)
-        agreeing = _ScoreStub(0.0)
-        shadow = ShadowDeployment(primary, disagreeing, window=4)
+        primary = _stub(0.0)
+        disagreeing = _stub(0.6)
+        agreeing = _stub(0.0)
+        shadow = ShadowDeployment(disagreeing, window=4)
         for i in range(1, 5):
-            shadow.score("a" * i)  # all four disagree
+            _serve(shadow, primary, "a" * i)  # all four disagree
         assert shadow.agreement_rate() == 0.0
         shadow.shadow = agreeing
         for i in range(1, 5):
-            shadow.score("a" * i)  # four agreements push the others out
+            _serve(shadow, primary, "a" * i)  # four agreements push the others out
         assert shadow.agreement_rate() == 1.0
         assert shadow.disagreements() == []
 
     def test_window_must_be_positive(self):
         with pytest.raises(ServingError):
-            ShadowDeployment(_ScoreStub(0.0), _ScoreStub(0.0), window=0)
+            ShadowDeployment(_stub(0.0), window=0)
 
     def test_zero_variance_correlation_is_nan(self):
         """0.0 used to read as "uncorrelated" to promotion gates; undefined
         correlation must be explicit.  Includes the length-20 constant
         stream whose std() is ~1e-17 rather than exactly zero."""
 
-        class _Const:
-            def score(self, prompt, positive, negative):
-                return 0.4
+        def const(text):
+            return 0.4
 
         for n in (2, 5, 20):
-            shadow = ShadowDeployment(_Const(), _Const(), window=64)
+            shadow = ShadowDeployment(const, window=64)
             for i in range(n):
-                shadow.score("c" * (i + 1))
+                _serve(shadow, const, "c" * (i + 1))
             assert np.isnan(shadow.score_correlation())
 
     def test_one_sided_zero_variance_is_nan(self):
-        class _Const:
-            def score(self, prompt, positive, negative):
-                return 0.4
+        def const(text):
+            return 0.4
 
-        shadow = ShadowDeployment(_ScoreStub(0.0), _Const(), window=64)
+        shadow = ShadowDeployment(const, window=64)
         for i in range(8):
-            shadow.score("v" * i)
+            _serve(shadow, _stub(0.0), "v" * i)
         assert np.isnan(shadow.score_correlation())

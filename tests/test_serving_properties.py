@@ -20,6 +20,8 @@ step policies are held to the core's contract.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,7 @@ from repro.serving import (
     ScoreRequest,
     ScoreResult,
 )
+from repro.serving import cluster as cluster_module
 
 from conftest import ENGINE_KINDS, StubClassifier, make_engine
 
@@ -81,7 +84,7 @@ class TestEngineInterleavings:
         admitted: list[ScoreRequest] = []
         engine = make_engine(
             kind,
-            EngineConfig(max_batch_size=batch, max_wait_s=0.0, queue_capacity=capacity),
+            EngineConfig(max_batch_size=batch, queue_capacity=capacity),
             seen=admitted,
         )
         accepted: list[PendingResult] = []
@@ -128,7 +131,7 @@ class TestEngineInterleavings:
     def test_withdraw_resolves_every_queued_request(self, ops, kind):
         engine = make_engine(
             kind,
-            EngineConfig(max_batch_size=2, max_wait_s=0.0, queue_capacity=50),
+            EngineConfig(max_batch_size=2, queue_capacity=50),
         )
         accepted = []
         for op, arg in ops:
@@ -159,46 +162,42 @@ cluster_ops = st.lists(
 class TestClusterInterleavings:
     @given(ops=cluster_ops, replicas=st.integers(1, 3))
     def test_every_accepted_request_resolves_exactly_once(self, ops, replicas):
-        cluster = ClusterSupervisor(
-            _stub_replica_factory,
-            ClusterConfig(
-                replicas=replicas,
-                max_batch_size=3,
-                queue_capacity=4,
-                max_redispatch=3,
-                max_restarts=100,
-            ),
-        )
-        cluster.launch()
-        accepted: list[PendingResult] = []
-        callback_counts: dict[int, int] = {}
-        serial = 0
+        # Enough redispatches and restarts that every replica stays revivable.
+        with mock.patch.multiple(cluster_module, MAX_REDISPATCH=3, MAX_RESTARTS=100):
+            cluster = ClusterSupervisor(
+                _stub_replica_factory,
+                ClusterConfig(replicas=replicas, max_batch_size=3, queue_capacity=4),
+            )
+            cluster.launch()
+            accepted: list[PendingResult] = []
+            callback_counts: dict[int, int] = {}
+            serial = 0
 
-        for op, arg in ops:
-            if op == "submit":
-                serial += 1
-                try:
-                    pending = cluster.submit(ScoreRequest(TENANTS[arg], f"txn-{serial}"))
-                except QueueFullError:
-                    continue
-                key = id(pending)
-                callback_counts[key] = 0
-                pending.add_done_callback(
-                    lambda p, key=key: callback_counts.__setitem__(
-                        key, callback_counts[key] + 1
+            for op, arg in ops:
+                if op == "submit":
+                    serial += 1
+                    try:
+                        pending = cluster.submit(ScoreRequest(TENANTS[arg], f"txn-{serial}"))
+                    except QueueFullError:
+                        continue
+                    key = id(pending)
+                    callback_counts[key] = 0
+                    pending.add_done_callback(
+                        lambda p, key=key: callback_counts.__setitem__(
+                            key, callback_counts[key] + 1
+                        )
                     )
-                )
-                accepted.append(pending)
-            elif op == "pump":
-                cluster.pump()
-            elif op == "kill":
-                cluster.replicas[arg % replicas].transport.kill()
-            else:
-                cluster.check_health()
+                    accepted.append(pending)
+                elif op == "pump":
+                    cluster.pump()
+                elif op == "kill":
+                    cluster.replicas[arg % replicas].transport.kill()
+                else:
+                    cluster.check_health()
 
-        cluster.check_health()  # revive anything dead so drain can finish
-        cluster.drain()
-        cluster.stop()
+            cluster.check_health()  # revive anything dead so drain can finish
+            cluster.drain()
+            cluster.stop()
 
         assert all(p.done for p in accepted)
         assert all(count == 1 for count in callback_counts.values())

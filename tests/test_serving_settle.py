@@ -20,6 +20,9 @@ import pytest
 from repro.errors import QueueFullError, ReplicaCrashedError, ServingError
 from repro.obs import Observability, read_events
 from repro.serving import ClusterConfig, ClusterSupervisor, ReplicaApp, ScoreRequest, ScoreResult
+from repro.serving import cluster as cluster_module
+from repro.serving import engine as engine_module
+from repro.serving.engine import PendingResult, settle_batch
 
 from conftest import (
     StepClock,
@@ -110,8 +113,9 @@ class TestOnePendingPerRequest:
         decided = [e["user_id"] for e in cluster.audit_log() if e["kind"] == "audit.decision"]
         assert sorted(decided) == sorted(r.request.user_id for r in pendings)
 
-    def test_max_redispatch_is_honoured(self, transport):
-        cluster = make_cluster(transport, max_redispatch=0)
+    def test_max_redispatch_is_honoured(self, transport, monkeypatch):
+        monkeypatch.setattr(cluster_module, "MAX_REDISPATCH", 0)
+        cluster = make_cluster(transport)
         cluster.launch()
         try:
             pendings = [cluster.submit(r) for r in requests(4)]
@@ -124,8 +128,9 @@ class TestOnePendingPerRequest:
         assert cluster.stats.redispatched == 0
         assert cluster.stats.failed == len(on_zero)
 
-    def test_tenant_quota_is_released_on_every_outcome(self, transport):
-        cluster = make_cluster(transport, tenant_quota=2, max_redispatch=0)
+    def test_tenant_quota_is_released_on_every_outcome(self, transport, monkeypatch):
+        monkeypatch.setattr(cluster_module, "MAX_REDISPATCH", 0)
+        cluster = make_cluster(transport, tenant_quota=2)
         cluster.launch()
         try:
             cluster.submit(ScoreRequest("acme", "a"))
@@ -276,8 +281,9 @@ class TestBackpressureWhileSettling:
         assert cluster.obs.metrics.counter("cluster.submitted").value == 2
         assert [r.outstanding for r in cluster.replicas] == [0]
 
-    def test_threaded_submitters_at_full_queues_keep_the_workers_serving(self):
-        cluster = make_cluster(max_batch_size=2, queue_capacity=2, max_wait_s=0.0)
+    def test_threaded_submitters_at_full_queues_keep_the_workers_serving(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_WAIT_S", 0.0)
+        cluster = make_cluster(max_batch_size=2, queue_capacity=2)
         admitted: list = []
         refused = [0]
 
@@ -361,11 +367,12 @@ class TestRaisingDoneCallback:
         assert cluster.stats.completed == 3
         assert [r.outstanding for r in cluster.replicas] == [0]
 
-    def test_a_raising_withdrawal_still_settles_the_crashed_batch(self):
+    def test_a_raising_withdrawal_still_settles_the_crashed_batch(self, monkeypatch):
         # A crash withdraws the dead replica's queue inside the crashed
         # batch's settle step; a withdrawn caller's raising callback must
         # not cut that outer settle short.
-        cluster = make_cluster(max_batch_size=2, max_redispatch=0, queue_capacity=16)
+        monkeypatch.setattr(cluster_module, "MAX_REDISPATCH", 0)
+        cluster = make_cluster(max_batch_size=2, queue_capacity=16)
         cluster.launch()
         pendings = [cluster.submit(r) for r in requests(8)]
         queued = replica_queue(cluster, 0)
@@ -379,6 +386,17 @@ class TestRaisingDoneCallback:
         cluster.drain()
         assert all(p.done for p in pendings)
         assert [r.outstanding for r in cluster.replicas] == [0, 0]
+
+    def test_a_raising_callback_runs_the_pendings_later_callbacks(self):
+        pending = PendingResult(ScoreRequest("user-0", "txn 0"))
+        ran: list[str] = []
+        pending.add_done_callback(lambda _p: 1 / 0)
+        pending.add_done_callback(lambda p: ran.append(p.request.user_id))
+        pending.add_done_callback(lambda _p: [][0])
+        with pytest.raises(ZeroDivisionError):
+            settle_batch([(pending, ScoreResult("user-0", 0.1, True, 0.5))], [])
+        assert ran == ["user-0"]
+        assert pending.result(timeout=0).user_id == "user-0"
 
     def test_synchronous_drain_settles_the_batch_then_raises(self):
         engine = make_engine("microbatch")
