@@ -36,7 +36,7 @@ import time
 
 import numpy as np
 
-from repro.baselines.lm import LMClassifier
+from repro.baselines.lm import MAX_NEW_TOKENS, LMClassifier
 from repro.eval.generative import evaluate_generative
 from repro.obs import Observability, render_registry
 
@@ -219,7 +219,7 @@ def run_generation_benchmark(
 
     lines = [
         f"generative eval over {len(examples)} prompts "
-        f"(max_new_tokens={batched.max_new_tokens}, greedy, identical outputs)",
+        f"(max_new_tokens={MAX_NEW_TOKENS}, greedy, identical outputs)",
         "",
         f"{'mode':>32}  {'time (s)':>9}  {'speedup':>8}",
         f"{'sequential generate_answer':>32}  {seq_time:>9.3f}  {1.0:>8.2f}x",

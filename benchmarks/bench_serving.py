@@ -16,7 +16,9 @@ Not a paper table; quantifies what the Behavior Card serving tier buys
   box, pure-compute scaling is honest-to-goodness flat.
 
 ``BENCH_CLUSTER_REPLICAS`` (comma-separated, default ``1,2,4``) bounds
-the replica sweep so CI smoke runs stay cheap.
+the replica sweep so CI smoke runs stay cheap.  Only the full sweep
+rewrites the cluster section of ``results/serving.txt``; a bounded sweep
+prints its section and leaves the committed evidence alone.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ BATCH_SIZES = (8, 16)
 CLUSTER_REQUESTS = 96
 CLUSTER_BATCH = 8
 STALL_S = 0.05  # simulated per-batch feature-store / RPC stall
+FULL_SWEEP = (1, 2, 4)
 REPLICA_SWEEP = tuple(
     int(n) for n in os.environ.get("BENCH_CLUSTER_REPLICAS", "1,2,4").split(",")
 )
@@ -210,16 +213,21 @@ def _cluster_rps(factory, traffic, replicas: int) -> float:
 
 
 def _append_cluster_section(lines) -> None:
-    """Replace the cluster section of serving.txt, keep the batching one."""
+    """Replace the cluster section of serving.txt, keep the batching one.
+
+    A bounded sweep only prints its section: the file holds the full one.
+    """
+    section = "\n".join([CLUSTER_MARKER, *lines])
+    print()
+    print(section)
+    if REPLICA_SWEEP != FULL_SWEEP:
+        return
     path = RESULTS_DIR / "serving.txt"
     head = ""
     if path.exists():
         head = path.read_text().split(CLUSTER_MARKER)[0].rstrip() + "\n"
     RESULTS_DIR.mkdir(exist_ok=True)
-    section = "\n".join([CLUSTER_MARKER, *lines])
     path.write_text(head + "\n" + section + "\n")
-    print()
-    print(section)
 
 
 def test_cluster_replica_scaling(zigong):

@@ -202,7 +202,6 @@ def train_pruned(train, val, epochs: int = 8, seed: int = SEED, gamma: float = 0
             zigong=fast_zigong_config(epochs, seed),
             pruner=PrunerConfig(strategy="tracseq", gamma=gamma, projection_dim=128, seed=seed),
             pruned_fraction=pruned_fraction,
-            warmup_epochs=2,
             seed=seed,
         )
     )

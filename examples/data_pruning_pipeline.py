@@ -51,7 +51,6 @@ def main() -> None:
             zigong=base,
             pruner=PrunerConfig(strategy="tracseq", gamma=0.8, projection_dim=128),
             pruned_fraction=0.3,
-            warmup_epochs=2,
             seed=SEED,
         )
     )

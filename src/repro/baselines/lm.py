@@ -31,6 +31,8 @@ from repro.eval.parsing import parse_answer
 
 # Byte bound on each classifier's prefix cache (its KV snapshots and logits).
 PREFIX_CACHE_BYTES = 64 * 1024 * 1024
+# Answer tokens generated per prompt; the prompt keeps the rest of the context.
+MAX_NEW_TOKENS = 4
 
 
 class LMClassifier(CreditModel):
@@ -40,14 +42,12 @@ class LMClassifier(CreditModel):
         self,
         model: MistralTiny,
         tokenizer: BaseTokenizer,
-        max_new_tokens: int = 4,
         name: str = "lm",
         prefix_cache_size: int = 64,
         obs=None,
     ):
         self.model = model
         self.tokenizer = tokenizer
-        self.max_new_tokens = max_new_tokens
         self.name = name
         self.obs = obs
         # The prefix cache is weight-version-synced inside generate():
@@ -61,7 +61,7 @@ class LMClassifier(CreditModel):
 
     def _prompt_ids(self, prompt: str) -> np.ndarray:
         ids = [self.tokenizer.bos_id] + self.tokenizer.encode(prompt) + [self.tokenizer.sep_id]
-        limit = self.model.config.max_seq_len - self.max_new_tokens
+        limit = self.model.config.max_seq_len - MAX_NEW_TOKENS
         return np.asarray(ids[-limit:], dtype=np.int64)
 
     def _answer_first_token(self, text: str) -> int:
@@ -72,7 +72,7 @@ class LMClassifier(CreditModel):
 
     def _generation_config(self) -> GenerationConfig:
         return GenerationConfig(
-            max_new_tokens=self.max_new_tokens,
+            max_new_tokens=MAX_NEW_TOKENS,
             stop_tokens=(self.tokenizer.eos_id,),
         )
 

@@ -47,7 +47,6 @@ class ZiGongConfig:
     training: TrainingConfig = field(default_factory=TrainingConfig)
     base_lr: float = 3e-3
     min_lr: float = 3e-4
-    warmup_steps: int = 5
     seed: int = 0
 
     def __post_init__(self):

@@ -27,6 +27,9 @@ from repro.data.instruct import InstructExample
 from repro.data.mixing import hybrid_mix
 from repro.training.callbacks import History
 
+# Epochs of the warmup fine-tune that only produces replay checkpoints.
+WARMUP_EPOCHS = 2
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -35,14 +38,11 @@ class PipelineConfig:
     zigong: ZiGongConfig = field(default_factory=test_config)
     pruner: PrunerConfig = field(default_factory=PrunerConfig)
     pruned_fraction: float = 0.3
-    warmup_epochs: int = 2
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.pruned_fraction <= 1.0:
             raise ConfigError("pruned_fraction must be in [0, 1]")
-        if self.warmup_epochs <= 0:
-            raise ConfigError("warmup_epochs must be positive")
 
 
 @dataclass
@@ -85,7 +85,7 @@ class ZiGongPipeline:
             # Stage 1: warmup fine-tune to produce checkpoints for replay.
             warmup_cfg = replace(
                 cfg.zigong,
-                training=replace(cfg.zigong.training, epochs=cfg.warmup_epochs),
+                training=replace(cfg.zigong.training, epochs=WARMUP_EPOCHS),
                 seed=cfg.seed,
             )
             warmup = ZiGong.from_examples(

@@ -41,10 +41,6 @@ class PrunerConfig:
           (the PPL metric of Li et al., 2023);
         * ``random``   — uniform noise (control).
 
-    ``normalize_gradients`` switches the gradient dot products to cosine
-    similarity (LESS-style), removing the magnitude bias of raw
-    influence sums.
-
     ``workers`` fans checkpoint replays out across a process pool, and
     ``cache_dir`` adds a disk tier to the gradient store so repeated
     scoring runs (or gamma sweeps) reuse previously computed rows — see
@@ -53,9 +49,7 @@ class PrunerConfig:
 
     strategy: str = "tracseq"
     gamma: float = 0.9
-    use_sample_time: bool = True
     projection_dim: int | None = 128
-    normalize_gradients: bool = False
     workers: int = 0
     cache_dir: str | None = None
     seed: int = 0
@@ -101,7 +95,6 @@ class DataPruner:
             checkpoints,
             gamma=cfg.gamma,
             projector=projector,
-            normalize=cfg.normalize_gradients,
             workers=cfg.workers,
             cache_dir=cfg.cache_dir,
         )
@@ -132,7 +125,7 @@ class DataPruner:
         train_tokens = zigong.tokenize(train_examples)
         val_tokens = zigong.tokenize(val_examples)
         influence = tracer.influence(train_tokens, val_tokens).sum(axis=1)
-        if cfg.strategy in ("tracseq", "combined") and cfg.use_sample_time:
+        if cfg.strategy in ("tracseq", "combined"):
             influence = influence * tracer.sample_decay(timestamps_of(train_examples))
         if cfg.strategy == "combined":
             agent = self._agent_scores(train_examples)

@@ -31,6 +31,9 @@ from repro.training.callbacks import History
 from repro.training.checkpoint import CheckpointManager
 from repro.training.trainer import Trainer
 
+# Linear learning-rate warmup before the cosine decay, in optimizer steps.
+WARMUP_STEPS = 5
+
 
 class ZiGong:
     """A financial-credit instruction-following model."""
@@ -101,11 +104,11 @@ class ZiGong:
         encoded = self.tokenize(examples)
         training = self.config.training
         steps_per_epoch = max(1, len(encoded) // training.batch_size)
-        total_steps = max(training.epochs * steps_per_epoch, self.config.warmup_steps + 1)
+        total_steps = max(training.epochs * steps_per_epoch, WARMUP_STEPS + 1)
         schedule = CosineDecayLR(
             self.config.base_lr,
             total_steps=total_steps,
-            warmup_steps=min(self.config.warmup_steps, total_steps - 1),
+            warmup_steps=min(WARMUP_STEPS, total_steps - 1),
             min_lr=self.config.min_lr,
         )
         manager = None

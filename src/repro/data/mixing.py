@@ -23,7 +23,6 @@ def hybrid_mix(
     total: int | None = None,
     pruned_fraction: float = 0.3,
     seed: int = 0,
-    allow_overlap: bool = False,
     labels: Sequence[int] | None = None,
 ) -> list[T]:
     """Build the paper's 70/30 random + high-influence training mix.
@@ -38,9 +37,8 @@ def hybrid_mix(
         Target training-set size (defaults to ``len(examples)``).
     pruned_fraction:
         Share of the mix taken from the Top-K by score (paper: 0.3).
-    allow_overlap:
-        If False (default), the random portion is drawn from outside the
-        Top-K so the mix has no duplicates.
+        The random portion is drawn from outside the Top-K, so the mix
+        has no duplicates.
     labels:
         Optional class labels aligned with ``examples``.  When given, the
         Top-K selection is stratified per class, preventing the pruned
@@ -66,10 +64,7 @@ def hybrid_mix(
         pruned_idx = stratified_top_k(scores, np.asarray(labels), n_pruned)
     else:
         pruned_idx = top_k_indices(scores, n_pruned)
-    if allow_overlap:
-        pool = np.arange(len(examples))
-    else:
-        pool = np.setdiff1d(np.arange(len(examples)), pruned_idx)
+    pool = np.setdiff1d(np.arange(len(examples)), pruned_idx)
     if n_random > pool.size:
         raise DataError(
             f"cannot draw {n_random} non-overlapping random samples from a pool of {pool.size}"

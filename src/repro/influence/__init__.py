@@ -43,7 +43,7 @@ def make_estimator(name: str, model, checkpoints, **kwargs) -> DataInfluence:
     """Build an influence estimator by name (CLI / serving factory).
 
     Estimator-specific knobs that don't apply to the chosen backend —
-    ``gamma`` for non-TracSeq, ``lam`` / ``lam_scale`` for non-DataInf —
+    ``gamma`` for non-TracSeq, ``lam`` for non-DataInf —
     are dropped rather than rejected, so one call site can carry a full
     knob set and let the name pick what matters.
     """
@@ -59,7 +59,6 @@ def make_estimator(name: str, model, checkpoints, **kwargs) -> DataInfluence:
         kwargs.pop("gamma", None)
     if name != "datainf":
         kwargs.pop("lam", None)
-        kwargs.pop("lam_scale", None)
     return cls(model, checkpoints, **kwargs)
 
 

@@ -20,13 +20,16 @@ from repro.errors import InfluenceError
 from repro.ml.features import HashingVectorizer
 from repro.ml.logistic import LogisticRegression
 
+# Width of the hashed bag-of-words features.
+N_FEATURES = 256
+
 
 class AgentScorer:
     """Score instruction samples with a lightweight domain model."""
 
-    def __init__(self, n_features: int = 256, model: LogisticRegression | None = None):
-        self.vectorizer = HashingVectorizer(n_features=n_features)
-        self.model = model or LogisticRegression()
+    def __init__(self):
+        self.vectorizer = HashingVectorizer(n_features=N_FEATURES)
+        self.model = LogisticRegression()
         self._fitted = False
 
     def fit(self, texts: Sequence[str], labels: Sequence[int]) -> "AgentScorer":

@@ -61,10 +61,10 @@ class TokenInfluence:
     sequence position ``positions[t]`` to training example ``i``'s
     influence.  Positions cover the *supervised* label positions (the
     answer span; prompt positions masked to ``-100`` carry no loss and
-    therefore no attribution).  With unnormalized gradients (the
-    default), ``scores.sum(axis=1)`` equals the sequence-level
-    ``influence()`` column for this test example (up to backward-pass
-    roundoff) — attribution is a decomposition, not a heuristic.
+    therefore no attribution).  ``scores.sum(axis=1)`` equals the
+    sequence-level ``influence()`` column for this test example (up to
+    backward-pass roundoff) — attribution is a decomposition, not a
+    heuristic.
     """
 
     positions: tuple[int, ...]
@@ -100,11 +100,6 @@ class DataInfluence(abc.ABC):
         Optional :class:`GradientProjector`; with many samples the
         sketched computation is much cheaper and near-identical in
         ranking.
-    normalize:
-        Cosine-similarity variant (LESS-style): unit-normalize gradients
-        so large-gradient (high-loss / majority-aligned) samples cannot
-        dominate purely by magnitude.  Rows are stored raw; the engine
-        normalizes at recombination time, so one store serves both modes.
     store / cache_dir:
         Gradient row cache.  By default each estimator gets a private
         in-memory :class:`GradientStore`; pass an explicit ``store`` to
@@ -132,7 +127,6 @@ class DataInfluence(abc.ABC):
         model,
         checkpoints: Sequence[CheckpointRecord],
         projector: GradientProjector | None = None,
-        normalize: bool = False,
         obs: Observability | None = None,
         store: GradientStore | None = None,
         cache_dir=None,
@@ -143,7 +137,6 @@ class DataInfluence(abc.ABC):
         self.model = model
         self.checkpoints = sorted(checkpoints, key=lambda r: r.step)
         self.projector = projector
-        self.normalize = normalize
         self.obs = obs or get_observability()
         if store is None and cache_dir is not None:
             store = GradientStore(cache_dir=cache_dir, obs=self.obs)
@@ -151,7 +144,6 @@ class DataInfluence(abc.ABC):
             model,
             self.checkpoints,
             projector=projector,
-            normalize=normalize,
             store=store,
             workers=workers,
             obs=self.obs,

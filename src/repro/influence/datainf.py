@@ -25,7 +25,7 @@ of its speedup — at the cost of a curvature approximation that is
 tightest in low-rank (LoRA) subspaces.
 
 The regularizer defaults to the paper's heuristic
-``lam_l = lam_scale * mean_i |g_il|^2 / d_l``; pass an explicit ``lam``
+``lam_l = LAM_SCALE * mean_i |g_il|^2 / d_l``; pass an explicit ``lam``
 to pin it (the golden test compares against an explicit
 ``np.linalg.inv`` construction at a fixed ``lam``).
 
@@ -67,6 +67,9 @@ from repro.influence.gradients import (
 from repro.influence.store import TokenSet
 from repro.training.checkpoint import CheckpointRecord
 
+# Scale of the per-layer regularizer heuristic (Kwon et al. use 0.1).
+LAM_SCALE = 0.1
+
 
 class DataInf(DataInfluence):
     """Closed-form influence over the final checkpoint's LoRA gradients.
@@ -79,17 +82,11 @@ class DataInf(DataInfluence):
     lam:
         Explicit Hessian regularizer applied to every layer.  Default
         ``None`` uses the paper's per-layer heuristic
-        ``lam_scale * mean_i |g_il|^2 / d_l``.
-    lam_scale:
-        Scale of the per-layer heuristic; the paper uses ``0.1``.
+        ``LAM_SCALE * mean_i |g_il|^2 / d_l``.
     projector:
         Optional gradient sketch.  Projection mixes layers, so the
         per-layer closed form collapses to a single block over the
         sketched vector — still Sherman-Morrison, just one "layer".
-    normalize:
-        Unit-normalize raw gradient rows before the adjustment
-        (cosine-style).  Note token-wise attribution is only an exact
-        decomposition with ``normalize=False``.
     store / cache_dir / workers / obs:
         As in :class:`~repro.influence.api.DataInfluence`.  Share the
         ``store`` with a TracIn tracer and DataInf reuses its raw rows
@@ -104,17 +101,13 @@ class DataInf(DataInfluence):
         model,
         checkpoints: Sequence[CheckpointRecord],
         lam: float | None = None,
-        lam_scale: float = 0.1,
         **kwargs,
     ):
         if lam is not None and lam <= 0:
             raise InfluenceError(f"lam must be positive, got {lam}")
-        if lam_scale <= 0:
-            raise InfluenceError(f"lam_scale must be positive, got {lam_scale}")
         super().__init__(model, sorted(checkpoints, key=lambda r: r.step)[-1:], **kwargs)
         self.checkpoint = self.checkpoints[0]
         self.lam = float(lam) if lam is not None else None
-        self.lam_scale = float(lam_scale)
         # The resident training block, see _train_block.
         self._resident: tuple | None = None
 
@@ -142,7 +135,7 @@ class DataInf(DataInfluence):
             mean_sq = float((block * block).sum(axis=1).mean())
             # An all-zero block (untouched adapter) would make lam 0 and
             # the inverse blow up; fall back to a unit regularizer.
-            lams.append(self.lam_scale * mean_sq / d_l if mean_sq > 0 else 1.0)
+            lams.append(LAM_SCALE * mean_sq / d_l if mean_sq > 0 else 1.0)
         return lams
 
     def _train_block(self, train: TokenSet) -> np.ndarray:
@@ -163,7 +156,7 @@ class DataInf(DataInfluence):
         return self._resident[1]
 
     def _rows(self, examples: Sequence[TokenExample]) -> np.ndarray:
-        """Raw (or unit-normalized) gradient rows at the final checkpoint."""
+        """Raw gradient rows at the final checkpoint."""
         return self.engine.stacked_rows(examples, span_name="influence.datainf.rows")
 
     def _adjust(self, g_train: np.ndarray) -> np.ndarray:
@@ -234,9 +227,8 @@ class DataInf(DataInfluence):
         """Per-token decomposition of the test example's influence column.
 
         ``H^{-1}`` is linear in the test gradient and the sequence loss
-        is the mean over supervised positions, so with ``normalize=False``
-        the token scores sum to ``influence(train, [test_example])[:, 0]``
-        exactly — the same identity TracIn enjoys, surviving the
+        is the mean over supervised positions, so the token scores sum
+        to ``influence(train, [test_example])[:, 0]`` exactly — the same identity TracIn enjoys, surviving the
         Hessian adjustment because the adjustment is linear.
         """
         variants, positions = per_token_examples(test_example)

@@ -110,7 +110,7 @@ class ParallelInfluenceEngine:
 
     Parameters
     ----------
-    model / checkpoints / projector / normalize:
+    model / checkpoints / projector:
         As in :class:`~repro.influence.tracin.TracInCP`.  The model is
         copied once here; every replay runs on that copy, so the
         caller's model is read at construction and never written.
@@ -130,7 +130,6 @@ class ParallelInfluenceEngine:
         model,
         checkpoints: Sequence[CheckpointRecord],
         projector: GradientProjector | None = None,
-        normalize: bool = False,
         store: GradientStore | None = None,
         workers: int = 0,
         obs: Observability | None = None,
@@ -150,7 +149,6 @@ class ParallelInfluenceEngine:
         self._plan = TracePlan(self._replay_model)
         self.checkpoints = sorted(checkpoints, key=lambda r: r.step)
         self.projector = projector
-        self.normalize = normalize
         self.obs = obs or get_observability()
         self.store = store if store is not None else GradientStore(obs=self.obs)
         self.workers = workers
@@ -302,7 +300,7 @@ class ParallelInfluenceEngine:
         made one (which hashes them), and are deduped by content hash,
         so one appearing twice gets one gradient row.  ``visit(index, rows)`` gets the
         checkpoint's ``(len(examples), dim)`` row matrix in example
-        order (unit-normalized when the engine normalizes) inside an
+        order inside an
         ``influence.checkpoint`` span; its return values come back as a
         list.  Each row is looked up once (see :meth:`_get`); each
         checkpoint's misses are one job, computed on the resident replay
@@ -342,8 +340,7 @@ class ParallelInfluenceEngine:
         """Gradient rows for ``examples`` at the final checkpoint.
 
         The final model is the only checkpoint single-model estimators
-        like DataInf look at.  Rows are unit-normalized when the engine
-        normalizes, raw otherwise.  They come from the store when
+        like DataInf look at.  Rows come from the store when
         present; misses are computed (fanned out across workers when
         configured) and cached, so any estimator sharing this store
         reuses them.  Inside a request, a query's rows are the
@@ -363,11 +360,7 @@ class ParallelInfluenceEngine:
         return rows
 
     def _stack(self, rows: dict[str, np.ndarray], hashes: Sequence[str]) -> np.ndarray:
-        matrix = np.stack([rows[example_hash] for example_hash in hashes])
-        if self.normalize:
-            norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-            matrix = matrix / np.maximum(norms, 1e-12)
-        return matrix
+        return np.stack([rows[example_hash] for example_hash in hashes])
 
     # -- recombination -------------------------------------------------
 

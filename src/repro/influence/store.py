@@ -12,7 +12,7 @@ on at scale).
 Two tiers:
 
 * **memory** — an LRU of individual rows bounded by entry count and
-  bytes (:attr:`GradientStore.max_entries` / ``max_bytes``).
+  bytes (:attr:`GradientStore.max_entries` / :data:`MAX_BYTES`).
 * **disk** (optional) — one ``.npz`` shard per ``(checkpoint step,
   projector key)``, written atomically next to the checkpoint directory
   (``cache_dir``), so a warm cache survives the process.
@@ -36,6 +36,9 @@ import numpy as np
 from repro.obs import Observability, get_observability
 
 StoreKey = tuple[int, str, str]
+
+# Byte bound on a store's in-memory tier.
+MAX_BYTES = 256 << 20
 
 
 def example_content_hash(example) -> str:
@@ -94,10 +97,11 @@ class GradientStore:
 
     Parameters
     ----------
-    max_entries / max_bytes:
-        Bounds on the in-memory LRU tier.  ``max_entries=0`` disables
-        memory caching entirely (used by benchmarks as the uncached
-        baseline).  Evicted rows remain available from disk.
+    max_entries:
+        Entry bound on the in-memory LRU tier, which also holds at most
+        :data:`MAX_BYTES` of rows.  ``max_entries=0`` disables memory
+        caching entirely (used by benchmarks as the uncached baseline).
+        Evicted rows remain available from disk.
     cache_dir:
         Optional directory for the disk tier.  Shards are only written
         on :meth:`flush` and are loaded lazily, one ``(step, projector)``
@@ -109,16 +113,14 @@ class GradientStore:
     def __init__(
         self,
         max_entries: int = 65536,
-        max_bytes: int = 256 << 20,
         cache_dir: str | Path | None = None,
         obs: Observability | None = None,
     ):
-        if max_entries < 0 or max_bytes < 0:
+        if max_entries < 0:
             from repro.errors import InfluenceError
 
-            raise InfluenceError("store bounds must be non-negative")
+            raise InfluenceError("max_entries must be non-negative")
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -168,7 +170,7 @@ class GradientStore:
         self._rows[key] = row
         self._bytes += row.nbytes
         while self._rows and (
-            len(self._rows) > self.max_entries or self._bytes > self.max_bytes
+            len(self._rows) > self.max_entries or self._bytes > MAX_BYTES
         ):
             _, evicted = self._rows.popitem(last=False)
             self._bytes -= evicted.nbytes

@@ -70,10 +70,7 @@ class TracInCP(DataInfluence):
         single-position variant (its gradient is an ordinary cached
         row), and the sequence loss being the mean over supervised
         positions, the variant columns divided by their count sum to
-        exactly ``influence(train, [test_example])[:, 0]`` — with raw
-        (unnormalized) gradients.  Under ``normalize=True`` the cosine
-        rescaling is per-row and nonlinear, so token scores remain a
-        ranking signal but no longer a strict decomposition.
+        exactly ``influence(train, [test_example])[:, 0]``.
         """
         variants, positions = per_token_examples(test_example)
         # The example rides along: its row comes out of the variants'

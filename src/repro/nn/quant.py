@@ -50,10 +50,10 @@ from repro.nn.layers import Embedding, Linear, RMSNorm, linear_np, rms_norm_np
 from repro.nn.mlp import SwiGLU, swiglu_np
 from repro.nn.module import Buffer, Module, ModuleList, Parameter
 
-#: Attribute names swapped by default: attention q/k/v/o projections,
-#: the SwiGLU gate/up/down projections, and an untied LM head.  The
-#: classifier ``head`` is opt-in via ``quantize_head=True``.
-DEFAULT_TARGETS = frozenset({"wq", "wk", "wv", "wo", "w1", "w2", "w3", "lm_head"})
+#: Attribute names of the linear layers swapped: attention q/k/v/o
+#: projections, the SwiGLU gate/up/down projections, and an untied LM
+#: head.  A classifier ``head`` stays float.
+TARGETS = frozenset({"wq", "wk", "wv", "wo", "w1", "w2", "w3", "lm_head"})
 
 _QMAX = 127.0
 
@@ -205,17 +205,12 @@ def _iter_modules(root: Module):
 def quantize_model(
     model: Module,
     dtype: str = "int8",
-    quantize_embeddings: bool = True,
-    quantize_head: bool = False,
-    targets=None,
 ) -> Module:
     """Swap eligible layers for int8 twins and fuse the inference path.
 
     Walks the module tree replacing every :class:`~repro.nn.Linear`
-    whose attribute name is in ``targets`` (default:
-    attention q/k/v/o + SwiGLU w1/w2/w3 + ``lm_head``; add the
-    classifier ``head`` with ``quantize_head=True``) with a
-    :class:`QuantizedLinear`, and — when ``quantize_embeddings`` —
+    whose attribute name is in :data:`TARGETS` (attention q/k/v/o +
+    SwiGLU w1/w2/w3 + ``lm_head``) with a :class:`QuantizedLinear`, and
     every :class:`~repro.nn.Embedding` with a
     :class:`QuantizedEmbedding`.  Merged LoRA wrappers at target names
     are collapsed onto their (already merged) base weight; **unmerged**
@@ -241,25 +236,21 @@ def quantize_model(
                 "repro.lora.merge_lora(model) first."
             )
 
-    target_names = set(DEFAULT_TARGETS if targets is None else targets)
-    if quantize_head:
-        target_names.add("head")
-
     replaced = 0
     for module in list(_iter_modules(model)):
         for key, value in list(vars(module).items()):
-            if isinstance(value, LoRALinear) and key in target_names:
+            if isinstance(value, LoRALinear) and key in TARGETS:
                 setattr(module, key, QuantizedLinear.from_linear(value.base))
                 replaced += 1
-            elif isinstance(value, Linear) and key in target_names:
+            elif isinstance(value, Linear) and key in TARGETS:
                 setattr(module, key, QuantizedLinear.from_linear(value))
                 replaced += 1
-            elif isinstance(value, Embedding) and quantize_embeddings:
+            elif isinstance(value, Embedding):
                 setattr(module, key, QuantizedEmbedding.from_embedding(value))
                 replaced += 1
     if replaced == 0:
         raise QuantizationError(
-            f"quantize_model found no eligible layers (targets={sorted(target_names)})"
+            f"quantize_model found no eligible layers (targets={sorted(TARGETS)})"
         )
 
     from repro.nn.transformer import MistralTiny  # local import: avoid cycle at module load

@@ -44,8 +44,14 @@ class ModelConfig:
     tie_embeddings: bool = True
 
     def __post_init__(self):
-        if self.vocab_size <= 0:
-            raise ConfigError("vocab_size must be positive")
+        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "n_kv_heads", "d_ff",
+                     "max_seq_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        # A window below 1 masks every key, and softmax over an all-masked
+        # row attends uniformly, future positions included.
+        if self.sliding_window is not None and self.sliding_window < 1:
+            raise ConfigError(f"sliding_window must be positive or None, got {self.sliding_window}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} must be divisible by n_heads={self.n_heads}"

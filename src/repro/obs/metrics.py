@@ -25,6 +25,9 @@ from typing import Mapping
 
 from repro.errors import ObservabilityError
 
+# Observations a histogram's quantiles describe (the most recent ones).
+HISTOGRAM_WINDOW = 2048
+
 LabelItems = tuple[tuple[str, str], ...]
 
 
@@ -85,9 +88,9 @@ class Gauge:
 class Histogram:
     """Distribution summary: exact count/sum/min/max, windowed quantiles.
 
-    The window (default 2048 observations) bounds memory on long runs;
-    quantiles therefore describe *recent* behavior, which is what a
-    latency dashboard wants anyway.
+    The window (:data:`HISTOGRAM_WINDOW` observations) bounds memory on
+    long runs; quantiles therefore describe *recent* behavior, which is
+    what a latency dashboard wants anyway.
 
     Recording takes no lock: ``observe`` / ``observe_many`` append to a
     pending queue (``deque.append`` / ``extend`` are atomic), and the
@@ -102,17 +105,10 @@ class Histogram:
         "_pending",
     )
 
-    def __init__(
-        self,
-        name: str,
-        labels: Mapping[str, object] | None = None,
-        window: int = 2048,
-    ):
-        if window <= 0:
-            raise ObservabilityError(f"histogram window must be positive, got {window}")
+    def __init__(self, name: str, labels: Mapping[str, object] | None = None):
         self.name = name
         self.labels = dict(labels or {})
-        self.window = window
+        self.window = window = HISTOGRAM_WINDOW
         self._lock = threading.Lock()
         self._count = 0
         self._sum = 0.0
@@ -281,15 +277,10 @@ class MetricsRegistry:
             return _NULL  # type: ignore[return-value]
         return self._get(self._gauges, Gauge, name, labels)
 
-    def histogram(self, name: str, /, window: int = 2048, **labels) -> Histogram:
+    def histogram(self, name: str, /, **labels) -> Histogram:
         if not self.enabled:
             return _NULL  # type: ignore[return-value]
-        return self._get(
-            self._histograms,
-            lambda n, l: Histogram(n, l, window=window),
-            name,
-            labels,
-        )
+        return self._get(self._histograms, Histogram, name, labels)
 
     def snapshot(self) -> dict[str, dict]:
         """A JSON-able point-in-time view of every series."""

@@ -33,6 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.events import EventSink
     from repro.obs.metrics import Histogram, MetricsRegistry
 
+# Completed root spans a tracer keeps.
+MAX_ROOTS = 256
+
 
 @dataclass(slots=True)
 class Span:
@@ -75,6 +78,9 @@ _NULL_SPAN = _NullSpan()
 class Tracer:
     """Builds trace trees; thread-safe via a per-thread span stack.
 
+    At most :data:`MAX_ROOTS` completed root spans are kept, oldest
+    evicted first.
+
     Parameters
     ----------
     clock:
@@ -83,8 +89,6 @@ class Tracer:
     metrics / events:
         Optional :class:`MetricsRegistry` / :class:`EventSink` that every
         finished span is mirrored into.
-    max_roots:
-        Bound on retained completed root spans (oldest evicted first).
     """
 
     def __init__(
@@ -93,13 +97,12 @@ class Tracer:
         enabled: bool = True,
         metrics: "MetricsRegistry | None" = None,
         events: "EventSink | None" = None,
-        max_roots: int = 256,
     ):
         self.enabled = enabled
         self._clock = clock
         self._metrics = metrics
         self._events = events
-        self.roots: deque[Span] = deque(maxlen=max_roots)
+        self.roots: deque[Span] = deque(maxlen=MAX_ROOTS)
         self._local = threading.local()
         # span name -> its span.duration_s histogram, looked up once per name
         self._durations: dict[str, "Histogram"] = {}

@@ -1,4 +1,4 @@
-"""AdamW with decoupled weight decay — the paper's optimizer (Table 3)."""
+"""AdamW — the paper's optimizer (Table 3)."""
 
 from __future__ import annotations
 
@@ -9,27 +9,21 @@ import numpy as np
 from repro.nn.module import Parameter
 from repro.optim.optimizer import Optimizer
 
+# The paper's moment decays (Table 3) and the usual denominator guard.
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+
 
 class AdamW(Optimizer):
-    """AdamW (Loshchilov & Hutter).
+    """AdamW (Loshchilov & Hutter) with the paper's ``beta1=0.9``, ``beta2=0.999``.
 
-    Defaults follow the paper: ``beta1=0.9``, ``beta2=0.999``.  Weight
-    decay is decoupled (applied directly to the weights, not the
-    gradient).
+    The paper's recipe sets no weight decay, so the decoupled decay term
+    is zero and the update is Adam's.
     """
 
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: Sequence[Parameter], lr: float = 1e-3):
         super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+        self.beta1, self.beta2 = BETAS
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
@@ -51,6 +45,4 @@ class AdamW(Optimizer):
             v += (1.0 - self.beta2) * (g * g)
             m_hat = m / bias1
             v_hat = v / bias2
-            if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(np.float32)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + EPS)).astype(np.float32)

@@ -71,6 +71,10 @@ from repro.training.checkpoint import CheckpointManager
 _CHECKPOINT_STRATEGIES = ("tracseq", "tracin", "datainf", "combined", "ppl")
 # Recent shadow prompts replayed through the cluster after a deploy.
 VERIFY_PROBES = 4
+# Share of a retrain window held out as the influence validation set.
+INFLUENCE_VAL_FRACTION = 0.15
+# Epochs of the per-round warmup fine-tune that produces replay checkpoints.
+WARMUP_EPOCHS = 1
 
 
 @dataclass(frozen=True)
@@ -91,9 +95,7 @@ class OnlineConfig:
     min_retrain_examples: int = 8
     keep_fraction: float = 0.7
     influence_strategy: str = "agent"
-    influence_val_fraction: float = 0.15
     retrain_epochs: int = 2
-    warmup_epochs: int = 1
     shadow_requests: int = 24
     shadow_window: int = 256
     gate: PromotionGate = field(default_factory=PromotionGate)
@@ -106,10 +108,8 @@ class OnlineConfig:
             raise ConfigError("min_observations must be at least n_bins")
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ConfigError(f"keep_fraction must be in (0, 1], got {self.keep_fraction}")
-        if not 0.0 < self.influence_val_fraction < 1.0:
-            raise ConfigError("influence_val_fraction must be in (0, 1)")
-        if self.retrain_epochs < 1 or self.warmup_epochs < 1:
-            raise ConfigError("retrain_epochs and warmup_epochs must be at least 1")
+        if self.retrain_epochs < 1:
+            raise ConfigError("retrain_epochs must be at least 1")
         if self.shadow_requests < 1:
             raise ConfigError("shadow_requests must be at least 1")
         if self.shadow_window < self.shadow_requests:
@@ -378,7 +378,7 @@ class OnlinePipeline:
         keep = max(1, int(round(cfg.keep_fraction * len(recent))))
         if keep >= len(recent):
             return recent
-        n_val = max(1, int(round(cfg.influence_val_fraction * len(recent))))
+        n_val = max(1, int(round(INFLUENCE_VAL_FRACTION * len(recent))))
         train, val = recent[:-n_val], recent[-n_val:]
         keep = min(keep, len(train))
         checkpoints = ()
@@ -387,7 +387,7 @@ class OnlinePipeline:
             # Gradient-replay estimators need checkpoints: run a short
             # warmup fine-tune of a deployed-weights clone to produce
             # them (the ZiGongPipeline warmup pattern, per round).
-            scorer = self._clone_deployed(epochs=cfg.warmup_epochs)
+            scorer = self._clone_deployed(epochs=WARMUP_EPOCHS)
             warmup_dir = round_dir / "warmup"
             scorer.finetune(train, checkpoint_dir=warmup_dir)
             checkpoints = CheckpointManager(warmup_dir).checkpoints()

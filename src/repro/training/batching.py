@@ -64,7 +64,6 @@ def iter_batches(
     max_len: int | None = None,
     shuffle: bool = True,
     rng=None,
-    drop_last: bool = False,
 ) -> Iterator[TokenBatch]:
     """Yield :class:`TokenBatch` objects over ``examples``."""
     if batch_size <= 0:
@@ -74,6 +73,4 @@ def iter_batches(
         default_rng(rng).shuffle(order)
     for start in range(0, len(order), batch_size):
         index = order[start : start + batch_size]
-        if drop_last and len(index) < batch_size:
-            break
         yield collate([examples[i] for i in index], pad_id=pad_id, max_len=max_len)

@@ -47,17 +47,9 @@ class CheckpointRecord:
     extra: Mapping = field(default_factory=dict, compare=False)
 
     @property
-    def meta_path(self) -> Path:
-        return self.path.with_suffix(".json")
-
-    @property
     def opt_path(self) -> Path:
         """Optimizer-state arrays (``.opt.npz``); absent for param-only saves."""
         return self.path.with_suffix(".opt.npz")
-
-    @property
-    def has_optimizer_state(self) -> bool:
-        return self.opt_path.exists()
 
 
 class CheckpointManager:
@@ -70,14 +62,10 @@ class CheckpointManager:
     def __init__(
         self,
         directory: str | Path,
-        keep: int | None = None,
         obs: Observability | None = None,
     ):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        if keep is not None and keep <= 0:
-            raise CheckpointError(f"keep must be positive or None, got {keep}")
-        self.keep = keep
         self.obs = obs or get_observability()
         self._m_orphans = self.obs.metrics.counter("checkpoint.orphans_skipped")
 
@@ -125,20 +113,10 @@ class CheckpointManager:
             tmp_npz.unlink(missing_ok=True)
             tmp_json.unlink(missing_ok=True)
             tmp_opt.unlink(missing_ok=True)
-        record = CheckpointRecord(
+        return CheckpointRecord(
             step=step, lr=lr, path=path,
             extra=MappingProxyType(dict(extra) if extra else {}),
         )
-        if self.keep is not None:
-            self._prune()
-        return record
-
-    def _prune(self) -> None:
-        records = self.checkpoints()
-        for record in records[: max(0, len(records) - self.keep)]:
-            record.path.unlink(missing_ok=True)
-            record.meta_path.unlink(missing_ok=True)
-            record.opt_path.unlink(missing_ok=True)
 
     def checkpoints(self) -> list[CheckpointRecord]:
         """All stored checkpoints, ordered by step.

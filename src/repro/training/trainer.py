@@ -34,6 +34,9 @@ from repro.training.checkpoint import CheckpointManager
 
 TokenExample = tuple[list[int], list[int]]
 
+# Global gradient-norm bound applied before every optimizer step.
+CLIP_NORM = 1.0
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -47,16 +50,10 @@ class TrainingConfig:
     epochs: int = 1
     batch_size: int = 8
     grad_accum_steps: int = 1
-    max_steps: int | None = None
-    clip_norm: float | None = 1.0
     checkpoint_every: int | None = None
     pad_id: int = 0
-    max_seq_len: int | None = None
     shuffle: bool = True
     seed: int = 0
-    # Fail loudly on NaN/Inf losses or gradients instead of silently
-    # corrupting the weights (and every checkpoint after them).
-    detect_anomalies: bool = True
 
     def __post_init__(self):
         if self.epochs <= 0:
@@ -140,10 +137,12 @@ class Trainer:
     def _run_micro_batch(self, batch) -> float:
         loss = self.model.loss(batch.input_ids, batch.labels)
         value = loss.item()
-        if self.config.detect_anomalies and not np.isfinite(value):
+        # Fail loudly on NaN/Inf instead of silently corrupting the
+        # weights (and every checkpoint after them).
+        if not np.isfinite(value):
             raise GradientError(
                 f"non-finite loss ({value}) at step {self.global_step}; "
-                "lower the learning rate or enable gradient clipping"
+                "lower the learning rate"
             )
         scaled = loss * (1.0 / self.config.grad_accum_steps)
         scaled.backward()
@@ -163,8 +162,7 @@ class Trainer:
         cfg = self.config
         micro = cfg.batch_size // cfg.grad_accum_steps
         rng = np.random.default_rng(cfg.seed)
-        max_len = cfg.max_seq_len or self.model.config.max_seq_len
-        stop = False
+        max_len = self.model.config.max_seq_len
 
         start_epoch = 0
         skip_micro = 0
@@ -212,19 +210,13 @@ class Trainer:
                 self._micro_consumed += 1
                 if len(pending) < cfg.grad_accum_steps:
                     continue
-                loss = self._step(pending)
+                epoch_losses.append(self._step(pending))
                 pending = []
-                epoch_losses.append(loss)
-                if cfg.max_steps is not None and self.global_step >= cfg.max_steps:
-                    stop = True
-                    break
-            if pending and not stop:
+            if pending:
                 epoch_losses.append(self._step(pending))
             mean_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
             self.history.on_epoch_end(epoch, mean_loss)
             self._metrics.on_epoch_end(epoch, mean_loss)
-            if stop:
-                break
         return self.history
 
     def _save_checkpoint(self, step: int, lr: float) -> None:
@@ -257,13 +249,8 @@ class Trainer:
             self.optimizer.lr = lr
             self.optimizer.zero_grad()
             losses = [self._run_micro_batch(batch) for batch in micro_batches]
-            if self.config.clip_norm is not None:
-                grad_norm = clip_grad_norm(self.optimizer.params, self.config.clip_norm)
-            else:
-                from repro.optim.clip import global_grad_norm
-
-                grad_norm = global_grad_norm(self.optimizer.params)
-            if self.config.detect_anomalies and not np.isfinite(grad_norm):
+            grad_norm = clip_grad_norm(self.optimizer.params, CLIP_NORM)
+            if not np.isfinite(grad_norm):
                 raise GradientError(
                     f"non-finite gradient norm at step {self.global_step}; "
                     "check inputs and learning rate"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.lm import LMClassifier
+from repro.baselines.lm import MAX_NEW_TOKENS, LMClassifier
 from repro.config import bench_config
 from repro.config import test_config as make_test_config
 from repro.core import ZiGong
@@ -117,7 +117,7 @@ class TestOnePrompt:
         long_text = " ".join([text] * 40)
         bench = LMClassifier(MistralTiny(bench_config().model, rng=0), tokenizer)
         truncated = bench._prompt_ids(behavior_prompt(long_text))
-        assert len(truncated) == bench.model.config.max_seq_len - bench.max_new_tokens
+        assert len(truncated) == bench.model.config.max_seq_len - MAX_NEW_TOKENS
         for ids in (trained, truncated, replica.generation.encode(ScoreRequest("u1", long_text))):
             assert ids[-1] == tokenizer.sep_id
 

@@ -10,6 +10,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.config import test_config as make_test_config
 from repro.core import PipelineConfig, PrunerConfig, ZiGongPipeline
+from repro.core import pipeline as core_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +21,6 @@ def pipeline_result(german_examples, tmp_path_factory):
             base, training=dataclasses.replace(base.training, epochs=3)
         ),
         pruner=PrunerConfig(projection_dim=64),
-        warmup_epochs=2,
     )
     pipeline = ZiGongPipeline(config)
     return pipeline.run(
@@ -59,20 +59,18 @@ class TestPipeline:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             PipelineConfig(pruned_fraction=1.5)
-        with pytest.raises(ConfigError):
-            PipelineConfig(warmup_epochs=0)
 
 
 class TestPrunerReuse:
-    def test_runs_share_one_sketch(self, german_examples, tmp_path, projector_inits):
+    def test_runs_share_one_sketch(self, german_examples, tmp_path, projector_inits, monkeypatch):
         """The pipeline's pruner, built once, keeps its sketch across runs."""
+        monkeypatch.setattr(core_pipeline, "WARMUP_EPOCHS", 1)
         base = make_test_config()
         config = PipelineConfig(
             zigong=dataclasses.replace(
                 base, training=dataclasses.replace(base.training, epochs=1)
             ),
             pruner=PrunerConfig(projection_dim=64),
-            warmup_epochs=1,
         )
         pipeline = ZiGongPipeline(config)
         train, val = german_examples[:16], german_examples[48:52]
@@ -92,13 +90,13 @@ class TestTemporaryCheckpoints:
 
         monkeypatch.setenv("TMPDIR", str(tmp_path))
         monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        monkeypatch.setattr(core_pipeline, "WARMUP_EPOCHS", 1)
         base = make_test_config()
         config = PipelineConfig(
             zigong=dataclasses.replace(
                 base, training=dataclasses.replace(base.training, epochs=1)
             ),
             pruner=PrunerConfig(projection_dim=64),
-            warmup_epochs=1,
         )
         result = ZiGongPipeline(config).run(german_examples[:16], german_examples[48:52])
         assert len(result.scores) == 16

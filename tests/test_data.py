@@ -129,12 +129,6 @@ class TestHybridMix:
         b = hybrid_mix(list(range(30)), self._scores(30), seed=3)
         assert a == b
 
-    def test_allow_overlap(self):
-        mixed = hybrid_mix(
-            list(range(10)), self._scores(10), total=10, pruned_fraction=0.5, allow_overlap=True, seed=0
-        )
-        assert len(mixed) == 10  # may contain duplicates
-
     def test_validation(self):
         with pytest.raises(DataError):
             hybrid_mix([1, 2], np.ones(3))

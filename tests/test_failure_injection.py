@@ -40,16 +40,6 @@ class TestAnomalyDetection:
             with pytest.raises(GradientError):
                 trainer.train(examples())
 
-    def test_detection_can_be_disabled(self, tiny_model):
-        tiny_model.tok_embed.weight.data[0, 0] = np.nan
-        trainer = Trainer(
-            tiny_model,
-            AdamW(tiny_model.parameters(), lr=1e-3),
-            config=TrainingConfig(epochs=1, batch_size=4, detect_anomalies=False,
-                                  clip_norm=None),
-        )
-        trainer.train(examples())  # must not raise (user opted out)
-
     def test_healthy_training_unaffected(self, tiny_model):
         trainer = Trainer(
             tiny_model,

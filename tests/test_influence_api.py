@@ -120,8 +120,6 @@ class TestDataInfGolden:
         with pytest.raises(InfluenceError):
             DataInf(lora_model, checkpoints, lam=-1.0)
         with pytest.raises(InfluenceError):
-            DataInf(lora_model, checkpoints, lam_scale=0.0)
-        with pytest.raises(InfluenceError):
             DataInf(lora_model, checkpoints).influence([], test)
         with pytest.raises(InfluenceError):
             DataInf(lora_model, checkpoints).influence(train, [])

@@ -26,6 +26,7 @@ from repro.influence import (
     projector_key,
     trainable_parameters,
 )
+from repro.influence import store as store_module
 from repro.influence.gradients import PROJECTION_TILE, TracePlan, gradient_matrix
 from repro.obs import Observability
 from repro.optim import AdamW
@@ -83,9 +84,10 @@ class TestGradientStore:
         assert store.get(0, "h0", "exact") is None  # oldest evicted
         assert store.get(0, "h2", "exact") is not None
 
-    def test_lru_eviction_by_bytes(self):
+    def test_lru_eviction_by_bytes(self, monkeypatch):
+        monkeypatch.setattr(store_module, "MAX_BYTES", 300)
         row = np.zeros(16)  # 128 bytes
-        store = GradientStore(max_bytes=300)
+        store = GradientStore()
         for i in range(3):
             store.put(0, f"h{i}", "exact", row)
         assert len(store) == 2
@@ -197,18 +199,6 @@ class TestCachedParity:
         finally:
             tiny_model.load_state_dict(saved)
         np.testing.assert_allclose(got, expected, rtol=1e-10)
-
-    def test_normalized_mode_shares_raw_rows(self, tiny_model, checkpoints, sets):
-        """normalize=True reuses the same stored raw rows as normalize=False."""
-        train, test = sets
-        shared = GradientStore()
-        obs = Observability.create()
-        plain = TracInCP(tiny_model, checkpoints, store=shared, obs=obs)
-        plain.influence(train, test).sum(axis=1)
-        passes = obs.metrics.snapshot()["counters"]["influence.gradient_passes"]
-        cosine = TracInCP(tiny_model, checkpoints, normalize=True, store=shared, obs=obs)
-        cosine.influence(train, test).sum(axis=1)
-        assert obs.metrics.snapshot()["counters"]["influence.gradient_passes"] == passes
 
 
 class TestCacheInvalidation:

@@ -43,7 +43,6 @@ def deployed():
             base, training=dataclasses.replace(base.training, epochs=4), base_lr=5e-3
         ),
         pruner=PrunerConfig(strategy="tracseq", gamma=0.8, projection_dim=64),
-        warmup_epochs=2,
     )
     split = len(examples) - 40
     result = ZiGongPipeline(config).run(examples[:split], examples[split : split + 20])

@@ -272,16 +272,10 @@ class TestQuantizeModel:
         with pytest.raises(QuantizationError):
             quantize_model(tiny_model, dtype="int4")
 
-    def test_no_eligible_layers_raises(self, tiny_model):
+    def test_no_eligible_layers_raises(self):
+        # A classifier head is not a target and there is no embedding.
         with pytest.raises(QuantizationError):
-            quantize_model(tiny_model, targets={"nope"}, quantize_embeddings=False)
-
-    def test_head_opt_in(self):
-        model = _HeadOnly()
-        with pytest.raises(QuantizationError):  # not targeted by default
-            quantize_model(model, quantize_embeddings=False)
-        quantize_model(model, quantize_head=True, quantize_embeddings=False)
-        assert isinstance(model.head, QuantizedLinear)
+            quantize_model(_HeadOnly())
 
     def test_refuses_unmerged_lora(self, tiny_config):
         from repro.lora import LoRAConfig, apply_lora, merge_lora

@@ -40,6 +40,25 @@ class TestModelConfig:
         config = ModelConfig(vocab_size=100, d_model=32, n_heads=4, n_kv_heads=2, d_ff=64)
         assert ModelConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sliding_window", 0),
+            ("sliding_window", -3),
+            ("d_model", 0),
+            ("n_layers", 0),
+            ("n_heads", 0),
+            ("n_kv_heads", 0),
+            ("d_ff", 0),
+            ("max_seq_len", 0),
+        ],
+    )
+    def test_saved_config_with_a_size_below_one_is_refused(self, field, value):
+        # zigong.json's model_config comes from outside the program.
+        data = {**ModelConfig().to_dict(), field: value}
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig.from_dict(data)
+
 
 class TestForward:
     def test_logit_shape(self, tiny_model, tiny_config, token_batch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ObservabilityError, QueueFullError
+import repro.obs.metrics as metrics_module
 from repro.obs import (
     EventSink,
     Histogram,
@@ -77,9 +78,10 @@ class TestMetricsRegistry:
         assert hist.quantile(1.0) == 4.0
         assert hist.quantile(0.5) in (2.0, 3.0)
 
-    def test_observe_many_matches_one_observe_per_value(self):
+    def test_observe_many_matches_one_observe_per_value(self, monkeypatch):
+        monkeypatch.setattr(metrics_module, "HISTOGRAM_WINDOW", 4)
         values = [0.3, 1e-9, 7.25, 0.1, 2.0, 0.1]
-        one, many = Histogram("one", window=4), Histogram("many", window=4)
+        one, many = Histogram("one"), Histogram("many")
         for value in values:
             one.observe(value)
         many.observe_many(values)
@@ -87,12 +89,13 @@ class TestMetricsRegistry:
         assert many.summary() == one.summary()
         assert many.sum == one.sum  # same order of additions, same bits
 
-    def test_concurrent_observers_and_readers_lose_nothing(self):
+    def test_concurrent_observers_and_readers_lose_nothing(self, monkeypatch):
         """Lock-free recording: no observation is lost or counted twice under threads."""
         import sys
         import threading
 
-        hist = Histogram("h", window=64)  # small window: folds happen mid-run
+        monkeypatch.setattr(metrics_module, "HISTOGRAM_WINDOW", 64)  # folds happen mid-run
+        hist = Histogram("h")
         values = [float(i % 7) for i in range(3000)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -123,13 +126,23 @@ class TestMetricsRegistry:
         with pytest.raises(ObservabilityError):
             hist.quantile(1.5)
 
-    def test_histogram_window_bounds_memory(self):
-        hist = Histogram("lat", window=4)
+    def test_histogram_window_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(metrics_module, "HISTOGRAM_WINDOW", 4)
+        hist = Histogram("lat")
         for value in range(100):
             hist.observe(float(value))
         assert hist.count == 100  # exact totals survive the window
         assert hist.max == 99.0
         assert hist.quantile(0.0) == 96.0  # quantiles see the recent window
+
+    def test_a_window_label_is_an_ordinary_label(self):
+        registry = MetricsRegistry()
+        hourly = registry.histogram("h", window="1h")
+        small = registry.histogram("h", window=4)
+        hourly.observe(1.0)
+        assert hourly.labels == {"window": "1h"} and small.labels == {"window": 4}
+        assert small is not hourly and small.window == hourly.window
+        assert set(registry.snapshot()["histograms"]) == {"h{window=1h}", "h{window=4}"}
 
     def test_empty_histogram_is_quiet(self):
         hist = MetricsRegistry().histogram("lat")

@@ -39,13 +39,6 @@ class TestOptimizers:
             opt.step()
         assert quadratic_step(params) < 1e-3
 
-    def test_adamw_weight_decay_shrinks_weights(self):
-        p = Parameter(np.full(3, 10.0, dtype=np.float32))
-        opt = AdamW([p], lr=0.01, weight_decay=0.5)
-        p.grad = np.zeros(3, dtype=np.float32)
-        opt.step()
-        assert (p.data < 10.0).all()
-
     def test_no_weight_decay_leaves_zero_grad_params(self):
         p = Parameter(np.full(3, 10.0, dtype=np.float32))
         opt = AdamW([p], lr=0.01)

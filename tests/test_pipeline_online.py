@@ -287,7 +287,6 @@ class TestOnlineConfig:
         dict(min_observations=4, n_bins=8),
         dict(keep_fraction=0.0),
         dict(keep_fraction=1.5),
-        dict(influence_val_fraction=1.0),
         dict(retrain_epochs=0),
         dict(shadow_requests=0),
         dict(shadow_window=4, shadow_requests=10),

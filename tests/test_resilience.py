@@ -535,17 +535,6 @@ class TestCheckpointMetadata:
         assert record.extra["note"] == "mid-run"
         assert record.step == 2 and record.lr == 0.1
 
-    def test_prune_removes_optimizer_state_too(self, tmp_path):
-        model = MistralTiny(TINY, rng=0)
-        opt = AdamW(model.parameters(), lr=1e-3)
-        manager = CheckpointManager(tmp_path, keep=1)
-        manager.save(model, step=1, lr=0.1, optimizer=opt)
-        manager.save(model, step=2, lr=0.1, optimizer=opt)
-        records = manager.checkpoints()
-        assert [r.step for r in records] == [2]
-        assert not (tmp_path / "step-000001.opt.npz").exists()
-        assert records[0].has_optimizer_state
-
     def test_opt_npz_not_listed_as_checkpoint(self, tmp_path):
         model = MistralTiny(TINY, rng=0)
         opt = AdamW(model.parameters(), lr=1e-3)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import CheckpointError, ConfigError, DataError
+from repro.errors import ConfigError, DataError
 from repro.nn import MistralTiny
 from repro.optim import AdamW, ConstantLR
 from repro.training import (
@@ -15,6 +15,7 @@ from repro.training import (
     collate,
     iter_batches,
 )
+from repro.training import trainer as trainer_module
 
 
 def random_examples(n=16, length=10, vocab=60, seed=0):
@@ -49,12 +50,6 @@ class TestCollate:
         batches = list(iter_batches(examples, batch_size=3, shuffle=False))
         assert sum(len(b) for b in batches) == 10
 
-    def test_iter_batches_drop_last(self):
-        examples = random_examples(n=10)
-        batches = list(iter_batches(examples, batch_size=3, shuffle=False, drop_last=True))
-        assert all(len(b) == 3 for b in batches)
-        assert len(batches) == 3
-
     def test_iter_batches_shuffle_seeded(self):
         examples = random_examples(n=12)
         a = [b.input_ids.tolist() for b in iter_batches(examples, 4, rng=1)]
@@ -84,12 +79,6 @@ class TestCheckpointManager:
         for (_, pa), (_, pb) in zip(sorted(a.named_parameters()), sorted(b.named_parameters())):
             np.testing.assert_allclose(pa.data, pb.data)
 
-    def test_keep_prunes_oldest(self, tiny_model, tmp_path):
-        manager = CheckpointManager(tmp_path, keep=2)
-        for step in (1, 2, 3):
-            manager.save(tiny_model, step=step, lr=0.1)
-        assert [r.step for r in manager.checkpoints()] == [2, 3]
-
     def test_latest(self, tiny_model, tmp_path):
         manager = CheckpointManager(tmp_path)
         assert manager.latest() is None
@@ -101,7 +90,7 @@ class TestCheckpointManager:
         manager = CheckpointManager(tmp_path)
         record = manager.save(tiny_model, step=1, lr=0.1)
         manager.save(tiny_model, step=2, lr=0.05)
-        record.meta_path.unlink()
+        record.path.with_suffix(".json").unlink()
         with pytest.warns(RuntimeWarning, match="orphan checkpoint"):
             records = manager.checkpoints()
         assert [r.step for r in records] == [2]
@@ -112,16 +101,12 @@ class TestCheckpointManager:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["step-000001.json", "step-000001.npz"]
 
-    def test_invalid_keep(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            CheckpointManager(tmp_path, keep=0)
-
     def test_extra_metadata_persisted(self, tiny_model, tmp_path):
         import json
 
         manager = CheckpointManager(tmp_path)
         record = manager.save(tiny_model, step=1, lr=0.1, extra={"epoch": 3})
-        assert json.loads(record.meta_path.read_text())["epoch"] == 3
+        assert json.loads(record.path.with_suffix(".json").read_text())["epoch"] == 3
 
     def test_extra_metadata_round_trips_through_listing(self, tiny_model, tmp_path):
         """Regression: checkpoints() used to drop everything but step/lr."""
@@ -176,11 +161,6 @@ class TestTrainer:
         assert len(records) >= 2
         assert all(r.lr > 0 for r in records)
 
-    def test_max_steps_stops(self, tiny_model):
-        trainer = self._trainer(tiny_model, epochs=50, max_steps=3)
-        trainer.train(random_examples(n=16))
-        assert trainer.global_step == 3
-
     def test_grad_accumulation_counts_steps(self, tiny_model):
         trainer = self._trainer(tiny_model, epochs=1, batch_size=8, grad_accum_steps=2)
         trainer.train(random_examples(n=16))
@@ -204,8 +184,10 @@ class TestTrainer:
         history = trainer.train(random_examples(n=8))
         assert all(s.lr == pytest.approx(1e-4) for s in history.steps)
 
-    def test_grad_accum_equivalence(self, tiny_config):
+    def test_grad_accum_equivalence(self, tiny_config, monkeypatch):
         """One step over a batch == accumulated micro-batches (same grads)."""
+        # Unclipped, so the comparison is of the raw accumulated gradients.
+        monkeypatch.setattr(trainer_module, "CLIP_NORM", float("inf"))
         examples = random_examples(n=8, seed=3)
         losses = {}
         states = {}
@@ -216,7 +198,7 @@ class TestTrainer:
                 model,
                 opt,
                 config=TrainingConfig(
-                    epochs=1, batch_size=8, grad_accum_steps=accum, shuffle=False, clip_norm=None
+                    epochs=1, batch_size=8, grad_accum_steps=accum, shuffle=False
                 ),
             )
             history = trainer.train(examples)
