@@ -55,6 +55,14 @@ class ZiGongConfig:
         if not 0 <= self.min_lr <= self.base_lr:
             raise ConfigError("min_lr must be in [0, base_lr]")
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "ZiGongConfig":
+        """Inverse of ``dataclasses.asdict`` through JSON (which turns tuples into lists)."""
+        lora = dict(data["lora"], target_modules=tuple(data["lora"]["target_modules"]))
+        nested = dict(model=ModelConfig.from_dict(data["model"]), lora=LoRAConfig(**lora),
+                      training=TrainingConfig(**data["training"]))
+        return cls(**{**data, **nested})
+
     def with_vocab(self, vocab_size: int) -> "ZiGongConfig":
         """Return a copy whose model config has the given vocabulary size."""
         return replace(self, model=replace(self.model, vocab_size=vocab_size))

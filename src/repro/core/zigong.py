@@ -11,7 +11,7 @@ Public entry point of the library.  Typical use::
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -21,18 +21,27 @@ from repro.errors import CheckpointError, ConfigError
 from repro.config import ZiGongConfig, test_config
 from repro.data.instruct import InstructExample, corpus_texts, tokenize_examples
 from repro.baselines.lm import LMClassifier
+from repro.lora.adapter import LoRAConfig
 from repro.lora.inject import apply_lora, iter_lora_modules
-from repro.nn.transformer import MistralTiny
+from repro.nn.transformer import MistralTiny, ModelConfig
 from repro.optim.adamw import AdamW
 from repro.optim.schedule import CosineDecayLR
-from repro.tokenizer.vocab import Vocab
 from repro.tokenizer.whitespace import WordTokenizer
 from repro.training.callbacks import History
-from repro.training.checkpoint import CheckpointManager
+from repro.training.checkpoint import (
+    CheckpointManager,
+    load_artifact,
+    read_legacy_weights,
+    save_artifact,
+)
 from repro.training.trainer import Trainer
 
 # Linear learning-rate warmup before the cosine decay, in optimizer steps.
 WARMUP_STEPS = 5
+# A saved model directory holds this one artifact.
+ARTIFACT = "zigong.npz"
+# The older layout: this JSON next to a bare ``weights.npz``.
+LEGACY_META = "zigong.json"
 
 
 class ZiGong:
@@ -173,43 +182,40 @@ class ZiGong:
     # ------------------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
-        """Persist weights, tokenizer vocabulary and config."""
+        """Persist weights, config and vocabulary as one artifact in ``directory``."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        np.savez(directory / "weights.npz", **self.model.state_dict())
-        meta = {
-            "model_config": self.config.model.to_dict(),
-            "tokens": self.tokenizer.vocab.tokens(),
-            "lora_applied": self._lora_applied,
-            "lora": {
-                "rank": self.config.lora.rank,
-                "alpha": self.config.lora.alpha,
-                "target_modules": list(self.config.lora.target_modules),
-            },
-        }
-        (directory / "zigong.json").write_text(json.dumps(meta))
+        manifest = {"config": asdict(self.config), "tokens": self.tokenizer.vocab.tokens(),
+                    "lora_applied": self._lora_applied}
+        save_artifact(directory / ARTIFACT, self.model.state_dict(), manifest)
 
     @classmethod
-    def load(cls, directory: str | Path, config: ZiGongConfig | None = None) -> "ZiGong":
-        """Load a model saved by :meth:`save`."""
-        from repro.nn.transformer import ModelConfig
+    def load(cls, directory: str | Path) -> "ZiGong":
+        """Load a model saved by :meth:`save`, rebuilt from its manifest alone.
 
+        A directory in the older layout (``zigong.json`` plus
+        ``weights.npz``) still loads; its config holds only the model
+        and LoRA shapes, the rest comes from :func:`test_config`.
+        """
         directory = Path(directory)
-        meta_path = directory / "zigong.json"
-        if not meta_path.exists():
-            raise CheckpointError(f"no zigong.json in {directory}")
-        meta = json.loads(meta_path.read_text())
-        vocab = Vocab()
-        for token in meta["tokens"]:
-            vocab.add(token)
-        tokenizer = WordTokenizer(vocab)
-        base = config or test_config()
-        base = replace(base, model=ModelConfig.from_dict(meta["model_config"]))
-        zigong = cls(base, tokenizer)
-        if meta.get("lora_applied"):
+        if (directory / ARTIFACT).exists():
+            state, manifest = load_artifact(directory / ARTIFACT)
+            config = ZiGongConfig.from_dict(manifest["config"])
+        elif (directory / LEGACY_META).exists():
+            manifest = json.loads((directory / LEGACY_META).read_text())
+            lora = manifest["lora"]
+            config = replace(
+                test_config(),
+                model=ModelConfig.from_dict(manifest["model_config"]),
+                lora=LoRAConfig(lora["rank"], lora["alpha"], tuple(lora["target_modules"])),
+            )
+            state = read_legacy_weights(directory / "weights.npz")
+        else:
+            raise CheckpointError(f"no {ARTIFACT} in {directory}")
+        zigong = cls(config, WordTokenizer.from_tokens(manifest["tokens"]))
+        if manifest["lora_applied"]:
             zigong.apply_lora()
-        with np.load(directory / "weights.npz") as data:
-            zigong.model.load_state_dict({k: data[k] for k in data.files})
+        zigong.model.load_state_dict(state)
         return zigong
 
     @property

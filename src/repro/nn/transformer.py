@@ -9,7 +9,7 @@ run in seconds.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,12 +63,9 @@ class ModelConfig:
         if (self.d_model // self.n_heads) % 2 != 0:
             raise ConfigError("head dim must be even for RoPE")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        """Inverse of :meth:`to_dict`; drops an older config's ``"dropout": 0.0``."""
+        """Inverse of ``dataclasses.asdict``; drops an older config's ``"dropout": 0.0``."""
         data = dict(data)
         dropout = data.pop("dropout", 0.0)
         if dropout != 0.0:  # a model trained with dropout, which nothing here runs

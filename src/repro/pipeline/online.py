@@ -18,8 +18,9 @@ Every phase is restartable from the work directory alone:
 * the current phase/round live in ``state.json``
   (:class:`~repro.pipeline.PipelineState`, atomic writes);
 * the deployed weights live in ``deployed.npz`` (and the pre-promotion
-  snapshot in ``prior.npz``) so a restarted daemon rebuilds the exact
-  serving model;
+  snapshot in ``prior.npz``), weight artifacts whose fingerprint is
+  checked on load, so a restarted daemon rebuilds the exact serving
+  model;
 * the influence-selected retrain set is persisted to
   ``round-NNN/selected.jsonl`` *before* training starts, and training
   checkpoints land in ``round-NNN/ckpts`` — a daemon killed mid-retrain
@@ -38,10 +39,9 @@ history.  See ``docs/online_learning.md``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,7 +66,7 @@ from repro.serving.behavior_card import default_scores, zigong_replica_factory
 from repro.serving.cluster import ClusterConfig, ClusterSupervisor
 from repro.serving.engine import ScoreRequest
 from repro.serving.monitoring import DriftMonitor, ShadowDeployment
-from repro.training.checkpoint import CheckpointManager
+from repro.training.checkpoint import CheckpointManager, load_artifact, save_artifact
 
 _CHECKPOINT_STRATEGIES = ("tracseq", "tracin", "datainf", "combined", "ppl")
 # Recent shadow prompts replayed through the cluster after a deploy.
@@ -212,7 +212,7 @@ class OnlinePipeline:
             self._m_resumes.inc()
             deployed = self.work_dir / "deployed.npz"
             if deployed.exists():
-                state = _load_npz(deployed)
+                state, _ = load_artifact(deployed)
                 self.zigong.model.load_state_dict(state)
                 # The cluster is rebuilt from the caller's model object,
                 # which may predate promotions recorded on disk: push the
@@ -367,7 +367,7 @@ class OnlinePipeline:
                 checkpoint_dir=round_dir / "ckpts",
                 resume=True,
             )
-        _save_npz(round_dir / "candidate.npz", candidate.model.state_dict())
+        save_artifact(round_dir / "candidate.npz", candidate.model.state_dict(), {})
         self._candidate = candidate
         self._arm_shadow()
         self._transition(SHADOW, examples=len(selected))
@@ -469,7 +469,7 @@ class OnlinePipeline:
         }
         # Snapshot the serving weights first: rollback (and a restarted
         # daemon) must be able to restore the exact prior version.
-        _save_npz(self.work_dir / "prior.npz", self.zigong.model.state_dict())
+        save_artifact(self.work_dir / "prior.npz", self.zigong.model.state_dict(), {})
         try:
             fault_point("pipeline.promote", round=round_)
             with self.obs.span("pipeline.promote", round=round_):
@@ -515,7 +515,7 @@ class OnlinePipeline:
                 )
 
     def _rollback(self, error: Exception) -> None:
-        prior = _load_npz(self.work_dir / "prior.npz")
+        prior, _ = load_artifact(self.work_dir / "prior.npz")
         self.cluster.deploy(prior)
         self.zigong.model.load_state_dict(prior)
         self._save_deployed()
@@ -564,27 +564,13 @@ class OnlinePipeline:
                        **{k: v for k, v in fields.items() if v is not None})
 
     def _save_deployed(self) -> None:
-        _save_npz(self.work_dir / "deployed.npz", self.zigong.model.state_dict())
+        save_artifact(self.work_dir / "deployed.npz", self.zigong.model.state_dict(), {})
 
     def _restore_candidate(self) -> ZiGong | None:
         path = self.work_dir / f"round-{self.state.round:03d}" / "candidate.npz"
         if not path.exists():
             return None
         candidate = self._clone_deployed()
-        candidate.model.load_state_dict(_load_npz(path))
+        candidate.model.load_state_dict(load_artifact(path)[0])
         return candidate
 
-
-def _save_npz(path: Path, state: Mapping[str, np.ndarray]) -> None:
-    """Atomic state-dict snapshot (tmp file + rename, like checkpoints)."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(fh, **{k: np.asarray(v) for k, v in state.items()})
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
-def _load_npz(path: Path) -> dict[str, np.ndarray]:
-    with np.load(path) as data:
-        return {k: data[k].copy() for k in data.files}

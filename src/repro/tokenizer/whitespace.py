@@ -8,10 +8,8 @@ This is the tokenizer of the ZiGong pipeline.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.errors import TokenizerError
 from repro.tokenizer.base import BaseTokenizer
@@ -59,23 +57,16 @@ class WordTokenizer(BaseTokenizer):
             ids = [self.bos_id] + ids + [self.eos_id]
         return ids
 
-    def save(self, path: str | Path) -> None:
-        """Persist the vocabulary as JSON."""
-        payload = {"tokens": self.vocab.tokens(), "version": 1}
-        Path(path).write_text(json.dumps(payload, ensure_ascii=False))
-
     @classmethod
-    def load(cls, path: str | Path) -> "WordTokenizer":
-        """Load a tokenizer saved by :meth:`save`."""
-        payload = json.loads(Path(path).read_text())
-        if payload.get("version") != 1:
-            raise TokenizerError(f"unsupported tokenizer file version: {payload.get('version')}")
-        tokens = payload["tokens"]
+    def from_tokens(cls, tokens: Sequence[str]) -> "WordTokenizer":
+        """The tokenizer of a saved ``vocab.tokens()``: ids are positions in ``tokens``."""
         if tuple(tokens[: len(DEFAULT_SPECIAL_TOKENS)]) != DEFAULT_SPECIAL_TOKENS:
-            raise TokenizerError("tokenizer file does not start with the special tokens")
+            raise TokenizerError("token list does not start with the special tokens")
         vocab = Vocab()
         for token in tokens[len(DEFAULT_SPECIAL_TOKENS):]:
             vocab.add(token)
+        if len(vocab) != len(tokens):
+            raise TokenizerError("token list holds a token twice")
         return cls(vocab)
 
     def decode(self, ids: list[int], skip_special: bool = True) -> str:

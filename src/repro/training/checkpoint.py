@@ -1,73 +1,131 @@
-"""Checkpoint persistence.
+"""The weight artifact: the one on-disk format of weights, and checkpoints.
 
-TracInCP / TracSeq replay training through stored checkpoints, so each
-checkpoint records both the parameter state (``.npz``) and the learning
-rate in effect (``.json`` sidecar) — the step size :math:`\\eta_i` in
-Eq. 1 of the paper.
+A saved :class:`~repro.core.ZiGong`, a training checkpoint and the
+online loop's weight snapshots are each one ``.npz`` artifact: the
+arrays plus a ``__manifest__`` member, JSON stored as ``uint8`` (no
+pickle is read).  The manifest carries the format version and a
+SHA-256 fingerprint of the arrays, which the reader checks, so a
+missing, truncated, foreign or swapped file raises
+:class:`CheckpointError` naming the path.  A save writes a temporary
+file, fsyncs it and renames it into place: an interrupted save leaves
+the previous artifact loadable.
 
-Writes are atomic: both files are staged under temporary names and
-renamed into place, metadata sidecar first.  A crash mid-save therefore
-never leaves a ``.npz`` without its sidecar, and :meth:`checkpoints`
-tolerates (skips, with a warning) orphans left behind by older writers
-instead of failing the whole directory listing.
+TracInCP / TracSeq replay training through stored checkpoints, so a
+checkpoint's manifest records the learning rate in effect, the step
+size :math:`\\eta_i` in Eq. 1 of the paper.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-import warnings
+import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from repro.errors import CheckpointError
 from repro.nn.module import Module
-from repro.obs import Observability, get_observability
 from repro.optim.optimizer import Optimizer
+
+FORMAT = 1
+MANIFEST = "__manifest__"
+OPTIMIZER_PREFIX = "optimizer/"
+
+
+def fingerprint(arrays: Mapping[str, np.ndarray]) -> str:
+    """SHA-256 over ``arrays``: keys sorted, each key's dtype, shape and bytes."""
+    digest = hashlib.sha256()
+    for key in sorted(arrays):
+        value = np.asarray(arrays[key])
+        digest.update(f"{key}\0{value.dtype.str}\0{value.shape}\0".encode())
+        digest.update(value.tobytes())
+    return digest.hexdigest()
+
+
+def save_artifact(path: str | Path, arrays: Mapping[str, np.ndarray], manifest: Mapping) -> None:
+    """Write ``arrays`` and ``manifest`` (JSON-able) to ``path`` atomically."""
+    path = Path(path)
+    arrays = {key: np.asarray(value) for key, value in arrays.items()}
+    stamped = {**manifest, "format": FORMAT, "sha256": fingerprint(arrays)}
+    encoded = np.frombuffer(json.dumps(stamped).encode(), dtype=np.uint8)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            np.savez(handle, **arrays, **{MANIFEST: encoded})
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def load_artifact(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """The arrays and manifest of the artifact at ``path``, fingerprint checked."""
+    path = Path(path)
+    with _opened(path) as data:
+        manifest = _manifest(path, data)
+        arrays = {key: data[key] for key in data.files if key != MANIFEST}
+    if fingerprint(arrays) != manifest.get("sha256"):
+        raise CheckpointError(f"{path}: the arrays do not match the manifest's fingerprint")
+    return arrays, manifest
+
+
+def read_legacy_weights(path: str | Path) -> dict[str, np.ndarray]:
+    """The arrays of a ``zigong.json`` directory's ``weights.npz`` (no manifest to check)."""
+    with _opened(Path(path)) as data:
+        return {key: data[key] for key in data.files}
+
+
+@contextmanager
+def _opened(path: Path) -> Iterator:
+    """The open ``.npz`` at ``path``; any failure to read it names the path."""
+    if not path.exists():
+        raise CheckpointError(f"checkpoint file missing: {path}")
+    try:
+        with np.load(path) as data:
+            yield data
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as error:
+        raise CheckpointError(f"unreadable weight artifact {path}: {error}") from error
+
+
+def _manifest(path: Path, data) -> dict:
+    manifest = json.loads(data[MANIFEST].tobytes()) if MANIFEST in data.files else None
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
+        raise CheckpointError(
+            f"{path} is not a weight artifact of format {FORMAT} "
+            "(a foreign file, or one written before the artifact format)"
+        )
+    return manifest
 
 
 @dataclass(frozen=True)
 class CheckpointRecord:
-    """Metadata for one stored checkpoint.
-
-    ``extra`` carries every sidecar field beyond ``step`` / ``lr`` —
-    anything callers passed to ``save(..., extra=...)`` (the trainer's
-    exact-resume state lives here) — so metadata round-trips through
-    :meth:`CheckpointManager.checkpoints` instead of being readable
-    only by re-parsing the ``.json`` by hand.
-    """
+    """One stored checkpoint; ``extra`` is what ``save(..., extra=...)`` was
+    given (the trainer's exact-resume state lives here)."""
 
     step: int
     lr: float
     path: Path
     extra: Mapping = field(default_factory=dict, compare=False)
 
-    @property
-    def opt_path(self) -> Path:
-        """Optimizer-state arrays (``.opt.npz``); absent for param-only saves."""
-        return self.path.with_suffix(".opt.npz")
-
 
 class CheckpointManager:
     """Save/load model checkpoints in a directory.
 
-    File layout: ``step-000042.npz`` (parameters) plus
-    ``step-000042.json`` (step, learning rate, extra metadata).
+    One artifact per checkpoint, ``step-000042.npz``: the parameters,
+    the optimizer moments when given, and the step, learning rate and
+    extra metadata in its manifest.
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        obs: Observability | None = None,
-    ):
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.obs = obs or get_observability()
-        self._m_orphans = self.obs.metrics.counter("checkpoint.orphans_skipped")
 
     def save(
         self,
@@ -75,104 +133,55 @@ class CheckpointManager:
         step: int,
         lr: float,
         extra: dict | None = None,
-        optimizer: Optimizer | dict[str, np.ndarray] | None = None,
+        optimizer: Optimizer | None = None,
     ) -> CheckpointRecord:
         """Persist the model state at ``step`` trained with rate ``lr``.
 
-        ``optimizer`` (an :class:`~repro.optim.Optimizer` or a raw
-        ``state_dict()``) additionally writes ``step-XXXXXX.opt.npz``
-        with the moment buffers, enabling bit-identical crash-resume.
-
-        All files are written to temporaries and renamed into place —
-        optimizer arrays, then sidecar, then parameters — so an
-        interrupted save leaves either nothing visible or a complete
-        checkpoint, never an orphan ``.npz`` (listing keys off the
-        ``.json``-paired parameter file).
+        ``optimizer`` adds its moment buffers to the artifact, enabling
+        bit-identical crash-resume.
         """
         path = self.directory / f"step-{step:06d}.npz"
-        meta_path = path.with_suffix(".json")
-        opt_path = path.with_suffix(".opt.npz")
-        tmp_npz = self.directory / f".step-{step:06d}.tmp.npz"
-        tmp_json = self.directory / f".step-{step:06d}.tmp.json"
-        tmp_opt = self.directory / f".step-{step:06d}.tmp.opt.npz"
-        opt_state = optimizer.state_dict() if isinstance(optimizer, Optimizer) else optimizer
-        try:
-            np.savez(tmp_npz, **model.state_dict())
-            meta = {"step": step, "lr": lr}
-            if extra:
-                meta.update(extra)
-            tmp_json.write_text(json.dumps(meta))
-            if opt_state is not None:
-                np.savez(tmp_opt, **opt_state)
-                os.replace(tmp_opt, opt_path)
-            # Sidecar before parameters: a lone .json (or .opt.npz) is
-            # invisible to checkpoints(), a lone .npz would be an orphan.
-            os.replace(tmp_json, meta_path)
-            os.replace(tmp_npz, path)
-        finally:
-            tmp_npz.unlink(missing_ok=True)
-            tmp_json.unlink(missing_ok=True)
-            tmp_opt.unlink(missing_ok=True)
-        return CheckpointRecord(
-            step=step, lr=lr, path=path,
-            extra=MappingProxyType(dict(extra) if extra else {}),
-        )
+        arrays = model.state_dict()
+        if optimizer is not None:
+            arrays.update(
+                (OPTIMIZER_PREFIX + key, value) for key, value in optimizer.state_dict().items()
+            )
+        extra = dict(extra or {})
+        save_artifact(path, arrays, {"step": step, "lr": lr, "extra": extra})
+        return CheckpointRecord(step=step, lr=lr, path=path, extra=MappingProxyType(extra))
 
     def checkpoints(self) -> list[CheckpointRecord]:
-        """All stored checkpoints, ordered by step.
+        """All stored checkpoints, ordered by step (only manifests are read).
 
-        A ``.npz`` without its ``.json`` sidecar (partial write by an
-        older/foreign writer) is skipped with a warning instead of
-        failing the listing for the entire directory.
+        A ``step-*.npz`` that is not an artifact (a foreign file, or a
+        checkpoint written before the artifact format) raises
+        :class:`CheckpointError` naming it.
         """
         records = []
-        for path in sorted(self.directory.glob("step-*.npz")):
-            if path.name.endswith(".opt.npz"):
-                continue  # optimizer-state sibling, not a checkpoint
-            meta_path = path.with_suffix(".json")
-            if not meta_path.exists():
-                warnings.warn(
-                    f"skipping orphan checkpoint {path} (no metadata sidecar)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self._m_orphans.inc()
-                self.obs.event("checkpoint.orphan_skipped", path=str(path))
-                continue
-            meta = json.loads(meta_path.read_text())
-            extra = {k: v for k, v in meta.items() if k not in ("step", "lr")}
-            records.append(
-                CheckpointRecord(
-                    step=int(meta["step"]),
-                    lr=float(meta["lr"]),
-                    path=path,
-                    extra=MappingProxyType(extra),
-                )
-            )
-        records.sort(key=lambda r: r.step)
-        return records
+        for path in self.directory.glob("step-*.npz"):
+            with _opened(path) as data:
+                meta = _manifest(path, data)
+            extra = MappingProxyType(meta["extra"])
+            records.append(CheckpointRecord(int(meta["step"]), float(meta["lr"]), path, extra))
+        return sorted(records, key=lambda r: r.step)
 
     def latest(self) -> CheckpointRecord | None:
         records = self.checkpoints()
         return records[-1] if records else None
 
     @staticmethod
-    def load_state(record: CheckpointRecord) -> dict[str, np.ndarray]:
-        """Load the parameter arrays of a checkpoint."""
-        if not record.path.exists():
-            raise CheckpointError(f"checkpoint file missing: {record.path}")
-        with np.load(record.path) as data:
-            return {key: data[key] for key in data.files}
+    def restore(model: Module, record: CheckpointRecord) -> dict[str, np.ndarray] | None:
+        """Load a checkpoint's parameters into ``model`` in place.
 
-    @staticmethod
-    def load_optimizer_state(record: CheckpointRecord) -> dict[str, np.ndarray] | None:
-        """The checkpoint's optimizer arrays, or ``None`` for param-only saves."""
-        if not record.opt_path.exists():
-            return None
-        with np.load(record.opt_path) as data:
-            return {key: data[key] for key in data.files}
-
-    @staticmethod
-    def restore(model: Module, record: CheckpointRecord) -> None:
-        """Load a checkpoint's parameters into ``model`` in place."""
-        model.load_state_dict(CheckpointManager.load_state(record))
+        Returns the optimizer moments saved with it, or ``None`` when it
+        was saved without an optimizer.
+        """
+        arrays, _ = load_artifact(record.path)
+        params, moments = {}, {}
+        for key, value in arrays.items():
+            if key.startswith(OPTIMIZER_PREFIX):
+                moments[key[len(OPTIMIZER_PREFIX):]] = value
+            else:
+                params[key] = value
+        model.load_state_dict(params)
+        return moments or None

@@ -5,8 +5,8 @@ learning rate, batch size with gradient accumulation, periodic
 checkpoints consumed later by TracInCP / TracSeq.
 
 Checkpoints capture the **full training state** — model parameters,
-optimizer moments (``.opt.npz``), the LR-schedule position and the
-data-order RNG state at the start of the current epoch — so
+optimizer moments, the LR-schedule position and the data-order RNG
+state at the start of the current epoch, all in one artifact — so
 :meth:`Trainer.resume` continues a crashed run *bit-identically*: the
 resumed run's final weights equal an uninterrupted run's, moment decay,
 bias correction, shuffle order and all (pinned by the kill-and-resume
@@ -107,26 +107,24 @@ class Trainer:
         """Restore the latest checkpoint and continue from its step.
 
         Returns the restored step (0 when no checkpoint exists).
-        Restores model parameters, optimizer moments (when the
-        checkpoint has an ``.opt.npz``), the LR-schedule position
-        (``global_step``) and — via metadata the trainer wrote at save
-        time — the epoch, the number of micro-batches already consumed
-        in it, and the shuffle RNG state at the epoch's start.  A
-        subsequent :meth:`train` call with the original examples then
+        Restores model parameters, optimizer moments, the LR-schedule
+        position (``global_step``) and — via metadata the trainer wrote
+        at save time — the epoch, the number of micro-batches already
+        consumed in it, and the shuffle RNG state at the epoch's start.
+        A subsequent :meth:`train` call with the original examples then
         replays the exact uninterrupted trajectory: same batches, same
         order, same moments, bit-identical final weights.
 
-        Checkpoints from older writers (parameters only, no trainer
-        metadata) still resume, but restart the optimizer moments and
-        the data order — the pre-resilience behavior.
+        A checkpoint saved through :meth:`CheckpointManager.save` without
+        an optimizer or trainer metadata still resumes, but restarts the
+        optimizer moments and the data order.
         """
         if self.checkpoints is None:
             raise ConfigError("resume() requires a checkpoint manager")
         record = self.checkpoints.latest()
         if record is None:
             return 0
-        CheckpointManager.restore(self.model, record)
-        opt_state = CheckpointManager.load_optimizer_state(record)
+        opt_state = CheckpointManager.restore(self.model, record)
         if opt_state is not None:
             self.optimizer.load_state_dict(opt_state)
         self.global_step = record.step

@@ -39,36 +39,57 @@ class TestGenerateCommand:
 
 
 class TestTrainEvaluateRoundtrip:
+    PRESETS = ("test", "bench")
+
     @pytest.fixture(scope="class")
-    def artifacts(self, tmp_path_factory):
+    def models(self, tmp_path_factory):
+        """One trained model directory per ``--preset``, on the same data."""
         tmp = tmp_path_factory.mktemp("cli")
         data = tmp / "data.jsonl"
-        model_dir = tmp / "model"
         assert main([
             "generate", "--dataset", "german", "--n", "100", "--split", "0.2",
             "--out", str(data),
         ]) == 0
-        assert main([
-            "train", "--data", str(data), "--out", str(model_dir), "--epochs", "5",
-        ]) == 0
-        return data, model_dir
+        models = {}
+        for preset in self.PRESETS:
+            models[preset] = tmp / f"model-{preset}"
+            assert main([
+                "train", "--data", str(data), "--out", str(models[preset]),
+                "--epochs", "5", "--preset", preset,
+            ]) == 0
+        return data, models
 
-    def test_model_saved(self, artifacts):
-        _, model_dir = artifacts
-        assert (model_dir / "weights.npz").exists()
-        assert (model_dir / "zigong.json").exists()
+    def test_model_saved(self, models):
+        _, model_dirs = models
+        for model_dir in model_dirs.values():
+            assert [p.name for p in model_dir.iterdir()] == ["zigong.npz"]
 
-    def test_evaluate_prints_metrics(self, artifacts, capsys):
-        data, model_dir = artifacts
+    def test_evaluate_prints_metrics(self, models, capsys):
+        data, model_dirs = models
         test_file = data.with_name("data.test.jsonl")
-        assert main(["evaluate", "--model", str(model_dir), "--data", str(test_file)]) == 0
-        out = capsys.readouterr().out
-        assert "Acc" in out and "Miss" in out
+        for model_dir in model_dirs.values():
+            assert main(["evaluate", "--model", str(model_dir), "--data", str(test_file)]) == 0
+            out = capsys.readouterr().out
+            assert "Acc" in out and "Miss" in out
 
-    def test_evaluate_missing_model_fails(self, tmp_path, artifacts, capsys):
-        data, _ = artifacts
+    def test_evaluate_missing_model_fails(self, tmp_path, models, capsys):
+        data, _ = models
         code = main(["evaluate", "--model", str(tmp_path / "ghost"), "--data", str(data)])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--transport", "thread"], ["--transport", "fork"], ["--quantize", "int8"]],
+        ids=["thread", "fork", "int8"],
+    )
+    def test_bench_model_serves(self, models, flags, capsys):
+        _, model_dirs = models
+        code = main([
+            "serve", "--model", str(model_dirs["bench"]), "--replicas", "1",
+            "--synthetic", "4", *flags,
+        ])
+        assert code == 0
+        assert "of 4 decisions" in capsys.readouterr().out
 
 
 class TestTable3Command:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CheckpointError, ConfigError
+from repro.config import bench_config
 from repro.config import test_config as make_test_config
 from repro.core import ZiGong
 from repro.lora import LoRALinear, merge_lora
@@ -119,10 +120,58 @@ class TestPersistence:
     def test_save_load_roundtrip(self, fitted_zigong, german_examples, tmp_path):
         fitted_zigong.save(tmp_path / "model")
         loaded = ZiGong.load(tmp_path / "model")
+        assert loaded.config == fitted_zigong.config
         prompt = german_examples[0].prompt
         original = fitted_zigong.classifier().score(prompt, "good", "bad")
         restored = loaded.classifier().score(prompt, "good", "bad")
-        assert original == pytest.approx(restored, abs=1e-5)
+        assert original == restored
+
+        # The Table-3 preset (LoRA rank 8) reloads as itself too.
+        bench = ZiGong.from_examples(german_examples, config=bench_config(seed=3))
+        bench.apply_lora()
+        bench.save(tmp_path / "bench")
+        loaded = ZiGong.load(tmp_path / "bench")
+        assert loaded.config == bench.config
+        saved = bench.model.state_dict()
+        for name, value in loaded.model.state_dict().items():
+            np.testing.assert_array_equal(value, saved[name])
+
+    def test_swapped_weights_are_refused_by_fingerprint(self, make_zigong, tmp_path):
+        make_zigong().save(tmp_path / "model")
+        path = tmp_path / "model" / "zigong.npz"
+        other = make_zigong()
+        other.model.load_state_dict(
+            {k: v + 1.0 for k, v in other.model.state_dict().items()}
+        )
+        with np.load(path) as data:
+            manifest = data["__manifest__"]
+        np.savez(path, **other.model.state_dict(), __manifest__=manifest)
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            ZiGong.load(tmp_path / "model")
+
+    def test_interrupted_save_keeps_the_previous_artifact(
+        self, make_zigong, tmp_path, monkeypatch
+    ):
+        import os
+
+        first = make_zigong()
+        first.save(tmp_path / "model")
+        second = make_zigong()
+        second.model.load_state_dict(
+            {k: v + 1.0 for k, v in second.model.state_dict().items()}
+        )
+
+        def killed(*args, **kwargs):
+            raise OSError("killed before the rename")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", killed)
+            with pytest.raises(OSError, match="killed"):
+                second.save(tmp_path / "model")
+        assert [p.name for p in (tmp_path / "model").iterdir()] == ["zigong.npz"]
+        saved = first.model.state_dict()
+        for name, value in ZiGong.load(tmp_path / "model").model.state_dict().items():
+            np.testing.assert_array_equal(value, saved[name])
 
     def test_load_preserves_tokenizer(self, fitted_zigong, tmp_path):
         fitted_zigong.save(tmp_path / "model")
@@ -169,6 +218,31 @@ class TestLoadOlderFormat:
         assert loaded.tokenizer.vocab.tokens() == ["<pad>", "<unk>", "<s>", "</s>", "<sep>", "good", "bad", "loan"]
         for name, value in loaded.model.state_dict().items():
             np.testing.assert_array_equal(value, state[name])
+
+    def test_the_lora_block_sets_the_adapter_shape(self, tmp_path):
+        from repro.lora import LoRAConfig, apply_lora
+        from repro.nn import MistralTiny
+
+        config, _ = self.write(tmp_path / "model", OLD_FORMAT_META.replace(
+            '"lora_applied": false', '"lora_applied": true'
+        ))
+        model = MistralTiny(config, rng=3)
+        apply_lora(model, LoRAConfig(rank=8, alpha=16.0), rng=4)
+        state = model.state_dict()
+        np.savez(tmp_path / "model" / "weights.npz", **state)
+        loaded = ZiGong.load(tmp_path / "model")
+        assert loaded.config.lora == LoRAConfig(rank=8, alpha=16.0)
+        for name, value in loaded.model.state_dict().items():
+            np.testing.assert_array_equal(value, state[name])
+
+    def test_reordered_special_tokens_are_refused(self, tmp_path):
+        from repro.errors import TokenizerError
+
+        self.write(tmp_path / "model", OLD_FORMAT_META.replace(
+            '"<pad>", "<unk>", "<s>", "</s>", "<sep>"', '"<sep>", "<pad>", "<unk>", "<s>", "</s>"'
+        ))
+        with pytest.raises(TokenizerError):
+            ZiGong.load(tmp_path / "model")
 
     def test_a_live_dropout_key_is_refused(self, tmp_path):
         self.write(tmp_path / "model", OLD_FORMAT_META.replace('"dropout": 0.0', '"dropout": 0.1'))

@@ -9,6 +9,7 @@ from repro.errors import CheckpointError, GradientError
 from repro.nn import MistralTiny
 from repro.optim import AdamW
 from repro.training import CheckpointManager, Trainer, TrainingConfig
+from repro.training.checkpoint import load_artifact
 
 
 def examples(n=8, seed=0):
@@ -55,15 +56,15 @@ class TestCorruptedArtifacts:
         manager = CheckpointManager(tmp_path)
         record = manager.save(tiny_model, step=1, lr=0.1)
         record.path.write_bytes(record.path.read_bytes()[:40])  # corrupt
-        with pytest.raises(Exception):
-            CheckpointManager.load_state(record)
+        with pytest.raises(CheckpointError, match=str(record.path)):
+            load_artifact(record.path)
 
     def test_missing_checkpoint_file_raises(self, tiny_model, tmp_path):
         manager = CheckpointManager(tmp_path)
         record = manager.save(tiny_model, step=1, lr=0.1)
         record.path.unlink()
         with pytest.raises(CheckpointError):
-            CheckpointManager.load_state(record)
+            load_artifact(record.path)
 
     def test_wrong_architecture_checkpoint_rejected(self, tiny_model, tmp_path):
         from dataclasses import replace

@@ -16,6 +16,7 @@ backward through it raises while leaves keep their gradients.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -40,7 +41,7 @@ from repro.influence.gradients import (
     pass_plan,
 )
 from repro.lora import LoRAConfig, apply_lora
-from repro.nn import MistralTiny, ModelConfig
+from repro.nn import MistralTiny
 from repro.nn.layers import Linear
 from repro.obs import Observability
 from repro.serving import ExplainService
@@ -63,7 +64,7 @@ def build_lora_model() -> MistralTiny:
 
 def build_full_model() -> MistralTiny:
     """Full fine-tune: trainable norms, an untied head with a bias."""
-    config = ModelConfig(**{**TINY.to_dict(), "tie_embeddings": False})
+    config = dataclasses.replace(TINY, tie_embeddings=False)
     model = MistralTiny(config, rng=0)
     model.lm_head = Linear(config.d_model, config.vocab_size, bias=True, rng=1)
     rng = np.random.default_rng(3)

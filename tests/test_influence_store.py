@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.errors import InfluenceError
+from repro.errors import CheckpointError, InfluenceError
 from repro.influence import (
     DataInf,
     GradientStore,
@@ -342,22 +342,16 @@ class TestCrashInjection:
 
         # No temp or partial files; the earlier checkpoint still lists.
         names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["step-000001.json", "step-000001.npz"]
+        assert names == ["step-000001.npz"]
         assert [r.step for r in manager.checkpoints()] == [1]
 
-    def test_influence_run_survives_orphan_checkpoint(
-        self, tiny_model, checkpoints, sets
-    ):
-        """An orphan .npz alongside real checkpoints is skipped, not fatal."""
-        train, test = sets
+    def test_influence_run_refuses_a_foreign_checkpoint(self, checkpoints):
+        """A step-*.npz that is no artifact is refused by name, never replayed."""
         directory = checkpoints[0].path.parent
-        (directory / "step-009999.npz").write_bytes(b"partial write")
-        manager = CheckpointManager(directory)
-        with pytest.warns(RuntimeWarning, match="orphan checkpoint"):
-            listed = manager.checkpoints()
-        assert [r.step for r in listed] == [r.step for r in checkpoints]
-        scores = TracInCP(tiny_model, listed).influence(train, test).sum(axis=1)
-        assert np.isfinite(scores).all()
+        foreign = directory / "step-009999.npz"
+        foreign.write_bytes(b"partial write")
+        with pytest.raises(CheckpointError, match=str(foreign)):
+            CheckpointManager(directory).checkpoints()
 
 
 class TestTracSeqValidation:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,7 +40,7 @@ class TestModelConfig:
 
     def test_roundtrip_dict(self):
         config = ModelConfig(vocab_size=100, d_model=32, n_heads=4, n_kv_heads=2, d_ff=64)
-        assert ModelConfig.from_dict(config.to_dict()) == config
+        assert ModelConfig.from_dict(dataclasses.asdict(config)) == config
 
     @pytest.mark.parametrize(
         "field, value",
@@ -54,8 +56,8 @@ class TestModelConfig:
         ],
     )
     def test_saved_config_with_a_size_below_one_is_refused(self, field, value):
-        # zigong.json's model_config comes from outside the program.
-        data = {**ModelConfig().to_dict(), field: value}
+        # A saved model's config comes from outside the program.
+        data = {**dataclasses.asdict(ModelConfig()), field: value}
         with pytest.raises(ConfigError, match=field):
             ModelConfig.from_dict(data)
 

@@ -113,11 +113,10 @@ ALLOWED = {
     "ExplainConfig.proponents": "opponent explanations are a behaviour the explain tests turn on",
     "BehaviorCardService.threshold": "the decision cut the prompt tests pin decisions at and refuse outside (0, 1)",
     "BehaviorCardService.clock": "a clock is a test substitution: deterministic audit timestamps",
-    "ModelConfig.rope_theta": "a saved-format field of zigong.json's model_config",
-    "ModelConfig.tie_embeddings": "a saved-format field of zigong.json's model_config; the untied head is a documented axis",
+    "ModelConfig.rope_theta": "a saved-format field of a model artifact's config",
+    "ModelConfig.tie_embeddings": "a saved-format field of a model artifact's config; the untied head is a documented axis",
     "Trainer.clock": "a clock is a test substitution: deterministic step timings",
     "Trainer.obs": "an observability hub is a test substitution: an isolated registry",
-    "CheckpointManager.obs": "an observability hub is a test substitution: an isolated registry",
     "OnlinePipeline.eval_samples": "a gate check the gate tests turn on: Behavior Card metric deltas",
     "OnlinePipeline.eval_groups": "a gate check the gate tests turn on: fairness gaps",
     "PromotionGate.min_correlation": "a gate check the gate tests turn on",

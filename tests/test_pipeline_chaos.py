@@ -21,6 +21,7 @@ import pytest
 from repro.errors import InjectedFault, ReplicaCrashedError
 from repro.pipeline import MONITOR, PROMOTE, RETRAIN, SHADOW, PromotionGate
 from repro.resilience import FaultInjector
+from repro.training.checkpoint import load_artifact
 
 from test_pipeline_online import (
     DRIFTED_REFERENCE,
@@ -66,8 +67,7 @@ class TestKillMidRetrain:
         ref = make_pipeline(base, tmp_path / "ref")
         ref.ingest(examples[48:])
         drive_to(ref, traffic, SHADOW)
-        reference_candidate = np.load(tmp_path / "ref" / "round-001" / "candidate.npz")
-        reference_candidate = {k: reference_candidate[k] for k in reference_candidate.files}
+        reference_candidate, _ = load_artifact(tmp_path / "ref" / "round-001" / "candidate.npz")
 
         # Chaos run: die right after the second mid-training checkpoint.
         chaos = make_pipeline(base, tmp_path / "chaos")
@@ -88,8 +88,7 @@ class TestKillMidRetrain:
         resumed.tick([])  # no new traffic needed to finish the retrain
         assert resumed.phase == SHADOW
 
-        survivor = np.load(tmp_path / "chaos" / "round-001" / "candidate.npz")
-        survivor = {k: survivor[k] for k in survivor.files}
+        survivor, _ = load_artifact(tmp_path / "chaos" / "round-001" / "candidate.npz")
         assert_states_equal(reference_candidate, survivor)
 
     def test_selected_examples_survive_the_kill(self, scenario, tmp_path):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, DataError
+from repro.errors import CheckpointError, ConfigError, DataError
 from repro.nn import MistralTiny
 from repro.optim import AdamW, ConstantLR
 from repro.training import (
@@ -16,6 +16,7 @@ from repro.training import (
     iter_batches,
 )
 from repro.training import trainer as trainer_module
+from repro.training.checkpoint import load_artifact
 
 
 def random_examples(n=16, length=10, vocab=60, seed=0):
@@ -85,28 +86,29 @@ class TestCheckpointManager:
         manager.save(tiny_model, step=3, lr=0.1)
         assert manager.latest().step == 3
 
-    def test_orphan_npz_skipped_with_warning(self, tiny_model, tmp_path):
-        """A .npz without its sidecar must not fail the whole listing."""
+    def test_step_file_without_manifest_is_refused(self, tiny_model, tmp_path):
+        """A step-*.npz that is not an artifact fails the listing by name.
+
+        A crashed save never leaves one (the artifact is renamed into
+        place whole), so it is a foreign file or an older checkpoint.
+        """
         manager = CheckpointManager(tmp_path)
-        record = manager.save(tiny_model, step=1, lr=0.1)
-        manager.save(tiny_model, step=2, lr=0.05)
-        record.path.with_suffix(".json").unlink()
-        with pytest.warns(RuntimeWarning, match="orphan checkpoint"):
-            records = manager.checkpoints()
-        assert [r.step for r in records] == [2]
+        manager.save(tiny_model, step=1, lr=0.1)
+        foreign = tmp_path / "step-000002.npz"
+        np.savez(foreign, **tiny_model.state_dict())
+        with pytest.raises(CheckpointError, match=str(foreign)):
+            manager.checkpoints()
 
     def test_atomic_save_leaves_no_temp_files(self, tiny_model, tmp_path):
         manager = CheckpointManager(tmp_path)
         manager.save(tiny_model, step=1, lr=0.1)
         names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["step-000001.json", "step-000001.npz"]
+        assert names == ["step-000001.npz"]
 
     def test_extra_metadata_persisted(self, tiny_model, tmp_path):
-        import json
-
         manager = CheckpointManager(tmp_path)
         record = manager.save(tiny_model, step=1, lr=0.1, extra={"epoch": 3})
-        assert json.loads(record.path.with_suffix(".json").read_text())["epoch"] == 3
+        assert load_artifact(record.path)[1]["extra"]["epoch"] == 3
 
     def test_extra_metadata_round_trips_through_listing(self, tiny_model, tmp_path):
         """Regression: checkpoints() used to drop everything but step/lr."""
@@ -232,7 +234,7 @@ class TestResume:
         step = fresh.resume()
         assert step == last.step
         assert fresh.global_step == last.step
-        state = CheckpointManager.load_state(last)
+        state, _ = load_artifact(last.path)
         for name, param in fresh_model.named_parameters():
             np.testing.assert_allclose(param.data, state[name])
 
