@@ -182,8 +182,19 @@ class ZiGong:
     # ------------------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
-        """Persist weights, config and vocabulary as one artifact in ``directory``."""
+        """Persist weights, config and vocabulary as one artifact in ``directory``.
+
+        A model whose adapters were merged (:func:`~repro.lora.merge_lora`)
+        is refused: its base weights already hold the low-rank deltas,
+        which a load would apply a second time.
+        """
         directory = Path(directory)
+        merged = sum(adapter.merged for adapter in self.lora_modules)
+        if merged:
+            raise CheckpointError(
+                f"cannot save {directory}: {merged} LoRA adapters are merged into their "
+                "base weights, and loading would apply them twice; save before merging"
+            )
         directory.mkdir(parents=True, exist_ok=True)
         manifest = {"config": asdict(self.config), "tokens": self.tokenizer.vocab.tokens(),
                     "lora_applied": self._lora_applied}

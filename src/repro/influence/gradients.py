@@ -26,6 +26,7 @@ pass does not walk the module tree.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import warnings
 from typing import Iterator, Sequence
@@ -35,6 +36,7 @@ import numpy as np
 from repro.errors import InfluenceError
 from repro.nn.module import Module, Parameter
 from repro.nn.transformer import MistralTiny
+from repro.obs import get_observability
 from repro.tensor import row_cross_entropy
 
 TokenExample = tuple[list[int], list[int]]
@@ -163,6 +165,21 @@ def per_sample_gradient(model, example: TokenExample) -> np.ndarray:
     return _loss_gradient(model, params, example)
 
 
+@functools.lru_cache(maxsize=4)
+def _sketch(dim: int, k: int, seed: int) -> np.ndarray:
+    """The read-only scaled ``(dim, k)`` Gaussian sketch of ``seed``.
+
+    Drawn once per key per process, so every projector of that key (one
+    per pruning run) shares it; ``influence.projector_draws`` counts
+    the draws.
+    """
+    matrix = np.random.default_rng(seed).standard_normal((dim, k))
+    matrix /= np.sqrt(k)
+    matrix.flags.writeable = False
+    get_observability().metrics.counter("influence.projector_draws").inc()
+    return matrix
+
+
 class GradientProjector:
     """Random Gaussian projection of gradient vectors to ``k`` dimensions.
 
@@ -172,7 +189,9 @@ class GradientProjector:
     processes*: the matrix is derived solely from
     ``numpy.random.default_rng(seed)``, never from process state, so the
     parallel influence engine's workers reproduce the parent's sketch
-    exactly (pinned by a subprocess test via :meth:`fingerprint`).
+    exactly (pinned by a subprocess test via :meth:`fingerprint`).  The
+    matrix is drawn once per ``(dim, k, seed)`` per process and shared,
+    read-only, by every projector of that key.
 
     :meth:`project` multiplies rows by the sketch in zero-padded tiles of
     :data:`PROJECTION_TILE` rows, so every row, alone or in any batch and
@@ -201,9 +220,7 @@ class GradientProjector:
                 stacklevel=2,
             )
         self.k = min(k, dim)
-        rng = np.random.default_rng(seed)
-        self._matrix = rng.standard_normal((dim, self.k))
-        self._matrix /= np.sqrt(self.k)
+        self._matrix = _sketch(dim, self.k, seed)
 
     def key(self) -> str:
         """Cache-key component: effective projection identity.

@@ -175,8 +175,6 @@ class OnlinePipeline:
         obs: Observability | None = None,
     ):
         self.config = config or OnlineConfig()
-        # One pruner for the pipeline's lifetime, so every round's
-        # influence filter reuses its gradient sketch.
         self._pruner = DataPruner(
             PrunerConfig(strategy=self.config.influence_strategy, seed=self.config.seed)
         )

@@ -150,19 +150,23 @@ def make_zigong(zigong_template):
 
 
 @pytest.fixture
-def projector_inits(monkeypatch) -> list:
-    """One entry ``(dim, k, seed)`` per ``GradientProjector`` built."""
-    from repro.influence.gradients import GradientProjector
+def projector_draws():
+    """``draws()``: gradient sketches drawn since the test began.
 
-    inits = []
-    init = GradientProjector.__init__
+    The process-wide sketch memo is cleared first, so the count does not
+    depend on which tests drew a sketch before this one.
+    """
+    from repro.influence import gradients
+    from repro.obs import get_observability
 
-    def counting(self, dim, k=256, seed=0):
-        inits.append((dim, k, seed))
-        init(self, dim, k=k, seed=seed)
+    def drawn() -> float:
+        counters = get_observability().metrics.snapshot()["counters"]
+        return counters.get("influence.projector_draws", 0)
 
-    monkeypatch.setattr(GradientProjector, "__init__", counting)
-    return inits
+    gradients._sketch.cache_clear()
+    start = drawn()
+    yield lambda: drawn() - start
+    gradients._sketch.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,8 @@ from repro.errors import ConfigError
 from repro.config import test_config as make_test_config
 from repro.core import PipelineConfig, PrunerConfig, ZiGongPipeline
 from repro.core import pipeline as core_pipeline
+from repro.obs import get_observability
+from repro.training import CheckpointManager
 
 
 @pytest.fixture(scope="module")
@@ -61,24 +63,47 @@ class TestPipeline:
             PipelineConfig(pruned_fraction=1.5)
 
 
+def checkpoint_loads() -> float:
+    counters = get_observability().metrics.snapshot()["counters"]
+    return counters.get("influence.checkpoint_loads", 0)
+
+
 class TestPrunerReuse:
-    def test_runs_share_one_sketch(self, german_examples, tmp_path, projector_inits, monkeypatch):
-        """The pipeline's pruner, built once, keeps its sketch across runs."""
+    @pytest.fixture
+    def config(self, monkeypatch):
         monkeypatch.setattr(core_pipeline, "WARMUP_EPOCHS", 1)
         base = make_test_config()
-        config = PipelineConfig(
+        return PipelineConfig(
             zigong=dataclasses.replace(
                 base, training=dataclasses.replace(base.training, epochs=1)
             ),
             pruner=PrunerConfig(projection_dim=64),
         )
+
+    def test_runs_share_one_sketch(self, config, german_examples, tmp_path, projector_draws):
+        """One pipeline's runs draw the sketch once between them."""
         pipeline = ZiGongPipeline(config)
         train, val = german_examples[:16], german_examples[48:52]
         first = pipeline.run(train, val, checkpoint_dir=tmp_path / "first")
         second = pipeline.run(train, val, checkpoint_dir=tmp_path / "second")
-        assert len(projector_inits) == 1
+        assert projector_draws() == 1
         # The first run drew the sketch fresh; the second reuses it.
         assert np.array_equal(first.scores, second.scores)
+
+    def test_fresh_pipelines_share_one_sketch(
+        self, config, german_examples, tmp_path, projector_draws
+    ):
+        """A refresh job builds a new pipeline per run: still one draw per
+        process, and each run loads each warmup checkpoint once."""
+        train, val = german_examples[:16], german_examples[48:52]
+        loads = []
+        for name in ("first", "second"):
+            before = checkpoint_loads()
+            ZiGongPipeline(config).run(train, val, checkpoint_dir=tmp_path / name)
+            loads.append(checkpoint_loads() - before)
+            replayed = len(CheckpointManager(tmp_path / name).checkpoints())
+        assert projector_draws() == 1
+        assert loads == [replayed, replayed] and replayed > 0
 
 
 class TestTemporaryCheckpoints:

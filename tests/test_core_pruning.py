@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import InfluenceError
 from repro.core import DataPruner, PrunerConfig, ZiGong
+from repro.influence import gradients
 from repro.training import CheckpointManager
 
 
@@ -93,8 +94,8 @@ class TestSelection:
 
 
 class TestProjectorReuse:
-    def test_one_sketch_across_score_calls(self, warm, german_examples, projector_inits):
-        """A pruner draws its sketch once; later calls score as fresh pruners do."""
+    def test_one_sketch_across_score_calls(self, warm, german_examples, projector_draws):
+        """A process draws a sketch once; later calls and fresh pruners reuse it."""
         zigong, checkpoints = warm
         config = PrunerConfig(strategy="tracseq", projection_dim=64)
         rounds = [
@@ -103,8 +104,13 @@ class TestProjectorReuse:
         ]
         pruner = DataPruner(config)
         scores = [pruner.score(zigong, train, val, checkpoints) for train, val in rounds]
-        assert len(projector_inits) == 1
+        assert projector_draws() == 1
         for (train, val), got in zip(rounds, scores):
             fresh = DataPruner(config).score(zigong, train, val, checkpoints)
             assert np.array_equal(got, fresh)
-        assert len(projector_inits) == 1 + len(rounds)
+        assert projector_draws() == 1
+        # A sketch redrawn after the memo is cleared scores the same bits.
+        gradients._sketch.cache_clear()
+        train, val = rounds[0]
+        assert np.array_equal(DataPruner(config).score(zigong, train, val, checkpoints), scores[0])
+        assert projector_draws() == 2

@@ -143,11 +143,27 @@ class TestPersistence:
         other.model.load_state_dict(
             {k: v + 1.0 for k, v in other.model.state_dict().items()}
         )
+        other.save(tmp_path / "other")
         with np.load(path) as data:
             manifest = data["__manifest__"]
-        np.savez(path, **other.model.state_dict(), __manifest__=manifest)
+        with np.load(tmp_path / "other" / "zigong.npz") as data:
+            swapped = data["__data__"]
+        # The other model's blob under this model's manifest: every
+        # entry still fits, only the fingerprint tells them apart.
+        np.savez(path, __data__=swapped, __manifest__=manifest)
         with pytest.raises(CheckpointError, match="fingerprint"):
             ZiGong.load(tmp_path / "model")
+
+    def test_a_merged_model_is_refused(self, make_zigong, tmp_path):
+        """Merged adapters' deltas are in the base weights; a load would add them again."""
+        zigong = make_zigong()
+        zigong.apply_lora()
+        for adapter in zigong.lora_modules:
+            adapter.lora_b.data[...] = 0.05
+        merge_lora(zigong.model)
+        with pytest.raises(CheckpointError, match="merged"):
+            zigong.save(tmp_path / "model")
+        assert not (tmp_path / "model").exists()
 
     def test_interrupted_save_keeps_the_previous_artifact(
         self, make_zigong, tmp_path, monkeypatch

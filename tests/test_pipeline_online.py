@@ -486,8 +486,8 @@ class TestGuards:
 
 
 class TestInfluenceFilterSketch:
-    def test_rounds_share_one_sketch(self, scenario, tmp_path, projector_inits, monkeypatch):
-        """Every round's influence filter reuses the pipeline's one sketch."""
+    def test_rounds_share_one_sketch(self, scenario, tmp_path, projector_draws, monkeypatch):
+        """Every round's influence filter reuses the process's one sketch."""
         from repro.core import DataPruner
 
         base, examples, _ = scenario
@@ -507,7 +507,7 @@ class TestInfluenceFilterSketch:
             round_dir = tmp_path / f"round-{round_index}"
             round_dir.mkdir()
             pipeline._select(recent, round_dir)
-        assert len(projector_inits) == 1
+        assert projector_draws() == 1
         # The first round drew the sketch; the second, over the same
         # buffer, scores exactly as that fresh one did.
         assert len(scores) == 2 and np.array_equal(scores[0], scores[1])
