@@ -99,7 +99,7 @@ def load_artifact(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         if manifest["format"] == 1:
             arrays = {key: np.array(data[key], order="C") for key in data.files if key != MANIFEST}
         elif sorted(data.files) != [DATA, MANIFEST]:
-            raise CheckpointError(f"{path}: members {sorted(data.files)}, expected {[DATA, MANIFEST]}")
+            raise CheckpointError(f"{path}: members {sorted(data.files)}, not {[DATA, MANIFEST]}")
         else:
             arrays = _sliced(path, data[DATA], manifest.get("entries"))
     if fingerprint(arrays) != manifest.get("sha256"):
