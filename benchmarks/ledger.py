@@ -15,12 +15,15 @@ another directory).  ``dirty`` is true when tracked files differ from
 ``git_rev``, so an entry taken in an uncommitted tree says so.  It then
 compares the entry's ``counts`` with the last entry of the same seed
 and ``--seconds`` and prints each count that differs, "counts identical
-to <rev>" or "no previous entry"; this reports and gates nothing.
+to <rev>" (followed by any count that entry did not hold yet) or "no
+previous entry"; this reports and gates nothing.
 Besides perfbench's counts, ``counts`` holds the same checkout's
 request-path counts (:func:`request_path_counts`): instrument calls and
-Python function calls per decision on a synchronous stub cluster, run
-in one fresh interpreter that imports only that checkout's ``src/``.
-They are exact, so they repeat on any host.
+Python function calls per decision on a synchronous stub cluster; and
+its refresh counts (:func:`refresh_counts`): gradient-sketch draws and
+checkpoint loads of one TracSeq refresh job.  Both run in one fresh
+interpreter that imports only that checkout's ``src/``.  They are
+exact, so they repeat on any host.
 
 ``ab`` checks ``--rev`` out with ``git worktree add`` under a temporary
 directory and runs ``--pairs`` pairs of that rev and this checkout,
@@ -168,12 +171,66 @@ def request_path_counts(requests: int = REQUESTS, src: Path = ROOT / "src") -> d
     }
 
 
+REFRESH_USERS, REFRESH_PERIODS, REFRESH_VAL = 4, 8, 4  # the refresh pool of the count run
+REFRESH_SEED = 7
+
+
+def refresh_counts(src: Path = ROOT / "src") -> dict[str, float]:
+    """Gradient-sketch draws and checkpoint loads of one refresh job.
+
+    One ``ZiGongPipeline.run`` (``bench_config`` model, TracSeq pruner
+    with a 128-column sketch, no worker processes) over a behavior pool
+    of 4 users x 8 periods, 4 examples held out for validation: the
+    shape of perfbench's ``prune_and_explain`` refresh.  The counts are
+    the growth of the ``influence.projector_draws`` and
+    ``influence.checkpoint_loads`` counters of the process's
+    ``repro.obs`` registry over the run; nothing is timed, so they are
+    exact.  The sketch is drawn once per process, so the draw count is
+    that of a first refresh only in a process that has drawn none:
+    :func:`checkout_counts` runs this in a fresh interpreter.  ``repro``
+    is imported from ``src`` unless this process has imported it already.
+    """
+    src = str(src)
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from repro.config import bench_config
+    from repro.core import PipelineConfig, PrunerConfig, ZiGongPipeline
+    from repro.data import build_behavior_examples
+    from repro.datasets import make_behavior
+    from repro.obs import get_observability
+
+    examples = build_behavior_examples(
+        make_behavior(n_users=REFRESH_USERS, n_periods=REFRESH_PERIODS, seed=REFRESH_SEED)
+    )
+    val, train = examples[:REFRESH_VAL], examples[REFRESH_VAL:]
+    config = PipelineConfig(
+        zigong=bench_config(),
+        pruner=PrunerConfig(strategy="tracseq", projection_dim=128, workers=0),
+    )
+    names = {
+        "refresh.projector_draws": "influence.projector_draws",
+        "refresh.checkpoint_loads": "influence.checkpoint_loads",
+    }
+
+    def read() -> dict[str, float]:
+        counters = get_observability().metrics.snapshot()["counters"]
+        return {name: counters.get(counter, 0) for name, counter in names.items()}
+
+    before = read()
+    with tempfile.TemporaryDirectory(prefix="ledger-refresh-") as checkpoint_dir:
+        ZiGongPipeline(config).run(train, val, checkpoint_dir=checkpoint_dir)
+    after = read()
+    return {name: after[name] - before[name] for name in names}
+
+
 def checkout_counts(checkout: Path) -> dict[str, float]:
-    """:func:`request_path_counts` of ``checkout``'s ``src/``, in a fresh interpreter."""
+    """:func:`request_path_counts` and :func:`refresh_counts` of ``checkout``'s
+    ``src/``, in one fresh interpreter."""
     src = Path(checkout) / "src"
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import ledger; "
-        "print(json.dumps(ledger.request_path_counts(src=sys.argv[2])))"
+        "print(json.dumps({**ledger.request_path_counts(src=sys.argv[2]), "
+        "**ledger.refresh_counts(src=sys.argv[2])}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, str(Path(__file__).resolve().parent), str(src)],
@@ -281,8 +338,12 @@ def against_previous(entries: list[dict], item: dict) -> list[str]:
     if not same_run:
         return ["no previous entry"]
     previous = same_run[-1]
-    diffs = count_diffs([previous["counts"]], [item["counts"]], prefix=f"since {previous['git_rev']}: ")
-    return diffs or [f"counts identical to {previous['git_rev']}"]
+    rev, old, new = previous["git_rev"], previous["counts"], item["counts"]
+    diffs = count_diffs([old], [new], prefix=f"since {rev}: ")
+    if all(new.get(name) == value for name, value in old.items()):
+        # Every count the previous entry holds is unchanged; new ones follow as diffs.
+        return [f"counts identical to {rev}", *diffs]
+    return diffs
 
 
 def render(rows: list[dict], rev: str, label: str, pairs: int) -> str:

@@ -84,9 +84,18 @@ class LoRALinear(Module):
         lora = (self.lora_a, self.lora_b, self.scaling)
         return linear(x, self.base.weight, self.base.bias, lora)
 
+    def merged_weight(self) -> np.ndarray:
+        """The base weight with the update folded in: what :meth:`merge` stores.
+
+        Once merged, that is the base weight itself (not a copy).
+        """
+        if self._merged:
+            return self.base.weight.data
+        return self.base.weight.data + self.delta_weight()
+
     def merge(self) -> None:
         """Fold the low-rank update into the base weight (for inference)."""
         if self._merged:
             return
-        self.base.weight.data = self.base.weight.data + self.delta_weight()
+        self.base.weight.data = self.merged_weight()
         self._merged = True

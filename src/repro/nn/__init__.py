@@ -19,6 +19,7 @@ from repro.nn.quant import (
     is_quantized,
     quantize_model,
     quantize_weight,
+    quantized_state,
     weight_bytes,
 )
 from repro.nn.generation import (
@@ -75,6 +76,7 @@ __all__ = [
     "QuantizedEmbedding",
     "quantize_model",
     "quantize_weight",
+    "quantized_state",
     "is_quantized",
     "weight_bytes",
 ]

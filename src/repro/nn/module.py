@@ -62,6 +62,34 @@ class Module:
 
     # -- traversal -----------------------------------------------------
 
+    def _walk(self, prefix: str, params: list, buffers: list) -> None:
+        """Append this subtree's ``(path, Parameter)`` and ``(path, Buffer)`` pairs.
+
+        One ``vars()`` pass per module, pre-order: a module's own
+        parameters come before its children's, children in attribute
+        order (a :class:`ModuleList`'s in index order).  That is the
+        order of :meth:`named_parameters`, which optimizer moments,
+        gradient clipping and gradient-row columns follow.
+        """
+        children = []
+        for key, value in vars(self).items():
+            if isinstance(value, Parameter):
+                params.append((prefix + key, value))
+            elif isinstance(value, Buffer):
+                buffers.append((prefix + key, value))
+            elif isinstance(value, Module):
+                children.append((key, value))
+            elif isinstance(value, ModuleList):
+                children.extend((f"{key}.{i}", child) for i, child in enumerate(value))
+        for name, child in children:
+            child._walk(f"{prefix}{name}.", params, buffers)
+
+    def _leaves(self) -> tuple[list[tuple[str, Parameter]], list[tuple[str, Buffer]]]:
+        params: list[tuple[str, Parameter]] = []
+        buffers: list[tuple[str, Buffer]] = []
+        self._walk("", params, buffers)
+        return params, buffers
+
     def named_children(self) -> Iterator[tuple[str, "Module"]]:
         for key, value in vars(self).items():
             if isinstance(value, Module):
@@ -71,21 +99,17 @@ class Module:
                     yield f"{key}.{i}", child
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
-        for key, value in vars(self).items():
-            if isinstance(value, Parameter):
-                yield (f"{prefix}{key}", value)
-        for name, child in self.named_children():
-            yield from child.named_parameters(prefix=f"{prefix}{name}.")
+        params: list[tuple[str, Parameter]] = []
+        self._walk(prefix, params, [])
+        return iter(params)
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
     def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, Buffer]]:
-        for key, value in vars(self).items():
-            if isinstance(value, Buffer):
-                yield (f"{prefix}{key}", value)
-        for name, child in self.named_children():
-            yield from child.named_buffers(prefix=f"{prefix}{name}.")
+        buffers: list[tuple[str, Buffer]] = []
+        self._walk(prefix, [], buffers)
+        return iter(buffers)
 
     def num_parameters(self, trainable_only: bool = False) -> int:
         """Total scalar parameter count."""
@@ -102,54 +126,62 @@ class Module:
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copy of every parameter's and buffer's data, keyed by dotted path.
 
-        Parameters are float32 by construction; buffers keep their own
-        dtype and memory layout (e.g. int8 quantized weights, stored in
-        Fortran order), so a state dict loads back without a transpose.
+        Parameters (in :meth:`named_parameters` order) come first, then
+        buffers.  Parameters are float32 by construction; buffers keep
+        their own dtype and memory layout (e.g. int8 quantized weights,
+        stored in Fortran order), so a state dict loads back without a
+        transpose.
         """
-        state = {name: p.data.copy() for name, p in self.named_parameters()}
-        state.update({name: b.data.copy(order="K") for name, b in self.named_buffers()})
+        params, buffers = self._leaves()
+        state = {name: p.data.copy() for name, p in params}
+        state.update((name, b.data.copy(order="K")) for name, b in buffers)
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load parameter and buffer values in place.
+        """Load parameter and buffer values.
 
-        With ``strict=True`` (default) the key sets must match exactly and
-        every shape must agree.  Parameter values are cast to float32;
-        buffer values are cast to the buffer's existing dtype and copied
-        into its existing memory layout (so int8 quantized weights stay
-        int8, and in the Fortran order their matmul reads, through a
-        round-trip).
+        With ``strict=True`` (default) the key sets must match exactly.
+        Every loaded value must have its holder's shape and cast to its
+        holder's dtype under numpy's ``same_kind`` rule (float64 into
+        float32 loads; a float into an int8 buffer, or a complex into a
+        float parameter, does not); otherwise :class:`CheckpointError`
+        names the key and nothing is loaded.  Each value is copied into
+        a fresh array of its holder's own dtype and memory layout, so
+        parameters stay float32, int8 quantized weights stay int8 in
+        the Fortran order their matmul reads, and the model shares no
+        array with ``state``.
         """
-        own_params = dict(self.named_parameters())
-        own_buffers = dict(self.named_buffers())
-        if strict:
-            own_keys = set(own_params) | set(own_buffers)
-            missing = sorted(own_keys - set(state))
-            unexpected = sorted(set(state) - own_keys)
-            if missing or unexpected:
-                raise CheckpointError(
-                    f"state dict mismatch: missing={missing}, unexpected={unexpected}"
-                )
-        for name, param in own_params.items():
+        params, buffers = self._leaves()
+        holders = dict(params)
+        holders.update(buffers)
+        if strict and holders.keys() != state.keys():
+            missing = sorted(holders.keys() - state.keys())
+            unexpected = sorted(state.keys() - holders.keys())
+            raise CheckpointError(
+                f"state dict mismatch: missing={missing}, unexpected={unexpected}"
+            )
+        loads = []
+        for name, holder in holders.items():
             if name not in state:
                 continue
-            value = np.asarray(state[name], dtype=np.float32)
-            if value.shape != param.shape:
+            value = np.asarray(state[name])
+            own = holder.data
+            if value.shape != own.shape:
                 raise CheckpointError(
-                    f"shape mismatch for {name}: checkpoint {value.shape} vs model {param.shape}"
+                    f"shape mismatch for {name}: checkpoint {value.shape} vs model {own.shape}"
                 )
-            param.data = value.copy()
-        for name, buffer in own_buffers.items():
-            if name not in state:
-                continue
-            value = np.asarray(state[name], dtype=buffer.data.dtype)
-            if value.shape != buffer.data.shape:
+            if value.dtype != own.dtype and not np.can_cast(value.dtype, own.dtype, "same_kind"):
                 raise CheckpointError(
-                    f"shape mismatch for {name}: checkpoint {value.shape} vs model {buffer.data.shape}"
+                    f"dtype mismatch for {name}: checkpoint {value.dtype} does not cast "
+                    f"to model {own.dtype}"
                 )
-            loaded = np.empty_like(buffer.data)  # keeps the buffer's layout
+            loads.append((holder, value))
+        # Every value checked: copy one at a time, so each old array can
+        # be freed before the next copy is made.
+        for holder, value in loads:
+            loaded = np.empty_like(holder.data)  # the holder's dtype and layout
             loaded[...] = value
-            buffer.data = loaded
+            holder.data = loaded
         self.bump_weight_version()
 
     # -- call ----------------------------------------------------------

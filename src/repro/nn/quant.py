@@ -64,14 +64,15 @@ def quantize_weight(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(w_q, scale)`` with ``w_q`` int8 and ``scale`` float32 of
     shape ``(out,)`` such that ``w_q[o, :] * scale[o] ~= W[o, :]`` with
     per-element error at most ``scale[o] / 2`` (round-to-nearest).
-    All-zero rows get scale 1.0 so dequantization stays exact.
+    All-zero rows get scale 1.0 so dequantization stays exact.  ``w_q``
+    is in Fortran order, the layout the int8 layers store.
     """
     w = np.asarray(weight, dtype=np.float32)
     if w.ndim != 2:
         raise QuantizationError(f"expected a 2-D weight, got shape {w.shape}")
     absmax = np.abs(w).max(axis=1)
     scale = np.where(absmax > 0, absmax / np.float32(_QMAX), np.float32(1.0)).astype(np.float32)
-    w_q = np.clip(np.rint(w / scale[:, None]), -_QMAX, _QMAX).astype(np.int8)
+    w_q = np.clip(np.rint(w / scale[:, None]), -_QMAX, _QMAX).astype(np.int8, order="F")
     return w_q, scale
 
 
@@ -108,12 +109,16 @@ class QuantizedLinear(Module):
 
     @classmethod
     def from_linear(cls, linear: Linear) -> "QuantizedLinear":
-        q = cls(linear.in_features, linear.out_features, bias=linear.bias is not None)
-        w_q, scale = quantize_weight(linear.weight.data)
-        q.weight_q.data = np.asfortranarray(w_q)
+        return cls._from_arrays(*quantize_weight(linear.weight.data), linear.bias)
+
+    @classmethod
+    def _from_arrays(cls, w_q: np.ndarray, scale: np.ndarray, bias=None) -> "QuantizedLinear":
+        out_features, in_features = w_q.shape
+        q = cls(in_features, out_features, bias=bias is not None)
+        q.weight_q.data = w_q
         q.scale.data = scale
-        if linear.bias is not None:
-            q.bias.data = linear.bias.data.copy()
+        if bias is not None:
+            q.bias.data = bias.data.copy()
         return q
 
     def matmul_np(self, x: np.ndarray) -> np.ndarray:
@@ -155,9 +160,12 @@ class QuantizedEmbedding(Module):
 
     @classmethod
     def from_embedding(cls, emb: Embedding) -> "QuantizedEmbedding":
-        q = cls(emb.num_embeddings, emb.dim)
-        w_q, scale = quantize_weight(emb.weight.data)
-        q.weight_q.data = np.asfortranarray(w_q)
+        return cls._from_arrays(*quantize_weight(emb.weight.data))
+
+    @classmethod
+    def _from_arrays(cls, w_q: np.ndarray, scale: np.ndarray, bias=None) -> "QuantizedEmbedding":
+        q = cls(*w_q.shape)
+        q.weight_q.data = w_q
         q.scale.data = scale
         return q
 
@@ -202,6 +210,35 @@ def _iter_modules(root: Module):
                 stack.extend(list(value))
 
 
+def _int8_layer(key: str, layer):
+    """How the layer held at attribute ``key`` quantizes, or ``None`` if it stays float.
+
+    The one eligibility rule: every :class:`~repro.nn.Embedding`, and a
+    :class:`~repro.nn.Linear` or LoRA-wrapped linear whose attribute
+    name is in :data:`TARGETS` (modules held in a :class:`ModuleList`
+    are never swapped).  Returns ``(twin class, weight_q, scale,
+    bias)``: the Fortran-order int8 weight and float32 scales of the
+    layer's float weight, which for a LoRA layer is its merged weight
+    (``base + delta``, as :meth:`LoRALinear.merge` stores it), and the
+    float bias :class:`Parameter` or ``None``.  The layer is not changed.
+    """
+    if isinstance(layer, Embedding):
+        return (QuantizedEmbedding, *quantize_weight(layer.weight.data), None)
+    if key not in TARGETS:
+        return None
+    from repro.lora.adapter import LoRALinear  # local import: repro.lora imports repro.nn
+
+    if isinstance(layer, LoRALinear):
+        return (QuantizedLinear, *quantize_weight(layer.merged_weight()), layer.base.bias)
+    if isinstance(layer, Linear):
+        return (QuantizedLinear, *quantize_weight(layer.weight.data), layer.bias)
+    return None
+
+
+def _no_eligible_layers() -> QuantizationError:
+    return QuantizationError(f"no eligible layers to quantize (targets={sorted(TARGETS)})")
+
+
 def quantize_model(
     model: Module,
     dtype: str = "int8",
@@ -222,44 +259,87 @@ def quantize_model(
     float weights.  No-grad forwards of the result run the fused
     kernel, :func:`infer_logits_np`, as they do on a float model.
 
-    The pass mutates ``model`` in place and returns it.
+    The pass mutates ``model`` in place and returns it.  To get the
+    int8 weights without changing a model, use :func:`quantized_state`.
     """
     if dtype != "int8":
         raise QuantizationError(f"unsupported quantization dtype {dtype!r}; only 'int8' is implemented")
     from repro.lora.adapter import LoRALinear  # local import: repro.lora imports repro.nn
-
-    for module in _iter_modules(model):
-        if isinstance(module, LoRALinear) and not module.merged:
-            raise QuantizationError(
-                "quantize_model must run after LoRA merge: found an unmerged "
-                "LoRALinear (its low-rank delta would be dropped). Call "
-                "repro.lora.merge_lora(model) first."
-            )
-
-    replaced = 0
-    for module in list(_iter_modules(model)):
-        for key, value in list(vars(module).items()):
-            if isinstance(value, LoRALinear) and key in TARGETS:
-                setattr(module, key, QuantizedLinear.from_linear(value.base))
-                replaced += 1
-            elif isinstance(value, Linear) and key in TARGETS:
-                setattr(module, key, QuantizedLinear.from_linear(value))
-                replaced += 1
-            elif isinstance(value, Embedding):
-                setattr(module, key, QuantizedEmbedding.from_embedding(value))
-                replaced += 1
-    if replaced == 0:
-        raise QuantizationError(
-            f"quantize_model found no eligible layers (targets={sorted(TARGETS)})"
-        )
-
     from repro.nn.transformer import MistralTiny  # local import: avoid cycle at module load
 
-    for module in _iter_modules(model):
+    modules = list(_iter_modules(model))
+    if any(isinstance(m, LoRALinear) and not m.merged for m in modules):
+        raise QuantizationError(
+            "quantize_model must run after LoRA merge: found an unmerged "
+            "LoRALinear (its low-rank delta would be dropped). Call "
+            "repro.lora.merge_lora(model) first."
+        )
+
+    replaced = 0
+    for module in modules:
+        for key, value in list(vars(module).items()):
+            layer = _int8_layer(key, value)
+            if layer is not None:
+                twin, w_q, scale, bias = layer
+                setattr(module, key, twin._from_arrays(w_q, scale, bias))
+                replaced += 1
         if isinstance(module, MistralTiny):
             module._inference_kernel = infer_logits_np  # marker only; see MistralTiny
+    if replaced == 0:
+        raise _no_eligible_layers()
     model.bump_weight_version()
     return model
+
+
+def quantized_state(model: Module) -> dict[str, np.ndarray]:
+    """The ``state_dict()`` :func:`quantize_model` would leave, without changing ``model``.
+
+    Every eligible layer (as :func:`quantize_model` picks them) becomes
+    its twin's entries: ``<path>.bias`` (if any), the Fortran-order int8
+    ``<path>.weight_q`` and the float32 ``<path>.scale``, quantized from
+    the layer's merged float weight, so unmerged LoRA adapters are
+    folded in rather than refused.  Every other parameter and buffer is
+    copied as it is (a non-target adapter's ``base.weight`` merged), in
+    ``state_dict`` order.  One walk of the tree, no model is built, and
+    ``model`` (weights, ``weight_version``, adapter ``merged`` flags) is
+    left as it was.  This is the int8 deploy payload of a float model.
+    """
+    from repro.lora.adapter import LoRALinear  # local import: repro.lora imports repro.nn
+
+    params: dict[str, np.ndarray] = {}
+    buffers: dict[str, np.ndarray] = {}
+
+    def walk(module: Module, prefix: str) -> int:
+        replaced = 0
+        children = []
+        for key, value in vars(module).items():
+            if isinstance(value, Parameter):
+                params[prefix + key] = value.data.copy()
+            elif isinstance(value, Buffer):
+                buffers[prefix + key] = value.data.copy(order="K")
+            elif isinstance(value, Module):
+                children.append((key, value, _int8_layer(key, value)))
+            elif isinstance(value, ModuleList):
+                children.extend((f"{key}.{i}", child, None) for i, child in enumerate(value))
+        for name, child, layer in children:
+            path = f"{prefix}{name}."
+            if layer is None:
+                replaced += walk(child, path)
+                if isinstance(child, LoRALinear) and not child.merged:
+                    params[path + "base.weight"] = child.merged_weight()
+                continue
+            _, w_q, scale, bias = layer
+            if bias is not None:
+                params[path + "bias"] = bias.data.copy()
+            buffers[path + "weight_q"] = w_q
+            buffers[path + "scale"] = scale
+            replaced += 1
+        return replaced
+
+    if walk(model, "") == 0:
+        raise _no_eligible_layers()
+    params.update(buffers)
+    return params
 
 
 def is_quantized(model: Module) -> bool:

@@ -111,16 +111,18 @@ def _replica_model(config, lora_applied: bool, state: dict, quantize: str | None
 def zigong_quantized_state(zigong) -> dict:
     """Stage an int8 deploy payload from a (float, possibly LoRA) ZiGong.
 
-    Builds a throwaway replica model from the source weights, merges any
-    LoRA adapters, runs :func:`repro.nn.quantize_model` and returns its
-    ``state_dict()`` — the exact key/dtype layout that replicas built by
-    ``zigong_replica_factory(..., quantize="int8")`` expect, so the
-    result can be handed straight to
-    :meth:`ClusterSupervisor.deploy` for a stage->drain->swap rollout.
-    The source ``zigong`` is never mutated (checkpoints stay float).
+    :func:`repro.nn.quantized_state` of the source model: each eligible
+    layer's merged float weight quantized straight from the source
+    weights, every other parameter copied, with no replica model built.
+    The result has the exact key/dtype/layout of the ``state_dict()`` of
+    a replica built by ``zigong_replica_factory(..., quantize="int8")``,
+    so it can be handed straight to :meth:`ClusterSupervisor.deploy` for
+    a stage->drain->swap rollout.  The source ``zigong`` is never
+    mutated (checkpoints stay float).
     """
-    lora = getattr(zigong, "_lora_applied", False)
-    return _replica_model(zigong.config, lora, zigong.model.state_dict(), "int8").state_dict()
+    from repro.nn.quant import quantized_state
+
+    return quantized_state(zigong.model)
 
 
 def zigong_replica_factory(

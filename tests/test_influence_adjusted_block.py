@@ -231,13 +231,20 @@ class TestWarmService:
         service = ExplainService.for_zigong(zigong, examples, checkpoints, obs=obs)
         service.explain("warm-up", behavior_text(examples[0]))
         walks = []
-        named_children = Module.named_children
+        named_children, walk = Module.named_children, Module._walk
 
         def counting(self):
             walks.append(type(self).__name__)
             return named_children(self)
 
+        def counting_walk(self, prefix, params, buffers):
+            walks.append(type(self).__name__)
+            return walk(self, prefix, params, buffers)
+
+        # Two ways down the tree: named_children, and the one walk behind
+        # named_parameters / named_buffers / state_dict / load_state_dict.
         monkeypatch.setattr(Module, "named_children", counting)
+        monkeypatch.setattr(Module, "_walk", counting_walk)
         passes = obs.metrics.counter("influence.gradient_passes")
         before = passes.value
         service.explain("warm", behavior_text(examples[7]))

@@ -155,6 +155,23 @@ class TestRecordAgainstPrevious:
         entries = json.loads((results / "BENCH_decide_microbatch.json").read_text())
         assert len(entries) == 4  # reported, never gated
 
+    def test_a_count_new_since_the_previous_entry_is_listed_after_identical(
+        self, ledger, checkout, tmp_path, monkeypatch, capsys
+    ):
+        head = git(checkout, "rev-parse", "--short", "HEAD")
+        results = tmp_path / "results"
+        counts = dict(REPORT["counts"][0])
+        assert self.record(ledger, checkout, results, monkeypatch, capsys, counts) == ["no previous entry"]
+        grown = {**counts, "refresh.checkpoint_loads": 3}
+        assert self.record(ledger, checkout, results, monkeypatch, capsys, grown) == [
+            f"counts identical to {head}",
+            f"since {head}: refresh.checkpoint_loads None -> 3",
+        ]
+        shrunk = {"deploy.swaps": 2, "refresh.checkpoint_loads": 3}
+        assert self.record(ledger, checkout, results, monkeypatch, capsys, shrunk) == [
+            f"since {head}: light.decisions 40 -> None",
+        ]
+
     def test_main_exit_code_is_unchanged_by_differing_counts(self, ledger, checkout, tmp_path, monkeypatch, capsys):
         results = tmp_path / "results"
         monkeypatch.setattr(ledger, "checkout_counts", lambda root: {})
@@ -167,6 +184,23 @@ class TestRecordAgainstPrevious:
             argv = ["record", "--workload", "w", "--seed", "3", "--seconds", "0.5", "--results", str(results)]
             assert ledger.main(argv) == 0
         assert "light.decisions 40 -> 41" in capsys.readouterr().out
+
+
+class TestRefreshCounts:
+    def test_one_refresh_draws_one_sketch_and_loads_its_checkpoints(self, ledger, projector_draws):
+        from repro.obs import get_observability
+
+        def loads() -> float:
+            return get_observability().metrics.snapshot()["counters"].get("influence.checkpoint_loads", 0)
+
+        before = loads()
+        counts = ledger.refresh_counts()
+        assert counts == {
+            "refresh.projector_draws": 1,
+            "refresh.checkpoint_loads": loads() - before,
+        }
+        assert projector_draws() == 1
+        assert counts["refresh.checkpoint_loads"] >= 1  # TracSeq replays the warmup checkpoints
 
 
 class TestSummarize:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from repro.nn import (
     is_quantized,
     quantize_model,
     quantize_weight,
+    quantized_state,
     weight_bytes,
 )
 from repro.nn.cache import PrefixCache
@@ -193,11 +196,12 @@ class TestStoredLayout:
         # The payload format: the float model's keys with each quantized
         # weight swapped for an (out, in) int8 ``weight_q`` plus a float32
         # ``scale``.  The int8 copies keep the stored layout, so loading
-        # them needs no transpose.
+        # them needs no transpose, and the replica then holds the payload.
         state = replica.state_dict()
-        assert set(state) == set(payload)
+        assert list(state) == list(payload)
         for key, value in payload.items():
             assert state[key].shape == value.shape and state[key].dtype == value.dtype
+            np.testing.assert_array_equal(state[key], value, err_msg=key)
             if key.endswith(".weight_q"):
                 assert value.dtype == np.int8
                 assert value.shape == float_state[key[: -len("_q")]].shape
@@ -207,9 +211,6 @@ class TestStoredLayout:
                 assert value.shape == payload[key[: -len("scale")] + "weight_q"].shape[:1]
             else:
                 assert key in float_state and value.dtype == np.float32
-        np.testing.assert_array_equal(
-            replica.tok_embed.weight_q.data, payload["tok_embed.weight_q"]
-        )
 
         # A C-order payload (as an older checkpoint holds) loads into the
         # same layout, with no copy kept.
@@ -221,12 +222,135 @@ class TestStoredLayout:
             assert layer.weight_q.data.T.flags.c_contiguous
             assert layer.weight_q.data.base is None
         assert weight_bytes(replica) == before == sum(v.nbytes for v in payload.values())
+        for key, value in replica.state_dict().items():
+            np.testing.assert_array_equal(value, payload[key], err_msg=key)
+
+
+def assert_same_state(got: dict, expected: dict) -> None:
+    """Same keys in the same order; per key the same dtype, shape, layout and values."""
+    assert list(got) == list(expected)
+    for key, value in expected.items():
+        held = got[key]
+        assert held.dtype == value.dtype and held.shape == value.shape, key
+        layout = (held.flags.c_contiguous, held.flags.f_contiguous)
+        assert layout == (value.flags.c_contiguous, value.flags.f_contiguous), key
+        np.testing.assert_array_equal(held, value, err_msg=key)
+
+
+def _merged_then_quantized(model: Module) -> dict:
+    """The payload as a compile pass makes it: merge and quantize a copy, read its state."""
+    from repro.lora import merge_lora
+
+    clone = copy.deepcopy(model)
+    merge_lora(clone)
+    return quantize_model(clone).state_dict()
+
+
+class TestDeployPayload:
+    """``quantized_state`` is the int8 replica's state dict, built from the source alone."""
+
+    @staticmethod
+    def _replica_state(zigong) -> dict:
+        from repro.serving.behavior_card import _replica_model
+
+        lora = getattr(zigong, "_lora_applied", False)
+        return _replica_model(zigong.config, lora, zigong.model.state_dict(), "int8").state_dict()
+
+    def test_lora_model_with_a_tied_head(self, fitted_zigong):
+        from repro.serving import zigong_quantized_state
+
+        assert fitted_zigong._lora_applied and fitted_zigong.model.lm_head is None
+        assert_same_state(zigong_quantized_state(fitted_zigong), self._replica_state(fitted_zigong))
+
+    def test_plain_model(self, make_zigong):
+        from repro.serving import zigong_quantized_state
+
+        zigong = make_zigong()
+        assert not zigong._lora_applied
+        assert_same_state(zigong_quantized_state(zigong), self._replica_state(zigong))
+
+    def test_untied_head_with_a_bias(self, make_zigong):
+        # MistralTiny builds its head without a bias, so no replica of this
+        # model can be built from its config: the reference is the compile
+        # pass run on a merged copy.
+        from repro.lora import LoRAConfig, apply_lora
+
+        model = make_zigong().model
+        rng = np.random.default_rng(3)
+        model.lm_head = Linear(model.config.d_model, model.config.vocab_size, bias=True, rng=rng)
+        model.lm_head.bias.data = rng.normal(size=model.config.vocab_size).astype(np.float32)
+        for adapter in apply_lora(model, LoRAConfig(rank=2, target_modules=("wq", "lm_head")), rng=1):
+            adapter.lora_b.data = rng.normal(size=adapter.lora_b.shape).astype(np.float32)
+        payload = quantized_state(model)
+        assert payload["lm_head.bias"].dtype == np.float32
+        assert_same_state(payload, _merged_then_quantized(model))
+
+    def test_a_non_target_adapter_is_merged_and_stays_float(self):
+        from repro.lora import LoRAConfig, apply_lora
+
+        model = _EmbedHead()
+        [adapter] = apply_lora(model, LoRAConfig(rank=2, target_modules=("head",)), rng=1)
+        adapter.lora_b.data[:] = 0.25
+        payload = quantized_state(model)
+        assert payload["head.base.weight"].dtype == np.float32
+        assert_same_state(payload, _merged_then_quantized(model))
+
+    def test_builds_no_model_and_leaves_the_source_as_it_was(self, fitted_zigong, monkeypatch):
+        from repro.lora import iter_lora_modules
+        from repro.serving import zigong_quantized_state
+
+        built = []
+        init = MistralTiny.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MistralTiny, "__init__", counting)
+        model = fitted_zigong.model
+        before = model.state_dict()
+        version = model.weight_version
+        held = {name: p.data for name, p in model.named_parameters()}
+        merged = [a.merged for a in iter_lora_modules(model)]
+        zigong_quantized_state(fitted_zigong)
+        assert built == []
+        assert model.weight_version == version
+        assert [a.merged for a in iter_lora_modules(model)] == merged == [False] * len(merged)
+        for name, param in model.named_parameters():
+            assert param.data is held[name]
+        assert_same_state(model.state_dict(), before)
+
+    def test_quantize_model_still_refuses_unmerged_adapters_and_bumps_once(self, tiny_config):
+        from repro.lora import LoRAConfig, apply_lora, merge_lora
+
+        model = MistralTiny(tiny_config, rng=0)
+        apply_lora(model, LoRAConfig(rank=2), rng=0)
+        payload = quantized_state(model)  # folds the unmerged adapters in
+        with pytest.raises(QuantizationError):
+            quantize_model(model)
+        merge_lora(model)
+        version = model.weight_version
+        assert_same_state(quantize_model(model).state_dict(), payload)
+        assert model.weight_version == version + 1
+
+    def test_no_eligible_layers_raises(self):
+        with pytest.raises(QuantizationError):
+            quantized_state(_HeadOnly())
 
 
 class _HeadOnly(Module):
     def __init__(self):
         super().__init__()
         self.head = Linear(4, 2, rng=np.random.default_rng(0))
+
+
+class _EmbedHead(Module):
+    """An embedding plus a classifier ``head``, which is not a quantization target."""
+
+    def __init__(self):
+        super().__init__()
+        self.embed = Embedding(6, 4, rng=np.random.default_rng(0))
+        self.head = Linear(4, 2, rng=np.random.default_rng(1))
 
 
 class TestQuantizeModel:
