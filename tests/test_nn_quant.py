@@ -237,6 +237,15 @@ def assert_same_state(got: dict, expected: dict) -> None:
         np.testing.assert_array_equal(held, value, err_msg=key)
 
 
+def assert_owns_its_arrays(payload: dict, source: Module) -> None:
+    """No payload array shares memory with the source model or another payload key."""
+    held = [p.data for p in source.parameters()]
+    arrays = list(payload.values())
+    for i, (key, value) in enumerate(payload.items()):
+        assert not any(np.shares_memory(value, data) for data in held), key
+        assert not any(np.shares_memory(value, other) for other in arrays[i + 1 :]), key
+
+
 def _merged_then_quantized(model: Module) -> dict:
     """The payload as a compile pass makes it: merge and quantize a copy, read its state."""
     from repro.lora import merge_lora
@@ -284,6 +293,7 @@ class TestDeployPayload:
         payload = quantized_state(model)
         assert payload["lm_head.bias"].dtype == np.float32
         assert_same_state(payload, _merged_then_quantized(model))
+        assert_owns_its_arrays(payload, model)
 
     def test_a_non_target_adapter_is_merged_and_stays_float(self):
         from repro.lora import LoRAConfig, apply_lora
@@ -319,6 +329,7 @@ class TestDeployPayload:
         for name, param in model.named_parameters():
             assert param.data is held[name]
         assert_same_state(model.state_dict(), before)
+        assert_owns_its_arrays(zigong_quantized_state(fitted_zigong), model)
 
     def test_quantize_model_still_refuses_unmerged_adapters_and_bumps_once(self, tiny_config):
         from repro.lora import LoRAConfig, apply_lora, merge_lora
