@@ -89,9 +89,16 @@ def fused_attention(
     head-repeat copies of the KV cache), the additive ``mask`` is applied
     only when given, and the softmax runs in place on the score buffer.
 
+    Like every raw forward (``linear_np``, ``rms_norm_np``,
+    ``swiglu_np``), it writes only into arrays it allocated in the same
+    call and does its elementwise work inside them: the mask is added
+    into the score buffer, and no argument is ever written, so a cached
+    read-only mask (:func:`rect_attention_mask`) is passed as it is.
+
     Shapes: ``q`` is ``(B, H, T, hd)``, ``k``/``v`` are ``(B, KV, S, hd)``;
     ``mask`` broadcasts over ``(B, H, T, S)`` — either ``(T, S)`` or
-    ``(B, 1, 1, S)`` / ``(B, H, T, S)``.  Returns ``(out, probs)``:
+    ``(B, 1, 1, S)`` / ``(B, H, T, S)`` — and must be float32
+    (:class:`~repro.errors.ConfigError` otherwise).  Returns ``(out, probs)``:
     merged heads ``(B, T, H·hd)`` and the softmax probabilities laid
     out as ``(B, KV, group·T, S)``, which the training node's backward
     reuses.  Serves prefill (``T > 1``), the ``T == 1`` decode fast
@@ -103,15 +110,18 @@ def fused_attention(
     q5 = _grouped_query(q, n_kv_heads)
     scores = np.matmul(q5, k.swapaxes(-1, -2))  # (B, KV, group*T, S)
     if mask is not None:
-        scores = scores.reshape(batch, n_kv_heads, group, q_len, kv_len)
+        if mask.dtype != np.float32:
+            raise ConfigError(f"attention mask must be float32, got {mask.dtype}")
         if mask.ndim <= 2:
-            scores = scores + mask  # (T, S) broadcasts over (B, KV, G, T, S)
+            m = mask  # (T, S) broadcasts over (B, KV, G, T, S)
         elif mask.ndim == 4 and mask.shape[1] == 1:
-            scores = scores + mask[:, :, None]  # (B, 1, 1, S) -> (B, 1, 1, 1, S)
+            m = mask[:, :, None]  # (B, 1, 1, S) -> (B, 1, 1, 1, S)
         elif mask.ndim == 4:
-            scores = scores + mask.reshape(batch, n_kv_heads, group, *mask.shape[2:])
+            m = mask.reshape(batch, n_kv_heads, group, *mask.shape[2:])
         else:
             raise ConfigError(f"attention mask must have ndim <= 4, got shape {mask.shape}")
+        scores = scores.reshape(batch, n_kv_heads, group, q_len, kv_len)
+        scores += m
         scores = scores.reshape(batch, n_kv_heads, group * q_len, kv_len)
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)

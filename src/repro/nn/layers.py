@@ -52,7 +52,10 @@ def linear_np(x: np.ndarray, weight: np.ndarray, bias=None, lora=None):
         return out, None
     lora_a, lora_b, scaling = lora
     h = x @ lora_a.swapaxes(-1, -2)
-    return out + h @ lora_b.swapaxes(-1, -2) * scaling, h
+    delta = h @ lora_b.swapaxes(-1, -2)
+    delta *= scaling
+    out += delta
+    return out, h
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, lora=None) -> Tensor:
@@ -103,8 +106,11 @@ def rms_norm_np(x: np.ndarray, weight: np.ndarray, eps: float):
     """
     ms = (x * x).sum(axis=-1, keepdims=True)
     ms /= x.shape[-1]  # same bits as np.mean, less call overhead
-    inv = (ms + eps) ** -0.5
-    return x * inv * weight, inv
+    ms += eps
+    inv = np.power(ms, -0.5, out=ms)
+    out = x * inv
+    out *= weight
+    return out, inv
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:

@@ -15,7 +15,10 @@ def swiglu_np(gate: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Shared by the fused inference kernel and :func:`swiglu`.
     """
-    sig = 1.0 / (1.0 + np.exp(-gate))
+    sig = np.negative(gate)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
     out = gate * sig
     out *= up
     return out, sig

@@ -447,9 +447,9 @@ def _table_rows(table: np.ndarray, readout: np.ndarray) -> np.ndarray:
 
     ``table`` is ``(T, hd)`` or ``(B, 1, T, hd)`` (:meth:`RotaryEmbedding.tables`).
     """
-    batch = readout.shape[0]
-    table = np.broadcast_to(table, (batch, 1, *table.shape[-2:]))
-    return table[np.arange(batch), :, readout][:, :, None]
+    if table.ndim == 2:
+        return table[readout][:, None, None]
+    return table[np.arange(readout.shape[0]), :, readout][:, :, None]
 
 
 def _block_np(block, x: np.ndarray, cache, tables, attn_mask, readout=None) -> np.ndarray:

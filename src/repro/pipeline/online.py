@@ -216,7 +216,7 @@ class OnlinePipeline:
                 # which may predate promotions recorded on disk: push the
                 # persisted weights through a rolling deploy so serving
                 # matches state.json from the first request.
-                self.cluster.deploy({k: v.copy() for k, v in state.items()})
+                self.cluster.deploy(state)
             if self.state.phase in (SHADOW, PROMOTE):
                 self._candidate = self._restore_candidate()
                 if self._candidate is None:
@@ -398,9 +398,7 @@ class OnlinePipeline:
         training = replace(cfg.training, epochs=epochs or self.config.retrain_epochs)
         clone = ZiGong(replace(cfg, training=training), self.zigong.tokenizer)
         clone.apply_lora()
-        clone.model.load_state_dict(
-            {k: v.copy() for k, v in self.zigong.model.state_dict().items()}
-        )
+        clone.model.load_state_dict(self.zigong.model.state_dict())
         return clone
 
     # -- phase: shadow -------------------------------------------------
@@ -462,9 +460,7 @@ class OnlinePipeline:
         if self._candidate is None:
             raise PipelineError("promotion reached without a candidate")
         round_ = self.state.round
-        candidate_state = {
-            k: v.copy() for k, v in self._candidate.model.state_dict().items()
-        }
+        candidate_state = self._candidate.model.state_dict()
         # Snapshot the serving weights first: rollback (and a restarted
         # daemon) must be able to restore the exact prior version.
         save_artifact(self.work_dir / "prior.npz", self.zigong.model.state_dict(), {})

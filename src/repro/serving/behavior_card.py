@@ -160,7 +160,7 @@ def zigong_replica_factory(
     config = zigong.config
     tokenizer = zigong.tokenizer
     lora_applied = getattr(zigong, "_lora_applied", False)
-    source_state = {k: v.copy() for k, v in zigong.model.state_dict().items()}
+    source_state = zigong.model.state_dict()
 
     def factory(replica_id: int) -> ReplicaApp:
         model = _replica_model(config, lora_applied, source_state, quantize)

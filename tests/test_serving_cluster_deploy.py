@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.baselines.lm import LMClassifier
@@ -37,13 +38,18 @@ from repro.serving import (
 from repro.serving.behavior_card import DEFAULT_QUESTION
 
 
-@pytest.fixture(scope="module")
-def deploy_setup():
-    """An initially fine-tuned ZiGong plus a second finetune's state dict."""
+def behavior_examples():
     dataset = make_behavior(n_users=40, n_periods=4, seed=0)
     examples = drop_conflicting_examples(
         deduplicate_examples(build_behavior_examples(dataset))
     )
+    return dataset, examples
+
+
+@pytest.fixture(scope="module")
+def deploy_setup():
+    """An initially fine-tuned ZiGong plus a second finetune's state dict."""
+    dataset, examples = behavior_examples()
     base = make_test_config()
     config = dataclasses.replace(
         base, training=dataclasses.replace(base.training, epochs=3), base_lr=5e-3
@@ -191,4 +197,41 @@ class TestQuantizedReplicas:
         results = cluster.serve(requests)
         assert len(results) == len(requests)
         assert all(0.0 <= r.score <= 1.0 for r in results)
+        cluster.stop()
+
+
+class TestFactoryOwnsItsWeights:
+    def test_restarted_replica_serves_factory_time_weights(self, deploy_setup):
+        """The factory holds its own copy of the source weights: a replica
+        restarted after the source model trained further still serves
+        the weights the factory was built from."""
+        zigong, _, _, texts = deploy_setup
+        source = ZiGong(zigong.config, zigong.tokenizer)
+        source.apply_lora()
+        source.model.load_state_dict(zigong.model.state_dict())
+        factory_state = source.model.state_dict()
+        cluster = ClusterSupervisor(
+            zigong_replica_factory(source, threshold=0.5),
+            ClusterConfig(replicas=2, max_batch_size=4),
+        )
+        cluster.launch()
+
+        source.finetune(behavior_examples()[1][140:170])  # the source trains on
+        assert any(
+            not np.array_equal(factory_state[k], v)
+            for k, v in source.model.state_dict().items()
+        )
+        cluster.replicas[0].transport.kill()
+        requests = [ScoreRequest(f"u{i}", t) for i, t in enumerate(texts)]
+        cluster.serve(requests)  # the crash is seen while scoring
+        assert cluster.check_health()[0] == "healthy"
+        assert cluster.stats.restarts == 1
+
+        results = cluster.serve(requests)
+        assert {r.replica for r in results} == {0, 1}
+        factory_time = reference_scores(source, factory_state, texts)
+        assert [r.score for r in results] == pytest.approx(factory_time, abs=1e-9)
+        assert [r.score for r in results] != pytest.approx(
+            reference_scores(source, source.model.state_dict(), texts), abs=1e-9
+        )
         cluster.stop()
